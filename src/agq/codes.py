@@ -258,33 +258,46 @@ def dual(code: LinearCode, kind: str = "euclidean") -> LinearCode:
 # -- distance oracles ------------------------------------------------------------
 
 
+def _word_blocks(tower: FieldTower, heads: np.ndarray, rows: np.ndarray, tail: np.ndarray):
+    """heads + every combination of rows + tail, one vadd per word, in blocks of at most _CHUNK words."""
+    if len(rows) == 0:
+        yield tower.vadd(heads[:, None], tail[None]).reshape(-1, tail.shape[1])
+        return
+    # the zero scalar comes first, so every extension of heads begins with heads itself
+    scalars = np.roll(np.arange(tower.q2, dtype=np.int32), 1)
+    step = max(1, _CHUNK // (len(heads) * len(tail)))
+    for s in range(0, tower.q2, step):
+        scaled = tower.vmul(scalars[s : s + step, None], rows[0])
+        more = tower.vadd(scaled[:, None], heads[None]).reshape(-1, heads.shape[1])
+        yield from _word_blocks(tower, more, rows[1:], tail)
+
+
 def exhaustive_distance(code: LinearCode, cap: int | None = None) -> DistanceResult:
-    """True minimum weight by full codeword enumeration (q^{2k} words)."""
+    """True minimum weight over the (q^{2k}-1)/(q^2-1) projective codewords: g[i]
+    plus every combination of the rows below it (scaling preserves weight).  The
+    cap applies to q^{2k}, the size of the whole code."""
     tower = code.tower
     zero = tower.zero_code
-    q2 = tower.q2
-    if code.k == 0:
-        return DistanceResult(code.n + 1, True, None, "degenerate")
-    total = q2 ** code.k
+    q2, k, n = tower.q2, code.k, code.n
+    if k == 0:
+        return DistanceResult(n + 1, True, None, "degenerate")
+    total = q2 ** k
     limit = cap if cap is not None else config.exhaustive_cap()
     if total > limit:
         raise CapExceeded(total, limit)
-    best = code.n + 1
-    witness = None
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        cw = np.full((idx.size, code.n), zero, dtype=np.int32)
-        rem = idx
-        for i in range(code.k):
-            digit = (rem % q2).astype(np.int32)  # digit ranges over all codes incl zero
-            rem = rem // q2
-            cw = tower.vadd(cw, tower.vmul(digit[:, None], code.g[i][None, :]))
-        weights = (cw != zero).sum(axis=1)
-        weights[weights == 0] = code.n + 1  # the zero codeword is not counted
-        pos = int(np.argmin(weights))
-        if weights[pos] < best:
-            best = int(weights[pos])
-            witness = cw[pos].copy()
+    # table[:q2**r] holds every combination of the last r rows, r <= low
+    low = max(r for r in range(k) if q2 ** r <= _CHUNK)
+    zero_row = np.full((1, n), zero, dtype=np.int32)
+    (table,) = _word_blocks(tower, zero_row, code.g[k - low :][::-1], zero_row)
+    best, witness = n + 1, None
+    for i in range(k):
+        tail = table[: q2 ** min(k - 1 - i, low)]
+        for words in _word_blocks(tower, code.g[i : i + 1], code.g[i + 1 : max(i + 1, k - low)], tail):
+            weights = (words != zero).sum(axis=1)
+            weights[weights == 0] = n + 1  # a dependent generator row gives the zero word
+            pos = int(np.argmin(weights))
+            if weights[pos] < best:
+                best, witness = int(weights[pos]), words[pos].copy()
     return DistanceResult(best, True, tuple(int(v) for v in witness), "exhaustive")
 
 

@@ -2,7 +2,8 @@
 
 All caps are configuration, not constants: the environment variable
 AGQ_CAP_OPS overrides the elementary-operation budget used by the
-distance / minor-search oracles.
+dual-distance column scan and the minors oracle.  It does not touch the
+exhaustive word cap, whose unit (codewords) and default differ.
 """
 
 import os
@@ -25,7 +26,4 @@ def ops_cap() -> int:
 
 
 def exhaustive_cap() -> int:
-    raw = os.environ.get("AGQ_CAP_OPS")
-    if raw:
-        return int(raw)
     return DEFAULT_EXHAUSTIVE_CAP

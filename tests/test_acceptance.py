@@ -111,7 +111,7 @@ def test_criterion_3_artin_schreier_q3():
     assert qp.params_string() == "[[15,9,3]]_3"
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"{elapsed:.2f}s"
-    report(3, f"[15,3] d=12 exhaustive over 729 words, dual d=3, [[15,9,3]]_3 in {elapsed:.2f}s")
+    report(3, f"[15,3] d=12 exhaustive over 91 projective words, dual d=3, [[15,9,3]]_3 in {elapsed:.2f}s")
 
 
 def test_criterion_4_elliptic():

@@ -1,9 +1,15 @@
+import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import agq.codes
 from agq.codes import (
+    _CHUNK,
     LinearCode,
     batched_dependent,
     dual,
@@ -160,6 +166,102 @@ def test_exhaustive_distance_cap():
     code = LinearCode(tw, grs_rows(tw, es, tv, range(5)))
     with pytest.raises(CapExceeded):
         exhaustive_distance(code)
+
+
+def full_enumeration_distance(code):
+    """Reference oracle: minimum weight over all q^{2k} messages, k vmul + k vadd per word."""
+    tower = code.tower
+    zero = tower.zero_code
+    q2 = tower.q2
+    total = q2 ** code.k
+    best = code.n + 1
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        cw = np.full((idx.size, code.n), zero, dtype=np.int32)
+        rem = idx
+        for i in range(code.k):
+            digit = (rem % q2).astype(np.int32)  # digit ranges over all codes incl zero
+            rem = rem // q2
+            cw = tower.vadd(cw, tower.vmul(digit[:, None], code.g[i][None, :]))
+        weights = (cw != zero).sum(axis=1)
+        weights[weights == 0] = code.n + 1  # the zero codeword is not counted
+        best = min(best, int(weights.min()))
+    return best
+
+
+@st.composite
+def full_rank_codes(draw):
+    """Random full-rank [n<=12, k<=4] codes over GF(4), GF(9), GF(16), GF(25),
+    with zero columns and repeated or scaled copies of earlier columns."""
+    tw = build_tower(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)])))
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 12))
+    entry = st.integers(0, tw.zero_code)
+    cols = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["random", "zero", "scaled"]))
+        if kind == "zero":
+            cols.append(np.full(k, tw.zero_code, dtype=np.int32))
+        elif kind == "scaled" and cols:
+            unit = draw(st.integers(0, tw.n_units - 1))  # code 0 is 1: a repeated column
+            cols.append(tw.vmul(unit, draw(st.sampled_from(cols))))
+        else:
+            cols.append(np.asarray(draw(st.lists(entry, min_size=k, max_size=k)), dtype=np.int32))
+    g = np.stack(cols, axis=1)
+    assume(rank(tw, g) == k)
+    return LinearCode(tw, g, provenance="hypothesis")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(full_rank_codes(), st.sampled_from([_CHUNK, 100, 7]))
+def test_exhaustive_distance_matches_full_enumeration(code, chunk):
+    # small chunks force the chunked middle-row path that full-size codes take
+    tw = code.tower
+    vadd, sizes = tw.vadd, []
+
+    def sized_vadd(a, b):
+        out = vadd(a, b)
+        sizes.append(out.size)
+        return out
+
+    with mock.patch.object(agq.codes, "_CHUNK", chunk), mock.patch.object(tw, "vadd", sized_vadd):
+        res = exhaustive_distance(code)
+    assert max(sizes) <= chunk * code.n
+    assert (res.value, res.exact, res.method) == (full_enumeration_distance(code), True, "exhaustive")
+    witness = np.asarray(res.witness, dtype=np.int32)
+    assert int((witness != tw.zero_code).sum()) == res.value
+    assert rank(tw, np.vstack([code.g, witness[None, :]])) == code.k
+
+
+@pytest.mark.parametrize("pm, k, chunk", [((2, 1), 3, _CHUNK), ((2, 1), 4, 7), ((3, 1), 3, 10)])
+def test_exhaustive_distance_reaches_every_projective_word(pm, k, chunk):
+    """For each projective message m, a code whose only minimum-weight words are
+    the multiples of m.G: columns are every point of PG(k-1, q^2), so every word
+    weighs q^{2(k-1)}, plus the points of the hyperplane m^perp again, which
+    every word outside m's class also meets."""
+    tw = build_tower(*pm)
+    zero = tw.zero_code
+    pts = np.asarray(
+        [v for v in itertools.product(range(tw.q2), repeat=k) if next((c for c in v if c != zero), None) == 0],
+        dtype=np.int32,
+    )
+    dots = tw.vsum(tw.vmul(pts[:, None, :], pts[None, :, :]), axis=-1)
+    with mock.patch.object(agq.codes, "_CHUNK", chunk):
+        for m, on_hyperplane in zip(pts, dots == zero):
+            g = np.concatenate([pts, pts[on_hyperplane]]).T
+            res = exhaustive_distance(LinearCode(tw, g))
+            assert res.value == tw.q2 ** (k - 1)
+            word = tw.vsum(tw.vmul(m[:, None], g), axis=0)
+            assert rank(tw, np.stack([np.asarray(res.witness, dtype=np.int32), word])) == 1
+
+
+def test_exhaustive_cap_ignores_ops_budget(monkeypatch):
+    cert = construct(ConstructionRequest("c9", 3, 1, t=2, k=4))
+    monkeypatch.setenv("AGQ_CAP_OPS", "1")
+    res = exhaustive_distance(cert.code)
+    assert (res.value, res.exact) == (12, True)
+    dd = dual_distance_by_columns(cert.code)
+    assert not dd.exact and dd.method == "column-scan-lower-bound"
 
 
 def test_zero_code_degenerate():
