@@ -32,9 +32,6 @@ from .fields import (
     FieldTower,
     build_tower,
     norm_preimage,
-    relative_norm,
-    relative_trace,
-    solve_additive,
 )
 from .points import (
     EvaluationSet,
@@ -86,12 +83,9 @@ __all__ = [
     "is_mds",
     "local_derivatives",
     "norm_preimage",
-    "relative_norm",
-    "relative_trace",
     "roots_of_unity_set",
     "rr_basis",
     "singleton_defect",
-    "solve_additive",
     "stabilizer_params",
     "twist_vector",
     "x_support",

@@ -1,8 +1,10 @@
 """Command-line front end: construct, verify, scan, reproduce, export.
 
-Exit codes: 0 certified / report emitted, 2 rejected (a hypothesis failed),
-3 enumeration budget exceeded, 4 parse error.  All machine output is JSON
-(one object per command, or line-delimited for scans).
+Exit codes: 0 certified / report emitted, 2 rejected (a hypothesis failed or
+the request is invalid), 3 enumeration budget exceeded, 4 parse error or
+unreadable input.  All machine output is JSON (one object per command, or
+line-delimited for scans); an AgqError that no command handles becomes a
+JSON rejection verdict with exit code 2 (3 for CapExceeded), not a traceback.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .codes import (
     is_mds,
 )
 from .constructions import CertifiedCode, ConstructionRequest, construct_chain
-from .errors import AgqError, CapExceeded, EmbeddingRejected, GramNonzero, ParseError
+from .errors import AgqError, BadRequest, CapExceeded, EmbeddingRejected, GramNonzero, ParseError, UnreadableInput
 from .fields import build_tower
 from .quantum import stabilizer_params
 
@@ -117,7 +119,7 @@ def _request_from_args(args) -> ConstructionRequest:
     if args.c7:
         chosen.append("c7" + (args.case or "i"))
     if len(chosen) != 1:
-        raise SystemExit("exactly one construction flag (--c1 .. --c10) is required")
+        raise BadRequest("exactly one construction flag (--c1 .. --c10) is required")
     leaders = tuple(int(x) for x in args.leaders.split(",")) if args.leaders else None
     return ConstructionRequest(
         construction=chosen[0],
@@ -158,14 +160,21 @@ def cmd_construct(args) -> int:
 # -- verify -----------------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
-    start = time.time()
+def _read_matrix(args):
     try:
         with open(args.file) as fh:
             text = fh.read()
-        code = import_matrix(text, systematic_prefix=args.systematic_prefix)
-    except ParseError as exc:
-        _emit({"verdict": "REJECTED(ParseError)", "reason": str(exc), "file": args.file})
+    except OSError as exc:
+        raise UnreadableInput(f"{args.file}: {exc.strerror or exc}") from None
+    return import_matrix(text, systematic_prefix=args.systematic_prefix)
+
+
+def cmd_verify(args) -> int:
+    start = time.time()
+    try:
+        code = _read_matrix(args)
+    except (ParseError, UnreadableInput) as exc:
+        _emit({"verdict": f"REJECTED({type(exc).__name__})", "reason": str(exc), "file": args.file})
         return EXIT_PARSE
     except AgqError as exc:
         _emit(rejection_entry({"file": args.file}, exc, time.time() - start))
@@ -462,10 +471,9 @@ def cmd_reproduce(args) -> int:
 
 def cmd_export(args) -> int:
     try:
-        with open(args.file) as fh:
-            code = import_matrix(fh.read(), systematic_prefix=args.systematic_prefix)
-    except ParseError as exc:
-        print(json.dumps({"verdict": "REJECTED(ParseError)", "reason": str(exc)}))
+        code = _read_matrix(args)
+    except (ParseError, UnreadableInput) as exc:
+        print(json.dumps({"verdict": f"REJECTED({type(exc).__name__})", "reason": str(exc)}))
         return EXIT_PARSE
     text = export_matrix(code)
     if args.out:
@@ -535,7 +543,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    start = time.time()
+    try:
+        return args.func(args)
+    except AgqError as exc:
+        request = {key: val for key, val in vars(args).items() if key != "func"}
+        _emit(rejection_entry(request, exc, time.time() - start))
+        return EXIT_BUDGET if isinstance(exc, CapExceeded) else EXIT_REJECTED
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from .fields import FieldElement, FieldTower, build_tower
 from .points import TwistVector
 
 _CHUNK = 1 << 15
+_LIVE_ENTRIES = 1 << 20  # entries of one (prefixes, k, n) batch in the column scan
 
 
 class LinearCode:
@@ -301,14 +302,72 @@ def exhaustive_distance(code: LinearCode, cap: int | None = None) -> DistanceRes
     return DistanceResult(best, True, tuple(int(v) for v in witness), "exhaustive")
 
 
+def _lex_rank(combo: tuple, n: int) -> int:
+    """Position of a sorted subset of range(n) in itertools.combinations order."""
+    w = len(combo)
+    return comb(n, w) - 1 - sum(comb(n - 1 - c, w - i) for i, c in enumerate(combo))
+
+
+def _first_collision(tower: FieldTower, g: np.ndarray, w: int, limit: int):
+    """Lex-first dependent w-subset of the columns of g among the (w-2)-prefixes
+    whose first subset has lex rank < limit, or None.  Every (w-1)-subset must
+    be independent, so the projections modulo a prefix's span are nonzero."""
+    zero = tower.zero_code
+    k, n = g.shape
+    prefixes = itertools.combinations(range(n - 2), w - 2)  # those with a pair after them
+    offset = 0  # lex rank of the first subset of the next prefix
+    while offset < limit:
+        block = list(itertools.islice(prefixes, max(1, _LIVE_ENTRIES // (k * n))))
+        if not block:
+            return None
+        pre = np.asarray(block, dtype=np.int64).reshape(len(block), w - 2)
+        top = pre.max(axis=1, initial=-1)
+        pairs = (n - 1 - top) * (n - 2 - top) // 2
+        ends = offset + np.cumsum(pairs)
+        keep = ends - pairs < limit
+        pre, top, offset = pre[keep], top[keep], int(ends[-1])
+        # forward elimination on the prefix columns: rows w-2.. become the projection modulo span(prefix)
+        m = np.repeat(g[None], len(pre), axis=0)
+        ar = np.arange(len(pre))
+        for c in range(w - 2):
+            pc = pre[:, c]
+            src = c + np.argmax(m[ar, c:, pc] != zero, axis=1)
+            pivot_rows = m[ar, src].copy()
+            m[ar, src] = m[:, c].copy()  # explicit copy: src may alias row c
+            m[:, c] = pivot_rows
+            factors = tower.vdiv(tower.vneg(m[ar, c + 1 :, pc]), m[ar, c, pc][:, None])
+            m[:, c + 1 :] = tower.vadd(m[:, c + 1 :], tower.vmul(factors[:, :, None], m[:, c, None, :]))
+        proj = m[:, w - 2 :]
+        lead = np.take_along_axis(proj, np.argmax(proj != zero, axis=1)[:, None, :], axis=1)
+        b, j = np.nonzero(np.arange(n)[None, :] > top[:, None])
+        keys = tower.vdiv(proj, lead)[b, :, j]  # (entries, k-w+2): exact projective points
+        order = np.lexsort((j, *keys.T[::-1], b))
+        b, j, keys = b[order], j[order], keys[order]
+        hits = np.nonzero((b[1:] == b[:-1]) & (keys[1:] == keys[:-1]).all(axis=1))[0]
+        if hits.size:
+            hits = hits[b[hits] == b[hits[0]]]
+            first = hits[np.argmin(j[hits])]
+            return tuple(int(c) for c in pre[b[first]]) + (int(j[first]), int(j[first + 1]))
+    return None
+
+
 def dual_distance_by_columns(
     code: LinearCode, d_max: int | None = None, ops_budget: int | None = None
 ) -> DistanceResult:
     """d(C^perp) = size of the smallest linearly dependent column set of G.
 
     Scans w = 1, 2, ... up to d_max (capped at k+1, where dependence is
-    guaranteed).  If the budget runs out after certifying all subsets of
-    size < w independent, returns a lower bound `w` with exact=False.
+    guaranteed).  Once every (w-1)-subset is independent, S + {j, l} with
+    |S| = w-2 is dependent exactly when columns j and l, projected modulo
+    span(S), are parallel; so each prefix S costs one elimination and one
+    sort of projective points, and the lex-first dependent set is the first
+    prefix's lowest colliding pair.
+
+    The budget counts nominal work: k*w*2 per w-subset, charged in lex-ordered
+    blocks of _CHUNK subsets, with a block started only if it fits.  That
+    fixes how many w-subsets the budget certifies; a dependent set ranked at
+    or past it gives a lower bound `w` with exact=False, as does running out
+    of budget after certifying all subsets of size < w independent.
     """
     tower = code.tower
     zero = tower.zero_code
@@ -325,17 +384,18 @@ def dual_distance_by_columns(
     for w in range(2, cap + 1):
         if w == k + 1:
             return DistanceResult(k + 1, True, tuple(range(k + 1)), "column-scan")
-        for combos in _combo_chunks(n, w):
-            cost = combos.shape[0] * k * w * 2
-            if spent + cost > budget:
-                # every subset of size < w is certified independent, so d >= w
-                return DistanceResult(w, False, None, "column-scan-lower-bound")
-            spent += cost
-            mats = np.transpose(g[:, combos], (1, 0, 2))  # (B, k, w)
-            dep = np.nonzero(batched_dependent(tower, mats))[0]
-            if dep.size:
-                first = int(dep[0])
-                return DistanceResult(w, True, tuple(int(c) for c in combos[first]), "column-scan")
+        unit, total = k * w * 2, comb(n, w)
+        if total * unit <= budget - spent:
+            certified = total
+        else:
+            certified = max(0, budget - spent) // (_CHUNK * unit) * _CHUNK
+        witness = _first_collision(tower, g, w, certified)
+        if witness is not None and _lex_rank(witness, n) < certified:
+            return DistanceResult(w, True, witness, "column-scan")
+        if certified < total:
+            # every subset of size < w is certified independent, so d >= w
+            return DistanceResult(w, False, None, "column-scan-lower-bound")
+        spent += total * unit
     return DistanceResult(cap + 1, False, None, "column-scan-lower-bound")
 
 

@@ -26,6 +26,7 @@ from .codes import (
 )
 from .curves import CurveFamily, CurveSpec, curve, rational_points, rr_basis, x_support
 from .errors import (
+    BadRequest,
     CapExceeded,
     DivisibilityViolated,
     EmbeddingRejected,
@@ -218,6 +219,8 @@ def construct_chain(
     request: ConstructionRequest, ops_budget: int | None = None
 ) -> list[CertifiedCode]:
     """Like construct, but returns every chain member the policy produced."""
+    if request.k is not None and request.k < 1:
+        raise BadRequest(f"k must be at least 1, got {request.k}")
     tower = build_tower(request.p, request.m)
     if request.embed == "deep":
         t = request.t
@@ -245,7 +248,7 @@ def construct_chain(
     elif request.embed == "iterate":
         chain.extend(embed_iterate(base, ops_budget=ops_budget))
     elif request.embed != "none":
-        raise ValueError(f"unknown embedding policy {request.embed!r}")
+        raise BadRequest(f"unknown embedding policy {request.embed!r}")
     return chain
 
 
@@ -260,12 +263,12 @@ def _construct_base(
     if cons in ("c1", "c2", "c3", "c4"):
         if cons == "c1":
             if request.n is None:
-                raise ValueError("c1 needs n")
+                raise BadRequest("c1 needs n")
             es = roots_of_unity_set(tower, request.n)
             trace = (f"c1: roots of x^{request.n} - x",)
         elif cons == "c2":
             if request.n is None or request.t is None:
-                raise ValueError("c2 needs n and t")
+                raise BadRequest("c2 needs n and t")
             if (q - 1) % request.n != 0:
                 raise DivisibilityViolated(
                     f"c2 needs n | q-1 (subgroup inside GF({q})); n={request.n}"
@@ -283,7 +286,7 @@ def _construct_base(
             )
         elif cons == "c3":
             if request.n is None or request.t is None:
-                raise ValueError("c3 needs n and t")
+                raise BadRequest("c3 needs n and t")
             es = coset_union_set(tower, request.n, request.t, leader_exponents=request.leaders)
             trace = (
                 f"c3: order-{request.n} subgroup plus {request.t} coset(s), "
@@ -291,7 +294,7 @@ def _construct_base(
             )
         else:
             if request.t is None:
-                raise ValueError("c4 needs t")
+                raise BadRequest("c4 needs t")
             es = affine_grid_set(tower, request.t, anchor=anchor)
             trace = (f"c4: affine grid t={request.t} anchor "
                      f"{tower.format(tower.element(es.params['anchor_code']))}",)
@@ -306,7 +309,7 @@ def _construct_base(
         trace = (f"c5: elliptic constant {tower.format(spec.c)}, |U_c| = {xs.n}",)
     elif cons == "c6":
         if request.n is None:
-            raise ValueError("c6 needs n")
+            raise BadRequest("c6 needs n")
         spec = curve(CurveFamily.HYPERELLIPTIC, tower)
         xs = x_support(spec, roots_of_unity_set(tower, request.n))
         n_pts = 2 * xs.n
@@ -315,15 +318,15 @@ def _construct_base(
         spec = curve(CurveFamily.HERMITIAN, tower)
         if cons == "c7i":
             if request.n is None:
-                raise ValueError("c7i needs n (the x-set size)")
+                raise BadRequest("c7i needs n (the x-set size)")
             sel = roots_of_unity_set(tower, request.n)
         elif cons == "c7ii":
             if request.n is None or request.t is None:
-                raise ValueError("c7ii needs n and t")
+                raise BadRequest("c7ii needs n and t")
             sel = coset_union_set(tower, request.n, request.t, leader_exponents=request.leaders)
         else:
             if request.t is None:
-                raise ValueError("c7iii needs t")
+                raise BadRequest("c7iii needs t")
             sel = affine_grid_set(tower, request.t, anchor=anchor)
         xs = x_support(spec, sel)
         n_pts = q * xs.n
@@ -335,14 +338,14 @@ def _construct_base(
         trace = (f"c8: half-exponent Hermitian, {xs.n} square x-values",)
     elif cons in ("c9", "c10"):
         if request.t is None:
-            raise ValueError(f"{cons} needs t")
+            raise BadRequest(f"{cons} needs t")
         spec = curve(CurveFamily.ARTIN_SCHREIER, tower, t=request.t)
         xs = x_support(spec)
         n_pts = q * xs.n
         s = gcd(request.t * (q - 1), (q + 1) * (q - 1))
         trace = (f"{cons}: Artin-Schreier t={request.t}, s={s}, {xs.n} x-values",)
     else:
-        raise ValueError(f"unknown construction {cons!r}")
+        raise BadRequest(f"unknown construction {cons!r}")
 
     k = request.k if request.k is not None else thm_key_k_max(n_pts, q, spec.genus)
     return _curve_pipeline(spec, xs, k, f"{cons}[{n_pts},k={k}]", trace, budget)

@@ -107,6 +107,10 @@ class CapExceeded(AgqError):
         super().__init__(message or f"estimated {estimated_ops} ops exceeds cap {cap}")
 
 
+class UnreadableInput(AgqError):
+    """An input file could not be opened or read."""
+
+
 class ParseError(AgqError):
     def __init__(self, line, column, message):
         self.line = line
@@ -115,6 +119,10 @@ class ParseError(AgqError):
 
 
 # -- constructions ----------------------------------------------------------
+
+class BadRequest(AgqError, ValueError):
+    """A construction request with a missing or out-of-range parameter."""
+
 
 class GramNonzero(AgqError):
     """Hermitian Gram certificate failed; carries the offending entry."""

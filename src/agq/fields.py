@@ -540,14 +540,6 @@ def build_tower(
     return FieldTower(p, m, _least_primitive_poly(p, 2 * m), conway=False)
 
 
-def relative_norm(x: FieldElement) -> FieldElement:
-    return x.relative_norm()
-
-
-def relative_trace(x: FieldElement) -> FieldElement:
-    return x.relative_trace()
-
-
 def norm_preimage(c: FieldElement) -> FieldElement:
     """Deterministic v with v^(q+1) = c, for c in GF(q)*.
 
@@ -560,7 +552,3 @@ def norm_preimage(c: FieldElement) -> FieldElement:
     if c.code % (tower.q + 1) != 0:
         raise NotInBaseField(f"{tower.format(c)} is not in GF({tower.q})")
     return FieldElement(tower, c.code // (tower.q + 1))
-
-
-def solve_additive(tower: FieldTower, amap: AdditiveMap, a: FieldElement):
-    return tower.solve_additive(amap, a)

@@ -76,6 +76,23 @@ def test_verify_parse_error_exit_4(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "argv, verdict, exit_code",
+    [
+        (("verify", "missing.txt"), "REJECTED(UnreadableInput)", 4),
+        (("scan", "--construction", "c1", "--tower", "4,1"), "REJECTED(NotPrime)", 2),
+        (("construct", "--c1", "--p", "13", "--m", "1", "--n", "25", "--k", "0"), "REJECTED(BadRequest)", 2),
+        (("construct", "--c7", "--p", "3", "--m", "1", "--k", "3"), "REJECTED(BadRequest)", 2),
+        (("construct", "--c1", "--c9", "--p", "3", "--m", "1"), "REJECTED(BadRequest)", 2),
+    ],
+)
+def test_failures_are_json_verdicts(capsys, tmp_path, monkeypatch, argv, verdict, exit_code):
+    monkeypatch.chdir(tmp_path)  # missing.txt really is missing
+    code, out = run_cli(capsys, *argv)
+    assert code == exit_code
+    assert json.loads(out)["verdict"] == verdict
+
+
 def test_export_roundtrip(tmp_path, capsys):
     src = DATA / "f49_22_5.txt"
     out1 = tmp_path / "a.txt"

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 from unittest import mock
 
 import numpy as np
@@ -8,9 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import agq.codes
+from agq import config
 from agq.codes import (
     _CHUNK,
+    DistanceResult,
     LinearCode,
+    _combo_chunks,
     batched_dependent,
     dual,
     dual_distance_by_columns,
@@ -309,6 +313,128 @@ def test_dual_by_columns_equals_exhaustive_k4():
         d_exh = exhaustive_distance(code).value
         d_col = dual_distance_by_columns(dual(code, "euclidean"), d_max=n).value
         assert d_exh == d_col
+
+
+def per_subset_column_scan(code, d_max=None, ops_budget=None):
+    """Reference oracle: the column scan that eliminates every w-subset of columns,
+    charging k*w*2 per subset in lex-ordered blocks of _CHUNK."""
+    tower = code.tower
+    zero = tower.zero_code
+    g = code.g
+    k, n = code.k, code.n
+    cap = min(d_max if d_max is not None else k + 1, k + 1)
+    budget = ops_budget if ops_budget is not None else config.ops_cap()
+    spent = 0
+    if k == 0:
+        return DistanceResult(1, True, (0,), "column-scan")
+    zero_cols = np.nonzero((g == zero).all(axis=0))[0]
+    if zero_cols.size:
+        return DistanceResult(1, True, (int(zero_cols[0]),), "column-scan")
+    for w in range(2, cap + 1):
+        if w == k + 1:
+            return DistanceResult(k + 1, True, tuple(range(k + 1)), "column-scan")
+        for combos in _combo_chunks(n, w, agq.codes._CHUNK):
+            cost = combos.shape[0] * k * w * 2
+            if spent + cost > budget:
+                return DistanceResult(w, False, None, "column-scan-lower-bound")
+            spent += cost
+            mats = np.transpose(g[:, combos], (1, 0, 2))  # (B, k, w)
+            dep = np.nonzero(batched_dependent(tower, mats))[0]
+            if dep.size:
+                return DistanceResult(w, True, tuple(int(c) for c in combos[dep[0]]), "column-scan")
+    return DistanceResult(cap + 1, False, None, "column-scan-lower-bound")
+
+
+def nominal_spend(code, w, subsets):
+    """Budget charged for every subset of size 2..w-1 plus the first `subsets` w-subsets."""
+    k, n = code.k, code.n
+    return sum(comb(n, v) * k * v * 2 for v in range(2, w)) + subsets * k * w * 2
+
+
+@st.composite
+def column_scan_cases(draw):
+    """Full-rank [n<=16, 2<=k<=6] codes over GF(4/9/16/25/49/64) with parallel columns
+    and columns that are sums of earlier ones, plus d_max, _CHUNK, batch size and a
+    budget: the default, or one that ends inside some w's subsets, at a chunk
+    boundary of that w or one off it, or anywhere."""
+    tw = build_tower(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)])))
+    k = draw(st.sampled_from(range(2, 7)))
+    n = draw(st.integers(k, 16))
+    unit = st.integers(0, tw.n_units - 1)
+    kinds = draw(st.sampled_from([["random"], ["random", "sparse", "sum"], ["random", "sparse", "parallel", "sum"]]))
+    sparse = st.one_of(st.just(tw.zero_code), st.sampled_from(range(tw.q2)))  # zero pivots need row swaps
+    cols = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "parallel" and cols:
+            cols.append(tw.vmul(draw(unit), draw(st.sampled_from(cols))))
+        elif kind == "sum" and len(cols) >= 2:
+            parts = draw(st.lists(st.sampled_from(range(len(cols))), min_size=2, max_size=3, unique=True))
+            cols.append(tw.vsum(np.stack([tw.vmul(draw(unit), cols[i]) for i in parts]), axis=0))
+        else:
+            entry = sparse if kind == "sparse" else st.sampled_from(range(tw.q2))
+            cols.append(np.asarray(draw(st.lists(entry, min_size=k, max_size=k)), dtype=np.int32))
+    g = np.stack(cols, axis=1)
+    assume(rank(tw, g) == k)
+    code = LinearCode(tw, g, provenance="hypothesis")
+    chunk = draw(st.sampled_from([_CHUNK, 100, 7]))
+    w = draw(st.sampled_from(range(2, k + 1)))
+    budget_kind = draw(st.sampled_from(["default", "any", "boundary", "boundary"]))
+    if budget_kind == "default":
+        budget = None
+    elif budget_kind == "any":
+        budget = nominal_spend(code, w, draw(st.integers(0, comb(n, w)))) + draw(st.integers(0, k * w * 2))
+    else:
+        last = -(-comb(n, w) // chunk)
+        blocks = draw(st.one_of(st.sampled_from([0, 1, last]), st.integers(0, last)))
+        budget = nominal_spend(code, w, min(blocks * chunk, comb(n, w))) + draw(st.sampled_from([-1, 0, 1]))
+    d_max = draw(st.sampled_from([None, *range(1, k + 3)]))
+    live = draw(st.sampled_from([1 << 20, 1]))  # 1: one prefix per batch
+    return code, d_max, budget, chunk, live
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(column_scan_cases())
+def test_column_scan_matches_per_subset_scan(case):
+    code, d_max, budget, chunk, live = case
+    with mock.patch.object(agq.codes, "_CHUNK", chunk), mock.patch.object(agq.codes, "_LIVE_ENTRIES", live):
+        assert dual_distance_by_columns(code, d_max, budget) == per_subset_column_scan(code, d_max, budget)
+
+
+@pytest.mark.parametrize("chunk, blocks", [(7, 6), (5, 15), (5, 16)])
+@pytest.mark.parametrize("shift, exact", [(-1, True), (0, False)])
+def test_column_scan_budget_boundary(chunk, blocks, shift, exact):
+    """The budget certifies the first L = blocks*chunk 3-subsets of 9 columns; the
+    lex-first dependent 3-subset is planted at rank L-1 (found) or at rank L (past
+    the budget).  Ranks 74 and 80 open the prefixes (4,) and (5,)."""
+    tw, k, n = build_tower(2, 3), 4, 9
+    target = list(itertools.combinations(range(n), 3))[blocks * chunk + shift]
+    g = np.random.default_rng(5).integers(0, tw.n_units, size=(k, n)).astype(np.int32)
+    a, b, c = target
+    g[:, c] = tw.vadd(tw.vmul(3, g[:, a]), tw.vmul(11, g[:, b]))
+    code = LinearCode(tw, g)
+    found = DistanceResult(3, True, target, "column-scan")
+    budget = nominal_spend(code, 3, blocks * chunk)
+    with mock.patch.object(agq.codes, "_CHUNK", chunk):
+        assert per_subset_column_scan(code) == found  # the planted set is the lex-first dependent one
+        res = dual_distance_by_columns(code, ops_budget=budget)
+        assert res == per_subset_column_scan(code, ops_budget=budget)
+        assert dual_distance_by_columns(code, ops_budget=budget - 1).method == "column-scan-lower-bound"
+    assert res == (found if exact else DistanceResult(3, False, None, "column-scan-lower-bound"))
+
+
+def test_column_scan_large_field():
+    """GF(2^16), k = 6: a projective point of six 16-bit coordinates does not fit in
+    an int64, yet the scan must find exactly the planted dependent set {2, 5, 7, 9}."""
+    tw = build_tower(2, 8)
+    g = np.random.default_rng(11).integers(0, tw.n_units, size=(6, 12)).astype(np.int32)
+    g[:, 9] = tw.vsum(np.stack([tw.vmul(e, g[:, c]) for e, c in ((17, 2), (40000, 5), (9, 7))]), axis=0)
+    code = LinearCode(tw, g)
+    assert dual_distance_by_columns(code) == DistanceResult(4, True, (2, 5, 7, 9), "column-scan")
+    assert per_subset_column_scan(code) == dual_distance_by_columns(code)
+    with mock.patch.object(agq.codes, "_CHUNK", 100):
+        for budget in (nominal_spend(code, 4, 300) - 1, nominal_spend(code, 4, 300)):
+            assert dual_distance_by_columns(code, ops_budget=budget) == per_subset_column_scan(code, ops_budget=budget)
 
 
 def test_frobenius_weight_invariance():
