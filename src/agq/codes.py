@@ -154,10 +154,10 @@ def batched_dependent(tower: FieldTower, mats: np.ndarray) -> np.ndarray:
     return dep
 
 
-def _combo_chunks(n: int, w: int, chunk: int = _CHUNK):
+def _combo_chunks(n: int, w: int):
     it = itertools.combinations(range(n), w)
     while True:
-        block = list(itertools.islice(it, chunk))
+        block = list(itertools.islice(it, _CHUNK))
         if not block:
             return
         yield np.asarray(block, dtype=np.int64)
@@ -525,7 +525,9 @@ def _vandermonde_shape(tower: FieldTower, g: np.ndarray) -> bool:
     if k == 1:
         return True
     ratio = tower.vdiv(g[1], g[0])
-    if len(np.unique(ratio)) != n:
+    # sort and compare neighbours: np.unique imports numpy.ma on its first call
+    ordered = np.sort(ratio)
+    if (ordered[1:] == ordered[:-1]).any():
         return False
     for i in range(1, k):
         if not np.array_equal(g[i], tower.vmul(g[i - 1], ratio)):

@@ -1,10 +1,14 @@
 """Exact arithmetic in the tower GF(p) < GF(q) < GF(q^2), q = p^m.
 
 Elements of GF(q^2) are kept in discrete-log form: an element is either zero
-or t^e for the tower generator t, with 0 <= e < q^2-1.  Multiplication is
-exponent addition; addition goes through a precomputed Zech-logarithm table.
-The same tables back the vectorized numpy kernels used by the matrix code
-(arrays of int32 exponent codes, with code == q^2-1 standing for zero).
+or t^e for the tower generator t, with 0 <= e < q^2-1.  The vectorized numpy
+kernels used by the matrix code work on arrays of int32 exponent codes, with
+code == q^2-1 standing for zero.  For q^2 <= 2^9 (every field of `agq
+reproduce`) addition and multiplication are single gathers from full
+q^2 x q^2 Cayley tables of codes; above that bound, where such a table would
+not fit, addition goes through a Zech-logarithm table and multiplication is
+exponent addition.  The fibers of the additive maps the curve module needs are read
+from a per-map table that sorts all q^2 images once.
 
 The defining modulus of GF(p^{2m}) is the Conway polynomial when the size is
 in the built-in table, so that t-power listings are comparable with standard
@@ -41,6 +45,9 @@ _CONWAY = {
     (19, 2): (2, 18, 1),
     (23, 2): (5, 21, 1),
 }
+
+# largest q^2 with full Cayley tables: two int32 tables of q^4 entries, 1 MB each
+_CAYLEY_MAX_Q2 = 2 ** 9
 
 
 def _is_prime(n: int) -> bool:
@@ -134,10 +141,13 @@ class AdditiveMap(Enum):
 
 
 class FieldTower:
-    """GF(p) < GF(q=p^m) < GF(q^2) with full log / Zech tables.
+    """GF(p) < GF(q=p^m) < GF(q^2) with full log / Zech tables, plus Cayley
+    tables when q^2 <= 2^9.
 
-    Immutable after construction; every operation on elements or exponent
-    arrays is pure, so towers are safe to share across threads.
+    Immutable after construction apart from the fiber tables of
+    ``solve_additive``, which are filled on first use (a race only computes
+    one twice); every operation on elements or exponent arrays is pure, so
+    towers are safe to share across threads.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], conway: bool):
@@ -149,34 +159,50 @@ class FieldTower:
         self.zero_code = self.n_units  # exponent code reserved for 0
         self.modulus = modulus
         self.conway = conway
+        self._fibers = {}
         self._build_tables()
 
     # -- table construction ---------------------------------------------
 
     def _build_tables(self):
-        p, deg, n = self.p, 2 * self.m, self.n_units
-        mod = self.modulus
-        exp_val = np.zeros(n, dtype=np.int64)
-        digits = [0] * deg
-        digits[0] = 1
-        weights = [p ** i for i in range(deg)]
-        for e in range(n):
-            exp_val[e] = sum(d * w for d, w in zip(digits, weights))
-            carry = digits[deg - 1]
-            digits = [0] + digits[: deg - 1]
-            if carry:
-                for i in range(deg):
-                    digits[i] = (digits[i] - carry * mod[i]) % p
-        log_val = np.full(self.q2, self.zero_code, dtype=np.int32)
+        p, deg, n, q2 = self.p, 2 * self.m, self.n_units, self.q2
+        # digits(t * x) = digits(x) @ step: the transposed companion matrix
+        step = np.zeros((deg, deg), dtype=np.int64)
+        step[np.arange(deg - 1), np.arange(1, deg)] = 1
+        step[deg - 1] = [(-c) % p for c in self.modulus[:deg]]
+        weights = p ** np.arange(deg, dtype=np.int64)
+        # digit rows of t^0 .. t^(width-1) by doubling, while step becomes
+        # (C^width)^T; every product is reduced mod p, so no entry exceeds deg * p^2
+        width = 1 << (n.bit_length() // 2)
+        block = np.eye(1, deg, dtype=np.int64)
+        while len(block) < width:
+            block = np.concatenate([block, block @ step % p])
+            step = step @ step % p
+        exp_val = np.empty(n, dtype=np.int64)
+        for start in range(0, n, width):
+            stop = min(start + width, n)
+            exp_val[start:stop] = block[: stop - start] @ weights
+            block = block @ step % p
+        log_val = np.full(q2, self.zero_code, dtype=np.int32)
         log_val[exp_val] = np.arange(n, dtype=np.int32)
         if log_val[0] != self.zero_code or np.count_nonzero(log_val != self.zero_code) != n:
             raise AssertionError("modulus is not primitive; tables inconsistent")
         # Zech table: zech[e] = log(1 + t^e), zero_code marks 1 + t^e = 0
-        plus_one = exp_val - (exp_val % p) + (exp_val % p + 1) % p
-        zech = log_val[plus_one].astype(np.int32)
+        # in place: at q^2 = 2^22 each int64 temporary is 32 MB
+        low = exp_val % p
+        plus_one = exp_val - low
+        low += 1
+        low %= p
+        plus_one += low
+        zech = log_val[plus_one]
         self._exp_val = exp_val
         self._log_val = log_val
         self._zech = zech
+        self._add_table = self._mul_table = None
+        if q2 <= _CAYLEY_MAX_Q2:
+            a, b = np.divmod(np.arange(q2 * q2, dtype=np.int32), np.int32(q2))
+            self._add_table = self._zech_add(a, b)
+            self._mul_table = self._log_mul(a, b)
 
     # -- element constructors ---------------------------------------------
 
@@ -277,18 +303,28 @@ class FieldTower:
         return np.asarray([el.code for el in elements], dtype=np.int32)
 
     def vadd(self, a, b):
-        n = self.n_units
         a = np.asarray(a, dtype=np.int32)
         b = np.asarray(b, dtype=np.int32)
+        if self._add_table is None:
+            return self._zech_add(a, b)
+        return self._add_table[a * self.q2 + b]
+
+    def vmul(self, a, b):
+        a = np.asarray(a, dtype=np.int32)
+        b = np.asarray(b, dtype=np.int32)
+        if self._mul_table is None:
+            return self._log_mul(a, b)
+        return self._mul_table[a * self.q2 + b]
+
+    def _zech_add(self, a, b):
+        n = self.n_units
         a, b = np.broadcast_arrays(a, b)
         z = self._zech[(b - a) % n]
         both = np.where(z == n, np.int32(n), (a + z) % n)
         return np.where(a == n, b, np.where(b == n, a, both)).astype(np.int32)
 
-    def vmul(self, a, b):
+    def _log_mul(self, a, b):
         n = self.n_units
-        a = np.asarray(a, dtype=np.int32)
-        b = np.asarray(b, dtype=np.int32)
         out = (a + b) % n
         return np.where((a == n) | (b == n), np.int32(n), out).astype(np.int32)
 
@@ -323,7 +359,7 @@ class FieldTower:
         return np.where(a == n, np.int32(n), (a.astype(np.int64) * j) % n).astype(np.int32)
 
     def vsum(self, arr, axis: int = -1):
-        """Field sum along an axis (tree reduction over the Zech add)."""
+        """Field sum along an axis (tree reduction over vadd)."""
         arr = np.asarray(arr, dtype=np.int32)
         arr = np.moveaxis(arr, axis, -1)
         length = arr.shape[-1]
@@ -338,84 +374,31 @@ class FieldTower:
             arr = self.vadd(arr[..., :half], arr[..., half:])
         return arr[..., 0]
 
-    # -- linear-map solver ---------------------------------------------------
-
-    def _digits(self, value: int) -> list[int]:
-        out = []
-        for _ in range(2 * self.m):
-            out.append(value % self.p)
-            value //= self.p
-        return out
+    # -- additive-map fibers ----------------------------------------------------
 
     def solve_additive(self, amap: AdditiveMap, a: "FieldElement") -> tuple["FieldElement", ...]:
-        """All y in GF(q^2) with map(y) = a; empty or a full kernel coset."""
-        if amap is AdditiveMap.SQUARE_PLUS_Y and self.p != 2:
-            raise ValueError("y^2+y is additive only in characteristic 2")
+        """All y in GF(q^2) with map(y) = a, by code; empty or a full kernel coset.
 
-        def apply(y: FieldElement) -> FieldElement:
+        The first call for a map evaluates it on all q^2 codes and sorts the
+        images stably, so every fiber is one slice, already ordered by code.
+        """
+        table = self._fibers.get(amap)
+        if table is None:
+            y = np.arange(self.q2, dtype=np.int32)
             if amap is AdditiveMap.SQUARE_PLUS_Y:
-                return y * y + y
-            if amap is AdditiveMap.FROB_PLUS_Y:
-                return y.frobenius() + y
-            return y.frobenius() - y
-
-        p, dim = self.p, 2 * self.m
-        cols = []
-        for j in range(dim):
-            img = apply(self.from_value(p ** j))
-            cols.append(self._digits(int(self._exp_val[img.code]) if not img.is_zero() else 0))
-        # augmented system M y = b over GF(p)
-        rows = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-        b = self._digits(int(self._exp_val[a.code]) if not a.is_zero() else 0)
-        aug = [row + [b[i]] for i, row in enumerate(rows)]
-        pivots = []
-        r = 0
-        for c in range(dim):
-            sel = next((i for i in range(r, dim) if aug[i][c] % p), None)
-            if sel is None:
-                continue
-            aug[r], aug[sel] = aug[sel], aug[r]
-            inv = pow(aug[r][c], -1, p)
-            aug[r] = [(x * inv) % p for x in aug[r]]
-            for i in range(dim):
-                if i != r and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-            pivots.append(c)
-            r += 1
-        if any(aug[i][dim] for i in range(r, dim)):
-            return ()
-        particular = [0] * dim
-        for i, c in enumerate(pivots):
-            particular[c] = aug[i][dim]
-        free = [c for c in range(dim) if c not in pivots]
-        kernel = []
-        for c in free:
-            vec = [0] * dim
-            vec[c] = 1
-            for i, pc in enumerate(pivots):
-                vec[pc] = (-aug[i][c]) % p
-            kernel.append(vec)
-        sols = []
-        counters = [0] * len(free)
-        while True:
-            digs = particular[:]
-            for kvec, cnt in zip(kernel, counters):
-                if cnt:
-                    digs = [(d + cnt * kv) % p for d, kv in zip(digs, kvec)]
-            value = sum(d * p ** i for i, d in enumerate(digs))
-            sols.append(self.from_value(value))
-            # odometer over GF(p)^nullity
-            for idx in range(len(counters)):
-                counters[idx] += 1
-                if counters[idx] < p:
-                    break
-                counters[idx] = 0
+                if self.p != 2:
+                    raise ValueError("y^2+y is additive only in characteristic 2")
+                images = self.vadd(self.vmul(y, y), y)
+            elif amap is AdditiveMap.FROB_PLUS_Y:
+                images = self.vadd(self.vfrob(y), y)
             else:
-                break
-            if not counters or all(c == 0 for c in counters):
-                break
-        return tuple(sorted(set(sols), key=lambda el: el.code))
+                images = self.vsub(self.vfrob(y), y)
+            order = np.argsort(images, kind="stable")
+            bounds = np.searchsorted(images[order], np.arange(self.q2 + 1))
+            table = self._fibers[amap] = (order, bounds)
+        order, bounds = table
+        codes = order[bounds[a.code] : bounds[a.code + 1]].tolist()
+        return tuple(FieldElement(self, c) for c in codes)
 
     # -- misc ----------------------------------------------------------------
 

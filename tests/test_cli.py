@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -205,3 +208,18 @@ def test_construct_matrix_out_verifies(tmp_path, capsys):
     assert code == 0
     entry = json.loads(out)
     assert entry["verdict"] == "CERTIFIED"
+
+
+def test_construct_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, 15-39 ms inside the first request
+    script = (
+        "import sys\n"
+        "from agq.cli import main\n"
+        "assert main(['construct', '--c1', '--p', '13', '--m', '1', '--n', '25', '--embed', 'deep']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+    entry, loaded = out.rstrip().rsplit("\n", 1)
+    assert json.loads(entry)["verdict"] == "CERTIFIED"
+    assert loaded == "False"

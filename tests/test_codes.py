@@ -333,7 +333,7 @@ def per_subset_column_scan(code, d_max=None, ops_budget=None):
     for w in range(2, cap + 1):
         if w == k + 1:
             return DistanceResult(k + 1, True, tuple(range(k + 1)), "column-scan")
-        for combos in _combo_chunks(n, w, agq.codes._CHUNK):
+        for combos in _combo_chunks(n, w):
             cost = combos.shape[0] * k * w * 2
             if spent + cost > budget:
                 return DistanceResult(w, False, None, "column-scan-lower-bound")
@@ -541,6 +541,23 @@ def test_is_mds_cap():
     code = LinearCode(tw, grs_rows(tw, es, tv, range(7)))
     with pytest.raises(CapExceeded):
         is_mds(code, method="minors", ops_budget=10)
+
+
+def test_is_mds_minors_reads_chunk_at_call_time():
+    tw = build_tower(13, 1)
+    es = roots_of_unity_set(tw, 13)
+    code = LinearCode(tw, grs_rows(tw, es, twist_vector(es), range(3)))
+    sizes = []
+    real = agq.codes.batched_dependent
+
+    def recording(tower, mats):
+        sizes.append(mats.shape[0])
+        return real(tower, mats)
+
+    with mock.patch.object(agq.codes, "_CHUNK", 7), mock.patch.object(agq.codes, "batched_dependent", recording):
+        assert is_mds(code, method="minors") == (True, None, "minors")
+    assert sum(sizes) == comb(13, 3)
+    assert set(sizes[:-1]) == {7} and 1 <= sizes[-1] <= 7
 
 
 def test_auto_matches_minors_on_random_codes():

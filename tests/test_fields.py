@@ -1,9 +1,22 @@
+import functools
+import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agq.errors import FieldTooLarge, NoConwayEntry, NotInBaseField, NotPrime, ZeroInput
-from agq.fields import AdditiveMap, build_tower, norm_preimage
+from agq.fields import (
+    _CAYLEY_MAX_Q2,
+    _CONWAY,
+    AdditiveMap,
+    FieldElement,
+    _poly_mulmod,
+    build_tower,
+    norm_preimage,
+)
 
 TOWERS_SMALL = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (2, 3)]
 
@@ -127,22 +140,82 @@ def test_solve_additive_trace_one_has_no_solution():
     assert tw.solve_additive(AdditiveMap.SQUARE_PLUS_Y, a) == ()
 
 
+def packed_digits(tw, code):
+    """Base-p digits of the packed value of an exponent code, constant first."""
+    value = 0 if code == tw.zero_code else int(tw._exp_val[code])
+    return [(value // tw.p ** i) % tw.p for i in range(2 * tw.m)]
+
+
+def gf_p_solve(tw, amap, a):
+    """Reference oracle: the per-call GF(p) elimination that solve_additive
+    replaced.  Returns the codes of all y with map(y) = a, ascending."""
+
+    def apply(y):
+        if amap is AdditiveMap.SQUARE_PLUS_Y:
+            return y * y + y
+        if amap is AdditiveMap.FROB_PLUS_Y:
+            return y.frobenius() + y
+        return y.frobenius() - y
+
+    p, dim = tw.p, 2 * tw.m
+    cols = [packed_digits(tw, apply(tw.from_value(p ** j)).code) for j in range(dim)]
+    aug = [[cols[j][i] for j in range(dim)] + [b] for i, b in enumerate(packed_digits(tw, a.code))]
+    pivots = []
+    r = 0
+    for c in range(dim):
+        sel = next((i for i in range(r, dim) if aug[i][c] % p), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        inv = pow(aug[r][c], -1, p)
+        aug[r] = [(x * inv) % p for x in aug[r]]
+        for i in range(dim):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    if any(aug[i][dim] for i in range(r, dim)):
+        return []
+    particular = [0] * dim
+    for i, c in enumerate(pivots):
+        particular[c] = aug[i][dim]
+    kernel = []
+    for c in (c for c in range(dim) if c not in pivots):
+        vec = [0] * dim
+        vec[c] = 1
+        for i, pc in enumerate(pivots):
+            vec[pc] = (-aug[i][c]) % p
+        kernel.append(vec)
+    sols = set()
+    for counters in itertools.product(range(p), repeat=len(kernel)):
+        digs = particular[:]
+        for kvec, cnt in zip(kernel, counters):
+            digs = [(d + cnt * kv) % p for d, kv in zip(digs, kvec)]
+        sols.add(tw.from_value(sum(d * p ** i for i, d in enumerate(digs))).code)
+    return sorted(sols)
+
+
 def test_solve_additive_coset_cardinality():
-    rng = random.Random(11)
-    for p, m in [(2, 2), (3, 1), (2, 3)]:
+    """Every fiber of every legal map over GF(4) .. GF(64) equals the GF(p)
+    elimination's, and every nonempty fiber is a coset of the kernel."""
+    for p, m in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)]:
         tw = build_tower(p, m)
-        for amap in (AdditiveMap.FROB_PLUS_Y, AdditiveMap.FROB_MINUS_Y):
-            sizes = set()
-            for _ in range(30):
-                a = tw.element(rng.randrange(tw.n_units))
+        maps = list(AdditiveMap) if p == 2 else [AdditiveMap.FROB_PLUS_Y, AdditiveMap.FROB_MINUS_Y]
+        for amap in maps:
+            kernel = tw.solve_additive(amap, tw.zero())
+            covered = 0
+            for a in tw.elements():
                 sols = tw.solve_additive(amap, a)
+                assert [y.code for y in sols] == gf_p_solve(tw, amap, a)
                 if sols:
-                    sizes.add(len(sols))
-                    # verify each solution
-                    for y in sols:
-                        lhs = y.frobenius() + y if amap is AdditiveMap.FROB_PLUS_Y else y.frobenius() - y
-                        assert lhs == a
-            assert len(sizes) <= 1  # nonempty fibers are kernel cosets
+                    assert sorted((sols[0] + k).code for k in kernel) == [y.code for y in sols]
+                covered += len(sols)
+            assert covered == tw.q2
+        if p != 2:
+            for _ in range(2):  # a rejected map leaves no fiber table behind
+                with pytest.raises(ValueError):
+                    tw.solve_additive(AdditiveMap.SQUARE_PLUS_Y, tw.one())
 
 
 def test_build_tower_errors():
@@ -220,3 +293,92 @@ def test_norm_preimage_property_suite():
         assert c.in_base_field()
         checked += 1
     assert checked >= 1000
+
+
+# -- table layer against independent oracles ---------------------------------------
+
+
+@functools.cache
+def cached_tower(p, m):
+    return build_tower(p, m)
+
+
+def loop_tables(tw):
+    """Reference oracle: the exponent-by-exponent build of the exp / log / Zech
+    tables that the blocked companion-matrix build replaced."""
+    p, deg, n = tw.p, 2 * tw.m, tw.n_units
+    exp_val = np.zeros(n, dtype=np.int64)
+    digits = [0] * deg
+    digits[0] = 1
+    weights = [p ** i for i in range(deg)]
+    for e in range(n):
+        exp_val[e] = sum(d * w for d, w in zip(digits, weights))
+        carry = digits[deg - 1]
+        digits = [0] + digits[: deg - 1]
+        if carry:
+            for i in range(deg):
+                digits[i] = (digits[i] - carry * tw.modulus[i]) % p
+    log_val = np.full(tw.q2, tw.zero_code, dtype=np.int32)
+    log_val[exp_val] = np.arange(n, dtype=np.int32)
+    plus_one = exp_val - (exp_val % p) + (exp_val % p + 1) % p
+    return exp_val, log_val, log_val[plus_one].astype(np.int32)
+
+
+@pytest.mark.parametrize("pm", sorted({(p, d // 2) for p, d in _CONWAY} | {(2, 8), (29, 1)}), ids=lambda pm: f"{pm[0]}^{2 * pm[1]}")
+def test_build_tables_match_loop(pm):
+    tw = cached_tower(*pm)
+    for got, want in zip((tw._exp_val, tw._log_val, tw._zech), loop_tables(tw)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+# Cayley towers (q^2 <= 2^9) and Zech/log towers, (29, 1) least-primitive
+KERNEL_TOWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1), (2, 4), (17, 1),
+                 (29, 1), (31, 1), (2, 5), (3, 4), (2, 8)]
+
+
+@st.composite
+def kernel_operands(draw):
+    """A tower and two aligned code arrays, zero against zero and against a unit included."""
+    tw = cached_tower(*draw(st.sampled_from(KERNEL_TOWERS)))
+    codes = st.lists(st.integers(0, tw.zero_code), min_size=1, max_size=8)
+    x, y = draw(codes), draw(codes)
+    size = min(len(x), len(y))
+    z = tw.zero_code
+    a = np.asarray(x[:size] + [z, x[0], z], dtype=np.int32)
+    b = np.asarray(y[:size] + [y[0], z, z], dtype=np.int32)
+    return tw, a, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kernel_operands())
+def test_kernels_match_packed_digit_oracle(case):
+    """Sums are digit-wise mod-p sums and products are _poly_mulmod products of
+    the packed values, on the Cayley path, on _zech_add/_log_mul called directly,
+    and for the scalar operators."""
+    tw, a, b = case
+    p, z = tw.p, tw.zero_code
+    assert (tw._add_table is not None) == (tw.q2 <= _CAYLEY_MAX_Q2)
+    sums = [tw.vadd(a, b), tw._zech_add(a, b)]
+    prods = [tw.vmul(a, b), tw._log_mul(a, b)]
+    diff, quot = tw.vsub(a, b), tw.vdiv(a, b)
+    for out in sums + prods + [diff, quot]:
+        assert out.dtype == np.int32 and out.shape == a.shape
+    total = [0] * (2 * tw.m)
+    for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        dx, dy = packed_digits(tw, x), packed_digits(tw, y)
+        total = [(u + v) % p for u, v in zip(total, dx)]
+        for s in sums:
+            assert packed_digits(tw, s[i]) == [(u + v) % p for u, v in zip(dx, dy)]
+        for m in prods:
+            assert packed_digits(tw, m[i]) == _poly_mulmod(dx, dy, tw.modulus, p)
+        assert packed_digits(tw, diff[i]) == [(u - v) % p for u, v in zip(dx, dy)]
+        if y == z:
+            assert quot[i] == z
+        else:
+            assert _poly_mulmod(packed_digits(tw, quot[i]), dy, tw.modulus, p) == dx
+        ex, ey = FieldElement(tw, x), FieldElement(tw, y)
+        assert ((ex + ey).code, (ex * ey).code, (ex - ey).code) == (sums[0][i], prods[0][i], diff[i])
+        if y != z:
+            assert (ex / ey).code == quot[i]
+    assert packed_digits(tw, tw.vsum(a)) == total
