@@ -1,20 +1,24 @@
 """Command-line front end: construct, verify, scan, reproduce, export.
 
 Exit codes: 0 certified / report emitted, 2 rejected (a hypothesis failed or
-the request is invalid), 3 enumeration budget exceeded, 4 parse error or
-unreadable input.  All machine output is JSON (one object per command, or
-line-delimited for scans); an AgqError that no command handles becomes a
-JSON rejection verdict with exit code 2 (3 for CapExceeded), not a traceback.
+the request is invalid, including an AGQ_CAP_OPS that is not a positive
+integer), 3 enumeration budget exceeded, 4 parse error, unreadable input or
+unwritable output.  Output files are opened before the work starts.  All
+machine output is JSON (one object per command, or line-delimited for scans);
+an AgqError that no command handles becomes a JSON rejection verdict with exit
+code 2 (3 for CapExceeded, 4 for UnwritableOutput), not a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
 import time
 
+from . import config
 from .codes import (
     DistanceResult,
     dual_distance_by_columns,
@@ -25,7 +29,8 @@ from .codes import (
     is_mds,
 )
 from .constructions import CertifiedCode, ConstructionRequest, construct_chain
-from .errors import AgqError, BadRequest, CapExceeded, EmbeddingRejected, GramNonzero, ParseError, UnreadableInput
+from .errors import AgqError, BadRequest, CapExceeded, EmbeddingRejected, GramNonzero, ParseError
+from .errors import UnreadableInput, UnwritableOutput
 from .fields import build_tower
 from .quantum import stabilizer_params
 
@@ -111,6 +116,21 @@ def _emit(obj, out=None):
         print(text)
 
 
+@contextlib.contextmanager
+def _output(path):
+    """The file at path opened for writing, or None when no path was given.
+    Failing to open it raises UnwritableOutput."""
+    if not path:
+        yield None
+        return
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise UnwritableOutput(f"{path}: {exc.strerror or exc}") from None
+    with fh:
+        yield fh
+
+
 # -- construct ------------------------------------------------------------------
 
 
@@ -137,23 +157,23 @@ def _request_from_args(args) -> ConstructionRequest:
 
 def cmd_construct(args) -> int:
     request = _request_from_args(args)
-    start = time.time()
-    try:
-        chain = construct_chain(request)
-    except CapExceeded as exc:
-        _emit(rejection_entry(request, exc, time.time() - start))
-        return EXIT_BUDGET
-    except AgqError as exc:
-        _emit(rejection_entry(request, exc, time.time() - start))
-        return EXIT_REJECTED
-    cert = chain[-1]
-    entry = catalog_entry(cert, request, time.time() - start)
-    if len(chain) > 1:
-        entry["chain"] = [list(c.code.params()) for c in chain]
-    _emit(entry)
-    if args.matrix_out:
-        with open(args.matrix_out, "w") as fh:
-            fh.write(export_matrix(cert.code))
+    with _output(args.matrix_out) as matrix_out:
+        start = time.perf_counter()
+        try:
+            chain = construct_chain(request)
+        except CapExceeded as exc:
+            _emit(rejection_entry(request, exc, time.perf_counter() - start))
+            return EXIT_BUDGET
+        except AgqError as exc:
+            _emit(rejection_entry(request, exc, time.perf_counter() - start))
+            return EXIT_REJECTED
+        cert = chain[-1]
+        entry = catalog_entry(cert, request, time.perf_counter() - start)
+        if len(chain) > 1:
+            entry["chain"] = [list(c.code.params()) for c in chain]
+        _emit(entry)
+        if matrix_out:
+            matrix_out.write(export_matrix(cert.code))
     return EXIT_OK
 
 
@@ -170,14 +190,14 @@ def _read_matrix(args):
 
 
 def cmd_verify(args) -> int:
-    start = time.time()
+    start = time.perf_counter()
     try:
         code = _read_matrix(args)
     except (ParseError, UnreadableInput) as exc:
         _emit({"verdict": f"REJECTED({type(exc).__name__})", "reason": str(exc), "file": args.file})
         return EXIT_PARSE
     except AgqError as exc:
-        _emit(rejection_entry({"file": args.file}, exc, time.time() - start))
+        _emit(rejection_entry({"file": args.file}, exc, time.perf_counter() - start))
         return EXIT_REJECTED
     gram = hermitian_gram(code)
     entry = {
@@ -213,7 +233,7 @@ def cmd_verify(args) -> int:
         "d_exact": dd.exact,
     }
     entry["verdict"] = "CERTIFIED"
-    entry["time_s"] = round(time.time() - start, 4)
+    entry["time_s"] = round(time.perf_counter() - start, 4)
     _emit(entry)
     return EXIT_BUDGET if budget_hit else EXIT_OK
 
@@ -250,21 +270,27 @@ def _scan_requests(args):
 
 
 def cmd_scan(args) -> int:
+    with _output(args.out) as fh:
+        _write_scan(args, fh or sys.stdout)
+    return EXIT_OK
+
+
+def _write_scan(args, out) -> None:
     entries = []
     assumption1 = {}
     for request in _scan_requests(args):
-        start = time.time()
+        start = time.perf_counter()
         try:
             chain = construct_chain(request)
         except AgqError as exc:
-            entries.append(rejection_entry(request, exc, time.time() - start))
+            entries.append(rejection_entry(request, exc, time.perf_counter() - start))
             if request.construction == "c5":
                 assumption1.setdefault(request.p ** request.m, False)
             continue
         if request.construction == "c5":
             assumption1[request.p ** request.m] = True
         for cert in chain:
-            entry = catalog_entry(cert, request, time.time() - start)
+            entry = catalog_entry(cert, request, time.perf_counter() - start)
             entries.append(entry)
     # dedupe certified entries by (q, n, k_quantum), keeping the best distance
     best = {}
@@ -279,16 +305,10 @@ def cmd_scan(args) -> int:
         if cur is None or score > (cur["quantum"]["d_exact"], cur["quantum"]["d"]):
             best[key] = e
     final = sorted(best.values(), key=lambda e: (e["quantum"]["q"], e["quantum"]["n"], e["quantum"]["k"]))
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        for q, flag in sorted(assumption1.items()):
-            out.write(json.dumps({"assumption1": {"q": q, "holds": flag}}) + "\n")
-        for e in final + passthrough:
-            out.write(json.dumps(e) + "\n")
-    finally:
-        if args.out:
-            out.close()
-    return EXIT_OK
+    for q, flag in sorted(assumption1.items()):
+        out.write(json.dumps({"assumption1": {"q": q, "holds": flag}}) + "\n")
+    for e in final + passthrough:
+        out.write(json.dumps(e) + "\n")
 
 
 # -- reproduce -----------------------------------------------------------------------
@@ -403,7 +423,7 @@ def _run_repro_target(target: dict) -> dict:
     }
     if target.get("note"):
         report["note"] = target["note"]
-    start = time.time()
+    start = time.perf_counter()
     try:
         chain = construct_chain(request)
     except CapExceeded as exc:
@@ -428,7 +448,7 @@ def _run_repro_target(target: dict) -> dict:
             )
             return report
     qp = stabilizer_params(cert)
-    report["time_s"] = round(time.time() - start, 3)
+    report["time_s"] = round(time.perf_counter() - start, 3)
     got = (qp.n, qp.k, qp.d, qp.q)
     report["got"] = qp.params_string()
     if not qp.d_exact:
@@ -444,22 +464,22 @@ def _run_repro_target(target: dict) -> dict:
 def cmd_reproduce(args) -> int:
     targets = [t for t in _repro_targets() if t["table"] == args.table]
     rows = []
-    for target in targets:
-        row = _run_repro_target(target)
-        rows.append(row)
-        status = row["status"]
-        detail = row.get("got") or row.get("reason") or ""
-        print(f"{status:10s} {row['row']:32s} expected {row['expected']:18s} {detail}")
-    summary = {
-        "table": args.table,
-        "total": len(rows),
-        "match": sum(r["status"] == "MATCH" for r in rows),
-        "unmatched": sum(r["status"] == "UNMATCHED" for r in rows),
-        "skipped": sum(r["status"] == "SKIPPED" for r in rows),
-        "rows": rows,
-    }
-    if args.out:
-        with open(args.out, "w") as fh:
+    with _output(args.out) as fh:
+        for target in targets:
+            row = _run_repro_target(target)
+            rows.append(row)
+            status = row["status"]
+            detail = row.get("got") or row.get("reason") or ""
+            print(f"{status:10s} {row['row']:32s} expected {row['expected']:18s} {detail}")
+        summary = {
+            "table": args.table,
+            "total": len(rows),
+            "match": sum(r["status"] == "MATCH" for r in rows),
+            "unmatched": sum(r["status"] == "UNMATCHED" for r in rows),
+            "skipped": sum(r["status"] == "SKIPPED" for r in rows),
+            "rows": rows,
+        }
+        if fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
     print(json.dumps({k: summary[k] for k in ("table", "total", "match", "unmatched", "skipped")}))
@@ -476,11 +496,9 @@ def cmd_export(args) -> int:
         print(json.dumps({"verdict": f"REJECTED({type(exc).__name__})", "reason": str(exc)}))
         return EXIT_PARSE
     text = export_matrix(code)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # opened only after reading, so the output may overwrite the input file
+    with _output(args.out) as fh:
+        (fh or sys.stdout).write(text)
     return EXIT_OK
 
 
@@ -543,13 +561,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    start = time.time()
+    start = time.perf_counter()
     try:
+        config.ops_cap()  # a malformed AGQ_CAP_OPS is rejected before any work
         return args.func(args)
     except AgqError as exc:
         request = {key: val for key, val in vars(args).items() if key != "func"}
-        _emit(rejection_entry(request, exc, time.time() - start))
-        return EXIT_BUDGET if isinstance(exc, CapExceeded) else EXIT_REJECTED
+        _emit(rejection_entry(request, exc, time.perf_counter() - start))
+        if isinstance(exc, CapExceeded):
+            return EXIT_BUDGET
+        return EXIT_PARSE if isinstance(exc, UnwritableOutput) else EXIT_REJECTED
 
 
 if __name__ == "__main__":

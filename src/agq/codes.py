@@ -89,9 +89,10 @@ def rref(tower: FieldTower, mat: np.ndarray):
         if p != r:
             m[[r, p]] = m[[p, r]]
         m[r] = tower.vdiv(m[r], m[r, c])
-        for i in range(rows):
-            if i != r and m[i, c] != zero:
-                m[i] = tower.vsub(m[i], tower.vmul(m[i, c], m[r]))
+        # clear column c from every other row at once; rows r.. are zero left of c
+        factors = m[:, c].copy()
+        factors[r] = zero
+        m[:, c:] = tower.vsub(m[:, c:], tower.vmul(factors[:, None], m[r, c:]))
         pivots.append(c)
         r += 1
     return m, tuple(pivots)
@@ -308,10 +309,67 @@ def _lex_rank(combo: tuple, n: int) -> int:
     return comb(n, w) - 1 - sum(comb(n - 1 - c, w - i) for i, c in enumerate(combo))
 
 
+def _prefix_projections(tower: FieldTower, g: np.ndarray, pre: np.ndarray):
+    """Forward elimination of g on the columns of each lex-ordered prefix in pre.
+
+    Returns (m, parent): m[parent[i]] is rows w-2.. of the eliminated matrix of
+    prefix i, its projection modulo span(prefix).  Step c depends only on the
+    first c+1 columns of a prefix, and lex order makes the prefixes that share
+    them adjacent, so step c runs once per distinct (c+1)-prefix on a copy of
+    its parent's rows c.., and rows that are no longer needed are dropped.
+    """
+    zero = tower.zero_code
+    m = g[None]
+    parent = np.zeros(len(pre), dtype=np.int64)
+    for c in range(pre.shape[1]):
+        new = np.ones(len(pre), dtype=bool)
+        new[1:] = (pre[1:, : c + 1] != pre[:-1, : c + 1]).any(axis=1)
+        m = m[parent[new]]
+        parent = np.cumsum(new) - 1
+        pc = pre[new, c]
+        ar = np.arange(len(m))
+        src = np.argmax(m[ar, :, pc] != zero, axis=1)
+        pivot_rows = m[ar, src]
+        m[ar, src] = m[:, 0].copy()  # explicit copy: src may alias row 0
+        m = m[:, 1:]
+        factors = tower.vdiv(tower.vneg(m[ar, :, pc]), pivot_rows[ar, pc][:, None])
+        m = tower.vadd(m, tower.vmul(factors[:, :, None], pivot_rows[:, None, :]))
+    return m, parent
+
+
+_KEY_MAX = np.iinfo(np.int64).max
+
+
+def _exact_keys(b: np.ndarray, points: np.ndarray, q2: int) -> np.ndarray:
+    """One int64 per row of (b, points) whose order is the rows' lexicographic
+    order, so equal rows and only equal rows share a key.
+
+    The key is b followed by the coordinates (exponent codes < q2) as digits in
+    radix q2.  Whenever the next digit could overflow int64, the key built so
+    far is first replaced by its dense rank, which keeps its order.
+    """
+    key = b.astype(np.int64)
+    bound = int(key.max(initial=0))
+    for digit in points.T:
+        if bound > (_KEY_MAX - (q2 - 1)) // q2:
+            distinct, key = np.unique(key, return_inverse=True)
+            bound = len(distinct) - 1
+        key = key * q2 + digit
+        bound = bound * q2 + q2 - 1
+    return key
+
+
 def _first_collision(tower: FieldTower, g: np.ndarray, w: int, limit: int):
     """Lex-first dependent w-subset of the columns of g among the (w-2)-prefixes
     whose first subset has lex rank < limit, or None.  Every (w-1)-subset must
-    be independent, so the projections modulo a prefix's span are nonzero."""
+    be independent, so the projections modulo a prefix's span are nonzero.
+
+    Prefixes are taken in lex-ordered blocks of about _LIVE_ENTRIES matrix
+    entries.  For each block, _prefix_projections eliminates shared prefixes
+    once; then every live entry (prefix b, column j > the prefix's last column)
+    becomes one exact int64 key of (b, normalized projection of column j), and
+    one stable sort puts equal keys next to each other with j ascending.
+    """
     zero = tower.zero_code
     k, n = g.shape
     prefixes = itertools.combinations(range(n - 2), w - 2)  # those with a pair after them
@@ -326,24 +384,14 @@ def _first_collision(tower: FieldTower, g: np.ndarray, w: int, limit: int):
         ends = offset + np.cumsum(pairs)
         keep = ends - pairs < limit
         pre, top, offset = pre[keep], top[keep], int(ends[-1])
-        # forward elimination on the prefix columns: rows w-2.. become the projection modulo span(prefix)
-        m = np.repeat(g[None], len(pre), axis=0)
-        ar = np.arange(len(pre))
-        for c in range(w - 2):
-            pc = pre[:, c]
-            src = c + np.argmax(m[ar, c:, pc] != zero, axis=1)
-            pivot_rows = m[ar, src].copy()
-            m[ar, src] = m[:, c].copy()  # explicit copy: src may alias row c
-            m[:, c] = pivot_rows
-            factors = tower.vdiv(tower.vneg(m[ar, c + 1 :, pc]), m[ar, c, pc][:, None])
-            m[:, c + 1 :] = tower.vadd(m[:, c + 1 :], tower.vmul(factors[:, :, None], m[:, c, None, :]))
-        proj = m[:, w - 2 :]
-        lead = np.take_along_axis(proj, np.argmax(proj != zero, axis=1)[:, None, :], axis=1)
+        proj, parent = _prefix_projections(tower, g, pre)
         b, j = np.nonzero(np.arange(n)[None, :] > top[:, None])
-        keys = tower.vdiv(proj, lead)[b, :, j]  # (entries, k-w+2): exact projective points
-        order = np.lexsort((j, *keys.T[::-1], b))
+        points = proj[parent[b], :, j]  # (entries, k-w+2)
+        lead = np.take_along_axis(points, np.argmax(points != zero, axis=1)[:, None], axis=1)
+        keys = _exact_keys(b, tower.vdiv(points, lead), tower.q2)
+        order = np.argsort(keys, kind="stable")
         b, j, keys = b[order], j[order], keys[order]
-        hits = np.nonzero((b[1:] == b[:-1]) & (keys[1:] == keys[:-1]).all(axis=1))[0]
+        hits = np.nonzero(keys[1:] == keys[:-1])[0]
         if hits.size:
             hits = hits[b[hits] == b[hits[0]]]
             first = hits[np.argmin(j[hits])]
@@ -359,9 +407,11 @@ def dual_distance_by_columns(
     Scans w = 1, 2, ... up to d_max (capped at k+1, where dependence is
     guaranteed).  Once every (w-1)-subset is independent, S + {j, l} with
     |S| = w-2 is dependent exactly when columns j and l, projected modulo
-    span(S), are parallel; so each prefix S costs one elimination and one
-    sort of projective points, and the lex-first dependent set is the first
-    prefix's lowest colliding pair.
+    span(S), are parallel.  So the prefixes S are eliminated in lex-ordered
+    blocks, each elimination step once per distinct shared prefix, and the
+    projective points of the later columns of every S in a block are encoded
+    as exact int64 keys (S first) and sorted once; the lex-first dependent set
+    is the first prefix's lowest colliding pair.
 
     The budget counts nominal work: k*w*2 per w-subset, charged in lex-ordered
     blocks of _CHUNK subsets, with a block started only if it fits.  That

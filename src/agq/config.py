@@ -8,6 +8,8 @@ exhaustive word cap, whose unit (codewords) and default differ.
 
 import os
 
+from .errors import BadRequest
+
 # largest field GF(p^{2m}) for which full log/Zech tables are built
 DEFAULT_FIELD_CAP = 2 ** 22
 
@@ -19,10 +21,14 @@ DEFAULT_OPS_CAP = 10 ** 8
 
 
 def ops_cap() -> int:
+    """AGQ_CAP_OPS when set and nonempty, else DEFAULT_OPS_CAP.  Raises
+    BadRequest when the variable is not a positive integer."""
     raw = os.environ.get("AGQ_CAP_OPS")
-    if raw:
-        return int(raw)
-    return DEFAULT_OPS_CAP
+    if not raw:
+        return DEFAULT_OPS_CAP
+    if not raw.strip().isdecimal() or int(raw) <= 0:
+        raise BadRequest(f"AGQ_CAP_OPS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def exhaustive_cap() -> int:

@@ -111,6 +111,10 @@ class UnreadableInput(AgqError):
     """An input file could not be opened or read."""
 
 
+class UnwritableOutput(AgqError):
+    """An output file could not be opened for writing."""
+
+
 class ParseError(AgqError):
     def __init__(self, line, column, message):
         self.line = line

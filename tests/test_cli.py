@@ -87,13 +87,42 @@ def test_verify_parse_error_exit_4(tmp_path, capsys):
         (("construct", "--c1", "--p", "13", "--m", "1", "--n", "25", "--k", "0"), "REJECTED(BadRequest)", 2),
         (("construct", "--c7", "--p", "3", "--m", "1", "--k", "3"), "REJECTED(BadRequest)", 2),
         (("construct", "--c1", "--c9", "--p", "3", "--m", "1"), "REJECTED(BadRequest)", 2),
+        (("AGQ_CAP_OPS=abc", "reproduce", "mixed"), "REJECTED(BadRequest)", 2),
+        (("AGQ_CAP_OPS=1e8", "construct", "--c5", "--p", "2", "--m", "2", "--k", "5"), "REJECTED(BadRequest)", 2),
+        (("AGQ_CAP_OPS=0", "export", str(DATA / "f49_22_5.txt")), "REJECTED(BadRequest)", 2),
     ],
 )
 def test_failures_are_json_verdicts(capsys, tmp_path, monkeypatch, argv, verdict, exit_code):
     monkeypatch.chdir(tmp_path)  # missing.txt really is missing
+    while "=" in argv[0]:  # leading NAME=value words set the environment, as in a shell
+        name, _, value = argv[0].partition("=")
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     code, out = run_cli(capsys, *argv)
     assert code == exit_code
     assert json.loads(out)["verdict"] == verdict
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "--c9", "--p", "3", "--m", "1", "--t", "2", "--k", "4", "--matrix-out", "missing/m.txt"),
+        ("scan", "--construction", "c1", "--tower", "3,1", "--out", "missing/c.jsonl"),
+        ("reproduce", "mds1", "--out", "missing/r.json"),
+        ("export", str(DATA / "f49_22_5.txt"), "--out", "missing/e.txt"),
+    ],
+)
+def test_unwritable_output_is_rejected_before_work(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # no directory named missing
+
+    def no_work(request):
+        raise AssertionError("construct_chain ran before the output was opened")
+
+    monkeypatch.setattr("agq.cli.construct_chain", no_work)
+    code, out = run_cli(capsys, *argv)
+    assert code == 4
+    assert json.loads(out)["verdict"] == "REJECTED(UnwritableOutput)"
+    assert not (tmp_path / "missing").exists()
 
 
 def test_export_roundtrip(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from math import comb
@@ -5,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import agq.codes
@@ -15,6 +16,7 @@ from agq.codes import (
     DistanceResult,
     LinearCode,
     _combo_chunks,
+    _exact_keys,
     batched_dependent,
     dual,
     dual_distance_by_columns,
@@ -389,7 +391,8 @@ def column_scan_cases(draw):
         blocks = draw(st.one_of(st.sampled_from([0, 1, last]), st.integers(0, last)))
         budget = nominal_spend(code, w, min(blocks * chunk, comb(n, w))) + draw(st.sampled_from([-1, 0, 1]))
     d_max = draw(st.sampled_from([None, *range(1, k + 3)]))
-    live = draw(st.sampled_from([1 << 20, 1]))  # 1: one prefix per batch
+    # 1: one prefix per batch; a few prefixes per batch split shared-prefix runs across batches
+    live = draw(st.sampled_from([1 << 20, 1, k * n * draw(st.integers(2, 5))]))
     return code, d_max, budget, chunk, live
 
 
@@ -435,6 +438,34 @@ def test_column_scan_large_field():
     with mock.patch.object(agq.codes, "_CHUNK", 100):
         for budget in (nominal_spend(code, 4, 300) - 1, nominal_spend(code, 4, 300)):
             assert dual_distance_by_columns(code, ops_budget=budget) == per_subset_column_scan(code, ops_budget=budget)
+
+
+@st.composite
+def keyed_rows(draw):
+    """(q2, b, points): prefix indices and coordinate rows, with repeated rows and
+    coordinates near q2 - 1."""
+    q2 = draw(st.sampled_from([4, 64, 289, 2 ** 16, 2 ** 22]))
+    width, size = draw(st.integers(0, 8)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    b = rng.integers(0, draw(st.sampled_from([1, 5, 3000])), size=size)
+    low = draw(st.sampled_from([0, q2 - 2]))
+    points = rng.integers(low, q2, size=(size, width)).astype(np.int32)
+    copies = rng.integers(0, size, size=size // 3)
+    return q2, np.concatenate([b, b[copies]]), np.concatenate([points, points[copies]])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(keyed_rows())
+@example((2 ** 22, np.asarray([3000, 0, 3000]), np.full((3, 8), 2 ** 22 - 1, dtype=np.int32)))
+def test_exact_keys_order_rows_lexicographically(case):
+    # with q2 = 2^22 and 8 coordinates the key needs 176 bits, so it is re-ranked on the way
+    q2, b, points = case
+    keys = _exact_keys(b, points, q2)
+    rows = [(int(bi), *map(int, pi)) for bi, pi in zip(b, points)]
+    order = np.argsort(keys, kind="stable")
+    assert [rows[i] for i in order] == sorted(rows)
+    for x, y in zip(order[:-1], order[1:]):
+        assert (keys[x] == keys[y]) == (rows[x] == rows[y])
 
 
 def test_frobenius_weight_invariance():
@@ -625,6 +656,65 @@ def test_batched_dependent_matches_rank():
     dep = batched_dependent(tw, mats)
     for i in range(mats.shape[0]):
         assert dep[i] == (rank(tw, mats[i]) < 3)
+
+
+@functools.cache
+def cached_tower(p, m):
+    return build_tower(p, m)
+
+
+def row_by_row_rref(tower, mat):
+    """Reference oracle: RREF that clears each pivot column one row at a time."""
+    zero = tower.zero_code
+    m = np.array(mat, dtype=np.int32, copy=True)
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c] != zero)[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            m[[r, p]] = m[[p, r]]
+        m[r] = tower.vdiv(m[r], m[r, c])
+        for i in range(rows):
+            if i != r and m[i, c] != zero:
+                m[i] = tower.vsub(m[i], tower.vmul(m[i, c], m[r]))
+        pivots.append(c)
+        r += 1
+    return m, tuple(pivots)
+
+
+@st.composite
+def rref_cases(draw):
+    """Matrices over GF(4)..GF(2^16): random, of deficient rank, and with zero columns."""
+    tw = cached_tower(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (17, 1), (2, 5), (2, 8)])))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(0, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mat = rng.integers(0, tw.q2, size=(rows, cols)).astype(np.int32)
+    mat[rng.random((rows, cols)) < draw(st.sampled_from([0.0, 0.5]))] = tw.zero_code
+    kind = draw(st.sampled_from(["random", "deficient", "zero-columns"]))
+    if kind == "deficient" and rows > 1:
+        # rows rank_.. are combinations of the first rank_ rows
+        rank_ = draw(st.integers(0, rows - 1))
+        coeffs = rng.integers(0, tw.q2, size=(rows - rank_, rank_, 1)).astype(np.int32)
+        mat[rank_:] = tw.vsum(tw.vmul(coeffs, mat[None, :rank_]), axis=1) if rank_ else tw.zero_code
+    elif kind == "zero-columns" and cols:
+        mat[:, rng.random(cols) < 0.5] = tw.zero_code
+    return tw, mat
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rref_cases())
+def test_rref_matches_row_by_row_oracle(case):
+    tw, mat = case
+    r, pivots = rref(tw, mat)
+    r_ref, pivots_ref = row_by_row_rref(tw, mat)
+    assert pivots == pivots_ref
+    assert np.array_equal(r, r_ref)
 
 
 # -- matrix text IO -----------------------------------------------------------------
