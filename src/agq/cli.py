@@ -17,6 +17,7 @@ import json
 import re
 import sys
 import time
+from importlib import resources
 
 from . import config
 from .codes import (
@@ -242,11 +243,16 @@ def cmd_verify(args) -> int:
 
 
 def _scan_requests(args):
-    towers = [tuple(int(x) for x in spec.split(",")) for spec in args.tower]
+    towers = []
+    for spec in args.tower:  # every tower is checked before any request runs
+        try:
+            p, m = (int(x) for x in spec.split(","))
+        except ValueError:
+            raise BadRequest(f"--tower {spec!r} is not two integers p,m") from None
+        towers.append(build_tower(p, m))
     cons = args.construction.lower()
-    for p, m in towers:
-        tower = build_tower(p, m)
-        q = tower.q
+    for tower in towers:
+        p, m, q = tower.p, tower.m, tower.q
         if cons == "c1":
             for n in range(3, tower.q2 + 1):
                 if tower.n_units % (n - 1) == 0:
@@ -326,82 +332,9 @@ def parse_quantum_params(text: str) -> tuple[int, int, int, int]:
 
 
 def _repro_targets() -> list[dict]:
-    """Reproduction rows: each pinned to one recipe, never a free search."""
-    mds1 = [
-        ("mds1-9-3-4-q5", "[[9,3,4]]_5", {"construction": "c1", "p": 5, "m": 1, "t": 2, "embed": "deep"}, "last", None),
-        ("mds1-25-11-8-q13", "[[25,11,8]]_13", {"construction": "c1", "p": 13, "m": 1, "t": 2, "embed": "deep"}, "last", None),
-        ("mds1-33-15-10-q17", "[[33,15,10]]_17", {"construction": "c1", "p": 17, "m": 1, "t": 2, "embed": "deep"}, "last", None),
-        ("mds1-14-6-5-q7", "[[14,6,5]]_7", {"construction": "c1", "p": 7, "m": 1, "t": 2, "embed": "deep"}, "last", None),
-        ("mds1-17-7-6-q9", "[[17,7,6]]_9", {"construction": "c1", "p": 3, "m": 2, "t": 2, "embed": "deep"}, "last", None),
-        ("mds1-22-10-7-q11", "[[22,10,7]]_11", {"construction": "c1", "p": 11, "m": 1, "t": 2, "embed": "deep"}, "last", None),
-        ("mds1-21-13-5-q7", "[[21,13,5]]_7", {"construction": "c4", "p": 7, "m": 1, "t": 3, "embed": "once"}, "last", None),
-        ("mds1-22-12-6-q7", "[[22,12,6]]_7", {"construction": "c4", "p": 7, "m": 1, "t": 3, "embed": "iterate"}, (22, 5), None),
-        ("mds1-16-10-4-q8", "[[16,10,4]]_8", {"construction": "c4", "p": 2, "m": 3, "t": 2, "embed": "once"}, "last", None),
-        ("mds1-16-8-5-q8", "[[16,8,5]]_8", {"construction": "c4", "p": 2, "m": 3, "t": 2, "embed": "iterate"}, (16, 4), None),
-        ("mds1-16-6-6-q8", "[[16,6,6]]_8", {"construction": "c4", "p": 2, "m": 3, "t": 2, "embed": "iterate"}, (16, 5), None),
-        ("mds1-18-12-4-q9", "[[18,12,4]]_9", {"construction": "c4", "p": 3, "m": 2, "t": 2, "embed": "once"}, "last", None),
-        ("mds1-18-10-5-q9", "[[18,10,5]]_9", {"construction": "c4", "p": 3, "m": 2, "t": 2, "embed": "iterate"}, (18, 4), None),
-        ("mds1-18-8-6-q9", "[[18,8,6]]_9", {"construction": "c4", "p": 3, "m": 2, "t": 2, "embed": "iterate"}, (18, 5), None),
-        ("mds1-13-7-4-q7", "[[13,7,4]]_7", {"construction": "c1", "p": 7, "m": 1, "n": 13, "embed": "once"}, "last", None),
-        ("mds1-25-19-4-q13", "[[25,19,4]]_13", {"construction": "c1", "p": 13, "m": 1, "n": 25, "embed": "once"}, "last", None),
-        ("mds1-17-11-4-q9", "[[17,11,4]]_9", {"construction": "c1", "p": 3, "m": 2, "n": 17, "embed": "once"}, "last", None),
-        ("mds1-49-43-4-q17", "[[49,43,4]]_17", {"construction": "c3", "p": 17, "m": 1, "n": 12, "t": 3, "k": 3}, "last", None),
-        (
-            "mds1-discrepancy-17-q9",
-            "[[17,13,3]]_9",
-            {"construction": "c2", "p": 3, "m": 2, "n": 8, "t": 2, "k": 2},
-            "last",
-            "reference row states 17 points; the stated subgroup/coset parameters do not admit it",
-        ),
-        (
-            "mds1-discrepancy-26-q17",
-            "[[26,20,4]]_17",
-            {"construction": "c3", "p": 17, "m": 1, "n": 12, "t": 2, "k": 2, "embed": "once"},
-            "last",
-            "reference row states 25/26 points; the coset-union size formula gives 37/38",
-        ),
-    ]
-    mixed = [
-        ("mixed-15-9-3-q3", "[[15,9,3]]_3", {"construction": "c9", "p": 3, "m": 1, "t": 2, "k": 4}, "last", None),
-        ("mixed-15-9-3-q3-halfexp", "[[15,9,3]]_3", {"construction": "c8", "p": 3, "m": 1, "k": 4}, "last", None),
-        ("mixed-24-18-3-q4", "[[24,18,3]]_4", {"construction": "c5", "p": 2, "m": 2, "k": 4}, "last", None),
-        ("mixed-24-16-4-q4", "[[24,16,4]]_4", {"construction": "c5", "p": 2, "m": 2, "k": 5}, "last", None),
-        (
-            "mixed-20-12-4-q4",
-            "[[20,12,4]]_4",
-            {"construction": "c5", "p": 2, "m": 2, "k": 5},
-            "last",
-            "reference row states a shorter length; the curve pipeline yields the 24-column code",
-        ),
-        ("mixed-64-58-3-q4", "[[64,58,3]]_4", {"construction": "c7i", "p": 2, "m": 2, "n": 16, "k": 8}, "last", None),
-        ("mixed-95-89-3-q5", "[[95,89,3]]_5", {"construction": "c7ii", "p": 5, "m": 1, "n": 6, "t": 2, "k": 7}, "last", None),
-        ("mixed-91-81-4-q7", "[[91,81,4]]_7", {"construction": "c9", "p": 7, "m": 1, "t": 2, "k": 8}, "last", None),
-        ("mixed-65-59-3-q5", "[[65,59,3]]_5", {"construction": "c8", "p": 5, "m": 1, "k": 6}, "last", None),
-        ("mixed-175-169-3-q7", "[[175,169,3]]_7", {"construction": "c8", "p": 7, "m": 1, "k": 8}, "last", None),
-        ("mixed-176-168-3-q8", "[[176,168,3]]_8", {"construction": "c10", "p": 2, "m": 3, "t": 3, "k": 9}, "last", None),
-        ("mixed-369-361-3-q9", "[[369,361,3]]_9", {"construction": "c9", "p": 3, "m": 2, "t": 5, "k": 11}, "last", None),
-        (
-            "mixed-80-64-8-q8",
-            "[[80,64,8]]_8",
-            {"construction": "c5", "p": 2, "m": 3, "k": 9},
-            "last",
-            "exact dual distance 8 needs all 7-column subsets of an 80-column code checked",
-        ),
-    ]
-    out = []
-    for table, rows in (("mds1", mds1), ("mixed", mixed)):
-        for row_id, expected, recipe, pick, note in rows:
-            out.append(
-                {
-                    "table": table,
-                    "row": row_id,
-                    "expected": expected,
-                    "recipe": recipe,
-                    "pick": pick,
-                    "note": note,
-                }
-            )
-    return out
+    """Reproduction rows, each pinned to one recipe, never a free search; read
+    from data/repro_targets.json in table and row order."""
+    return json.loads((resources.files(__package__) / "data" / "repro_targets.json").read_text())
 
 
 def _run_repro_target(target: dict) -> dict:
@@ -444,7 +377,7 @@ def _run_repro_target(target: dict) -> dict:
         if cert is None:
             report.update(
                 status="UNMATCHED",
-                got=f"chain {[m.code.params() for m in chain]} missing {pick}",
+                got=f"chain {[m.code.params() for m in chain]} missing {tuple(pick)}",
             )
             return report
     qp = stabilizer_params(cert)

@@ -23,6 +23,7 @@ from .points import TwistVector
 
 _CHUNK = 1 << 15
 _LIVE_ENTRIES = 1 << 20  # entries of one (prefixes, k, n) batch in the column scan
+_FIRST_PREFIXES = 4  # prefixes in the column scan's first batch; each later batch doubles
 
 
 class LinearCode:
@@ -364,18 +365,23 @@ def _first_collision(tower: FieldTower, g: np.ndarray, w: int, limit: int):
     whose first subset has lex rank < limit, or None.  Every (w-1)-subset must
     be independent, so the projections modulo a prefix's span are nonzero.
 
-    Prefixes are taken in lex-ordered blocks of about _LIVE_ENTRIES matrix
-    entries.  For each block, _prefix_projections eliminates shared prefixes
-    once; then every live entry (prefix b, column j > the prefix's last column)
-    becomes one exact int64 key of (b, normalized projection of column j), and
-    one stable sort puts equal keys next to each other with j ascending.
+    Prefixes are taken in lex-ordered blocks that grow: _FIRST_PREFIXES
+    prefixes, then twice as many each round, up to about _LIVE_ENTRIES matrix
+    entries, so a dependent set in an early prefix ends the scan after a few
+    small eliminations.  For each block, _prefix_projections eliminates shared
+    prefixes once; then every live entry (prefix b, column j > the prefix's
+    last column) becomes one exact int64 key of (b, normalized projection of
+    column j), and one stable sort puts equal keys next to each other with j
+    ascending.
     """
     zero = tower.zero_code
     k, n = g.shape
     prefixes = itertools.combinations(range(n - 2), w - 2)  # those with a pair after them
     offset = 0  # lex rank of the first subset of the next prefix
+    size, most = _FIRST_PREFIXES, max(1, _LIVE_ENTRIES // (k * n))
     while offset < limit:
-        block = list(itertools.islice(prefixes, max(1, _LIVE_ENTRIES // (k * n))))
+        block = list(itertools.islice(prefixes, min(size, most)))
+        size *= 2
         if not block:
             return None
         pre = np.asarray(block, dtype=np.int64).reshape(len(block), w - 2)
@@ -408,10 +414,12 @@ def dual_distance_by_columns(
     guaranteed).  Once every (w-1)-subset is independent, S + {j, l} with
     |S| = w-2 is dependent exactly when columns j and l, projected modulo
     span(S), are parallel.  So the prefixes S are eliminated in lex-ordered
-    blocks, each elimination step once per distinct shared prefix, and the
-    projective points of the later columns of every S in a block are encoded
-    as exact int64 keys (S first) and sorted once; the lex-first dependent set
-    is the first prefix's lowest colliding pair.
+    blocks that double in size from a few prefixes up to a memory cap, each
+    elimination step once per distinct shared prefix, and the projective
+    points of the later columns of every S in a block are encoded as exact
+    int64 keys (S first) and sorted once; the lex-first dependent set is the
+    first colliding prefix's lowest colliding pair, and the scan stops at the
+    first block that holds one.
 
     The budget counts nominal work: k*w*2 per w-subset, charged in lex-ordered
     blocks of _CHUNK subsets, with a block started only if it fits.  That

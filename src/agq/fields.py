@@ -18,12 +18,13 @@ polynomial is used.
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 
 import numpy as np
 
 from .config import DEFAULT_FIELD_CAP
-from .errors import FieldTooLarge, NoConwayEntry, NotInBaseField, NotPrime, ZeroInput
+from .errors import BadRequest, FieldTooLarge, NoConwayEntry, NotInBaseField, NotPrime, ZeroInput
 
 # Conway polynomials C_{p,2m}, coefficients ascending (constant term first,
 # leading 1 last).  Table covers every tower the bundled examples touch.
@@ -48,6 +49,9 @@ _CONWAY = {
 
 # largest q^2 with full Cayley tables: two int32 tables of q^4 entries, 1 MB each
 _CAYLEY_MAX_Q2 = 2 ** 9
+
+# distinct fields build_tower keeps built (reproduce touches 9)
+_SHARED_TOWERS = 16
 
 
 def _is_prime(n: int) -> bool:
@@ -146,8 +150,9 @@ class FieldTower:
 
     Immutable after construction apart from the fiber tables of
     ``solve_additive``, which are filled on first use (a race only computes
-    one twice); every operation on elements or exponent arrays is pure, so
-    towers are safe to share across threads.
+    one twice); the table arrays are read-only and every operation on
+    elements or exponent arrays is pure, so ``build_tower`` hands one tower
+    to every caller and towers are safe to share across threads.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], conway: bool):
@@ -203,6 +208,9 @@ class FieldTower:
             a, b = np.divmod(np.arange(q2 * q2, dtype=np.int32), np.int32(q2))
             self._add_table = self._zech_add(a, b)
             self._mul_table = self._log_mul(a, b)
+        for table in (exp_val, log_val, zech, self._add_table, self._mul_table):
+            if table is not None:
+                table.flags.writeable = False
 
     # -- element constructors ---------------------------------------------
 
@@ -508,18 +516,29 @@ def build_tower(
     field_cap: int = DEFAULT_FIELD_CAP,
     strict_conway: bool = False,
 ) -> FieldTower:
-    """Construct the tower GF(p) < GF(p^m) < GF(p^{2m}) with full tables."""
+    """The tower GF(p) < GF(p^m) < GF(p^{2m}) with full tables.
+
+    The arguments are checked on every call; the tower itself is shared: one
+    process builds each field at most once while it stays among the
+    _SHARED_TOWERS most recently used, and every caller gets the same
+    immutable FieldTower.
+    """
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if m < 1:
-        raise ValueError("extension degree m must be positive")
+        raise BadRequest(f"extension degree m must be positive, got {m}")
     if p ** (2 * m) > field_cap:
         raise FieldTooLarge(f"p^(2m) = {p ** (2 * m)} exceeds cap {field_cap}")
+    if strict_conway and (p, 2 * m) not in _CONWAY:
+        raise NoConwayEntry(f"no Conway table entry for GF({p}^{2 * m})")
+    return _shared_tower(p, m)
+
+
+@functools.lru_cache(maxsize=_SHARED_TOWERS)
+def _shared_tower(p: int, m: int) -> FieldTower:
     entry = _CONWAY.get((p, 2 * m))
     if entry is not None:
         return FieldTower(p, m, entry, conway=True)
-    if strict_conway:
-        raise NoConwayEntry(f"no Conway table entry for GF({p}^{2 * m})")
     return FieldTower(p, m, _least_primitive_poly(p, 2 * m), conway=False)
 
 

@@ -90,6 +90,11 @@ def test_verify_parse_error_exit_4(tmp_path, capsys):
         (("AGQ_CAP_OPS=abc", "reproduce", "mixed"), "REJECTED(BadRequest)", 2),
         (("AGQ_CAP_OPS=1e8", "construct", "--c5", "--p", "2", "--m", "2", "--k", "5"), "REJECTED(BadRequest)", 2),
         (("AGQ_CAP_OPS=0", "export", str(DATA / "f49_22_5.txt")), "REJECTED(BadRequest)", 2),
+        (("construct", "--c1", "--p", "5", "--m", "0", "--n", "7"), "REJECTED(BadRequest)", 2),
+        (("construct", "--c1", "--p", "5", "--m", "-1", "--n", "7"), "REJECTED(BadRequest)", 2),
+        (("scan", "--construction", "c1", "--tower", "13"), "REJECTED(BadRequest)", 2),
+        (("scan", "--construction", "c1", "--tower", "a,1"), "REJECTED(BadRequest)", 2),
+        (("scan", "--construction", "c1", "--tower", "13,0"), "REJECTED(BadRequest)", 2),
     ],
 )
 def test_failures_are_json_verdicts(capsys, tmp_path, monkeypatch, argv, verdict, exit_code):

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 from math import comb
@@ -396,11 +395,44 @@ def column_scan_cases(draw):
     return code, d_max, budget, chunk, live
 
 
+@st.composite
+def planted_scan_cases(draw):
+    """[n<=14, k=4..5] codes over GF(49/64) with random columns, so sets of fewer
+    than w columns are independent (almost surely), and a dependent w-set planted
+    anywhere or next to the last w-subset a budget pays for.  With a batch cap of
+    2..12 prefixes the growing batches reach the cap, and a batch straddles the
+    end of the budget."""
+    tw = build_tower(*draw(st.sampled_from([(7, 1), (2, 3)])))
+    k, n = draw(st.integers(4, 5)), draw(st.integers(10, 14))
+    w = draw(st.integers(3, k))
+    g = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).integers(0, tw.n_units, size=(k, n)).astype(np.int32)
+    total = comb(n, w)
+    certified = draw(st.integers(0, total))
+    at = draw(st.one_of(st.integers(0, total - 1), st.sampled_from([certified - 1, certified])))
+    planted = next(itertools.islice(itertools.combinations(range(n), w), min(max(at, 0), total - 1), None))
+    coefficients = draw(st.lists(st.integers(0, tw.n_units - 1), min_size=w - 1, max_size=w - 1))
+    g[:, planted[-1]] = tw.vsum(np.stack([tw.vmul(e, g[:, c]) for e, c in zip(coefficients, planted[:-1])]), axis=0)
+    assume(rank(tw, g) == k)
+    code = LinearCode(tw, g, provenance="hypothesis")
+    budget = nominal_spend(code, w, certified) + draw(st.sampled_from([-1, 0, 1]))
+    return code, None, budget, draw(st.sampled_from([7, 100])), k * n * draw(st.integers(2, 12))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(column_scan_cases())
+@given(st.one_of(column_scan_cases(), planted_scan_cases()))
 def test_column_scan_matches_per_subset_scan(case):
     code, d_max, budget, chunk, live = case
-    with mock.patch.object(agq.codes, "_CHUNK", chunk), mock.patch.object(agq.codes, "_LIVE_ENTRIES", live):
+    eliminate = agq.codes._prefix_projections
+
+    def capped(tower, g, pre):  # no batch may outgrow the _LIVE_ENTRIES cap
+        assert len(pre) <= max(1, live // (code.k * code.n))
+        return eliminate(tower, g, pre)
+
+    with (
+        mock.patch.object(agq.codes, "_CHUNK", chunk),
+        mock.patch.object(agq.codes, "_LIVE_ENTRIES", live),
+        mock.patch.object(agq.codes, "_prefix_projections", capped),
+    ):
         assert dual_distance_by_columns(code, d_max, budget) == per_subset_column_scan(code, d_max, budget)
 
 
@@ -424,6 +456,30 @@ def test_column_scan_budget_boundary(chunk, blocks, shift, exact):
         assert res == per_subset_column_scan(code, ops_budget=budget)
         assert dual_distance_by_columns(code, ops_budget=budget - 1).method == "column-scan-lower-bound"
     assert res == (found if exact else DistanceResult(3, False, None, "column-scan-lower-bound"))
+
+
+def test_column_scan_stops_at_the_first_dependent_prefix():
+    """The lex-first dependent 4-set of this [60, 6] code over GF(64) is the planted
+    {0, 1, 2, 3}, in the first prefix (0, 1): the w = 4 scan must end after a few
+    prefixes, not after eliminating a full batch of _LIVE_ENTRIES // (k*n).  The
+    w = 3 scan finds nothing, so it takes all 58 prefixes, in doubling batches."""
+    tw, k, n = build_tower(2, 3), 6, 60
+    g = np.random.default_rng(7).integers(0, tw.n_units, size=(k, n)).astype(np.int32)
+    g[:, 3] = tw.vsum(np.stack([tw.vmul(e, g[:, c]) for e, c in ((5, 0), (20, 1), (41, 2))]), axis=0)
+    code = LinearCode(tw, g)
+    batches = []
+    eliminate = agq.codes._prefix_projections
+
+    def spy(tower, g, pre):
+        batches.append(pre.shape)
+        return eliminate(tower, g, pre)
+
+    with mock.patch.object(agq.codes, "_prefix_projections", spy):
+        res = dual_distance_by_columns(code)
+    assert res == DistanceResult(4, True, (0, 1, 2, 3), "column-scan") == per_subset_column_scan(code)
+    assert sum(count for count, width in batches if width == 2) <= agq.codes._LIVE_ENTRIES // (k * n) // 100
+    sizes = [count for count, width in batches if width == 1]
+    assert sum(sizes) == n - 2 and all(b == 2 * a for a, b in zip(sizes, sizes[1:-1]))
 
 
 def test_column_scan_large_field():
@@ -658,11 +714,6 @@ def test_batched_dependent_matches_rank():
         assert dep[i] == (rank(tw, mats[i]) < 3)
 
 
-@functools.cache
-def cached_tower(p, m):
-    return build_tower(p, m)
-
-
 def row_by_row_rref(tower, mat):
     """Reference oracle: RREF that clears each pivot column one row at a time."""
     zero = tower.zero_code
@@ -691,7 +742,7 @@ def row_by_row_rref(tower, mat):
 @st.composite
 def rref_cases(draw):
     """Matrices over GF(4)..GF(2^16): random, of deficient rank, and with zero columns."""
-    tw = cached_tower(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (17, 1), (2, 5), (2, 8)])))
+    tw = build_tower(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (17, 1), (2, 5), (2, 8)])))
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(0, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     mat = rng.integers(0, tw.q2, size=(rows, cols)).astype(np.int32)

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 
@@ -7,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agq.errors import FieldTooLarge, NoConwayEntry, NotInBaseField, NotPrime, ZeroInput
+from agq.cli import _repro_targets, _run_repro_target
+from agq.errors import BadRequest, FieldTooLarge, NoConwayEntry, NotInBaseField, NotPrime, ZeroInput
 from agq.fields import (
     _CAYLEY_MAX_Q2,
     _CONWAY,
@@ -231,6 +231,44 @@ def test_build_tower_errors():
     assert (tw.gen() ** tw.n_units).is_one()
 
 
+def test_build_tower_shares_one_read_only_tower():
+    tw = build_tower(2, 5)
+    assert build_tower(2, 5) is tw
+    assert build_tower(2, 5, strict_conway=True) is tw  # GF(2^10) has a Conway entry
+    with pytest.raises(ValueError):
+        tw._zech[0] = tw._zech[1]
+
+
+def test_shared_towers_never_skip_a_check():
+    build_tower(2, 5)
+    build_tower(29, 1)
+    for _ in range(2):
+        with pytest.raises(FieldTooLarge):
+            build_tower(2, 5, field_cap=2 ** 9)
+        with pytest.raises(NoConwayEntry):
+            build_tower(29, 1, strict_conway=True)
+        with pytest.raises(NotPrime):
+            build_tower(6, 1)
+        for m in (0, -1):
+            with pytest.raises(BadRequest):
+                build_tower(5, m)
+
+
+def tower_tables(tw):
+    return [None if t is None else t.tobytes() for t in (tw._exp_val, tw._log_val, tw._zech, tw._add_table, tw._mul_table)]
+
+
+def test_reproduce_rows_leave_shared_tower_tables_unchanged():
+    targets = _repro_targets()
+    towers = {build_tower(t["recipe"]["p"], t["recipe"]["m"]) for t in targets}
+    before = {tw: tower_tables(tw) for tw in towers}
+    for target in targets:
+        _run_repro_target(target)
+    for tw, tables in before.items():
+        assert build_tower(tw.p, tw.m) is tw
+        assert tower_tables(tw) == tables
+
+
 def test_conway_constant_terms_match_smallest_primitive_roots():
     # theta^(q+1) must equal the smallest primitive root of the prime field
     for p, g in [(3, 2), (5, 2), (7, 3), (11, 2), (13, 2), (17, 3), (19, 2), (23, 5)]:
@@ -298,11 +336,6 @@ def test_norm_preimage_property_suite():
 # -- table layer against independent oracles ---------------------------------------
 
 
-@functools.cache
-def cached_tower(p, m):
-    return build_tower(p, m)
-
-
 def loop_tables(tw):
     """Reference oracle: the exponent-by-exponent build of the exp / log / Zech
     tables that the blocked companion-matrix build replaced."""
@@ -326,7 +359,7 @@ def loop_tables(tw):
 
 @pytest.mark.parametrize("pm", sorted({(p, d // 2) for p, d in _CONWAY} | {(2, 8), (29, 1)}), ids=lambda pm: f"{pm[0]}^{2 * pm[1]}")
 def test_build_tables_match_loop(pm):
-    tw = cached_tower(*pm)
+    tw = build_tower(*pm)
     for got, want in zip((tw._exp_val, tw._log_val, tw._zech), loop_tables(tw)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -340,7 +373,7 @@ KERNEL_TOWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1)
 @st.composite
 def kernel_operands(draw):
     """A tower and two aligned code arrays, zero against zero and against a unit included."""
-    tw = cached_tower(*draw(st.sampled_from(KERNEL_TOWERS)))
+    tw = build_tower(*draw(st.sampled_from(KERNEL_TOWERS)))
     codes = st.lists(st.integers(0, tw.zero_code), min_size=1, max_size=8)
     x, y = draw(codes), draw(codes)
     size = min(len(x), len(y))
