@@ -276,9 +276,16 @@ def _word_blocks(tower: FieldTower, heads: np.ndarray, rows: np.ndarray, tail: n
 
 
 def exhaustive_distance(code: LinearCode, cap: int | None = None) -> DistanceResult:
-    """True minimum weight over the (q^{2k}-1)/(q^2-1) projective codewords: g[i]
-    plus every combination of the rows below it (scaling preserves weight).  The
-    cap applies to q^{2k}, the size of the whole code."""
+    """True minimum weight over the (q^{2k}-1)/(q^2-1) projective codewords
+    (scaling preserves weight), weighed a pencil at a time.  Each projective word
+    is the last row t = g[k-1] alone or h + a.t, with h a projective word of rows
+    0..k-2 (g[i] plus every combination of the rows below it) and a in GF(q^2).
+    Column j of h + a.t is zero for exactly one a, a = -h_j/t_j, where t_j != 0,
+    and for every a or none where t_j = 0, as h_j is zero or not.  So one
+    bincount over (head, -h_j/t_j) weighs all q^2 words of every head in a block
+    of at most _CHUNK heads; the work is (q^{2k-2}-1)/(q^2-1) heads of n entries.
+    Zero words, which only dependent rows give, are not counted.  The cap
+    applies to q^{2k}, the size of the whole code."""
     tower = code.tower
     zero = tower.zero_code
     q2, k, n = tower.q2, code.k, code.n
@@ -288,20 +295,26 @@ def exhaustive_distance(code: LinearCode, cap: int | None = None) -> DistanceRes
     limit = cap if cap is not None else config.exhaustive_cap()
     if total > limit:
         raise CapExceeded(total, limit)
-    # table[:q2**r] holds every combination of the last r rows, r <= low
-    low = max(r for r in range(k) if q2 ** r <= _CHUNK)
+    t = code.g[k - 1]
+    live = t != zero
+    root = tower.vneg(tower.vinv(t[live]))  # h_j * root_j = -h_j/t_j
+    best, witness = int(live.sum()) or n + 1, t
+    # table[:q2**r] holds every combination of the last r head rows, r <= low
+    low = max((r for r in range(k - 1) if q2 ** r <= _CHUNK), default=0)
     zero_row = np.full((1, n), zero, dtype=np.int32)
-    (table,) = _word_blocks(tower, zero_row, code.g[k - low :][::-1], zero_row)
-    best, witness = n + 1, None
-    for i in range(k):
-        tail = table[: q2 ** min(k - 1 - i, low)]
-        for words in _word_blocks(tower, code.g[i : i + 1], code.g[i + 1 : max(i + 1, k - low)], tail):
-            weights = (words != zero).sum(axis=1)
+    (table,) = _word_blocks(tower, zero_row, code.g[k - 1 - low : k - 1][::-1], zero_row)
+    for i in range(k - 1):
+        tail = table[: q2 ** min(k - 2 - i, low)]
+        for heads in _word_blocks(tower, code.g[i : i + 1], code.g[i + 1 : max(i + 1, k - 1 - low)], tail):
+            keys = tower.vmul(heads[:, live], root) + q2 * np.arange(len(heads))[:, None]
+            hits = np.bincount(keys.ravel(), minlength=len(heads) * q2).reshape(-1, q2)
+            weights = n - (heads[:, ~live] == zero).sum(axis=1)[:, None] - hits
             weights[weights == 0] = n + 1  # a dependent generator row gives the zero word
             pos = int(np.argmin(weights))
-            if weights[pos] < best:
-                best, witness = int(weights[pos]), words[pos].copy()
-    return DistanceResult(best, True, tuple(int(v) for v in witness), "exhaustive")
+            if weights.flat[pos] < best:
+                b, a = divmod(pos, q2)
+                best, witness = int(weights.flat[pos]), tower.vadd(heads[b], tower.vmul(a, t))
+    return DistanceResult(best, True, tuple(int(v) for v in witness) if best <= n else None, "exhaustive")
 
 
 def _lex_rank(combo: tuple, n: int) -> int:

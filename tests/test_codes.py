@@ -194,12 +194,19 @@ def full_enumeration_distance(code):
     return best
 
 
+def code_of(pm, rows):
+    """Code over GF(p^{2m}) with the given rows of exponent codes, None for zero."""
+    tw = build_tower(*pm)
+    g = np.asarray([[tw.zero_code if c is None else c for c in row] for row in rows], dtype=np.int32)
+    return LinearCode(tw, g, provenance="example")
+
+
 @st.composite
-def full_rank_codes(draw):
-    """Random full-rank [n<=12, k<=4] codes over GF(4), GF(9), GF(16), GF(25),
+def full_rank_codes(draw, max_k=4):
+    """Random full-rank [n<=12, k<=max_k] codes over GF(4), GF(9), GF(16), GF(25),
     with zero columns and repeated or scaled copies of earlier columns."""
     tw = build_tower(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)])))
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(1, max_k))
     n = draw(st.integers(k, 12))
     entry = st.integers(0, tw.zero_code)
     cols = []
@@ -217,25 +224,86 @@ def full_rank_codes(draw):
     return LinearCode(tw, g, provenance="hypothesis")
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(full_rank_codes(), st.sampled_from([_CHUNK, 100, 7]))
+@st.composite
+def pencil_codes(draw):
+    """Full-rank [n<=12, k<=4] codes shaped for the pencils h + a.t, t = g[k-1]:
+    t with zeros, over columns where the head rows are zero too, partly zero or
+    nonzero; a sparse t, the minimum word on its own; or a sparse head row, the
+    minimum word at a = 0."""
+    tw = build_tower(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)])))
+    zero = tw.zero_code
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 12))
+    unit = st.integers(0, tw.n_units - 1)
+    g = np.asarray(draw(st.lists(st.lists(unit, min_size=n, max_size=n), min_size=k, max_size=k)), dtype=np.int32)
+    columns = st.sets(st.integers(0, n - 1), min_size=1, max_size=max(1, n // 2))
+    shape = draw(st.sampled_from(["zeros-in-last", "sparse-last", "sparse-head"]))
+    if shape == "zeros-in-last":
+        for j in draw(columns):
+            g[k - 1, j] = zero
+            heads = draw(st.sampled_from(["zero", "some", "none"]))
+            if heads == "zero":
+                g[: k - 1, j] = zero
+            elif heads == "some":
+                g[: k - 1, j][draw(st.lists(st.booleans(), min_size=k - 1, max_size=k - 1))] = zero
+    else:
+        row = k - 1 if shape == "sparse-last" or k == 1 else draw(st.integers(0, k - 2))
+        keep = draw(columns)
+        g[row, [j for j in range(n) if j not in keep]] = zero
+    assume(rank(tw, g) == k)
+    return LinearCode(tw, g, provenance="hypothesis")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(full_rank_codes(), pencil_codes()), st.sampled_from([_CHUNK, 100, 7]))
+@example(code_of((3, 1), [[0, None, 3, 5]]), 7)  # k = 1: no heads, no pencil
+@example(code_of((2, 1), [[0, 1, 2, 0, 1], [None, None, None, 1, None]]), 7)  # t alone is lightest
+@example(code_of((2, 1), [[None, None, 0, None, None], [0, 1, 2, 0, 1]]), 7)  # head at a = 0
+@example(code_of((2, 2), [[0, None, 4, 9], [None, None, 0, 7], [2, None, None, 1]]), 7)  # t_j = 0, h_j = 0 or not
 def test_exhaustive_distance_matches_full_enumeration(code, chunk):
-    # small chunks force the chunked middle-row path that full-size codes take
+    # small chunks force the chunked middle-row path that full-size codes take;
+    # every kernel output stays within _CHUNK words and every histogram within
+    # _CHUNK heads of q^2 bins
     tw = code.tower
-    vadd, sizes = tw.vadd, []
+    sizes, bins = [], []
 
-    def sized_vadd(a, b):
-        out = vadd(a, b)
-        sizes.append(out.size)
-        return out
+    def sized(kernel, log):
+        def call(*args, **kwargs):
+            out = kernel(*args, **kwargs)
+            log.append(out.size)
+            return out
 
-    with mock.patch.object(agq.codes, "_CHUNK", chunk), mock.patch.object(tw, "vadd", sized_vadd):
+        return call
+
+    kernels = {name: sized(getattr(tw, name), sizes) for name in ("vadd", "vmul", "vneg", "vinv")}
+    with (
+        mock.patch.object(agq.codes, "_CHUNK", chunk),
+        mock.patch.multiple(tw, **kernels),
+        mock.patch.object(np, "bincount", sized(np.bincount, bins)),
+    ):
         res = exhaustive_distance(code)
     assert max(sizes) <= chunk * code.n
+    assert max(bins, default=0) <= chunk * tw.q2
     assert (res.value, res.exact, res.method) == (full_enumeration_distance(code), True, "exhaustive")
     witness = np.asarray(res.witness, dtype=np.int32)
     assert int((witness != tw.zero_code).sum()) == res.value
     assert rank(tw, np.vstack([code.g, witness[None, :]])) == code.k
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(full_rank_codes(max_k=2), st.booleans(), st.integers(0, 9), st.integers(0, 9))
+@example(code_of((2, 1), [[0, 1, None, 2], [None, 0, 0, 1]]), True, 1, 2)  # repeated last row
+@example(code_of((3, 1), [[0, 1, None, 2], [None, 0, 0, 1]]), False, 0, 2)  # zero last row
+def test_exhaustive_distance_rank_deficient_generators(code, repeat, i, at):
+    """A repeated row, or an all-zero last row, puts zero words among the
+    messages; they are not counted, and d is that of the full-rank code."""
+    tw = code.tower
+    row = code.g[i % code.k] if repeat else np.full(code.n, tw.zero_code, dtype=np.int32)
+    g = np.insert(code.g, at % (code.k + 1) if repeat else code.k, row, axis=0)
+    deficient = LinearCode(tw, g, verify_rank=False)
+    res = exhaustive_distance(deficient)
+    assert res.value == full_enumeration_distance(deficient) == exhaustive_distance(code).value
+    assert int((np.asarray(res.witness) != tw.zero_code).sum()) == res.value
 
 
 @pytest.mark.parametrize("pm, k, chunk", [((2, 1), 3, _CHUNK), ((2, 1), 4, 7), ((3, 1), 3, 10)])
@@ -274,6 +342,9 @@ def test_zero_code_degenerate():
     code = LinearCode(tw, np.zeros((0, 6), dtype=np.int32))
     res = exhaustive_distance(code)
     assert (res.value, res.method) == (7, "degenerate")
+    zeros = LinearCode(tw, np.full((2, 6), tw.zero_code, dtype=np.int32), verify_rank=False)
+    res = exhaustive_distance(zeros)  # all-zero rows span only the zero word
+    assert (res.value, res.witness) == (7, None)
     dd = dual_distance_by_columns(code)
     assert (dd.value, dd.exact) == (1, True)
 
@@ -286,34 +357,39 @@ def test_dual_by_columns_lower_bound_budget():
     assert dd.value >= 3
 
 
-def test_dual_by_columns_equals_exhaustive_small():
+@st.composite
+def uniform_codes(draw, ks, ns):
+    """Full-rank codes over GF(4), GF(9) or GF(16) with k from ks, n from ns and
+    every entry drawn from the whole field (a byte mod q^2)."""
+    tw = build_tower(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2)])))
+    n, k = draw(ns), draw(ks)
+    entries = draw(st.binary(min_size=k * n, max_size=k * n))  # one draw for all k*n entries
+    g = (np.frombuffer(entries, dtype=np.uint8) % tw.q2).astype(np.int32).reshape(k, n)
+    assume(rank(tw, g) == k)
+    return LinearCode(tw, g, provenance="hypothesis", verify_rank=False)
+
+
+def assert_dual_scan_equals_exhaustive(code):
+    d_col = dual_distance_by_columns(dual(code, "euclidean"), d_max=code.n).value
+    assert exhaustive_distance(code).value == d_col, (code.tower, code.g)
+
+
+# 1000 codes as 100 examples of 10: generating one hypothesis example costs a few
+# ms, about as much as checking one small code, so one code per example would
+# nearly double the test's time
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(uniform_codes(st.integers(1, 3), st.integers(4, 12)), min_size=10, max_size=10))
+def test_dual_by_columns_equals_exhaustive_small(codes):
     """cross-oracle equivalence: d(C) via column scan on dual == exhaustive."""
-    rng = random.Random(29)
-    towers = [build_tower(2, 1), build_tower(3, 1), build_tower(2, 2)]
-    cases = 0
-    while cases < 1000:
-        tw = rng.choice(towers)
-        n = rng.randint(4, 12)
-        k = rng.randint(1, 3)
-        code = random_code(rng, tw, n, k)
-        d_exh = exhaustive_distance(code).value
-        d_col = dual_distance_by_columns(dual(code, "euclidean"), d_max=n).value
-        assert d_exh == d_col, (tw, code.g)
-        cases += 1
-    assert cases >= 1000
+    for code in codes:
+        assert_dual_scan_equals_exhaustive(code)
 
 
-def test_dual_by_columns_equals_exhaustive_k4():
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(uniform_codes(st.just(4), st.integers(5, 12)))
+def test_dual_by_columns_equals_exhaustive_k4(code):
     # module invariant extends to k = 4 (smaller sample: 16^4 words per case)
-    rng = random.Random(53)
-    towers = [build_tower(2, 1), build_tower(3, 1), build_tower(2, 2)]
-    for _ in range(30):
-        tw = rng.choice(towers)
-        n = rng.randint(5, 12)
-        code = random_code(rng, tw, n, 4)
-        d_exh = exhaustive_distance(code).value
-        d_col = dual_distance_by_columns(dual(code, "euclidean"), d_max=n).value
-        assert d_exh == d_col
+    assert_dual_scan_equals_exhaustive(code)
 
 
 def per_subset_column_scan(code, d_max=None, ops_budget=None):
