@@ -4,9 +4,11 @@ stabilizer parameters [[n, n-2k, d]]_q.
 """
 
 from .codes import (
+    Certificate,
     DistanceResult,
     GramCertificate,
     LinearCode,
+    certify,
     dual,
     dual_distance_by_columns,
     evaluation_code,
@@ -49,6 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdditiveMap",
+    "Certificate",
     "CertifiedCode",
     "ConstructionRequest",
     "CurveFamily",
@@ -64,6 +67,7 @@ __all__ = [
     "TwistVector",
     "affine_grid_set",
     "build_tower",
+    "certify",
     "construct",
     "construct_chain",
     "coset_union_set",

@@ -2,11 +2,14 @@
 
 Exit codes: 0 certified / report emitted, 2 rejected (a hypothesis failed or
 the request is invalid, including an AGQ_CAP_OPS that is not a positive
-integer), 3 enumeration budget exceeded, 4 parse error, unreadable input or
-unwritable output.  Output files are opened before the work starts.  All
-machine output is JSON (one object per command, or line-delimited for scans);
-an AgqError that no command handles becomes a JSON rejection verdict with exit
-code 2 (3 for CapExceeded, 4 for UnwritableOutput), not a traceback.
+integer), 3 an enumeration cap raised CapExceeded, 4 parse error, unreadable
+input or unwritable output.  A budget that stops the column scan is not a
+failure: the code is still certified (exit 0), and d_exact/d_method say that
+d is a lower bound, as they do for an impure code.  Output files are opened
+before the work starts.  All machine output is JSON (one object per command,
+or line-delimited for scans); an AgqError that no command handles becomes a
+JSON rejection verdict with exit code 2 (3 for CapExceeded, 4 for
+UnwritableOutput), not a traceback.
 """
 
 from __future__ import annotations
@@ -21,13 +24,11 @@ from importlib import resources
 
 from . import config
 from .codes import (
-    DistanceResult,
-    dual_distance_by_columns,
+    certify,
     exhaustive_distance,
     export_matrix,
-    hermitian_gram,
+    hermitian_gram,  # noqa: F401 -- bound here too; agqbench's tracer test wraps this binding
     import_matrix,
-    is_mds,
 )
 from .constructions import CertifiedCode, ConstructionRequest, construct_chain
 from .errors import AgqError, BadRequest, CapExceeded, EmbeddingRejected, GramNonzero, ParseError
@@ -53,13 +54,13 @@ def _classical_block(cert: CertifiedCode, want_distance: bool = True) -> dict:
         "q2": tower.q2,
         "n": code.n,
         "k": code.k,
-        "mds": cert.mds,
-        "mds_method": cert.mds_method,
+        "mds": cert.certificate.mds,
+        "mds_method": cert.certificate.mds_method,
         "designed_distance": cert.designed_distance,
     }
     d = None
     d_method = None
-    if cert.mds:
+    if cert.certificate.mds:
         d = code.n - code.k + 1
         d_method = "mds-singleton"
     elif want_distance and tower.q2 ** code.k <= _EXHAUSTIVE_AUTO_LIMIT:
@@ -73,18 +74,17 @@ def _classical_block(cert: CertifiedCode, want_distance: bool = True) -> dict:
 
 def catalog_entry(cert: CertifiedCode, request: ConstructionRequest | None, elapsed: float) -> dict:
     qp = stabilizer_params(cert)
+    certificate = cert.certificate
     entry = {
         "request": request.to_json_dict() if request else None,
         "verdict": "CERTIFIED",
         "classical": _classical_block(cert),
         "quantum": qp.to_json_dict(),
-        "gram_digest": cert.gram.digest,
+        "gram_digest": certificate.gram.digest,
         "witnesses": {
-            "mds_singular": list(cert.mds_witness) if cert.mds_witness else None,
+            "mds_singular": list(certificate.mds_witness) if certificate.mds_witness else None,
             "dual_distance_columns": (
-                list(cert.dual_distance.witness)
-                if cert.dual_distance and cert.dual_distance.witness
-                else None
+                list(certificate.dual_distance.witness) if certificate.dual_distance.witness else None
             ),
         },
         "trace": list(cert.trace),
@@ -162,9 +162,6 @@ def cmd_construct(args) -> int:
         start = time.perf_counter()
         try:
             chain = construct_chain(request)
-        except CapExceeded as exc:
-            _emit(rejection_entry(request, exc, time.perf_counter() - start))
-            return EXIT_BUDGET
         except AgqError as exc:
             _emit(rejection_entry(request, exc, time.perf_counter() - start))
             return EXIT_REJECTED
@@ -200,43 +197,34 @@ def cmd_verify(args) -> int:
     except AgqError as exc:
         _emit(rejection_entry({"file": args.file}, exc, time.perf_counter() - start))
         return EXIT_REJECTED
-    gram = hermitian_gram(code)
+    certificate = certify(code)
     entry = {
         "request": {"file": args.file, "systematic_prefix": args.systematic_prefix},
         "classical": {"q2": code.tower.q2, "n": code.n, "k": code.k},
-        "gram_digest": gram.digest,
+        "gram_digest": certificate.gram.digest,
     }
-    if not gram.all_zero:
-        i, j, tok = gram.first_nonzero
+    if not certificate.gram.all_zero:
+        i, j, tok = certificate.gram.first_nonzero
         entry["verdict"] = "REJECTED(GramNonzero)"
         entry["gram_failure"] = {"row": i, "col": j, "value": tok}
         _emit(entry)
         return EXIT_REJECTED
-    budget_hit = False
-    try:
-        flag, witness, method = is_mds(code, method="auto")
-    except CapExceeded:
-        flag, witness, method = None, None, "cap-exceeded"
-        budget_hit = True
-    entry["classical"]["mds"] = flag
-    entry["classical"]["mds_method"] = method
-    if flag:
-        dd = DistanceResult(code.k + 1, True, None, "mds-singleton")
-    else:
-        dd = dual_distance_by_columns(code)
+    entry["classical"]["mds"] = certificate.mds
+    entry["classical"]["mds_method"] = certificate.mds_method
+    dd, qd = certificate.dual_distance, certificate.quantum_distance
     entry["dual_distance"] = {"value": dd.value, "exact": dd.exact, "method": dd.method}
-    qp_k = code.n - 2 * code.k
     entry["quantum"] = {
         "q": code.tower.q,
         "n": code.n,
-        "k": qp_k,
-        "d": dd.value,
-        "d_exact": dd.exact,
+        "k": code.n - 2 * code.k,
+        "d": qd.value,
+        "d_exact": qd.exact,
+        "d_method": qd.method,
     }
     entry["verdict"] = "CERTIFIED"
     entry["time_s"] = round(time.perf_counter() - start, 4)
     _emit(entry)
-    return EXIT_BUDGET if budget_hit else EXIT_OK
+    return EXIT_OK
 
 
 # -- scan --------------------------------------------------------------------------
@@ -359,9 +347,6 @@ def _run_repro_target(target: dict) -> dict:
     start = time.perf_counter()
     try:
         chain = construct_chain(request)
-    except CapExceeded as exc:
-        report.update(status="SKIPPED", reason=f"cap: {exc}")
-        return report
     except AgqError as exc:
         report.update(status="UNMATCHED", got=f"error: {type(exc).__name__}: {exc}")
         return report

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
@@ -66,6 +66,19 @@ class DistanceResult:
     exact: bool
     witness: tuple | None
     method: str
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """What certify() decided about one code.  A nonzero Gram ends
+    certification, and the fields after it stay None."""
+
+    gram: GramCertificate
+    mds: bool | None = None  # None: the budget left it open
+    mds_witness: tuple | None = None  # k columns with a singular minor
+    mds_method: str | None = None
+    dual_distance: DistanceResult | None = None  # d(C^perp) = d(C^perp_H)
+    quantum_distance: DistanceResult | None = None  # min wt(C^perp_H \ C)
 
 
 # -- elimination kernels ------------------------------------------------------
@@ -154,15 +167,6 @@ def batched_dependent(tower: FieldTower, mats: np.ndarray) -> np.ndarray:
         update = tower.vmul(factors[:, :, None], m[:, c, c + 1 :][:, None, :])
         m[:, c + 1 :, c + 1 :] = tower.vadd(m[:, c + 1 :, c + 1 :], update)
     return dep
-
-
-def _combo_chunks(n: int, w: int):
-    it = itertools.combinations(range(n), w)
-    while True:
-        block = list(itertools.islice(it, _CHUNK))
-        if not block:
-            return
-        yield np.asarray(block, dtype=np.int64)
 
 
 # -- construction --------------------------------------------------------------
@@ -471,44 +475,39 @@ def dual_distance_by_columns(
 
 
 def is_mds(
-    code: LinearCode, method: str = "minors", ops_budget: int | None = None
-) -> tuple[bool, tuple | None, str]:
-    """Every k columns of G nonsingular?
+    code: LinearCode, ops_budget: int | None = None
+) -> tuple[bool | None, tuple | None, str, DistanceResult]:
+    """Is every k-subset of the columns of G independent, and what is d(C^perp)?
 
-    method="minors": batched k x k rank over all column subsets (the direct
-    oracle).  method="auto": try two exact structural certificates first --
-    a twisted-Vandermonde row shape, or a generalized-Cauchy systematic
-    block (the shape of any systematic GRS generator), both verified entry
-    by entry so the conclusion rests on the determinant formulas alone --
-    then fall back to minors inside budget.
-    Returns (flag, singular_witness_columns, method_used).
+    The two questions are one: every k columns are independent exactly when
+    d(C^perp) = k+1.  An exact structural certificate decides MDS when it can:
+    a twisted-Vandermonde row shape, or a reduced systematic form [I | A] with
+    a pivot past column k-1, a zero in A, or a generalized-Cauchy A, each
+    verified entry by entry.  An MDS code has d(C^perp) = k+1 (Singleton).
+    Otherwise the column scan (ops_budget caps it) gives d(C^perp) and, where
+    no certificate applied, the verdict: exact k+1 is MDS, an exact d <= k is
+    not (the dependent set padded with the lowest unused columns is a singular
+    k-subset), and a lower bound leaves the flag None.
+    Returns (flag, singular_witness_columns, method, dual_distance).
     """
-    tower = code.tower
-    zero = tower.zero_code
-    g = code.g
     k, n = code.k, code.n
     if k == 0:
-        return True, None, "degenerate"
-    if method == "auto":
-        if _vandermonde_shape(tower, g):
-            return True, None, "vandermonde"
-        quick = _systematic_mds_screen(code)
-        if quick is not None:
-            return quick
-        method = "minors"
-    if method != "minors":
-        raise ValueError(f"unknown is_mds method {method!r}")
-    budget = ops_budget if ops_budget is not None else config.ops_cap()
-    estimate = comb(n, k) * k * k * 2
-    if estimate > budget:
-        raise CapExceeded(estimate, budget)
-    for combos in _combo_chunks(n, k):
-        mats = np.transpose(g[:, combos], (1, 0, 2))
-        bad = np.nonzero(batched_dependent(tower, mats))[0]
-        if bad.size:
-            first = int(bad[0])
-            return False, tuple(int(c) for c in combos[first]), "minors"
-    return True, None, "minors"
+        return True, None, "degenerate", DistanceResult(1, True, None, "mds-singleton")
+    if _vandermonde_shape(code.tower, code.g):
+        verdict = (True, None, "vandermonde")
+    else:
+        verdict = _systematic_mds_screen(code)
+    if verdict is not None and verdict[0]:
+        return (*verdict, DistanceResult(k + 1, True, None, "mds-singleton"))
+    dd = dual_distance_by_columns(code, ops_budget=ops_budget)
+    if verdict is not None:
+        return (*verdict, dd)
+    if not dd.exact:
+        return None, None, dd.method, dd
+    if dd.value == k + 1:
+        return True, None, dd.method, dd
+    pad = [c for c in range(n) if c not in dd.witness][: k - dd.value]
+    return False, tuple(sorted(dd.witness + tuple(pad))), dd.method, dd
 
 
 def _systematic_mds_screen(code: LinearCode):
@@ -518,7 +517,7 @@ def _systematic_mds_screen(code: LinearCode):
     a zero entry of A witnesses a singular k-subset immediately; an A that
     verifies as a generalized Cauchy matrix c_i*d_j/(x_i - y_j) certifies
     MDS (every square Cauchy submatrix is nonsingular).  Anything murkier
-    returns None and the caller falls back to minors.
+    returns None and the column scan decides.
     """
     tower = code.tower
     zero = tower.zero_code
@@ -546,7 +545,7 @@ def _cauchy_verify(tower: FieldTower, a: np.ndarray) -> bool:
     Gauge-fixes x_0 = 0, x_1 = 1, c_0 = c_1 = 1, recovers the remaining
     parameters from the first two rows and columns, and verifies every
     entry plus all distinctness constraints.  Returns False on any
-    degeneracy; the caller then uses the minor oracle instead.
+    degeneracy; the column scan then decides.
     """
     k, m = a.shape
     el = lambda code_: FieldElement(tower, int(code_))
@@ -604,6 +603,46 @@ def _vandermonde_shape(tower: FieldTower, g: np.ndarray) -> bool:
         if not np.array_equal(g[i], tower.vmul(g[i - 1], ratio)):
             return False
     return True
+
+
+# -- the certificate ----------------------------------------------------------------
+
+
+def certify(code: LinearCode, ops_budget: int | None = None) -> Certificate:
+    """Gram certificate, MDS verdict, d(C^perp) and quantum distance of one code.
+
+    The Hermitian Gram check comes first, and a nonzero Gram ends
+    certification.  is_mds then decides MDS-ness and d(C^perp), with
+    ops_budget capping its column scan, and _quantum_distance checks on the
+    scan's witness whether d(C^perp) is also the quantum distance.
+    """
+    gram = hermitian_gram(code)
+    if not gram.all_zero:
+        return Certificate(gram)
+    mds, witness, method, dd = is_mds(code, ops_budget)
+    return Certificate(gram, mds, witness, method, dd, _quantum_distance(code, dd))
+
+
+def _quantum_distance(code: LinearCode, dd: DistanceResult) -> DistanceResult:
+    """min wt(C^perp_H \\ C) for a Hermitian self-orthogonal C with d(C^perp) = dd.
+
+    Frobenius keeps weights, so d(C^perp_H) = d(C^perp) = d bounds the quantum
+    distance from below, and it is exact when a word of weight d in C^perp_H
+    lies outside C.  An MDS C (d = k+1) has no nonzero word lighter than
+    n-k+1 > k+1 when n > 2k, so it is pure.  With n = 2k, C^perp_H = C and the
+    distance of an [[n, 0]] code is d(C^perp_H) itself.  Otherwise the scan's
+    witness S, a minimal dependent column set, gives one such word: the kernel
+    of G[:, S] is a word x of C^perp on S, and x^q lies in C^perp_H.  A nonzero
+    word of C inside S lies in C^perp_H too, so its q-th power is in that
+    kernel and the word is a multiple of x^q.  Hence x^q lies in C exactly
+    when the columns outside S have rank < k, which one rank tests; then d
+    is reported as a lower bound with method impure-lower-bound.
+    """
+    if not dd.exact or dd.value == code.k + 1 or code.n == 2 * code.k:
+        return dd
+    if rank(code.tower, np.delete(code.g, dd.witness, axis=1)) == code.k:
+        return dd
+    return replace(dd, exact=False, method="impure-lower-bound")
 
 
 def frobenius_code(code: LinearCode) -> LinearCode:

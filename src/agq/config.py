@@ -1,8 +1,8 @@
 """Enumeration budgets and size caps.
 
 All caps are configuration, not constants: the environment variable
-AGQ_CAP_OPS overrides the elementary-operation budget used by the
-dual-distance column scan and the minors oracle.  It does not touch the
+AGQ_CAP_OPS overrides the elementary-operation budget of the dual-distance
+column scan, which decides both MDS-ness and d(C^perp).  It does not touch the
 exhaustive word cap, whose unit (codewords) and default differ.
 """
 
@@ -16,7 +16,7 @@ DEFAULT_FIELD_CAP = 2 ** 22
 # exhaustive codeword enumeration: q^{2k} must stay below this
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 26
 
-# elementary field operations allowed per distance / minor-search call
+# elementary field operations allowed per column-scan call
 DEFAULT_OPS_CAP = 10 ** 8
 
 

@@ -15,19 +15,16 @@ from math import gcd
 import numpy as np
 
 from .codes import (
-    DistanceResult,
-    GramCertificate,
+    Certificate,
     LinearCode,
-    dual_distance_by_columns,
+    certify,
     evaluation_code,
     grs_rows,
-    hermitian_gram,
-    is_mds,
+    hermitian_gram,  # noqa: F401 -- bound here too; agqbench's tracer test wraps this binding
 )
 from .curves import CurveFamily, CurveSpec, curve, rational_points, rr_basis, x_support
 from .errors import (
     BadRequest,
-    CapExceeded,
     DivisibilityViolated,
     EmbeddingRejected,
     GramNonzero,
@@ -88,11 +85,7 @@ class ConstructionRequest:
 @dataclass(frozen=True)
 class CertifiedCode:
     code: LinearCode
-    gram: GramCertificate
-    mds: bool | None
-    mds_witness: tuple | None
-    mds_method: str | None
-    dual_distance: DistanceResult | None
+    certificate: Certificate  # its Gram certificate is all zero
     trace: tuple
     genus: int
     designed_distance: int | None
@@ -111,25 +104,11 @@ class CertifiedCode:
         return self.code.k
 
 
-def _certify(code: LinearCode) -> GramCertificate:
-    cert = hermitian_gram(code)
-    if not cert.all_zero:
-        i, j, tok = cert.first_nonzero
-        raise GramNonzero(i, j, tok)
-    return cert
-
-
-def _mds_and_dual(code: LinearCode, budget: int | None):
-    """Budgeted MDS flag + dual distance; unknown stays None, never guessed."""
-    try:
-        flag, witness, method = is_mds(code, method="auto", ops_budget=budget)
-    except CapExceeded:
-        flag, witness, method = None, None, "cap-exceeded"
-    if flag:
-        dd = DistanceResult(code.k + 1, True, None, "mds-singleton")
-    else:
-        dd = dual_distance_by_columns(code, ops_budget=budget)
-    return flag, witness, method, dd
+def _certify(code: LinearCode, budget: int | None) -> Certificate:
+    certificate = certify(code, budget)
+    if not certificate.gram.all_zero:
+        raise GramNonzero(*certificate.gram.first_nonzero)
+    return certificate
 
 
 def _line_chain_member(
@@ -143,17 +122,12 @@ def _line_chain_member(
     tower = eval_set.tower
     g = grs_rows(tower, eval_set, twist, range(k))
     code = LinearCode(tower, g, provenance=provenance)
-    gram = _certify(code)
+    certificate = _certify(code, budget)
     n = code.n
-    mds, mds_wit, mds_method, dd = _mds_and_dual(code, budget)
     b_values = tuple(((tower.q + 1) * j) % (n - 1) for j in range(k)) if n > 1 else ()
     return CertifiedCode(
         code=code,
-        gram=gram,
-        mds=mds,
-        mds_witness=mds_wit,
-        mds_method=mds_method,
-        dual_distance=dd,
+        certificate=certificate,
         trace=trace + (f"B(j) residues for j=1..{k}: {list(b_values)}",),
         genus=0,
         designed_distance=n - (k - 1),
@@ -185,15 +159,10 @@ def _curve_pipeline(
     twist_codes = np.asarray(per_point, dtype=np.int32)
     basis = rr_basis(spec, k)
     code = evaluation_code(tower, basis, points, twist_codes, provenance=provenance)
-    gram = _certify(code)
-    mds, mds_wit, mds_method, dd = _mds_and_dual(code, budget)
+    certificate = _certify(code, budget)
     return CertifiedCode(
         code=code,
-        gram=gram,
-        mds=mds,
-        mds_witness=mds_wit,
-        mds_method=mds_method,
-        dual_distance=dd,
+        certificate=certificate,
         trace=trace
         + (
             f"curve {spec.label()} genus {spec.genus}",
@@ -362,7 +331,7 @@ def embed_once(cert: CertifiedCode, ops_budget: int | None = None) -> CertifiedC
     """
     if cert.eval_set is None or cert.twist is None or cert.next_exponent is None:
         raise EmbeddingRejected("embedding needs a recorded genus-0 evaluation chain")
-    if cert.mds is False:
+    if cert.certificate.mds is False:
         raise EmbeddingRejected("embedding needs an MDS input code")
     tower = cert.code.tower
     q = tower.q
@@ -416,20 +385,15 @@ def embed_once(cert: CertifiedCode, ops_budget: int | None = None) -> CertifiedC
         code = LinearCode(tower, g, provenance=f"embed[{g.shape[1]},{k + 1}]")
     except RankDefect as exc:
         raise EmbeddingRejected(f"rank defect at k+1 = {k + 1}: {exc}") from None
-    gram = hermitian_gram(code)
-    if not gram.all_zero:
+    certificate = certify(code, ops_budget)
+    if not certificate.gram.all_zero:
         raise EmbeddingRejected(
             f"Gram nonzero at k+1 = {k + 1} ({case})",
-            gram_failure=gram.first_nonzero,
+            gram_failure=certificate.gram.first_nonzero,
         )
-    mds, mds_wit, mds_method, dd = _mds_and_dual(code, ops_budget)
     return CertifiedCode(
         code=code,
-        gram=gram,
-        mds=mds,
-        mds_witness=mds_wit,
-        mds_method=mds_method,
-        dual_distance=dd,
+        certificate=certificate,
         trace=cert.trace + tuple(notes) + (f"embed: {case}; accepted {label}",),
         genus=0,
         designed_distance=code.n - k,

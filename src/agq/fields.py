@@ -439,9 +439,6 @@ class FieldElement:
         """Membership in GF(q): zero, or (q+1) | log."""
         return self.is_zero() or self.code % (self.tower.q + 1) == 0
 
-    def in_prime_field(self) -> bool:
-        return self.is_zero() or int(self.tower._exp_val[self.code]) < self.tower.p
-
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
@@ -482,9 +479,6 @@ class FieldElement:
         if self.is_zero():
             return self
         return FieldElement(self.tower, (self.code * self.tower.q) % self.tower.n_units)
-
-    def conj(self) -> "FieldElement":
-        return self.frobenius()
 
     def relative_norm(self) -> "FieldElement":
         """x^(q+1), landing in GF(q)."""

@@ -1,16 +1,20 @@
 """Stabilizer parameters [[n, n-2k, d]]_q from Hermitian self-orthogonal codes.
 
-The quantum distance is the minimum distance of the Hermitian dual, computed
-as the distance of the Euclidean dual (entrywise Frobenius preserves Hamming
-weight).  Designed bounds from the construction are stored alongside but
-never reported as d: the column-dependence oracle is authoritative.
+The quantum distance is d = min wt(C^perp_H \\ C) (Ketkar, Klappenecker,
+Kumar and Sarvepalli, IEEE TIT 2006), read from the code's certificate.  The
+column scan gives d(C^perp_H) = d(C^perp) (entrywise Frobenius preserves
+Hamming weight), a lower bound on d; it is reported as exact only when the
+scan's witness gives a word of that weight outside C, when C is MDS with
+n > 2k, or when n = 2k (then C^perp_H = C, and an [[n, 0]] code's distance is
+d(C^perp_H)).  Designed bounds from the construction are stored alongside but
+never reported as d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import DistanceResult, dual_distance_by_columns
+from .codes import certify
 from .constructions import CertifiedCode
 from .errors import DistanceNotExact
 
@@ -45,29 +49,24 @@ class QuantumParams:
 
 
 def stabilizer_params(cert: CertifiedCode, ops_budget: int | None = None) -> QuantumParams:
-    """[[n, n-2k, d(C^perp_H)]]_q for a Gram-certified [n, k] code."""
+    """[[n, n-2k, min wt(C^perp_H \\ C)]]_q for a Gram-certified [n, k] code.
+
+    Reads the code's certificate; a caller-supplied budget recertifies a code
+    whose recorded budget left d(C^perp) as a lower bound.
+    """
     code = cert.code
-    tower = code.tower
-    n, k = code.n, code.k
-    k_q = n - 2 * k
-    if k == 0:
-        return QuantumParams(tower.q, n, n, 1, True, "degenerate", True, 0)
-    if cert.mds:
-        dd = DistanceResult(k + 1, True, None, "mds-singleton")
-    elif cert.dual_distance is not None and (cert.dual_distance.exact or ops_budget is None):
-        # a recorded budgeted bound is reused; a caller-supplied budget retries
-        dd = cert.dual_distance
-    else:
-        dd = dual_distance_by_columns(code, ops_budget=ops_budget)
+    certificate = cert.certificate
+    if ops_budget is not None and not certificate.dual_distance.exact:
+        certificate = certify(code, ops_budget)
+    qd = certificate.quantum_distance
+    n, k_q, q = code.n, code.n - 2 * code.k, code.tower.q
     designed = None
     if cert.genus is not None:
-        designed = k + 1 - 2 * cert.genus  # dual-side designed bound; may be vacuous
-    if dd.exact:
-        defect = n - k_q - 2 * dd.value + 2
-        return QuantumParams(
-            tower.q, n, k_q, dd.value, True, dd.method, defect == 0, defect, designed
-        )
-    return QuantumParams(tower.q, n, k_q, dd.value, False, dd.method, None, None, designed)
+        designed = code.k + 1 - 2 * cert.genus  # dual-side designed bound; may be vacuous
+    if qd.exact:
+        defect = n - k_q - 2 * qd.value + 2
+        return QuantumParams(q, n, k_q, qd.value, True, qd.method, defect == 0, defect, designed)
+    return QuantumParams(q, n, k_q, qd.value, False, qd.method, None, None, designed)
 
 
 def singleton_defect(params: QuantumParams) -> int:

@@ -11,11 +11,10 @@ import pytest
 
 from agq.cli import main as cli_main
 from agq.codes import (
+    certify,
     dual_distance_by_columns,
     exhaustive_distance,
-    hermitian_gram,
     import_matrix,
-    is_mds,
 )
 from agq.constructions import (
     ConstructionRequest,
@@ -30,6 +29,8 @@ from agq.fields import build_tower
 from agq.points import twist_vector
 from agq.quantum import stabilizer_params
 
+from .test_codes import minors_is_mds
+
 DATA = Path(__file__).resolve().parent.parent / "src" / "agq" / "data"
 
 
@@ -40,13 +41,13 @@ def report(num, text):
 def test_criterion_1_example_pipeline_q13():
     start = time.perf_counter()
     base = construct(ConstructionRequest("c1", 13, 1, n=25, k=2))
-    assert base.gram.all_zero and base.code.params() == (25, 2)
+    assert base.certificate.gram.all_zero and base.code.params() == (25, 2)
     emb = embed_once(base)
-    assert emb.gram.all_zero and emb.code.params() == (25, 3)
+    assert emb.certificate.gram.all_zero and emb.code.params() == (25, 3)
     deep = deep_dimension(build_tower(13, 1), 2)
     assert deep.code.params() == (25, 7)
     t0 = time.perf_counter()
-    flag, witness, method = is_mds(deep.code, method="minors")
+    flag, witness, method = minors_is_mds(deep.code)
     minors_time = time.perf_counter() - t0
     assert flag and witness is None and method == "minors"
     assert minors_time < 5.0, f"minor sweep took {minors_time:.2f}s"
@@ -67,13 +68,13 @@ def test_criterion_2_reference_matrices():
         text = (DATA / f"{name}.txt").read_text()
         t0 = time.perf_counter()
         code = import_matrix(text, systematic_prefix=True)
-        gram = hermitian_gram(code)
-        if not gram.all_zero:
+        certificate = certify(code)
+        if not certificate.gram.all_zero:
             # generator-convention mismatch: the offending entry must be
             # reported, and the fallback below must still certify
-            fallback_needed.append((name, n, k, gram.first_nonzero))
+            fallback_needed.append((name, n, k, certificate.gram.first_nonzero))
             continue
-        flag, _, method = is_mds(code, method="auto")
+        flag, method = certificate.mds, certificate.mds_method
         elapsed = time.perf_counter() - t0
         assert code.params() == (n, k)
         assert flag, name
@@ -90,9 +91,8 @@ def test_criterion_2_reference_matrices():
 
         chain = construct_chain(recipes[(n, k)])
         match = next(c for c in chain if c.code.params() == (n, k))
-        assert match.gram.all_zero
-        flag, _, _ = is_mds(match.code, method="auto")
-        assert flag
+        assert match.certificate.gram.all_zero
+        assert match.certificate.mds
         results.append(f"{name}: convention mismatch at {failure}, fallback [{n},{k}] certified")
     assert len(results) == 3
     report(2, "; ".join(results))
@@ -132,7 +132,7 @@ def test_criterion_4_elliptic():
     # q = 8: certification plus a budgeted dual-distance lower bound only
     cert8 = construct(ConstructionRequest("c5", 2, 3, k=9), ops_budget=10 ** 6)
     assert cert8.code.params() == (80, 8)
-    assert cert8.gram.all_zero
+    assert cert8.certificate.gram.all_zero
     dd8 = dual_distance_by_columns(cert8.code, ops_budget=10 ** 6)
     assert not dd8.exact and dd8.value >= 3
     report(
@@ -146,7 +146,7 @@ def test_criterion_5_hermitian_q4():
     start = time.perf_counter()
     cert = construct(ConstructionRequest("c7i", 2, 2, n=16, k=8))
     assert cert.code.params() == (64, 3)
-    dd = cert.dual_distance
+    dd = cert.certificate.dual_distance
     assert (dd.value, dd.exact) == (3, True)
     assert len(dd.witness) == 3  # pairs scan (C(64,2) = 2016) found nothing
     qp = stabilizer_params(cert)

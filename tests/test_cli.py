@@ -59,7 +59,39 @@ def test_verify_reference_matrices(capsys):
 def test_verify_example_1_quantum(capsys):
     code, out = run_cli(capsys, "verify", str(DATA / "f169_25_7.txt"), "--systematic-prefix")
     entry = json.loads(out)
-    assert entry["quantum"] == {"q": 13, "n": 25, "k": 11, "d": 8, "d_exact": True}
+    assert entry["quantum"] == {"q": 13, "n": 25, "k": 11, "d": 8, "d_exact": True, "d_method": "mds-singleton"}
+
+
+# the 3x7 GF(4) code of tests/test_quantum.py: impure, d(C^perp_H) = 2, quantum d = 3
+IMPURE_GF4 = "q2=2^2 n=7 k=3\nt^2 1 0 t^2 t^1 t^2 t^1\n0 t^2 t^2 0 t^1 0 t^2\nt^2 t^2 t^2 t^2 t^1 0 t^2\n"
+
+
+def test_verify_impure_code_never_reports_exact_2(tmp_path, capsys):
+    f = tmp_path / "impure.txt"
+    f.write_text(IMPURE_GF4)
+    code, out = run_cli(capsys, "verify", str(f))
+    assert code == 0
+    entry = json.loads(out)
+    assert entry["verdict"] == "CERTIFIED"
+    assert (entry["classical"]["mds"], entry["classical"]["mds_method"]) == (False, "systematic")
+    assert entry["dual_distance"] == {"value": 2, "exact": True, "method": "column-scan"}
+    quantum = entry["quantum"]
+    assert (quantum["d"], quantum["d_exact"]) == (3, True) or (
+        quantum["d_exact"] is False and quantum["d_method"] == "impure-lower-bound"
+    )
+
+
+def test_verify_budget_capped_is_certified_with_a_bound(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "impure.txt"
+    f.write_text(IMPURE_GF4)
+    monkeypatch.setenv("AGQ_CAP_OPS", "1")  # too small for any pair of columns
+    code, out = run_cli(capsys, "verify", str(f))
+    assert code == 0
+    entry = json.loads(out)
+    assert entry["verdict"] == "CERTIFIED"
+    assert entry["dual_distance"] == {"value": 2, "exact": False, "method": "column-scan-lower-bound"}
+    assert entry["quantum"]["d_exact"] is False
+    assert entry["quantum"]["d_method"] == "column-scan-lower-bound"
 
 
 def test_verify_identity_rejected(tmp_path, capsys):

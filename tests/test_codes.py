@@ -14,9 +14,9 @@ from agq.codes import (
     _CHUNK,
     DistanceResult,
     LinearCode,
-    _combo_chunks,
     _exact_keys,
     batched_dependent,
+    certify,
     dual,
     dual_distance_by_columns,
     evaluation_code,
@@ -113,7 +113,7 @@ def test_gram_detects_corruption():
 
 def test_gram_zero_implies_zero_diagonal():
     cert = construct(ConstructionRequest("c9", 3, 1, t=2, k=4))
-    m = cert.gram.matrix
+    m = cert.certificate.gram.matrix
     tw = cert.code.tower
     assert all(m[i, i] == tw.zero_code for i in range(cert.code.k))
 
@@ -392,6 +392,25 @@ def test_dual_by_columns_equals_exhaustive_k4(code):
     assert_dual_scan_equals_exhaustive(code)
 
 
+def combo_chunks(n, w):
+    """The w-subsets of range(n) in lex order, as int64 blocks of agq.codes._CHUNK
+    rows; the size is read at call time, so a test can patch it."""
+    it = itertools.combinations(range(n), w)
+    while block := list(itertools.islice(it, agq.codes._CHUNK)):
+        yield np.asarray(block, dtype=np.int64)
+
+
+def minors_is_mds(code):
+    """Reference MDS oracle: a batched k x k rank test of every k-subset of columns
+    in lex order.  Returns (flag, first singular k-subset or None, "minors")."""
+    for combos in combo_chunks(code.n, code.k):
+        mats = np.transpose(code.g[:, combos], (1, 0, 2))
+        bad = np.nonzero(batched_dependent(code.tower, mats))[0]
+        if bad.size:
+            return False, tuple(int(c) for c in combos[bad[0]]), "minors"
+    return True, None, "minors"
+
+
 def per_subset_column_scan(code, d_max=None, ops_budget=None):
     """Reference oracle: the column scan that eliminates every w-subset of columns,
     charging k*w*2 per subset in lex-ordered blocks of _CHUNK."""
@@ -410,7 +429,7 @@ def per_subset_column_scan(code, d_max=None, ops_budget=None):
     for w in range(2, cap + 1):
         if w == k + 1:
             return DistanceResult(k + 1, True, tuple(range(k + 1)), "column-scan")
-        for combos in _combo_chunks(n, w):
+        for combos in combo_chunks(n, w):
             cost = combos.shape[0] * k * w * 2
             if spent + cost > budget:
                 return DistanceResult(w, False, None, "column-scan-lower-bound")
@@ -672,15 +691,15 @@ def test_grs_codes_are_mds():
     tv = twist_vector(es)
     for k in (1, 2, 3):
         code = LinearCode(tw, grs_rows(tw, es, tv, range(k)))
-        flag, wit, method = is_mds(code, method="minors")
+        flag, wit, method = minors_is_mds(code)
         assert flag and wit is None
-        flag2, _, method2 = is_mds(code, method="auto")
+        flag2, _, method2, _ = is_mds(code)
         assert flag2 and method2 == "vandermonde"
 
 
 def test_hermitian_code_not_mds_with_witness():
     cert = construct(ConstructionRequest("c7i", 2, 2, n=16, k=8))
-    flag, witness, method = is_mds(cert.code, method="minors")
+    flag, witness, method = minors_is_mds(cert.code)
     assert not flag
     cols = cert.code.g[:, list(witness)]
     assert rank(cert.code.tower, cols.T.copy().T) < len(witness)
@@ -693,75 +712,111 @@ def test_embedded_coset_code_mds():
     chain = construct_chain(ConstructionRequest("c3", 17, 1, n=12, t=1, k=2, embed="once"))
     last = chain[-1]
     assert last.code.params() == (26, 3)
-    flag, _, _ = is_mds(last.code, method="minors")
+    flag, _, _ = minors_is_mds(last.code)
     assert flag
 
 
 def test_is_mds_cap():
-    tw = build_tower(13, 1)
-    es = roots_of_unity_set(tw, 25)
-    tv = twist_vector(es)
-    code = LinearCode(tw, grs_rows(tw, es, tv, range(7)))
-    with pytest.raises(CapExceeded):
-        is_mds(code, method="minors", ops_budget=10)
+    # the embedded [6,3] has no structural certificate, so the column scan decides
+    from agq.constructions import construct_chain
+
+    code = construct_chain(ConstructionRequest("c1", 5, 1, n=5, embed="iterate"))[-1].code
+    assert code.params() == (6, 3)
+    flag, witness, method, dd = is_mds(code)
+    assert (flag, witness, method) == (True, None, "column-scan") and dd.value == 4 and dd.exact
+    flag, witness, method, dd = is_mds(code, ops_budget=10)
+    assert (flag, witness, method) == (None, None, "column-scan-lower-bound") and not dd.exact
 
 
-def test_is_mds_minors_reads_chunk_at_call_time():
-    tw = build_tower(13, 1)
-    es = roots_of_unity_set(tw, 13)
-    code = LinearCode(tw, grs_rows(tw, es, twist_vector(es), range(3)))
-    sizes = []
-    real = agq.codes.batched_dependent
+def self_orthogonal_code(tower, n, k, seed, plant=False):
+    """A random Hermitian self-orthogonal [n, k] code, 2k <= n.  Each new row is a
+    random word of the Hermitian dual of the rows so far, kept when it pairs to
+    zero with itself and is independent of them.  With plant, the first row is
+    e_i + a*e_j with a^(q+1) = -1, a weight-2 word of C that often makes the
+    code impure: every weight-2 word of the Hermitian dual may lie in C."""
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((0, n), dtype=np.int32)
+    if plant:
+        minus_one = tower.vneg(np.int32(0))
+        a = next(c for c in range(tower.n_units) if tower.vpow(np.int32(c), tower.q + 1) == minus_one)
+        rows = np.full((1, n), tower.zero_code, dtype=np.int32)
+        rows[0, rng.choice(n, size=2, replace=False)] = (0, a)
+    while len(rows) < k:
+        basis = dual(LinearCode(tower, rows), "hermitian").g
+        coeffs = rng.integers(0, tower.q2, size=(len(basis), 1)).astype(np.int32)
+        word = tower.vsum(tower.vmul(coeffs, basis), axis=0)
+        isotropic = tower.vsum(tower.vmul(word, tower.vfrob(word))) == tower.zero_code
+        if isotropic and rank(tower, np.vstack([rows, word[None]])) > len(rows):
+            rows = np.vstack([rows, word[None]])
+    return LinearCode(tower, rows, provenance="self-orthogonal")
 
-    def recording(tower, mats):
-        sizes.append(mats.shape[0])
-        return real(tower, mats)
 
-    with mock.patch.object(agq.codes, "_CHUNK", 7), mock.patch.object(agq.codes, "batched_dependent", recording):
-        assert is_mds(code, method="minors") == (True, None, "minors")
-    assert sum(sizes) == comb(13, 3)
-    assert set(sizes[:-1]) == {7} and 1 <= sizes[-1] <= 7
+@st.composite
+def self_orthogonal_codes(draw, fields, n_max, codim_max=None):
+    """Random Hermitian self-orthogonal [2..n_max, k] codes over the given fields,
+    with n - k <= codim_max when that is given.  Half of them have a planted
+    weight-2 word, n >= 6 (fewer columns are often zero, and then d = 1) and
+    k = (n-1)//2, where a small Hermitian dual makes impurity likely."""
+    tw = build_tower(*draw(st.sampled_from(fields)))
+    plant = draw(st.booleans())
+    n = draw(st.integers(6 if plant else 2, n_max))
+    low = max(1, n - (codim_max or n))
+    k = max(low, (n - 1) // 2) if plant else draw(st.integers(low, n // 2))
+    return self_orthogonal_code(tw, n, k, draw(st.integers(0, 2 ** 32 - 1)), plant)
 
 
-def test_auto_matches_minors_on_random_codes():
-    rng = random.Random(41)
+@st.composite
+def random_codes_gf25(draw):
+    """Random full-rank [4..8, 1..3] codes over GF(25); every entry may be zero."""
     tw = build_tower(5, 1)
-    for _ in range(60):
-        code = random_code(rng, tw, rng.randint(4, 8), rng.randint(1, 3))
-        fa, wa, _ = is_mds(code, method="auto")
-        fm, wm, _ = is_mds(code, method="minors")
-        assert fa == fm
+    n, k = draw(st.integers(4, 8)), draw(st.integers(1, 3))
+    g = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).integers(0, tw.q2, size=(k, n)).astype(np.int32)
+    assume(rank(tw, g) == k)
+    return LinearCode(tw, g, provenance="random")
 
 
-def test_structural_certificates_survive_adversarial_shapes():
-    # scaled + column-permuted GRS codes (MDS but not in plain row shape),
-    # random codes, and all-nonzero-but-singular systematic blocks: the
-    # structural fast paths must agree with the minor oracle on all of them
-    rng = random.Random(99)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(random_codes_gf25(), self_orthogonal_codes([(2, 1), (3, 1), (5, 1)], 8)))
+def test_auto_matches_minors_on_random_codes(code):
+    """is_mds, the verdict certify() records, agrees with the minors oracle on
+    structural and scan-decided codes; a not-MDS witness is a singular k-subset."""
+    flag, witness, _, dd = is_mds(code)
+    assert flag == minors_is_mds(code)[0]
+    assert dd.exact and (dd.value == code.k + 1) == flag
+    if not flag:
+        assert len(witness) == code.k and rank(code.tower, code.g[:, list(witness)]) < code.k
+    if hermitian_gram(code).all_zero:
+        assert certify(code).mds == flag
+
+
+@st.composite
+def adversarial_mds_shapes(draw):
+    """Row-scaled, column-permuted GRS codes [9, 2..4] over GF(25), MDS but not in
+    plain row shape, and systematic [I | A] codes whose 2x3 block A has no zero
+    entry but proportional rows, so they are singular with no zero to show it."""
     tw = build_tower(5, 1)
-    es = roots_of_unity_set(tw, 9)
-    tv = twist_vector(es)
-    for _ in range(60):
-        k = rng.randint(2, 4)
-        g = grs_rows(tw, es, tv, range(k))
-        for i in range(k):
-            g[i] = tw.vmul(np.int32(rng.randrange(tw.n_units)), g[i])
-        perm = list(range(9))
-        rng.shuffle(perm)
-        code = LinearCode(tw, g[:, perm])
-        fa, _, _ = is_mds(code, method="auto")
-        fm, _, _ = is_mds(code, method="minors")
-        assert fa == fm is True
-    for _ in range(60):
-        lam = rng.randrange(1, tw.n_units)
-        row0 = [rng.randrange(tw.n_units) for _ in range(3)]
-        row1 = [(c + lam) % tw.n_units for c in row0]
-        eye = np.full((2, 2), tw.zero_code, dtype=np.int32)
-        np.fill_diagonal(eye, 0)
-        code = LinearCode(tw, np.hstack([eye, np.asarray([row0, row1], dtype=np.int32)]))
-        fa, _, _ = is_mds(code, method="auto")
-        fm, _, _ = is_mds(code, method="minors")
-        assert fa == fm is False
+    unit = st.integers(0, tw.n_units - 1)
+    if draw(st.booleans()):
+        es = roots_of_unity_set(tw, 9)
+        k = draw(st.integers(2, 4))
+        scales = np.asarray(draw(st.lists(unit, min_size=k, max_size=k)), dtype=np.int32)
+        g = tw.vmul(scales[:, None], grs_rows(tw, es, twist_vector(es), range(k)))
+        return LinearCode(tw, g[:, draw(st.permutations(range(9)))]), True
+    lam = draw(st.integers(1, tw.n_units - 1))
+    row0 = np.asarray(draw(st.lists(unit, min_size=3, max_size=3)), dtype=np.int32)
+    eye = np.full((2, 2), tw.zero_code, dtype=np.int32)
+    np.fill_diagonal(eye, 0)
+    return LinearCode(tw, np.hstack([eye, np.stack([row0, (row0 + lam) % tw.n_units])])), False
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(adversarial_mds_shapes())
+def test_structural_certificates_survive_adversarial_shapes(case):
+    code, expected = case
+    flag, _, _, _ = is_mds(code)
+    assert flag == minors_is_mds(code)[0] is expected
+    if hermitian_gram(code).all_zero:
+        assert certify(code).mds is expected
 
 
 def test_gram_zero_iff_contained_in_hermitian_dual():

@@ -18,8 +18,8 @@ from agq.fields import build_tower
 def test_c1_q13_k2_certified():
     cert = construct(ConstructionRequest("c1", 13, 1, n=25, k=2))
     assert cert.code.params() == (25, 2)
-    assert cert.gram.all_zero
-    assert cert.mds
+    assert cert.certificate.gram.all_zero
+    assert cert.certificate.mds
 
 
 def test_c1_default_k_is_stated_max():
@@ -48,13 +48,13 @@ def test_embed_extension_pads_old_rows():
 def test_c9_q3_pipeline():
     cert = construct(ConstructionRequest("c9", 3, 1, t=2, k=4))
     assert cert.code.params() == (15, 3)
-    assert cert.dual_distance.value == 3 and cert.dual_distance.exact
+    assert cert.certificate.dual_distance.value == 3 and cert.certificate.dual_distance.exact
 
 
 def test_c5_q4_pipeline():
     cert = construct(ConstructionRequest("c5", 2, 2, k=5))
     assert cert.code.params() == (24, 4)
-    assert cert.gram.all_zero
+    assert cert.certificate.gram.all_zero
 
 
 def test_c5_assumption_check_runs_per_q():
@@ -62,7 +62,7 @@ def test_c5_assumption_check_runs_per_q():
     # must reach certification rather than NotNormValue
     for p, m in [(2, 2), (2, 3)]:
         cert = construct(ConstructionRequest("c5", p, m, k=3))
-        assert cert.gram.all_zero
+        assert cert.certificate.gram.all_zero
 
 
 def test_deep_dimension_q13():
@@ -108,8 +108,8 @@ def test_chain_q8_grid():
     chain = construct_chain(ConstructionRequest("c4", 2, 3, t=2, embed="iterate"))
     assert [c.code.params() for c in chain] == [(16, 2), (16, 3), (16, 4), (16, 5)]
     for cert in chain:
-        assert cert.gram.all_zero
-        assert cert.mds
+        assert cert.certificate.gram.all_zero
+        assert cert.certificate.mds
 
 
 def test_chain_q9_grid_reaches_18_5():
@@ -122,7 +122,7 @@ def test_chain_q13_deep_links_all_certified():
     chain = embed_iterate(base)
     assert chain[-1].code.params() == (25, 7)
     for cert in chain:
-        assert cert.gram.all_zero
+        assert cert.certificate.gram.all_zero
 
 
 def test_c1_gram_matches_exponent_reduction_rule():
@@ -189,18 +189,18 @@ def test_c2_nonvacuous_tower_certifies():
     # the base subgroup; n = (q-1)/(3+1) = 20, one admissible coset
     cert = construct(ConstructionRequest("c2", 3, 4, n=20, t=1))
     assert cert.code.params() == (41, 1)
-    assert cert.gram.all_zero
+    assert cert.certificate.gram.all_zero
     assert all(p.is_zero() or p.in_base_field() for p in cert.eval_set.points)
 
 
 def test_c6_hyperelliptic_certifies():
     cert = construct(ConstructionRequest("c6", 2, 2, n=16, k=7))
     assert cert.code.params() == (32, 5)
-    assert cert.gram.all_zero
+    assert cert.certificate.gram.all_zero
     # intermediate length: the 12-point subgroup-plus-zero x-set
     cert2 = construct(ConstructionRequest("c6", 2, 2, n=6, k=4))
     assert cert2.code.params() == (12, 2)
-    assert cert2.gram.all_zero
+    assert cert2.certificate.gram.all_zero
 
 
 def test_c7_cases_ii_iii():
@@ -208,13 +208,13 @@ def test_c7_cases_ii_iii():
     assert cert2.code.params() == (95, 3)
     cert3 = construct(ConstructionRequest("c7iii", 2, 2, t=2, k=8))
     assert cert3.code.params() == (32, 3)
-    assert cert3.gram.all_zero
+    assert cert3.certificate.gram.all_zero
 
 
 def test_c10_even_q():
     cert = construct(ConstructionRequest("c10", 2, 2, t=5, k=8))
     assert cert.code.params() == (64, 3)
-    assert cert.gram.all_zero
+    assert cert.certificate.gram.all_zero
 
 
 def test_reference_distances_of_curve_codes():
@@ -248,5 +248,5 @@ def test_every_certified_code_has_zero_gram():
     ]
     for req in reqs:
         for cert in construct_chain(req):
-            assert cert.gram.all_zero
+            assert cert.certificate.gram.all_zero
             assert hermitian_gram(cert.code).all_zero  # recomputed, same verdict

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
-from agq.codes import LinearCode
+from agq.codes import DistanceResult, LinearCode, certify, dual
 from agq.constructions import (
     CertifiedCode,
     ConstructionRequest,
@@ -12,6 +15,15 @@ from agq.constructions import (
 from agq.errors import DistanceNotExact
 from agq.fields import build_tower
 from agq.quantum import singleton_defect, stabilizer_params
+
+from .test_codes import self_orthogonal_codes
+
+# the 3x7 Hermitian self-orthogonal GF(4) code whose weight-2 dual words all lie
+# in C: d(C^perp_H) = 2 but the quantum distance is 3 (exponent codes, 3 = zero)
+IMPURE_GF4 = LinearCode(
+    build_tower(2, 1),
+    np.asarray([[2, 0, 3, 2, 1, 2, 1], [3, 2, 2, 3, 1, 3, 2], [2, 2, 2, 2, 1, 3, 2]], dtype=np.int32),
+)
 
 
 def test_q13_deep_quantum_params():
@@ -31,20 +43,8 @@ def test_artin_schreier_quantum_params():
 
 def test_degenerate_k0():
     tw = build_tower(3, 1)
-    from agq.codes import GramCertificate
-
     code = LinearCode(tw, np.zeros((0, 7), dtype=np.int32))
-    cert = CertifiedCode(
-        code=code,
-        gram=GramCertificate(np.zeros((0, 0), dtype=np.int32), True, None, "0"),
-        mds=None,
-        mds_witness=None,
-        mds_method=None,
-        dual_distance=None,
-        trace=(),
-        genus=0,
-        designed_distance=None,
-    )
+    cert = CertifiedCode(code=code, certificate=certify(code), trace=(), genus=0, designed_distance=None)
     qp = stabilizer_params(cert)
     assert (qp.n, qp.k, qp.d) == (7, 7, 1)
     assert qp.defect == 0
@@ -64,6 +64,13 @@ def test_defect_requires_exact_distance():
     assert qp.mds is None and qp.defect is None
     with pytest.raises(DistanceNotExact):
         singleton_defect(qp)
+
+
+def test_caller_budget_recertifies_a_bound():
+    cert = construct(ConstructionRequest("c9", 3, 1, t=2, k=4), ops_budget=10)
+    assert not cert.certificate.dual_distance.exact
+    assert stabilizer_params(cert).params_string() == "[[15,9,>=2]]_3"  # the recorded bound
+    assert stabilizer_params(cert, ops_budget=10 ** 6).params_string() == "[[15,9,3]]_3"
 
 
 def test_mds_input_gives_k_plus_one_distance():
@@ -93,3 +100,44 @@ def test_json_shape():
     cert = construct(ConstructionRequest("c9", 3, 1, t=2, k=4))
     blob = stabilizer_params(cert).to_json_dict()
     assert set(blob) == {"q", "n", "k", "d", "d_exact", "d_method", "mds", "defect"}
+
+
+def brute_force_distances(code):
+    """(d(C^perp_H), min wt(C^perp_H minus C)) by enumerating every word of the
+    Hermitian dual; with n = 2k, where C^perp_H = C, the second is d(C^perp_H)."""
+    tower = code.tower
+    h = dual(code, "hermitian").g
+    coeffs = np.asarray(list(itertools.product(range(tower.q2), repeat=len(h))), dtype=np.int32)
+    words = tower.vsum(tower.vmul(coeffs[:, :, None], h[None]), axis=1)
+    weight = (words != tower.zero_code).sum(axis=1)
+    parity = dual(code, "euclidean").g  # C = {x : parity . x = 0}
+    in_c = (tower.vsum(tower.vmul(words[:, None, :], parity[None]), axis=2) == tower.zero_code).all(axis=1)
+    outside = ~in_c if code.n > 2 * code.k else weight > 0
+    return int(weight[weight > 0].min()), int(weight[outside].min())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(self_orthogonal_codes([(2, 1), (3, 1)], 8, codim_max=5))
+@example(IMPURE_GF4)
+def test_certify_quantum_distance_matches_brute_force(code):
+    """An exact quantum distance from certify() is min wt(C^perp_H minus C); a
+    lower bound never exceeds it."""
+    certificate = certify(code)
+    assert certificate.gram.all_zero
+    dual_d, quantum_d = brute_force_distances(code)
+    assert certificate.dual_distance.value == dual_d and certificate.dual_distance.exact
+    qd = certificate.quantum_distance
+    assert qd.exact or code.n > 2 * code.k  # an [[n, 0]] code's distance is d(C^perp_H)
+    if qd.exact:
+        assert qd.value == quantum_d
+    else:
+        assert qd.method == "impure-lower-bound" and qd.value <= quantum_d
+
+
+def test_impure_code_distance_is_a_lower_bound():
+    certificate = certify(IMPURE_GF4)
+    assert certificate.dual_distance == DistanceResult(2, True, (0, 3), "column-scan")
+    assert certificate.quantum_distance == DistanceResult(2, False, (0, 3), "impure-lower-bound")
+    cert = CertifiedCode(code=IMPURE_GF4, certificate=certificate, trace=(), genus=0, designed_distance=None)
+    qp = stabilizer_params(cert)
+    assert qp.params_string() == "[[7,1,>=2]]_2" and qp.mds is None and qp.defect is None
