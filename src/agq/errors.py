@@ -53,6 +53,10 @@ class AnchorInSubfield(AgqError):
     pass
 
 
+class DuplicatePoints(AgqError):
+    """A point-set construction produced the same point twice."""
+
+
 class NotNormValue(AgqError):
     """unit_scalar / h'(alpha_i) is not in GF(q)*; carries the point index."""
 

@@ -152,7 +152,9 @@ class FieldTower:
     ``solve_additive``, which are filled on first use (a race only computes
     one twice); the table arrays are read-only and every operation on
     elements or exponent arrays is pure, so ``build_tower`` hands one tower
-    to every caller and towers are safe to share across threads.
+    to every caller and towers are safe to share across threads.  Scalar
+    code paths read the Zech table through a zero-copy memoryview, which
+    cannot be pickled, so towers are shared rather than copied.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], conway: bool):
@@ -211,6 +213,7 @@ class FieldTower:
         for table in (exp_val, log_val, zech, self._add_table, self._mul_table):
             if table is not None:
                 table.flags.writeable = False
+        self._zech_view = memoryview(zech)  # one Python int per index, no numpy scalar
 
     # -- element constructors ---------------------------------------------
 
@@ -288,7 +291,7 @@ class FieldTower:
             return b
         if b == n:
             return a
-        z = int(self._zech[(b - a) % n])
+        z = self._zech_view[(b - a) % n]
         if z == n:
             return n
         return (a + z) % n
@@ -448,7 +451,8 @@ class FieldElement:
         return FieldElement(self.tower, self.tower._neg_code(self.code))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return self + (-other)
+        tower = self.tower
+        return FieldElement(tower, tower._add_codes(self.code, tower._neg_code(other.code)))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         return FieldElement(self.tower, self.tower._mul_codes(self.code, other.code))

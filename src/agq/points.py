@@ -4,22 +4,26 @@ Four families: roots of x^n - x, unions of multiplicative-subgroup cosets,
 affine grids u_i*a + u_j, and explicit sets.  Local derivative values
 h'(alpha_i) are always the pairwise product over the set, never a closed
 form; closed forms from the underlying theory show up only as test oracles.
+The product is taken as a sum of discrete logs over exponent codes, with
+one Zech-table read per pair, and twist vectors are computed on codes too.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import (
     AnchorInSubfield,
     CosetSearchExhausted,
+    DuplicatePoints,
     DivisibilityViolated,
     LeaderNotInV,
     NotNormValue,
     TooManyCosets,
 )
-from .fields import FieldElement, FieldTower, norm_preimage
+from .fields import FieldElement, FieldTower
 
 FAMILY_ROOTS_OF_UNITY = "roots_of_unity"
 FAMILY_COSET_UNION = "coset_union"
@@ -176,7 +180,8 @@ def affine_grid_set(
     # enumeration of GF(q): 0 first, then by log ascending
     us = [subfield[-1]] + subfield[:-1]
     pts = [us[i] * anchor + us[j] for i in range(t) for j in range(q)]
-    assert len(set(p.code for p in pts)) == t * q
+    if len(set(p.code for p in pts)) != t * q:
+        raise DuplicatePoints(f"grid points u_i*a + u_j repeat for anchor {tower.format(anchor)}")
     params = {"t": t, "anchor_code": anchor.code}
     return EvaluationSet(tower, FAMILY_AFFINE_GRID, _canonical_order(pts), params)
 
@@ -189,34 +194,45 @@ def explicit_set(tower: FieldTower, points, tag: str = FAMILY_EXPLICIT) -> Evalu
 
 
 def local_derivatives(eval_set: EvaluationSet) -> tuple:
-    """h'(alpha_i) = prod_{j != i} (alpha_i - alpha_j), by direct product."""
-    pts = eval_set.points
+    """h'(alpha_i) = prod_{j != i} (alpha_i - alpha_j), as a log-sum over codes.
+
+    For nonzero a and -b, log(a - b) = log a + zech[log(-b) - log a].  The
+    j = i term reads zech[log(-1)] = log 0 = q^2-1, which is 0 mod q^2-1, so
+    each row sums over every nonzero point; a zero point adds log a.  A
+    repeated point makes its own h' zero.
+    """
+    tower = eval_set.tower
+    n_units, zech = tower.n_units, tower._zech_view
+    codes = [p.code for p in eval_set.points]
+    negs = [tower._neg_code(c) for c in codes if c != n_units]
+    repeats = Counter(codes)
     out = []
-    for i, a in enumerate(pts):
-        acc = eval_set.tower.one()
-        for j, b in enumerate(pts):
-            if i != j:
-                acc = acc * (a - b)
-        out.append(acc)
+    for a in codes:
+        if a == n_units:
+            log_sum = sum(negs)
+        else:
+            log_sum = (len(codes) - 1) * a + sum([zech[(b - a) % n_units] for b in negs])
+        out.append(FieldElement(tower, n_units if repeats[a] > 1 else log_sum % n_units))
     return tuple(out)
 
 
 def twist_vector(
     eval_set: EvaluationSet, unit_scalar: FieldElement | None = None
 ) -> TwistVector:
-    """v_i = norm_preimage(unit_scalar / h'(alpha_i)).
+    """v_i = norm_preimage(unit_scalar / h'(alpha_i)), on codes.
 
-    Raises NotNormValue(i) when unit_scalar/h'(alpha_i) falls outside GF(q)*,
-    i.e. the self-orthogonality hypothesis fails for this point set.
+    Raises NotNormValue(i) at the first i where unit_scalar/h'(alpha_i) is
+    zero, undefined or outside GF(q)*, i.e. the self-orthogonality
+    hypothesis fails for this point set.
     """
     tower = eval_set.tower
     if unit_scalar is None:
         unit_scalar = eval_set.default_unit_scalar()
-    derivs = local_derivatives(eval_set)
+    n_units, norm_exp, u = tower.n_units, tower.q + 1, unit_scalar.code
     values = []
-    for i, h in enumerate(derivs):
-        c = unit_scalar / h
-        if c.is_zero() or not c.in_base_field():
+    for i, h in enumerate(local_derivatives(eval_set)):
+        c = (u - h.code) % n_units  # log(unit_scalar / h')
+        if u == n_units or h.is_zero() or c % norm_exp:
             raise NotNormValue(i)
-        values.append(norm_preimage(c))
+        values.append(FieldElement(tower, c // norm_exp))
     return TwistVector(tower, tuple(values), unit_scalar)

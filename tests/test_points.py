@@ -1,17 +1,23 @@
-import random
+from math import gcd
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from agq.errors import (
     AnchorInSubfield,
     CosetSearchExhausted,
     DivisibilityViolated,
+    DuplicatePoints,
     LeaderNotInV,
     NotNormValue,
     TooManyCosets,
 )
-from agq.fields import build_tower
+from agq.fields import FieldElement, build_tower, norm_preimage
 from agq.points import (
+    FAMILY_EXPLICIT,
+    EvaluationSet,
     affine_grid_set,
     coset_union_set,
     explicit_set,
@@ -193,43 +199,150 @@ def test_residue_identity_roots_of_unity_boundary():
     assert not field_sum(tw, terms).is_zero()
 
 
-def _random_eval_set(rng, tower):
-    q = tower.q
-    kind = rng.choice(["roots", "coset", "grid"])
-    if kind == "roots":
-        divisors = [d for d in range(2, tower.q2) if tower.n_units % d == 0]
-        n = rng.choice(divisors) + 1
-        return roots_of_unity_set(tower, n)
-    if kind == "coset":
-        from math import gcd
-
-        ns = [n for n in range(2, tower.q2) if tower.n_units % n == 0]
-        rng.shuffle(ns)
-        for n in ns:
-            n2 = n // gcd(n, q + 1)
-            tmax = (q - 1) // n2 - 1
-            if tmax >= 1:
-                return coset_union_set(tower, n, rng.randint(1, min(tmax, 3)))
-        return roots_of_unity_set(tower, 2)
-    return affine_grid_set(tower, rng.randint(1, q))
+def pairwise_product_derivatives(eval_set):
+    """Reference oracle: h'(alpha_i) as the FieldElement product over j != i."""
+    pts = eval_set.points
+    out = []
+    for i, a in enumerate(pts):
+        acc = eval_set.tower.one()
+        for j, b in enumerate(pts):
+            if i != j:
+                acc = acc * (a - b)
+        out.append(acc)
+    return tuple(out)
 
 
-def test_residue_identity_property_suite():
-    """>= 1000 randomized residue-identity checks on all three families."""
-    rng = random.Random(101)
-    towers = [build_tower(p, m) for p, m in [(3, 1), (2, 2), (5, 1), (7, 1), (11, 1), (2, 3), (3, 2)]]
-    checked = 0
-    while checked < 1000:
-        tower = rng.choice(towers)
-        es = _random_eval_set(rng, tower)
-        if es.n < 2:
-            continue
-        der = local_derivatives(es)
-        e = rng.randint(0, es.n - 2)
-        terms = [(p ** e) / h for p, h in zip(es.points, der)]
-        assert field_sum(tower, terms).is_zero(), (tower, es.family, es.n, e)
-        checked += 1
-    assert checked >= 1000
+def pairwise_twist(eval_set, unit_scalar):
+    """Reference oracle for twist_vector: the values norm_preimage(unit / h'), or
+    NotNormValue at the first index where unit / h' is zero, undefined or
+    outside GF(q)*."""
+    values = []
+    for i, h in enumerate(pairwise_product_derivatives(eval_set)):
+        if h.is_zero():
+            raise NotNormValue(i)
+        c = unit_scalar / h
+        if c.is_zero() or not c.in_base_field():
+            raise NotNormValue(i)
+        values.append(norm_preimage(c))
+    return tuple(values)
+
+
+@st.composite
+def point_sets(draw, towers, max_n):
+    """A set of at most max_n distinct points from one of the four families over
+    a tower drawn from towers (p, m).  Half of them lose the zero point, as a
+    hand-built set of the same family and parameters, so grids keep their
+    unit scalar."""
+    tower = build_tower(*draw(st.sampled_from(towers)))
+    q, units = tower.q, tower.n_units
+    family = draw(st.sampled_from(["roots", "coset", "grid", "explicit"]))
+    if family == "roots":
+        orders = [d for d in range(1, max_n) if units % d == 0]
+        es = roots_of_unity_set(tower, draw(st.sampled_from(orders)) + 1)
+    elif family == "coset":
+        shapes = [
+            (n, t)
+            for n in range(1, max_n)
+            if units % n == 0
+            for t in range((q - 1) // (n // gcd(n, q + 1)))
+            if (t + 1) * n < max_n
+        ]
+        es = coset_union_set(tower, *draw(st.sampled_from(shapes)))
+    elif family == "grid":
+        es = affine_grid_set(tower, draw(st.integers(1, max(1, min(q, max_n // q)))))
+    else:
+        codes = draw(st.lists(st.integers(0, units - 1), max_size=min(max_n, 24) - 1, unique=True))
+        es = explicit_set(tower, [tower.element(c) for c in codes] + [tower.zero()])
+    if es.n > 2 and draw(st.booleans()):
+        es = EvaluationSet(tower, es.family, tuple(p for p in es.points if not p.is_zero()), es.params)
+    return es
+
+
+# four Cayley towers (q^2 <= 2^9) and three Zech-only ones, in characteristic 2 and odd
+TWIST_TOWERS = [(3, 1), (2, 2), (2, 4), (17, 1), (2, 5), (3, 3), (31, 1)]
+
+
+@st.composite
+def twist_cases(draw):
+    """A point set, one in four with one point repeated, and a unit scalar: None
+    for the family default, else any code including zero."""
+    es = draw(point_sets(TWIST_TOWERS, max_n=64))
+    if draw(st.integers(0, 3)) == 0:
+        pts = list(es.points)
+        pts.insert(draw(st.integers(0, len(pts))), pts[draw(st.integers(0, len(pts) - 1))])
+        es = EvaluationSet(es.tower, es.family, tuple(pts), es.params)
+    unit = draw(st.one_of(st.none(), st.integers(0, es.tower.n_units)))
+    return es, None if unit is None else FieldElement(es.tower, unit)
+
+
+def assert_twist_matches_oracle(es, unit_scalar):
+    assert local_derivatives(es) == pairwise_product_derivatives(es)
+    unit = es.default_unit_scalar() if unit_scalar is None else unit_scalar
+    try:
+        want = pairwise_twist(es, unit)
+    except NotNormValue as exc:
+        with pytest.raises(NotNormValue) as got:
+            twist_vector(es, unit_scalar)
+        assert got.value.index == exc.index
+    else:
+        tv = twist_vector(es, unit_scalar)
+        assert tv.values == want and tv.unit_scalar == unit
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(twist_cases())
+def test_twist_log_sums_match_pairwise_product(case):
+    """local_derivatives and twist_vector, values or NotNormValue index, equal the
+    FieldElement pairwise product on all four families, with and without zero."""
+    assert_twist_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (2, 5), (31, 1)])
+def test_repeated_point_has_zero_derivative(p, m):
+    # distinct points of GF(q) have every h' in GF(q)*, so with unit 1 the
+    # twist fails first at the repeated point, index 2
+    tw = build_tower(p, m)
+    pts = tuple(tw.subfield_elements())[:4]
+    es = EvaluationSet(tw, FAMILY_EXPLICIT, pts[:3] + pts[2:], {})
+    der = local_derivatives(es)
+    assert [d.is_zero() for d in der] == [False, False, True, True, False]
+    assert der == pairwise_product_derivatives(es)
+    for unit in (None, tw.one(), tw.gen()):
+        assert_twist_matches_oracle(es, unit)
+    with pytest.raises(NotNormValue) as got:
+        twist_vector(es, tw.one())
+    assert got.value.index == 2
+
+
+def test_affine_grid_repeats_raise_without_the_anchor_guard():
+    # a grid anchor in GF(q) repeats points; with its own guard bypassed the
+    # distinctness check still rejects it, by an error python -O keeps
+    tw = build_tower(7, 1)
+    with mock.patch.object(FieldElement, "in_base_field", return_value=False):
+        with pytest.raises(DuplicatePoints):
+            affine_grid_set(tw, 2, anchor=tw.from_int(3))
+
+
+# the seven towers of the original suite, plus GF(2^10), whose scalar sums read
+# the Zech table rather than a Cayley table
+RESIDUE_TOWERS = [(3, 1), (2, 2), (5, 1), (7, 1), (11, 1), (2, 3), (3, 2), (2, 5)]
+
+
+@st.composite
+def residue_cases(draw):
+    es = draw(point_sets(RESIDUE_TOWERS, max_n=128))
+    assume(es.n >= 2)
+    return es, draw(st.integers(0, es.n - 2))
+
+
+# 1000 checks as 100 examples of 10
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(residue_cases(), min_size=10, max_size=10))
+def test_residue_identity_property_suite(cases):
+    """sum_i alpha_i^e / h'(alpha_i) = 0 for 0 <= e <= n-2, on all four families."""
+    for es, e in cases:
+        terms = [(p ** e) / h for p, h in zip(es.points, local_derivatives(es))]
+        assert field_sum(es.tower, terms).is_zero(), (es.tower, es.family, es.n, e)
 
 
 def test_alpha_power_differences_lie_in_small_subfield():
