@@ -98,6 +98,13 @@ def _poly_mulmod(a, b, f, p):
     return out
 
 
+def _poly_eval(f, x, p):
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % p
+    return acc
+
+
 def _poly_powmod(base, e, f, p):
     n = len(f) - 1
     result = [1] + [0] * (n - 1)
@@ -123,14 +130,26 @@ def _is_primitive_poly(f, p) -> bool:
 
 
 def _least_primitive_poly(p, deg):
-    """Lexicographically least primitive monic polynomial (packed-value order)."""
+    """Lexicographically least primitive monic polynomial (packed-value order).
+
+    Two necessary conditions reject most candidates before any power of x is
+    taken: (-1)^deg f(0), the norm of a root, must generate GF(p)*, and for
+    deg > 1 f must have no root in GF(p).
+    """
+    factors = _prime_factors(p - 1)
+    sign = -1 if deg % 2 else 1
     for packed in range(1, p ** deg):
         coeffs = []
         v = packed
         for _ in range(deg):
             coeffs.append(v % p)
             v //= p
+        norm = sign * coeffs[0] % p
+        if norm == 0 or any(pow(norm, (p - 1) // r, p) == 1 for r in factors):
+            continue
         f = coeffs + [1]
+        if deg > 1 and any(_poly_eval(f, x, p) == 0 for x in range(1, p)):
+            continue
         if _is_primitive_poly(f, p):
             return tuple(f)
     raise AssertionError("no primitive polynomial found")  # unreachable for prime p
@@ -153,8 +172,10 @@ class FieldTower:
     one twice); the table arrays are read-only and every operation on
     elements or exponent arrays is pure, so ``build_tower`` hands one tower
     to every caller and towers are safe to share across threads.  Scalar
-    code paths read the Zech table through a zero-copy memoryview, which
-    cannot be pickled, so towers are shared rather than copied.
+    element addition reads the Zech table through a zero-copy memoryview
+    (``_zech_view``), which cannot be pickled, so towers are shared rather
+    than copied; the vector kernels and local derivatives gather from the
+    array itself.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], conway: bool):

@@ -4,15 +4,17 @@ Four families: roots of x^n - x, unions of multiplicative-subgroup cosets,
 affine grids u_i*a + u_j, and explicit sets.  Local derivative values
 h'(alpha_i) are always the pairwise product over the set, never a closed
 form; closed forms from the underlying theory show up only as test oracles.
-The product is taken as a sum of discrete logs over exponent codes, with
-one Zech-table read per pair, and twist vectors are computed on codes too.
+The product is taken as a sum of discrete logs over exponent codes: one
+numpy gather from the Zech table covers every pair, a block of rows at a
+time, and the twist vector is computed on the whole code array too.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
+
+import numpy as np
 
 from .errors import (
     AnchorInSubfield,
@@ -29,6 +31,9 @@ FAMILY_ROOTS_OF_UNITY = "roots_of_unity"
 FAMILY_COSET_UNION = "coset_union"
 FAMILY_AFFINE_GRID = "affine_grid"
 FAMILY_EXPLICIT = "explicit"
+
+# Zech reads per block of rows in local derivatives: 2 MB of int64 indices
+_GATHER_ENTRIES = 1 << 18
 
 
 def _canonical_order(points):
@@ -193,33 +198,50 @@ def explicit_set(tower: FieldTower, points, tag: str = FAMILY_EXPLICIT) -> Evalu
     return EvaluationSet(tower, tag, pts, {})
 
 
+def _derivative_codes(eval_set: EvaluationSet) -> np.ndarray:
+    """log h'(alpha_i) for every point, as an int64 code array.
+
+    For nonzero a and -b, log(a - b) = a + zech[log(-b) - a].  The j = i term
+    reads zech[log(-1)] = log 0 = q^2-1, which is 0 mod q^2-1, so a nonzero
+    point's row is (n-1)*a plus the Zech reads over every nonzero point; the
+    zero point, if any, contributes just its a.  Rows are gathered in blocks
+    of about _GATHER_ENTRIES Zech reads.  A zero point gets sum(log(-b)),
+    and every copy of a repeated point gets the zero code.
+    """
+    tower = eval_set.tower
+    n_units = tower.n_units
+    codes = tower.varray(eval_set.points).astype(np.int64)
+    negs = tower.vneg(codes[codes != n_units]).astype(np.int64)
+    out = np.empty(len(codes), dtype=np.int64)
+    rows = max(1, _GATHER_ENTRIES // max(1, len(negs)))
+    for start in range(0, len(codes), rows):
+        a = codes[start : start + rows]
+        # the table has q^2-1 entries, so mode="wrap" reduces log(-b) - a mod q^2-1
+        zechs = tower._zech.take(negs[None, :] - a[:, None], mode="wrap")
+        out[start : start + rows] = zechs.sum(axis=1, dtype=np.int64) + (len(codes) - 1) * a
+    out[codes == n_units] = negs.sum()
+    out %= n_units
+    ordered = np.sort(codes)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        out[np.isin(codes, repeated)] = n_units
+    return out
+
+
 def local_derivatives(eval_set: EvaluationSet) -> tuple:
     """h'(alpha_i) = prod_{j != i} (alpha_i - alpha_j), as a log-sum over codes.
 
-    For nonzero a and -b, log(a - b) = log a + zech[log(-b) - log a].  The
-    j = i term reads zech[log(-1)] = log 0 = q^2-1, which is 0 mod q^2-1, so
-    each row sums over every nonzero point; a zero point adds log a.  A
-    repeated point makes its own h' zero.
+    The whole set is one chunked numpy gather over the tower's Zech table
+    (see _derivative_codes); a repeated point makes its own h' zero.
     """
     tower = eval_set.tower
-    n_units, zech = tower.n_units, tower._zech_view
-    codes = [p.code for p in eval_set.points]
-    negs = [tower._neg_code(c) for c in codes if c != n_units]
-    repeats = Counter(codes)
-    out = []
-    for a in codes:
-        if a == n_units:
-            log_sum = sum(negs)
-        else:
-            log_sum = (len(codes) - 1) * a + sum([zech[(b - a) % n_units] for b in negs])
-        out.append(FieldElement(tower, n_units if repeats[a] > 1 else log_sum % n_units))
-    return tuple(out)
+    return tuple(FieldElement(tower, c) for c in _derivative_codes(eval_set).tolist())
 
 
 def twist_vector(
     eval_set: EvaluationSet, unit_scalar: FieldElement | None = None
 ) -> TwistVector:
-    """v_i = norm_preimage(unit_scalar / h'(alpha_i)), on codes.
+    """v_i = norm_preimage(unit_scalar / h'(alpha_i)), on the whole code array.
 
     Raises NotNormValue(i) at the first i where unit_scalar/h'(alpha_i) is
     zero, undefined or outside GF(q)*, i.e. the self-orthogonality
@@ -229,10 +251,10 @@ def twist_vector(
     if unit_scalar is None:
         unit_scalar = eval_set.default_unit_scalar()
     n_units, norm_exp, u = tower.n_units, tower.q + 1, unit_scalar.code
-    values = []
-    for i, h in enumerate(local_derivatives(eval_set)):
-        c = (u - h.code) % n_units  # log(unit_scalar / h')
-        if u == n_units or h.is_zero() or c % norm_exp:
-            raise NotNormValue(i)
-        values.append(FieldElement(tower, c // norm_exp))
-    return TwistVector(tower, tuple(values), unit_scalar)
+    h = _derivative_codes(eval_set)
+    c = (u - h) % n_units  # log(unit_scalar / h')
+    bad = (h == n_units) | (c % norm_exp != 0) | (u == n_units)
+    if bad.any():
+        raise NotNormValue(int(np.argmax(bad)))
+    values = tuple(FieldElement(tower, v) for v in (c // norm_exp).tolist())
+    return TwistVector(tower, values, unit_scalar)

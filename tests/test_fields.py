@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import numpy as np
 import pytest
@@ -13,12 +12,24 @@ from agq.fields import (
     _CONWAY,
     AdditiveMap,
     FieldElement,
+    _is_prime,
+    _is_primitive_poly,
+    _least_primitive_poly,
     _poly_mulmod,
     build_tower,
     norm_preimage,
 )
 
 TOWERS_SMALL = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (2, 3)]
+
+
+@st.composite
+def seeded_batch(draw, make, size=10):
+    """size cases make(rng) from one numpy generator seeded by a hypothesis draw.
+    Hypothesis repeats many elements of a list strategy; batches drawn this way
+    repeat only by chance."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return [make(rng) for _ in range(size)]
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +280,29 @@ def test_reproduce_rows_leave_shared_tower_tables_unchanged():
         assert tower_tables(tw) == tables
 
 
+def packed_order_scan(p, deg):
+    """Reference oracle: the first monic polynomial in packed-value order that
+    _is_primitive_poly accepts, with no filter in front of it."""
+    for packed in range(1, p ** deg):
+        f = [packed // p ** i % p for i in range(deg)] + [1]
+        if _is_primitive_poly(f, p):
+            return tuple(f)
+
+
+# every field construct-large builds, plus every p^d <= 2^12
+MODULUS_CASES = sorted(
+    {(2, 10), (2, 12), (2, 16), (3, 8), (7, 4), (13, 4), (31, 2), (251, 2)}
+    | {(p, d) for p in range(2, 2 ** 12 + 1) if _is_prime(p) for d in range(1, 13) if p ** d <= 2 ** 12}
+)
+
+
+def test_filtered_modulus_search_matches_packed_order_scan():
+    reproduce = {(t["recipe"]["p"], 2 * t["recipe"]["m"]) for t in _repro_targets()}
+    assert reproduce <= set(MODULUS_CASES)
+    for p, d in MODULUS_CASES:
+        assert _least_primitive_poly(p, d) == packed_order_scan(p, d), (p, d)
+
+
 def test_conway_constant_terms_match_smallest_primitive_roots():
     # theta^(q+1) must equal the smallest primitive root of the prime field
     for p, g in [(3, 2), (5, 2), (7, 3), (11, 2), (13, 2), (17, 3), (19, 2), (23, 5)]:
@@ -276,10 +310,10 @@ def test_conway_constant_terms_match_smallest_primitive_roots():
         assert tw.gen() ** (p + 1) == tw.from_int(g)
 
 
-def test_parse_format_roundtrip(gf169):
-    rng = random.Random(5)
-    for _ in range(200):
-        code = rng.randrange(gf169.q2)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seeded_batch(lambda rng: int(rng.integers(169))))
+def test_parse_format_roundtrip(gf169, codes):
+    for code in codes:
         el = gf169.element(code) if code < gf169.n_units else gf169.zero()
         assert gf169.parse(gf169.format(el)) == el
     assert gf169.parse("0").is_zero()
@@ -292,45 +326,56 @@ def test_parse_format_roundtrip(gf169):
         gf169.parse("t^x")
 
 
-def test_scalar_vector_op_agreement():
-    rng = random.Random(17)
-    for p, m in [(3, 1), (13, 1), (2, 2)]:
-        tw = build_tower(p, m)
-        els = []
-        for _ in range(64):
-            c = rng.randrange(tw.q2)
-            els.append(tw.element(c) if c < tw.n_units else tw.zero())
-        a = tw.varray(els[:32])
-        b = tw.varray(els[32:])
-        va, vm, vs = tw.vadd(a, b), tw.vmul(a, b), tw.vsub(a, b)
-        vf = tw.vfrob(a)
-        for i in range(32):
-            x, y = els[i], els[32 + i]
-            assert va[i] == (x + y).code
-            assert vm[i] == (x * y).code
-            assert vs[i] == (x - y).code
-            assert vf[i] == x.frobenius().code
-        total = tw.vsum(a)
-        acc = tw.zero()
-        for x in els[:32]:
-            acc = acc + x
-        assert total == acc.code
+@st.composite
+def element_lists(draw):
+    """64 elements of GF(9), GF(169) or GF(16), zero included."""
+    tw = build_tower(*draw(st.sampled_from([(3, 1), (13, 1), (2, 2)])))
+    codes = draw(st.lists(st.integers(0, tw.zero_code), min_size=64, max_size=64))
+    return tw, [FieldElement(tw, c) for c in codes]
 
 
-def test_norm_preimage_property_suite():
-    """>= 1000 randomized norm-preimage checks across towers."""
-    rng = random.Random(23)
-    towers = [build_tower(p, m) for p, m in TOWERS_SMALL]
-    checked = 0
-    while checked < 1000:
-        tw = rng.choice(towers)
-        x = tw.element(rng.randrange(tw.n_units))
-        c = x.relative_norm()
-        v = norm_preimage(c)
-        assert v ** (tw.q + 1) == c
-        assert c.in_base_field()
-        checked += 1
-    assert checked >= 1000
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(element_lists())
+def test_scalar_vector_op_agreement(case):
+    tw, els = case
+    a = tw.varray(els[:32])
+    b = tw.varray(els[32:])
+    va, vm, vs = tw.vadd(a, b), tw.vmul(a, b), tw.vsub(a, b)
+    vf = tw.vfrob(a)
+    for i in range(32):
+        x, y = els[i], els[32 + i]
+        assert va[i] == (x + y).code
+        assert vm[i] == (x * y).code
+        assert vs[i] == (x - y).code
+        assert vf[i] == x.frobenius().code
+    total = tw.vsum(a)
+    acc = tw.zero()
+    for x in els[:32]:
+        acc = acc + x
+    assert total == acc.code
+
+
+def random_unit(rng):
+    """A uniform unit of a uniform TOWERS_SMALL field."""
+    tw = build_tower(*TOWERS_SMALL[rng.integers(len(TOWERS_SMALL))])
+    return tw.element(int(rng.integers(tw.n_units)))
+
+
+def assert_norm_preimage(x):
+    c = x.relative_norm()
+    v = norm_preimage(c)
+    assert v ** (x.tower.q + 1) == c
+    assert c.in_base_field()
+
+
+# 1000 checks as 100 seeded batches of 10: 354 distinct units of the 529 in
+# these fields (hypothesis 6.155)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seeded_batch(random_unit))
+def test_norm_preimage_property_suite(units):
+    """Norm-preimage checks across the TOWERS_SMALL fields."""
+    for x in units:
+        assert_norm_preimage(x)
 
 
 # -- table layer against independent oracles ---------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import agq.points
 from agq.errors import (
     AnchorInSubfield,
     CosetSearchExhausted,
@@ -264,15 +265,19 @@ TWIST_TOWERS = [(3, 1), (2, 2), (2, 4), (17, 1), (2, 5), (3, 3), (31, 1)]
 
 @st.composite
 def twist_cases(draw):
-    """A point set, one in four with one point repeated, and a unit scalar: None
-    for the family default, else any code including zero."""
+    """A point set, one in four with one point repeated, a unit scalar (None for
+    the family default, else any code including zero) and a gather cap that
+    makes blocks of 1 or 7 rows, or the module default."""
     es = draw(point_sets(TWIST_TOWERS, max_n=64))
     if draw(st.integers(0, 3)) == 0:
         pts = list(es.points)
         pts.insert(draw(st.integers(0, len(pts))), pts[draw(st.integers(0, len(pts) - 1))])
         es = EvaluationSet(es.tower, es.family, tuple(pts), es.params)
     unit = draw(st.one_of(st.none(), st.integers(0, es.tower.n_units)))
-    return es, None if unit is None else FieldElement(es.tower, unit)
+    rows = draw(st.sampled_from([1, 7, None]))
+    nonzero = sum(not p.is_zero() for p in es.points)
+    cap = agq.points._GATHER_ENTRIES if rows is None else rows * max(1, nonzero)
+    return es, None if unit is None else FieldElement(es.tower, unit), cap
 
 
 def assert_twist_matches_oracle(es, unit_scalar):
@@ -293,8 +298,23 @@ def assert_twist_matches_oracle(es, unit_scalar):
 @given(twist_cases())
 def test_twist_log_sums_match_pairwise_product(case):
     """local_derivatives and twist_vector, values or NotNormValue index, equal the
-    FieldElement pairwise product on all four families, with and without zero."""
-    assert_twist_matches_oracle(*case)
+    FieldElement pairwise product on all four families, with and without zero,
+    whatever the row blocks of the gather."""
+    es, unit, cap = case
+    with mock.patch.object(agq.points, "_GATHER_ENTRIES", cap):
+        assert_twist_matches_oracle(es, unit)
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 5, 1024), (2, 8, 258), (251, 1, 251)])
+def test_roots_of_unity_closed_form_at_benchmark_scale(p, m, n):
+    # h = x^n - x has h'(0) = -1 and h'(a) = n a^(n-1) - 1 = n - 1 at the unit roots
+    tw = build_tower(p, m)
+    es = roots_of_unity_set(tw, n)
+    der = local_derivatives(es)
+    assert der[-1] == -tw.one() and es.points[-1].is_zero()
+    assert set(der[:-1]) == {tw.from_int((n - 1) % p)}
+    tv = twist_vector(es)
+    assert all((v ** (tw.q + 1)) * h == tw.one() for v, h in zip(tv.values, der))
 
 
 @pytest.mark.parametrize("p,m", [(5, 1), (2, 5), (31, 1)])
@@ -335,14 +355,19 @@ def residue_cases(draw):
     return es, draw(st.integers(0, es.n - 2))
 
 
-# 1000 checks as 100 examples of 10
+# 1000 checks as 100 examples of 10.  Hypothesis repeats list elements: the
+# sample holds 203 distinct (set, e) pairs (hypothesis 6.155)
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(residue_cases(), min_size=10, max_size=10))
 def test_residue_identity_property_suite(cases):
     """sum_i alpha_i^e / h'(alpha_i) = 0 for 0 <= e <= n-2, on all four families."""
     for es, e in cases:
-        terms = [(p ** e) / h for p, h in zip(es.points, local_derivatives(es))]
-        assert field_sum(es.tower, terms).is_zero(), (es.tower, es.family, es.n, e)
+        assert_residue_identity(es, e)
+
+
+def assert_residue_identity(es, e):
+    terms = [(p ** e) / h for p, h in zip(es.points, local_derivatives(es))]
+    assert field_sum(es.tower, terms).is_zero(), (es.tower, es.family, es.n, e)
 
 
 def test_alpha_power_differences_lie_in_small_subfield():
