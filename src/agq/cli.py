@@ -73,6 +73,8 @@ def _classical_block(cert: CertifiedCode, want_distance: bool = True) -> dict:
 
 
 def catalog_entry(cert: CertifiedCode, request: ConstructionRequest | None, elapsed: float) -> dict:
+    """The JSON record of one certified code; elapsed becomes its time_s.
+    construct and scan pass the member's own build_s."""
     qp = stabilizer_params(cert)
     certificate = cert.certificate
     entry = {
@@ -166,7 +168,7 @@ def cmd_construct(args) -> int:
             _emit(rejection_entry(request, exc, time.perf_counter() - start))
             return EXIT_REJECTED
         cert = chain[-1]
-        entry = catalog_entry(cert, request, time.perf_counter() - start)
+        entry = catalog_entry(cert, request, cert.build_s)
         if len(chain) > 1:
             entry["chain"] = [list(c.code.params()) for c in chain]
         _emit(entry)
@@ -283,9 +285,7 @@ def _write_scan(args, out) -> None:
             continue
         if request.construction == "c5":
             assumption1[request.p ** request.m] = True
-        for cert in chain:
-            entry = catalog_entry(cert, request, time.perf_counter() - start)
-            entries.append(entry)
+        entries.extend(catalog_entry(cert, request, cert.build_s) for cert in chain)
     # dedupe certified entries by (q, n, k_quantum), keeping the best distance
     best = {}
     passthrough = []

@@ -16,6 +16,7 @@ from math import comb
 import numpy as np
 
 from . import config
+from . import points as _points
 from .curves import MonomialBasis
 from .errors import CapExceeded, ParseError, PoleAtPoint, RankDefect
 from .fields import FieldElement, FieldTower, build_tower
@@ -27,7 +28,14 @@ _FIRST_PREFIXES = 4  # prefixes in the column scan's first batch; each later bat
 
 
 class LinearCode:
-    """[n, k] code over GF(q^2) held as a full-rank generator matrix."""
+    """[n, k] code over GF(q^2) held as a full-rank generator matrix.
+
+    ``vandermonde`` says whether G = (v_l * alpha_l^i) with k <= n, nonzero
+    v_l and distinct alpha_l.  Every k x k minor of such a G is a v-scaled
+    Vandermonde determinant, nonzero, so its rank is k without rref, and
+    is_mds reads this verdict.  With verify_rank, any other G is row-reduced
+    and a rank below k raises RankDefect.
+    """
 
     def __init__(self, tower: FieldTower, g: np.ndarray, provenance: str = "", verify_rank: bool = True):
         g = np.asarray(g, dtype=np.int32)
@@ -37,7 +45,8 @@ class LinearCode:
         self.g = g
         self.provenance = provenance
         self.k, self.n = g.shape
-        if verify_rank and self.k > 0:
+        self.vandermonde = 0 < self.k <= self.n and _vandermonde_shape(tower, g)
+        if verify_rank and self.k > 0 and not self.vandermonde:
             r = rank(tower, g)
             if r != self.k:
                 raise RankDefect(r, self.k)
@@ -221,15 +230,30 @@ def grs_rows(tower: FieldTower, eval_set, twist: TwistVector, exponents) -> np.n
 
 
 def hermitian_gram(code: LinearCode) -> GramCertificate:
-    """Exact k x k Gram matrix of <g_i, g_j>_H = sum_l G[i,l] * G[j,l]^q."""
+    """Exact k x k Gram matrix of <g_i, g_j>_H = sum_l G[i,l] * G[j,l]^q.
+
+    Each product is a log-sum of G[i,l] and G[j,l]^q that reads the product
+    from the tower's additive table, and each entry is an integer sum of
+    those words (tower._sum_products).  Blocks of rows read about
+    _GATHER_ENTRIES words.  A block sums the entries with j >= its first
+    row; left of that, as <g_i, g_j>_H = <g_j, g_i>_H^q (y^(q^2) = y), it
+    takes the Frobenius image of entries already summed.
+    """
     tower = code.tower
-    if code.k == 0:
+    k, n = code.k, code.n
+    if k == 0:
         return GramCertificate(
             np.zeros((0, 0), dtype=np.int32), True, None, _digest(code, np.zeros((0, 0)))
         )
-    gq = tower.vfrob(code.g)
-    prod = tower.vmul(code.g[:, None, :], gq[None, :, :])
-    m = tower.vsum(prod, axis=-1)
+    lhs = tower._word_slots(code.g)
+    rhs = tower._word_slots(tower.vfrob(code.g))
+    m = np.empty((k, k), dtype=np.int32)
+    rows = max(1, _points._GATHER_ENTRIES // max(1, k * n))
+    for start in range(0, k, rows):
+        stop = start + rows
+        if start:
+            m[start:stop, :start] = tower.vfrob(m[:start, start:stop].T)
+        m[start:stop, start:] = tower._sum_products(lhs[start:stop, None, :], rhs[None, start:, :])
     nz = np.argwhere(m != tower.zero_code)
     if nz.size:
         i, j = (int(v) for v in nz[0])
@@ -493,7 +517,7 @@ def is_mds(
     k, n = code.k, code.n
     if k == 0:
         return True, None, "degenerate", DistanceResult(1, True, None, "mds-singleton")
-    if _vandermonde_shape(code.tower, code.g):
+    if code.vandermonde:
         verdict = (True, None, "vandermonde")
     else:
         verdict = _systematic_mds_screen(code)

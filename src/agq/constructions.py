@@ -9,8 +9,9 @@ trace as an explanation only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
+from time import perf_counter
 
 import numpy as np
 
@@ -94,6 +95,7 @@ class CertifiedCode:
     twist: TwistVector | None = None
     next_exponent: int | None = None
     extra_cols: int = 0
+    build_s: float = 0.0  # wall time to build and certify this member alone
 
     @property
     def n(self) -> int:
@@ -187,7 +189,9 @@ def construct(request: ConstructionRequest, ops_budget: int | None = None) -> Ce
 def construct_chain(
     request: ConstructionRequest, ops_budget: int | None = None
 ) -> list[CertifiedCode]:
-    """Like construct, but returns every chain member the policy produced."""
+    """Like construct, but returns every chain member the policy produced.
+    Each member's build_s is its own build-and-certify time, not the chain's."""
+    start = perf_counter()
     if request.k is not None and request.k < 1:
         raise BadRequest(f"k must be at least 1, got {request.k}")
     tower = build_tower(request.p, request.m)
@@ -204,14 +208,14 @@ def construct_chain(
                 f"n = {request.n} is not t(q-1)+1 = {t * (tower.q - 1) + 1}"
             )
         base = deep_dimension(tower, t, embed=False, ops_budget=ops_budget)
-        chain = [base]
+        chain = [replace(base, build_s=perf_counter() - start)]
         try:
             chain.append(embed_once(base, ops_budget=ops_budget))
         except EmbeddingRejected:
             pass
         return chain
     base = _construct_base(request, tower, ops_budget)
-    chain = [base]
+    chain = [replace(base, build_s=perf_counter() - start)]
     if request.embed == "once":
         chain.append(embed_once(base, ops_budget=ops_budget))
     elif request.embed == "iterate":
@@ -329,6 +333,7 @@ def embed_once(cert: CertifiedCode, ops_budget: int | None = None) -> CertifiedC
     alpha^(q+1) = -1 column.  The self-pairing decides which shape can work;
     acceptance is always the full Gram oracle plus a rank check.
     """
+    start = perf_counter()
     if cert.eval_set is None or cert.twist is None or cert.next_exponent is None:
         raise EmbeddingRejected("embedding needs a recorded genus-0 evaluation chain")
     if cert.certificate.mds is False:
@@ -401,6 +406,7 @@ def embed_once(cert: CertifiedCode, ops_budget: int | None = None) -> CertifiedC
         twist=cert.twist,
         next_exponent=cert.next_exponent + 1,
         extra_cols=extra,
+        build_s=perf_counter() - start,
     )
 
 

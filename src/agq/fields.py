@@ -7,8 +7,12 @@ code == q^2-1 standing for zero.  For q^2 <= 2^9 (every field of `agq
 reproduce`) addition and multiplication are single gathers from full
 q^2 x q^2 Cayley tables of codes; above that bound, where such a table would
 not fit, addition goes through a Zech-logarithm table and multiplication is
-exponent addition.  The fibers of the additive maps the curve module needs are read
-from a per-map table that sorts all q^2 images once.
+exponent addition.  Long sums (vsum, Gram entries) use the additive form
+instead: each element's 2m base-p digits packed into one int64, a bit field
+of floor(63/2m) bits per digit, so that many elements add as plain integers
+before any digit needs reducing mod p.  The fibers of the additive maps the
+curve module needs are read from a per-map table that sorts all q^2 images
+once.
 
 The defining modulus of GF(p^{2m}) is the Conway polynomial when the size is
 in the built-in table, so that t-power listings are comparable with standard
@@ -86,35 +90,44 @@ def _poly_mulmod(a, b, f, p):
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    for i in range(len(res) - 1, n - 1, -1):
-        c = res[i]
+                res[i + j] += ai * bj
+    for i in range(len(res) - 1, n - 1, -1):  # f is monic; reduce mod p once, at the end
+        c = res[i] % p
         if c:
-            res[i] = 0
             for j in range(n):
-                res[i - n + j] = (res[i - n + j] - c * f[j]) % p
-    out = res[:n]
-    out += [0] * (n - len(out))
-    return out
+                res[i - n + j] -= c * f[j]
+    out = [c % p for c in res[:n]]
+    return out + [0] * (n - len(out))
 
 
-def _poly_eval(f, x, p):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
+def _poly_rem(a, b, p):
+    """a mod b over GF(p), trailing zeros dropped; b ends in a nonzero
+    coefficient, and a's coefficients may be any integers."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] * inv % p
+        if c:
+            for j in range(db):
+                a[i - db + j] -= c * b[j]
+    a = [c % p for c in a[:db]]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
 def _poly_powmod(base, e, f, p):
     n = len(f) - 1
-    result = [1] + [0] * (n - 1)
+    result = None  # the power 1 until the first set bit of e
     b = _poly_mulmod(base, [1], f, p)
     while e:
         if e & 1:
-            result = _poly_mulmod(result, b, f, p)
-        b = _poly_mulmod(b, b, f, p)
+            result = b if result is None else _poly_mulmod(result, b, f, p)
         e >>= 1
-    return result
+        if e:
+            b = _poly_mulmod(b, b, f, p)
+    return result or [1] + [0] * (n - 1)
 
 
 def _is_primitive_poly(f, p) -> bool:
@@ -129,12 +142,31 @@ def _is_primitive_poly(f, p) -> bool:
     return all(_poly_powmod([0, 1], order // r, f, p) != one for r in _prime_factors(order))
 
 
+def _has_small_factor(f, p) -> bool:
+    """Ben-Or's test: does monic f of degree d >= 2 with f(0) != 0 have a
+    factor of degree <= d/2?
+
+    Every irreducible factor of degree j divides x^(p^j) - x, so f is
+    irreducible exactly when gcd(f, x^(p^j) - x) = 1 for j = 1 .. d/2.  The
+    test stops at the first j with a nontrivial gcd.
+    """
+    h = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        h = _poly_powmod(h, p, f, p)  # x^(p^j) mod f, of length d
+        a, b = f, _poly_rem(h[:1] + [h[1] - 1] + h[2:], f, p)
+        while b:
+            a, b = b, _poly_rem(a, b, p)
+        if len(a) > 1:
+            return True
+    return False
+
+
 def _least_primitive_poly(p, deg):
     """Lexicographically least primitive monic polynomial (packed-value order).
 
-    Two necessary conditions reject most candidates before any power of x is
-    taken: (-1)^deg f(0), the norm of a root, must generate GF(p)*, and for
-    deg > 1 f must have no root in GF(p).
+    Two necessary conditions reject most candidates before the order of x is
+    tested: (-1)^deg f(0), the norm of a root, must generate GF(p)*, and f
+    must be irreducible, which Ben-Or's test (_has_small_factor) decides.
     """
     factors = _prime_factors(p - 1)
     sign = -1 if deg % 2 else 1
@@ -148,9 +180,7 @@ def _least_primitive_poly(p, deg):
         if norm == 0 or any(pow(norm, (p - 1) // r, p) == 1 for r in factors):
             continue
         f = coeffs + [1]
-        if deg > 1 and any(_poly_eval(f, x, p) == 0 for x in range(1, p)):
-            continue
-        if _is_primitive_poly(f, p):
+        if not _has_small_factor(f, p) and _is_primitive_poly(f, p):
             return tuple(f)
     raise AssertionError("no primitive polynomial found")  # unreachable for prime p
 
@@ -164,8 +194,12 @@ class AdditiveMap(Enum):
 
 
 class FieldTower:
-    """GF(p) < GF(q=p^m) < GF(q^2) with full log / Zech tables, plus Cayley
-    tables when q^2 <= 2^9.
+    """GF(p) < GF(q=p^m) < GF(q^2) with full log / Zech tables and the
+    additive table, plus Cayley tables when q^2 <= 2^9.
+
+    The additive table ``_words`` holds t^e in additive form for every
+    log-sum e <= 2(q^2-1)-2 (e mod q^2-1), then the zero word; up to
+    ``_word_terms`` = floor((2^b-1)/(p-1)) words of b-bit fields add carry-free.
 
     Immutable after construction apart from the fiber tables of
     ``solve_additive``, which are filled on first use (a race only computes
@@ -223,15 +257,35 @@ class FieldTower:
         low %= p
         plus_one += low
         zech = log_val[plus_one]
+        del low, plus_one
+        # additive form: the digits in bit fields of floor(63/deg) bits; a packed
+        # value's word is the words of its low and high m digits, from one q-entry table
+        bits = 63 // deg
+        self._word_shifts = bits * np.arange(deg, dtype=np.int64)
+        self._word_mask = (1 << bits) - 1
+        self._word_terms = self._word_mask // (p - 1)  # words one int64 sum may add
+        self._digit_weights = weights
+        self._word_weights = np.left_shift(1, self._word_shifts)
+        half = (np.arange(self.q)[:, None] // weights[: self.m] % p) @ self._word_weights[: self.m]
+        words = np.empty(2 * n, dtype=np.int64)
+        part = exp_val // self.q  # packed value of the high m digits
+        np.take(half, part, out=words[:n])
+        words[:n] <<= bits * self.m
+        part *= self.q
+        np.subtract(exp_val, part, out=part)  # packed value of the low m digits
+        words[:n] += half[part]
+        words[n : 2 * n - 1] = words[: n - 1]
+        words[2 * n - 1] = 0
         self._exp_val = exp_val
         self._log_val = log_val
         self._zech = zech
+        self._words = words
         self._add_table = self._mul_table = None
         if q2 <= _CAYLEY_MAX_Q2:
             a, b = np.divmod(np.arange(q2 * q2, dtype=np.int32), np.int32(q2))
             self._add_table = self._zech_add(a, b)
             self._mul_table = self._log_mul(a, b)
-        for table in (exp_val, log_val, zech, self._add_table, self._mul_table):
+        for table in (exp_val, log_val, zech, words, self._add_table, self._mul_table):
             if table is not None:
                 table.flags.writeable = False
         self._zech_view = memoryview(zech)  # one Python int per index, no numpy scalar
@@ -391,20 +445,42 @@ class FieldTower:
         return np.where(a == n, np.int32(n), (a.astype(np.int64) * j) % n).astype(np.int32)
 
     def vsum(self, arr, axis: int = -1):
-        """Field sum along an axis (tree reduction over vadd)."""
-        arr = np.asarray(arr, dtype=np.int32)
-        arr = np.moveaxis(arr, axis, -1)
-        length = arr.shape[-1]
-        if length == 0:
-            return np.full(arr.shape[:-1], self.zero_code, dtype=np.int32)
-        width = 1 << (length - 1).bit_length()
-        if width != length:
-            pad = np.full(arr.shape[:-1] + (width - length,), self.zero_code, dtype=np.int32)
-            arr = np.concatenate([arr, pad], axis=-1)
-        while arr.shape[-1] > 1:
-            half = arr.shape[-1] // 2
-            arr = self.vadd(arr[..., :half], arr[..., half:])
-        return arr[..., 0]
+        """Field sum along an axis: the additive-table words of the codes,
+        summed as integers by _sum_words.  Zero codes read the zero word."""
+        arr = np.moveaxis(np.asarray(arr, dtype=np.int32), axis, -1)
+        return self._sum_words(self._words.take(self._word_slots(arr)))
+
+    def _word_slots(self, codes) -> np.ndarray:
+        """int64 indices into the additive table: a nonzero code is its own
+        slot and zero is the last slot, 2(q^2-1)-1."""
+        codes = np.asarray(codes, dtype=np.int64)
+        return np.where(codes == self.zero_code, 2 * self.n_units - 1, codes)
+
+    def _sum_products(self, a, b) -> np.ndarray:
+        """Codes of sum_l x_l * y_l along the last axis, for slot arrays a and
+        b of x and y (broadcast).  The slot sum of two nonzero codes is the
+        log of their product, at most 2(q^2-1)-2; with a zero factor it is at
+        least the zero slot, and clipping to the table reads the zero word."""
+        return self._sum_words(self._words.take(a + b, mode="clip"))
+
+    def _sum_words(self, words) -> np.ndarray:
+        """Codes of the field sums of additive-form words along the last axis.
+
+        Up to _word_terms words add as plain integers with no carry between
+        bit fields; longer sums take the digits mod p after each run of that
+        many, and the total's digits mod p are read back through the log table.
+        """
+        terms = self._word_terms
+        while words.shape[-1] > terms:
+            words = np.add.reduceat(words, np.arange(0, words.shape[-1], terms), axis=-1)
+            if self.p == 2:
+                words &= self._word_weights.sum()  # a digit mod 2 is its low bit
+            else:
+                words = self._word_digits(words) @ self._word_weights
+        return self._log_val[self._word_digits(words.sum(axis=-1)) @ self._digit_weights]
+
+    def _word_digits(self, words):
+        return ((words[..., None] >> self._word_shifts) & self._word_mask) % self.p
 
     # -- additive-map fibers ----------------------------------------------------
 

@@ -32,7 +32,8 @@ FAMILY_COSET_UNION = "coset_union"
 FAMILY_AFFINE_GRID = "affine_grid"
 FAMILY_EXPLICIT = "explicit"
 
-# Zech reads per block of rows in local derivatives: 2 MB of int64 indices
+# table reads per block of rows, in local derivatives (Zech table) and in
+# codes.hermitian_gram (additive table): 2 MB of int64 indices
 _GATHER_ENTRIES = 1 << 18
 
 

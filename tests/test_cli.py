@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import agq.constructions
 from agq.cli import main, parse_quantum_params
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "agq" / "data"
@@ -181,6 +183,22 @@ def test_scan_c1_q5_includes_9_3_4(tmp_path, capsys):
     quantum = [r["quantum"] for r in rows if "quantum" in r]
     assert {"q": 5, "n": 9, "k": 3, "d": 4, "d_exact": True,
             "d_method": "mds-singleton", "mds": True, "defect": 0} in quantum
+
+
+def test_chain_members_report_their_own_time(tmp_path, capsys, monkeypatch):
+    """With a clock that advances one second per reading, every chain member
+    reads time_s 1.0; the time of the chain so far would grow along it."""
+    ticks = itertools.count()
+    monkeypatch.setattr(agq.constructions, "perf_counter", lambda: float(next(ticks)))
+    request = agq.constructions.ConstructionRequest("c1", 13, 1, n=25, k=2, embed="iterate")
+    chain = agq.constructions.construct_chain(request)
+    assert len(chain) == 6 and [c.build_s for c in chain] == [1.0] * 6
+    out_file = tmp_path / "chains.jsonl"
+    run_cli(capsys, "scan", "--construction", "c1", "--tower", "5,1", "--embed", "iterate", "--out", str(out_file))
+    times = [json.loads(line).get("time_s") for line in out_file.read_text().splitlines()]
+    assert len(times) == 16 and set(times) == {1.0}
+    code, out = run_cli(capsys, "construct", "--c1", "--p", "13", "--m", "1", "--n", "25", "--embed", "deep")
+    assert code == 0 and json.loads(out)["time_s"] == 1.0
 
 
 def test_scan_empty_grid(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 from math import comb
 from unittest import mock
@@ -8,11 +9,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import agq.codes
+import agq.points
 from agq import config
 from agq.codes import (
     _CHUNK,
     DistanceResult,
+    GramCertificate,
     LinearCode,
+    _digest,
     _exact_keys,
     batched_dependent,
     certify,
@@ -32,10 +36,10 @@ from agq.codes import (
 from agq.constructions import ConstructionRequest, construct
 from agq.curves import CurveFamily, curve, rr_basis
 from agq.errors import CapExceeded, ParseError, RankDefect
-from agq.fields import build_tower
+from agq.fields import FieldElement, build_tower
 from agq.points import roots_of_unity_set, twist_vector
 
-from .test_fields import seeded_batch
+from .test_fields import seeded_batch, zech_tree_sum
 
 
 @st.composite
@@ -140,6 +144,78 @@ def test_gram_detects_corruption():
     assert not cert.all_zero
     assert cert.first_nonzero is not None
     assert good.digest != cert.digest
+
+
+def zech_tree_gram(code):
+    """Reference oracle: the Gram certificate as hermitian_gram formed it before
+    the additive table, every product by vmul and every entry by the Zech tree."""
+    tw = code.tower
+    m = zech_tree_sum(tw, tw.vmul(code.g[:, None, :], tw.vfrob(code.g)[None, :, :]), axis=-1)
+    nz = np.argwhere(m != tw.zero_code)
+    first = None
+    if nz.size:
+        i, j = (int(v) for v in nz[0])
+        first = (i, j, tw.format(FieldElement(tw, int(m[i, j]))))
+    return GramCertificate(m, first is None, first, _digest(code, m))
+
+
+# Cayley GF(9) and GF(16); Zech GF(2^10), GF(2^16), GF(3^8) and GF(251^2)
+SUM_TOWERS = [(3, 1), (2, 2), (2, 5), (2, 8), (3, 4), (251, 1)]
+
+
+@st.composite
+def additive_sum_cases(draw):
+    """A k x n matrix with zero entries and all-zero rows, a run length M for
+    the additive sums (2, 3, 7 or the tower's own, at most the tower's own) and
+    a Gram gather cap that makes blocks of 1 or 2 rows, or the module default.
+    Where M <= 64, n is one below, at or one above a multiple of M; otherwise
+    n <= 40, and n = 0 gives empty sums."""
+    tw = build_tower(*draw(st.sampled_from(SUM_TOWERS)))
+    terms = min(draw(st.sampled_from([2, 3, 7, tw._word_terms])), tw._word_terms)
+    if terms <= 64:
+        n = draw(st.integers(1, 9)) * terms + draw(st.integers(-1, 1))
+    else:
+        n = draw(st.integers(0, 40))
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = rng.integers(0, tw.n_units, size=(k, n)).astype(np.int32)
+    g[rng.random((k, n)) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = tw.zero_code
+    g[draw(st.lists(st.integers(0, k - 1), max_size=k))] = tw.zero_code
+    rows = draw(st.sampled_from([1, 2, None]))
+    cap = agq.points._GATHER_ENTRIES if rows is None else rows * k * max(1, n)
+    return tw, g, terms, cap
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(additive_sum_cases())
+def test_additive_sums_match_zech_tree(case):
+    """hermitian_gram, matrix, verdict, first nonzero entry and digest, and
+    vsum along every axis of a stack of two such matrices equal the Zech-tree
+    oracle, whatever the run length of the integer sums and the Gram's row blocks."""
+    tw, g, terms, cap = case
+    code = LinearCode(tw, g, verify_rank=False)
+    cube = np.stack([g, np.roll(g, 1, axis=1)])
+    with mock.patch.object(tw, "_word_terms", terms), mock.patch.object(agq.points, "_GATHER_ENTRIES", cap):
+        got = hermitian_gram(code)
+        sums = [tw.vsum(cube, axis) for axis in (0, 1, 2, -1)]
+    want = zech_tree_gram(code)
+    assert got.matrix.dtype == np.int32 and np.array_equal(got.matrix, want.matrix)
+    assert (got.all_zero, got.first_nonzero, got.digest) == (want.all_zero, want.first_nonzero, want.digest)
+    for axis, total in zip((0, 1, 2, -1), sums):
+        assert total.dtype == np.int32 and np.array_equal(total, zech_tree_sum(tw, cube, axis))
+
+
+@pytest.mark.parametrize("pm", SUM_TOWERS)
+def test_word_runs_are_as_long_as_no_carry_allows(pm):
+    """M = _word_terms words with every digit p-1, the worst case, fit in a
+    bit field and one more would not; runs of them sum as the Zech tree does."""
+    tw = build_tower(*pm)
+    m = tw._word_terms
+    assert m * (tw.p - 1) <= tw._word_mask < (m + 1) * (tw.p - 1)
+    top = tw._log_val[tw.q2 - 1]  # the element whose digits are all p-1
+    for n in (m, m + 1, 2 * m + 1) if m < 1000 else ():
+        run = np.full((2, n), top, dtype=np.int32)
+        assert np.array_equal(tw.vsum(run), zech_tree_sum(tw, run))
 
 
 def test_gram_zero_implies_zero_diagonal():
@@ -677,6 +753,60 @@ def test_ops_cap_env_override(monkeypatch):
 def test_dual_involution_property_suite(codes):
     for code in codes:
         assert_double_dual_is_the_code(code)
+
+
+# -- rank by shape -------------------------------------------------------------------
+
+
+@st.composite
+def shaped_matrices(draw):
+    """Rows v_l * alpha_l^i, i < k, with distinct alpha_l (zero allowed) and
+    nonzero v_l, or a near miss: a repeated alpha, a zero v_l or k > n.
+    Returns the matrix and whether it has the shape with k <= n."""
+    tw = build_tower(*draw(st.sampled_from([(3, 1), (2, 2), (13, 1), (2, 5), (2, 8)])))
+    n = draw(st.integers(1, 9))
+    alphas = draw(st.lists(st.integers(0, tw.zero_code), min_size=n, max_size=n, unique=True))
+    v = draw(st.lists(st.integers(0, tw.n_units - 1), min_size=n, max_size=n))
+    k = draw(st.integers(1, n))
+    miss = draw(st.sampled_from(["none", "repeated alpha", "zero v", "k > n"]))
+    if miss == "repeated alpha" and n > 1:
+        alphas[draw(st.integers(1, n - 1))] = alphas[0]
+    elif miss == "zero v":
+        v[draw(st.integers(0, n - 1))] = tw.zero_code
+    elif miss == "k > n":
+        k = n + draw(st.integers(1, 2))
+    g = np.stack([tw.vmul(v, tw.vpow(alphas, i)) for i in range(k)])
+    shaped = k <= n and tw.zero_code not in v and (k == 1 or len(set(alphas)) == n)
+    return tw, g, shaped
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shaped_matrices())
+def test_rank_by_shape_matches_rref(case):
+    """A Vandermonde-shaped G skips rref and has rank k by rref too; every
+    other G raises RankDefect, with rref's rank, exactly when rref finds rank < k."""
+    tw, g, shaped = case
+    k = g.shape[0]
+    r = rank(tw, g)
+    if shaped:
+        assert r == k
+    if r < k:
+        with pytest.raises(RankDefect) as exc:
+            LinearCode(tw, g)
+        assert (exc.value.achieved_rank, exc.value.expected) == (r, k)
+    else:
+        no_rref = mock.patch.object(agq.codes, "rank", side_effect=AssertionError("rref ran"))
+        with no_rref if shaped else contextlib.nullcontext():
+            code = LinearCode(tw, g)
+        assert code.vandermonde == shaped
+
+
+def test_is_mds_reads_the_shape_verdict_of_the_code():
+    code = construct(ConstructionRequest("c1", 13, 1, n=25, k=5)).code
+    assert code.vandermonde
+    with mock.patch.object(agq.codes, "_vandermonde_shape", side_effect=AssertionError("shape checked again")):
+        flag, witness, method, dd = is_mds(code)
+    assert (flag, witness, method, dd.value) == (True, None, "vandermonde", 6)
 
 
 # -- MDS ---------------------------------------------------------------------------

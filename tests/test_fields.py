@@ -12,6 +12,7 @@ from agq.fields import (
     _CONWAY,
     AdditiveMap,
     FieldElement,
+    _has_small_factor,
     _is_prime,
     _is_primitive_poly,
     _least_primitive_poly,
@@ -246,8 +247,9 @@ def test_build_tower_shares_one_read_only_tower():
     tw = build_tower(2, 5)
     assert build_tower(2, 5) is tw
     assert build_tower(2, 5, strict_conway=True) is tw  # GF(2^10) has a Conway entry
-    with pytest.raises(ValueError):
-        tw._zech[0] = tw._zech[1]
+    for table in (tw._zech, tw._words):
+        with pytest.raises(ValueError):
+            table[0] = table[1]
 
 
 def test_shared_towers_never_skip_a_check():
@@ -266,7 +268,8 @@ def test_shared_towers_never_skip_a_check():
 
 
 def tower_tables(tw):
-    return [None if t is None else t.tobytes() for t in (tw._exp_val, tw._log_val, tw._zech, tw._add_table, tw._mul_table)]
+    tables = (tw._exp_val, tw._log_val, tw._zech, tw._words, tw._add_table, tw._mul_table)
+    return [None if t is None else t.tobytes() for t in tables]
 
 
 def test_reproduce_rows_leave_shared_tower_tables_unchanged():
@@ -301,6 +304,29 @@ def test_filtered_modulus_search_matches_packed_order_scan():
     assert reproduce <= set(MODULUS_CASES)
     for p, d in MODULUS_CASES:
         assert _least_primitive_poly(p, d) == packed_order_scan(p, d), (p, d)
+
+
+def reducible_monics(p, d):
+    """Reference oracle: every monic polynomial of degree d over GF(p) that is a
+    product of two monic polynomials of positive degree, coefficients ascending."""
+    def monics(j):
+        return [[packed // p ** i % p for i in range(j)] + [1] for packed in range(p ** j)]
+
+    return {
+        tuple(int(c) for c in np.convolve(a, b) % p)
+        for i in range(1, d // 2 + 1)
+        for a in monics(i)
+        for b in monics(d - i)
+    }
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 5), (2, 8), (3, 4), (3, 6), (5, 3), (5, 4), (13, 2)])
+def test_ben_or_matches_factor_products(p, d):
+    reducible = reducible_monics(p, d)
+    for packed in range(1, p ** d):
+        f = [packed // p ** i % p for i in range(d)] + [1]
+        if f[0]:
+            assert _has_small_factor(f, p) == (tuple(f) in reducible), f
 
 
 def test_conway_constant_terms_match_smallest_primitive_roots():
@@ -405,9 +431,32 @@ def loop_tables(tw):
 @pytest.mark.parametrize("pm", sorted({(p, d // 2) for p, d in _CONWAY} | {(2, 8), (29, 1)}), ids=lambda pm: f"{pm[0]}^{2 * pm[1]}")
 def test_build_tables_match_loop(pm):
     tw = build_tower(*pm)
-    for got, want in zip((tw._exp_val, tw._log_val, tw._zech), loop_tables(tw)):
+    tables = loop_tables(tw)
+    for got, want in zip((tw._exp_val, tw._log_val, tw._zech), tables):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+    # additive table: t^e's digits in fields of floor(63/2m) bits, e < 2(q^2-1)-1, then 0
+    deg = 2 * tw.m
+    digits = tables[0][:, None] // tw.p ** np.arange(deg) % tw.p
+    words = (digits << (63 // deg) * np.arange(deg)).sum(axis=1)
+    assert np.array_equal(tw._words, np.concatenate([words, words[:-1], [0]]))
+
+
+def zech_tree_sum(tw, arr, axis=-1):
+    """Reference oracle: the field sum that vsum took before the additive table,
+    a tree of vadd calls over the axis padded with zeros to a power of two."""
+    arr = np.moveaxis(np.asarray(arr, dtype=np.int32), axis, -1)
+    length = arr.shape[-1]
+    if length == 0:
+        return np.full(arr.shape[:-1], tw.zero_code, dtype=np.int32)
+    width = 1 << (length - 1).bit_length()
+    if width != length:
+        pad = np.full(arr.shape[:-1] + (width - length,), tw.zero_code, dtype=np.int32)
+        arr = np.concatenate([arr, pad], axis=-1)
+    while arr.shape[-1] > 1:
+        half = arr.shape[-1] // 2
+        arr = tw.vadd(arr[..., :half], arr[..., half:])
+    return arr[..., 0]
 
 
 # Cayley towers (q^2 <= 2^9) and Zech/log towers, (29, 1) least-primitive
