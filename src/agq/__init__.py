@@ -27,7 +27,15 @@ from .constructions import (
     embed_iterate,
     embed_once,
 )
-from .curves import CurveFamily, CurveSpec, MonomialBasis, curve, fiber, rr_basis, x_support
+from .curves import (
+    CurveFamily,
+    CurveSpec,
+    MonomialBasis,
+    curve,
+    rational_points,
+    rr_basis,
+    x_support,
+)
 from .fields import (
     AdditiveMap,
     FieldElement,
@@ -81,12 +89,12 @@ __all__ = [
     "exhaustive_distance",
     "explicit_set",
     "export_matrix",
-    "fiber",
     "hermitian_gram",
     "import_matrix",
     "is_mds",
     "local_derivatives",
     "norm_preimage",
+    "rational_points",
     "roots_of_unity_set",
     "rr_basis",
     "singleton_defect",

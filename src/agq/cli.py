@@ -47,7 +47,7 @@ _EXHAUSTIVE_AUTO_LIMIT = 1 << 21  # q^{2k} beyond this: skip automatic primal di
 # -- catalog entries -----------------------------------------------------------
 
 
-def _classical_block(cert: CertifiedCode, want_distance: bool = True) -> dict:
+def _classical_block(cert: CertifiedCode) -> dict:
     code = cert.code
     tower = code.tower
     block = {
@@ -63,7 +63,7 @@ def _classical_block(cert: CertifiedCode, want_distance: bool = True) -> dict:
     if cert.certificate.mds:
         d = code.n - code.k + 1
         d_method = "mds-singleton"
-    elif want_distance and tower.q2 ** code.k <= _EXHAUSTIVE_AUTO_LIMIT:
+    elif tower.q2 ** code.k <= _EXHAUSTIVE_AUTO_LIMIT:
         res = exhaustive_distance(code)
         d = res.value
         d_method = res.method

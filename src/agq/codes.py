@@ -184,46 +184,35 @@ def batched_dependent(tower: FieldTower, mats: np.ndarray) -> np.ndarray:
 def evaluation_code(
     tower: FieldTower,
     basis: MonomialBasis,
-    points,
-    twist: TwistVector | np.ndarray,
+    x,
+    y,
+    twist,
     provenance: str = "evaluation",
 ) -> LinearCode:
     """Rows v_l * f_i(P_l) for f_i = x^a y^b in the basis.
 
-    points is a sequence of (x, y) with y = None on the line.  Raises
-    RankDefect when the evaluation vectors are dependent.
+    x, y and twist are code arrays, one entry per point P_l = (x_l, y_l);
+    y is None on the line.  Raises RankDefect when the evaluation vectors
+    are dependent.
     """
-    if isinstance(twist, TwistVector):
-        tw = twist.codes()
-    else:
-        tw = np.asarray(twist, dtype=np.int32)
-    n = len(points)
-    if len(tw) != n:
+    n = len(x)
+    if len(twist) != n:
         raise ValueError("twist length != number of points")
-    xs = np.asarray([p[0].code for p in points], dtype=np.int32)
-    has_y = any(p[1] is not None for p in points)
-    if has_y:
-        ys = np.asarray(
-            [p[1].code if p[1] is not None else tower.zero_code for p in points],
-            dtype=np.int32,
-        )
     rows = []
     for (a, b) in basis.monomials:
-        row = tower.vpow(xs, a)
+        row = tower.vpow(x, a)
         if b:
-            if not has_y:
+            if y is None:
                 raise PoleAtPoint(f"monomial x^{a} y^{b} needs a second coordinate")
-            row = tower.vmul(row, tower.vpow(ys, b))
-        rows.append(tower.vmul(tw, row))
+            row = tower.vmul(row, tower.vpow(y, b))
+        rows.append(tower.vmul(twist, row))
     g = np.stack(rows) if rows else np.zeros((0, n), dtype=np.int32)
     return LinearCode(tower, g, provenance=provenance)
 
 
 def grs_rows(tower: FieldTower, eval_set, twist: TwistVector, exponents) -> np.ndarray:
     """Rows v_l * alpha_l^e for e in exponents."""
-    xs = tower.varray(eval_set.points)
-    tw = twist.codes()
-    return np.stack([tower.vmul(tw, tower.vpow(xs, e)) for e in exponents])
+    return np.stack([tower.vmul(twist.codes, tower.vpow(eval_set.codes, e)) for e in exponents])
 
 
 # -- certification --------------------------------------------------------------
@@ -566,47 +555,35 @@ def _systematic_mds_screen(code: LinearCode):
 def _cauchy_verify(tower: FieldTower, a: np.ndarray) -> bool:
     """Does a[i][j] = c_i*d_j/(x_i - y_j) hold for recoverable parameters?
 
-    Gauge-fixes x_0 = 0, x_1 = 1, c_0 = c_1 = 1, recovers the remaining
-    parameters from the first two rows and columns, and verifies every
-    entry plus all distinctness constraints.  Returns False on any
-    degeneracy; the column scan then decides.
+    Gauge-fixes x_0 = 0, x_1 = 1, c_0 = c_1 = 1, recovers y and d from the
+    first two rows and x and c from the first two columns, and verifies
+    every entry plus the distinctness of all x_i and y_j together.  Such a
+    matrix has no zero entry, which keeps every division below defined.
+    Returns False on any degeneracy; the column scan then decides.
     """
-    k, m = a.shape
-    el = lambda code_: FieldElement(tower, int(code_))
-    one = tower.one()
-    try:
-        ys = []
-        for j in range(m):
-            rho = el(a[1, j]) / el(a[0, j])
-            denom = rho - one
-            if denom.is_zero():
-                return False
-            ys.append(rho / denom)
-        ds = [-(ys[j]) * el(a[0, j]) for j in range(m)]
-        xs = [tower.zero(), one]
-        cs = [one, one]
-        for i in range(2, k):
-            ratio = (el(a[i, 0]) * ds[1]) / (el(a[i, 1]) * ds[0])
-            denom = ratio - one
-            if denom.is_zero():
-                return False
-            xi = (ratio * ys[0] - ys[1]) / denom
-            xs.append(xi)
-            cs.append(el(a[i, 0]) * (xi - ys[0]) / ds[0])
-    except ZeroDivisionError:
+    zero = tower.zero_code
+    if (a == zero).any():
         return False
-    codes_x = {x.code for x in xs}
-    codes_y = {y.code for y in ys}
-    if len(codes_x) != k or len(codes_y) != m or codes_x & codes_y:
+    # a[0, j] = -d_j/y_j and a[1, j] = d_j/(1 - y_j), so rho = y/(y - 1)
+    rho = tower.vdiv(a[1], a[0])
+    denom = tower.vsub(rho, 0)
+    if (denom == zero).any():
         return False
-    if any(c.is_zero() for c in cs) or any(d.is_zero() for d in ds):
+    y = tower.vdiv(rho, denom)
+    d = tower.vneg(tower.vmul(y, a[0]))
+    # a[i, 0]/a[i, 1] = (d_0/d_1) (x_i - y_1)/(x_i - y_0) for i >= 2
+    ratio = tower.vdiv(tower.vmul(a[2:, 0], d[1]), tower.vmul(a[2:, 1], d[0]))
+    denom = tower.vsub(ratio, 0)
+    if (denom == zero).any():
         return False
-    xarr = tower.varray(xs)
-    yarr = tower.varray(ys)
-    carr = tower.varray(cs)
-    darr = tower.varray(ds)
-    lhs = tower.vmul(a, tower.vsub(xarr[:, None], yarr[None, :]))
-    rhs = tower.vmul(carr[:, None], darr[None, :])
+    x = np.concatenate([[zero, 0], tower.vdiv(tower.vsub(tower.vmul(ratio, y[0]), y[1]), denom)])
+    # c_i = a[i, 0] (x_i - y_0)/d_0 is nonzero once x_i != y_0
+    c = np.concatenate([[0, 0], tower.vdiv(tower.vmul(a[2:, 0], tower.vsub(x[2:], y[0])), d[0])])
+    ordered = np.sort(np.concatenate([x, y]))
+    if (ordered[1:] == ordered[:-1]).any():
+        return False
+    lhs = tower.vmul(a, tower.vsub(x[:, None], y[None, :]))
+    rhs = tower.vmul(c[:, None], d[None, :])
     return bool(np.array_equal(lhs, rhs))
 
 

@@ -54,20 +54,6 @@ class ConstructionRequest:
     c_const: str | None = None  # element token
     embed: str = "none"  # none | once | iterate | deep
 
-    def key(self) -> tuple:
-        return (
-            self.construction,
-            self.p,
-            self.m,
-            self.n,
-            self.t,
-            self.k,
-            self.leaders,
-            self.anchor,
-            self.c_const,
-            self.embed,
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "construction": self.construction,
@@ -150,17 +136,12 @@ def _curve_pipeline(
 ) -> CertifiedCode:
     tower = spec.tower
     tv = twist_vector(xs)
-    points = rational_points(spec, xs)
-    # fiber-constant twist: each x-value's multiplier repeats across its fiber
-    per_point = []
-    idx = 0
-    for x0, v in zip(xs.points, tv.values):
-        while idx < len(points) and points[idx][0] == x0:
-            per_point.append(v.code)
-            idx += 1
-    twist_codes = np.asarray(per_point, dtype=np.int32)
+    owner, y = rational_points(spec, xs)
     basis = rr_basis(spec, k)
-    code = evaluation_code(tower, basis, points, twist_codes, provenance=provenance)
+    # fiber-constant twist: each x-value's multiplier repeats across its fiber
+    code = evaluation_code(
+        tower, basis, xs.codes[owner], y, tv.codes[owner], provenance=provenance
+    )
     certificate = _certify(code, budget)
     return CertifiedCode(
         code=code,
@@ -168,11 +149,11 @@ def _curve_pipeline(
         trace=trace
         + (
             f"curve {spec.label()} genus {spec.genus}",
-            f"x-support size {xs.n}, rational points {len(points)}",
+            f"x-support size {xs.n}, rational points {len(owner)}",
             f"monomials {list(basis.monomials)}",
         ),
         genus=spec.genus,
-        designed_distance=len(points) - (k - 1),
+        designed_distance=len(owner) - (k - 1),
     )
 
 
@@ -354,9 +335,7 @@ def embed_once(cert: CertifiedCode, ops_budget: int | None = None) -> CertifiedC
     else:
         case = f"k(q+1) = {k * (q + 1)} avoids n-1 = {n - 1} and n-1+q = {n - 1 + q}"
 
-    xs = tower.varray(cert.eval_set.points)
-    tw = cert.twist.codes()
-    new_base = tower.vmul(tw, tower.vpow(xs, cert.next_exponent))
+    new_base = tower.vmul(cert.twist.codes, tower.vpow(cert.eval_set.codes, cert.next_exponent))
     zero = tower.zero_code
     # self-pairing of the new row over the evaluation columns decides the shape
     s_el = FieldElement(

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
+import numpy as np
+
 from .errors import (
     BadCharacteristic,
     BadTraceConstant,
@@ -66,13 +68,12 @@ class MonomialBasis:
         return len(self.monomials)
 
 
-def absolute_trace(el: FieldElement) -> FieldElement:
-    """Trace from GF(p^{2m}) down to GF(p)."""
-    acc = el
-    cur = el
-    for _ in range(2 * el.tower.m - 1):
-        cur = cur ** el.tower.p
-        acc = acc + cur
+def absolute_trace(tower: FieldTower, codes) -> np.ndarray:
+    """Trace from GF(p^{2m}) down to GF(p) of every code in an array."""
+    acc = cur = np.asarray(codes, dtype=np.int32)
+    for _ in range(2 * tower.m - 1):
+        cur = tower.vpow(cur, tower.p)
+        acc = tower.vadd(acc, cur)
     return acc
 
 
@@ -100,11 +101,8 @@ def _default_elliptic_constant(tower: FieldTower) -> FieldElement:
     # otherwise the smallest generator power with absolute trace 1
     if tower.m % 2 == 1:
         return tower.zero()
-    for e in range(tower.n_units):
-        cand = tower.element(e)
-        if absolute_trace(cand).is_one():
-            return cand
-    raise AssertionError("no trace-one element found")
+    trace = absolute_trace(tower, np.arange(tower.q2))
+    return tower.element(int(np.flatnonzero(trace == 0)[0]))  # code 0 is the element 1
 
 
 def curve(
@@ -124,7 +122,7 @@ def curve(
         if tower.m % 2 == 1:
             if not c.is_zero():
                 raise BadTraceConstant("constant must be 0 when 2m = 2 mod 4")
-        elif not absolute_trace(c).is_one():
+        elif absolute_trace(tower, [c.code])[0] != 0:
             raise BadTraceConstant("constant must have absolute trace 1 when 2m = 0 mod 4")
         return CurveSpec(family, tower, genus=1, pole_x=2, pole_y=3, y_degree=2, c=c)
     if family is CurveFamily.HYPERELLIPTIC:
@@ -174,7 +172,6 @@ def x_support(spec: CurveSpec, selector: EvaluationSet | None = None) -> Evaluat
     families have a canonical support.
     """
     tower = spec.tower
-    q = tower.q
     if spec.family is CurveFamily.LINE:
         raise UnsupportedFamily("the line takes its points directly from the point-set module")
     if spec.family in (CurveFamily.HYPERELLIPTIC, CurveFamily.HERMITIAN):
@@ -183,56 +180,51 @@ def x_support(spec: CurveSpec, selector: EvaluationSet | None = None) -> Evaluat
         return roots_of_unity_set(tower, tower.q2)
     if selector is not None:
         raise UnsupportedFamily(f"{spec.family.value} has a fixed x-support")
-    if spec.family is CurveFamily.ELLIPTIC:
-        pts = [
-            a
-            for a in tower.elements()
-            if absolute_trace(a ** 3 + spec.c).is_zero()
-        ]
-        return explicit_set(tower, pts, tag="elliptic_trace_zero")
     if spec.family is CurveFamily.SEMI_HERMITIAN:
         # squares of GF(q^2) = roots of x^((q^2+1)/2) - x
         return roots_of_unity_set(tower, (tower.q2 + 1) // 2)
-    if spec.family is CurveFamily.ARTIN_SCHREIER:
-        pts = [
-            a for a in tower.elements() if (a ** spec.t).relative_trace().is_zero()
-        ]
-        return explicit_set(tower, pts, tag="artin_schreier_trace_zero")
-    raise UnsupportedFamily(str(spec.family))
+    # x is admissible where the right-hand side lies in the image of the map
+    x = np.arange(tower.q2)
+    rhs = _fiber_rhs(spec, x)[1]
+    if spec.family is CurveFamily.ELLIPTIC:  # image of y^2+y: absolute trace zero
+        return explicit_set(
+            tower, x[absolute_trace(tower, rhs) == tower.zero_code], tag="elliptic_trace_zero"
+        )
+    # Artin-Schreier, image of y^q-y: relative trace zero
+    trace = tower.vadd(rhs, tower.vfrob(rhs))
+    return explicit_set(tower, x[trace == tower.zero_code], tag="artin_schreier_trace_zero")
 
 
-def _fiber_rhs(spec: CurveSpec, x0: FieldElement) -> tuple[AdditiveMap, FieldElement]:
-    q = spec.tower.q
+def _fiber_rhs(spec: CurveSpec, x) -> tuple[AdditiveMap, np.ndarray]:
+    """The additive map A and the codes of A(y) over each x code: the curve is A(y) = rhs(x)."""
+    tower, q = spec.tower, spec.tower.q
     if spec.family is CurveFamily.ELLIPTIC:
-        return AdditiveMap.SQUARE_PLUS_Y, x0 ** 3 + spec.c
+        return AdditiveMap.SQUARE_PLUS_Y, tower.vadd(tower.vpow(x, 3), spec.c.code)
     if spec.family is CurveFamily.HYPERELLIPTIC:
-        return AdditiveMap.SQUARE_PLUS_Y, x0 ** (q + 1)
+        return AdditiveMap.SQUARE_PLUS_Y, tower.vpow(x, q + 1)
     if spec.family is CurveFamily.HERMITIAN:
-        return AdditiveMap.FROB_PLUS_Y, x0 ** (q + 1)
+        return AdditiveMap.FROB_PLUS_Y, tower.vpow(x, q + 1)
     if spec.family is CurveFamily.SEMI_HERMITIAN:
-        return AdditiveMap.FROB_PLUS_Y, x0 ** ((q + 1) // 2)
+        return AdditiveMap.FROB_PLUS_Y, tower.vpow(x, (q + 1) // 2)
     if spec.family is CurveFamily.ARTIN_SCHREIER:
-        return AdditiveMap.FROB_MINUS_Y, x0 ** spec.t
+        return AdditiveMap.FROB_MINUS_Y, tower.vpow(x, spec.t)
     raise UnsupportedFamily(str(spec.family))
 
 
-def fiber(spec: CurveSpec, x0: FieldElement) -> tuple:
-    """All rational points (x0, y) above x0, in deterministic y order."""
+def rational_points(spec: CurveSpec, xs: EvaluationSet) -> tuple[np.ndarray, np.ndarray | None]:
+    """The rational points above an x-set, as (owner, y): the fibers of the
+    set's points one after another, in set order, each in ascending y code;
+    point j is (xs.codes[owner[j]], y[j]).  The line has y = None and one
+    point per x.  Raises EmptyFiber at the first x outside the admissible set.
+    """
     if spec.family is CurveFamily.LINE:
-        return ((x0, None),)
-    amap, rhs = _fiber_rhs(spec, x0)
-    ys = spec.tower.solve_additive(amap, rhs)
-    if not ys:
+        return np.arange(xs.n), None
+    owner, y = spec.tower.solve_additive(*_fiber_rhs(spec, xs.codes))
+    empty = np.bincount(owner, minlength=xs.n) == 0
+    if empty.any():
+        x0 = FieldElement(spec.tower, int(xs.codes[np.argmax(empty)]))
         raise EmptyFiber(f"x = {spec.tower.format(x0)} is outside the admissible set")
-    return tuple((x0, y) for y in ys)
-
-
-def rational_points(spec: CurveSpec, xs: EvaluationSet) -> tuple:
-    """Concatenated fibers over an x-set, fiber order following the set order."""
-    pts = []
-    for x0 in xs.points:
-        pts.extend(fiber(spec, x0))
-    return tuple(pts)
+    return owner, y
 
 
 def rr_basis(spec: CurveSpec, k: int) -> MonomialBasis:

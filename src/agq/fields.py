@@ -12,7 +12,7 @@ instead: each element's 2m base-p digits packed into one int64, a bit field
 of floor(63/2m) bits per digit, so that many elements add as plain integers
 before any digit needs reducing mod p.  The fibers of the additive maps the
 curve module needs are read from a per-map table that sorts all q^2 images
-once.
+once: the fibers over a whole array of right-hand sides are one gather.
 
 The defining modulus of GF(p^{2m}) is the Conway polynomial when the size is
 in the built-in table, so that t-power listings are comparable with standard
@@ -385,9 +385,6 @@ class FieldTower:
 
     # -- vectorized kernels on int32 exponent-code arrays -------------------
 
-    def varray(self, elements) -> np.ndarray:
-        return np.asarray([el.code for el in elements], dtype=np.int32)
-
     def vadd(self, a, b):
         a = np.asarray(a, dtype=np.int32)
         b = np.asarray(b, dtype=np.int32)
@@ -484,11 +481,14 @@ class FieldTower:
 
     # -- additive-map fibers ----------------------------------------------------
 
-    def solve_additive(self, amap: AdditiveMap, a: "FieldElement") -> tuple["FieldElement", ...]:
-        """All y in GF(q^2) with map(y) = a, by code; empty or a full kernel coset.
+    def solve_additive(self, amap: AdditiveMap, rhs) -> tuple[np.ndarray, np.ndarray]:
+        """Every fiber {y : map(y) = rhs[i]}, as (owner, y): y holds the codes of
+        all solutions, fiber after fiber, and owner[j] is the i whose fiber
+        y[j] lies in.  A fiber is empty or a full kernel coset.
 
         The first call for a map evaluates it on all q^2 codes and sorts the
-        images stably, so every fiber is one slice, already ordered by code.
+        images stably, so every fiber is one slice, already ordered by code,
+        and all of them are read with one gather.
         """
         table = self._fibers.get(amap)
         if table is None:
@@ -505,8 +505,13 @@ class FieldTower:
             bounds = np.searchsorted(images[order], np.arange(self.q2 + 1))
             table = self._fibers[amap] = (order, bounds)
         order, bounds = table
-        codes = order[bounds[a.code] : bounds[a.code + 1]].tolist()
-        return tuple(FieldElement(self, c) for c in codes)
+        rhs = np.asarray(rhs, dtype=np.int64)
+        starts = bounds[rhs]
+        counts = bounds[rhs + 1] - starts
+        owner = np.repeat(np.arange(len(rhs)), counts)
+        ends = np.cumsum(counts)
+        # solution j of fiber i is entry j - (ends[i] - counts[i]) of fiber i's slice
+        return owner, order[np.arange(len(owner)) + (starts - ends + counts)[owner]]
 
     # -- misc ----------------------------------------------------------------
 

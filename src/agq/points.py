@@ -4,9 +4,10 @@ Four families: roots of x^n - x, unions of multiplicative-subgroup cosets,
 affine grids u_i*a + u_j, and explicit sets.  Local derivative values
 h'(alpha_i) are always the pairwise product over the set, never a closed
 form; closed forms from the underlying theory show up only as test oracles.
-The product is taken as a sum of discrete logs over exponent codes: one
-numpy gather from the Zech table covers every pair, a block of rows at a
-time, and the twist vector is computed on the whole code array too.
+Point sets and twist vectors are read-only int32 arrays of exponent codes.
+The product is taken as a sum of discrete logs over those codes: one numpy
+gather from the Zech table covers every pair, a block of rows at a time,
+and the twist vector is computed on the whole code array too.
 """
 
 from __future__ import annotations
@@ -37,23 +38,35 @@ FAMILY_EXPLICIT = "explicit"
 _GATHER_ENTRIES = 1 << 18
 
 
-def _canonical_order(points):
-    """Nonzero points by discrete log ascending, zero (if present) last."""
-    nonzero = sorted((p for p in points if not p.is_zero()), key=lambda el: el.code)
-    zero = [p for p in points if p.is_zero()]
-    return tuple(nonzero + zero)
+def _repeats(codes: np.ndarray) -> np.ndarray:
+    """Mask of the entries of an ascending code array that occur more than
+    once (neighbour comparison: np.unique imports numpy.ma on its first call)."""
+    same = codes[1:] == codes[:-1]
+    out = np.zeros(len(codes), dtype=bool)
+    out[1:] |= same
+    out[:-1] |= same
+    return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationSet:
+    """A point set as a read-only int32 code array in ascending order: the
+    nonzero points by discrete log, then zero (code q^2-1), if present.
+    Sets compare by identity; compare their codes with np.array_equal."""
+
     tower: FieldTower
     family: str
-    points: tuple
+    codes: np.ndarray
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        codes = np.sort(np.asarray(self.codes, dtype=np.int32))
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.codes)
 
     def default_unit_scalar(self) -> FieldElement:
         """Residue normalizer: 1 except for grids, which carry (a^q - a)^(t-1)."""
@@ -64,33 +77,33 @@ class EvaluationSet:
         return self.tower.one()
 
     def to_json_dict(self) -> dict:
+        tower = self.tower
         return {
             "family": self.family,
             "params": {k: v for k, v in self.params.items()},
-            "points": [self.tower.format(p) for p in self.points],
+            "points": [tower.format(FieldElement(tower, c)) for c in self.codes.tolist()],
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwistVector:
+    """v_i as a read-only int32 code array, one entry per point of the set;
+    compared by identity, like EvaluationSet."""
+
     tower: FieldTower
-    values: tuple
+    codes: np.ndarray
     unit_scalar: FieldElement
 
     def __len__(self):
-        return len(self.values)
-
-    def codes(self):
-        return self.tower.varray(self.values)
+        return len(self.codes)
 
 
 def roots_of_unity_set(tower: FieldTower, n: int) -> EvaluationSet:
     """The n roots of x^n - x: the order-(n-1) subgroup plus zero."""
     if n < 2 or (tower.n_units) % (n - 1) != 0:
         raise DivisibilityViolated(f"(n-1) = {n - 1} does not divide q^2-1 = {tower.n_units}")
-    step = tower.n_units // (n - 1)
-    pts = [tower.element(j * step) for j in range(n - 1)] + [tower.zero()]
-    return EvaluationSet(tower, FAMILY_ROOTS_OF_UNITY, _canonical_order(pts), {"n": n})
+    codes = np.append(np.arange(0, tower.n_units, tower.n_units // (n - 1)), tower.zero_code)
+    return EvaluationSet(tower, FAMILY_ROOTS_OF_UNITY, codes, {"n": n})
 
 
 def coset_union_set(
@@ -159,16 +172,14 @@ def coset_union_set(
     else:
         raise ValueError(f"unknown leader filter {leader_filter!r}")
 
-    subgroup_step = tower.n_units // n
-    pts = [tower.element(j * subgroup_step) for j in range(n)]
-    for e in leaders:
-        lead = e * leader_step
-        pts.extend(tower.element(lead + j * subgroup_step) for j in range(n))
-    pts.append(tower.zero())
-    if len(set(p.code for p in pts)) != len(pts):
-        raise LeaderNotInV("leader exponents produced overlapping cosets")
+    subgroup = np.arange(0, tower.n_units, tower.n_units // n)
+    lead = np.asarray([0] + leaders, dtype=np.int64) * leader_step % tower.n_units
+    codes = np.append(tower.vmul(lead[:, None], subgroup[None, :]), tower.zero_code)
     params = {"n": n, "t": t, "leader_exponents": tuple(leaders)}
-    return EvaluationSet(tower, FAMILY_COSET_UNION, _canonical_order(pts), params)
+    es = EvaluationSet(tower, FAMILY_COSET_UNION, codes, params)
+    if _repeats(es.codes).any():
+        raise LeaderNotInV("leader exponents produced overlapping cosets")
+    return es
 
 
 def affine_grid_set(
@@ -182,25 +193,27 @@ def affine_grid_set(
         anchor = tower.gen()
     if anchor.in_base_field():
         raise AnchorInSubfield(f"anchor {tower.format(anchor)} lies in GF({q})")
-    subfield = list(tower.subfield_elements())
     # enumeration of GF(q): 0 first, then by log ascending
-    us = [subfield[-1]] + subfield[:-1]
-    pts = [us[i] * anchor + us[j] for i in range(t) for j in range(q)]
-    if len(set(p.code for p in pts)) != t * q:
-        raise DuplicatePoints(f"grid points u_i*a + u_j repeat for anchor {tower.format(anchor)}")
+    us = np.append(tower.zero_code, np.arange(0, tower.n_units, q + 1))
+    codes = tower.vadd(tower.vmul(us[:t], anchor.code)[:, None], us[None, :])
     params = {"t": t, "anchor_code": anchor.code}
-    return EvaluationSet(tower, FAMILY_AFFINE_GRID, _canonical_order(pts), params)
+    es = EvaluationSet(tower, FAMILY_AFFINE_GRID, codes.ravel(), params)
+    if _repeats(es.codes).any():
+        raise DuplicatePoints(f"grid points u_i*a + u_j repeat for anchor {tower.format(anchor)}")
+    return es
 
 
-def explicit_set(tower: FieldTower, points, tag: str = FAMILY_EXPLICIT) -> EvaluationSet:
-    pts = _canonical_order(tuple(points))
-    if len(set(p.code for p in pts)) != len(pts):
+def explicit_set(tower: FieldTower, codes, tag: str = FAMILY_EXPLICIT) -> EvaluationSet:
+    """The points with the given exponent codes, which must be distinct."""
+    es = EvaluationSet(tower, tag, codes, {})
+    if _repeats(es.codes).any():
         raise ValueError("explicit point set has repeats")
-    return EvaluationSet(tower, tag, pts, {})
+    return es
 
 
-def _derivative_codes(eval_set: EvaluationSet) -> np.ndarray:
-    """log h'(alpha_i) for every point, as an int64 code array.
+def local_derivatives(eval_set: EvaluationSet) -> np.ndarray:
+    """log h'(alpha_i), h'(alpha_i) = prod_{j != i} (alpha_i - alpha_j), for
+    every point, as an int64 code array.
 
     For nonzero a and -b, log(a - b) = a + zech[log(-b) - a].  The j = i term
     reads zech[log(-1)] = log 0 = q^2-1, which is 0 mod q^2-1, so a nonzero
@@ -211,7 +224,7 @@ def _derivative_codes(eval_set: EvaluationSet) -> np.ndarray:
     """
     tower = eval_set.tower
     n_units = tower.n_units
-    codes = tower.varray(eval_set.points).astype(np.int64)
+    codes = eval_set.codes.astype(np.int64)
     negs = tower.vneg(codes[codes != n_units]).astype(np.int64)
     out = np.empty(len(codes), dtype=np.int64)
     rows = max(1, _GATHER_ENTRIES // max(1, len(negs)))
@@ -222,21 +235,8 @@ def _derivative_codes(eval_set: EvaluationSet) -> np.ndarray:
         out[start : start + rows] = zechs.sum(axis=1, dtype=np.int64) + (len(codes) - 1) * a
     out[codes == n_units] = negs.sum()
     out %= n_units
-    ordered = np.sort(codes)
-    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-    if repeated.size:
-        out[np.isin(codes, repeated)] = n_units
+    out[_repeats(codes)] = n_units
     return out
-
-
-def local_derivatives(eval_set: EvaluationSet) -> tuple:
-    """h'(alpha_i) = prod_{j != i} (alpha_i - alpha_j), as a log-sum over codes.
-
-    The whole set is one chunked numpy gather over the tower's Zech table
-    (see _derivative_codes); a repeated point makes its own h' zero.
-    """
-    tower = eval_set.tower
-    return tuple(FieldElement(tower, c) for c in _derivative_codes(eval_set).tolist())
 
 
 def twist_vector(
@@ -252,10 +252,11 @@ def twist_vector(
     if unit_scalar is None:
         unit_scalar = eval_set.default_unit_scalar()
     n_units, norm_exp, u = tower.n_units, tower.q + 1, unit_scalar.code
-    h = _derivative_codes(eval_set)
+    h = local_derivatives(eval_set)
     c = (u - h) % n_units  # log(unit_scalar / h')
     bad = (h == n_units) | (c % norm_exp != 0) | (u == n_units)
     if bad.any():
         raise NotNormValue(int(np.argmax(bad)))
-    values = tuple(FieldElement(tower, v) for v in (c // norm_exp).tolist())
-    return TwistVector(tower, values, unit_scalar)
+    codes = (c // norm_exp).astype(np.int32)
+    codes.flags.writeable = False
+    return TwistVector(tower, codes, unit_scalar)

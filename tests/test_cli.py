@@ -307,3 +307,28 @@ def test_construct_does_not_import_numpy_ma():
     entry, loaded = out.rstrip().rsplit("\n", 1)
     assert json.loads(entry)["verdict"] == "CERTIFIED"
     assert loaded == "False"
+
+
+def test_curve_chain_and_grid_requests_do_not_import_numpy_ma():
+    # x-supports, fibers, twists and point sets run on code arrays; np.unique
+    # and np.setdiff1d would import numpy.ma there on their first call
+    script = (
+        "import sys\n"
+        "from agq.cli import catalog_entry\n"
+        "from agq.constructions import ConstructionRequest, construct_chain\n"
+        "requests = [\n"
+        "    ConstructionRequest('c5', 2, 2, k=5),\n"
+        "    ConstructionRequest('c9', 7, 1, t=5, k=8),\n"
+        "    ConstructionRequest('c1', 2, 8, n=258, embed='once'),\n"
+        "    ConstructionRequest('c4', 7, 1, t=3),\n"
+        "]\n"
+        "for request in requests:\n"
+        "    chain = construct_chain(request)\n"
+        "    print(len(chain), [catalog_entry(c, request, 0.0)['verdict'] for c in chain])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+    *chains, loaded = out.rstrip().split("\n")
+    assert chains == ["1 ['CERTIFIED']", "1 ['CERTIFIED']", "2 ['CERTIFIED', 'CERTIFIED']", "1 ['CERTIFIED']"]
+    assert loaded == "False"

@@ -16,6 +16,7 @@ from agq.codes import (
     DistanceResult,
     GramCertificate,
     LinearCode,
+    _cauchy_verify,
     _digest,
     _exact_keys,
     batched_dependent,
@@ -35,7 +36,7 @@ from agq.codes import (
 )
 from agq.constructions import ConstructionRequest, construct
 from agq.curves import CurveFamily, curve, rr_basis
-from agq.errors import CapExceeded, ParseError, RankDefect
+from agq.errors import CapExceeded, ParseError, PoleAtPoint, RankDefect
 from agq.fields import FieldElement, build_tower
 from agq.points import roots_of_unity_set, twist_vector
 
@@ -111,15 +112,70 @@ def test_evaluation_code_rank_defect():
     ones = np.zeros(5, dtype=np.int32)  # all entries t^0 = 1
     spec = curve(CurveFamily.LINE, tw)
     basis = rr_basis(spec, 2)
-    pts = [(p, None) for p in es.points]
-    code = evaluation_code(tw, basis, pts, ones)
+    code = evaluation_code(tw, basis, es.codes, None, ones)
     assert code.params() == (5, 2)
     # duplicated monomial row must be rejected
     from agq.curves import MonomialBasis
 
     dup = MonomialBasis(((0, 0), (0, 0)), 1, 0)
     with pytest.raises(RankDefect):
-        evaluation_code(tw, dup, pts, ones)
+        evaluation_code(tw, dup, es.codes, None, ones)
+    with pytest.raises(PoleAtPoint):  # the line has no y to evaluate
+        evaluation_code(tw, MonomialBasis(((0, 0), (0, 1)), 1, 1), es.codes, None, ones)
+
+
+@st.composite
+def cauchy_cases(draw):
+    """Distinct x_0..x_{k-1} and y_0..y_{m-1}, as FieldElements, nonzero c and
+    d, over two Cayley towers and two Zech-only ones; c_0 = c_1 one time in two."""
+    tw = build_tower(*draw(st.sampled_from([(3, 1), (2, 2), (7, 1), (2, 5)])))
+    k = draw(st.integers(2, 5))
+    m = draw(st.integers(2, min(5, tw.q2 - k)))  # k + m distinct points of GF(q^2)
+    el = lambda c: FieldElement(tw, c)
+    xy = [el(c) for c in draw(st.lists(st.integers(0, tw.zero_code), min_size=k + m, max_size=k + m, unique=True))]
+    c = [el(v) for v in draw(st.lists(st.integers(0, tw.n_units - 1), min_size=k, max_size=k))]
+    if draw(st.booleans()):
+        c[1] = c[0]
+    d = [el(v) for v in draw(st.lists(st.integers(0, tw.n_units - 1), min_size=m, max_size=m))]
+    return tw, xy[:k], xy[k:], c, d, draw(st.integers(0, tw.n_units - 1))
+
+
+def cauchy_matrix(tw, x, y, c, d, nonzero):
+    """c_i*d_j/(x_i - y_j) as codes, with the code nonzero where x_i = y_j."""
+    return np.asarray(
+        [[(ci * dj / (xi - yj)).code if xi != yj else nonzero for yj, dj in zip(y, d)] for xi, ci in zip(x, c)],
+        dtype=np.int32,
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cauchy_cases())
+def test_cauchy_verify_accepts_cauchy_matrices_and_rejects_changes(case):
+    """A generalized Cauchy matrix verifies unless the gauge x_0 = 0, x_1 = 1,
+    c_0 = c_1 sends a point to infinity: the map z -> r(x_0 - z)/(x_0 - x_1 +
+    (r - 1)(x_0 - z)), r = c_1/c_0, which recovery applies to every x and y,
+    has its pole at z = (r x_0 - x_1)/(r - 1).  A changed entry at i, j >= 2,
+    an x_i equal to a y_j, or a repeated x or y never verifies."""
+    tw, x, y, c, d, nonzero = case
+    k, m = len(x), len(y)
+    a = cauchy_matrix(tw, x, y, c, d, nonzero)
+    r = c[1] / c[0]
+    pole = None if r.is_one() else (r * x[0] - x[1]) / (r - tw.one())
+    assert _cauchy_verify(tw, a) == (pole not in x + y)
+    if k > 2 and m > 2:
+        i, j = 2 + nonzero % (k - 2), 2 + nonzero % (m - 2)
+        changed = a.copy()
+        changed[i, j] = (a[i, j] + 1 + nonzero % (tw.n_units - 1)) % tw.n_units
+        assert not _cauchy_verify(tw, changed)
+        x_equal_y = x[:i] + [y[j]] + x[i + 1 :]
+        assert not _cauchy_verify(tw, cauchy_matrix(tw, x_equal_y, y, c, d, nonzero))
+        assert not _cauchy_verify(tw, cauchy_matrix(tw, x_equal_y, y, c, d, tw.zero_code))
+    # a repeated x or y makes two rows or columns proportional: a singular 2x2 minor
+    if k > 2:
+        repeated_x = x[:2] + [x[nonzero % 2]] + x[3:]
+        assert not _cauchy_verify(tw, cauchy_matrix(tw, repeated_x, y, c, d, nonzero))
+    repeated_y = y[:-1] + [y[0]]
+    assert not _cauchy_verify(tw, cauchy_matrix(tw, x, repeated_y, c, d, nonzero))
 
 
 def test_hermitian_curve_code_64_3():

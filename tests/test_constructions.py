@@ -12,7 +12,7 @@ from agq.constructions import (
     thm_key_k_max,
 )
 from agq.errors import DivisibilityViolated, EmbeddingRejected, GramNonzero
-from agq.fields import build_tower
+from agq.fields import FieldElement, build_tower
 
 
 def test_c1_q13_k2_certified():
@@ -160,10 +160,8 @@ def test_general_case_pairing_identity():
     for k0 in (2, 3, 4, 5):
         if 2 * k0 + tw.q > es.n:
             continue
-        xs = tw.varray(es.points)
-        tc = tv.codes()
-        g_k0 = tw.vmul(tc, tw.vpow(xs, k0 - 1))
-        g_next = tw.vmul(tc, tw.vpow(xs, k0))
+        g_k0 = tw.vmul(tv.codes, tw.vpow(es.codes, k0 - 1))
+        g_next = tw.vmul(tv.codes, tw.vpow(es.codes, k0))
         pairing = tw.vsum(tw.vmul(g_k0, tw.vfrob(g_next)))
         assert pairing == tw.zero_code
 
@@ -190,7 +188,8 @@ def test_c2_nonvacuous_tower_certifies():
     cert = construct(ConstructionRequest("c2", 3, 4, n=20, t=1))
     assert cert.code.params() == (41, 1)
     assert cert.certificate.gram.all_zero
-    assert all(p.is_zero() or p.in_base_field() for p in cert.eval_set.points)
+    tw = cert.code.tower
+    assert all(FieldElement(tw, c).in_base_field() for c in cert.eval_set.codes.tolist())
 
 
 def test_c6_hyperelliptic_certifies():

@@ -1,10 +1,12 @@
+from math import gcd
+
+import numpy as np
 import pytest
 
 from agq.curves import (
     CurveFamily,
     absolute_trace,
     curve,
-    fiber,
     rational_points,
     rr_basis,
     semigroup_gap_count,
@@ -17,7 +19,16 @@ from agq.errors import (
     GcdConditionViolated,
     UnsupportedFamily,
 )
-from agq.fields import build_tower
+from agq.fields import AdditiveMap, FieldElement, build_tower
+from agq.points import explicit_set
+
+from .test_fields import gf_p_solve
+
+
+def fiber_sizes(spec, xs):
+    """Number of rational points above each x of the set, in set order."""
+    owner, _ = rational_points(spec, xs)
+    return np.bincount(owner, minlength=xs.n).tolist()
 
 
 def test_genus_formulas():
@@ -32,8 +43,6 @@ def test_genus_formulas():
 
 
 def test_genus_matches_semigroup_gap_count():
-    from math import gcd
-
     specs = [
         curve(CurveFamily.ELLIPTIC, build_tower(2, 2)),
         curve(CurveFamily.HYPERELLIPTIC, build_tower(2, 2)),
@@ -71,8 +80,11 @@ def test_curve_preconditions():
 
 def test_elliptic_default_constant_matches_field_parity():
     assert curve(CurveFamily.ELLIPTIC, build_tower(2, 3)).c.is_zero()
-    c = curve(CurveFamily.ELLIPTIC, build_tower(2, 2)).c
-    assert absolute_trace(c).is_one()
+    for m in (2, 4):
+        tw = build_tower(2, m)
+        c = curve(CurveFamily.ELLIPTIC, tw).c
+        assert absolute_trace(tw, [c.code]).tolist() == [0]  # code 0 is the element 1
+        assert c == next(a for a in tw.elements() if scalar_absolute_trace(a).is_one())
 
 
 def test_elliptic_support_size():
@@ -84,8 +96,6 @@ def test_elliptic_support_size():
 
 
 def test_artin_schreier_support_sizes():
-    from math import gcd
-
     spec = curve(CurveFamily.ARTIN_SCHREIER, build_tower(3, 1), t=2)
     xs = x_support(spec)
     assert xs.n == 5  # s = gcd(4, 8) = 4, plus zero
@@ -100,46 +110,46 @@ def test_semi_hermitian_support():
     spec = curve(CurveFamily.SEMI_HERMITIAN, build_tower(5, 1))
     xs = x_support(spec)
     assert xs.n == 13  # (q^2+1)/2 squares
-    assert sum(len(fiber(spec, x)) for x in xs.points) == 65
+    assert fiber_sizes(spec, xs) == [5] * 13  # 65 points, q above each x
 
 
 def test_fiber_sizes():
     tw4 = build_tower(2, 2)
     herm = curve(CurveFamily.HERMITIAN, tw4)
-    assert len(fiber(herm, tw4.zero())) == 4  # kernel of y^4 + y
+    assert fiber_sizes(herm, explicit_set(tw4, [tw4.zero_code])) == [4]  # kernel of y^4 + y
     ell = curve(CurveFamily.ELLIPTIC, tw4)
-    for x0 in x_support(ell).points:
-        assert len(fiber(ell, x0)) == 2
+    assert set(fiber_sizes(ell, x_support(ell))) == {2}
     tw3 = build_tower(3, 1)
     artin = curve(CurveFamily.ARTIN_SCHREIER, tw3, t=2)
-    assert len(fiber(artin, tw3.zero())) == 3
+    assert fiber_sizes(artin, explicit_set(tw3, [tw3.zero_code])) == [3]
 
 
 def test_fiber_empty_outside_support():
     tw3 = build_tower(3, 1)
     artin = curve(CurveFamily.ARTIN_SCHREIER, tw3, t=2)
-    support = {p.code for p in x_support(artin).points}
+    support = set(x_support(artin).codes.tolist())
     outside = next(el for el in tw3.elements() if el.code not in support)
-    with pytest.raises(EmptyFiber):
-        fiber(artin, outside)
+    with pytest.raises(EmptyFiber) as got:
+        rational_points(artin, explicit_set(tw3, sorted(support | {outside.code})))
+    assert tw3.format(outside) in str(got.value)
 
 
 def test_point_count_identities():
     # total affine points = known curve counts minus the place at infinity
     tw4 = build_tower(2, 2)
     ell = curve(CurveFamily.ELLIPTIC, tw4)
-    assert len(rational_points(ell, x_support(ell))) == 2 ** 4 + 2 * 2 ** 2  # 24
+    assert len(rational_points(ell, x_support(ell))[0]) == 2 ** 4 + 2 * 2 ** 2  # 24
     herm = curve(CurveFamily.HERMITIAN, tw4)
     full = x_support(herm)
-    assert len(rational_points(herm, full)) == 4 ** 3  # q^3
+    assert len(rational_points(herm, full)[0]) == 4 ** 3  # q^3
     semi = curve(CurveFamily.SEMI_HERMITIAN, build_tower(5, 1))
-    assert len(rational_points(semi, x_support(semi))) == 5 * 13  # q(q^2+1)/2
+    assert len(rational_points(semi, x_support(semi))[0]) == 5 * 13  # q(q^2+1)/2
 
 
 def test_hyperelliptic_full_support():
     tw4 = build_tower(2, 2)
     hyp = curve(CurveFamily.HYPERELLIPTIC, tw4)
-    assert len(rational_points(hyp, x_support(hyp))) == 2 * 16  # 2q^2 affine points
+    assert len(rational_points(hyp, x_support(hyp))[0]) == 2 * 16  # 2q^2 affine points
 
 
 def test_line_has_no_x_support():
@@ -183,10 +193,11 @@ def test_basis_monomials_finite_on_all_points():
     # every basis monomial evaluates without poles on every rational point
     tw = build_tower(3, 1)
     spec = curve(CurveFamily.ARTIN_SCHREIER, tw, t=2)
-    pts = rational_points(spec, x_support(spec))
+    xs = x_support(spec)
+    owner, y = rational_points(spec, xs)
     for (i, j) in rr_basis(spec, 8).monomials:
-        for x0, y0 in pts:
-            _ = (x0 ** i) * (y0 ** j)  # always defined for affine points
+        for x0, y0 in zip(xs.codes[owner].tolist(), y.tolist()):
+            _ = (FieldElement(tw, x0) ** i) * (FieldElement(tw, y0) ** j)  # always defined
 
 
 def test_fiber_point_order_deterministic():
@@ -194,4 +205,80 @@ def test_fiber_point_order_deterministic():
     spec = curve(CurveFamily.HERMITIAN, tw)
     a = rational_points(spec, x_support(spec))
     b = rational_points(spec, x_support(spec))
-    assert [(x.code, y.code) for x, y in a] == [(x.code, y.code) for x, y in b]
+    assert all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
+def scalar_absolute_trace(el):
+    acc = cur = el
+    for _ in range(2 * el.tower.m - 1):
+        cur = cur ** el.tower.p
+        acc = acc + cur
+    return acc
+
+
+def scalar_x_support(spec):
+    """Oracle: the admissible x codes by a FieldElement comprehension."""
+    tower, q = spec.tower, spec.tower.q
+    if spec.family is CurveFamily.ELLIPTIC:
+        keep = lambda a: scalar_absolute_trace(a ** 3 + spec.c).is_zero()
+    elif spec.family is CurveFamily.ARTIN_SCHREIER:
+        keep = lambda a: (a ** spec.t).relative_trace().is_zero()
+    elif spec.family is CurveFamily.SEMI_HERMITIAN:
+        keep = lambda a: a.is_zero() or (a ** ((tower.q2 - 1) // 2)).is_one()  # the squares
+    else:
+        keep = lambda a: True
+    return [a.code for a in tower.elements() if keep(a)]
+
+
+def scalar_fiber(spec, x0):
+    """Oracle: the additive map and right-hand side of the fiber above x0."""
+    q = spec.tower.q
+    if spec.family is CurveFamily.ELLIPTIC:
+        return AdditiveMap.SQUARE_PLUS_Y, x0 ** 3 + spec.c
+    if spec.family is CurveFamily.HYPERELLIPTIC:
+        return AdditiveMap.SQUARE_PLUS_Y, x0 ** (q + 1)
+    if spec.family is CurveFamily.HERMITIAN:
+        return AdditiveMap.FROB_PLUS_Y, x0 ** (q + 1)
+    if spec.family is CurveFamily.SEMI_HERMITIAN:
+        return AdditiveMap.FROB_PLUS_Y, x0 ** ((q + 1) // 2)
+    return AdditiveMap.FROB_MINUS_Y, x0 ** spec.t
+
+
+def curve_specs():
+    """Every curve family except the line, over GF(4) .. GF(64), with every
+    Artin-Schreier exponent t <= 2q + 1 the family admits."""
+    for p, m in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)]:
+        tower = build_tower(p, m)
+        if p == 2:
+            families = [CurveFamily.HERMITIAN, CurveFamily.ELLIPTIC, CurveFamily.HYPERELLIPTIC]
+        else:
+            families = [CurveFamily.HERMITIAN, CurveFamily.SEMI_HERMITIAN]
+        for family in families:
+            yield curve(family, tower)
+        for t in range(1, 2 * tower.q + 2):
+            try:
+                yield curve(CurveFamily.ARTIN_SCHREIER, tower, t=t)
+            except GcdConditionViolated:
+                pass
+
+
+def test_x_support_and_fibers_match_scalar_oracle():
+    """x_support equals the FieldElement comprehension, every fiber above it
+    equals the GF(p) elimination's, and every x outside it has an empty fiber."""
+    families = set()
+    for spec in curve_specs():
+        tower = spec.tower
+        xs = x_support(spec)
+        assert xs.codes.tolist() == scalar_x_support(spec), spec.label()
+        owner, y = rational_points(spec, xs)
+        fibers = [
+            gf_p_solve(tower, *scalar_fiber(spec, FieldElement(tower, x))) for x in xs.codes.tolist()
+        ]
+        assert owner.tolist() == [i for i, ys in enumerate(fibers) for _ in ys], spec.label()
+        assert y.tolist() == [c for ys in fibers for c in ys], spec.label()
+        assert len(set(map(len, fibers))) == 1 and fibers[0], spec.label()  # full fibers
+        inside = set(xs.codes.tolist())
+        for x in (el for el in tower.elements() if el.code not in inside):
+            assert gf_p_solve(tower, *scalar_fiber(spec, x)) == [], (spec.label(), x)
+        families.add(spec.family)
+    assert len(families) == 5

@@ -136,12 +136,12 @@ def test_norm_surjective_onto_base_field():
 
 def test_solve_additive_kernels():
     tw16 = build_tower(2, 2)
-    sols = tw16.solve_additive(AdditiveMap.SQUARE_PLUS_Y, tw16.zero())
-    assert {s.code for s in sols} == {0, tw16.zero_code}  # {1, 0}
-    frob = tw16.solve_additive(AdditiveMap.FROB_PLUS_Y, tw16.zero())
+    owner, sols = tw16.solve_additive(AdditiveMap.SQUARE_PLUS_Y, [tw16.zero_code])
+    assert owner.tolist() == [0, 0] and sols.tolist() == [0, tw16.zero_code]  # {1, 0}
+    _, frob = tw16.solve_additive(AdditiveMap.FROB_PLUS_Y, [tw16.zero_code])
     assert len(frob) == tw16.q
     tw9 = build_tower(3, 1)
-    frob9 = tw9.solve_additive(AdditiveMap.FROB_MINUS_Y, tw9.zero())
+    _, frob9 = tw9.solve_additive(AdditiveMap.FROB_MINUS_Y, [tw9.zero_code])
     assert len(frob9) == 3  # kernel of y^3 - y is GF(3)
 
 
@@ -149,7 +149,8 @@ def test_solve_additive_trace_one_has_no_solution():
     tw = build_tower(2, 1)  # GF(4)
     a = tw.gen()  # trace(t) = t + t^2 = 1 in GF(4)
     assert a.relative_trace().is_one()
-    assert tw.solve_additive(AdditiveMap.SQUARE_PLUS_Y, a) == ()
+    owner, sols = tw.solve_additive(AdditiveMap.SQUARE_PLUS_Y, [a.code])
+    assert owner.size == 0 and sols.size == 0
 
 
 def packed_digits(tw, code):
@@ -210,24 +211,32 @@ def gf_p_solve(tw, amap, a):
 
 def test_solve_additive_coset_cardinality():
     """Every fiber of every legal map over GF(4) .. GF(64) equals the GF(p)
-    elimination's, and every nonempty fiber is a coset of the kernel."""
+    elimination's, alone and in one call over all right-hand sides, and every
+    nonempty fiber is a coset of the kernel."""
     for p, m in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)]:
         tw = build_tower(p, m)
         maps = list(AdditiveMap) if p == 2 else [AdditiveMap.FROB_PLUS_Y, AdditiveMap.FROB_MINUS_Y]
         for amap in maps:
-            kernel = tw.solve_additive(amap, tw.zero())
-            covered = 0
+            kernel = [FieldElement(tw, k) for k in tw.solve_additive(amap, [tw.zero_code])[1].tolist()]
+            fibers = []
             for a in tw.elements():
-                sols = tw.solve_additive(amap, a)
-                assert [y.code for y in sols] == gf_p_solve(tw, amap, a)
+                sols = tw.solve_additive(amap, [a.code])[1].tolist()
+                assert sols == gf_p_solve(tw, amap, a)
                 if sols:
-                    assert sorted((sols[0] + k).code for k in kernel) == [y.code for y in sols]
-                covered += len(sols)
-            assert covered == tw.q2
+                    base = FieldElement(tw, sols[0])
+                    assert sorted((base + k).code for k in kernel) == sols
+                fibers.append(sols)
+            assert sum(map(len, fibers)) == tw.q2
+            # every right-hand side at once, in reverse code order and twice over
+            rhs = [a.code for a in tw.elements()][::-1] * 2
+            owner, y = tw.solve_additive(amap, rhs)
+            by_code = dict(zip((a.code for a in tw.elements()), fibers))
+            assert owner.tolist() == [i for i, a in enumerate(rhs) for _ in by_code[a]]
+            assert y.tolist() == [c for a in rhs for c in by_code[a]]
         if p != 2:
             for _ in range(2):  # a rejected map leaves no fiber table behind
                 with pytest.raises(ValueError):
-                    tw.solve_additive(AdditiveMap.SQUARE_PLUS_Y, tw.one())
+                    tw.solve_additive(AdditiveMap.SQUARE_PLUS_Y, [0])
 
 
 def test_build_tower_errors():
@@ -364,8 +373,8 @@ def element_lists(draw):
 @given(element_lists())
 def test_scalar_vector_op_agreement(case):
     tw, els = case
-    a = tw.varray(els[:32])
-    b = tw.varray(els[32:])
+    a = np.asarray([el.code for el in els[:32]], dtype=np.int32)
+    b = np.asarray([el.code for el in els[32:]], dtype=np.int32)
     va, vm, vs = tw.vadd(a, b), tw.vmul(a, b), tw.vsub(a, b)
     vf = tw.vfrob(a)
     for i in range(32):

@@ -1,6 +1,7 @@
 from math import gcd
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,11 @@ from agq.points import (
 )
 
 
+def elements(es):
+    """The points of a set as FieldElements, in set order."""
+    return [FieldElement(es.tower, c) for c in es.codes.tolist()]
+
+
 def field_sum(tower, elements):
     acc = tower.zero()
     for el in elements:
@@ -39,11 +45,11 @@ def test_roots_of_unity_q13_n25():
     tw = build_tower(13, 1)
     es = roots_of_unity_set(tw, 25)
     assert es.n == 25
-    assert es.points[-1].is_zero()
-    codes = [p.code for p in es.points[:-1]]
-    assert codes == sorted(codes)
+    assert es.codes[-1] == tw.zero_code
+    assert es.codes.tolist() == sorted(es.codes.tolist())
+    assert es.codes.dtype == np.int32 and not es.codes.flags.writeable
     # all are roots of x^25 - x
-    for p in es.points:
+    for p in elements(es):
         assert p ** 25 == p
 
 
@@ -51,7 +57,7 @@ def test_roots_of_unity_full_field():
     tw = build_tower(3, 1)
     es = roots_of_unity_set(tw, 9)
     assert es.n == 9
-    assert {p.code for p in es.points} == {el.code for el in tw.elements()}
+    assert es.codes.tolist() == [el.code for el in tw.elements()]
 
 
 def test_roots_of_unity_q11_n16():
@@ -70,7 +76,7 @@ def test_coset_union_q17():
     es = coset_union_set(tw, 12, 2)
     assert es.n == (2 + 1) * 12 + 1 == 37
     q = tw.q
-    for p in es.points:
+    for p in elements(es):
         assert p.is_zero() or (p ** 12).in_base_field()
 
 
@@ -78,7 +84,7 @@ def test_coset_union_t0_matches_roots_of_unity():
     tw = build_tower(17, 1)
     a = coset_union_set(tw, 12, 0)
     b = roots_of_unity_set(tw, 13)
-    assert [p.code for p in a.points] == [p.code for p in b.points]
+    assert a.codes.tolist() == b.codes.tolist()
 
 
 def test_coset_union_errors():
@@ -120,7 +126,11 @@ def test_affine_grid_q7():
     tw = build_tower(7, 1)
     es = affine_grid_set(tw, 3)
     assert es.n == 21
-    assert len({p.code for p in es.points}) == 21
+    assert len(set(es.codes.tolist())) == 21
+    # u_i*a + u_j, with u_0 = 0 and then the nonzero u by log, as FieldElement sums
+    a = tw.element(es.params["anchor_code"])
+    us = [tw.zero()] + list(tw.subfield_elements())[:-1]
+    assert es.codes.tolist() == sorted((us[i] * a + us[j]).code for i in range(3) for j in range(7))
 
 
 def test_affine_grid_line_t1():
@@ -128,7 +138,7 @@ def test_affine_grid_line_t1():
     es = affine_grid_set(tw, 1)
     # u_1 = 0: the grid row is GF(q) itself
     assert es.n == 7
-    assert all(p.in_base_field() for p in es.points)
+    assert all(p.in_base_field() for p in elements(es))
 
 
 def test_affine_grid_anchor_guard():
@@ -142,12 +152,17 @@ def test_affine_grid_q8_16_points():
     assert affine_grid_set(tw, 2).n == 16
 
 
+def derivatives(es):
+    """local_derivatives as FieldElements."""
+    return [FieldElement(es.tower, c) for c in local_derivatives(es).tolist()]
+
+
 def test_local_derivative_closed_forms_roots_of_unity():
     tw = build_tower(13, 1)
     es = roots_of_unity_set(tw, 25)
-    der = local_derivatives(es)
+    der = derivatives(es)
     n_minus_1 = tw.from_int(24 % 13)
-    for p, d in zip(es.points, der):
+    for p, d in zip(elements(es), der):
         if p.is_zero():
             assert d == -tw.one()  # h'(0) = -1 for h = x^n - x
         else:
@@ -160,7 +175,7 @@ def test_local_derivative_closed_form_affine_grid():
     es = affine_grid_set(tw, 3)
     a = tw.element(es.params["anchor_code"])
     unit = (a.frobenius() - a) ** 2
-    for d in local_derivatives(es):
+    for d in derivatives(es):
         val = d / unit
         assert not val.is_zero() and val.in_base_field()
 
@@ -169,40 +184,47 @@ def test_twist_vector_c1():
     tw = build_tower(13, 1)
     es = roots_of_unity_set(tw, 25)
     tv = twist_vector(es)
-    der = local_derivatives(es)
-    for v, h in zip(tv.values, der):
+    assert tv.codes.dtype == np.int32 and not tv.codes.flags.writeable
+    for v, h in zip(twist_elements(tv), derivatives(es)):
         assert (v ** 14) * h == tw.one()
 
 
 def test_twist_vector_rejects_ad_hoc_set():
     tw = build_tower(3, 1)
-    es = explicit_set(tw, [tw.zero(), tw.one(), tw.gen()])
+    es = explicit_set(tw, [tw.zero_code, 0, 1])
     with pytest.raises(NotNormValue):
         twist_vector(es)
+
+
+def test_explicit_set_sorts_codes_and_rejects_repeats():
+    tw = build_tower(3, 1)
+    es = explicit_set(tw, [tw.zero_code, 5, 1])
+    assert es.codes.tolist() == [1, 5, tw.zero_code]  # nonzero by log, zero last
+    assert es.codes.dtype == np.int32 and not es.codes.flags.writeable
+    with pytest.raises(ValueError):
+        explicit_set(tw, [3, tw.zero_code, 3])
 
 
 def test_twist_vector_affine_grid_default_unit():
     tw = build_tower(7, 1)
     es = affine_grid_set(tw, 3)
     tv = twist_vector(es)
-    der = local_derivatives(es)
     unit = es.default_unit_scalar()
-    for v, h in zip(tv.values, der):
+    for v, h in zip(twist_elements(tv), derivatives(es)):
         assert (v ** 8) * h == unit
 
 
 def test_residue_identity_roots_of_unity_boundary():
     tw = build_tower(13, 1)
     es = roots_of_unity_set(tw, 25)
-    der = local_derivatives(es)
     # e = n-1 is the boundary: the sum must NOT vanish
-    terms = [(p ** 24) / h for p, h in zip(es.points, der)]
+    terms = [(p ** 24) / h for p, h in zip(elements(es), derivatives(es))]
     assert not field_sum(tw, terms).is_zero()
 
 
 def pairwise_product_derivatives(eval_set):
     """Reference oracle: h'(alpha_i) as the FieldElement product over j != i."""
-    pts = eval_set.points
+    pts = elements(eval_set)
     out = []
     for i, a in enumerate(pts):
         acc = eval_set.tower.one()
@@ -211,6 +233,10 @@ def pairwise_product_derivatives(eval_set):
                 acc = acc * (a - b)
         out.append(acc)
     return tuple(out)
+
+
+def twist_elements(tv):
+    return [FieldElement(tv.tower, c) for c in tv.codes.tolist()]
 
 
 def pairwise_twist(eval_set, unit_scalar):
@@ -253,9 +279,9 @@ def point_sets(draw, towers, max_n):
         es = affine_grid_set(tower, draw(st.integers(1, max(1, min(q, max_n // q)))))
     else:
         codes = draw(st.lists(st.integers(0, units - 1), max_size=min(max_n, 24) - 1, unique=True))
-        es = explicit_set(tower, [tower.element(c) for c in codes] + [tower.zero()])
+        es = explicit_set(tower, codes + [tower.zero_code])
     if es.n > 2 and draw(st.booleans()):
-        es = EvaluationSet(tower, es.family, tuple(p for p in es.points if not p.is_zero()), es.params)
+        es = EvaluationSet(tower, es.family, es.codes[es.codes != tower.zero_code], es.params)
     return es
 
 
@@ -270,18 +296,18 @@ def twist_cases(draw):
     makes blocks of 1 or 7 rows, or the module default."""
     es = draw(point_sets(TWIST_TOWERS, max_n=64))
     if draw(st.integers(0, 3)) == 0:
-        pts = list(es.points)
-        pts.insert(draw(st.integers(0, len(pts))), pts[draw(st.integers(0, len(pts) - 1))])
-        es = EvaluationSet(es.tower, es.family, tuple(pts), es.params)
+        codes = es.codes.tolist()
+        codes.append(codes[draw(st.integers(0, len(codes) - 1))])
+        es = EvaluationSet(es.tower, es.family, codes, es.params)
     unit = draw(st.one_of(st.none(), st.integers(0, es.tower.n_units)))
     rows = draw(st.sampled_from([1, 7, None]))
-    nonzero = sum(not p.is_zero() for p in es.points)
+    nonzero = int(np.count_nonzero(es.codes != es.tower.zero_code))
     cap = agq.points._GATHER_ENTRIES if rows is None else rows * max(1, nonzero)
     return es, None if unit is None else FieldElement(es.tower, unit), cap
 
 
 def assert_twist_matches_oracle(es, unit_scalar):
-    assert local_derivatives(es) == pairwise_product_derivatives(es)
+    assert derivatives(es) == list(pairwise_product_derivatives(es))
     unit = es.default_unit_scalar() if unit_scalar is None else unit_scalar
     try:
         want = pairwise_twist(es, unit)
@@ -291,7 +317,7 @@ def assert_twist_matches_oracle(es, unit_scalar):
         assert got.value.index == exc.index
     else:
         tv = twist_vector(es, unit_scalar)
-        assert tv.values == want and tv.unit_scalar == unit
+        assert tuple(twist_elements(tv)) == want and tv.unit_scalar == unit
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -310,11 +336,11 @@ def test_roots_of_unity_closed_form_at_benchmark_scale(p, m, n):
     # h = x^n - x has h'(0) = -1 and h'(a) = n a^(n-1) - 1 = n - 1 at the unit roots
     tw = build_tower(p, m)
     es = roots_of_unity_set(tw, n)
-    der = local_derivatives(es)
-    assert der[-1] == -tw.one() and es.points[-1].is_zero()
+    der = derivatives(es)
+    assert der[-1] == -tw.one() and es.codes[-1] == tw.zero_code
     assert set(der[:-1]) == {tw.from_int((n - 1) % p)}
     tv = twist_vector(es)
-    assert all((v ** (tw.q + 1)) * h == tw.one() for v, h in zip(tv.values, der))
+    assert all((v ** (tw.q + 1)) * h == tw.one() for v, h in zip(twist_elements(tv), der))
 
 
 @pytest.mark.parametrize("p,m", [(5, 1), (2, 5), (31, 1)])
@@ -322,11 +348,11 @@ def test_repeated_point_has_zero_derivative(p, m):
     # distinct points of GF(q) have every h' in GF(q)*, so with unit 1 the
     # twist fails first at the repeated point, index 2
     tw = build_tower(p, m)
-    pts = tuple(tw.subfield_elements())[:4]
+    pts = [el.code for el in tw.subfield_elements()][:4]
     es = EvaluationSet(tw, FAMILY_EXPLICIT, pts[:3] + pts[2:], {})
-    der = local_derivatives(es)
+    der = derivatives(es)
     assert [d.is_zero() for d in der] == [False, False, True, True, False]
-    assert der == pairwise_product_derivatives(es)
+    assert der == list(pairwise_product_derivatives(es))
     for unit in (None, tw.one(), tw.gen()):
         assert_twist_matches_oracle(es, unit)
     with pytest.raises(NotNormValue) as got:
@@ -366,7 +392,7 @@ def test_residue_identity_property_suite(cases):
 
 
 def assert_residue_identity(es, e):
-    terms = [(p ** e) / h for p, h in zip(es.points, local_derivatives(es))]
+    terms = [(p ** e) / h for p, h in zip(elements(es), derivatives(es))]
     assert field_sum(es.tower, terms).is_zero(), (es.tower, es.family, es.n, e)
 
 
@@ -401,7 +427,7 @@ def test_order_determinism_and_serialization():
     tw = build_tower(17, 1)
     a = coset_union_set(tw, 12, 2)
     b = coset_union_set(tw, 12, 2)
-    assert [p.code for p in a.points] == [p.code for p in b.points]
+    assert a.codes.tolist() == b.codes.tolist()
     blob = a.to_json_dict()
     assert blob["family"] == "coset_union"
     assert len(blob["points"]) == 37
