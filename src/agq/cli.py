@@ -2,13 +2,14 @@
 
 Exit codes: 0 certified / report emitted, 2 rejected (a hypothesis failed or
 the request is invalid, including an AGQ_CAP_OPS that is not a positive
-integer), 3 an enumeration cap raised CapExceeded, 4 parse error, unreadable
-input or unwritable output.  A budget that stops the column scan is not a
-failure: the code is still certified (exit 0), and d_exact/d_method say that
-d is a lower bound, as they do for an impure code.  Output files are opened
-before the work starts.  All machine output is JSON (one object per command,
-or line-delimited for scans); an AgqError that no command handles becomes a
-JSON rejection verdict with exit code 2 (3 for CapExceeded, 4 for
+integer), 4 parse error, unreadable input or unwritable output.  Neither
+budget is a failure.  When AGQ_CAP_OPS stops the column scan, the code is
+still certified (exit 0), and d_exact/d_method say that d is a lower bound,
+as they do for an impure code.  A non-MDS code of more than
+config.EXHAUSTIVE_CAP words gets no classical distance ("d": null).  Output
+files are opened before the work starts.  All machine output is JSON (one
+object per command, or line-delimited for scans); an AgqError that no command
+handles becomes a JSON rejection verdict with exit code 2 (4 for
 UnwritableOutput), not a traceback.
 """
 
@@ -38,10 +39,7 @@ from .quantum import stabilizer_params
 
 EXIT_OK = 0
 EXIT_REJECTED = 2
-EXIT_BUDGET = 3
 EXIT_PARSE = 4
-
-_EXHAUSTIVE_AUTO_LIMIT = 1 << 21  # q^{2k} beyond this: skip automatic primal distance
 
 
 # -- catalog entries -----------------------------------------------------------
@@ -58,17 +56,13 @@ def _classical_block(cert: CertifiedCode) -> dict:
         "mds_method": cert.certificate.mds_method,
         "designed_distance": cert.designed_distance,
     }
-    d = None
-    d_method = None
+    block["d"] = block["d_method"] = None
     if cert.certificate.mds:
-        d = code.n - code.k + 1
-        d_method = "mds-singleton"
-    elif tower.q2 ** code.k <= _EXHAUSTIVE_AUTO_LIMIT:
-        res = exhaustive_distance(code)
-        d = res.value
-        d_method = res.method
-    block["d"] = d
-    block["d_method"] = d_method
+        block["d"], block["d_method"] = code.n - code.k + 1, "mds-singleton"
+    else:
+        with contextlib.suppress(CapExceeded):  # too many words: d stays None
+            res = exhaustive_distance(code)
+            block["d"], block["d_method"] = res.value, res.method
     return block
 
 
@@ -213,16 +207,9 @@ def cmd_verify(args) -> int:
         return EXIT_REJECTED
     entry["classical"]["mds"] = certificate.mds
     entry["classical"]["mds_method"] = certificate.mds_method
-    dd, qd = certificate.dual_distance, certificate.quantum_distance
+    dd = certificate.dual_distance
     entry["dual_distance"] = {"value": dd.value, "exact": dd.exact, "method": dd.method}
-    entry["quantum"] = {
-        "q": code.tower.q,
-        "n": code.n,
-        "k": code.n - 2 * code.k,
-        "d": qd.value,
-        "d_exact": qd.exact,
-        "d_method": qd.method,
-    }
+    entry["quantum"] = stabilizer_params(CertifiedCode(code, certificate, (), None)).to_json_dict()
     entry["verdict"] = "CERTIFIED"
     entry["time_s"] = round(time.perf_counter() - start, 4)
     _emit(entry)
@@ -486,8 +473,6 @@ def main(argv=None) -> int:
     except AgqError as exc:
         request = {key: val for key, val in vars(args).items() if key != "func"}
         _emit(rejection_entry(request, exc, time.perf_counter() - start))
-        if isinstance(exc, CapExceeded):
-            return EXIT_BUDGET
         return EXIT_PARSE if isinstance(exc, UnwritableOutput) else EXIT_REJECTED
 
 

@@ -292,7 +292,7 @@ def _word_blocks(tower: FieldTower, heads: np.ndarray, rows: np.ndarray, tail: n
         yield from _word_blocks(tower, more, rows[1:], tail)
 
 
-def exhaustive_distance(code: LinearCode, cap: int | None = None) -> DistanceResult:
+def exhaustive_distance(code: LinearCode) -> DistanceResult:
     """True minimum weight over the (q^{2k}-1)/(q^2-1) projective codewords
     (scaling preserves weight), weighed a pencil at a time.  Each projective word
     is the last row t = g[k-1] alone or h + a.t, with h a projective word of rows
@@ -301,17 +301,16 @@ def exhaustive_distance(code: LinearCode, cap: int | None = None) -> DistanceRes
     and for every a or none where t_j = 0, as h_j is zero or not.  So one
     bincount over (head, -h_j/t_j) weighs all q^2 words of every head in a block
     of at most _CHUNK heads; the work is (q^{2k-2}-1)/(q^2-1) heads of n entries.
-    Zero words, which only dependent rows give, are not counted.  The cap
-    applies to q^{2k}, the size of the whole code."""
+    Zero words, which only dependent rows give, are not counted.  A code of
+    more than config.EXHAUSTIVE_CAP words, q^{2k}, raises CapExceeded."""
     tower = code.tower
     zero = tower.zero_code
     q2, k, n = tower.q2, code.k, code.n
     if k == 0:
         return DistanceResult(n + 1, True, None, "degenerate")
     total = q2 ** k
-    limit = cap if cap is not None else config.exhaustive_cap()
-    if total > limit:
-        raise CapExceeded(total, limit)
+    if total > config.EXHAUSTIVE_CAP:
+        raise CapExceeded(total, config.EXHAUSTIVE_CAP)
     t = code.g[k - 1]
     live = t != zero
     root = tower.vneg(tower.vinv(t[live]))  # h_j * root_j = -h_j/t_j
@@ -487,9 +486,7 @@ def dual_distance_by_columns(
     return DistanceResult(cap + 1, False, None, "column-scan-lower-bound")
 
 
-def is_mds(
-    code: LinearCode, ops_budget: int | None = None
-) -> tuple[bool | None, tuple | None, str, DistanceResult]:
+def is_mds(code: LinearCode) -> tuple[bool | None, tuple | None, str, DistanceResult]:
     """Is every k-subset of the columns of G independent, and what is d(C^perp)?
 
     The two questions are one: every k columns are independent exactly when
@@ -497,7 +494,7 @@ def is_mds(
     a twisted-Vandermonde row shape, or a reduced systematic form [I | A] with
     a pivot past column k-1, a zero in A, or a generalized-Cauchy A, each
     verified entry by entry.  An MDS code has d(C^perp) = k+1 (Singleton).
-    Otherwise the column scan (ops_budget caps it) gives d(C^perp) and, where
+    Otherwise the column scan (AGQ_CAP_OPS caps it) gives d(C^perp) and, where
     no certificate applied, the verdict: exact k+1 is MDS, an exact d <= k is
     not (the dependent set padded with the lowest unused columns is a singular
     k-subset), and a lower bound leaves the flag None.
@@ -512,7 +509,7 @@ def is_mds(
         verdict = _systematic_mds_screen(code)
     if verdict is not None and verdict[0]:
         return (*verdict, DistanceResult(k + 1, True, None, "mds-singleton"))
-    dd = dual_distance_by_columns(code, ops_budget=ops_budget)
+    dd = dual_distance_by_columns(code)
     if verdict is not None:
         return (*verdict, dd)
     if not dd.exact:
@@ -609,18 +606,18 @@ def _vandermonde_shape(tower: FieldTower, g: np.ndarray) -> bool:
 # -- the certificate ----------------------------------------------------------------
 
 
-def certify(code: LinearCode, ops_budget: int | None = None) -> Certificate:
+def certify(code: LinearCode) -> Certificate:
     """Gram certificate, MDS verdict, d(C^perp) and quantum distance of one code.
 
     The Hermitian Gram check comes first, and a nonzero Gram ends
-    certification.  is_mds then decides MDS-ness and d(C^perp), with
-    ops_budget capping its column scan, and _quantum_distance checks on the
-    scan's witness whether d(C^perp) is also the quantum distance.
+    certification.  is_mds then decides MDS-ness and d(C^perp), and
+    _quantum_distance checks on the scan's witness whether d(C^perp) is also
+    the quantum distance.
     """
     gram = hermitian_gram(code)
     if not gram.all_zero:
         return Certificate(gram)
-    mds, witness, method, dd = is_mds(code, ops_budget)
+    mds, witness, method, dd = is_mds(code)
     return Certificate(gram, mds, witness, method, dd, _quantum_distance(code, dd))
 
 

@@ -1,9 +1,10 @@
 """Enumeration budgets and size caps.
 
-All caps are configuration, not constants: the environment variable
-AGQ_CAP_OPS overrides the elementary-operation budget of the dual-distance
-column scan, which decides both MDS-ness and d(C^perp).  It does not touch the
-exhaustive word cap, whose unit (codewords) and default differ.
+Each budget is read by the one search that spends it.  The environment
+variable AGQ_CAP_OPS sets the elementary-operation budget of the dual-distance
+column scan, which decides both MDS-ness and d(C^perp); it is the only way to
+set it.  It does not touch the exhaustive word cap, whose unit (codewords)
+differs and which has no override.
 """
 
 import os
@@ -13,8 +14,8 @@ from .errors import BadRequest
 # largest field GF(p^{2m}) for which full log/Zech tables are built
 DEFAULT_FIELD_CAP = 2 ** 22
 
-# exhaustive codeword enumeration: q^{2k} must stay below this
-DEFAULT_EXHAUSTIVE_CAP = 2 ** 26
+# exhaustive codeword enumeration: q^{2k} must not exceed this
+EXHAUSTIVE_CAP = 2 ** 21
 
 # elementary field operations allowed per column-scan call
 DEFAULT_OPS_CAP = 10 ** 8
@@ -29,7 +30,3 @@ def ops_cap() -> int:
     if not raw.strip().isdecimal() or int(raw) <= 0:
         raise BadRequest(f"AGQ_CAP_OPS must be a positive integer, got {raw!r}")
     return int(raw)
-
-
-def exhaustive_cap() -> int:
-    return DEFAULT_EXHAUSTIVE_CAP

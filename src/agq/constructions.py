@@ -74,7 +74,6 @@ class CertifiedCode:
     code: LinearCode
     certificate: Certificate  # its Gram certificate is all zero
     trace: tuple
-    genus: int
     designed_distance: int | None
     # embedding metadata for genus-0 evaluation chains
     eval_set: EvaluationSet | None = None
@@ -92,8 +91,8 @@ class CertifiedCode:
         return self.code.k
 
 
-def _certify(code: LinearCode, budget: int | None) -> Certificate:
-    certificate = certify(code, budget)
+def _certify(code: LinearCode) -> Certificate:
+    certificate = certify(code)
     if not certificate.gram.all_zero:
         raise GramNonzero(*certificate.gram.first_nonzero)
     return certificate
@@ -105,19 +104,17 @@ def _line_chain_member(
     k: int,
     provenance: str,
     trace: tuple,
-    budget: int | None,
 ) -> CertifiedCode:
     tower = eval_set.tower
     g = grs_rows(tower, eval_set, twist, range(k))
     code = LinearCode(tower, g, provenance=provenance)
-    certificate = _certify(code, budget)
+    certificate = _certify(code)
     n = code.n
     b_values = tuple(((tower.q + 1) * j) % (n - 1) for j in range(k)) if n > 1 else ()
     return CertifiedCode(
         code=code,
         certificate=certificate,
         trace=trace + (f"B(j) residues for j=1..{k}: {list(b_values)}",),
-        genus=0,
         designed_distance=n - (k - 1),
         eval_set=eval_set,
         twist=twist,
@@ -132,7 +129,6 @@ def _curve_pipeline(
     k: int,
     provenance: str,
     trace: tuple,
-    budget: int | None,
 ) -> CertifiedCode:
     tower = spec.tower
     tv = twist_vector(xs)
@@ -142,7 +138,7 @@ def _curve_pipeline(
     code = evaluation_code(
         tower, basis, xs.codes[owner], y, tv.codes[owner], provenance=provenance
     )
-    certificate = _certify(code, budget)
+    certificate = _certify(code)
     return CertifiedCode(
         code=code,
         certificate=certificate,
@@ -152,7 +148,6 @@ def _curve_pipeline(
             f"x-support size {xs.n}, rational points {len(owner)}",
             f"monomials {list(basis.monomials)}",
         ),
-        genus=spec.genus,
         designed_distance=len(owner) - (k - 1),
     )
 
@@ -161,15 +156,13 @@ def thm_key_k_max(n_points: int, q: int, genus: int) -> int:
     return (n_points + q + 2 * genus - 1) // (q + 1)
 
 
-def construct(request: ConstructionRequest, ops_budget: int | None = None) -> CertifiedCode:
+def construct(request: ConstructionRequest) -> CertifiedCode:
     """Run the full pipeline for one request (embedding policy applied)."""
-    chain = construct_chain(request, ops_budget=ops_budget)
+    chain = construct_chain(request)
     return chain[-1]
 
 
-def construct_chain(
-    request: ConstructionRequest, ops_budget: int | None = None
-) -> list[CertifiedCode]:
+def construct_chain(request: ConstructionRequest) -> list[CertifiedCode]:
     """Like construct, but returns every chain member the policy produced.
     Each member's build_s is its own build-and-certify time, not the chain's."""
     start = perf_counter()
@@ -188,27 +181,25 @@ def construct_chain(
             raise DivisibilityViolated(
                 f"n = {request.n} is not t(q-1)+1 = {t * (tower.q - 1) + 1}"
             )
-        base = deep_dimension(tower, t, embed=False, ops_budget=ops_budget)
+        base = deep_dimension(tower, t, embed=False)
         chain = [replace(base, build_s=perf_counter() - start)]
         try:
-            chain.append(embed_once(base, ops_budget=ops_budget))
+            chain.append(embed_once(base))
         except EmbeddingRejected:
             pass
         return chain
-    base = _construct_base(request, tower, ops_budget)
+    base = _construct_base(request, tower)
     chain = [replace(base, build_s=perf_counter() - start)]
     if request.embed == "once":
-        chain.append(embed_once(base, ops_budget=ops_budget))
+        chain.append(embed_once(base))
     elif request.embed == "iterate":
-        chain.extend(embed_iterate(base, ops_budget=ops_budget))
+        chain.extend(embed_iterate(base))
     elif request.embed != "none":
         raise BadRequest(f"unknown embedding policy {request.embed!r}")
     return chain
 
 
-def _construct_base(
-    request: ConstructionRequest, tower: FieldTower, budget: int | None
-) -> CertifiedCode:
+def _construct_base(request: ConstructionRequest, tower: FieldTower) -> CertifiedCode:
     q = tower.q
     cons = request.construction
     anchor = tower.parse(request.anchor) if request.anchor else None
@@ -254,7 +245,7 @@ def _construct_base(
                      f"{tower.format(tower.element(es.params['anchor_code']))}",)
         tv = twist_vector(es)
         k = request.k if request.k is not None else thm_key_k_max(es.n, q, 0)
-        return _line_chain_member(es, tv, k, f"{cons}[{es.n},{k}]", trace, budget)
+        return _line_chain_member(es, tv, k, f"{cons}[{es.n},{k}]", trace)
 
     if cons == "c5":
         spec = curve(CurveFamily.ELLIPTIC, tower, c=c_const)
@@ -302,10 +293,10 @@ def _construct_base(
         raise BadRequest(f"unknown construction {cons!r}")
 
     k = request.k if request.k is not None else thm_key_k_max(n_pts, q, spec.genus)
-    return _curve_pipeline(spec, xs, k, f"{cons}[{n_pts},k={k}]", trace, budget)
+    return _curve_pipeline(spec, xs, k, f"{cons}[{n_pts},k={k}]", trace)
 
 
-def embed_once(cert: CertifiedCode, ops_budget: int | None = None) -> CertifiedCode:
+def embed_once(cert: CertifiedCode) -> CertifiedCode:
     """One embedding step: append the next power row, certified by Gram.
 
     The candidate either keeps the length (when the new row pairs to zero
@@ -369,7 +360,7 @@ def embed_once(cert: CertifiedCode, ops_budget: int | None = None) -> CertifiedC
         code = LinearCode(tower, g, provenance=f"embed[{g.shape[1]},{k + 1}]")
     except RankDefect as exc:
         raise EmbeddingRejected(f"rank defect at k+1 = {k + 1}: {exc}") from None
-    certificate = certify(code, ops_budget)
+    certificate = certify(code)
     if not certificate.gram.all_zero:
         raise EmbeddingRejected(
             f"Gram nonzero at k+1 = {k + 1} ({case})",
@@ -379,7 +370,6 @@ def embed_once(cert: CertifiedCode, ops_budget: int | None = None) -> CertifiedC
         code=code,
         certificate=certificate,
         trace=cert.trace + tuple(notes) + (f"embed: {case}; accepted {label}",),
-        genus=0,
         designed_distance=code.n - k,
         eval_set=cert.eval_set,
         twist=cert.twist,
@@ -389,21 +379,19 @@ def embed_once(cert: CertifiedCode, ops_budget: int | None = None) -> CertifiedC
     )
 
 
-def embed_iterate(cert: CertifiedCode, ops_budget: int | None = None) -> list[CertifiedCode]:
+def embed_iterate(cert: CertifiedCode) -> list[CertifiedCode]:
     """Apply embed_once until rejection; returns the (possibly empty) chain."""
     out = []
     cur = cert
     while True:
         try:
-            cur = embed_once(cur, ops_budget=ops_budget)
+            cur = embed_once(cur)
         except EmbeddingRejected:
             return out
         out.append(cur)
 
 
-def deep_dimension(
-    tower: FieldTower, t: int, embed: bool = True, ops_budget: int | None = None
-) -> CertifiedCode:
+def deep_dimension(tower: FieldTower, t: int, embed: bool = True) -> CertifiedCode:
     """The floor(n/2t)-dimensional code on the t(q-1)+1 roots of x^n - x.
 
     Requires t | (q+1); the optional embedding step applies the usual
@@ -421,7 +409,7 @@ def deep_dimension(
         f"deep case: (n-1) {'divides' if (k2 * (q + 1)) % (n - 1) == 0 else 'does not divide'} "
         f"k''(q+1) = {k2 * (q + 1)}",
     )
-    base = _line_chain_member(es, tv, k2, f"deep[{n},{k2}]", trace, ops_budget)
+    base = _line_chain_member(es, tv, k2, f"deep[{n},{k2}]", trace)
     if not embed:
         return base
-    return embed_once(base, ops_budget=ops_budget)
+    return embed_once(base)

@@ -6,15 +6,13 @@ column scan gives d(C^perp_H) = d(C^perp) (entrywise Frobenius preserves
 Hamming weight), a lower bound on d; it is reported as exact only when the
 scan's witness gives a word of that weight outside C, when C is MDS with
 n > 2k, or when n = 2k (then C^perp_H = C, and an [[n, 0]] code's distance is
-d(C^perp_H)).  Designed bounds from the construction are stored alongside but
-never reported as d.
+d(C^perp_H)).  A designed bound from the construction is never reported as d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import certify
 from .constructions import CertifiedCode
 from .errors import DistanceNotExact
 
@@ -29,7 +27,6 @@ class QuantumParams:
     d_method: str
     mds: bool | None  # None = unknown (distance not exact)
     defect: int | None  # quantum Singleton defect, when d is exact
-    designed_dual_distance: int | None = None
 
     def params_string(self) -> str:
         mark = "" if self.d_exact else ">="
@@ -48,29 +45,20 @@ class QuantumParams:
         }
 
 
-def stabilizer_params(cert: CertifiedCode, ops_budget: int | None = None) -> QuantumParams:
-    """[[n, n-2k, min wt(C^perp_H \\ C)]]_q for a Gram-certified [n, k] code.
-
-    Reads the code's certificate; a caller-supplied budget recertifies a code
-    whose recorded budget left d(C^perp) as a lower bound.
-    """
+def stabilizer_params(cert: CertifiedCode) -> QuantumParams:
+    """[[n, n-2k, min wt(C^perp_H \\ C)]]_q for a Gram-certified [n, k] code,
+    read from the code's certificate."""
     code = cert.code
-    certificate = cert.certificate
-    if ops_budget is not None and not certificate.dual_distance.exact:
-        certificate = certify(code, ops_budget)
-    qd = certificate.quantum_distance
+    qd = cert.certificate.quantum_distance
     n, k_q, q = code.n, code.n - 2 * code.k, code.tower.q
-    designed = None
-    if cert.genus is not None:
-        designed = code.k + 1 - 2 * cert.genus  # dual-side designed bound; may be vacuous
     if qd.exact:
         defect = n - k_q - 2 * qd.value + 2
-        return QuantumParams(q, n, k_q, qd.value, True, qd.method, defect == 0, defect, designed)
-    return QuantumParams(q, n, k_q, qd.value, False, qd.method, None, None, designed)
+        return QuantumParams(q, n, k_q, qd.value, True, qd.method, defect == 0, defect)
+    return QuantumParams(q, n, k_q, qd.value, False, qd.method, None, None)
 
 
 def singleton_defect(params: QuantumParams) -> int:
     """n - k - 2d + 2; demands an exact distance."""
     if not params.d_exact:
         raise DistanceNotExact("singleton defect needs an exact distance")
-    return params.n - params.k - 2 * params.d + 2
+    return params.defect

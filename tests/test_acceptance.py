@@ -126,7 +126,7 @@ def test_criterion_3_artin_schreier_q3():
     report(3, f"[15,3] d=12 exhaustive over 91 projective words, dual d=3, [[15,9,3]]_3 in {elapsed:.2f}s")
 
 
-def test_criterion_4_elliptic():
+def test_criterion_4_elliptic(monkeypatch):
     start = time.perf_counter()
     spec = curve(CurveFamily.ELLIPTIC, build_tower(2, 2))
     xs = x_support(spec)
@@ -142,7 +142,8 @@ def test_criterion_4_elliptic():
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"{elapsed:.2f}s"
     # q = 8: certification plus a budgeted dual-distance lower bound only
-    cert8 = construct(ConstructionRequest("c5", 2, 3, k=9), ops_budget=10 ** 6)
+    monkeypatch.setenv("AGQ_CAP_OPS", str(10 ** 6))
+    cert8 = construct(ConstructionRequest("c5", 2, 3, k=9))
     assert cert8.code.params() == (80, 8)
     assert cert8.certificate.gram.all_zero
     dd8 = dual_distance_by_columns(cert8.code, ops_budget=10 ** 6)

@@ -61,7 +61,10 @@ def test_verify_reference_matrices(capsys):
 def test_verify_example_1_quantum(capsys):
     code, out = run_cli(capsys, "verify", str(DATA / "f169_25_7.txt"), "--systematic-prefix")
     entry = json.loads(out)
-    assert entry["quantum"] == {"q": 13, "n": 25, "k": 11, "d": 8, "d_exact": True, "d_method": "mds-singleton"}
+    assert entry["quantum"] == {
+        "q": 13, "n": 25, "k": 11, "d": 8, "d_exact": True,
+        "d_method": "mds-singleton", "mds": True, "defect": 0,
+    }
 
 
 # the 3x7 GF(4) code of tests/test_quantum.py: impure, d(C^perp_H) = 2, quantum d = 3
@@ -94,6 +97,27 @@ def test_verify_budget_capped_is_certified_with_a_bound(tmp_path, capsys, monkey
     assert entry["dual_distance"] == {"value": 2, "exact": False, "method": "column-scan-lower-bound"}
     assert entry["quantum"]["d_exact"] is False
     assert entry["quantum"]["d_method"] == "column-scan-lower-bound"
+
+
+def test_construct_under_a_budget_is_certified_with_a_bound(capsys, monkeypatch):
+    monkeypatch.setenv("AGQ_CAP_OPS", "10")
+    code, out = run_cli(capsys, "construct", "--c9", "--p", "3", "--m", "1", "--t", "2", "--k", "4")
+    assert code == 0
+    entry = json.loads(out)
+    assert entry["verdict"] == "CERTIFIED"
+    assert (entry["quantum"]["d"], entry["quantum"]["d_exact"]) == (2, False)
+
+
+def test_catalog_distance_stops_at_the_exhaustive_cap(capsys):
+    """Hermitian-curve codes over GF(16): the [64,5] code has 2^20 words, within
+    the 2^21 cap, and gets its exhaustive d; the [64,6] code has 2^24, so its
+    classical d is null, and the command still exits 0."""
+    for k, params, d, method in [(10, (64, 5), 55, "exhaustive"), (11, (64, 6), None, None)]:
+        code, out = run_cli(capsys, "construct", "--c7", "--case", "i", "--p", "2", "--m", "2", "--n", "16", "--k", str(k))
+        assert code == 0
+        classical = json.loads(out)["classical"]
+        assert (classical["n"], classical["k"], classical["mds"]) == (*params, False)
+        assert (classical["d"], classical["d_method"]) == (d, method)
 
 
 def test_verify_identity_rejected(tmp_path, capsys):

@@ -66,6 +66,25 @@ def random_short_code(rng):
             return LinearCode(tw, g, provenance="random", verify_rank=False)
 
 
+def random_sparse_code(rng):
+    """A full-rank [4..12, k <= 3] code over GF(4), GF(9) or GF(16) whose entries
+    are zero a fifth of the time, whose columns are zero one time in twenty, and
+    whose columns after the first are a unit multiple of an earlier one a fifth
+    of the time, so that light words and small distances stay common."""
+    tw = build_tower(*[(2, 1), (3, 1), (2, 2)][rng.integers(3)])
+    n = int(rng.integers(4, 13))
+    k = int(rng.integers(1, 4))
+    while True:
+        g = rng.integers(0, tw.n_units, size=(k, n)).astype(np.int32)
+        g[rng.random((k, n)) < 0.2] = tw.zero_code
+        g[:, rng.random(n) < 0.05] = tw.zero_code
+        for j in range(1, n):
+            if rng.random() < 0.2:
+                g[:, j] = tw.vmul(int(rng.integers(tw.n_units)), g[:, rng.integers(j)])
+        if rank(tw, g) == k:
+            return LinearCode(tw, g, provenance="random", verify_rank=False)
+
+
 def assert_double_dual_is_the_code(code):
     dd = dual(dual(code, "euclidean"), "euclidean")
     r1, _ = rref(code.tower, code.g)
@@ -326,6 +345,10 @@ def test_exhaustive_distance_cap():
     code = LinearCode(tw, grs_rows(tw, es, tv, range(5)))
     with pytest.raises(CapExceeded):
         exhaustive_distance(code)
+    # GF(16): 16^5 = 2^20 words are within the 2^21 cap, 16^6 = 2^24 are not
+    assert exhaustive_distance(construct(ConstructionRequest("c7i", 2, 2, n=16, k=10)).code).value == 55
+    with pytest.raises(CapExceeded):
+        exhaustive_distance(construct(ConstructionRequest("c7i", 2, 2, n=16, k=11)).code)
 
 
 def full_enumeration_distance(code):
@@ -504,8 +527,9 @@ def test_zero_code_degenerate():
     assert (dd.value, dd.exact) == (1, True)
 
 
-def test_dual_by_columns_lower_bound_budget():
-    cert = construct(ConstructionRequest("c5", 2, 3, k=9), ops_budget=10 ** 6)
+def test_dual_by_columns_lower_bound_budget(monkeypatch):
+    monkeypatch.setenv("AGQ_CAP_OPS", str(10 ** 6))
+    cert = construct(ConstructionRequest("c5", 2, 3, k=9))
     dd = dual_distance_by_columns(cert.code, ops_budget=10 ** 6)
     assert not dd.exact
     assert dd.method == "column-scan-lower-bound"
@@ -517,12 +541,10 @@ def assert_dual_scan_equals_exhaustive(code):
     assert exhaustive_distance(code).value == d_col, (code.tower, code.g)
 
 
-# 1000 codes as 100 examples of 10: generating one hypothesis example costs a few
-# ms, about as much as checking one small code, so one code per example would
-# nearly double the test's time.  Hypothesis repeats list elements: the sample
-# holds 240 distinct codes (hypothesis 6.155)
+# 1000 codes as 100 seeded batches of 10, since hypothesis lists repeat their
+# elements: 999 distinct codes, 233 of them with d(C) <= 2 (hypothesis 6.155)
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.lists(uniform_codes(st.integers(1, 3), st.integers(4, 12)), min_size=10, max_size=10))
+@given(seeded_batch(random_sparse_code))
 def test_dual_by_columns_equals_exhaustive_small(codes):
     """cross-oracle equivalence: d(C) via column scan on dual == exhaustive."""
     for code in codes:
@@ -796,8 +818,8 @@ def test_hermitian_dual_distance_equals_euclidean_dual_distance(code):
 
 
 def test_ops_cap_env_override(monkeypatch):
-    cert = construct(ConstructionRequest("c5", 2, 3, k=9), ops_budget=10 ** 6)
     monkeypatch.setenv("AGQ_CAP_OPS", "1000000")
+    cert = construct(ConstructionRequest("c5", 2, 3, k=9))
     dd = dual_distance_by_columns(cert.code)
     assert not dd.exact and dd.method == "column-scan-lower-bound"
     monkeypatch.delenv("AGQ_CAP_OPS")
@@ -899,7 +921,7 @@ def test_embedded_coset_code_mds():
     assert flag
 
 
-def test_is_mds_cap():
+def test_is_mds_cap(monkeypatch):
     # the embedded [6,3] has no structural certificate, so the column scan decides
     from agq.constructions import construct_chain
 
@@ -907,7 +929,8 @@ def test_is_mds_cap():
     assert code.params() == (6, 3)
     flag, witness, method, dd = is_mds(code)
     assert (flag, witness, method) == (True, None, "column-scan") and dd.value == 4 and dd.exact
-    flag, witness, method, dd = is_mds(code, ops_budget=10)
+    monkeypatch.setenv("AGQ_CAP_OPS", "10")
+    flag, witness, method, dd = is_mds(code)
     assert (flag, witness, method) == (None, None, "column-scan-lower-bound") and not dd.exact
 
 

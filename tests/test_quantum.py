@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+import agq.codes
 from agq.codes import DistanceResult, LinearCode, certify, dual
 from agq.constructions import (
     CertifiedCode,
     ConstructionRequest,
     construct,
+    construct_chain,
     deep_dimension,
+    embed_iterate,
     embed_once,
 )
 from agq.errors import DistanceNotExact
@@ -44,7 +47,7 @@ def test_artin_schreier_quantum_params():
 def test_degenerate_k0():
     tw = build_tower(3, 1)
     code = LinearCode(tw, np.zeros((0, 7), dtype=np.int32))
-    cert = CertifiedCode(code=code, certificate=certify(code), trace=(), genus=0, designed_distance=None)
+    cert = CertifiedCode(code=code, certificate=certify(code), trace=(), designed_distance=None)
     qp = stabilizer_params(cert)
     assert (qp.n, qp.k, qp.d) == (7, 7, 1)
     assert qp.defect == 0
@@ -57,20 +60,40 @@ def test_defect_arithmetic():
     assert qp.defect == 64 - 58 - 2 * 3 + 2 == 2
 
 
-def test_defect_requires_exact_distance():
-    cert = construct(ConstructionRequest("c5", 2, 3, k=9), ops_budget=10 ** 6)
-    qp = stabilizer_params(cert, ops_budget=10 ** 6)
+def test_defect_requires_exact_distance(monkeypatch):
+    monkeypatch.setenv("AGQ_CAP_OPS", str(10 ** 6))
+    cert = construct(ConstructionRequest("c5", 2, 3, k=9))
+    qp = stabilizer_params(cert)
     assert not qp.d_exact
     assert qp.mds is None and qp.defect is None
     with pytest.raises(DistanceNotExact):
         singleton_defect(qp)
 
 
-def test_caller_budget_recertifies_a_bound():
-    cert = construct(ConstructionRequest("c9", 3, 1, t=2, k=4), ops_budget=10)
+def test_environment_budget_reaches_every_entry_point(monkeypatch):
+    """AGQ_CAP_OPS is the one column-scan budget: construct, construct_chain and
+    the embedding steps all certify under it, and a structural certificate
+    never reaches the scan that reads it."""
+    monkeypatch.setenv("AGQ_CAP_OPS", "10")
+    cert = construct(ConstructionRequest("c9", 3, 1, t=2, k=4))
     assert not cert.certificate.dual_distance.exact
-    assert stabilizer_params(cert).params_string() == "[[15,9,>=2]]_3"  # the recorded bound
-    assert stabilizer_params(cert, ops_budget=10 ** 6).params_string() == "[[15,9,3]]_3"
+    assert stabilizer_params(cert).params_string() == "[[15,9,>=2]]_3"
+    scanned = []
+    scan = agq.codes.dual_distance_by_columns
+
+    def spy(code, *args, **kwargs):
+        scanned.append(code.params())
+        return scan(code, *args, **kwargs)
+
+    monkeypatch.setattr(agq.codes, "dual_distance_by_columns", spy)
+    chain = construct_chain(ConstructionRequest("c1", 5, 1, n=5, embed="iterate"))
+    assert [stabilizer_params(c).params_string() for c in chain] == ["[[5,3,2]]_5", "[[5,1,3]]_5", "[[6,0,>=2]]_5"]
+    assert [c.certificate.mds_method for c in chain] == ["vandermonde", "vandermonde", "column-scan-lower-bound"]
+    assert scanned == [(6, 3)]
+    assert stabilizer_params(embed_once(chain[1])).params_string() == "[[6,0,>=2]]_5"
+    assert [stabilizer_params(c).params_string() for c in embed_iterate(chain[0])] == ["[[5,1,3]]_5", "[[6,0,>=2]]_5"]
+    monkeypatch.delenv("AGQ_CAP_OPS")
+    assert stabilizer_params(embed_once(chain[1])).params_string() == "[[6,0,4]]_5"
 
 
 def test_mds_input_gives_k_plus_one_distance():
@@ -138,6 +161,6 @@ def test_impure_code_distance_is_a_lower_bound():
     certificate = certify(IMPURE_GF4)
     assert certificate.dual_distance == DistanceResult(2, True, (0, 3), "column-scan")
     assert certificate.quantum_distance == DistanceResult(2, False, (0, 3), "impure-lower-bound")
-    cert = CertifiedCode(code=IMPURE_GF4, certificate=certificate, trace=(), genus=0, designed_distance=None)
+    cert = CertifiedCode(code=IMPURE_GF4, certificate=certificate, trace=(), designed_distance=None)
     qp = stabilizer_params(cert)
     assert qp.params_string() == "[[7,1,>=2]]_2" and qp.mds is None and qp.defect is None
