@@ -550,38 +550,39 @@ def _systematic_mds_screen(code: LinearCode):
 
 
 def _cauchy_verify(tower: FieldTower, a: np.ndarray) -> bool:
-    """Does a[i][j] = c_i*d_j/(x_i - y_j) hold for recoverable parameters?
+    """Is a (at least 2 x 2) a generalized Cauchy matrix c_i*d_j/(x_i - y_j)
+    with all x_i and y_j distinct, one of them possibly the point at infinity
+    of the projective line (a row or a column c_i*d_j)?
 
-    Gauge-fixes x_0 = 0, x_1 = 1, c_0 = c_1 = 1, recovers y and d from the
-    first two rows and x and c from the first two columns, and verifies
-    every entry plus the distinctness of all x_i and y_j together.  Such a
-    matrix has no zero entry, which keeps every division below defined.
-    Returns False on any degeneracy; the column scan then decides.
+    In homogeneous coordinates such a matrix is a[i][j] = 1/det(P_i, Q_j) for
+    points P_i, Q_j of the line, and every square submatrix has a nonzero
+    Cauchy determinant.  So the entrywise inverse b must have rank 2, each row
+    a combination s_i*b[0] + t_i*b[1] (P_i = (s_i : t_i), P_0 = (1 : 0),
+    P_1 = (0 : 1)), with the row points distinct and the column points
+    (b[0][j] : b[1][j]) distinct.  A matrix with a zero entry is rejected
+    first, which keeps every division below defined.  Returns False on any
+    degeneracy; the column scan then decides.
     """
     zero = tower.zero_code
     if (a == zero).any():
         return False
-    # a[0, j] = -d_j/y_j and a[1, j] = d_j/(1 - y_j), so rho = y/(y - 1)
-    rho = tower.vdiv(a[1], a[0])
-    denom = tower.vsub(rho, 0)
-    if (denom == zero).any():
+    b = tower.vinv(a)
+    # s_i, t_i from columns 0 and 1 by Cramer's rule
+    det = tower.vsub(tower.vmul(b[0, 0], b[1, 1]), tower.vmul(b[0, 1], b[1, 0]))
+    if det == zero:
         return False
-    y = tower.vdiv(rho, denom)
-    d = tower.vneg(tower.vmul(y, a[0]))
-    # a[i, 0]/a[i, 1] = (d_0/d_1) (x_i - y_1)/(x_i - y_0) for i >= 2
-    ratio = tower.vdiv(tower.vmul(a[2:, 0], d[1]), tower.vmul(a[2:, 1], d[0]))
-    denom = tower.vsub(ratio, 0)
-    if (denom == zero).any():
+    s = tower.vdiv(tower.vsub(tower.vmul(b[2:, 0], b[1, 1]), tower.vmul(b[2:, 1], b[1, 0])), det)
+    t = tower.vdiv(tower.vsub(tower.vmul(b[0, 0], b[2:, 1]), tower.vmul(b[0, 1], b[2:, 0])), det)
+    combination = tower.vadd(tower.vmul(s[:, None], b[0]), tower.vmul(t[:, None], b[1]))
+    if not np.array_equal(b[2:], combination) or (s == zero).any() or (t == zero).any():
         return False
-    x = np.concatenate([[zero, 0], tower.vdiv(tower.vsub(tower.vmul(ratio, y[0]), y[1]), denom)])
-    # c_i = a[i, 0] (x_i - y_0)/d_0 is nonzero once x_i != y_0
-    c = np.concatenate([[0, 0], tower.vdiv(tower.vmul(a[2:, 0], tower.vsub(x[2:], y[0])), d[0])])
-    ordered = np.sort(np.concatenate([x, y]))
-    if (ordered[1:] == ordered[:-1]).any():
-        return False
-    lhs = tower.vmul(a, tower.vsub(x[:, None], y[None, :]))
-    rhs = tower.vmul(c[:, None], d[None, :])
-    return bool(np.array_equal(lhs, rhs))
+    # P_i = P_0 or P_1 exactly when t_i or s_i is 0; other points are distinct
+    # exactly when their ratios are, and so are the column points
+    for ratios in (tower.vdiv(s, t), tower.vdiv(b[1], b[0])):
+        ordered = np.sort(ratios)
+        if (ordered[1:] == ordered[:-1]).any():
+            return False
+    return True
 
 
 def _vandermonde_shape(tower: FieldTower, g: np.ndarray) -> bool:

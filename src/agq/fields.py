@@ -17,7 +17,12 @@ once: the fibers over a whole array of right-hand sides are one gather.
 The defining modulus of GF(p^{2m}) is the Conway polynomial when the size is
 in the built-in table, so that t-power listings are comparable with standard
 computer-algebra output; otherwise the lexicographically least primitive
-polynomial is used.
+polynomial is used.  The search for it tests the norm of a root, then
+irreducibility (Euler's criterion on the discriminant at degree 2 with p odd,
+Ben-Or's test otherwise), then the order of x, from powers that share their
+squarings.  The tables are built at run time from the modulus: the powers of t
+by doubling, each doubling step a few gathers per power from q-entry tables,
+and the log, Zech and additive tables from those powers.
 """
 
 from __future__ import annotations
@@ -117,43 +122,23 @@ def _poly_rem(a, b, p):
     return a
 
 
-def _poly_powmod(base, e, f, p):
-    n = len(f) - 1
-    result = None  # the power 1 until the first set bit of e
-    b = _poly_mulmod(base, [1], f, p)
-    while e:
-        if e & 1:
-            result = b if result is None else _poly_mulmod(result, b, f, p)
-        e >>= 1
-        if e:
-            b = _poly_mulmod(b, b, f, p)
-    return result or [1] + [0] * (n - 1)
-
-
-def _is_primitive_poly(f, p) -> bool:
-    """True when x has full multiplicative order modulo f."""
-    if f[0] == 0:
-        return False
-    n = len(f) - 1
-    order = p ** n - 1
-    one = [1] + [0] * (n - 1)
-    if _poly_powmod([0, 1], order, f, p) != one:
-        return False
-    return all(_poly_powmod([0, 1], order // r, f, p) != one for r in _prime_factors(order))
-
-
 def _has_small_factor(f, p) -> bool:
     """Ben-Or's test: does monic f of degree d >= 2 with f(0) != 0 have a
     factor of degree <= d/2?
 
     Every irreducible factor of degree j divides x^(p^j) - x, so f is
     irreducible exactly when gcd(f, x^(p^j) - x) = 1 for j = 1 .. d/2.  The
-    test stops at the first j with a nontrivial gcd.
+    test stops at the first j with a nontrivial gcd.  Each x^(p^j) is the p-th
+    power of the one before, and h^p = sum h_i x^(ip), as h_i^p = h_i in GF(p).
     """
     h = [0, 1]
     for _ in range((len(f) - 1) // 2):
-        h = _poly_powmod(h, p, f, p)  # x^(p^j) mod f, of length d
-        a, b = f, _poly_rem(h[:1] + [h[1] - 1] + h[2:], f, p)
+        power = [0] * (p * len(h) - p + 1)
+        power[::p] = h
+        h = _poly_rem(power, f, p)  # x^(p^j) mod f
+        h_minus_x = h + [0] * (2 - len(h))
+        h_minus_x[1] -= 1
+        a, b = f, _poly_rem(h_minus_x, f, p)
         while b:
             a, b = b, _poly_rem(a, b, p)
         if len(a) > 1:
@@ -164,11 +149,20 @@ def _has_small_factor(f, p) -> bool:
 def _least_primitive_poly(p, deg):
     """Lexicographically least primitive monic polynomial (packed-value order).
 
-    Two necessary conditions reject most candidates before the order of x is
-    tested: (-1)^deg f(0), the norm of a root, must generate GF(p)*, and f
-    must be irreducible, which Ben-Or's test (_has_small_factor) decides.
+    Three tests in turn, cheapest first.  (-1)^deg f(0), the norm of a root,
+    must generate GF(p)*.  f must be irreducible: at degree 2 with p odd,
+    exactly when its discriminant is a non-square (Euler's criterion), and
+    otherwise when Ben-Or's test (_has_small_factor) finds no small factor.
+    Modulo an irreducible f with f(0) != 0, x^(p^deg - 1) = 1 (Lidl and
+    Niederreiter, Finite Fields, Thm 3.3), so x is primitive exactly when
+    x^((p^deg - 1)/r) != 1 for every prime r of p^deg - 1.  For r dividing
+    p - 1 that power is the norm to the power (p - 1)/r, which the first test
+    has checked, so only the other primes are tried, smallest first.
     """
     factors = _prime_factors(p - 1)
+    order = p ** deg - 1
+    cofactors = [order // r for r in sorted(_prime_factors(order) - factors)]
+    one = [1] + [0] * (deg - 1)
     sign = -1 if deg % 2 else 1
     for packed in range(1, p ** deg):
         coeffs = []
@@ -180,7 +174,23 @@ def _least_primitive_poly(p, deg):
         if norm == 0 or any(pow(norm, (p - 1) // r, p) == 1 for r in factors):
             continue
         f = coeffs + [1]
-        if not _has_small_factor(f, p) and _is_primitive_poly(f, p):
+        if deg == 2 and p > 2:
+            if pow(coeffs[1] ** 2 - 4 * coeffs[0], (p - 1) // 2, p) != p - 1:
+                continue
+        elif _has_small_factor(f, p):
+            continue
+        # x^(2^i) mod f, squared as far as the next exponent needs
+        squares = [[0, 1] + [0] * (deg - 2)]
+        for e in cofactors:
+            while len(squares) < e.bit_length():
+                squares.append(_poly_mulmod(squares[-1], squares[-1], f, p))
+            power = None
+            for i, square in enumerate(squares):
+                if e >> i & 1:
+                    power = square if power is None else _poly_mulmod(power, square, f, p)
+            if power == one:
+                break
+        else:
             return tuple(f)
     raise AssertionError("no primitive polynomial found")  # unreachable for prime p
 
@@ -196,6 +206,15 @@ class AdditiveMap(Enum):
 class FieldTower:
     """GF(p) < GF(q=p^m) < GF(q^2) with full log / Zech tables and the
     additive table, plus Cayley tables when q^2 <= 2^9.
+
+    ``_build_tables`` writes each power of t as its low and high m digits,
+    two numbers below q.  Given t^0 .. t^(k-1), the powers t^k .. t^(2k-1)
+    are their products with t^k; multiplication by t^k is GF(p)-linear, so
+    each half of a product is the digit-wise sum of the images of the two
+    halves, read from q-entry tables.  The sum is one gather: the images are
+    written in base 2p-1, where two of them add with no carry, and a table of
+    (2p-1)^m entries maps such a sum to its digits mod p.  That is O(q^2)
+    gathered entries in all, with no matrix product larger than q x m.
 
     The additive table ``_words`` holds t^e in additive form for every
     log-sum e <= 2(q^2-1)-2 (e mod q^2-1), then the zero word; up to
@@ -227,53 +246,71 @@ class FieldTower:
     # -- table construction ---------------------------------------------
 
     def _build_tables(self):
-        p, deg, n, q2 = self.p, 2 * self.m, self.n_units, self.q2
+        p, m, q, deg, n, q2 = self.p, self.m, self.q, 2 * self.m, self.n_units, self.q2
         # digits(t * x) = digits(x) @ step: the transposed companion matrix
-        step = np.zeros((deg, deg), dtype=np.int64)
-        step[np.arange(deg - 1), np.arange(1, deg)] = 1
+        # (float64, so that matrix products take BLAS: every entry stays below deg * p^2)
+        step = np.eye(deg, k=1)
         step[deg - 1] = [(-c) % p for c in self.modulus[:deg]]
         weights = p ** np.arange(deg, dtype=np.int64)
-        # digit rows of t^0 .. t^(width-1) by doubling, while step becomes
-        # (C^width)^T; every product is reduced mod p, so no entry exceeds deg * p^2
-        width = 1 << (n.bit_length() // 2)
-        block = np.eye(1, deg, dtype=np.int64)
-        while len(block) < width:
-            block = np.concatenate([block, block @ step % p])
+        half_digits = np.arange(q)[:, None] // weights[:m] % p  # the digits of each m-digit half
+        # digit_sum: a sum of two halves written in base 2p-1 to its digits mod p
+        spread = (2 * p - 1) ** np.arange(m)
+        digit_sum = np.arange((2 * p - 1) ** m)[:, None] // spread % (2 * p - 1) % p @ weights[:m]
+        # the low and high halves of t^e, int64 (numpy's index type) so that no
+        # gather copies its index; t^e for e < deg is the single digit p^e, and
+        # step becomes (C^deg)^T, whose rows are the digits of t^deg .. t^(2 deg - 1)
+        halves = np.empty((2, n), dtype=np.int64)
+        lo, hi = halves
+        lo[:deg] = hi[:deg] = 0
+        lo[:m] = hi[m:deg] = weights[:m]
+        rows = [step[-1]]
+        while len(rows) < deg:
+            rows.append(rows[-1] @ step % p)
+        step = np.array(rows)
+        # doubling: while step is (C^k)^T, its rows :m map a low half to the digits
+        # of its product with t^k, and rows m: a high half
+        k = deg
+        while k < n:
+            c = min(k, n - k)
+            images = (half_digits @ step.reshape(2, m, deg)).astype(np.int64)
+            images %= p
+            # images[s, h]: half h of the product of t^k with each value of half s
+            images = (images.reshape(2, q, 2, m) @ spread).transpose(0, 2, 1)
+            index = images[0].take(lo[:c], axis=1)
+            index += images[1].take(hi[:c], axis=1)
+            digit_sum.take(index, out=halves[:, k : k + c], mode="clip")  # in range: no buffer
             step = step @ step % p
-        exp_val = np.empty(n, dtype=np.int64)
-        for start in range(0, n, width):
-            stop = min(start + width, n)
-            exp_val[start:stop] = block[: stop - start] @ weights
-            block = block @ step % p
-        log_val = np.full(q2, self.zero_code, dtype=np.int32)
-        log_val[exp_val] = np.arange(n, dtype=np.int32)
-        if log_val[0] != self.zero_code or np.count_nonzero(log_val != self.zero_code) != n:
-            raise AssertionError("modulus is not primitive; tables inconsistent")
-        # Zech table: zech[e] = log(1 + t^e), zero_code marks 1 + t^e = 0
-        # in place: at q^2 = 2^22 each int64 temporary is 32 MB
-        low = exp_val % p
-        plus_one = exp_val - low
-        low += 1
-        low %= p
-        plus_one += low
-        zech = log_val[plus_one]
-        del low, plus_one
-        # additive form: the digits in bit fields of floor(63/deg) bits; a packed
-        # value's word is the words of its low and high m digits, from one q-entry table
+            k += c
+        del index
+        # additive form: the digits in bit fields of floor(63/deg) bits; a word is
+        # the words of its low and high halves, from one q-entry table
         bits = 63 // deg
         self._word_shifts = bits * np.arange(deg, dtype=np.int64)
         self._word_mask = (1 << bits) - 1
         self._word_terms = self._word_mask // (p - 1)  # words one int64 sum may add
         self._digit_weights = weights
         self._word_weights = np.left_shift(1, self._word_shifts)
-        half = (np.arange(self.q)[:, None] // weights[: self.m] % p) @ self._word_weights[: self.m]
+        half = half_digits @ self._word_weights[:m]
         words = np.empty(2 * n, dtype=np.int64)
-        part = exp_val // self.q  # packed value of the high m digits
-        np.take(half, part, out=words[:n])
-        words[:n] <<= bits * self.m
-        part *= self.q
-        np.subtract(exp_val, part, out=part)  # packed value of the low m digits
-        words[:n] += half[part]
+        (half << bits * m).take(hi, out=words[:n], mode="clip")
+        words[:n] += half.take(lo)
+        exp_val = hi * q
+        exp_val += lo
+        # adding 1 to t^e adds 1 to its packed value, or 1 - p where the lowest
+        # digit is p - 1
+        np.remainder(lo, p, out=lo)
+        carry = lo == p - 1
+        del halves, lo, hi
+        log_val = np.full(q2, self.zero_code, dtype=np.int32)
+        log_val[exp_val] = np.arange(n, dtype=np.int32)
+        if log_val[0] != self.zero_code or np.count_nonzero(log_val != self.zero_code) != n:
+            raise AssertionError("modulus is not primitive; tables inconsistent")
+        # Zech table: zech[e] = log(1 + t^e), zero_code marks 1 + t^e = 0
+        plus_one = exp_val + 1
+        np.subtract(plus_one, p, out=plus_one, where=carry)
+        zech = log_val.take(plus_one)
+        del carry, plus_one
+        # the second copy of the words, touched only now that the halves are gone
         words[n : 2 * n - 1] = words[: n - 1]
         words[2 * n - 1] = 0
         self._exp_val = exp_val

@@ -145,13 +145,16 @@ def test_evaluation_code_rank_defect():
 
 @st.composite
 def cauchy_cases(draw):
-    """Distinct x_0..x_{k-1} and y_0..y_{m-1}, as FieldElements, nonzero c and
-    d, over two Cayley towers and two Zech-only ones; c_0 = c_1 one time in two."""
+    """Distinct x_0..x_{k-1} and y_0..y_{m-1}, as FieldElements, one time in two
+    with one of them None, the point at infinity; nonzero c and d, over two Cayley
+    towers and two Zech-only ones; c_0 = c_1 one time in two."""
     tw = build_tower(*draw(st.sampled_from([(3, 1), (2, 2), (7, 1), (2, 5)])))
     k = draw(st.integers(2, 5))
     m = draw(st.integers(2, min(5, tw.q2 - k)))  # k + m distinct points of GF(q^2)
     el = lambda c: FieldElement(tw, c)
     xy = [el(c) for c in draw(st.lists(st.integers(0, tw.zero_code), min_size=k + m, max_size=k + m, unique=True))]
+    if draw(st.booleans()):
+        xy[draw(st.integers(0, k + m - 1))] = None
     c = [el(v) for v in draw(st.lists(st.integers(0, tw.n_units - 1), min_size=k, max_size=k))]
     if draw(st.booleans()):
         c[1] = c[0]
@@ -160,35 +163,39 @@ def cauchy_cases(draw):
 
 
 def cauchy_matrix(tw, x, y, c, d, nonzero):
-    """c_i*d_j/(x_i - y_j) as codes, with the code nonzero where x_i = y_j."""
-    return np.asarray(
-        [[(ci * dj / (xi - yj)).code if xi != yj else nonzero for yj, dj in zip(y, d)] for xi, ci in zip(x, c)],
-        dtype=np.int32,
-    )
+    """c_i*d_j/(x_i - y_j) as codes, c_i*d_j where x_i or y_j is None (at
+    infinity), and the code nonzero where x_i = y_j."""
+
+    def entry(xi, ci, yj, dj):
+        if xi == yj:
+            return nonzero
+        if xi is None or yj is None:
+            return (ci * dj).code
+        return (ci * dj / (xi - yj)).code
+
+    return np.asarray([[entry(xi, ci, yj, dj) for yj, dj in zip(y, d)] for xi, ci in zip(x, c)], dtype=np.int32)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(cauchy_cases())
 def test_cauchy_verify_accepts_cauchy_matrices_and_rejects_changes(case):
-    """A generalized Cauchy matrix verifies unless the gauge x_0 = 0, x_1 = 1,
-    c_0 = c_1 sends a point to infinity: the map z -> r(x_0 - z)/(x_0 - x_1 +
-    (r - 1)(x_0 - z)), r = c_1/c_0, which recovery applies to every x and y,
-    has its pole at z = (r x_0 - x_1)/(r - 1).  A changed entry at i, j >= 2,
-    an x_i equal to a y_j, or a repeated x or y never verifies."""
+    """Every generalized Cauchy matrix verifies, with or without a point at
+    infinity, and whichever point a gauge x_0 = 0, x_1 = 1, c_0 = c_1 would
+    send to infinity.  A changed entry at i, j >= 2, an x_i equal to a finite
+    y_j, or a repeated x or y never verifies."""
     tw, x, y, c, d, nonzero = case
     k, m = len(x), len(y)
     a = cauchy_matrix(tw, x, y, c, d, nonzero)
-    r = c[1] / c[0]
-    pole = None if r.is_one() else (r * x[0] - x[1]) / (r - tw.one())
-    assert _cauchy_verify(tw, a) == (pole not in x + y)
+    assert _cauchy_verify(tw, a)
     if k > 2 and m > 2:
         i, j = 2 + nonzero % (k - 2), 2 + nonzero % (m - 2)
         changed = a.copy()
         changed[i, j] = (a[i, j] + 1 + nonzero % (tw.n_units - 1)) % tw.n_units
         assert not _cauchy_verify(tw, changed)
-        x_equal_y = x[:i] + [y[j]] + x[i + 1 :]
-        assert not _cauchy_verify(tw, cauchy_matrix(tw, x_equal_y, y, c, d, nonzero))
-        assert not _cauchy_verify(tw, cauchy_matrix(tw, x_equal_y, y, c, d, tw.zero_code))
+        if y[j] is not None:
+            x_equal_y = x[:i] + [y[j]] + x[i + 1 :]
+            assert not _cauchy_verify(tw, cauchy_matrix(tw, x_equal_y, y, c, d, nonzero))
+            assert not _cauchy_verify(tw, cauchy_matrix(tw, x_equal_y, y, c, d, tw.zero_code))
     # a repeated x or y makes two rows or columns proportional: a singular 2x2 minor
     if k > 2:
         repeated_x = x[:2] + [x[nonzero % 2]] + x[3:]
@@ -922,11 +929,20 @@ def test_embedded_coset_code_mds():
 
 
 def test_is_mds_cap(monkeypatch):
-    # the embedded [6,3] has no structural certificate, so the column scan decides
     from agq.constructions import construct_chain
 
+    # the embedded [6,3] is extended GRS: its systematic part verifies as Cauchy
     code = construct_chain(ConstructionRequest("c1", 5, 1, n=5, embed="iterate"))[-1].code
     assert code.params() == (6, 3)
+    assert is_mds(code)[:3] == (True, None, "cauchy")
+    # [I | A] over GF(25) with an A that is not Cauchy has no structural
+    # certificate, so the column scan decides
+    tw = build_tower(5, 1)
+    g = np.full((3, 6), tw.zero_code, dtype=np.int32)
+    g[np.arange(3), np.arange(3)] = 0
+    g[:, 3:] = [[20, 15, 12], [6, 7, 0], [1, 0, 4]]
+    code = LinearCode(tw, g)
+    assert minors_is_mds(code)[0]
     flag, witness, method, dd = is_mds(code)
     assert (flag, witness, method) == (True, None, "column-scan") and dd.value == 4 and dd.exact
     monkeypatch.setenv("AGQ_CAP_OPS", "10")

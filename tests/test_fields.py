@@ -1,27 +1,45 @@
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agq.cli import _repro_targets, _run_repro_target
+from agq.config import DEFAULT_FIELD_CAP
 from agq.errors import BadRequest, FieldTooLarge, NoConwayEntry, NotInBaseField, NotPrime, ZeroInput
 from agq.fields import (
     _CAYLEY_MAX_Q2,
     _CONWAY,
     AdditiveMap,
     FieldElement,
+    FieldTower,
     _has_small_factor,
     _is_prime,
-    _is_primitive_poly,
     _least_primitive_poly,
-    _poly_mulmod,
+    _prime_factors,
     build_tower,
     norm_preimage,
 )
 
 TOWERS_SMALL = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (2, 3)]
+
+
+def workload_fields():
+    """(p, m) of every tower that a benchmark workload or a reproduce row builds,
+    read from agqbench/bench_workloads.py and the reproduce targets."""
+    path = Path(__file__).resolve().parents[1] / "agqbench" / "bench_workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads_fields", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    requests = [r for name in workloads.SLOTS for r in workloads.pool(name)]
+    requests += [t["recipe"] for t in _repro_targets()]
+    return sorted({(r["p"], r["m"]) for r in requests})
+
+
+WORKLOAD_FIELDS = workload_fields()
 
 
 @st.composite
@@ -292,27 +310,77 @@ def test_reproduce_rows_leave_shared_tower_tables_unchanged():
         assert tower_tables(tw) == tables
 
 
+def batch_mulmod(a, b, f, p):
+    """Reference oracle: a * b mod monic f over GF(p) for a batch of (a, b, f),
+    rows of int64 arrays of d coefficients, constant first; f without its
+    leading 1.  Schoolbook multiplication and division."""
+    d = f.shape[1]
+    res = np.zeros((len(f), 2 * d - 1), dtype=np.int64)
+    for i in range(d):
+        res[:, i : i + d] += a[:, i : i + 1] * b
+    res %= p
+    for i in range(2 * d - 2, d - 1, -1):
+        res[:, i - d : i] -= res[:, i : i + 1] * f
+        res[:, i - d : i] %= p
+    return res[:, :d]
+
+
+def batch_is_one_power_of_x(f, e, p):
+    """Reference oracle: is x^e = 1 modulo each monic f (rows of batch_mulmod's
+    form), by square-and-multiply."""
+    one = np.zeros_like(f)
+    one[:, 0] = 1
+    result, square = one, (np.roll(one, 1, axis=1) if f.shape[1] > 1 else -f % p)
+    while e:
+        if e & 1:
+            result = batch_mulmod(result, square, f, p)
+        square = batch_mulmod(square, square, f, p)
+        e >>= 1
+    return (result == one).all(axis=1)
+
+
 def packed_order_scan(p, deg):
-    """Reference oracle: the first monic polynomial in packed-value order that
-    _is_primitive_poly accepts, with no filter in front of it."""
-    for packed in range(1, p ** deg):
-        f = [packed // p ** i % p for i in range(deg)] + [1]
-        if _is_primitive_poly(f, p):
-            return tuple(f)
+    """Reference oracle: the first monic polynomial f in packed-value order modulo
+    which x has full order n = p^deg - 1, that is x^n = 1 and x^(n/r) != 1 for
+    every prime r of n, with no other test in front.  Checks candidates in
+    blocks that double from 8."""
+    n = p ** deg - 1
+    start, block = 1, 8
+    while start <= n:
+        f = np.arange(start, min(start + block, n + 1))[:, None] // p ** np.arange(deg) % p
+        start, block = start + block, 2 * block
+        full = (f[:, 0] != 0) & batch_is_one_power_of_x(f, n, p)
+        for r in _prime_factors(n):
+            full &= ~batch_is_one_power_of_x(f, n // r, p)
+        if full.any():
+            return tuple(f[full.argmax()].tolist()) + (1,)
 
 
-# every field construct-large builds, plus every p^d <= 2^12
+# every field a workload builds, plus every p^d <= 2^12
 MODULUS_CASES = sorted(
-    {(2, 10), (2, 12), (2, 16), (3, 8), (7, 4), (13, 4), (31, 2), (251, 2)}
+    {(p, 2 * m) for p, m in WORKLOAD_FIELDS}
     | {(p, d) for p in range(2, 2 ** 12 + 1) if _is_prime(p) for d in range(1, 13) if p ** d <= 2 ** 12}
 )
 
 
 def test_filtered_modulus_search_matches_packed_order_scan():
-    reproduce = {(t["recipe"]["p"], 2 * t["recipe"]["m"]) for t in _repro_targets()}
-    assert reproduce <= set(MODULUS_CASES)
+    assert {(2, 12), (2, 16), (3, 8), (7, 4), (13, 4), (31, 2), (251, 2)} <= set(MODULUS_CASES)
     for p, d in MODULUS_CASES:
         assert _least_primitive_poly(p, d) == packed_order_scan(p, d), (p, d)
+
+
+# primes p with p^2 within the field cap, above the 2^12 of MODULUS_CASES
+LARGE_PRIMES = [p for p in range(65, int(DEFAULT_FIELD_CAP ** 0.5) + 1) if _is_prime(p)]
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.sampled_from(LARGE_PRIMES))
+@example(LARGE_PRIMES[-1])
+def test_degree_two_modulus_search_matches_packed_order_scan(p):
+    """Degree 2 decides irreducibility by Euler's criterion on the discriminant;
+    a sample of the primes up to 2039, the largest p with p^2 within the cap."""
+    assert LARGE_PRIMES[-1] == 2039
+    assert _least_primitive_poly(p, 2) == packed_order_scan(p, 2), p
 
 
 def reducible_monics(p, d):
@@ -416,9 +484,9 @@ def test_norm_preimage_property_suite(units):
 # -- table layer against independent oracles ---------------------------------------
 
 
-def loop_tables(tw):
-    """Reference oracle: the exponent-by-exponent build of the exp / log / Zech
-    tables that the blocked companion-matrix build replaced."""
+def loop_exp_values(tw):
+    """Reference oracle: the packed values of t^0 .. t^(n-1), exponent by
+    exponent, as the exp table was first built."""
     p, deg, n = tw.p, 2 * tw.m, tw.n_units
     exp_val = np.zeros(n, dtype=np.int64)
     digits = [0] * deg
@@ -431,24 +499,69 @@ def loop_tables(tw):
         if carry:
             for i in range(deg):
                 digits[i] = (digits[i] - carry * tw.modulus[i]) % p
+    return exp_val
+
+
+def blocked_exp_values(tw):
+    """Reference oracle: the packed values of t^0 .. t^(n-1) from the blocked
+    companion-matrix build that the doubling by gathers replaced: digit rows of a
+    block of width about sqrt(n), times powers of the companion matrix.  The
+    products are float64 for speed; every entry is an integer below deg * p^2."""
+    p, deg, n = tw.p, 2 * tw.m, tw.n_units
+    step = np.zeros((deg, deg))
+    step[np.arange(deg - 1), np.arange(1, deg)] = 1
+    step[deg - 1] = [(-c) % p for c in tw.modulus[:deg]]
+    weights = p ** np.arange(deg, dtype=np.int64)
+    width = 1 << (n.bit_length() // 2)
+    block = np.eye(1, deg, dtype=np.int64)
+    while len(block) < width:
+        block = np.concatenate([block, (block @ step).astype(np.int64) % p])
+        step = step @ step % p
+    exp_val = np.empty(n, dtype=np.int64)
+    for start in range(0, n, width):
+        stop = min(start + width, n)
+        exp_val[start:stop] = block[: stop - start] @ weights
+        block = (block @ step).astype(np.int64) % p
+    return exp_val
+
+
+def assert_tables_match(tw, exp_val):
+    """The tower's exp / log / Zech / additive tables are those that exp_val,
+    the packed value of each power of t, determines."""
+    p, deg, n = tw.p, 2 * tw.m, tw.n_units
     log_val = np.full(tw.q2, tw.zero_code, dtype=np.int32)
     log_val[exp_val] = np.arange(n, dtype=np.int32)
     plus_one = exp_val - (exp_val % p) + (exp_val % p + 1) % p
-    return exp_val, log_val, log_val[plus_one].astype(np.int32)
-
-
-@pytest.mark.parametrize("pm", sorted({(p, d // 2) for p, d in _CONWAY} | {(2, 8), (29, 1)}), ids=lambda pm: f"{pm[0]}^{2 * pm[1]}")
-def test_build_tables_match_loop(pm):
-    tw = build_tower(*pm)
-    tables = loop_tables(tw)
-    for got, want in zip((tw._exp_val, tw._log_val, tw._zech), tables):
+    for got, want in zip((tw._exp_val, tw._log_val, tw._zech), (exp_val, log_val, log_val[plus_one])):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
     # additive table: t^e's digits in fields of floor(63/2m) bits, e < 2(q^2-1)-1, then 0
-    deg = 2 * tw.m
-    digits = tables[0][:, None] // tw.p ** np.arange(deg) % tw.p
-    words = (digits << (63 // deg) * np.arange(deg)).sum(axis=1)
+    words = sum(exp_val // p ** i % p << (63 // deg) * i for i in range(deg))
     assert np.array_equal(tw._words, np.concatenate([words, words[:-1], [0]]))
+
+
+# every Conway field, every field a workload builds (GF(2^12), GF(3^8), GF(7^4),
+# GF(13^4), GF(31^2) and GF(251^2) are not Conway), GF(2^16) and GF(29^2)
+@pytest.mark.parametrize(
+    "pm", sorted({(p, d // 2) for p, d in _CONWAY} | set(WORKLOAD_FIELDS) | {(2, 8), (29, 1)}),
+    ids=lambda pm: f"{pm[0]}^{2 * pm[1]}",
+)
+def test_build_tables_match_loop(pm):
+    tw = build_tower(*pm)
+    assert_tables_match(tw, loop_exp_values(tw))
+
+
+@pytest.mark.parametrize("pm", [(2, 10), (1009, 1)], ids=lambda pm: f"{pm[0]}^{2 * pm[1]}")
+def test_build_tables_match_blocked_build(pm):
+    """Fields too large for the loop oracle: GF(2^20), and GF(1009^2), m = 1 with p > 1000."""
+    tw = build_tower(*pm)
+    assert_tables_match(tw, blocked_exp_values(tw))
+
+
+def test_non_primitive_modulus_is_rejected():
+    # x^2 + 1 is irreducible over GF(3), but x has order 4 modulo it, not 8
+    with pytest.raises(AssertionError, match="not primitive"):
+        FieldTower(3, 1, (1, 0, 1), conway=False)
 
 
 def zech_tree_sum(tw, arr, axis=-1):
@@ -489,7 +602,7 @@ def kernel_operands(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(kernel_operands())
 def test_kernels_match_packed_digit_oracle(case):
-    """Sums are digit-wise mod-p sums and products are _poly_mulmod products of
+    """Sums are digit-wise mod-p sums and products are batch_mulmod products of
     the packed values, on the Cayley path, on _zech_add/_log_mul called directly,
     and for the scalar operators."""
     tw, a, b = case
@@ -500,6 +613,10 @@ def test_kernels_match_packed_digit_oracle(case):
     diff, quot = tw.vsub(a, b), tw.vdiv(a, b)
     for out in sums + prods + [diff, quot]:
         assert out.dtype == np.int32 and out.shape == a.shape
+    digits = np.array([packed_digits(tw, c) for c in np.concatenate([a, b, quot]).tolist()])
+    f = np.tile(tw.modulus[:-1], (len(a), 1))
+    xy = batch_mulmod(digits[: len(a)], digits[len(a) : 2 * len(a)], f, p).tolist()
+    quot_y = batch_mulmod(digits[2 * len(a) :], digits[len(a) : 2 * len(a)], f, p).tolist()
     total = [0] * (2 * tw.m)
     for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
         dx, dy = packed_digits(tw, x), packed_digits(tw, y)
@@ -507,12 +624,12 @@ def test_kernels_match_packed_digit_oracle(case):
         for s in sums:
             assert packed_digits(tw, s[i]) == [(u + v) % p for u, v in zip(dx, dy)]
         for m in prods:
-            assert packed_digits(tw, m[i]) == _poly_mulmod(dx, dy, tw.modulus, p)
+            assert packed_digits(tw, m[i]) == xy[i]
         assert packed_digits(tw, diff[i]) == [(u - v) % p for u, v in zip(dx, dy)]
         if y == z:
             assert quot[i] == z
         else:
-            assert _poly_mulmod(packed_digits(tw, quot[i]), dy, tw.modulus, p) == dx
+            assert quot_y[i] == dx
         ex, ey = FieldElement(tw, x), FieldElement(tw, y)
         assert ((ex + ey).code, (ex * ey).code, (ex - ey).code) == (sums[0][i], prods[0][i], diff[i])
         if y != z:

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agq.points
@@ -27,6 +27,8 @@ from agq.points import (
     roots_of_unity_set,
     twist_vector,
 )
+
+from .test_fields import seeded_batch
 
 
 def elements(es):
@@ -254,18 +256,17 @@ def pairwise_twist(eval_set, unit_scalar):
     return tuple(values)
 
 
-@st.composite
-def point_sets(draw, towers, max_n):
+def random_point_set(rng, towers, max_n):
     """A set of at most max_n distinct points from one of the four families over
-    a tower drawn from towers (p, m).  Half of them lose the zero point, as a
-    hand-built set of the same family and parameters, so grids keep their
-    unit scalar."""
-    tower = build_tower(*draw(st.sampled_from(towers)))
+    a tower drawn from towers (p, m), each choice uniform from the numpy
+    generator rng.  Half of them lose the zero point, as a hand-built set of the
+    same family and parameters, so grids keep their unit scalar."""
+    tower = build_tower(*towers[rng.integers(len(towers))])
     q, units = tower.q, tower.n_units
-    family = draw(st.sampled_from(["roots", "coset", "grid", "explicit"]))
+    family = ("roots", "coset", "grid", "explicit")[rng.integers(4)]
     if family == "roots":
         orders = [d for d in range(1, max_n) if units % d == 0]
-        es = roots_of_unity_set(tower, draw(st.sampled_from(orders)) + 1)
+        es = roots_of_unity_set(tower, orders[rng.integers(len(orders))] + 1)
     elif family == "coset":
         shapes = [
             (n, t)
@@ -274,15 +275,21 @@ def point_sets(draw, towers, max_n):
             for t in range((q - 1) // (n // gcd(n, q + 1)))
             if (t + 1) * n < max_n
         ]
-        es = coset_union_set(tower, *draw(st.sampled_from(shapes)))
+        es = coset_union_set(tower, *shapes[rng.integers(len(shapes))])
     elif family == "grid":
-        es = affine_grid_set(tower, draw(st.integers(1, max(1, min(q, max_n // q)))))
+        es = affine_grid_set(tower, int(rng.integers(1, max(1, min(q, max_n // q)) + 1)))
     else:
-        codes = draw(st.lists(st.integers(0, units - 1), max_size=min(max_n, 24) - 1, unique=True))
-        es = explicit_set(tower, codes + [tower.zero_code])
-    if es.n > 2 and draw(st.booleans()):
+        codes = rng.choice(units, size=rng.integers(min(max_n, 24, units + 1)), replace=False)
+        es = explicit_set(tower, codes.tolist() + [tower.zero_code])
+    if es.n > 2 and rng.integers(2):
         es = EvaluationSet(tower, es.family, es.codes[es.codes != tower.zero_code], es.params)
     return es
+
+
+@st.composite
+def point_sets(draw, towers, max_n):
+    """random_point_set from a generator seeded by a hypothesis draw."""
+    return random_point_set(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), towers, max_n)
 
 
 # four Cayley towers (q^2 <= 2^9) and three Zech-only ones, in characteristic 2 and odd
@@ -374,17 +381,20 @@ def test_affine_grid_repeats_raise_without_the_anchor_guard():
 RESIDUE_TOWERS = [(3, 1), (2, 2), (5, 1), (7, 1), (11, 1), (2, 3), (3, 2), (2, 5)]
 
 
-@st.composite
-def residue_cases(draw):
-    es = draw(point_sets(RESIDUE_TOWERS, max_n=128))
-    assume(es.n >= 2)
-    return es, draw(st.integers(0, es.n - 2))
+def random_residue_case(rng):
+    """A point set of at least 2 points over a RESIDUE_TOWERS field, and an
+    exponent e <= n-2."""
+    es = random_point_set(rng, RESIDUE_TOWERS, max_n=128)
+    while es.n < 2:
+        es = random_point_set(rng, RESIDUE_TOWERS, max_n=128)
+    return es, int(rng.integers(es.n - 1))
 
 
-# 1000 checks as 100 examples of 10.  Hypothesis repeats list elements: the
-# sample holds 203 distinct (set, e) pairs (hypothesis 6.155)
+# 1000 checks as 100 seeded batches of 10: 856 distinct (set, e) pairs
+# (hypothesis 6.155).  Most repeats are structured sets over GF(9) and GF(16),
+# which have only a few dozen (set, e) pairs each
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.lists(residue_cases(), min_size=10, max_size=10))
+@given(seeded_batch(random_residue_case))
 def test_residue_identity_property_suite(cases):
     """sum_i alpha_i^e / h'(alpha_i) = 0 for 0 <= e <= n-2, on all four families."""
     for es, e in cases:

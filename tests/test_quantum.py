@@ -86,9 +86,10 @@ def test_environment_budget_reaches_every_entry_point(monkeypatch):
         return scan(code, *args, **kwargs)
 
     monkeypatch.setattr(agq.codes, "dual_distance_by_columns", spy)
-    chain = construct_chain(ConstructionRequest("c1", 5, 1, n=5, embed="iterate"))
-    assert [stabilizer_params(c).params_string() for c in chain] == ["[[5,3,2]]_5", "[[5,1,3]]_5", "[[6,0,>=2]]_5"]
-    assert [c.certificate.mds_method for c in chain] == ["vandermonde", "vandermonde", "column-scan-lower-bound"]
+    # n = 4: the [6,3] member of the n = 5 chain verifies as Cauchy and is never scanned
+    chain = construct_chain(ConstructionRequest("c1", 5, 1, n=4, embed="iterate"))
+    assert [stabilizer_params(c).params_string() for c in chain] == ["[[4,2,2]]_5", "[[5,1,3]]_5", "[[6,0,>=2]]_5"]
+    assert [c.certificate.mds_method for c in chain] == ["vandermonde", "cauchy", "column-scan-lower-bound"]
     assert scanned == [(6, 3)]
     assert stabilizer_params(embed_once(chain[1])).params_string() == "[[6,0,>=2]]_5"
     assert [stabilizer_params(c).params_string() for c in embed_iterate(chain[0])] == ["[[5,1,3]]_5", "[[6,0,>=2]]_5"]
