@@ -38,7 +38,6 @@ from .curves import (
 )
 from .fields import (
     AdditiveMap,
-    FieldElement,
     FieldTower,
     build_tower,
     norm_preimage,
@@ -53,7 +52,7 @@ from .points import (
     roots_of_unity_set,
     twist_vector,
 )
-from .quantum import QuantumParams, singleton_defect, stabilizer_params
+from .quantum import QuantumParams, stabilizer_params
 
 __version__ = "0.1.0"
 
@@ -66,7 +65,6 @@ __all__ = [
     "CurveSpec",
     "DistanceResult",
     "EvaluationSet",
-    "FieldElement",
     "FieldTower",
     "GramCertificate",
     "LinearCode",
@@ -97,7 +95,6 @@ __all__ = [
     "rational_points",
     "roots_of_unity_set",
     "rr_basis",
-    "singleton_defect",
     "stabilizer_params",
     "twist_vector",
     "x_support",

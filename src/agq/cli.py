@@ -137,7 +137,10 @@ def _request_from_args(args) -> ConstructionRequest:
         chosen.append("c7" + (args.case or "i"))
     if len(chosen) != 1:
         raise BadRequest("exactly one construction flag (--c1 .. --c10) is required")
-    leaders = tuple(int(x) for x in args.leaders.split(",")) if args.leaders else None
+    try:
+        leaders = tuple(int(x) for x in args.leaders.split(",")) if args.leaders else None
+    except ValueError:
+        raise BadRequest(f"--leaders {args.leaders!r} is not comma-separated integers") from None
     return ConstructionRequest(
         construction=chosen[0],
         p=args.p,

@@ -19,7 +19,7 @@ from . import config
 from . import points as _points
 from .curves import MonomialBasis
 from .errors import CapExceeded, ParseError, PoleAtPoint, RankDefect
-from .fields import FieldElement, FieldTower, build_tower
+from .fields import FieldTower, build_tower
 from .points import TwistVector
 
 _CHUNK = 1 << 15
@@ -50,9 +50,6 @@ class LinearCode:
             r = rank(tower, g)
             if r != self.k:
                 raise RankDefect(r, self.k)
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.tower, int(self.g[i, j]))
 
     def params(self) -> tuple[int, int]:
         return (self.n, self.k)
@@ -246,7 +243,7 @@ def hermitian_gram(code: LinearCode) -> GramCertificate:
     nz = np.argwhere(m != tower.zero_code)
     if nz.size:
         i, j = (int(v) for v in nz[0])
-        first = (i, j, tower.format(FieldElement(tower, int(m[i, j]))))
+        first = (i, j, tower.format(int(m[i, j])))
         return GramCertificate(m, False, first, _digest(code, m))
     return GramCertificate(m, True, None, _digest(code, m))
 
@@ -644,16 +641,6 @@ def _quantum_distance(code: LinearCode, dd: DistanceResult) -> DistanceResult:
     return replace(dd, exact=False, method="impure-lower-bound")
 
 
-def frobenius_code(code: LinearCode) -> LinearCode:
-    """Entrywise q-th power code C^q."""
-    return LinearCode(
-        code.tower,
-        code.tower.vfrob(code.g),
-        provenance=f"frobenius({code.provenance})",
-        verify_rank=False,
-    )
-
-
 # -- matrix text format -----------------------------------------------------------
 
 
@@ -661,9 +648,7 @@ def export_matrix(code: LinearCode) -> str:
     tower = code.tower
     lines = [f"q2={tower.p}^{2 * tower.m} n={code.n} k={code.k}"]
     for i in range(code.k):
-        lines.append(
-            " ".join(tower.format(FieldElement(tower, int(c))) for c in code.g[i])
-        )
+        lines.append(" ".join(tower.format(c) for c in code.g[i].tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -698,6 +683,8 @@ def import_matrix(
         raise ParseError(idx + 1, 1, "header must read 'q2=<p>^<2m> n=<n> k=<k>'") from None
     if deg % 2 != 0:
         raise ParseError(idx + 1, 1, f"q2 degree {deg} is odd; expected 2m")
+    if n < 1 or k < 1:
+        raise ParseError(idx + 1, 1, f"header needs n >= 1 and k >= 1, got n={n} k={k}")
     kwargs = {}
     if field_cap is not None:
         kwargs["field_cap"] = field_cap
@@ -715,7 +702,7 @@ def import_matrix(
         row = []
         for col, tok in enumerate(tokens, start=1):
             try:
-                row.append(tower.parse(tok).code)
+                row.append(tower.parse(tok))
             except ValueError as exc:
                 raise ParseError(lineno, col, str(exc)) from None
         rows.append(row)

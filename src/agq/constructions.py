@@ -31,7 +31,7 @@ from .errors import (
     GramNonzero,
     RankDefect,
 )
-from .fields import FieldElement, FieldTower, build_tower, norm_preimage
+from .fields import FieldTower, build_tower, norm_preimage
 from .points import (
     EvaluationSet,
     TwistVector,
@@ -214,7 +214,7 @@ def _construct_base(request: ConstructionRequest, tower: FieldTower) -> Certifie
         elif cons == "c2":
             if request.n is None or request.t is None:
                 raise BadRequest("c2 needs n and t")
-            if (q - 1) % request.n != 0:
+            if request.n < 1 or (q - 1) % request.n != 0:
                 raise DivisibilityViolated(
                     f"c2 needs n | q-1 (subgroup inside GF({q})); n={request.n}"
                 )
@@ -241,8 +241,7 @@ def _construct_base(request: ConstructionRequest, tower: FieldTower) -> Certifie
             if request.t is None:
                 raise BadRequest("c4 needs t")
             es = affine_grid_set(tower, request.t, anchor=anchor)
-            trace = (f"c4: affine grid t={request.t} anchor "
-                     f"{tower.format(tower.element(es.params['anchor_code']))}",)
+            trace = (f"c4: affine grid t={request.t} anchor {tower.format(es.params['anchor_code'])}",)
         tv = twist_vector(es)
         k = request.k if request.k is not None else thm_key_k_max(es.n, q, 0)
         return _line_chain_member(es, tv, k, f"{cons}[{es.n},{k}]", trace)
@@ -329,32 +328,28 @@ def embed_once(cert: CertifiedCode) -> CertifiedCode:
     new_base = tower.vmul(cert.twist.codes, tower.vpow(cert.eval_set.codes, cert.next_exponent))
     zero = tower.zero_code
     # self-pairing of the new row over the evaluation columns decides the shape
-    s_el = FieldElement(
-        tower, int(tower.vsum(tower.vmul(new_base, tower.vfrob(new_base))))
-    )
+    s = int(tower.vsum(tower.vmul(new_base, tower.vfrob(new_base))))
     pad = np.full(cert.extra_cols, zero, dtype=np.int32)
-    if s_el.is_zero():
+    if s == zero:
         new_row = np.concatenate([new_base, pad])
         g = np.vstack([cert.code.g, new_row[None, :]])
         extra = cert.extra_cols
         label = f"n' = n = {n} (self-pairing zero)"
     else:
-        minus_s = -s_el
-        if not minus_s.in_base_field():
+        minus_s = int(tower.vneg(s))
+        if minus_s % (q + 1) != 0:  # not in GF(q)
             raise EmbeddingRejected(
-                f"self-pairing {tower.format(s_el)} of the new row has no "
+                f"self-pairing {tower.format(s)} of the new row has no "
                 f"norm-compensating column entry ({case})"
             )
-        col_entry = norm_preimage(minus_s)
-        new_row = np.concatenate(
-            [new_base, pad, np.asarray([col_entry.code], dtype=np.int32)]
-        )
+        col_entry = norm_preimage(tower, minus_s)
+        new_row = np.concatenate([new_base, pad, np.asarray([col_entry], dtype=np.int32)])
         old = np.hstack([cert.code.g, np.full((k, 1), zero, dtype=np.int32)])
         g = np.vstack([old, new_row[None, :]])
         extra = cert.extra_cols + 1
         label = (
             f"n' = n+1 = {n + 1}, column entry {tower.format(col_entry)} with "
-            f"norm -{tower.format(s_el)}"
+            f"norm -{tower.format(s)}"
         )
     try:
         code = LinearCode(tower, g, provenance=f"embed[{g.shape[1]},{k + 1}]")
@@ -398,6 +393,8 @@ def deep_dimension(tower: FieldTower, t: int, embed: bool = True) -> CertifiedCo
     length-n / length-n+1 dichotomy, certified by Gram.
     """
     q = tower.q
+    if t < 1:
+        raise BadRequest(f"t must be positive, got {t}")
     if (q + 1) % t != 0:
         raise DivisibilityViolated(f"t = {t} does not divide q+1 = {q + 1}")
     n = t * (q - 1) + 1

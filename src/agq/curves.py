@@ -18,12 +18,13 @@ import numpy as np
 
 from .errors import (
     BadCharacteristic,
+    BadRequest,
     BadTraceConstant,
     EmptyFiber,
     GcdConditionViolated,
     UnsupportedFamily,
 )
-from .fields import AdditiveMap, FieldElement, FieldTower
+from .fields import AdditiveMap, FieldTower
 from .points import EvaluationSet, explicit_set, roots_of_unity_set
 
 
@@ -45,7 +46,7 @@ class CurveSpec:
     pole_y: int
     y_degree: int
     t: int | None = None
-    c: FieldElement | None = None
+    c: int | None = None  # exponent code of the elliptic constant
 
     def label(self) -> str:
         extra = ""
@@ -96,20 +97,20 @@ def semigroup_gap_count(a: int, b: int) -> int:
     return sum(1 for v in range(1, bound + 1) if v not in reachable)
 
 
-def _default_elliptic_constant(tower: FieldTower) -> FieldElement:
+def _default_elliptic_constant(tower: FieldTower) -> int:
     # degree of the top field over GF(2) is 2m: constant is 0 when 2m = 2 mod 4,
     # otherwise the smallest generator power with absolute trace 1
     if tower.m % 2 == 1:
-        return tower.zero()
+        return tower.zero_code
     trace = absolute_trace(tower, np.arange(tower.q2))
-    return tower.element(int(np.flatnonzero(trace == 0)[0]))  # code 0 is the element 1
+    return int(np.flatnonzero(trace == 0)[0])  # code 0 is the element 1
 
 
 def curve(
     family: CurveFamily,
     tower: FieldTower,
     t: int | None = None,
-    c: FieldElement | None = None,
+    c: int | None = None,
 ) -> CurveSpec:
     q = tower.q
     if family is CurveFamily.LINE:
@@ -120,9 +121,9 @@ def curve(
         if c is None:
             c = _default_elliptic_constant(tower)
         if tower.m % 2 == 1:
-            if not c.is_zero():
+            if c != tower.zero_code:
                 raise BadTraceConstant("constant must be 0 when 2m = 2 mod 4")
-        elif absolute_trace(tower, [c.code])[0] != 0:
+        elif absolute_trace(tower, [c])[0] != 0:
             raise BadTraceConstant("constant must have absolute trace 1 when 2m = 0 mod 4")
         return CurveSpec(family, tower, genus=1, pole_x=2, pole_y=3, y_degree=2, c=c)
     if family is CurveFamily.HYPERELLIPTIC:
@@ -146,7 +147,7 @@ def curve(
         )
     if family is CurveFamily.ARTIN_SCHREIER:
         if t is None or t < 1:
-            raise ValueError("Artin-Schreier family needs a positive exponent t")
+            raise BadRequest(f"Artin-Schreier family needs a positive exponent t, got {t}")
         if q % 2 == 1:
             if ((q + 1) // 2) % gcd(t, q + 1) != 0:
                 raise GcdConditionViolated("gcd(t, q+1) must divide (q+1)/2")
@@ -199,7 +200,7 @@ def _fiber_rhs(spec: CurveSpec, x) -> tuple[AdditiveMap, np.ndarray]:
     """The additive map A and the codes of A(y) over each x code: the curve is A(y) = rhs(x)."""
     tower, q = spec.tower, spec.tower.q
     if spec.family is CurveFamily.ELLIPTIC:
-        return AdditiveMap.SQUARE_PLUS_Y, tower.vadd(tower.vpow(x, 3), spec.c.code)
+        return AdditiveMap.SQUARE_PLUS_Y, tower.vadd(tower.vpow(x, 3), spec.c)
     if spec.family is CurveFamily.HYPERELLIPTIC:
         return AdditiveMap.SQUARE_PLUS_Y, tower.vpow(x, q + 1)
     if spec.family is CurveFamily.HERMITIAN:
@@ -222,8 +223,8 @@ def rational_points(spec: CurveSpec, xs: EvaluationSet) -> tuple[np.ndarray, np.
     owner, y = spec.tower.solve_additive(*_fiber_rhs(spec, xs.codes))
     empty = np.bincount(owner, minlength=xs.n) == 0
     if empty.any():
-        x0 = FieldElement(spec.tower, int(xs.codes[np.argmax(empty)]))
-        raise EmptyFiber(f"x = {spec.tower.format(x0)} is outside the admissible set")
+        x0 = spec.tower.format(int(xs.codes[np.argmax(empty)]))
+        raise EmptyFiber(f"x = {x0} is outside the admissible set")
     return owner, y
 
 

@@ -149,7 +149,3 @@ class EmbeddingRejected(AgqError):
         self.reason = reason
         self.gram_failure = gram_failure
         super().__init__(reason)
-
-
-class DistanceNotExact(AgqError):
-    pass

@@ -1,9 +1,11 @@
 """Exact arithmetic in the tower GF(p) < GF(q) < GF(q^2), q = p^m.
 
-Elements of GF(q^2) are kept in discrete-log form: an element is either zero
-or t^e for the tower generator t, with 0 <= e < q^2-1.  The vectorized numpy
-kernels used by the matrix code work on arrays of int32 exponent codes, with
-code == q^2-1 standing for zero.  For q^2 <= 2^9 (every field of `agq
+An element of GF(q^2) is its exponent code, at every interface: e for t^e,
+t the tower generator and 0 <= e < q^2-1, and q^2-1 for zero.  An element
+lies in GF(q) exactly when its code is a multiple of q+1, zero included, as
+q^2-1 = (q-1)(q+1).  Scalars are Python ints, and the vectorized numpy
+kernels work on int32 arrays of codes; FieldTower.parse and FieldTower.format
+are the only text forms.  For q^2 <= 2^9 (every field of `agq
 reproduce`) addition and multiplication are single gathers from full
 q^2 x q^2 Cayley tables of codes; above that bound, where such a table would
 not fit, addition goes through a Zech-logarithm table and multiplication is
@@ -223,12 +225,8 @@ class FieldTower:
     Immutable after construction apart from the fiber tables of
     ``solve_additive``, which are filled on first use (a race only computes
     one twice); the table arrays are read-only and every operation on
-    elements or exponent arrays is pure, so ``build_tower`` hands one tower
-    to every caller and towers are safe to share across threads.  Scalar
-    element addition reads the Zech table through a zero-copy memoryview
-    (``_zech_view``), which cannot be pickled, so towers are shared rather
-    than copied; the vector kernels and local derivatives gather from the
-    array itself.
+    exponent codes is pure, so ``build_tower`` hands one tower to every
+    caller and towers are safe to share across threads.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], conway: bool):
@@ -325,100 +323,36 @@ class FieldTower:
         for table in (exp_val, log_val, zech, words, self._add_table, self._mul_table):
             if table is not None:
                 table.flags.writeable = False
-        self._zech_view = memoryview(zech)  # one Python int per index, no numpy scalar
-
-    # -- element constructors ---------------------------------------------
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, self.zero_code)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def gen(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def element(self, exponent: int) -> "FieldElement":
-        """t^exponent (reduced mod q^2-1)."""
-        return FieldElement(self, exponent % self.n_units)
-
-    def from_value(self, value: int) -> "FieldElement":
-        """Element from its packed base-p coordinate value (0 <= value < q^2)."""
-        if value == 0:
-            return self.zero()
-        return FieldElement(self, int(self._log_val[value]))
-
-    def from_int(self, c: int) -> "FieldElement":
-        """Prime-subfield element c*1 for 0 <= c < p."""
-        return self.from_value(c % self.p)
-
-    def elements(self):
-        """All q^2 elements: t^0 .. t^(n-1), then 0."""
-        for e in range(self.n_units):
-            yield FieldElement(self, e)
-        yield self.zero()
-
-    def subfield_elements(self):
-        """All q elements of GF(q): t^0, t^(q+1), ..., then 0."""
-        for j in range(self.q - 1):
-            yield FieldElement(self, j * (self.q + 1))
-        yield self.zero()
 
     # -- text form ---------------------------------------------------------
 
-    def parse(self, token: str) -> "FieldElement":
+    def parse(self, token: str) -> int:
+        """The exponent code of a token: t, t^e (e taken mod q^2-1), or an
+        integer 0..p-1 of the prime subfield, 0 and 1 included.  Any other
+        token raises BadRequest."""
         token = token.strip()
-        if token == "0":
-            return self.zero()
-        if token == "1":
-            return self.one()
         if token == "t":
-            return self.gen()
+            return 1
         if token.startswith("t^"):
             try:
-                e = int(token[2:])
+                return int(token[2:]) % self.n_units
             except ValueError:
-                raise ValueError(f"bad exponent in token {token!r}") from None
-            return self.element(e)
+                raise BadRequest(f"bad exponent in token {token!r}") from None
         try:
             c = int(token)
         except ValueError:
-            raise ValueError(f"unrecognized element token {token!r}") from None
+            raise BadRequest(f"unrecognized element token {token!r}") from None
         if not 0 <= c < self.p:
-            raise ValueError(f"integer token {token!r} outside prime subfield 0..{self.p - 1}")
-        return self.from_int(c)
+            raise BadRequest(f"integer token {token!r} outside prime subfield 0..{self.p - 1}")
+        return int(self._log_val[c])
 
-    def format(self, el: "FieldElement") -> str:
-        if el.code == self.zero_code:
+    def format(self, code: int) -> str:
+        """The token of an exponent code: 0, 1 or t^e."""
+        if code == self.zero_code:
             return "0"
-        if el.code == 0:
+        if code == 0:
             return "1"
-        return f"t^{el.code}"
-
-    # -- scalar helpers (exponent-code arithmetic) --------------------------
-
-    def _add_codes(self, a: int, b: int) -> int:
-        n = self.n_units
-        if a == n:
-            return b
-        if b == n:
-            return a
-        z = self._zech_view[(b - a) % n]
-        if z == n:
-            return n
-        return (a + z) % n
-
-    def _mul_codes(self, a: int, b: int) -> int:
-        n = self.n_units
-        if a == n or b == n:
-            return n
-        return (a + b) % n
-
-    def _neg_code(self, a: int) -> int:
-        n = self.n_units
-        if self.p == 2 or a == n:
-            return a
-        return (a + n // 2) % n
+        return f"t^{code}"
 
     # -- vectorized kernels on int32 exponent-code arrays -------------------
 
@@ -560,93 +494,6 @@ class FieldTower:
         return f"FieldTower(p={self.p}, m={self.m}, q={self.q}, q2={self.q2}, {tag})"
 
 
-class FieldElement:
-    """Zero or t^e in a fixed tower.  Exponents are always reduced mod q^2-1."""
-
-    __slots__ = ("tower", "code")
-
-    def __init__(self, tower: FieldTower, code: int):
-        self.tower = tower
-        self.code = code
-
-    # -- predicates ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.code == self.tower.zero_code
-
-    def is_one(self) -> bool:
-        return self.code == 0
-
-    def in_base_field(self) -> bool:
-        """Membership in GF(q): zero, or (q+1) | log."""
-        return self.is_zero() or self.code % (self.tower.q + 1) == 0
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.tower, self.tower._add_codes(self.code, other.code))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.tower, self.tower._neg_code(self.code))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        tower = self.tower
-        return FieldElement(tower, tower._add_codes(self.code, tower._neg_code(other.code)))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.tower, self.tower._mul_codes(self.code, other.code))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero field element")
-        if self.is_zero():
-            return self
-        return FieldElement(self.tower, (self.code - other.code) % self.tower.n_units)
-
-    def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise ZeroDivisionError("zero has no inverse")
-        return FieldElement(self.tower, (-self.code) % self.tower.n_units)
-
-    def __pow__(self, j: int) -> "FieldElement":
-        if j == 0:
-            return self.tower.one()  # 0^0 = 1: empty-product convention
-        if self.is_zero():
-            return self
-        if j < 0:
-            return self.inverse() ** (-j)
-        return FieldElement(self.tower, (self.code * j) % self.tower.n_units)
-
-    def frobenius(self) -> "FieldElement":
-        """x -> x^q."""
-        if self.is_zero():
-            return self
-        return FieldElement(self.tower, (self.code * self.tower.q) % self.tower.n_units)
-
-    def relative_norm(self) -> "FieldElement":
-        """x^(q+1), landing in GF(q)."""
-        return self ** (self.tower.q + 1)
-
-    def relative_trace(self) -> "FieldElement":
-        """x + x^q, landing in GF(q)."""
-        return self + self.frobenius()
-
-    # -- plumbing --------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and self.code == other.code
-            and self.tower.key() == other.tower.key()
-        )
-
-    def __hash__(self):
-        return hash((self.code, self.tower.key()))
-
-    def __repr__(self):
-        return self.tower.format(self)
-
-
 def build_tower(
     p: int,
     m: int,
@@ -679,15 +526,15 @@ def _shared_tower(p: int, m: int) -> FieldTower:
     return FieldTower(p, m, _least_primitive_poly(p, 2 * m), conway=False)
 
 
-def norm_preimage(c: FieldElement) -> FieldElement:
-    """Deterministic v with v^(q+1) = c, for c in GF(q)*.
+def norm_preimage(tower: FieldTower, c: int) -> int:
+    """Deterministic code of v with v^(q+1) = c, for the code c of an element
+    of GF(q)*.
 
     Chooses v = t^(log(c)/(q+1)), the unique preimage whose log is the
     exact quotient of the (q+1)-divisible representative.
     """
-    if c.is_zero():
+    if c == tower.zero_code:
         raise ZeroInput("norm preimage of zero requested")
-    tower = c.tower
-    if c.code % (tower.q + 1) != 0:
+    if c % (tower.q + 1) != 0:
         raise NotInBaseField(f"{tower.format(c)} is not in GF({tower.q})")
-    return FieldElement(tower, c.code // (tower.q + 1))
+    return c // (tower.q + 1)

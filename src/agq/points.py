@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     AnchorInSubfield,
+    BadRequest,
     CosetSearchExhausted,
     DuplicatePoints,
     DivisibilityViolated,
@@ -26,7 +27,7 @@ from .errors import (
     NotNormValue,
     TooManyCosets,
 )
-from .fields import FieldElement, FieldTower
+from .fields import FieldTower
 
 FAMILY_ROOTS_OF_UNITY = "roots_of_unity"
 FAMILY_COSET_UNION = "coset_union"
@@ -68,21 +69,13 @@ class EvaluationSet:
     def n(self) -> int:
         return len(self.codes)
 
-    def default_unit_scalar(self) -> FieldElement:
-        """Residue normalizer: 1 except for grids, which carry (a^q - a)^(t-1)."""
+    def default_unit_scalar(self) -> int:
+        """Code of the residue normalizer: 1 except for grids, which carry
+        (a^q - a)^(t-1)."""
         if self.family == FAMILY_AFFINE_GRID:
-            anchor = self.tower.element(self.params["anchor_code"])
-            t = self.params["t"]
-            return (anchor.frobenius() - anchor) ** (t - 1)
-        return self.tower.one()
-
-    def to_json_dict(self) -> dict:
-        tower = self.tower
-        return {
-            "family": self.family,
-            "params": {k: v for k, v in self.params.items()},
-            "points": [tower.format(FieldElement(tower, c)) for c in self.codes.tolist()],
-        }
+            tower, a = self.tower, self.params["anchor_code"]
+            return int(tower.vpow(tower.vsub(tower.vfrob(a), a), self.params["t"] - 1))
+        return 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +85,7 @@ class TwistVector:
 
     tower: FieldTower
     codes: np.ndarray
-    unit_scalar: FieldElement
+    unit_scalar: int  # exponent code
 
     def __len__(self):
         return len(self.codes)
@@ -131,7 +124,7 @@ def coset_union_set(
     if t > n_cosets - 1:
         raise TooManyCosets(f"t = {t} exceeds (q-1)/n2 - 1 = {n_cosets - 1}")
     if t < 0:
-        raise ValueError("t must be non-negative")
+        raise BadRequest(f"t must be non-negative, got {t}")
 
     leader_step = (q + 1) // n1  # exponent step of the V generator
 
@@ -183,20 +176,21 @@ def coset_union_set(
 
 
 def affine_grid_set(
-    tower: FieldTower, t: int, anchor: FieldElement | None = None
+    tower: FieldTower, t: int, anchor: int | None = None
 ) -> EvaluationSet:
-    """The t*q points u_i*a + u_j over the first t base-field scalars u_i."""
+    """The t*q points u_i*a + u_j over the first t base-field scalars u_i;
+    anchor is the code of a, by default 1, the generator t."""
     q = tower.q
     if not 1 <= t <= q:
-        raise ValueError(f"t must be in 1..q, got {t}")
+        raise BadRequest(f"t must be in 1..q, got {t}")
     if anchor is None:
-        anchor = tower.gen()
-    if anchor.in_base_field():
+        anchor = 1
+    if anchor % (q + 1) == 0:
         raise AnchorInSubfield(f"anchor {tower.format(anchor)} lies in GF({q})")
     # enumeration of GF(q): 0 first, then by log ascending
     us = np.append(tower.zero_code, np.arange(0, tower.n_units, q + 1))
-    codes = tower.vadd(tower.vmul(us[:t], anchor.code)[:, None], us[None, :])
-    params = {"t": t, "anchor_code": anchor.code}
+    codes = tower.vadd(tower.vmul(us[:t], anchor)[:, None], us[None, :])
+    params = {"t": t, "anchor_code": anchor}
     es = EvaluationSet(tower, FAMILY_AFFINE_GRID, codes.ravel(), params)
     if _repeats(es.codes).any():
         raise DuplicatePoints(f"grid points u_i*a + u_j repeat for anchor {tower.format(anchor)}")
@@ -240,9 +234,10 @@ def local_derivatives(eval_set: EvaluationSet) -> np.ndarray:
 
 
 def twist_vector(
-    eval_set: EvaluationSet, unit_scalar: FieldElement | None = None
+    eval_set: EvaluationSet, unit_scalar: int | None = None
 ) -> TwistVector:
-    """v_i = norm_preimage(unit_scalar / h'(alpha_i)), on the whole code array.
+    """v_i = norm_preimage(unit_scalar / h'(alpha_i)), on the whole code array;
+    unit_scalar is an exponent code, by default eval_set.default_unit_scalar().
 
     Raises NotNormValue(i) at the first i where unit_scalar/h'(alpha_i) is
     zero, undefined or outside GF(q)*, i.e. the self-orthogonality
@@ -251,7 +246,7 @@ def twist_vector(
     tower = eval_set.tower
     if unit_scalar is None:
         unit_scalar = eval_set.default_unit_scalar()
-    n_units, norm_exp, u = tower.n_units, tower.q + 1, unit_scalar.code
+    n_units, norm_exp, u = tower.n_units, tower.q + 1, unit_scalar
     h = local_derivatives(eval_set)
     c = (u - h) % n_units  # log(unit_scalar / h')
     bad = (h == n_units) | (c % norm_exp != 0) | (u == n_units)

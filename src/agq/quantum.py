@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import CertifiedCode
-from .errors import DistanceNotExact
 
 
 @dataclass(frozen=True)
@@ -55,10 +54,3 @@ def stabilizer_params(cert: CertifiedCode) -> QuantumParams:
         defect = n - k_q - 2 * qd.value + 2
         return QuantumParams(q, n, k_q, qd.value, True, qd.method, defect == 0, defect)
     return QuantumParams(q, n, k_q, qd.value, False, qd.method, None, None)
-
-
-def singleton_defect(params: QuantumParams) -> int:
-    """n - k - 2d + 2; demands an exact distance."""
-    if not params.d_exact:
-        raise DistanceNotExact("singleton defect needs an exact distance")
-    return params.defect

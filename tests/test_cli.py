@@ -153,10 +153,23 @@ def test_verify_parse_error_exit_4(tmp_path, capsys):
         (("scan", "--construction", "c1", "--tower", "13"), "REJECTED(BadRequest)", 2),
         (("scan", "--construction", "c1", "--tower", "a,1"), "REJECTED(BadRequest)", 2),
         (("scan", "--construction", "c1", "--tower", "13,0"), "REJECTED(BadRequest)", 2),
+        # bad parameter values and tokens: verdicts, not tracebacks
+        (("construct", "--c4", "--p", "3", "--m", "1", "--t", "0"), "REJECTED(BadRequest)", 2),
+        (("construct", "--c3", "--p", "5", "--m", "1", "--n", "8", "--t", "-1"), "REJECTED(BadRequest)", 2),
+        (("construct", "--c9", "--p", "3", "--m", "1", "--t", "0", "--k", "2"), "REJECTED(BadRequest)", 2),
+        (("construct", "--c4", "--p", "3", "--m", "1", "--t", "2", "--anchor", "foo"), "REJECTED(BadRequest)", 2),
+        (("construct", "--c5", "--p", "2", "--m", "2", "--c-const", "t^x"), "REJECTED(BadRequest)", 2),
+        (("construct", "--c3", "--p", "5", "--m", "1", "--n", "8", "--t", "1", "--leaders", "x"),
+         "REJECTED(BadRequest)", 2),
+        (("construct", "--c2", "--p", "3", "--m", "1", "--n", "0", "--t", "1"), "REJECTED(DivisibilityViolated)", 2),
+        (("construct", "--c1", "--p", "3", "--m", "1", "--embed", "deep", "--t", "0"), "REJECTED(BadRequest)", 2),
+        (("construct", "--c1", "--p", "3", "--m", "1", "--n", "1", "--embed", "deep"), "REJECTED(BadRequest)", 2),
+        (("verify", "k0.txt"), "REJECTED(ParseError)", 4),
     ],
 )
 def test_failures_are_json_verdicts(capsys, tmp_path, monkeypatch, argv, verdict, exit_code):
     monkeypatch.chdir(tmp_path)  # missing.txt really is missing
+    (tmp_path / "k0.txt").write_text("q2=3^2 n=2 k=0\n")  # a header with no rows
     while "=" in argv[0]:  # leading NAME=value words set the environment, as in a shell
         name, _, value = argv[0].partition("=")
         monkeypatch.setenv(name, value)
@@ -303,6 +316,16 @@ def test_readme_library_tour_runs():
     block = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_public_names_resolve_and_elements_are_codes_only():
+    """Every name in agq.__all__ resolves, and no module of the package defines
+    or imports a scalar element class: an element is its exponent code."""
+    import agq
+
+    assert all(hasattr(agq, name) for name in agq.__all__)
+    for path in Path(agq.__file__).parent.glob("*.py"):
+        assert "FieldElement" not in path.read_text(), path.name
 
 
 def test_construct_matrix_out_verifies(tmp_path, capsys):

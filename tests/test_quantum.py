@@ -1,7 +1,6 @@
 import itertools
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 
 import agq.codes
@@ -15,9 +14,8 @@ from agq.constructions import (
     embed_iterate,
     embed_once,
 )
-from agq.errors import DistanceNotExact
 from agq.fields import build_tower
-from agq.quantum import singleton_defect, stabilizer_params
+from agq.quantum import stabilizer_params
 
 from .test_codes import self_orthogonal_codes
 
@@ -34,7 +32,6 @@ def test_q13_deep_quantum_params():
     qp = stabilizer_params(cert)
     assert (qp.n, qp.k, qp.d, qp.q) == (25, 11, 8, 13)
     assert qp.mds and qp.defect == 0
-    assert singleton_defect(qp) == 0
 
 
 def test_artin_schreier_quantum_params():
@@ -66,8 +63,6 @@ def test_defect_requires_exact_distance(monkeypatch):
     qp = stabilizer_params(cert)
     assert not qp.d_exact
     assert qp.mds is None and qp.defect is None
-    with pytest.raises(DistanceNotExact):
-        singleton_defect(qp)
 
 
 def test_environment_budget_reaches_every_entry_point(monkeypatch):
