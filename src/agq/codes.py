@@ -23,8 +23,10 @@ from .fields import FieldTower, build_tower
 from .points import TwistVector
 
 _CHUNK = 1 << 15
-_LIVE_ENTRIES = 1 << 20  # entries of one (prefixes, k, n) batch in the column scan
-_FIRST_PREFIXES = 4  # prefixes in the column scan's first batch; each later batch doubles
+# exponent codes one column-scan block may hold, its projected matrices and entry
+# points (_prefix_blocks); scan time is flat from 2^15 up, memory grows with it
+_LIVE_ENTRIES = 1 << 16
+_FIRST_PREFIXES = 4  # prefixes in the column scan's first block; each later block doubles
 
 
 class LinearCode:
@@ -339,11 +341,12 @@ def _lex_rank(combo: tuple, n: int) -> int:
 def _prefix_projections(tower: FieldTower, g: np.ndarray, pre: np.ndarray):
     """Forward elimination of g on the columns of each lex-ordered prefix in pre.
 
-    Returns (m, parent): m[parent[i]] is rows w-2.. of the eliminated matrix of
-    prefix i, its projection modulo span(prefix).  Step c depends only on the
-    first c+1 columns of a prefix, and lex order makes the prefixes that share
-    them adjacent, so step c runs once per distinct (c+1)-prefix on a copy of
-    its parent's rows c.., and rows that are no longer needed are dropped.
+    Returns (m, parent): m[parent[i]] is rows c.. of the eliminated matrix of
+    prefix i, c = pre.shape[1], its projection modulo span(prefix).  Step c
+    depends only on the first c+1 columns of a prefix, and lex order makes the
+    prefixes that share them adjacent, so step c runs once per distinct
+    (c+1)-prefix on a copy of its parent's rows c.., and rows that are no
+    longer needed are dropped.
     """
     zero = tower.zero_code
     m = g[None]
@@ -362,6 +365,66 @@ def _prefix_projections(tower: FieldTower, g: np.ndarray, pre: np.ndarray):
         factors = tower.vdiv(tower.vneg(m[ar, :, pc]), pivot_rows[ar, pc][:, None])
         m = tower.vadd(m, tower.vmul(factors[:, :, None], pivot_rows[:, None, :]))
     return m, parent
+
+
+def _entry_points(tower: FieldTower, g: np.ndarray, pre: np.ndarray, b: np.ndarray, j: np.ndarray):
+    """Column j of g modulo the span of the columns of prefix pre[b], k - w + 2
+    coordinates for each entry (b, j), w - 2 = pre.shape[1] >= 1.
+
+    _prefix_projections eliminates all but the last prefix column, once per
+    distinct (w-3)-prefix.  The last step runs only on the entries: with M
+    the projected matrix, c the last prefix column and s the first row with
+    M[s, c] != 0, the point of column j is M[i, j] - (M[i, c]/M[s, c])*M[s, j]
+    for i != s, row 0 taking the place of row s.  M is read from its
+    (distinct prefixes, n, rows) transpose, one contiguous row per entry.
+    """
+    zero = tower.zero_code
+    n = g.shape[1]
+    m, parent = _prefix_projections(tower, g, pre[:, :-1])
+    rows = m.shape[1]
+    mt = np.ascontiguousarray(m.transpose(0, 2, 1)).reshape(-1, rows)  # row parent*n + j: column j of M
+    col = mt.take(parent * n + pre[:, -1], axis=0)  # (prefixes, rows): the last prefix column
+    ar = np.arange(len(pre))
+    s = np.argmax(col != zero, axis=1)
+    pivots = col[ar, s]
+    col[ar, s] = col[:, 0].copy()  # explicit copy: s may be row 0
+    factors = tower.vdiv(tower.vneg(col[:, 1:]), pivots[:, None])
+    x = mt.take(parent.take(b) * n + j, axis=0)  # (entries, rows)
+    at = np.arange(0, x.size, rows) + s.take(b)  # M[s, j] in x.flat
+    heads = x.take(at)
+    x.put(at, x[:, 0].copy())
+    return tower.vadd(x[:, 1:], tower.vmul(factors.take(b, axis=0), heads[:, None]))
+
+
+def _prefix_blocks(k: int, n: int, w: int):
+    """The (w-2)-prefixes of range(n-2), those with a pair of columns after
+    them, in lex-ordered int64 blocks.
+
+    A block holds the (k-w+3, n) projected matrix of each distinct
+    (w-3)-prefix and k-w+2 coordinates for each entry (prefix, later column).
+    Blocks start at _FIRST_PREFIXES prefixes and double while what they hold
+    stays within _LIVE_ENTRIES entries; a block is cut where it would not, and
+    its rest opens the next one.
+    """
+    if w == 2:
+        yield np.zeros((1, 0), dtype=np.int64)
+        return
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n - 2), w - 2))
+    pre = np.zeros((0, w - 2), dtype=np.int64)
+    size = _FIRST_PREFIXES
+    while True:
+        more = np.fromiter(itertools.islice(flat, (size - len(pre)) * (w - 2)), dtype=np.int64)
+        pre = np.concatenate([pre, more.reshape(-1, w - 2)])
+        if not len(pre):
+            return
+        new = np.ones(len(pre), dtype=bool)
+        new[1:] = (pre[1:, :-1] != pre[:-1, :-1]).any(axis=1)
+        held = np.cumsum(new * (k - w + 3) * n + (n - 1 - pre[:, -1]) * (k - w + 2))
+        cut = max(1, int(np.searchsorted(held, _LIVE_ENTRIES, side="right")))
+        if cut == len(pre):
+            size *= 2
+        yield pre[:cut]
+        pre = pre[cut:]
 
 
 _KEY_MAX = np.iinfo(np.int64).max
@@ -391,34 +454,26 @@ def _first_collision(tower: FieldTower, g: np.ndarray, w: int, limit: int):
     whose first subset has lex rank < limit, or None.  Every (w-1)-subset must
     be independent, so the projections modulo a prefix's span are nonzero.
 
-    Prefixes are taken in lex-ordered blocks that grow: _FIRST_PREFIXES
-    prefixes, then twice as many each round, up to about _LIVE_ENTRIES matrix
-    entries, so a dependent set in an early prefix ends the scan after a few
-    small eliminations.  For each block, _prefix_projections eliminates shared
-    prefixes once; then every live entry (prefix b, column j > the prefix's
-    last column) becomes one exact int64 key of (b, normalized projection of
-    column j), and one stable sort puts equal keys next to each other with j
-    ascending.
+    Prefixes come in the growing blocks of _prefix_blocks, so a dependent set
+    in an early prefix ends the scan after a few small eliminations.  In each
+    block every entry (prefix b, column j > the prefix's last column) becomes
+    one exact int64 key of (b, normalized projection of column j, from
+    _entry_points), and one stable sort puts equal keys next to each other
+    with j ascending.
     """
     zero = tower.zero_code
     k, n = g.shape
-    prefixes = itertools.combinations(range(n - 2), w - 2)  # those with a pair after them
     offset = 0  # lex rank of the first subset of the next prefix
-    size, most = _FIRST_PREFIXES, max(1, _LIVE_ENTRIES // (k * n))
-    while offset < limit:
-        block = list(itertools.islice(prefixes, min(size, most)))
-        size *= 2
-        if not block:
+    for pre in _prefix_blocks(k, n, w):
+        if offset >= limit:
             return None
-        pre = np.asarray(block, dtype=np.int64).reshape(len(block), w - 2)
         top = pre.max(axis=1, initial=-1)
         pairs = (n - 1 - top) * (n - 2 - top) // 2
         ends = offset + np.cumsum(pairs)
         keep = ends - pairs < limit
         pre, top, offset = pre[keep], top[keep], int(ends[-1])
-        proj, parent = _prefix_projections(tower, g, pre)
         b, j = np.nonzero(np.arange(n)[None, :] > top[:, None])
-        points = proj[parent[b], :, j]  # (entries, k-w+2)
+        points = _entry_points(tower, g, pre, b, j) if w > 2 else g.T[j]  # (entries, k-w+2)
         lead = np.take_along_axis(points, np.argmax(points != zero, axis=1)[:, None], axis=1)
         keys = _exact_keys(b, tower.vdiv(points, lead), tower.q2)
         order = np.argsort(keys, kind="stable")
@@ -439,13 +494,14 @@ def dual_distance_by_columns(
     Scans w = 1, 2, ... up to d_max (capped at k+1, where dependence is
     guaranteed).  Once every (w-1)-subset is independent, S + {j, l} with
     |S| = w-2 is dependent exactly when columns j and l, projected modulo
-    span(S), are parallel.  So the prefixes S are eliminated in lex-ordered
-    blocks that double in size from a few prefixes up to a memory cap, each
-    elimination step once per distinct shared prefix, and the projective
-    points of the later columns of every S in a block are encoded as exact
-    int64 keys (S first) and sorted once; the lex-first dependent set is the
-    first colliding prefix's lowest colliding pair, and the scan stops at the
-    first block that holds one.
+    span(S), are parallel.  So the prefixes S are taken in lex-ordered
+    blocks that double in size from a few prefixes up to a cap on the entries
+    a block holds.  The elimination steps of all but the last column of S run
+    once per distinct shared prefix, and the last step only on the entries
+    (S, later column j) that the keys read.  The projective points of those
+    entries are encoded as exact int64 keys (S first) and sorted once; the
+    lex-first dependent set is the first colliding prefix's lowest colliding
+    pair, and the scan stops at the first block that holds one.
 
     The budget counts nominal work: k*w*2 per w-subset, charged in lex-ordered
     blocks of _CHUNK subsets, with a block started only if it fits.  That

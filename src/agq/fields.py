@@ -61,6 +61,9 @@ _CONWAY = {
 # largest q^2 with full Cayley tables: two int32 tables of q^4 entries, 1 MB each
 _CAYLEY_MAX_Q2 = 2 ** 9
 
+# powers of t one gather of the exp-table doubling writes (two int64 temporaries of 2x this)
+_TABLE_BLOCK = 1 << 16
+
 # distinct fields build_tower keeps built (reproduce touches 9)
 _SHARED_TOWERS = 16
 
@@ -124,6 +127,17 @@ def _poly_rem(a, b, p):
     return a
 
 
+def _poly_square(a, f, p):
+    """a^2 mod f.  For p = 2 the square of sum a_i x^i is sum a_i x^(2i), as
+    cross terms come in pairs, so it is a coefficient spread reduced mod f."""
+    if p != 2:
+        return _poly_mulmod(a, a, f, p)
+    spread = [0] * (2 * len(a) - 1)
+    spread[::2] = a
+    out = _poly_rem(spread, f, p)
+    return out + [0] * (len(f) - 1 - len(out))
+
+
 def _has_small_factor(f, p) -> bool:
     """Ben-Or's test: does monic f of degree d >= 2 with f(0) != 0 have a
     factor of degree <= d/2?
@@ -185,7 +199,7 @@ def _least_primitive_poly(p, deg):
         squares = [[0, 1] + [0] * (deg - 2)]
         for e in cofactors:
             while len(squares) < e.bit_length():
-                squares.append(_poly_mulmod(squares[-1], squares[-1], f, p))
+                squares.append(_poly_square(squares[-1], f, p))
             power = None
             for i, square in enumerate(squares):
                 if e >> i & 1:
@@ -274,9 +288,11 @@ class FieldTower:
             images %= p
             # images[s, h]: half h of the product of t^k with each value of half s
             images = (images.reshape(2, q, 2, m) @ spread).transpose(0, 2, 1)
-            index = images[0].take(lo[:c], axis=1)
-            index += images[1].take(hi[:c], axis=1)
-            digit_sum.take(index, out=halves[:, k : k + c], mode="clip")  # in range: no buffer
+            for start in range(0, c, _TABLE_BLOCK):  # blocks bound the int64 temporaries
+                stop = min(start + _TABLE_BLOCK, c)
+                index = images[0].take(lo[start:stop], axis=1)
+                index += images[1].take(hi[start:stop], axis=1)
+                digit_sum.take(index, out=halves[:, k + start : k + stop], mode="clip")  # in range: no buffer
             step = step @ step % p
             k += c
         del index

@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import tracemalloc
 from math import comb
 from unittest import mock
 
@@ -623,7 +624,7 @@ def nominal_spend(code, w, subsets):
 @st.composite
 def column_scan_cases(draw):
     """Full-rank [n<=16, 2<=k<=6] codes over GF(4/9/16/25/49/64) with parallel columns
-    and columns that are sums of earlier ones, plus d_max, _CHUNK, batch size and a
+    and columns that are sums of earlier ones, plus d_max, _CHUNK, block cap and a
     budget: the default, or one that ends inside some w's subsets, at a chunk
     boundary of that w or one off it, or anywhere."""
     tw = build_tower(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)])))
@@ -658,7 +659,7 @@ def column_scan_cases(draw):
         blocks = draw(st.one_of(st.sampled_from([0, 1, last]), st.integers(0, last)))
         budget = nominal_spend(code, w, min(blocks * chunk, comb(n, w))) + draw(st.sampled_from([-1, 0, 1]))
     d_max = draw(st.sampled_from([None, *range(1, k + 3)]))
-    # 1: one prefix per batch; a few prefixes per batch split shared-prefix runs across batches
+    # 1: one prefix per block; a few prefixes per block split shared-prefix runs across blocks
     live = draw(st.sampled_from([1 << 20, 1, k * n * draw(st.integers(2, 5))]))
     return code, d_max, budget, chunk, live
 
@@ -667,9 +668,9 @@ def column_scan_cases(draw):
 def planted_scan_cases(draw):
     """[n<=14, k=4..5] codes over GF(49/64) with random columns, so sets of fewer
     than w columns are independent (almost surely), and a dependent w-set planted
-    anywhere or next to the last w-subset a budget pays for.  With a batch cap of
-    2..12 prefixes the growing batches reach the cap, and a batch straddles the
-    end of the budget."""
+    anywhere or next to the last w-subset a budget pays for.  With a block cap of
+    2..12 k x n matrices the growing blocks reach the cap, and a block straddles
+    the end of the budget."""
     tw = build_tower(*draw(st.sampled_from([(7, 1), (2, 3)])))
     k, n = draw(st.integers(4, 5)), draw(st.integers(10, 14))
     w = draw(st.integers(3, k))
@@ -686,22 +687,60 @@ def planted_scan_cases(draw):
     return code, None, budget, draw(st.sampled_from([7, 100])), k * n * draw(st.integers(2, 12))
 
 
+@contextlib.contextmanager
+def scan_blocks():
+    """Record (prefixes, prefix width, entries held) for every block whose
+    points _entry_points computes: the projected matrices of its distinct
+    (w-3)-prefixes plus the k-w+2 coordinates of each of its entries."""
+    blocks, matrices = [], []
+    project, points = agq.codes._prefix_projections, agq.codes._entry_points
+
+    def spy_project(tower, g, pre):
+        m, parent = project(tower, g, pre)
+        matrices.append(m.size)
+        return m, parent
+
+    def spy_points(tower, g, pre, b, j):
+        out = points(tower, g, pre, b, j)
+        blocks.append((len(pre), pre.shape[1], matrices.pop() + out.size))
+        return out
+
+    with (
+        mock.patch.object(agq.codes, "_prefix_projections", spy_project),
+        mock.patch.object(agq.codes, "_entry_points", spy_points),
+    ):
+        yield blocks
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(column_scan_cases(), planted_scan_cases()))
+# w = 2: columns 0 and 1 are equal, found before any prefix is eliminated
+@example((code_of((2, 1), [[0, 0, 1], [1, 1, None]]), None, None, _CHUNK, 1 << 20))
+# w = 3, {0, 2, 3}: no earlier step, and prefix (0,) has a zero in row 0
+@example((code_of((2, 1), [[None, 0, None, None], [0, None, None, 0], [None, None, 0, 0]]), None, None, _CHUNK, 1 << 20))
+# w = 4, {0, 1, 2, 3}: after column 0, column 1 of prefix (0, 1) has a zero in row 0
+@example(
+    (
+        code_of(
+            (2, 1),
+            [[0, 0, None, None, None], [None, None, 0, 0, None], [None, 0, None, 0, None], [None, None, None, None, 0]],
+        ),
+        None,
+        None,
+        _CHUNK,
+        1 << 20,
+    )
+)
 def test_column_scan_matches_per_subset_scan(case):
     code, d_max, budget, chunk, live = case
-    eliminate = agq.codes._prefix_projections
-
-    def capped(tower, g, pre):  # no batch may outgrow the _LIVE_ENTRIES cap
-        assert len(pre) <= max(1, live // (code.k * code.n))
-        return eliminate(tower, g, pre)
-
     with (
         mock.patch.object(agq.codes, "_CHUNK", chunk),
         mock.patch.object(agq.codes, "_LIVE_ENTRIES", live),
-        mock.patch.object(agq.codes, "_prefix_projections", capped),
+        scan_blocks() as blocks,
     ):
         assert dual_distance_by_columns(code, d_max, budget) == per_subset_column_scan(code, d_max, budget)
+    # no block outgrows the _LIVE_ENTRIES cap, unless it is a single prefix
+    assert all(held <= live or count == 1 for count, _, held in blocks)
 
 
 @pytest.mark.parametrize("chunk, blocks", [(7, 6), (5, 15), (5, 16)])
@@ -728,26 +767,20 @@ def test_column_scan_budget_boundary(chunk, blocks, shift, exact):
 
 def test_column_scan_stops_at_the_first_dependent_prefix():
     """The lex-first dependent 4-set of this [60, 6] code over GF(64) is the planted
-    {0, 1, 2, 3}, in the first prefix (0, 1): the w = 4 scan must end after a few
-    prefixes, not after eliminating a full batch of _LIVE_ENTRIES // (k*n).  The
-    w = 3 scan finds nothing, so it takes all 58 prefixes, in doubling batches."""
+    {0, 1, 2, 3}, in the first prefix (0, 1): the w = 4 scan must end with the
+    first block of _FIRST_PREFIXES prefixes.  The w = 3 scan finds nothing, so it
+    takes all 58 prefixes, in doubling blocks, none above the _LIVE_ENTRIES cap."""
     tw, k, n = build_tower(2, 3), 6, 60
     g = np.random.default_rng(7).integers(0, tw.n_units, size=(k, n)).astype(np.int32)
     g[:, 3] = tw.vsum(np.stack([tw.vmul(e, g[:, c]) for e, c in ((5, 0), (20, 1), (41, 2))]), axis=0)
     code = LinearCode(tw, g)
-    batches = []
-    eliminate = agq.codes._prefix_projections
-
-    def spy(tower, g, pre):
-        batches.append(pre.shape)
-        return eliminate(tower, g, pre)
-
-    with mock.patch.object(agq.codes, "_prefix_projections", spy):
+    with scan_blocks() as blocks:
         res = dual_distance_by_columns(code)
     assert res == DistanceResult(4, True, (0, 1, 2, 3), "column-scan") == per_subset_column_scan(code)
-    assert sum(count for count, width in batches if width == 2) <= agq.codes._LIVE_ENTRIES // (k * n) // 100
-    sizes = [count for count, width in batches if width == 1]
+    assert [count for count, width, _ in blocks if width == 2] == [agq.codes._FIRST_PREFIXES]
+    sizes = [count for count, width, _ in blocks if width == 1]
     assert sum(sizes) == n - 2 and all(b == 2 * a for a, b in zip(sizes, sizes[1:-1]))
+    assert all(held <= agq.codes._LIVE_ENTRIES for _, _, held in blocks)
 
 
 def test_column_scan_large_field():
@@ -762,6 +795,25 @@ def test_column_scan_large_field():
     with mock.patch.object(agq.codes, "_CHUNK", 100):
         for budget in (nominal_spend(code, 4, 300) - 1, nominal_spend(code, 4, 300)):
             assert dual_distance_by_columns(code, ops_budget=budget) == per_subset_column_scan(code, ops_budget=budget)
+
+
+def test_column_scan_memory_on_the_budget_capped_row():
+    """The [80, 8] code over GF(64) of the mixed-80-64-8-q8 reproduce row: under
+    the default budget its scan certifies every 3-subset and part of the
+    4-subsets, so it ends as the lower bound 4.  The arrays its blocks hold
+    must stay small: the scan's peak of traced allocations was 10.3 MiB when
+    each block eliminated whole (prefixes, k, n) batches, and is about 1.9 MiB
+    with the last step run on the entries."""
+    code = construct(ConstructionRequest("c5", 2, 3, k=9)).code
+    assert (code.n, code.k, code.tower.q2) == (80, 8, 64)
+    tracemalloc.start()
+    try:
+        res = dual_distance_by_columns(code, ops_budget=config.DEFAULT_OPS_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == DistanceResult(4, False, None, "column-scan-lower-bound")
+    assert peak < 2.5 * 2 ** 20, peak
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from agq.fields import (
     _has_small_factor,
     _is_prime,
     _least_primitive_poly,
+    _poly_mulmod,
+    _poly_square,
     _prime_factors,
     build_tower,
     norm_preimage,
@@ -366,6 +369,19 @@ def test_filtered_modulus_search_matches_packed_order_scan():
     assert {(2, 12), (2, 16), (3, 8), (7, 4), (13, 4), (31, 2), (251, 2)} <= set(MODULUS_CASES)
     for p, d in MODULUS_CASES:
         assert _least_primitive_poly(p, d) == packed_order_scan(p, d), (p, d)
+
+
+def test_binary_squaring_matches_the_general_product():
+    """For p = 2 the order test squares by a coefficient spread; forcing every
+    square through _poly_mulmod must give the same least primitive polynomial
+    at every degree 2..22, and the same squares."""
+    rng = np.random.default_rng(3)
+    for d in range(2, 23):
+        f = _least_primitive_poly(2, d)
+        with mock.patch("agq.fields._poly_square", lambda a, f, p: _poly_mulmod(a, a, f, p)):
+            assert _least_primitive_poly(2, d) == f, d
+        for a in rng.integers(0, 2, size=(8, d)).tolist():
+            assert _poly_square(a, f, 2) == _poly_mulmod(a, a, f, 2), (d, a)
 
 
 # primes p with p^2 within the field cap, above the 2^12 of MODULUS_CASES
