@@ -368,32 +368,35 @@ def _prefix_projections(tower: FieldTower, g: np.ndarray, pre: np.ndarray):
 
 
 def _entry_points(tower: FieldTower, g: np.ndarray, pre: np.ndarray, b: np.ndarray, j: np.ndarray):
-    """Column j of g modulo the span of the columns of prefix pre[b], k - w + 2
-    coordinates for each entry (b, j), w - 2 = pre.shape[1] >= 1.
+    """Column j of g modulo the span of the columns of prefix pre[b] for each
+    entry (b, j), w - 2 = pre.shape[1] >= 1, as a (k - w + 2, entries) array
+    with one coordinate per row.
 
     _prefix_projections eliminates all but the last prefix column, once per
     distinct (w-3)-prefix.  The last step runs only on the entries: with M
     the projected matrix, c the last prefix column and s the first row with
     M[s, c] != 0, the point of column j is M[i, j] - (M[i, c]/M[s, c])*M[s, j]
-    for i != s, row 0 taking the place of row s.  M is read from its
-    (distinct prefixes, n, rows) transpose, one contiguous row per entry.
+    for i != s, row 0 taking the place of row s.  The matrices are laid out
+    as (rows, distinct prefixes * n), so every coordinate of the entries is
+    one gather from one contiguous row; with one distinct prefix (w = 3) that
+    layout is a view of M.
     """
     zero = tower.zero_code
     n = g.shape[1]
     m, parent = _prefix_projections(tower, g, pre[:, :-1])
     rows = m.shape[1]
-    mt = np.ascontiguousarray(m.transpose(0, 2, 1)).reshape(-1, rows)  # row parent*n + j: column j of M
-    col = mt.take(parent * n + pre[:, -1], axis=0)  # (prefixes, rows): the last prefix column
+    mr = m.transpose(1, 0, 2).reshape(rows, -1)  # column parent*n + j: column j of M
+    col = mr.take(parent * n + pre[:, -1], axis=1)  # (rows, prefixes): the last prefix column
     ar = np.arange(len(pre))
-    s = np.argmax(col != zero, axis=1)
-    pivots = col[ar, s]
-    col[ar, s] = col[:, 0].copy()  # explicit copy: s may be row 0
-    factors = tower.vdiv(tower.vneg(col[:, 1:]), pivots[:, None])
-    x = mt.take(parent.take(b) * n + j, axis=0)  # (entries, rows)
-    at = np.arange(0, x.size, rows) + s.take(b)  # M[s, j] in x.flat
+    s = np.argmax(col != zero, axis=0)
+    pivots = col[s, ar]
+    col[s, ar] = col[0]  # row 0 changes only where s = 0, to itself
+    factors = tower.vdiv(tower.vneg(col[1:]), pivots)
+    x = mr.take(parent.take(b) * n + j, axis=1)  # (rows, entries)
+    at = s.take(b) * x.shape[1] + np.arange(x.shape[1])  # M[s, j] in x.flat
     heads = x.take(at)
-    x.put(at, x[:, 0].copy())
-    return tower.vadd(x[:, 1:], tower.vmul(factors.take(b, axis=0), heads[:, None]))
+    x.reshape(-1)[at] = x[0]  # as above: row 0 changes only where s = 0, to itself
+    return tower.vadd(x[1:], tower.vmul(factors.take(b, axis=1), heads))
 
 
 def _prefix_blocks(k: int, n: int, w: int):
@@ -404,7 +407,9 @@ def _prefix_blocks(k: int, n: int, w: int):
     (w-3)-prefix and k-w+2 coordinates for each entry (prefix, later column).
     Blocks start at _FIRST_PREFIXES prefixes and double while what they hold
     stays within _LIVE_ENTRIES entries; a block is cut where it would not, and
-    its rest opens the next one.
+    its rest opens the next one.  What a block holds is counted prefix by
+    prefix only when its bound, a full matrix and n - 1 entries per prefix,
+    exceeds the cap.
     """
     if w == 2:
         yield np.zeros((1, 0), dtype=np.int64)
@@ -412,15 +417,19 @@ def _prefix_blocks(k: int, n: int, w: int):
     flat = itertools.chain.from_iterable(itertools.combinations(range(n - 2), w - 2))
     pre = np.zeros((0, w - 2), dtype=np.int64)
     size = _FIRST_PREFIXES
+    most = (k - w + 3) * n + (n - 1) * (k - w + 2)  # held per prefix, at most
     while True:
         more = np.fromiter(itertools.islice(flat, (size - len(pre)) * (w - 2)), dtype=np.int64)
         pre = np.concatenate([pre, more.reshape(-1, w - 2)])
         if not len(pre):
             return
-        new = np.ones(len(pre), dtype=bool)
-        new[1:] = (pre[1:, :-1] != pre[:-1, :-1]).any(axis=1)
-        held = np.cumsum(new * (k - w + 3) * n + (n - 1 - pre[:, -1]) * (k - w + 2))
-        cut = max(1, int(np.searchsorted(held, _LIVE_ENTRIES, side="right")))
+        if len(pre) * most <= _LIVE_ENTRIES:
+            cut = len(pre)
+        else:
+            new = np.ones(len(pre), dtype=bool)
+            new[1:] = (pre[1:, :-1] != pre[:-1, :-1]).any(axis=1)
+            held = np.cumsum(new * (k - w + 3) * n + (n - 1 - pre[:, -1]) * (k - w + 2))
+            cut = max(1, int(np.searchsorted(held, _LIVE_ENTRIES, side="right")))
         if cut == len(pre):
             size *= 2
         yield pre[:cut]
@@ -431,16 +440,18 @@ _KEY_MAX = np.iinfo(np.int64).max
 
 
 def _exact_keys(b: np.ndarray, points: np.ndarray, q2: int) -> np.ndarray:
-    """One int64 per row of (b, points) whose order is the rows' lexicographic
-    order, so equal rows and only equal rows share a key.
+    """One int64 per entry of (b, points), points holding one coordinate per
+    row, whose order is the entries' lexicographic order, so equal entries
+    and only equal entries share a key.
 
     The key is b followed by the coordinates (exponent codes < q2) as digits in
-    radix q2.  Whenever the next digit could overflow int64, the key built so
-    far is first replaced by its dense rank, which keeps its order.
+    radix q2, each digit one row of points.  Whenever the next digit could
+    overflow int64, the key built so far is first replaced by its dense rank,
+    which keeps its order.
     """
     key = b.astype(np.int64)
     bound = int(key.max(initial=0))
-    for digit in points.T:
+    for digit in points:
         if bound > (_KEY_MAX - (q2 - 1)) // q2:
             distinct, key = np.unique(key, return_inverse=True)
             bound = len(distinct) - 1
@@ -457,9 +468,11 @@ def _first_collision(tower: FieldTower, g: np.ndarray, w: int, limit: int):
     Prefixes come in the growing blocks of _prefix_blocks, so a dependent set
     in an early prefix ends the scan after a few small eliminations.  In each
     block every entry (prefix b, column j > the prefix's last column) becomes
-    one exact int64 key of (b, normalized projection of column j, from
-    _entry_points), and one stable sort puts equal keys next to each other
-    with j ascending.
+    one exact int64 key of (b, projection of column j from _entry_points,
+    scaled so that its first nonzero coordinate is 1).  A plain sort of the
+    keys and a compare of neighbours tell whether any two are equal.  Only a
+    block where some are does one stable sort, which puts equal keys next to
+    each other with j ascending, and reads the witness from it.
     """
     zero = tower.zero_code
     k, n = g.shape
@@ -472,10 +485,18 @@ def _first_collision(tower: FieldTower, g: np.ndarray, w: int, limit: int):
         ends = offset + np.cumsum(pairs)
         keep = ends - pairs < limit
         pre, top, offset = pre[keep], top[keep], int(ends[-1])
-        b, j = np.nonzero(np.arange(n)[None, :] > top[:, None])
-        points = _entry_points(tower, g, pre, b, j) if w > 2 else g.T[j]  # (entries, k-w+2)
-        lead = np.take_along_axis(points, np.argmax(points != zero, axis=1)[:, None], axis=1)
-        keys = _exact_keys(b, tower.vdiv(points, lead), tower.q2)
+        # entry (b, j) for every prefix b and column j > top[b], b ascending, then j
+        count = n - 1 - top
+        b = np.repeat(np.arange(len(pre)), count)
+        j = np.arange(len(b)) + np.repeat(top + 1 - (np.cumsum(count) - count), count)
+        points = _entry_points(tower, g, pre, b, j) if w > 2 else g.take(j, axis=1)  # (k-w+2, entries)
+        lead = points[-1]
+        for row in points[-2::-1]:
+            lead = np.where(row != zero, row, lead)
+        keys = _exact_keys(b, tower.vmul(points, tower.vinv(lead)), tower.q2)
+        ordered = np.sort(keys)
+        if not (ordered[1:] == ordered[:-1]).any():
+            continue
         order = np.argsort(keys, kind="stable")
         b, j, keys = b[order], j[order], keys[order]
         hits = np.nonzero(keys[1:] == keys[:-1])[0]
@@ -498,10 +519,12 @@ def dual_distance_by_columns(
     blocks that double in size from a few prefixes up to a cap on the entries
     a block holds.  The elimination steps of all but the last column of S run
     once per distinct shared prefix, and the last step only on the entries
-    (S, later column j) that the keys read.  The projective points of those
-    entries are encoded as exact int64 keys (S first) and sorted once; the
-    lex-first dependent set is the first colliding prefix's lowest colliding
-    pair, and the scan stops at the first block that holds one.
+    (S, later column j) that the keys read, one coordinate row at a time.  The
+    projective points of those entries are encoded as exact int64 keys (S
+    first), and a plain sort of each block's keys finds whether any repeat.
+    The scan stops at the first block where some do: one stable sort of that
+    block gives the lex-first dependent set, the first colliding prefix's
+    lowest colliding pair.
 
     The budget counts nominal work: k*w*2 per w-subset, charged in lex-ordered
     blocks of _CHUNK subsets, with a block started only if it fits.  That

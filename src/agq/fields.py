@@ -6,10 +6,11 @@ lies in GF(q) exactly when its code is a multiple of q+1, zero included, as
 q^2-1 = (q-1)(q+1).  Scalars are Python ints, and the vectorized numpy
 kernels work on int32 arrays of codes; FieldTower.parse and FieldTower.format
 are the only text forms.  For q^2 <= 2^9 (every field of `agq
-reproduce`) addition and multiplication are single gathers from full
-q^2 x q^2 Cayley tables of codes; above that bound, where such a table would
-not fit, addition goes through a Zech-logarithm table and multiplication is
-exponent addition.  Long sums (vsum, Gram entries) use the additive form
+reproduce`) addition and multiplication are each one take from a full
+q^2 x q^2 Cayley table of codes, at the int32 index a*q^2 + b of the
+broadcast operands; above that bound, where such a table would not fit,
+addition goes through a Zech-logarithm table and multiplication is exponent
+addition.  Long sums (vsum, Gram entries) use the additive form
 instead: each element's 2m base-p digits packed into one int64, a bit field
 of floor(63/2m) bits per digit, so that many elements add as plain integers
 before any digit needs reducing mod p.  The fibers of the additive maps the
@@ -377,14 +378,14 @@ class FieldTower:
         b = np.asarray(b, dtype=np.int32)
         if self._add_table is None:
             return self._zech_add(a, b)
-        return self._add_table[a * self.q2 + b]
+        return self._add_table.take(a * np.int32(self.q2) + b)
 
     def vmul(self, a, b):
         a = np.asarray(a, dtype=np.int32)
         b = np.asarray(b, dtype=np.int32)
         if self._mul_table is None:
             return self._log_mul(a, b)
-        return self._mul_table[a * self.q2 + b]
+        return self._mul_table.take(a * np.int32(self.q2) + b)
 
     def _zech_add(self, a, b):
         n = self.n_units

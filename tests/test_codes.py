@@ -802,8 +802,9 @@ def test_column_scan_memory_on_the_budget_capped_row():
     the default budget its scan certifies every 3-subset and part of the
     4-subsets, so it ends as the lower bound 4.  The arrays its blocks hold
     must stay small: the scan's peak of traced allocations was 10.3 MiB when
-    each block eliminated whole (prefixes, k, n) batches, and is about 1.9 MiB
-    with the last step run on the entries."""
+    each block eliminated whole (prefixes, k, n) batches, about 1.9 MiB with
+    the last step run on the entries, and is about 2.3 MiB since the Cayley
+    lookups gather with take, which widens their int32 indices to int64."""
     code = construct(ConstructionRequest("c5", 2, 3, k=9)).code
     assert (code.n, code.k, code.tower.q2) == (80, 8, 64)
     tracemalloc.start()
@@ -816,10 +817,67 @@ def test_column_scan_memory_on_the_budget_capped_row():
     assert peak < 2.5 * 2 ** 20, peak
 
 
+@contextlib.contextmanager
+def stable_sorts():
+    """Record the length of every array np.argsort sorts stably: the column scan
+    sorts stably only in a block whose keys repeat, to read the witness."""
+    calls = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        if kwargs.get("kind") == "stable":
+            calls.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    with mock.patch.object(np, "argsort", spy):
+        yield calls
+
+
+def planted_vandermonde(k, sources):
+    """The [12, k] Vandermonde code over GF(64), every k columns independent, with
+    column 11 replaced by a combination of the source columns."""
+    tw = build_tower(2, 3)
+    g = np.stack([tw.vpow(np.arange(12), i) for i in range(k)]).astype(np.int32)
+    g[:, 11] = tw.vsum(np.stack([tw.vmul(5 * i + 3, g[:, c]) for i, c in enumerate(sources)]), axis=0)
+    return LinearCode(tw, g, provenance="planted")
+
+
+@pytest.mark.parametrize("pm, k", [((2, 3), 3), ((2, 3), 4), ((7, 1), 4)])
+def test_column_scan_without_repeated_keys_never_sorts_stably(pm, k):
+    """A [12, k] Vandermonde code has no dependent set of k or fewer columns: the
+    scan runs every w = 2..k over several blocks, and no block has a repeated key."""
+    tw = build_tower(*pm)
+    code = LinearCode(tw, np.stack([tw.vpow(np.arange(12), i) for i in range(k)]).astype(np.int32))
+    with scan_blocks() as blocks, stable_sorts() as calls:
+        res = dual_distance_by_columns(code)
+    assert res == DistanceResult(k + 1, True, tuple(range(k + 1)), "column-scan")
+    assert len([width for _, width, _ in blocks if width == k - 2]) > 1
+    assert calls == []
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(planted_scan_cases().map(lambda case: (case[0], case[4])))
+# w = 3, found in prefix (4,): the second block
+@example((planted_vandermonde(3, (4, 5)), 1 << 20))
+# w = 4, found in prefix (4, 5): the fourth block, after blocks of 4, 8 and 16 prefixes
+@example((planted_vandermonde(4, (4, 5, 10)), 1 << 20))
+# w = 3: prefix (0,) collides at (4, 5) and prefix (1,) at (2, 3), both in the first block
+@example((code_of((2, 1), [[0, None, None, None, 0, 2], [None, 0, None, 0, 1, 2], [None, None, 0, 0, 0, 1]]), 1 << 20))
+def test_column_scan_sorts_stably_once_to_read_the_witness(case):
+    """A code with a planted dependent set: the blocks before the one that holds
+    the lex-first dependent set have no repeated key, and that block is sorted
+    stably once, to read the same witness as the per-subset scan."""
+    code, live = case
+    with mock.patch.object(agq.codes, "_LIVE_ENTRIES", live), stable_sorts() as calls:
+        res = dual_distance_by_columns(code)
+    assert res.exact and res == per_subset_column_scan(code)
+    assert len(calls) == 1
+
+
 @st.composite
 def keyed_rows(draw):
-    """(q2, b, points): prefix indices and coordinate rows, with repeated rows and
-    coordinates near q2 - 1."""
+    """(q2, b, digits): prefix indices and one coordinate per row of digits, with
+    repeated entries and coordinates near q2 - 1."""
     q2 = draw(st.sampled_from([4, 64, 289, 2 ** 16, 2 ** 22]))
     width, size = draw(st.integers(0, 8)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -827,17 +885,17 @@ def keyed_rows(draw):
     low = draw(st.sampled_from([0, q2 - 2]))
     points = rng.integers(low, q2, size=(size, width)).astype(np.int32)
     copies = rng.integers(0, size, size=size // 3)
-    return q2, np.concatenate([b, b[copies]]), np.concatenate([points, points[copies]])
+    return q2, np.concatenate([b, b[copies]]), np.concatenate([points, points[copies]]).T
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(keyed_rows())
-@example((2 ** 22, np.asarray([3000, 0, 3000]), np.full((3, 8), 2 ** 22 - 1, dtype=np.int32)))
+@example((2 ** 22, np.asarray([3000, 0, 3000]), np.full((8, 3), 2 ** 22 - 1, dtype=np.int32)))
 def test_exact_keys_order_rows_lexicographically(case):
     # with q2 = 2^22 and 8 coordinates the key needs 176 bits, so it is re-ranked on the way
-    q2, b, points = case
-    keys = _exact_keys(b, points, q2)
-    rows = [(int(bi), *map(int, pi)) for bi, pi in zip(b, points)]
+    q2, b, digits = case
+    keys = _exact_keys(b, digits, q2)
+    rows = [(int(bi), *map(int, pi)) for bi, pi in zip(b, digits.T)]
     order = np.argsort(keys, kind="stable")
     assert [rows[i] for i in order] == sorted(rows)
     for x, y in zip(order[:-1], order[1:]):

@@ -650,3 +650,34 @@ def test_kernels_match_packed_digit_oracle(case):
         if y != z:
             assert (ex / ey).code == quot[i]
     assert packed_digits(tw, tw.vsum(a)) == total
+
+
+# operand shapes the elimination code broadcasts: rref's vmul(factors[:, None], row),
+# a scalar against an array, 0-d against 0-d; "int" is a Python int
+BROADCAST_SHAPES = [((5, 1), (5, 7)), ((5, 7), (5, 1)), ((1, 7), (5, 1)), ("int", (7,)), ((7,), "int"),
+                    ((), (5, 7)), ((5, 7), ()), ((), ()), ("int", ())]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(KERNEL_TOWERS), st.sampled_from(BROADCAST_SHAPES), st.integers(0, 2 ** 32 - 1))
+def test_kernels_broadcast_their_operands(pm, shapes, seed):
+    """vadd and vmul on the Cayley path, and _zech_add and _log_mul called
+    directly, broadcast their operands as numpy does: every entry is the Scalar
+    sum or product of the broadcast operands' entries, zero codes included."""
+    tw = build_tower(*pm)
+    rng = np.random.default_rng(seed)
+
+    def operand(shape):
+        if shape == "int":
+            return int(rng.integers(0, tw.q2))
+        return rng.integers(0, tw.q2, size=shape).astype(np.int32)
+
+    a, b = operand(shapes[0]), operand(shapes[1])
+    xs, ys = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+    pairs = [(Scalar(tw, x), Scalar(tw, y)) for x, y in zip(xs.ravel().tolist(), ys.ravel().tolist())]
+    sums = [(x + y).code for x, y in pairs]
+    prods = [(x * y).code for x, y in pairs]
+    for kernel, expected in ((tw.vadd, sums), (tw._zech_add, sums), (tw.vmul, prods), (tw._log_mul, prods)):
+        out = kernel(a, b)
+        assert np.shape(out) == xs.shape and np.asarray(out).dtype == np.int32
+        assert np.ravel(out).tolist() == expected
