@@ -18,7 +18,7 @@ import numpy as np
 from . import config
 from . import points as _points
 from .curves import MonomialBasis
-from .errors import CapExceeded, ParseError, PoleAtPoint, RankDefect
+from .errors import CapExceeded, ParseError, RankDefect
 from .fields import FieldTower, build_tower
 from .points import TwistVector
 
@@ -190,9 +190,8 @@ def evaluation_code(
 ) -> LinearCode:
     """Rows v_l * f_i(P_l) for f_i = x^a y^b in the basis.
 
-    x, y and twist are code arrays, one entry per point P_l = (x_l, y_l);
-    y is None on the line.  Raises RankDefect when the evaluation vectors
-    are dependent.
+    x, y and twist are code arrays, one entry per point P_l = (x_l, y_l).
+    Raises RankDefect when the evaluation vectors are dependent.
     """
     n = len(x)
     if len(twist) != n:
@@ -201,8 +200,6 @@ def evaluation_code(
     for (a, b) in basis.monomials:
         row = tower.vpow(x, a)
         if b:
-            if y is None:
-                raise PoleAtPoint(f"monomial x^{a} y^{b} needs a second coordinate")
             row = tower.vmul(row, tower.vpow(y, b))
         rows.append(tower.vmul(twist, row))
     g = np.stack(rows) if rows else np.zeros((0, n), dtype=np.int32)
@@ -507,15 +504,13 @@ def _first_collision(tower: FieldTower, g: np.ndarray, w: int, limit: int):
     return None
 
 
-def dual_distance_by_columns(
-    code: LinearCode, d_max: int | None = None, ops_budget: int | None = None
-) -> DistanceResult:
+def dual_distance_by_columns(code: LinearCode) -> DistanceResult:
     """d(C^perp) = size of the smallest linearly dependent column set of G.
 
-    Scans w = 1, 2, ... up to d_max (capped at k+1, where dependence is
-    guaranteed).  Once every (w-1)-subset is independent, S + {j, l} with
-    |S| = w-2 is dependent exactly when columns j and l, projected modulo
-    span(S), are parallel.  So the prefixes S are taken in lex-ordered
+    Scans w = 1, 2, ... up to k+1, where dependence is guaranteed.  Once
+    every (w-1)-subset is independent, S + {j, l} with |S| = w-2 is
+    dependent exactly when columns j and l, projected modulo span(S), are
+    parallel.  So the prefixes S are taken in lex-ordered
     blocks that double in size from a few prefixes up to a cap on the entries
     a block holds.  The elimination steps of all but the last column of S run
     once per distinct shared prefix, and the last step only on the entries
@@ -526,27 +521,25 @@ def dual_distance_by_columns(
     block gives the lex-first dependent set, the first colliding prefix's
     lowest colliding pair.
 
-    The budget counts nominal work: k*w*2 per w-subset, charged in lex-ordered
-    blocks of _CHUNK subsets, with a block started only if it fits.  That
-    fixes how many w-subsets the budget certifies; a dependent set ranked at
-    or past it gives a lower bound `w` with exact=False, as does running out
-    of budget after certifying all subsets of size < w independent.
+    The budget is config.ops_cap() (AGQ_CAP_OPS) and counts nominal work:
+    k*w*2 per w-subset, charged in lex-ordered blocks of _CHUNK subsets, with
+    a block started only if it fits.  That fixes how many w-subsets the
+    budget certifies; a dependent set ranked at or past it gives a lower
+    bound `w` with exact=False, as does running out of budget after
+    certifying all subsets of size < w independent.
     """
     tower = code.tower
     zero = tower.zero_code
     g = code.g
     k, n = code.k, code.n
-    cap = min(d_max if d_max is not None else k + 1, k + 1)
-    budget = ops_budget if ops_budget is not None else config.ops_cap()
+    budget = config.ops_cap()
     spent = 0
     if k == 0:
         return DistanceResult(1, True, (0,), "column-scan")
     zero_cols = np.nonzero((g == zero).all(axis=0))[0]
     if zero_cols.size:
         return DistanceResult(1, True, (int(zero_cols[0]),), "column-scan")
-    for w in range(2, cap + 1):
-        if w == k + 1:
-            return DistanceResult(k + 1, True, tuple(range(k + 1)), "column-scan")
+    for w in range(2, k + 1):
         unit, total = k * w * 2, comb(n, w)
         if total * unit <= budget - spent:
             certified = total
@@ -559,7 +552,7 @@ def dual_distance_by_columns(
             # every subset of size < w is certified independent, so d >= w
             return DistanceResult(w, False, None, "column-scan-lower-bound")
         spent += total * unit
-    return DistanceResult(cap + 1, False, None, "column-scan-lower-bound")
+    return DistanceResult(k + 1, True, tuple(range(k + 1)), "column-scan")
 
 
 def is_mds(code: LinearCode) -> tuple[bool | None, tuple | None, str, DistanceResult]:
@@ -731,11 +724,7 @@ def export_matrix(code: LinearCode) -> str:
     return "\n".join(lines) + "\n"
 
 
-def import_matrix(
-    text: str,
-    systematic_prefix: bool = False,
-    field_cap: int | None = None,
-) -> LinearCode:
+def import_matrix(text: str, systematic_prefix: bool = False) -> LinearCode:
     """Parse the matrix text format; optionally prepend the identity block."""
     lines = [ln for ln in text.splitlines()]
     # skip leading blank lines
@@ -764,10 +753,7 @@ def import_matrix(
         raise ParseError(idx + 1, 1, f"q2 degree {deg} is odd; expected 2m")
     if n < 1 or k < 1:
         raise ParseError(idx + 1, 1, f"header needs n >= 1 and k >= 1, got n={n} k={k}")
-    kwargs = {}
-    if field_cap is not None:
-        kwargs["field_cap"] = field_cap
-    tower = build_tower(p, deg // 2, **kwargs)
+    tower = build_tower(p, deg // 2)
     rows = []
     lineno = idx + 1
     for raw in lines[idx + 1 :]:

@@ -23,7 +23,7 @@ from .codes import (
     grs_rows,
     hermitian_gram,  # noqa: F401 -- bound here too; agqbench's tracer test wraps this binding
 )
-from .curves import CurveFamily, CurveSpec, curve, rational_points, rr_basis, x_support
+from .curves import CurveFamily, CurveSpec, curve, monomial_count, rational_points, rr_basis, x_support
 from .errors import (
     BadRequest,
     DivisibilityViolated,
@@ -106,10 +106,13 @@ def _line_chain_member(
     trace: tuple,
 ) -> CertifiedCode:
     tower = eval_set.tower
+    n = eval_set.n
+    if k > n:
+        # the rows v_l * alpha_l^i on n distinct points have rank n
+        raise RankDefect(n, k)
     g = grs_rows(tower, eval_set, twist, range(k))
     code = LinearCode(tower, g, provenance=provenance)
     certificate = _certify(code)
-    n = code.n
     b_values = tuple(((tower.q + 1) * j) % (n - 1) for j in range(k)) if n > 1 else ()
     return CertifiedCode(
         code=code,
@@ -133,6 +136,11 @@ def _curve_pipeline(
     tower = spec.tower
     tv = twist_vector(xs)
     owner, y = rational_points(spec, xs)
+    if k >= len(owner) + 2 * spec.genus:
+        # the basis holds x^i y^j for every i < xs.n and j < y_degree, and these
+        # separate the points (an x-fiber has at most y_degree of them): the
+        # rows would span GF(q^2)^n, so the rank is n, short of the basis size
+        raise RankDefect(len(owner), monomial_count(spec, k))
     basis = rr_basis(spec, k)
     # fiber-constant twist: each x-value's multiplier repeats across its fiber
     code = evaluation_code(
@@ -181,7 +189,7 @@ def construct_chain(request: ConstructionRequest) -> list[CertifiedCode]:
             raise DivisibilityViolated(
                 f"n = {request.n} is not t(q-1)+1 = {t * (tower.q - 1) + 1}"
             )
-        base = deep_dimension(tower, t, embed=False)
+        base = deep_dimension(tower, t)
         chain = [replace(base, build_s=perf_counter() - start)]
         try:
             chain.append(embed_once(base))
@@ -386,10 +394,11 @@ def embed_iterate(cert: CertifiedCode) -> list[CertifiedCode]:
         out.append(cur)
 
 
-def deep_dimension(tower: FieldTower, t: int, embed: bool = True) -> CertifiedCode:
-    """The floor(n/2t)-dimensional code on the t(q-1)+1 roots of x^n - x.
+def deep_dimension(tower: FieldTower, t: int) -> CertifiedCode:
+    """The floor(n/2t)-dimensional code on the n = t(q-1)+1 roots of x^n - x.
 
-    Requires t | (q+1); the optional embedding step applies the usual
+    Requires t | (q+1).  The deep code of the paper is one embedding step
+    further, embed_once(deep_dimension(tower, t)), which applies the usual
     length-n / length-n+1 dichotomy, certified by Gram.
     """
     q = tower.q
@@ -406,7 +415,4 @@ def deep_dimension(tower: FieldTower, t: int, embed: bool = True) -> CertifiedCo
         f"deep case: (n-1) {'divides' if (k2 * (q + 1)) % (n - 1) == 0 else 'does not divide'} "
         f"k''(q+1) = {k2 * (q + 1)}",
     )
-    base = _line_chain_member(es, tv, k2, f"deep[{n},{k2}]", trace)
-    if not embed:
-        return base
-    return embed_once(base)
+    return _line_chain_member(es, tv, k2, f"deep[{n},{k2}]", trace)

@@ -1,11 +1,12 @@
 """Curve families, their rational-point fibers, and one-point monomial bases.
 
-Six families share one interface: the projective line, a supersingular
-elliptic curve in even characteristic, the hyperelliptic curve
-y^2+y = x^(q+1), the Hermitian curve y^q+y = x^(q+1), its half-exponent
-variant y^q+y = x^((q+1)/2), and Artin-Schreier curves y^q-y = x^t.
-Riemann-Roch spaces of (k-1)*P_inf are represented purely by monomial
-exponent pairs (i, j) inside the Weierstrass semigroup at P_inf.
+Five families share one interface: a supersingular elliptic curve in even
+characteristic, the hyperelliptic curve y^2+y = x^(q+1), the Hermitian curve
+y^q+y = x^(q+1), its half-exponent variant y^q+y = x^((q+1)/2), and
+Artin-Schreier curves y^q-y = x^t.  Codes on the projective line take their
+points from the point-set module directly.  Riemann-Roch spaces of
+(k-1)*P_inf are represented purely by monomial exponent pairs (i, j) inside
+the Weierstrass semigroup at P_inf.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .points import EvaluationSet, explicit_set, roots_of_unity_set
 
 
 class CurveFamily(Enum):
-    LINE = "line"
     ELLIPTIC = "elliptic"
     HYPERELLIPTIC = "hyperelliptic"
     HERMITIAN = "hermitian"
@@ -113,8 +113,6 @@ def curve(
     c: int | None = None,
 ) -> CurveSpec:
     q = tower.q
-    if family is CurveFamily.LINE:
-        return CurveSpec(family, tower, genus=0, pole_x=1, pole_y=0, y_degree=1)
     if family is CurveFamily.ELLIPTIC:
         if tower.p != 2:
             raise BadCharacteristic("elliptic family needs characteristic 2")
@@ -173,8 +171,6 @@ def x_support(spec: CurveSpec, selector: EvaluationSet | None = None) -> Evaluat
     families have a canonical support.
     """
     tower = spec.tower
-    if spec.family is CurveFamily.LINE:
-        raise UnsupportedFamily("the line takes its points directly from the point-set module")
     if spec.family in (CurveFamily.HYPERELLIPTIC, CurveFamily.HERMITIAN):
         if selector is not None:
             return selector
@@ -212,14 +208,12 @@ def _fiber_rhs(spec: CurveSpec, x) -> tuple[AdditiveMap, np.ndarray]:
     raise UnsupportedFamily(str(spec.family))
 
 
-def rational_points(spec: CurveSpec, xs: EvaluationSet) -> tuple[np.ndarray, np.ndarray | None]:
+def rational_points(spec: CurveSpec, xs: EvaluationSet) -> tuple[np.ndarray, np.ndarray]:
     """The rational points above an x-set, as (owner, y): the fibers of the
     set's points one after another, in set order, each in ascending y code;
-    point j is (xs.codes[owner[j]], y[j]).  The line has y = None and one
-    point per x.  Raises EmptyFiber at the first x outside the admissible set.
+    point j is (xs.codes[owner[j]], y[j]).  Raises EmptyFiber at the first x
+    outside the admissible set.
     """
-    if spec.family is CurveFamily.LINE:
-        return np.arange(xs.n), None
     owner, y = spec.tower.solve_additive(*_fiber_rhs(spec, xs.codes))
     empty = np.bincount(owner, minlength=xs.n) == 0
     if empty.any():
@@ -235,8 +229,6 @@ def rr_basis(spec: CurveSpec, k: int) -> MonomialBasis:
     bound = k - 1
     monos = []
     for j in range(spec.y_degree):
-        if spec.y_degree == 1 and j > 0:
-            break
         base = spec.pole_y * j
         if base > bound:
             continue
@@ -246,3 +238,10 @@ def rr_basis(spec: CurveSpec, k: int) -> MonomialBasis:
             i += 1
     monos.sort(key=lambda ij: (spec.pole_x * ij[0] + spec.pole_y * ij[1], ij[1]))
     return MonomialBasis(tuple(monos), spec.pole_x, spec.pole_y)
+
+
+def monomial_count(spec: CurveSpec, k: int) -> int:
+    """len(rr_basis(spec, k)), counted a power y^j at a time without listing
+    the monomials."""
+    rooms = (k - 1 - spec.pole_y * j for j in range(spec.y_degree))  # pole order left for x^i
+    return sum(room // spec.pole_x + 1 for room in rooms if room >= 0)

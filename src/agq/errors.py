@@ -19,10 +19,6 @@ class FieldTooLarge(AgqError):
     pass
 
 
-class NoConwayEntry(AgqError):
-    pass
-
-
 class NotInBaseField(AgqError):
     pass
 
@@ -58,7 +54,7 @@ class DuplicatePoints(AgqError):
 
 
 class NotNormValue(AgqError):
-    """unit_scalar / h'(alpha_i) is not in GF(q)*; carries the point index."""
+    """u / h'(alpha_i) is not in GF(q)*; carries the point index."""
 
     def __init__(self, index, message=None):
         self.index = index
@@ -96,10 +92,6 @@ class RankDefect(AgqError):
         self.achieved_rank = achieved_rank
         self.expected = expected
         super().__init__(message or f"rank defect: achieved {achieved_rank}, expected {expected}")
-
-
-class PoleAtPoint(AgqError):
-    pass
 
 
 class CapExceeded(AgqError):

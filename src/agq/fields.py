@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import functools
 from enum import Enum
+from math import isqrt
 
 import numpy as np
 
 from .config import DEFAULT_FIELD_CAP
-from .errors import BadRequest, FieldTooLarge, NoConwayEntry, NotInBaseField, NotPrime, ZeroInput
+from .errors import BadRequest, FieldTooLarge, NotInBaseField, NotPrime, ZeroInput
 
 # Conway polynomials C_{p,2m}, coefficients ascending (constant term first,
 # leading 1 last).  Table covers every tower the bundled examples touch.
@@ -511,27 +512,23 @@ class FieldTower:
         return f"FieldTower(p={self.p}, m={self.m}, q={self.q}, q2={self.q2}, {tag})"
 
 
-def build_tower(
-    p: int,
-    m: int,
-    field_cap: int = DEFAULT_FIELD_CAP,
-    strict_conway: bool = False,
-) -> FieldTower:
+def build_tower(p: int, m: int) -> FieldTower:
     """The tower GF(p) < GF(p^m) < GF(p^{2m}) with full tables.
 
-    The arguments are checked on every call; the tower itself is shared: one
-    process builds each field at most once while it stays among the
-    _SHARED_TOWERS most recently used, and every caller gets the same
-    immutable FieldTower.
+    The arguments are checked on every call, the size first: p^(2m) is at
+    least 2^(2m) and p^2, so a p or m too large for DEFAULT_FIELD_CAP is
+    rejected before the power is formed or p is tested for primality.  The
+    tower itself is shared: one process builds each field at most once while
+    it stays among the _SHARED_TOWERS most recently used, and every caller
+    gets the same immutable FieldTower.
     """
-    if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
     if m < 1:
         raise BadRequest(f"extension degree m must be positive, got {m}")
-    if p ** (2 * m) > field_cap:
-        raise FieldTooLarge(f"p^(2m) = {p ** (2 * m)} exceeds cap {field_cap}")
-    if strict_conway and (p, 2 * m) not in _CONWAY:
-        raise NoConwayEntry(f"no Conway table entry for GF({p}^{2 * m})")
+    cap = DEFAULT_FIELD_CAP
+    if m > cap.bit_length() // 2 or p > isqrt(cap) or p ** (2 * m) > cap:
+        raise FieldTooLarge(f"p = {p}, m = {m}: p^(2m) exceeds the field cap {cap}")
+    if not _is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     return _shared_tower(p, m)
 
 

@@ -69,9 +69,9 @@ class EvaluationSet:
     def n(self) -> int:
         return len(self.codes)
 
-    def default_unit_scalar(self) -> int:
-        """Code of the residue normalizer: 1 except for grids, which carry
-        (a^q - a)^(t-1)."""
+    def residue_unit(self) -> int:
+        """Code of the residue normalizer u of the twist: 1 except for grids,
+        which carry (a^q - a)^(t-1)."""
         if self.family == FAMILY_AFFINE_GRID:
             tower, a = self.tower, self.params["anchor_code"]
             return int(tower.vpow(tower.vsub(tower.vfrob(a), a), self.params["t"] - 1))
@@ -85,7 +85,6 @@ class TwistVector:
 
     tower: FieldTower
     codes: np.ndarray
-    unit_scalar: int  # exponent code
 
     def __len__(self):
         return len(self.codes)
@@ -233,25 +232,21 @@ def local_derivatives(eval_set: EvaluationSet) -> np.ndarray:
     return out
 
 
-def twist_vector(
-    eval_set: EvaluationSet, unit_scalar: int | None = None
-) -> TwistVector:
-    """v_i = norm_preimage(unit_scalar / h'(alpha_i)), on the whole code array;
-    unit_scalar is an exponent code, by default eval_set.default_unit_scalar().
+def twist_vector(eval_set: EvaluationSet) -> TwistVector:
+    """v_i = norm_preimage(u / h'(alpha_i)), on the whole code array, with u
+    the set's residue normalizer, eval_set.residue_unit().
 
-    Raises NotNormValue(i) at the first i where unit_scalar/h'(alpha_i) is
-    zero, undefined or outside GF(q)*, i.e. the self-orthogonality
-    hypothesis fails for this point set.
+    Raises NotNormValue(i) at the first i where u/h'(alpha_i) is zero,
+    undefined or outside GF(q)*, i.e. the self-orthogonality hypothesis
+    fails for this point set.
     """
     tower = eval_set.tower
-    if unit_scalar is None:
-        unit_scalar = eval_set.default_unit_scalar()
-    n_units, norm_exp, u = tower.n_units, tower.q + 1, unit_scalar
+    n_units, norm_exp, u = tower.n_units, tower.q + 1, eval_set.residue_unit()
     h = local_derivatives(eval_set)
-    c = (u - h) % n_units  # log(unit_scalar / h')
+    c = (u - h) % n_units  # log(u / h')
     bad = (h == n_units) | (c % norm_exp != 0) | (u == n_units)
     if bad.any():
         raise NotNormValue(int(np.argmax(bad)))
     codes = (c // norm_exp).astype(np.int32)
     codes.flags.writeable = False
-    return TwistVector(tower, codes, unit_scalar)
+    return TwistVector(tower, codes)

@@ -56,7 +56,7 @@ def test_criterion_1_example_pipeline_q13():
     assert base.certificate.gram.all_zero and base.code.params() == (25, 2)
     emb = embed_once(base)
     assert emb.certificate.gram.all_zero and emb.code.params() == (25, 3)
-    deep = deep_dimension(build_tower(13, 1), 2)
+    deep = embed_once(deep_dimension(build_tower(13, 1), 2))
     assert deep.code.params() == (25, 7)
     t0 = time.perf_counter()
     flag, witness, method = minors_is_mds(deep.code)
@@ -146,7 +146,7 @@ def test_criterion_4_elliptic(monkeypatch):
     cert8 = construct(ConstructionRequest("c5", 2, 3, k=9))
     assert cert8.code.params() == (80, 8)
     assert cert8.certificate.gram.all_zero
-    dd8 = dual_distance_by_columns(cert8.code, ops_budget=10 ** 6)
+    dd8 = dual_distance_by_columns(cert8.code)
     assert not dd8.exact and dd8.value >= 3
     report(
         4,
@@ -178,7 +178,7 @@ def test_criterion_6_embedding_boundary_q11():
         embed_once(chain[-1])
     with pytest.raises(GramNonzero):
         construct(ConstructionRequest("c1", 11, 1, n=16, k=5))
-    deep = deep_dimension(build_tower(11, 1), 3, embed=False)
+    deep = deep_dimension(build_tower(11, 1), 3)
     assert deep.code.params() == (31, 5)
     emb = embed_once(deep)
     assert emb.code.params() == (32, 6)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,29 @@ def test_failures_are_json_verdicts(capsys, tmp_path, monkeypatch, argv, verdict
     code, out = run_cli(capsys, *argv)
     assert code == exit_code
     assert json.loads(out)["verdict"] == verdict
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (("verify", "huge.txt"), "q2=1000000000000000000000007^2 n=1 k=1"),
+        (("verify", "huge.txt"), "q2=2^400000000 n=1 k=1"),
+        (("verify", "huge.txt"), "q2=4^24 n=1 k=1"),  # not prime, and too large
+        (("scan", "--construction", "c1", "--tower", "1000000000000000000000007,1"), None),
+        (("construct", "--c1", "--p", "2", "--m", "12", "--n", "5"), None),
+    ],
+)
+def test_huge_fields_are_rejected_at_once(capsys, tmp_path, monkeypatch, argv, header):
+    """A field above the cap is a FieldTooLarge verdict before p is tested for
+    primality or p^(2m) is formed, however large p or m is."""
+    monkeypatch.chdir(tmp_path)
+    if header:
+        (tmp_path / "huge.txt").write_text(header + "\n1\n")
+    start = time.perf_counter()
+    code, out = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert json.loads(out)["verdict"] == "REJECTED(FieldTooLarge)"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import os
 import tracemalloc
 from math import comb
 from unittest import mock
@@ -35,8 +36,8 @@ from agq.codes import (
     rref,
 )
 from agq.constructions import ConstructionRequest, construct
-from agq.curves import CurveFamily, curve, rr_basis
-from agq.errors import CapExceeded, ParseError, PoleAtPoint, RankDefect
+from agq.curves import CurveFamily, MonomialBasis, curve, rational_points, rr_basis, x_support
+from agq.errors import CapExceeded, ParseError, RankDefect
 from agq.fields import build_tower
 from agq.points import roots_of_unity_set, twist_vector
 
@@ -128,20 +129,18 @@ def test_single_row_twist_code_is_self_orthogonal():
 
 def test_evaluation_code_rank_defect():
     tw = build_tower(3, 1)
-    es = roots_of_unity_set(tw, 5)
-    ones = np.zeros(5, dtype=np.int32)  # all entries t^0 = 1
-    spec = curve(CurveFamily.LINE, tw)
-    basis = rr_basis(spec, 2)
-    code = evaluation_code(tw, basis, es.codes, None, ones)
-    assert code.params() == (5, 2)
-    # duplicated monomial row must be rejected
-    from agq.curves import MonomialBasis
-
-    dup = MonomialBasis(((0, 0), (0, 0)), 1, 0)
-    with pytest.raises(RankDefect):
-        evaluation_code(tw, dup, es.codes, None, ones)
-    with pytest.raises(PoleAtPoint):  # the line has no y to evaluate
-        evaluation_code(tw, MonomialBasis(((0, 0), (0, 1)), 1, 1), es.codes, None, ones)
+    spec = curve(CurveFamily.ARTIN_SCHREIER, tw, t=2)
+    xs = x_support(spec)
+    owner, y = rational_points(spec, xs)
+    ones = np.zeros(len(owner), dtype=np.int32)  # all entries t^0 = 1
+    basis = rr_basis(spec, 4)  # 1, y, x
+    code = evaluation_code(tw, basis, xs.codes[owner], y, ones)
+    assert code.params() == (15, 3)
+    # a repeated monomial repeats a row, which must be rejected
+    dup = MonomialBasis(basis.monomials + basis.monomials[1:2], spec.pole_x, spec.pole_y)
+    with pytest.raises(RankDefect) as got:
+        evaluation_code(tw, dup, xs.codes[owner], y, ones)
+    assert (got.value.achieved_rank, got.value.expected) == (3, 4)
 
 
 @st.composite
@@ -538,14 +537,14 @@ def test_zero_code_degenerate():
 def test_dual_by_columns_lower_bound_budget(monkeypatch):
     monkeypatch.setenv("AGQ_CAP_OPS", str(10 ** 6))
     cert = construct(ConstructionRequest("c5", 2, 3, k=9))
-    dd = dual_distance_by_columns(cert.code, ops_budget=10 ** 6)
+    dd = dual_distance_by_columns(cert.code)
     assert not dd.exact
     assert dd.method == "column-scan-lower-bound"
     assert dd.value >= 3
 
 
 def assert_dual_scan_equals_exhaustive(code):
-    d_col = dual_distance_by_columns(dual(code, "euclidean"), d_max=code.n).value
+    d_col = dual_distance_by_columns(dual(code, "euclidean")).value
     assert exhaustive_distance(code).value == d_col, (code.tower, code.g)
 
 
@@ -585,24 +584,26 @@ def minors_is_mds(code):
     return True, None, "minors"
 
 
-def per_subset_column_scan(code, d_max=None, ops_budget=None):
+def scan_budget(budget):
+    """AGQ_CAP_OPS set to budget for the scans run inside the block."""
+    return mock.patch.dict(os.environ, {"AGQ_CAP_OPS": str(budget)})
+
+
+def per_subset_column_scan(code):
     """Reference oracle: the column scan that eliminates every w-subset of columns,
-    charging k*w*2 per subset in lex-ordered blocks of _CHUNK."""
+    charging k*w*2 per subset against config.ops_cap() in lex-ordered blocks of _CHUNK."""
     tower = code.tower
     zero = tower.zero_code
     g = code.g
     k, n = code.k, code.n
-    cap = min(d_max if d_max is not None else k + 1, k + 1)
-    budget = ops_budget if ops_budget is not None else config.ops_cap()
+    budget = config.ops_cap()
     spent = 0
     if k == 0:
         return DistanceResult(1, True, (0,), "column-scan")
     zero_cols = np.nonzero((g == zero).all(axis=0))[0]
     if zero_cols.size:
         return DistanceResult(1, True, (int(zero_cols[0]),), "column-scan")
-    for w in range(2, cap + 1):
-        if w == k + 1:
-            return DistanceResult(k + 1, True, tuple(range(k + 1)), "column-scan")
+    for w in range(2, k + 1):
         for combos in combo_chunks(n, w):
             cost = combos.shape[0] * k * w * 2
             if spent + cost > budget:
@@ -612,7 +613,7 @@ def per_subset_column_scan(code, d_max=None, ops_budget=None):
             dep = np.nonzero(batched_dependent(tower, mats))[0]
             if dep.size:
                 return DistanceResult(w, True, tuple(int(c) for c in combos[dep[0]]), "column-scan")
-    return DistanceResult(cap + 1, False, None, "column-scan-lower-bound")
+    return DistanceResult(k + 1, True, tuple(range(k + 1)), "column-scan")
 
 
 def nominal_spend(code, w, subsets):
@@ -624,9 +625,11 @@ def nominal_spend(code, w, subsets):
 @st.composite
 def column_scan_cases(draw):
     """Full-rank [n<=16, 2<=k<=6] codes over GF(4/9/16/25/49/64) with parallel columns
-    and columns that are sums of earlier ones, plus d_max, _CHUNK, block cap and a
+    and columns that are sums of earlier ones, plus _CHUNK, block cap and a
     budget: the default, or one that ends inside some w's subsets, at a chunk
-    boundary of that w or one off it, or anywhere."""
+    boundary of that w or one off it, or anywhere.  AGQ_CAP_OPS must be
+    positive, so a budget below 1 is drawn as 1, which certifies the same
+    nothing."""
     tw = build_tower(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)])))
     k = draw(st.sampled_from(range(2, 7)))
     n = draw(st.integers(k, 16))
@@ -651,17 +654,16 @@ def column_scan_cases(draw):
     w = draw(st.sampled_from(range(2, k + 1)))
     budget_kind = draw(st.sampled_from(["default", "any", "boundary", "boundary"]))
     if budget_kind == "default":
-        budget = None
+        budget = config.DEFAULT_OPS_CAP
     elif budget_kind == "any":
         budget = nominal_spend(code, w, draw(st.integers(0, comb(n, w)))) + draw(st.integers(0, k * w * 2))
     else:
         last = -(-comb(n, w) // chunk)
         blocks = draw(st.one_of(st.sampled_from([0, 1, last]), st.integers(0, last)))
         budget = nominal_spend(code, w, min(blocks * chunk, comb(n, w))) + draw(st.sampled_from([-1, 0, 1]))
-    d_max = draw(st.sampled_from([None, *range(1, k + 3)]))
     # 1: one prefix per block; a few prefixes per block split shared-prefix runs across blocks
     live = draw(st.sampled_from([1 << 20, 1, k * n * draw(st.integers(2, 5))]))
-    return code, d_max, budget, chunk, live
+    return code, max(1, budget), chunk, live
 
 
 @st.composite
@@ -684,7 +686,7 @@ def planted_scan_cases(draw):
     assume(rank(tw, g) == k)
     code = LinearCode(tw, g, provenance="hypothesis")
     budget = nominal_spend(code, w, certified) + draw(st.sampled_from([-1, 0, 1]))
-    return code, None, budget, draw(st.sampled_from([7, 100])), k * n * draw(st.integers(2, 12))
+    return code, max(1, budget), draw(st.sampled_from([7, 100])), k * n * draw(st.integers(2, 12))
 
 
 @contextlib.contextmanager
@@ -715,9 +717,9 @@ def scan_blocks():
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(column_scan_cases(), planted_scan_cases()))
 # w = 2: columns 0 and 1 are equal, found before any prefix is eliminated
-@example((code_of((2, 1), [[0, 0, 1], [1, 1, None]]), None, None, _CHUNK, 1 << 20))
+@example((code_of((2, 1), [[0, 0, 1], [1, 1, None]]), config.DEFAULT_OPS_CAP, _CHUNK, 1 << 20))
 # w = 3, {0, 2, 3}: no earlier step, and prefix (0,) has a zero in row 0
-@example((code_of((2, 1), [[None, 0, None, None], [0, None, None, 0], [None, None, 0, 0]]), None, None, _CHUNK, 1 << 20))
+@example((code_of((2, 1), [[None, 0, None, None], [0, None, None, 0], [None, None, 0, 0]]), config.DEFAULT_OPS_CAP, _CHUNK, 1 << 20))
 # w = 4, {0, 1, 2, 3}: after column 0, column 1 of prefix (0, 1) has a zero in row 0
 @example(
     (
@@ -725,20 +727,20 @@ def scan_blocks():
             (2, 1),
             [[0, 0, None, None, None], [None, None, 0, 0, None], [None, 0, None, 0, None], [None, None, None, None, 0]],
         ),
-        None,
-        None,
+        config.DEFAULT_OPS_CAP,
         _CHUNK,
         1 << 20,
     )
 )
 def test_column_scan_matches_per_subset_scan(case):
-    code, d_max, budget, chunk, live = case
+    code, budget, chunk, live = case
     with (
         mock.patch.object(agq.codes, "_CHUNK", chunk),
         mock.patch.object(agq.codes, "_LIVE_ENTRIES", live),
+        scan_budget(budget),
         scan_blocks() as blocks,
     ):
-        assert dual_distance_by_columns(code, d_max, budget) == per_subset_column_scan(code, d_max, budget)
+        assert dual_distance_by_columns(code) == per_subset_column_scan(code)
     # no block outgrows the _LIVE_ENTRIES cap, unless it is a single prefix
     assert all(held <= live or count == 1 for count, _, held in blocks)
 
@@ -759,9 +761,11 @@ def test_column_scan_budget_boundary(chunk, blocks, shift, exact):
     budget = nominal_spend(code, 3, blocks * chunk)
     with mock.patch.object(agq.codes, "_CHUNK", chunk):
         assert per_subset_column_scan(code) == found  # the planted set is the lex-first dependent one
-        res = dual_distance_by_columns(code, ops_budget=budget)
-        assert res == per_subset_column_scan(code, ops_budget=budget)
-        assert dual_distance_by_columns(code, ops_budget=budget - 1).method == "column-scan-lower-bound"
+        with scan_budget(budget):
+            res = dual_distance_by_columns(code)
+            assert res == per_subset_column_scan(code)
+        with scan_budget(budget - 1):
+            assert dual_distance_by_columns(code).method == "column-scan-lower-bound"
     assert res == (found if exact else DistanceResult(3, False, None, "column-scan-lower-bound"))
 
 
@@ -794,7 +798,8 @@ def test_column_scan_large_field():
     assert per_subset_column_scan(code) == dual_distance_by_columns(code)
     with mock.patch.object(agq.codes, "_CHUNK", 100):
         for budget in (nominal_spend(code, 4, 300) - 1, nominal_spend(code, 4, 300)):
-            assert dual_distance_by_columns(code, ops_budget=budget) == per_subset_column_scan(code, ops_budget=budget)
+            with scan_budget(budget):
+                assert dual_distance_by_columns(code) == per_subset_column_scan(code)
 
 
 def test_column_scan_memory_on_the_budget_capped_row():
@@ -807,12 +812,13 @@ def test_column_scan_memory_on_the_budget_capped_row():
     lookups gather with take, which widens their int32 indices to int64."""
     code = construct(ConstructionRequest("c5", 2, 3, k=9)).code
     assert (code.n, code.k, code.tower.q2) == (80, 8, 64)
-    tracemalloc.start()
-    try:
-        res = dual_distance_by_columns(code, ops_budget=config.DEFAULT_OPS_CAP)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with scan_budget(config.DEFAULT_OPS_CAP):
+        tracemalloc.start()
+        try:
+            res = dual_distance_by_columns(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert res == DistanceResult(4, False, None, "column-scan-lower-bound")
     assert peak < 2.5 * 2 ** 20, peak
 
@@ -856,7 +862,7 @@ def test_column_scan_without_repeated_keys_never_sorts_stably(pm, k):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(planted_scan_cases().map(lambda case: (case[0], case[4])))
+@given(planted_scan_cases().map(lambda case: (case[0], case[3])))
 # w = 3, found in prefix (4,): the second block
 @example((planted_vandermonde(3, (4, 5)), 1 << 20))
 # w = 4, found in prefix (4, 5): the fourth block, after blocks of 4, 8 and 16 prefixes

@@ -1,7 +1,12 @@
+import contextlib
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from agq.codes import hermitian_gram
+import agq.constructions
+from agq.codes import LinearCode, evaluation_code, grs_rows, hermitian_gram
 from agq.constructions import (
     ConstructionRequest,
     construct,
@@ -11,7 +16,8 @@ from agq.constructions import (
     embed_once,
     thm_key_k_max,
 )
-from agq.errors import DivisibilityViolated, EmbeddingRejected, GramNonzero
+from agq.curves import rr_basis
+from agq.errors import DivisibilityViolated, EmbeddingRejected, GramNonzero, RankDefect
 from agq.fields import build_tower
 
 
@@ -36,7 +42,7 @@ def test_embed_once_q13():
 
 
 def test_embed_extension_pads_old_rows():
-    base = deep_dimension(build_tower(7, 1), 2, embed=False)  # [13,3]
+    base = deep_dimension(build_tower(7, 1), 2)  # [13,3]
     emb = embed_once(base)
     assert emb.code.params() == (14, 4)
     zero = emb.code.tower.zero_code
@@ -67,27 +73,108 @@ def test_c5_assumption_check_runs_per_q():
 
 def test_deep_dimension_q13():
     tw = build_tower(13, 1)
-    base = deep_dimension(tw, 2, embed=False)
+    base = deep_dimension(tw, 2)
     assert base.code.params() == (25, 6)
-    full = deep_dimension(tw, 2, embed=True)
-    assert full.code.params() == (25, 7)
+    assert embed_once(base).code.params() == (25, 7)
 
 
 def test_deep_dimension_q11_t3_extends():
     tw = build_tower(11, 1)
-    full = deep_dimension(tw, 3)
+    full = embed_once(deep_dimension(tw, 3))
     assert full.code.params() == (32, 6)
 
 
 def test_deep_dimension_q5():
     tw = build_tower(5, 1)
-    assert deep_dimension(tw, 2, embed=False).code.params() == (9, 2)
-    assert deep_dimension(tw, 2).code.params() == (9, 3)
+    base = deep_dimension(tw, 2)
+    assert base.code.params() == (9, 2)
+    assert embed_once(base).code.params() == (9, 3)
 
 
 def test_deep_requires_divisor():
     with pytest.raises(DivisibilityViolated):
         deep_dimension(build_tower(13, 1), 3)  # 3 does not divide 14
+
+
+@contextlib.contextmanager
+def pipeline_calls():
+    """Record the arguments and results of the twist and fiber steps of
+    construct, and the name of every row-building step it enters."""
+    calls = {"twist": [], "points": [], "rows": []}
+    twist, points = agq.constructions.twist_vector, agq.constructions.rational_points
+
+    def spy_twist(es):
+        calls["twist"].append((es, twist(es)))
+        return calls["twist"][-1][1]
+
+    def spy_points(spec, xs):
+        calls["points"].append((spec, xs, points(spec, xs)))
+        return calls["points"][-1][2]
+
+    def spy_rows(name, fn):
+        return lambda *args, **kwargs: calls["rows"].append(name) or fn(*args, **kwargs)
+
+    with (
+        mock.patch.object(agq.constructions, "twist_vector", spy_twist),
+        mock.patch.object(agq.constructions, "rational_points", spy_points),
+        mock.patch.object(agq.constructions, "grs_rows", spy_rows("grs_rows", grs_rows)),
+        mock.patch.object(agq.constructions, "rr_basis", spy_rows("rr_basis", rr_basis)),
+    ):
+        yield calls
+
+
+def rows_rank_defect(calls, k):
+    """The RankDefect that building all k rows raises, from the recorded point
+    set and twist: the verdict before rows were checked against the points."""
+    with pytest.raises(RankDefect) as got:
+        if calls["points"]:
+            spec, xs, (owner, y) = calls["points"][-1]
+            tv = calls["twist"][-1][1]
+            evaluation_code(spec.tower, rr_basis(spec, k), xs.codes[owner], y, tv.codes[owner])
+        else:
+            es, tv = calls["twist"][-1]
+            LinearCode(es.tower, grs_rows(es.tower, es, tv, range(k)))
+    return got.value
+
+
+# (request, b): from k = b on, n points cannot carry k rows (b = n + 1 on the
+# line, n + 2g on a curve), so construct rejects k before it builds a row
+OVERSIZED = [
+    (ConstructionRequest("c1", 2, 2, n=16), 17),
+    (ConstructionRequest("c5", 2, 2), 24 + 2),
+    (ConstructionRequest("c6", 2, 2, n=4), 8 + 4),
+    (ConstructionRequest("c7i", 2, 2, n=4), 16 + 12),
+    (ConstructionRequest("c7ii", 3, 1, n=2, t=1), 15 + 6),
+    (ConstructionRequest("c7iii", 3, 1, t=1), 9 + 6),
+    (ConstructionRequest("c8", 3, 1), 15 + 2),
+    (ConstructionRequest("c9", 3, 1, t=2), 15 + 2),
+    (ConstructionRequest("c10", 3, 1, t=2), 15 + 2),
+    # p | t: the semigroup <3, 3> is not numerical, and the basis has more than k - g monomials
+    (ConstructionRequest("c9", 3, 1, t=3), 9 + 4),
+]
+
+
+@pytest.mark.parametrize("request_, b", OVERSIZED, ids=[f"{r.construction}-{r.p}-{r.t}" for r, _ in OVERSIZED])
+def test_oversized_k_is_rejected_before_any_row_is_built(request_, b):
+    """At k = b and b + 1 construct raises RankDefect without building a row,
+    with the rank n of the points and the size of the basis (k on the line),
+    exactly the verdict that building the rows gives.  At b - 1 the rows are
+    built."""
+    with pipeline_calls() as calls, contextlib.suppress(RankDefect, GramNonzero):
+        construct(replace(request_, k=b - 1))
+    assert calls["rows"]
+    for k in (b, b + 1):
+        with pipeline_calls() as calls, pytest.raises(RankDefect) as got:
+            construct(replace(request_, k=k))
+        assert calls["rows"] == []
+        n = len(calls["points"][0][2][0]) if calls["points"] else calls["twist"][0][0].n
+        spec = calls["points"][0][0] if calls["points"] else None
+        assert got.value.achieved_rank == n
+        assert got.value.expected == (len(rr_basis(spec, k)) if spec else k)
+        old = rows_rank_defect(calls, k)
+        assert (old.achieved_rank, old.expected) == (got.value.achieved_rank, got.value.expected)
+    if spec is not None and (spec.pole_x, spec.pole_y) != (3, 3):
+        assert got.value.expected == k - spec.genus  # Riemann-Roch: l((k-1)P) = k - g
 
 
 def test_embedding_boundary_q11():

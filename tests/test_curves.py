@@ -20,7 +20,7 @@ from agq.errors import (
     UnsupportedFamily,
 )
 from agq.fields import AdditiveMap, build_tower
-from agq.points import explicit_set
+from agq.points import explicit_set, roots_of_unity_set
 
 from .scalar_field import Scalar, field_elements
 from .test_fields import gf_p_solve
@@ -154,15 +154,11 @@ def test_hyperelliptic_full_support():
     assert len(rational_points(hyp, x_support(hyp))[0]) == 2 * 16  # 2q^2 affine points
 
 
-def test_line_has_no_x_support():
-    with pytest.raises(UnsupportedFamily):
-        x_support(curve(CurveFamily.LINE, build_tower(3, 1)))
-
-
-def test_rr_basis_line():
-    spec = curve(CurveFamily.LINE, build_tower(5, 1))
-    basis = rr_basis(spec, 5)
-    assert basis.monomials == ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))
+def test_fixed_support_families_reject_a_selector():
+    tw = build_tower(3, 1)
+    for spec in (curve(CurveFamily.SEMI_HERMITIAN, tw), curve(CurveFamily.ARTIN_SCHREIER, tw, t=2)):
+        with pytest.raises(UnsupportedFamily):
+            x_support(spec, roots_of_unity_set(tw, 3))
 
 
 def test_rr_basis_hermitian_q4_k9():

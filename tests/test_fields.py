@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from agq.cli import _repro_targets, _run_repro_target
 from agq.config import DEFAULT_FIELD_CAP
-from agq.errors import BadRequest, FieldTooLarge, NoConwayEntry, NotInBaseField, NotPrime, ZeroInput
+from agq.errors import BadRequest, FieldTooLarge, NotInBaseField, NotPrime, ZeroInput
 from agq.fields import (
     _CAYLEY_MAX_Q2,
     _CONWAY,
@@ -263,10 +264,8 @@ def test_build_tower_errors():
     with pytest.raises(NotPrime):
         build_tower(6, 1)
     with pytest.raises(FieldTooLarge):
-        build_tower(2, 3, field_cap=32)
-    with pytest.raises(NoConwayEntry):
-        build_tower(29, 1, strict_conway=True)
-    # fallback search still works without the flag
+        build_tower(2, 12)  # 2^24 > DEFAULT_FIELD_CAP = 2^22
+    # GF(29^2) has no Conway entry: the least primitive polynomial defines it
     tw = build_tower(29, 1)
     assert not tw.conway
     assert (gen(tw) ** tw.n_units).is_one()
@@ -275,10 +274,25 @@ def test_build_tower_errors():
 def test_build_tower_shares_one_read_only_tower():
     tw = build_tower(2, 5)
     assert build_tower(2, 5) is tw
-    assert build_tower(2, 5, strict_conway=True) is tw  # GF(2^10) has a Conway entry
     for table in (tw._zech, tw._words):
         with pytest.raises(ValueError):
             table[0] = table[1]
+
+
+def test_build_tower_checks_the_size_first():
+    """p^(2m) <= DEFAULT_FIELD_CAP = 2^22 needs m <= 11 and p <= 2^11, which are
+    checked before the power is formed or p is tested for primality: huge
+    parameters are rejected at once, prime or not, with a message that does
+    not print the power.  The largest fields in the cap pass the checks."""
+    start = time.perf_counter()
+    for p, m in [(10 ** 24 + 7, 1), (2, 2 * 10 ** 8), (4, 12), (2053, 1), (3, 7), (10 ** 4000, 10 ** 4000)]:
+        with pytest.raises(FieldTooLarge) as got:
+            build_tower(p, m)
+        assert len(str(got.value)) < len(str(p)) + len(str(m)) + 100
+    assert time.perf_counter() - start < 0.5
+    with mock.patch("agq.fields._shared_tower", lambda p, m: (p, m)):  # checks only, no tables
+        for p, m in [(2, 11), (2039, 1), (3, 6)]:  # 2^22; the largest prime below 2^11; 3^12
+            assert build_tower(p, m) == (p, m)
 
 
 def test_shared_towers_never_skip_a_check():
@@ -286,9 +300,7 @@ def test_shared_towers_never_skip_a_check():
     build_tower(29, 1)
     for _ in range(2):
         with pytest.raises(FieldTooLarge):
-            build_tower(2, 5, field_cap=2 ** 9)
-        with pytest.raises(NoConwayEntry):
-            build_tower(29, 1, strict_conway=True)
+            build_tower(2, 12)
         with pytest.raises(NotPrime):
             build_tower(6, 1)
         for m in (0, -1):

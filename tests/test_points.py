@@ -179,7 +179,7 @@ def test_local_derivative_closed_form_affine_grid():
     es = affine_grid_set(tw, 3)
     a = Scalar(tw, es.params["anchor_code"])
     unit = (a.frobenius() - a) ** 2
-    assert es.default_unit_scalar() == unit.code
+    assert es.residue_unit() == unit.code
     for d in derivatives(es):
         val = d / unit
         assert not val.is_zero() and val.in_base_field()
@@ -214,7 +214,7 @@ def test_twist_vector_affine_grid_default_unit():
     tw = build_tower(7, 1)
     es = affine_grid_set(tw, 3)
     tv = twist_vector(es)
-    unit = Scalar(tw, es.default_unit_scalar())
+    unit = Scalar(tw, es.residue_unit())
     for v, h in zip(twist_elements(tv), derivatives(es)):
         assert (v ** 8) * h == unit
 
@@ -301,36 +301,32 @@ TWIST_TOWERS = [(3, 1), (2, 2), (2, 4), (17, 1), (2, 5), (3, 3), (31, 1)]
 
 @st.composite
 def twist_cases(draw):
-    """A point set, one in four with one point repeated, a unit scalar (None for
-    the family default, else any code including zero) and a gather cap that
+    """A point set, one in four with one point repeated, and a gather cap that
     makes blocks of 1 or 7 rows, or the module default."""
     es = draw(point_sets(TWIST_TOWERS, max_n=64))
     if draw(st.integers(0, 3)) == 0:
         codes = es.codes.tolist()
         codes.append(codes[draw(st.integers(0, len(codes) - 1))])
         es = EvaluationSet(es.tower, es.family, codes, es.params)
-    unit = draw(st.one_of(st.none(), st.integers(0, es.tower.n_units)))
     rows = draw(st.sampled_from([1, 7, None]))
     nonzero = int(np.count_nonzero(es.codes != es.tower.zero_code))
     cap = agq.points._GATHER_ENTRIES if rows is None else rows * max(1, nonzero)
-    return es, unit, cap
+    return es, cap
 
 
-def assert_twist_matches_oracle(es, unit_scalar):
+def assert_twist_matches_oracle(es):
     assert derivatives(es) == list(pairwise_product_derivatives(es))
     if es.family == FAMILY_AFFINE_GRID:  # (a^q - a)^(t-1), by Scalar operators
         a = Scalar(es.tower, es.params["anchor_code"])
-        assert es.default_unit_scalar() == ((a.frobenius() - a) ** (es.params["t"] - 1)).code
-    unit = Scalar(es.tower, es.default_unit_scalar() if unit_scalar is None else unit_scalar)
+        assert es.residue_unit() == ((a.frobenius() - a) ** (es.params["t"] - 1)).code
     try:
-        want = pairwise_twist(es, unit)
+        want = pairwise_twist(es, Scalar(es.tower, es.residue_unit()))
     except NotNormValue as exc:
         with pytest.raises(NotNormValue) as got:
-            twist_vector(es, unit_scalar)
+            twist_vector(es)
         assert got.value.index == exc.index
     else:
-        tv = twist_vector(es, unit_scalar)
-        assert tuple(twist_elements(tv)) == want and tv.unit_scalar == unit.code
+        assert tuple(twist_elements(twist_vector(es))) == want
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -339,9 +335,9 @@ def test_twist_log_sums_match_pairwise_product(case):
     """local_derivatives and twist_vector, values or NotNormValue index, equal the
     Scalar pairwise product on all four families, with and without zero,
     whatever the row blocks of the gather."""
-    es, unit, cap = case
+    es, cap = case
     with mock.patch.object(agq.points, "_GATHER_ENTRIES", cap):
-        assert_twist_matches_oracle(es, unit)
+        assert_twist_matches_oracle(es)
 
 
 @pytest.mark.parametrize("p,m,n", [(2, 5, 1024), (2, 8, 258), (251, 1, 251)])
@@ -358,18 +354,17 @@ def test_roots_of_unity_closed_form_at_benchmark_scale(p, m, n):
 
 @pytest.mark.parametrize("p,m", [(5, 1), (2, 5), (31, 1)])
 def test_repeated_point_has_zero_derivative(p, m):
-    # distinct points of GF(q) have every h' in GF(q)*, so with unit 1 the
-    # twist fails first at the repeated point, index 2
+    # distinct points of GF(q) have every h' in GF(q)*, so with the unit 1 of
+    # an explicit set the twist fails first at the repeated point, index 2
     tw = build_tower(p, m)
     pts = [el.code for el in subfield_elements(tw)][:4]
     es = EvaluationSet(tw, FAMILY_EXPLICIT, pts[:3] + pts[2:], {})
     der = derivatives(es)
     assert [d.is_zero() for d in der] == [False, False, True, True, False]
     assert der == list(pairwise_product_derivatives(es))
-    for unit in (None, 0, 1):  # the default, the codes of 1 and of t
-        assert_twist_matches_oracle(es, unit)
+    assert_twist_matches_oracle(es)
     with pytest.raises(NotNormValue) as got:
-        twist_vector(es, 0)
+        twist_vector(es)
     assert got.value.index == 2
 
 

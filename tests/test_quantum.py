@@ -28,7 +28,7 @@ IMPURE_GF4 = LinearCode(
 
 
 def test_q13_deep_quantum_params():
-    cert = deep_dimension(build_tower(13, 1), 2)
+    cert = embed_once(deep_dimension(build_tower(13, 1), 2))
     qp = stabilizer_params(cert)
     assert (qp.n, qp.k, qp.d, qp.q) == (25, 11, 8, 13)
     assert qp.mds and qp.defect == 0
