@@ -487,9 +487,13 @@ def _first_collision(tower: FieldTower, g: np.ndarray, w: int, limit: int):
         b = np.repeat(np.arange(len(pre)), count)
         j = np.arange(len(b)) + np.repeat(top + 1 - (np.cumsum(count) - count), count)
         points = _entry_points(tower, g, pre, b, j) if w > 2 else g.take(j, axis=1)  # (k-w+2, entries)
-        lead = points[-1]
-        for row in points[-2::-1]:
-            lead = np.where(row != zero, row, lead)
+        # the first nonzero coordinate: row 0 but where that is zero
+        lead = points[0]
+        unset = np.nonzero(lead == zero)[0]
+        if unset.size:
+            rest = points[1:, unset]
+            lead = lead.copy()
+            lead[unset] = rest[(rest != zero).argmax(axis=0), np.arange(unset.size)]
         keys = _exact_keys(b, tower.vmul(points, tower.vinv(lead)), tower.q2)
         ordered = np.sort(keys)
         if not (ordered[1:] == ordered[:-1]).any():
@@ -507,7 +511,8 @@ def _first_collision(tower: FieldTower, g: np.ndarray, w: int, limit: int):
 def dual_distance_by_columns(code: LinearCode) -> DistanceResult:
     """d(C^perp) = size of the smallest linearly dependent column set of G.
 
-    Scans w = 1, 2, ... up to k+1, where dependence is guaranteed.  Once
+    Scans w = 1, 2, ... up to k+1, where dependence is guaranteed; a square
+    code (k = n) has no k+1 columns, so its exact k+1 comes with no witness.  Once
     every (w-1)-subset is independent, S + {j, l} with |S| = w-2 is
     dependent exactly when columns j and l, projected modulo span(S), are
     parallel.  So the prefixes S are taken in lex-ordered
@@ -552,7 +557,7 @@ def dual_distance_by_columns(code: LinearCode) -> DistanceResult:
             # every subset of size < w is certified independent, so d >= w
             return DistanceResult(w, False, None, "column-scan-lower-bound")
         spent += total * unit
-    return DistanceResult(k + 1, True, tuple(range(k + 1)), "column-scan")
+    return DistanceResult(k + 1, True, tuple(range(k + 1)) if k < n else None, "column-scan")
 
 
 def is_mds(code: LinearCode) -> tuple[bool | None, tuple | None, str, DistanceResult]:
@@ -611,8 +616,8 @@ def _systematic_mds_screen(code: LinearCode):
         witness = tuple(sorted(set(range(k)) - {i})) + (k + j,)
         return False, tuple(sorted(witness)), "systematic"
     m = n - k
-    if k == 1 or m == 1:
-        return True, None, "systematic"  # no square submatrix beyond nonzero entries
+    if k == 1 or m <= 1:
+        return True, None, "systematic"  # no square submatrix beyond nonzero entries, or none at all
     if _cauchy_verify(tower, a):
         return True, None, "cauchy"
     return None

@@ -23,16 +23,19 @@ computer-algebra output; otherwise the lexicographically least primitive
 polynomial is used.  The search for it tests the norm of a root, then
 irreducibility (Euler's criterion on the discriminant at degree 2 with p odd,
 Ben-Or's test otherwise), then the order of x, from powers that share their
-squarings.  The tables are built at run time from the modulus: the powers of t
-by doubling, each doubling step a few gathers per power from q-entry tables,
-and the log, Zech and additive tables from those powers.
+squarings.  Its polynomials are packed into Python ints, bits for p = 2 and
+bit fields for odd p, so that sums and products act on whole ints.  The tables are
+built at run time from the modulus, on the first request for a field and
+never at import: the powers of t by doubling, each doubling step a few
+gathers per power from q-entry tables, and the log, Zech and additive tables
+from those powers.
 """
 
 from __future__ import annotations
 
 import functools
 from enum import Enum
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -94,122 +97,222 @@ def _prime_factors(n: int) -> set[int]:
     return out
 
 
-# -- small polynomial arithmetic over GF(p), used only for modulus search ----
-
-def _poly_mulmod(a, b, f, p):
-    n = len(f) - 1
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] += ai * bj
-    for i in range(len(res) - 1, n - 1, -1):  # f is monic; reduce mod p once, at the end
-        c = res[i] % p
-        if c:
-            for j in range(n):
-                res[i - n + j] -= c * f[j]
-    out = [c % p for c in res[:n]]
-    return out + [0] * (n - len(out))
+# -- packed polynomials over GF(p), used only for modulus search --------------
+#
+# A polynomial is one Python int: its bits for p = 2, one bit field per
+# coefficient for odd p.  Sums and products act on whole ints, in place of
+# loops over coefficient lists.
 
 
-def _poly_rem(a, b, p):
-    """a mod b over GF(p), trailing zeros dropped; b ends in a nonzero
-    coefficient, and a's coefficients may be any integers."""
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] * inv % p
-        if c:
-            for j in range(db):
-                a[i - db + j] -= c * b[j]
-    a = [c % p for c in a[:db]]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+class _Polys:
+    """Euclid and Ben-Or's test on top of a packing's rem and Frobenius map."""
 
-
-def _poly_square(a, f, p):
-    """a^2 mod f.  For p = 2 the square of sum a_i x^i is sum a_i x^(2i), as
-    cross terms come in pairs, so it is a coefficient spread reduced mod f."""
-    if p != 2:
-        return _poly_mulmod(a, a, f, p)
-    spread = [0] * (2 * len(a) - 1)
-    spread[::2] = a
-    out = _poly_rem(spread, f, p)
-    return out + [0] * (len(f) - 1 - len(out))
-
-
-def _has_small_factor(f, p) -> bool:
-    """Ben-Or's test: does monic f of degree d >= 2 with f(0) != 0 have a
-    factor of degree <= d/2?
-
-    Every irreducible factor of degree j divides x^(p^j) - x, so f is
-    irreducible exactly when gcd(f, x^(p^j) - x) = 1 for j = 1 .. d/2.  The
-    test stops at the first j with a nontrivial gcd.  Each x^(p^j) is the p-th
-    power of the one before, and h^p = sum h_i x^(ip), as h_i^p = h_i in GF(p).
-    """
-    h = [0, 1]
-    for _ in range((len(f) - 1) // 2):
-        power = [0] * (p * len(h) - p + 1)
-        power[::p] = h
-        h = _poly_rem(power, f, p)  # x^(p^j) mod f
-        h_minus_x = h + [0] * (2 - len(h))
-        h_minus_x[1] -= 1
-        a, b = f, _poly_rem(h_minus_x, f, p)
+    def gcd(self, a, b):
         while b:
-            a, b = b, _poly_rem(a, b, p)
-        if len(a) > 1:
-            return True
-    return False
+            a, b = b, self.rem(a, b)
+        return a
+
+    def has_small_factor(self, f) -> bool:
+        """Ben-Or's test: does monic f of degree d >= 2 with f(0) != 0 have a
+        factor of degree <= d/2?
+
+        Every irreducible factor of degree j divides x^(p^j) - x, so f is
+        irreducible exactly when gcd(f, x^(p^j) - x) = 1 for j = 1 .. d/2.  The
+        test stops at the first j with a nontrivial gcd.  Each x^(p^j) mod f is
+        the p-th power of the one before.
+        """
+        h = self.x
+        for _ in range(self.deg // 2):
+            h = self.frobenius(h, f)
+            if self.gcd(f, self.minus_x(h)) >= self.x:  # degree >= 1
+                return True
+        return False
+
+
+class _BinaryPolys(_Polys):
+    """Polynomials over GF(2): bit i is the coefficient of x^i, a sum is XOR
+    and a product the XOR of shifted copies of one factor."""
+
+    p = 2
+    x = 0b10
+
+    def __init__(self, deg):
+        self.deg = deg
+
+    def monic(self, value):
+        """The monic polynomial of degree deg whose lower coefficients are the
+        base-p digits of value."""
+        return value | 1 << self.deg
+
+    def coeffs(self, a, n):
+        return tuple(a >> i & 1 for i in range(n))
+
+    def mulmod(self, a, b, f):
+        out = 0
+        while b:
+            low = b & -b  # x^i for the lowest term of b
+            out ^= a * low
+            b ^= low
+        return self.rem(out, f)
+
+    def rem(self, a, b):
+        n = b.bit_length()
+        while (top := a.bit_length()) >= n:
+            a ^= b << top - n
+        return a
+
+    def square(self, a, f):
+        """a^2 mod f.  The square of sum a_i x^i is sum a_i x^(2i), as cross
+        terms come in pairs, so it is a spread of the bits reduced mod f."""
+        return self.rem(int("0".join(format(a, "b")), 2), f)
+
+    frobenius = square
+
+    def minus_x(self, a):
+        return a ^ self.x
+
+
+class _PackedPolys(_Polys):
+    """Polynomials over GF(p), p odd, of degree <= deg: coefficient i in bits
+    [i w, (i+1) w) of one int (Kronecker substitution), so that a product is
+    one integer product.  A field is wide enough for every sum below, so fields
+    never carry into each other, and ``reduce`` takes every coefficient mod p
+    at once: with M = ceil(2^s/p), floor(v M / 2^s) = floor(v/p) for every
+    v < 2^s/p (Granlund and Montgomery, PLDI 1994), and each field's v M stays
+    below 2^w."""
+
+    def __init__(self, p, deg):
+        self.p = p
+        self.deg = deg
+        # every field stays below deg^2 p^3, and bound doubles that: in mulmod a
+        # product's coefficient (at most deg (p-1)^2) plus deg - 1 of them times
+        # coefficients of x^(deg+i) mod f; in rem deg + 1 multiples of the divisor
+        bound = 2 * deg * deg * p ** 3
+        self.shift = bound.bit_length() + p.bit_length()
+        self.magic = -(-(1 << self.shift) // p)
+        w = self.w = bound.bit_length() + self.magic.bit_length()
+        self.field = (1 << w) - 1
+        self.low = (1 << deg * w) - 1
+        self.quotients = sum((1 << w - self.shift) - 1 << i * w for i in range(deg + 1))
+        self.x = 1 << w
+        self._tails = {}
+
+    def reduce(self, a):
+        return a - self.p * (a * self.magic >> self.shift & self.quotients)
+
+    def monic(self, value):
+        p, w = self.p, self.w
+        f = 1 << self.deg * w
+        for i in range(self.deg):
+            value, c = divmod(value, p)
+            f |= c << i * w
+        return f
+
+    def coeffs(self, a, n):
+        return tuple(a >> i * self.w & self.field for i in range(n))
+
+    def rem(self, a, b):
+        """a mod b for reduced b != 0 and a with fields below the bound.  Each
+        step adds the multiple of b that makes a's top coefficient 0 mod p;
+        fields from b's degree up are dropped at the end."""
+        p, w, field = self.p, self.w, self.field
+        db = (b.bit_length() - 1) // w
+        neg_inv = -pow(b >> db * w, -1, p) % p
+        for i in range((a.bit_length() - 1) // w, db - 1, -1):
+            c = (a >> i * w & field) % p
+            if c:
+                a += c * neg_inv % p * b << (i - db) * w
+        return self.reduce(a & (1 << db * w) - 1)
+
+    def mulmod(self, a, b, f):
+        """a b mod monic f of degree deg, for reduced a and b: the coefficient
+        of x^(deg+i) in the product, unreduced, times x^(deg+i) mod f (kept
+        per f in ``_tails``), added to the low half."""
+        tails = self._tails.get(f) or self._new_tails(f)
+        w, field = self.w, self.field
+        c = a * b
+        out = c & self.low
+        c >>= self.deg * w
+        for tail in tails:
+            out += (c & field) * tail
+            c >>= w
+        return self.reduce(out)
+
+    def _new_tails(self, f):
+        """x^deg .. x^(2 deg - 2) mod f, each x times the one before."""
+        tail = self.reduce((f & self.low) * (self.p - 1))  # x^deg = -(f - x^deg)
+        tails = [tail]
+        for _ in range(self.deg - 2):
+            tail <<= self.w
+            tail = self.reduce((tail & self.low) + (tail >> self.deg * self.w) * tails[0])
+            tails.append(tail)
+        self._tails[f] = tails
+        return tails
+
+    def square(self, a, f):
+        return self.mulmod(a, a, f)
+
+    def frobenius(self, a, f):
+        """a^p mod f, by squaring and multiplying."""
+        power = a
+        for bit in bin(self.p)[3:]:
+            power = self.mulmod(power, power, f)
+            if bit == "1":
+                power = self.mulmod(power, a, f)
+        return power
+
+    def minus_x(self, a):
+        return self.reduce(a + (self.p - 1) * self.x)
 
 
 def _least_primitive_poly(p, deg):
-    """Lexicographically least primitive monic polynomial (packed-value order).
+    """Lexicographically least primitive monic polynomial (packed-value order),
+    coefficients ascending.
 
     Three tests in turn, cheapest first.  (-1)^deg f(0), the norm of a root,
     must generate GF(p)*.  f must be irreducible: at degree 2 with p odd,
     exactly when its discriminant is a non-square (Euler's criterion), and
-    otherwise when Ben-Or's test (_has_small_factor) finds no small factor.
+    otherwise when Ben-Or's test (``has_small_factor``) finds no small factor.
     Modulo an irreducible f with f(0) != 0, x^(p^deg - 1) = 1 (Lidl and
     Niederreiter, Finite Fields, Thm 3.3), so x is primitive exactly when
     x^((p^deg - 1)/r) != 1 for every prime r of p^deg - 1.  For r dividing
     p - 1 that power is the norm to the power (p - 1)/r, which the first test
-    has checked, so only the other primes are tried, smallest first.
+    has checked, so only the other primes are tried, smallest first.  The
+    polynomial arithmetic is packed: bits of an int for p = 2, and fields of
+    an int for odd p (``_BinaryPolys``, ``_PackedPolys``).
     """
     factors = _prime_factors(p - 1)
     order = p ** deg - 1
     cofactors = [order // r for r in sorted(_prime_factors(order) - factors)]
-    one = [1] + [0] * (deg - 1)
     sign = -1 if deg % 2 else 1
-    for packed in range(1, p ** deg):
-        coeffs = []
-        v = packed
-        for _ in range(deg):
-            coeffs.append(v % p)
-            v //= p
-        norm = sign * coeffs[0] % p
-        if norm == 0 or any(pow(norm, (p - 1) // r, p) == 1 for r in factors):
+    # constant terms whose norm generates GF(p)*: the powers g^e, e prime to p - 1,
+    # of the least generator g
+    g = next(c for c in range(1, p) if all(pow(c, (p - 1) // r, p) != 1 for r in factors))
+    norms = {sign * pow(g, e, p) % p for e in range(1, p) if gcd(e, p - 1) == 1}
+    polys = _BinaryPolys(deg) if p == 2 else _PackedPolys(p, deg)
+    for value in range(1, p ** deg):
+        if value % p not in norms:
             continue
-        f = coeffs + [1]
+        f = polys.monic(value)
         if deg == 2 and p > 2:
-            if pow(coeffs[1] ** 2 - 4 * coeffs[0], (p - 1) // 2, p) != p - 1:
+            c1, c0 = divmod(value, p)
+            if pow(c1 * c1 - 4 * c0, (p - 1) // 2, p) != p - 1:
                 continue
-        elif _has_small_factor(f, p):
+        elif polys.has_small_factor(f):
             continue
         # x^(2^i) mod f, squared as far as the next exponent needs
-        squares = [[0, 1] + [0] * (deg - 2)]
+        squares = [polys.x]
         for e in cofactors:
             while len(squares) < e.bit_length():
-                squares.append(_poly_square(squares[-1], f, p))
+                squares.append(polys.square(squares[-1], f))
             power = None
             for i, square in enumerate(squares):
                 if e >> i & 1:
-                    power = square if power is None else _poly_mulmod(power, square, f, p)
-            if power == one:
+                    power = square if power is None else polys.mulmod(power, square, f)
+            if power == 1:
                 break
         else:
-            return tuple(f)
+            return polys.coeffs(f, deg + 1)
     raise AssertionError("no primitive polynomial found")  # unreachable for prime p
 
 
@@ -267,9 +370,12 @@ class FieldTower:
         step[deg - 1] = [(-c) % p for c in self.modulus[:deg]]
         weights = p ** np.arange(deg, dtype=np.int64)
         half_digits = np.arange(q)[:, None] // weights[:m] % p  # the digits of each m-digit half
-        # digit_sum: a sum of two halves written in base 2p-1 to its digits mod p
+        # digit_sum: a sum of two halves written in base 2p-1 to its digits mod p,
+        # built by broadcasting one digit at a time
         spread = (2 * p - 1) ** np.arange(m)
-        digit_sum = np.arange((2 * p - 1) ** m)[:, None] // spread % (2 * p - 1) % p @ weights[:m]
+        digit_sum = np.zeros(1, dtype=np.int64)
+        for weight in weights[:m]:
+            digit_sum = ((np.arange(2 * p - 1) % p * weight)[:, None] + digit_sum).ravel()
         # the low and high halves of t^e, int64 (numpy's index type) so that no
         # gather copies its index; t^e for e < deg is the single digit p^e, and
         # step becomes (C^deg)^T, whose rows are the digits of t^deg .. t^(2 deg - 1)
@@ -288,13 +394,15 @@ class FieldTower:
             c = min(k, n - k)
             images = (half_digits @ step.reshape(2, m, deg)).astype(np.int64)
             images %= p
-            # images[s, h]: half h of the product of t^k with each value of half s
-            images = (images.reshape(2, q, 2, m) @ spread).transpose(0, 2, 1)
+            # images[s, h]: half h of the product of t^k with each value of half s,
+            # one contiguous row each: a 1-D take runs far faster than one along axis 1
+            images = np.ascontiguousarray((images.reshape(2, q, 2, m) @ spread).transpose(0, 2, 1))
             for start in range(0, c, _TABLE_BLOCK):  # blocks bound the int64 temporaries
                 stop = min(start + _TABLE_BLOCK, c)
-                index = images[0].take(lo[start:stop], axis=1)
-                index += images[1].take(hi[start:stop], axis=1)
-                digit_sum.take(index, out=halves[:, k + start : k + stop], mode="clip")  # in range: no buffer
+                for h in range(2):
+                    index = images[0, h].take(lo[start:stop])
+                    index += images[1, h].take(hi[start:stop])
+                    digit_sum.take(index, out=halves[h, k + start : k + stop], mode="clip")  # in range: no buffer
             step = step @ step % p
             k += c
         del index
@@ -313,9 +421,8 @@ class FieldTower:
         exp_val = hi * q
         exp_val += lo
         # adding 1 to t^e adds 1 to its packed value, or 1 - p where the lowest
-        # digit is p - 1
-        np.remainder(lo, p, out=lo)
-        carry = lo == p - 1
+        # digit is p - 1: a carry read by the low half from a q-entry table
+        carry = (np.arange(q) % p == p - 1).take(lo)
         del halves, lo, hi
         log_val = np.full(q2, self.zero_code, dtype=np.int32)
         log_val[exp_val] = np.arange(n, dtype=np.int32)
@@ -323,7 +430,7 @@ class FieldTower:
             raise AssertionError("modulus is not primitive; tables inconsistent")
         # Zech table: zech[e] = log(1 + t^e), zero_code marks 1 + t^e = 0
         plus_one = exp_val + 1
-        np.subtract(plus_one, p, out=plus_one, where=carry)
+        plus_one -= np.multiply(carry, p, dtype=np.int16)  # p * carry would be an int64 temporary
         zech = log_val.take(plus_one)
         del carry, plus_one
         # the second copy of the words, touched only now that the halves are gone
@@ -335,9 +442,16 @@ class FieldTower:
         self._words = words
         self._add_table = self._mul_table = None
         if q2 <= _CAYLEY_MAX_Q2:
-            a, b = np.divmod(np.arange(q2 * q2, dtype=np.int32), np.int32(q2))
-            self._add_table = self._zech_add(a, b)
-            self._mul_table = self._log_mul(a, b)
+            # row a of the product table is a + b mod n, then the zero column;
+            # t^a + t^b = t^a (1 + t^(b-a)) is row a read at zech[(b - a) mod n]
+            r = np.arange(n)
+            mul = np.full((q2, q2), n, dtype=np.int32)
+            mul[:n, :n] = np.concatenate([r, r]).take(r[:, None] + r)
+            at = np.concatenate([zech, zech]).take((n - r)[:, None] + r) + (q2 * r)[:, None]
+            add = np.empty_like(mul)
+            add[:n, :n] = mul.take(at)
+            add[n] = add[:, n] = np.arange(q2)  # 0 + x = x + 0 = x
+            self._add_table, self._mul_table = add.ravel(), mul.ravel()
         for table in (exp_val, log_val, zech, words, self._add_table, self._mul_table):
             if table is not None:
                 table.flags.writeable = False

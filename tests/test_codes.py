@@ -613,7 +613,8 @@ def per_subset_column_scan(code):
             dep = np.nonzero(batched_dependent(tower, mats))[0]
             if dep.size:
                 return DistanceResult(w, True, tuple(int(c) for c in combos[dep[0]]), "column-scan")
-    return DistanceResult(k + 1, True, tuple(range(k + 1)), "column-scan")
+    # a square code (k = n) has no k+1 columns to name
+    return DistanceResult(k + 1, True, tuple(range(k + 1)) if k < n else None, "column-scan")
 
 
 def nominal_spend(code, w, subsets):
@@ -732,6 +733,11 @@ def scan_blocks():
         1 << 20,
     )
 )
+# w = 2, {0, 1}: both columns are zero in row 0, so their keys scale by row 1
+@example((code_of((2, 1), [[None, None, 0, None], [0, 1, None, None], [1, 2, 0, 0]]), config.DEFAULT_OPS_CAP, _CHUNK, 1 << 20))
+# w = 3, {0, 1, 2}: modulo column 0 = e_0, columns 1 and 2 project to points
+# whose first coordinate is zero
+@example((code_of((2, 1), [[0, 0, 1, None], [None, None, None, 0], [None, 0, 0, None]]), config.DEFAULT_OPS_CAP, _CHUNK, 1 << 20))
 def test_column_scan_matches_per_subset_scan(case):
     code, budget, chunk, live = case
     with (
@@ -1066,6 +1072,32 @@ def test_is_mds_cap(monkeypatch):
     monkeypatch.setenv("AGQ_CAP_OPS", "10")
     flag, witness, method, dd = is_mds(code)
     assert (flag, witness, method) == (None, None, "column-scan-lower-bound") and not dd.exact
+
+
+def assert_square_code_is_mds(code):
+    """A full-rank k x k code: every k-subset of its columns (there is one) is
+    independent, and C^perp = {0}, so d(C^perp) = k+1 with no column set to show."""
+    k = code.k
+    assert code.n == k and minors_is_mds(code)[0]
+    assert dual_distance_by_columns(code) == DistanceResult(k + 1, True, None, "column-scan")
+    flag, witness, method, dd = is_mds(code)
+    assert (flag, witness) == (True, None) and method in ("systematic", "vandermonde")
+    assert dd == DistanceResult(k + 1, True, None, "mds-singleton")
+
+
+def test_square_gf4_code_is_mds():
+    # n - k = 0: the systematic form has no A to screen, and there is no column k
+    assert_square_code_is_mds(code_of((2, 1), [[0, 0, None], [None, 0, 1], [0, 1, 2]]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)]), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_invertible_square_codes_are_mds(pm, k, seed):
+    """Random invertible k x k matrices, k = 1..6, over GF(4) to GF(64), zero entries included."""
+    tw = build_tower(*pm)
+    g = np.random.default_rng(seed).integers(0, tw.q2, size=(k, k)).astype(np.int32)
+    assume(rank(tw, g) == k)
+    assert_square_code_is_mds(LinearCode(tw, g))
 
 
 def self_orthogonal_code(tower, n, k, seed, plant=False):

@@ -1,5 +1,8 @@
 import importlib.util
 import itertools
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 from unittest import mock
@@ -17,11 +20,10 @@ from agq.fields import (
     _CONWAY,
     AdditiveMap,
     FieldTower,
-    _has_small_factor,
+    _BinaryPolys,
     _is_prime,
     _least_primitive_poly,
-    _poly_mulmod,
-    _poly_square,
+    _PackedPolys,
     _prime_factors,
     build_tower,
     norm_preimage,
@@ -271,6 +273,27 @@ def test_build_tower_errors():
     assert (gen(tw) ** tw.n_units).is_one()
 
 
+def test_import_builds_no_tower_and_searches_no_modulus():
+    """Importing agq and its CLI in a fresh interpreter leaves every tower to
+    the first request: no table build and no modulus search runs at import."""
+    script = (
+        "import sys\n"
+        "work = ('_least_primitive_poly', 'has_small_factor', '_build_tables')\n"
+        "calls = []\n"
+        "def watch(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name in work:\n"
+        "        calls.append(frame.f_code.co_name)\n"
+        "sys.setprofile(watch)\n"
+        "import agq, agq.cli\n"
+        "sys.setprofile(None)\n"
+        "from agq.fields import _shared_tower\n"
+        "print(calls, _shared_tower.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["[]", "0"]
+
+
 def test_build_tower_shares_one_read_only_tower():
     tw = build_tower(2, 5)
     assert build_tower(2, 5) is tw
@@ -383,17 +406,32 @@ def test_filtered_modulus_search_matches_packed_order_scan():
         assert _least_primitive_poly(p, d) == packed_order_scan(p, d), (p, d)
 
 
+def search_polys(p, deg):
+    return _BinaryPolys(deg) if p == 2 else _PackedPolys(p, deg)
+
+
+def pack(polys, coeffs):
+    """The packed int of a coefficient list, constant first: bit i for p = 2,
+    field i of polys.w bits for odd p."""
+    width = 1 if polys.p == 2 else polys.w
+    return sum(c % polys.p << i * width for i, c in enumerate(coeffs))
+
+
 def test_binary_squaring_matches_the_general_product():
-    """For p = 2 the order test squares by a coefficient spread; forcing every
-    square through _poly_mulmod must give the same least primitive polynomial
-    at every degree 2..22, and the same squares."""
+    """For p = 2 the order test squares by a bit spread; forcing every square
+    through the general product must give the same least primitive polynomial
+    at every degree 2..22, and the same squares as the list oracle."""
     rng = np.random.default_rng(3)
     for d in range(2, 23):
         f = _least_primitive_poly(2, d)
-        with mock.patch("agq.fields._poly_square", lambda a, f, p: _poly_mulmod(a, a, f, p)):
+        with mock.patch.object(_BinaryPolys, "square", lambda self, a, f: self.mulmod(a, a, f)):
             assert _least_primitive_poly(2, d) == f, d
+        polys = _BinaryPolys(d)
         for a in rng.integers(0, 2, size=(8, d)).tolist():
-            assert _poly_square(a, f, 2) == _poly_mulmod(a, a, f, 2), (d, a)
+            pa, pf = pack(polys, a), pack(polys, f)
+            square = polys.square(pa, pf)
+            assert square == polys.mulmod(pa, pa, pf) == pack(polys, poly_square(a, f, 2)), (d, a)
+            assert square == pack(polys, poly_mulmod(a, a, f, 2)), (d, a)
 
 
 # primes p with p^2 within the field cap, above the 2^12 of MODULUS_CASES
@@ -427,10 +465,119 @@ def reducible_monics(p, d):
 @pytest.mark.parametrize("p,d", [(2, 2), (2, 5), (2, 8), (3, 4), (3, 6), (5, 3), (5, 4), (13, 2)])
 def test_ben_or_matches_factor_products(p, d):
     reducible = reducible_monics(p, d)
+    polys = search_polys(p, d)
     for packed in range(1, p ** d):
         f = [packed // p ** i % p for i in range(d)] + [1]
         if f[0]:
-            assert _has_small_factor(f, p) == (tuple(f) in reducible), f
+            assert polys.has_small_factor(pack(polys, f)) == has_small_factor(f, p) == (tuple(f) in reducible), f
+
+
+# -- list arithmetic over GF(p), coefficients ascending: the oracle of the packed
+# arithmetic that the modulus search uses
+
+
+def poly_mulmod(a, b, f, p):
+    """a b mod monic f, each coefficient reduced mod p, padded to deg f."""
+    n = len(f) - 1
+    res = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                res[i + j] += ai * bj
+    for i in range(len(res) - 1, n - 1, -1):  # f is monic; reduce mod p once, at the end
+        c = res[i] % p
+        if c:
+            for j in range(n):
+                res[i - n + j] -= c * f[j]
+    out = [c % p for c in res[:n]]
+    return out + [0] * (n - len(out))
+
+
+def poly_rem(a, b, p):
+    """a mod b over GF(p), trailing zeros dropped; b ends in a nonzero
+    coefficient, and a's coefficients may be any integers."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] * inv % p
+        if c:
+            for j in range(db):
+                a[i - db + j] -= c * b[j]
+    a = [c % p for c in a[:db]]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def poly_gcd(a, b, p):
+    """The last nonzero remainder of Euclid's algorithm on a and b."""
+    while b:
+        a, b = b, poly_rem(a, b, p)
+    return a
+
+
+def poly_square(a, f, p):
+    """a^2 mod f.  For p = 2 the square of sum a_i x^i is sum a_i x^(2i), as cross
+    terms come in pairs, so it is a coefficient spread reduced mod f."""
+    if p != 2:
+        return poly_mulmod(a, a, f, p)
+    spread = [0] * (2 * len(a) - 1)
+    spread[::2] = a
+    out = poly_rem(spread, f, p)
+    return out + [0] * (len(f) - 1 - len(out))
+
+
+def has_small_factor(f, p) -> bool:
+    """Ben-Or's test on lists: does monic f of degree d >= 2 with f(0) != 0
+    have a factor of degree <= d/2?  x^(p^j) is the p-th power of x^(p^(j-1)),
+    h^p = sum h_i x^(ip), as h_i^p = h_i in GF(p)."""
+    h = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        power = [0] * (p * len(h) - p + 1)
+        power[::p] = h
+        h = poly_rem(power, f, p)  # x^(p^j) mod f
+        h_minus_x = h + [0] * (2 - len(h))
+        h_minus_x[1] -= 1
+        if len(poly_gcd(f, poly_rem(h_minus_x, f, p), p)) > 1:
+            return True
+    return False
+
+
+@st.composite
+def packed_poly_cases(draw):
+    """p in {2, 3, 5, 7, 13}, degree 1..10 (1..6 for odd p), a monic f of that
+    degree, a and b below it, and a nonzero divisor of any degree up to it."""
+    p = draw(st.sampled_from([2, 2, 3, 5, 7, 13]))
+    deg = draw(st.integers(1, 10 if p == 2 else 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a, b = rng.integers(0, p, size=(2, deg)).tolist()
+    f = rng.integers(0, p, size=deg).tolist() + [1]
+    divisor = rng.integers(0, p, size=draw(st.integers(0, deg))).tolist() + [int(rng.integers(1, p))]
+    return p, deg, a, b, f, divisor
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(packed_poly_cases())
+@example((2, 1, [1], [1], [1, 1], [1]))
+@example((13, 4, [12] * 4, [12] * 4, [12] * 4 + [1], [12] * 5))
+@example((7, 6, [0] * 6, [6] * 6, [0] * 6 + [1], [6] * 3))
+@example((3, 12, [2] * 12, [2] * 12, [2] * 12 + [1], [2] * 13))  # GF(3^12), the largest odd-p degree searched
+def test_packed_arithmetic_matches_list_oracle(case):
+    """mulmod, rem and gcd of the packed search arithmetic against the list
+    oracle, and the largest coefficients each packing must hold."""
+    p, deg, a, b, f, divisor = case
+    polys = search_polys(p, deg)
+    pa, pb, pf, pdiv = (pack(polys, c) for c in (a, b, f, divisor))
+    assert polys.coeffs(pa, deg) == tuple(a)
+    assert polys.mulmod(pa, pb, pf) == pack(polys, poly_mulmod(a, b, f, p))
+    assert polys.square(pa, pf) == pack(polys, poly_square(a, f, p))
+    assert polys.rem(pf, pdiv) == pack(polys, poly_rem(f, divisor, p))
+    assert polys.rem(pa, pdiv) == pack(polys, poly_rem(a, divisor, p))
+    for x, y in ((f, a), (f, divisor), (divisor, b)):
+        if any(y):
+            y = y[: max(i for i, c in enumerate(y) if c) + 1]
+            assert polys.gcd(pack(polys, x), pack(polys, y)) == pack(polys, poly_gcd(x, y, p))
 
 
 def test_conway_constant_terms_match_smallest_primitive_roots():
