@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -15,18 +16,19 @@ from hypothesis import strategies as st
 from agq.cli import _repro_targets, _run_repro_target
 from agq.config import DEFAULT_FIELD_CAP
 from agq.errors import BadRequest, FieldTooLarge, NotInBaseField, NotPrime, ZeroInput
-from agq.fields import (
-    _CAYLEY_MAX_Q2,
-    _CONWAY,
-    AdditiveMap,
-    FieldTower,
+from agq.fields import _CAYLEY_MAX_Q2, AdditiveMap, FieldTower, _moduli, _shared_tower, build_tower, norm_preimage
+
+from .modulus_search import (
+    CONWAY,
+    TABLE,
     _BinaryPolys,
     _is_prime,
     _least_primitive_poly,
     _PackedPolys,
     _prime_factors,
-    build_tower,
-    norm_preimage,
+    admissible_towers,
+    modulus,
+    table_text,
 )
 
 from .scalar_field import Scalar, field_elements, from_int, from_value, gen, one, subfield_elements, zero
@@ -269,29 +271,35 @@ def test_build_tower_errors():
         build_tower(2, 12)  # 2^24 > DEFAULT_FIELD_CAP = 2^22
     # GF(29^2) has no Conway entry: the least primitive polynomial defines it
     tw = build_tower(29, 1)
-    assert not tw.conway
+    assert (29, 2) not in CONWAY and tw.modulus == _least_primitive_poly(29, 2)
     assert (gen(tw) ** tw.n_units).is_one()
 
 
 def test_import_builds_no_tower_and_searches_no_modulus():
     """Importing agq and its CLI in a fresh interpreter leaves every tower to
-    the first request: no table build and no modulus search runs at import."""
+    the first request: no table build runs and the table of moduli is not
+    read at import.  The first build_tower then reads it, once."""
     script = (
-        "import sys\n"
-        "work = ('_least_primitive_poly', 'has_small_factor', '_build_tables')\n"
-        "calls = []\n"
+        "import json, sys\n"
+        "calls, opened = [], []\n"
         "def watch(frame, event, arg):\n"
-        "    if event == 'call' and frame.f_code.co_name in work:\n"
+        "    if event == 'call' and frame.f_code.co_name in ('_moduli', '_build_tables'):\n"
         "        calls.append(frame.f_code.co_name)\n"
+        "def audit(event, args):\n"
+        "    if event == 'open' and str(args[0]).endswith('moduli.json'):\n"
+        "        opened.append(str(args[0]))\n"
+        "sys.addaudithook(audit)\n"
         "sys.setprofile(watch)\n"
         "import agq, agq.cli\n"
         "sys.setprofile(None)\n"
-        "from agq.fields import _shared_tower\n"
-        "print(calls, _shared_tower.cache_info().currsize)\n"
+        "from agq.fields import _moduli, _shared_tower, build_tower\n"
+        "at_import = [calls, len(opened), _moduli.cache_info().currsize, _shared_tower.cache_info().currsize]\n"
+        "build_tower(3, 1), build_tower(2, 2)\n"
+        "print(json.dumps([at_import, len(opened), _shared_tower.cache_info().currsize]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["[]", "0"]
+    assert json.loads(out) == [[[], 0, 0, 0], 1, 2]
 
 
 def test_build_tower_shares_one_read_only_tower():
@@ -329,6 +337,30 @@ def test_shared_towers_never_skip_a_check():
         for m in (0, -1):
             with pytest.raises(BadRequest):
                 build_tower(5, m)
+
+
+def test_table_of_moduli_covers_exactly_the_towers_within_the_cap():
+    """One monic modulus of degree 2m for each of the 340 (p, m) with p prime and
+    p^(2m) <= DEFAULT_FIELD_CAP = 2^22, and the file is the writer's, byte for byte."""
+    moduli = _moduli()
+    towers = {(p, m) for p in range(2, 2 ** 11 + 1) if _is_prime(p) for m in range(1, 12) if p ** (2 * m) <= DEFAULT_FIELD_CAP}
+    assert len(towers) == 340
+    assert moduli.keys() == towers
+    assert admissible_towers() == sorted(towers)
+    for (p, m), f in moduli.items():
+        assert len(f) == 2 * m + 1 and f[-1] == 1, (p, m)
+        assert all(0 <= c < p for c in f) and f[0] != 0, (p, m)
+    assert TABLE.read_text() == table_text(moduli)
+
+
+def test_table_of_moduli_matches_the_search():
+    """Every m >= 2 entry, and a seeded sample of 24 of the 309 degree-2 entries,
+    re-derived by the reference search."""
+    moduli = _moduli()
+    degree_two = sorted(pm for pm in moduli if pm[1] == 1)
+    sample = [degree_two[i] for i in np.random.default_rng(21).choice(len(degree_two), 24, replace=False)]
+    for pm in sorted(pm for pm in moduli if pm[1] >= 2) + sample:
+        assert moduli[pm] == modulus(*pm), pm
 
 
 def tower_tables(tw):
@@ -580,6 +612,13 @@ def test_packed_arithmetic_matches_list_oracle(case):
             assert polys.gcd(pack(polys, x), pack(polys, y)) == pack(polys, poly_gcd(x, y, p))
 
 
+def test_table_holds_the_conway_polynomials():
+    moduli = _moduli()
+    assert len(CONWAY) == 16
+    for (p, d), f in CONWAY.items():
+        assert moduli[p, d // 2] == f, (p, d)
+
+
 def test_conway_constant_terms_match_smallest_primitive_roots():
     # theta^(q+1) must equal the smallest primitive root of the prime field
     for p, g in [(3, 2), (5, 2), (7, 3), (11, 2), (13, 2), (17, 3), (19, 2), (23, 5)]:
@@ -717,7 +756,7 @@ def assert_tables_match(tw, exp_val):
 # every Conway field, every field a workload builds (GF(2^12), GF(3^8), GF(7^4),
 # GF(13^4), GF(31^2) and GF(251^2) are not Conway), GF(2^16) and GF(29^2)
 @pytest.mark.parametrize(
-    "pm", sorted({(p, d // 2) for p, d in _CONWAY} | set(WORKLOAD_FIELDS) | {(2, 8), (29, 1)}),
+    "pm", sorted({(p, d // 2) for p, d in CONWAY} | set(WORKLOAD_FIELDS) | {(2, 8), (29, 1)}),
     ids=lambda pm: f"{pm[0]}^{2 * pm[1]}",
 )
 def test_build_tables_match_loop(pm):
@@ -735,7 +774,19 @@ def test_build_tables_match_blocked_build(pm):
 def test_non_primitive_modulus_is_rejected():
     # x^2 + 1 is irreducible over GF(3), but x has order 4 modulo it, not 8
     with pytest.raises(AssertionError, match="not primitive"):
-        FieldTower(3, 1, (1, 0, 1), conway=False)
+        FieldTower(3, 1, (1, 0, 1))
+
+
+def test_non_primitive_table_entry_builds_no_tower():
+    """A table entry that is irreducible but not primitive, x^2 + 1 over GF(3),
+    fails the table build on every request, and no tower is kept for it."""
+    _shared_tower.cache_clear()
+    with mock.patch.dict(_moduli(), {(3, 1): (1, 0, 1)}):
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="not primitive"):
+                build_tower(3, 1)
+        assert _shared_tower.cache_info().currsize == 0
+    assert build_tower(3, 1).modulus == CONWAY[3, 2]
 
 
 def zech_tree_sum(tw, arr, axis=-1):
