@@ -8,9 +8,13 @@ still certified (exit 0), and d_exact/d_method say that d is a lower bound,
 as they do for an impure code.  A non-MDS code of more than
 config.EXHAUSTIVE_CAP words gets no classical distance ("d": null).  Output
 files are opened before the work starts.  All machine output is JSON (one
-object per command, or line-delimited for scans); an AgqError that no command
-handles becomes a JSON rejection verdict with exit code 2 (4 for
-UnwritableOutput), not a traceback.
+object per command, or line-delimited for scans).  construct, verify and scan
+print one record per certified code (catalog_entry) and one per rejection
+(rejection_entry); their "request" is the construction request, or for
+verify the matrix file.  A request carries only construction, p, m, n, t, k
+and embed: coset leaders, the grid anchor and the elliptic constant are
+always agq's defaults.  An AgqError that no command handles becomes a JSON
+rejection verdict with exit code 2 (4 for UnwritableOutput), not a traceback.
 """
 
 from __future__ import annotations
@@ -25,13 +29,12 @@ from importlib import resources
 
 from . import config
 from .codes import (
-    certify,
     exhaustive_distance,
     export_matrix,
     hermitian_gram,  # noqa: F401 -- bound here too; agqbench's tracer test wraps this binding
     import_matrix,
 )
-from .constructions import CertifiedCode, ConstructionRequest, construct_chain
+from .constructions import CertifiedCode, ConstructionRequest, _certify, construct_chain
 from .errors import AgqError, BadRequest, CapExceeded, EmbeddingRejected, GramNonzero, ParseError
 from .errors import UnreadableInput, UnwritableOutput
 from .fields import build_tower
@@ -66,27 +69,26 @@ def _classical_block(cert: CertifiedCode) -> dict:
     return block
 
 
-def catalog_entry(cert: CertifiedCode, request: ConstructionRequest | None, elapsed: float) -> dict:
+def catalog_entry(cert: CertifiedCode, request, elapsed: float) -> dict:
     """The JSON record of one certified code; elapsed becomes its time_s.
-    construct and scan pass the member's own build_s."""
-    qp = stabilizer_params(cert)
+    construct and scan pass the member's own build_s and a ConstructionRequest,
+    verify its whole run time and a plain dict naming the matrix file."""
     certificate = cert.certificate
-    entry = {
-        "request": request.to_json_dict() if request else None,
+    dd = certificate.dual_distance
+    return {
+        "request": request.to_json_dict() if isinstance(request, ConstructionRequest) else request,
         "verdict": "CERTIFIED",
         "classical": _classical_block(cert),
-        "quantum": qp.to_json_dict(),
+        "quantum": stabilizer_params(cert).to_json_dict(),
+        "dual_distance": {"value": dd.value, "exact": dd.exact, "method": dd.method},
         "gram_digest": certificate.gram.digest,
         "witnesses": {
             "mds_singular": list(certificate.mds_witness) if certificate.mds_witness else None,
-            "dual_distance_columns": (
-                list(certificate.dual_distance.witness) if certificate.dual_distance.witness else None
-            ),
+            "dual_distance_columns": list(dd.witness) if dd.witness else None,
         },
         "trace": list(cert.trace),
         "time_s": round(elapsed, 4),
     }
-    return entry
 
 
 def rejection_entry(request, exc: AgqError, elapsed: float) -> dict:
@@ -137,10 +139,6 @@ def _request_from_args(args) -> ConstructionRequest:
         chosen.append("c7" + (args.case or "i"))
     if len(chosen) != 1:
         raise BadRequest("exactly one construction flag (--c1 .. --c10) is required")
-    try:
-        leaders = tuple(int(x) for x in args.leaders.split(",")) if args.leaders else None
-    except ValueError:
-        raise BadRequest(f"--leaders {args.leaders!r} is not comma-separated integers") from None
     return ConstructionRequest(
         construction=chosen[0],
         p=args.p,
@@ -148,9 +146,6 @@ def _request_from_args(args) -> ConstructionRequest:
         n=args.n,
         t=args.t,
         k=args.k,
-        leaders=leaders,
-        anchor=args.anchor,
-        c_const=args.c_const,
         embed=args.embed,
     )
 
@@ -187,35 +182,15 @@ def _read_matrix(args):
 
 
 def cmd_verify(args) -> int:
+    request = {"file": args.file, "systematic_prefix": args.systematic_prefix}
     start = time.perf_counter()
     try:
         code = _read_matrix(args)
-    except (ParseError, UnreadableInput) as exc:
-        _emit({"verdict": f"REJECTED({type(exc).__name__})", "reason": str(exc), "file": args.file})
-        return EXIT_PARSE
+        certificate = _certify(code)  # a nonzero Gram raises GramNonzero
     except AgqError as exc:
-        _emit(rejection_entry({"file": args.file}, exc, time.perf_counter() - start))
-        return EXIT_REJECTED
-    certificate = certify(code)
-    entry = {
-        "request": {"file": args.file, "systematic_prefix": args.systematic_prefix},
-        "classical": {"q2": code.tower.q2, "n": code.n, "k": code.k},
-        "gram_digest": certificate.gram.digest,
-    }
-    if not certificate.gram.all_zero:
-        i, j, tok = certificate.gram.first_nonzero
-        entry["verdict"] = "REJECTED(GramNonzero)"
-        entry["gram_failure"] = {"row": i, "col": j, "value": tok}
-        _emit(entry)
-        return EXIT_REJECTED
-    entry["classical"]["mds"] = certificate.mds
-    entry["classical"]["mds_method"] = certificate.mds_method
-    dd = certificate.dual_distance
-    entry["dual_distance"] = {"value": dd.value, "exact": dd.exact, "method": dd.method}
-    entry["quantum"] = stabilizer_params(CertifiedCode(code, certificate, (), None)).to_json_dict()
-    entry["verdict"] = "CERTIFIED"
-    entry["time_s"] = round(time.perf_counter() - start, 4)
-    _emit(entry)
+        _emit(rejection_entry(request, exc, time.perf_counter() - start))
+        return EXIT_PARSE if isinstance(exc, (ParseError, UnreadableInput)) else EXIT_REJECTED
+    _emit(catalog_entry(CertifiedCode(code, certificate, (), None), request, time.perf_counter() - start))
     return EXIT_OK
 
 
@@ -317,16 +292,7 @@ def _repro_targets() -> list[dict]:
 
 def _run_repro_target(target: dict) -> dict:
     expected = parse_quantum_params(target["expected"])
-    recipe = dict(target["recipe"])
-    request = ConstructionRequest(
-        construction=recipe.pop("construction"),
-        p=recipe.pop("p"),
-        m=recipe.pop("m"),
-        n=recipe.pop("n", None),
-        t=recipe.pop("t", None),
-        k=recipe.pop("k", None),
-        embed=recipe.pop("embed", "none"),
-    )
+    request = ConstructionRequest(**target["recipe"])
     report = {
         "table": target["table"],
         "row": target["row"],
@@ -430,9 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--n", type=int)
     pc.add_argument("--t", type=int)
     pc.add_argument("--k", type=int)
-    pc.add_argument("--leaders", help="comma-separated coset leader exponents")
-    pc.add_argument("--anchor", help="grid anchor element token, e.g. t^1")
-    pc.add_argument("--c-const", dest="c_const", help="elliptic constant token")
     pc.add_argument("--embed", choices=["none", "once", "iterate", "deep"], default="none")
     pc.add_argument("--matrix-out", help="write the generator matrix here")
     pc.set_defaults(func=cmd_construct)

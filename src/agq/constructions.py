@@ -49,9 +49,6 @@ class ConstructionRequest:
     n: int | None = None
     t: int | None = None
     k: int | None = None
-    leaders: tuple | None = None
-    anchor: str | None = None  # element token
-    c_const: str | None = None  # element token
     embed: str = "none"  # none | once | iterate | deep
 
     def to_json_dict(self) -> dict:
@@ -62,9 +59,6 @@ class ConstructionRequest:
             "n": self.n,
             "t": self.t,
             "k": self.k,
-            "leaders": list(self.leaders) if self.leaders else None,
-            "anchor": self.anchor,
-            "c": self.c_const,
             "embed": self.embed,
         }
 
@@ -78,8 +72,6 @@ class CertifiedCode:
     # embedding metadata for genus-0 evaluation chains
     eval_set: EvaluationSet | None = None
     twist: TwistVector | None = None
-    next_exponent: int | None = None
-    extra_cols: int = 0
     build_s: float = 0.0  # wall time to build and certify this member alone
 
     @property
@@ -121,8 +113,6 @@ def _line_chain_member(
         designed_distance=n - (k - 1),
         eval_set=eval_set,
         twist=twist,
-        next_exponent=k,
-        extra_cols=0,
     )
 
 
@@ -210,8 +200,6 @@ def construct_chain(request: ConstructionRequest) -> list[CertifiedCode]:
 def _construct_base(request: ConstructionRequest, tower: FieldTower) -> CertifiedCode:
     q = tower.q
     cons = request.construction
-    anchor = tower.parse(request.anchor) if request.anchor else None
-    c_const = tower.parse(request.c_const) if request.c_const else None
 
     if cons in ("c1", "c2", "c3", "c4"):
         if cons == "c1":
@@ -226,13 +214,7 @@ def _construct_base(request: ConstructionRequest, tower: FieldTower) -> Certifie
                 raise DivisibilityViolated(
                     f"c2 needs n | q-1 (subgroup inside GF({q})); n={request.n}"
                 )
-            es = coset_union_set(
-                tower,
-                request.n,
-                request.t,
-                leader_exponents=request.leaders,
-                leader_filter=None if request.leaders else "q0_power",
-            )
+            es = coset_union_set(tower, request.n, request.t, leader_filter=True)
             trace = (
                 f"c2: subgroup of order {request.n} in GF({q}) plus {request.t} "
                 f"norm-power coset(s), leaders e={list(es.params['leader_exponents'])}",
@@ -240,7 +222,7 @@ def _construct_base(request: ConstructionRequest, tower: FieldTower) -> Certifie
         elif cons == "c3":
             if request.n is None or request.t is None:
                 raise BadRequest("c3 needs n and t")
-            es = coset_union_set(tower, request.n, request.t, leader_exponents=request.leaders)
+            es = coset_union_set(tower, request.n, request.t)
             trace = (
                 f"c3: order-{request.n} subgroup plus {request.t} coset(s), "
                 f"leaders e={list(es.params['leader_exponents'])}",
@@ -248,23 +230,21 @@ def _construct_base(request: ConstructionRequest, tower: FieldTower) -> Certifie
         else:
             if request.t is None:
                 raise BadRequest("c4 needs t")
-            es = affine_grid_set(tower, request.t, anchor=anchor)
+            es = affine_grid_set(tower, request.t)
             trace = (f"c4: affine grid t={request.t} anchor {tower.format(es.params['anchor_code'])}",)
         tv = twist_vector(es)
         k = request.k if request.k is not None else thm_key_k_max(es.n, q, 0)
         return _line_chain_member(es, tv, k, f"{cons}[{es.n},{k}]", trace)
 
     if cons == "c5":
-        spec = curve(CurveFamily.ELLIPTIC, tower, c=c_const)
+        spec = curve(CurveFamily.ELLIPTIC, tower)
         xs = x_support(spec)
-        n_pts = 2 * xs.n
         trace = (f"c5: elliptic constant {tower.format(spec.c)}, |U_c| = {xs.n}",)
     elif cons == "c6":
         if request.n is None:
             raise BadRequest("c6 needs n")
         spec = curve(CurveFamily.HYPERELLIPTIC, tower)
         xs = x_support(spec, roots_of_unity_set(tower, request.n))
-        n_pts = 2 * xs.n
         trace = (f"c6: hyperelliptic over roots of x^{request.n} - x",)
     elif cons in ("c7i", "c7ii", "c7iii"):
         spec = curve(CurveFamily.HERMITIAN, tower)
@@ -275,30 +255,28 @@ def _construct_base(request: ConstructionRequest, tower: FieldTower) -> Certifie
         elif cons == "c7ii":
             if request.n is None or request.t is None:
                 raise BadRequest("c7ii needs n and t")
-            sel = coset_union_set(tower, request.n, request.t, leader_exponents=request.leaders)
+            sel = coset_union_set(tower, request.n, request.t)
         else:
             if request.t is None:
                 raise BadRequest("c7iii needs t")
-            sel = affine_grid_set(tower, request.t, anchor=anchor)
+            sel = affine_grid_set(tower, request.t)
         xs = x_support(spec, sel)
-        n_pts = q * xs.n
         trace = (f"c7 case {cons[2:]}: Hermitian over {sel.family} x-set of size {xs.n}",)
     elif cons == "c8":
         spec = curve(CurveFamily.SEMI_HERMITIAN, tower)
         xs = x_support(spec)
-        n_pts = q * xs.n
         trace = (f"c8: half-exponent Hermitian, {xs.n} square x-values",)
     elif cons in ("c9", "c10"):
         if request.t is None:
             raise BadRequest(f"{cons} needs t")
         spec = curve(CurveFamily.ARTIN_SCHREIER, tower, t=request.t)
         xs = x_support(spec)
-        n_pts = q * xs.n
         s = gcd(request.t * (q - 1), (q + 1) * (q - 1))
         trace = (f"{cons}: Artin-Schreier t={request.t}, s={s}, {xs.n} x-values",)
     else:
         raise BadRequest(f"unknown construction {cons!r}")
 
+    n_pts = spec.y_degree * xs.n  # every admissible x carries a full fiber
     k = request.k if request.k is not None else thm_key_k_max(n_pts, q, spec.genus)
     return _curve_pipeline(spec, xs, k, f"{cons}[{n_pts},k={k}]", trace)
 
@@ -313,7 +291,7 @@ def embed_once(cert: CertifiedCode) -> CertifiedCode:
     acceptance is always the full Gram oracle plus a rank check.
     """
     start = perf_counter()
-    if cert.eval_set is None or cert.twist is None or cert.next_exponent is None:
+    if cert.eval_set is None or cert.twist is None:
         raise EmbeddingRejected("embedding needs a recorded genus-0 evaluation chain")
     if cert.certificate.mds is False:
         raise EmbeddingRejected("embedding needs an MDS input code")
@@ -321,6 +299,7 @@ def embed_once(cert: CertifiedCode) -> CertifiedCode:
     q = tower.q
     k = cert.code.k
     n = cert.code.n
+    extra_cols = n - cert.eval_set.n  # unit columns appended by earlier steps
     notes = []
     if k * (q + 1) > n + q - 1:
         # outside the one-shot guarantee range; deep-dimension and long chains
@@ -333,15 +312,14 @@ def embed_once(cert: CertifiedCode) -> CertifiedCode:
     else:
         case = f"k(q+1) = {k * (q + 1)} avoids n-1 = {n - 1} and n-1+q = {n - 1 + q}"
 
-    new_base = tower.vmul(cert.twist.codes, tower.vpow(cert.eval_set.codes, cert.next_exponent))
+    new_base = tower.vmul(cert.twist.codes, tower.vpow(cert.eval_set.codes, k))
     zero = tower.zero_code
     # self-pairing of the new row over the evaluation columns decides the shape
     s = int(tower.vsum(tower.vmul(new_base, tower.vfrob(new_base))))
-    pad = np.full(cert.extra_cols, zero, dtype=np.int32)
+    pad = np.full(extra_cols, zero, dtype=np.int32)
     if s == zero:
         new_row = np.concatenate([new_base, pad])
         g = np.vstack([cert.code.g, new_row[None, :]])
-        extra = cert.extra_cols
         label = f"n' = n = {n} (self-pairing zero)"
     else:
         minus_s = int(tower.vneg(s))
@@ -354,7 +332,6 @@ def embed_once(cert: CertifiedCode) -> CertifiedCode:
         new_row = np.concatenate([new_base, pad, np.asarray([col_entry], dtype=np.int32)])
         old = np.hstack([cert.code.g, np.full((k, 1), zero, dtype=np.int32)])
         g = np.vstack([old, new_row[None, :]])
-        extra = cert.extra_cols + 1
         label = (
             f"n' = n+1 = {n + 1}, column entry {tower.format(col_entry)} with "
             f"norm -{tower.format(s)}"
@@ -376,8 +353,6 @@ def embed_once(cert: CertifiedCode) -> CertifiedCode:
         designed_distance=code.n - k,
         eval_set=cert.eval_set,
         twist=cert.twist,
-        next_exponent=cert.next_exponent + 1,
-        extra_cols=extra,
         build_s=perf_counter() - start,
     )
 

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     BadCharacteristic,
     BadRequest,
-    BadTraceConstant,
     EmptyFiber,
     GcdConditionViolated,
     UnsupportedFamily,
@@ -106,24 +105,14 @@ def _default_elliptic_constant(tower: FieldTower) -> int:
     return int(np.flatnonzero(trace == 0)[0])  # code 0 is the element 1
 
 
-def curve(
-    family: CurveFamily,
-    tower: FieldTower,
-    t: int | None = None,
-    c: int | None = None,
-) -> CurveSpec:
+def curve(family: CurveFamily, tower: FieldTower, t: int | None = None) -> CurveSpec:
     q = tower.q
     if family is CurveFamily.ELLIPTIC:
         if tower.p != 2:
             raise BadCharacteristic("elliptic family needs characteristic 2")
-        if c is None:
-            c = _default_elliptic_constant(tower)
-        if tower.m % 2 == 1:
-            if c != tower.zero_code:
-                raise BadTraceConstant("constant must be 0 when 2m = 2 mod 4")
-        elif absolute_trace(tower, [c])[0] != 0:
-            raise BadTraceConstant("constant must have absolute trace 1 when 2m = 0 mod 4")
-        return CurveSpec(family, tower, genus=1, pole_x=2, pole_y=3, y_degree=2, c=c)
+        return CurveSpec(
+            family, tower, genus=1, pole_x=2, pole_y=3, y_degree=2, c=_default_elliptic_constant(tower)
+        )
     if family is CurveFamily.HYPERELLIPTIC:
         if tower.p != 2:
             raise BadCharacteristic("hyperelliptic family needs characteristic 2")

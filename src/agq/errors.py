@@ -45,14 +45,6 @@ class CosetSearchExhausted(AgqError):
     pass
 
 
-class AnchorInSubfield(AgqError):
-    pass
-
-
-class DuplicatePoints(AgqError):
-    """A point-set construction produced the same point twice."""
-
-
 class NotNormValue(AgqError):
     """u / h'(alpha_i) is not in GF(q)*; carries the point index."""
 
@@ -64,10 +56,6 @@ class NotNormValue(AgqError):
 # -- curves -----------------------------------------------------------------
 
 class BadCharacteristic(AgqError):
-    pass
-
-
-class BadTraceConstant(AgqError):
     pass
 
 

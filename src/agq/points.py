@@ -18,10 +18,8 @@ from math import gcd
 import numpy as np
 
 from .errors import (
-    AnchorInSubfield,
     BadRequest,
     CosetSearchExhausted,
-    DuplicatePoints,
     DivisibilityViolated,
     LeaderNotInV,
     NotNormValue,
@@ -98,21 +96,15 @@ def roots_of_unity_set(tower: FieldTower, n: int) -> EvaluationSet:
     return EvaluationSet(tower, FAMILY_ROOTS_OF_UNITY, codes, {"n": n})
 
 
-def coset_union_set(
-    tower: FieldTower,
-    n: int,
-    t: int,
-    leader_exponents: tuple[int, ...] | None = None,
-    leader_filter: str | None = None,
-) -> EvaluationSet:
+def coset_union_set(tower: FieldTower, n: int, t: int, leader_filter: bool = False) -> EvaluationSet:
     """Union of the order-n subgroup, t cosets of it, and zero.
 
     Cosets live inside V = <t^((q+1)/n1)>, n1 = gcd(n, q+1); the leader for
     exponent e is t^(e*(q+1)/n1).  Cosets are indexed by e mod (q-1)/n2 with
-    n2 = n/n1; index 0 is the subgroup itself.  Default leaders are the t
-    smallest exponents giving fresh cosets.  leader_filter="q0_power"
-    restricts leaders to (q0+1)-th powers inside GF(q), q0 = p^(m/2); the
-    search may exhaust, which is reported rather than silently patched.
+    n2 = n/n1; index 0 is the subgroup itself.  The leaders are the t
+    smallest exponents giving fresh cosets.  leader_filter restricts them to
+    (q0+1)-th powers inside GF(q), q0 = p^(m/2); that search may exhaust,
+    which is reported rather than silently patched.
     """
     q = tower.q
     if n < 1 or tower.n_units % n != 0:
@@ -127,21 +119,9 @@ def coset_union_set(
 
     leader_step = (q + 1) // n1  # exponent step of the V generator
 
-    if leader_exponents is not None:
-        if len(leader_exponents) != t:
-            raise LeaderNotInV(f"expected {t} leader exponents, got {len(leader_exponents)}")
-        seen = set()
-        for e in leader_exponents:
-            idx = e % n_cosets
-            if idx == 0:
-                raise LeaderNotInV(f"leader exponent {e} lands in the base subgroup")
-            if idx in seen:
-                raise LeaderNotInV(f"leader exponent {e} duplicates an earlier coset")
-            seen.add(idx)
-        leaders = list(leader_exponents)
-    elif leader_filter is None:
+    if not leader_filter:
         leaders = list(range(1, t + 1))
-    elif leader_filter == "q0_power":
+    else:
         if tower.m % 2 != 0:
             raise CosetSearchExhausted("q0 sub-tower requires even extension degree m")
         q0 = tower.p ** (tower.m // 2)
@@ -161,8 +141,6 @@ def coset_union_set(
             raise CosetSearchExhausted(
                 f"only {len(leaders)} admissible coset leaders exist (needed {t})"
             )
-    else:
-        raise ValueError(f"unknown leader filter {leader_filter!r}")
 
     subgroup = np.arange(0, tower.n_units, tower.n_units // n)
     lead = np.asarray([0] + leaders, dtype=np.int64) * leader_step % tower.n_units
@@ -174,26 +152,17 @@ def coset_union_set(
     return es
 
 
-def affine_grid_set(
-    tower: FieldTower, t: int, anchor: int | None = None
-) -> EvaluationSet:
-    """The t*q points u_i*a + u_j over the first t base-field scalars u_i;
-    anchor is the code of a, by default 1, the generator t."""
+def affine_grid_set(tower: FieldTower, t: int) -> EvaluationSet:
+    """The t*q points u_i*a + u_j over the first t base-field scalars u_i,
+    with a = t, the generator (code 1).  They are distinct, since a lies
+    outside GF(q)."""
     q = tower.q
     if not 1 <= t <= q:
         raise BadRequest(f"t must be in 1..q, got {t}")
-    if anchor is None:
-        anchor = 1
-    if anchor % (q + 1) == 0:
-        raise AnchorInSubfield(f"anchor {tower.format(anchor)} lies in GF({q})")
     # enumeration of GF(q): 0 first, then by log ascending
     us = np.append(tower.zero_code, np.arange(0, tower.n_units, q + 1))
-    codes = tower.vadd(tower.vmul(us[:t], anchor)[:, None], us[None, :])
-    params = {"t": t, "anchor_code": anchor}
-    es = EvaluationSet(tower, FAMILY_AFFINE_GRID, codes.ravel(), params)
-    if _repeats(es.codes).any():
-        raise DuplicatePoints(f"grid points u_i*a + u_j repeat for anchor {tower.format(anchor)}")
-    return es
+    codes = tower.vadd(tower.vmul(us[:t], 1)[:, None], us[None, :])
+    return EvaluationSet(tower, FAMILY_AFFINE_GRID, codes.ravel(), {"t": t, "anchor_code": 1})
 
 
 def explicit_set(tower: FieldTower, codes, tag: str = FAMILY_EXPLICIT) -> EvaluationSet:

@@ -158,10 +158,9 @@ def test_verify_parse_error_exit_4(tmp_path, capsys):
         (("construct", "--c4", "--p", "3", "--m", "1", "--t", "0"), "REJECTED(BadRequest)", 2),
         (("construct", "--c3", "--p", "5", "--m", "1", "--n", "8", "--t", "-1"), "REJECTED(BadRequest)", 2),
         (("construct", "--c9", "--p", "3", "--m", "1", "--t", "0", "--k", "2"), "REJECTED(BadRequest)", 2),
-        (("construct", "--c4", "--p", "3", "--m", "1", "--t", "2", "--anchor", "foo"), "REJECTED(BadRequest)", 2),
-        (("construct", "--c5", "--p", "2", "--m", "2", "--c-const", "t^x"), "REJECTED(BadRequest)", 2),
-        (("construct", "--c3", "--p", "5", "--m", "1", "--n", "8", "--t", "1", "--leaders", "x"),
-         "REJECTED(BadRequest)", 2),
+        (("verify", "word.txt"), "REJECTED(ParseError)", 4),
+        (("verify", "exponent.txt"), "REJECTED(ParseError)", 4),
+        (("verify", "integer.txt"), "REJECTED(ParseError)", 4),
         (("construct", "--c2", "--p", "3", "--m", "1", "--n", "0", "--t", "1"), "REJECTED(DivisibilityViolated)", 2),
         (("construct", "--c1", "--p", "3", "--m", "1", "--embed", "deep", "--t", "0"), "REJECTED(BadRequest)", 2),
         (("construct", "--c1", "--p", "3", "--m", "1", "--n", "1", "--embed", "deep"), "REJECTED(BadRequest)", 2),
@@ -171,6 +170,10 @@ def test_verify_parse_error_exit_4(tmp_path, capsys):
 def test_failures_are_json_verdicts(capsys, tmp_path, monkeypatch, argv, verdict, exit_code):
     monkeypatch.chdir(tmp_path)  # missing.txt really is missing
     (tmp_path / "k0.txt").write_text("q2=3^2 n=2 k=0\n")  # a header with no rows
+    # one malformed element token each, one per way FieldTower.parse rejects a token
+    (tmp_path / "word.txt").write_text("q2=3^2 n=2 k=1\nfoo 1\n")
+    (tmp_path / "exponent.txt").write_text("q2=3^2 n=2 k=1\nt^x 1\n")
+    (tmp_path / "integer.txt").write_text("q2=3^2 n=2 k=1\n7 1\n")  # outside GF(3)
     while "=" in argv[0]:  # leading NAME=value words set the environment, as in a shell
         name, _, value = argv[0].partition("=")
         monkeypatch.setenv(name, value)
@@ -354,15 +357,23 @@ def test_public_names_resolve_and_elements_are_codes_only():
 
 def test_construct_matrix_out_verifies(tmp_path, capsys):
     out_file = tmp_path / "code.txt"
-    code, _ = run_cli(
+    code, out = run_cli(
         capsys, "construct", "--c9", "--p", "3", "--m", "1", "--t", "2", "--k", "4",
         "--matrix-out", str(out_file),
     )
     assert code == 0
+    built = json.loads(out)
+    assert set(built["request"]) == {"construction", "p", "m", "n", "t", "k", "embed"}
     code, out = run_cli(capsys, "verify", str(out_file))
     assert code == 0
     entry = json.loads(out)
     assert entry["verdict"] == "CERTIFIED"
+    # one record shape: verify reports what construct reported for the same
+    # matrix, bar the designed distance, a label of the construction
+    assert entry["classical"].pop("designed_distance") is None
+    assert built["classical"].pop("designed_distance") is not None
+    for key in ("classical", "quantum", "gram_digest", "witnesses", "dual_distance"):
+        assert entry[key] == built[key], key
 
 
 def test_construct_does_not_import_numpy_ma():

@@ -14,7 +14,6 @@ from agq.curves import (
 )
 from agq.errors import (
     BadCharacteristic,
-    BadTraceConstant,
     EmptyFiber,
     GcdConditionViolated,
     UnsupportedFamily,
@@ -71,12 +70,6 @@ def test_curve_preconditions():
         curve(CurveFamily.SEMI_HERMITIAN, build_tower(2, 2))
     with pytest.raises(GcdConditionViolated):
         curve(CurveFamily.ARTIN_SCHREIER, build_tower(2, 2), t=2)  # even q, even t
-    tw4 = build_tower(2, 2)
-    with pytest.raises(BadTraceConstant):
-        curve(CurveFamily.ELLIPTIC, tw4, c=tw4.zero_code)  # 2m = 0 mod 4 needs trace 1
-    tw8 = build_tower(2, 3)
-    with pytest.raises(BadTraceConstant):
-        curve(CurveFamily.ELLIPTIC, tw8, c=0)  # the code of 1; 2m = 2 mod 4 needs c = 0
 
 
 def test_elliptic_default_constant_matches_field_parity():
