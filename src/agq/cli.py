@@ -13,8 +13,12 @@ print one record per certified code (catalog_entry) and one per rejection
 (rejection_entry); their "request" is the construction request, or for
 verify the matrix file.  A request carries only construction, p, m, n, t, k
 and embed: coset leaders, the grid anchor and the elliptic constant are
-always agq's defaults.  An AgqError that no command handles becomes a JSON
-rejection verdict with exit code 2 (4 for UnwritableOutput), not a traceback.
+always agq's defaults.  construct and scan both take the construction's name
+(--construction c7ii) and pass it on unchanged, so a name that no
+construction has is a BadRequest rejection.  A rejection whose cause is a
+nonzero Gram entry names that entry.  An AgqError that no command handles
+becomes a JSON rejection verdict with exit code 2 (4 for UnwritableOutput),
+not a traceback.
 """
 
 from __future__ import annotations
@@ -25,17 +29,19 @@ import json
 import re
 import sys
 import time
+from dataclasses import asdict
 from importlib import resources
 
 from . import config
 from .codes import (
+    certify,
     exhaustive_distance,
     export_matrix,
     hermitian_gram,  # noqa: F401 -- bound here too; agqbench's tracer test wraps this binding
     import_matrix,
 )
-from .constructions import CertifiedCode, ConstructionRequest, _certify, construct_chain
-from .errors import AgqError, BadRequest, CapExceeded, EmbeddingRejected, GramNonzero, ParseError
+from .constructions import CertifiedCode, ConstructionRequest, construct_chain
+from .errors import AgqError, BadRequest, CapExceeded, GramNonzero, ParseError
 from .errors import UnreadableInput, UnwritableOutput
 from .fields import build_tower
 from .quantum import stabilizer_params
@@ -76,10 +82,10 @@ def catalog_entry(cert: CertifiedCode, request, elapsed: float) -> dict:
     certificate = cert.certificate
     dd = certificate.dual_distance
     return {
-        "request": request.to_json_dict() if isinstance(request, ConstructionRequest) else request,
+        "request": asdict(request) if isinstance(request, ConstructionRequest) else request,
         "verdict": "CERTIFIED",
         "classical": _classical_block(cert),
-        "quantum": stabilizer_params(cert).to_json_dict(),
+        "quantum": asdict(stabilizer_params(cert)),
         "dual_distance": {"value": dd.value, "exact": dd.exact, "method": dd.method},
         "gram_digest": certificate.gram.digest,
         "witnesses": {
@@ -92,18 +98,17 @@ def catalog_entry(cert: CertifiedCode, request, elapsed: float) -> dict:
 
 
 def rejection_entry(request, exc: AgqError, elapsed: float) -> dict:
-    reason = f"{type(exc).__name__}: {exc}"
+    """The JSON record of one rejection.  A failed Gram check, raised itself or
+    as the cause of an EmbeddingRejected, adds its first nonzero entry."""
     entry = {
-        "request": request.to_json_dict() if isinstance(request, ConstructionRequest) else request,
+        "request": asdict(request) if isinstance(request, ConstructionRequest) else request,
         "verdict": f"REJECTED({type(exc).__name__})",
-        "reason": reason,
+        "reason": f"{type(exc).__name__}: {exc}",
         "time_s": round(elapsed, 4),
     }
-    if isinstance(exc, GramNonzero):
-        entry["gram_failure"] = {"row": exc.row, "col": exc.col, "value": exc.value_token}
-    if isinstance(exc, EmbeddingRejected) and exc.gram_failure:
-        i, j, tok = exc.gram_failure
-        entry["gram_failure"] = {"row": i, "col": j, "value": tok}
+    gram = exc if isinstance(exc, GramNonzero) else exc.__cause__
+    if isinstance(gram, GramNonzero):
+        entry["gram_failure"] = {"row": gram.row, "col": gram.col, "value": gram.value_token}
     return entry
 
 
@@ -133,25 +138,8 @@ def _output(path):
 # -- construct ------------------------------------------------------------------
 
 
-def _request_from_args(args) -> ConstructionRequest:
-    chosen = [c for c in ("c1", "c2", "c3", "c4", "c5", "c6", "c8", "c9", "c10") if getattr(args, c)]
-    if args.c7:
-        chosen.append("c7" + (args.case or "i"))
-    if len(chosen) != 1:
-        raise BadRequest("exactly one construction flag (--c1 .. --c10) is required")
-    return ConstructionRequest(
-        construction=chosen[0],
-        p=args.p,
-        m=args.m,
-        n=args.n,
-        t=args.t,
-        k=args.k,
-        embed=args.embed,
-    )
-
-
 def cmd_construct(args) -> int:
-    request = _request_from_args(args)
+    request = ConstructionRequest(args.construction, args.p, args.m, args.n, args.t, args.k, args.embed)
     with _output(args.matrix_out) as matrix_out:
         start = time.perf_counter()
         try:
@@ -186,7 +174,7 @@ def cmd_verify(args) -> int:
     start = time.perf_counter()
     try:
         code = _read_matrix(args)
-        certificate = _certify(code)  # a nonzero Gram raises GramNonzero
+        certificate = certify(code)  # a nonzero Gram raises GramNonzero
     except AgqError as exc:
         _emit(rejection_entry(request, exc, time.perf_counter() - start))
         return EXIT_PARSE if isinstance(exc, (ParseError, UnreadableInput)) else EXIT_REJECTED
@@ -205,7 +193,7 @@ def _scan_requests(args):
         except ValueError:
             raise BadRequest(f"--tower {spec!r} is not two integers p,m") from None
         towers.append(build_tower(p, m))
-    cons = args.construction.lower()
+    cons = args.construction
     for tower in towers:
         p, m, q = tower.p, tower.m, tower.q
         if cons == "c1":
@@ -388,9 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("construct", help="run one construction pipeline")
-    for flag in ("c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9", "c10"):
-        pc.add_argument(f"--{flag}", action="store_true")
-    pc.add_argument("--case", choices=["i", "ii", "iii"], help="c7 x-set family")
+    pc.add_argument("--construction", required=True, help="c1 .. c6, c7i, c7ii, c7iii, c8, c9 or c10")
     pc.add_argument("--p", type=int, required=True)
     pc.add_argument("--m", type=int, required=True)
     pc.add_argument("--n", type=int)

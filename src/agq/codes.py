@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from . import config
 from . import points as _points
 from .curves import MonomialBasis
-from .errors import CapExceeded, ParseError, RankDefect
+from .errors import CapExceeded, GramNonzero, ParseError, RankDefect
 from .fields import FieldTower, build_tower
 from .points import TwistVector
 
@@ -36,7 +37,8 @@ class LinearCode:
     v_l and distinct alpha_l.  Every k x k minor of such a G is a v-scaled
     Vandermonde determinant, nonzero, so its rank is k without rref, and
     is_mds reads this verdict.  With verify_rank, any other G is row-reduced
-    and a rank below k raises RankDefect.
+    and a rank below k raises RankDefect; the MDS screen reads the same
+    ``reduced`` form.
     """
 
     def __init__(self, tower: FieldTower, g: np.ndarray, provenance: str = "", verify_rank: bool = True):
@@ -49,9 +51,14 @@ class LinearCode:
         self.k, self.n = g.shape
         self.vandermonde = 0 < self.k <= self.n and _vandermonde_shape(tower, g)
         if verify_rank and self.k > 0 and not self.vandermonde:
-            r = rank(tower, g)
+            r = len(self.reduced[1])
             if r != self.k:
                 raise RankDefect(r, self.k)
+
+    @cached_property
+    def reduced(self) -> tuple[np.ndarray, tuple]:
+        """rref(G): the reduced row echelon form and its pivot columns."""
+        return rref(self.tower, self.g)
 
     def params(self) -> tuple[int, int]:
         return (self.n, self.k)
@@ -78,15 +85,14 @@ class DistanceResult:
 
 @dataclass(frozen=True)
 class Certificate:
-    """What certify() decided about one code.  A nonzero Gram ends
-    certification, and the fields after it stay None."""
+    """What certify() decided about one code whose Gram matrix is all zero."""
 
     gram: GramCertificate
-    mds: bool | None = None  # None: the budget left it open
-    mds_witness: tuple | None = None  # k columns with a singular minor
-    mds_method: str | None = None
-    dual_distance: DistanceResult | None = None  # d(C^perp) = d(C^perp_H)
-    quantum_distance: DistanceResult | None = None  # min wt(C^perp_H \ C)
+    mds: bool | None  # None: the budget left it open
+    mds_witness: tuple | None  # k columns with a singular minor
+    mds_method: str
+    dual_distance: DistanceResult  # d(C^perp) = d(C^perp_H)
+    quantum_distance: DistanceResult  # min wt(C^perp_H \ C)
 
 
 # -- elimination kernels ------------------------------------------------------
@@ -606,7 +612,7 @@ def _systematic_mds_screen(code: LinearCode):
     tower = code.tower
     zero = tower.zero_code
     k, n = code.k, code.n
-    r, pivots = rref(tower, code.g)
+    r, pivots = code.reduced
     if pivots != tuple(range(k)):
         return False, tuple(range(k)), "systematic"
     a = r[:, k:]
@@ -684,14 +690,14 @@ def _vandermonde_shape(tower: FieldTower, g: np.ndarray) -> bool:
 def certify(code: LinearCode) -> Certificate:
     """Gram certificate, MDS verdict, d(C^perp) and quantum distance of one code.
 
-    The Hermitian Gram check comes first, and a nonzero Gram ends
-    certification.  is_mds then decides MDS-ness and d(C^perp), and
-    _quantum_distance checks on the scan's witness whether d(C^perp) is also
-    the quantum distance.
+    The Hermitian Gram check comes first, and a nonzero Gram raises
+    GramNonzero at its first nonzero entry.  is_mds then decides MDS-ness and
+    d(C^perp), and _quantum_distance checks on the scan's witness whether
+    d(C^perp) is also the quantum distance.
     """
     gram = hermitian_gram(code)
     if not gram.all_zero:
-        return Certificate(gram)
+        raise GramNonzero(*gram.first_nonzero)
     mds, witness, method, dd = is_mds(code)
     return Certificate(gram, mds, witness, method, dd, _quantum_distance(code, dd))
 

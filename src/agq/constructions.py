@@ -51,17 +51,6 @@ class ConstructionRequest:
     k: int | None = None
     embed: str = "none"  # none | once | iterate | deep
 
-    def to_json_dict(self) -> dict:
-        return {
-            "construction": self.construction,
-            "p": self.p,
-            "m": self.m,
-            "n": self.n,
-            "t": self.t,
-            "k": self.k,
-            "embed": self.embed,
-        }
-
 
 @dataclass(frozen=True)
 class CertifiedCode:
@@ -83,13 +72,6 @@ class CertifiedCode:
         return self.code.k
 
 
-def _certify(code: LinearCode) -> Certificate:
-    certificate = certify(code)
-    if not certificate.gram.all_zero:
-        raise GramNonzero(*certificate.gram.first_nonzero)
-    return certificate
-
-
 def _line_chain_member(
     eval_set: EvaluationSet,
     twist: TwistVector,
@@ -104,7 +86,7 @@ def _line_chain_member(
         raise RankDefect(n, k)
     g = grs_rows(tower, eval_set, twist, range(k))
     code = LinearCode(tower, g, provenance=provenance)
-    certificate = _certify(code)
+    certificate = certify(code)
     b_values = tuple(((tower.q + 1) * j) % (n - 1) for j in range(k)) if n > 1 else ()
     return CertifiedCode(
         code=code,
@@ -136,7 +118,7 @@ def _curve_pipeline(
     code = evaluation_code(
         tower, basis, xs.codes[owner], y, tv.codes[owner], provenance=provenance
     )
-    certificate = _certify(code)
+    certificate = certify(code)
     return CertifiedCode(
         code=code,
         certificate=certificate,
@@ -168,6 +150,8 @@ def construct_chain(request: ConstructionRequest) -> list[CertifiedCode]:
         raise BadRequest(f"k must be at least 1, got {request.k}")
     tower = build_tower(request.p, request.m)
     if request.embed == "deep":
+        if request.construction != "c1" or request.k is not None:
+            raise BadRequest("deep embedding builds its own c1 code: it takes construction c1 and no k")
         t = request.t
         if t is None:
             if request.n is None or (request.n - 1) % (tower.q - 1) != 0:
@@ -340,12 +324,10 @@ def embed_once(cert: CertifiedCode) -> CertifiedCode:
         code = LinearCode(tower, g, provenance=f"embed[{g.shape[1]},{k + 1}]")
     except RankDefect as exc:
         raise EmbeddingRejected(f"rank defect at k+1 = {k + 1}: {exc}") from None
-    certificate = certify(code)
-    if not certificate.gram.all_zero:
-        raise EmbeddingRejected(
-            f"Gram nonzero at k+1 = {k + 1} ({case})",
-            gram_failure=certificate.gram.first_nonzero,
-        )
+    try:
+        certificate = certify(code)
+    except GramNonzero as exc:
+        raise EmbeddingRejected(f"Gram nonzero at k+1 = {k + 1} ({case})") from exc
     return CertifiedCode(
         code=code,
         certificate=certificate,
@@ -372,9 +354,10 @@ def embed_iterate(cert: CertifiedCode) -> list[CertifiedCode]:
 def deep_dimension(tower: FieldTower, t: int) -> CertifiedCode:
     """The floor(n/2t)-dimensional code on the n = t(q-1)+1 roots of x^n - x.
 
-    Requires t | (q+1).  The deep code of the paper is one embedding step
-    further, embed_once(deep_dimension(tower, t)), which applies the usual
-    length-n / length-n+1 dichotomy, certified by Gram.
+    Requires t | (q+1) and floor(n/2t) >= 1, which fails only for q = 2,
+    t = 3.  The deep code of the paper is one embedding step further,
+    embed_once(deep_dimension(tower, t)), which applies the usual length-n /
+    length-n+1 dichotomy, certified by Gram.
     """
     q = tower.q
     if t < 1:
@@ -383,6 +366,8 @@ def deep_dimension(tower: FieldTower, t: int) -> CertifiedCode:
         raise DivisibilityViolated(f"t = {t} does not divide q+1 = {q + 1}")
     n = t * (q - 1) + 1
     k2 = n // (2 * t)
+    if k2 == 0:
+        raise BadRequest(f"k'' = floor(n/2t) = floor({n}/{2 * t}) is 0")
     es = roots_of_unity_set(tower, n)
     tv = twist_vector(es)
     trace = (

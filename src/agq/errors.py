@@ -125,7 +125,4 @@ class GramNonzero(AgqError):
 
 
 class EmbeddingRejected(AgqError):
-    def __init__(self, reason, gram_failure=None):
-        self.reason = reason
-        self.gram_failure = gram_failure
-        super().__init__(reason)
+    """An embedding step failed; a Gram failure is its __cause__."""

@@ -31,18 +31,6 @@ class QuantumParams:
         mark = "" if self.d_exact else ">="
         return f"[[{self.n},{self.k},{mark}{self.d}]]_{self.q}"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "k": self.k,
-            "d": self.d,
-            "d_exact": self.d_exact,
-            "d_method": self.d_method,
-            "mds": self.mds,
-            "defect": self.defect,
-        }
-
 
 def stabilizer_params(cert: CertifiedCode) -> QuantumParams:
     """[[n, n-2k, min wt(C^perp_H \\ C)]]_q for a Gram-certified [n, k] code,

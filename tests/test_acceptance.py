@@ -78,13 +78,19 @@ def test_criterion_2_reference_matrices():
     fallback_needed = []
     for name, n, k in [("f49_22_5", 22, 5), ("f169_25_7", 25, 7), ("f289_33_9", 33, 9)]:
         text = (DATA / f"{name}.txt").read_text()
+        # the stored rows without their identity block are another code, and
+        # the Gram check names its first nonzero entry
+        with pytest.raises(GramNonzero) as err:
+            certify(import_matrix(text))
+        assert (err.value.row, err.value.col) == (0, 0) and err.value.value_token != "0"
         t0 = time.perf_counter()
         code = import_matrix(text, systematic_prefix=True)
-        certificate = certify(code)
-        if not certificate.gram.all_zero:
+        try:
+            certificate = certify(code)
+        except GramNonzero as exc:
             # generator-convention mismatch: the offending entry must be
             # reported, and the fallback below must still certify
-            fallback_needed.append((name, n, k, certificate.gram.first_nonzero))
+            fallback_needed.append((name, n, k, (exc.row, exc.col, exc.value_token)))
             continue
         flag, method = certificate.mds, certificate.mds_method
         elapsed = time.perf_counter() - t0

@@ -22,7 +22,7 @@ def run_cli(capsys, *argv):
 
 def test_construct_example_1(capsys):
     code, out = run_cli(
-        capsys, "construct", "--c1", "--p", "13", "--m", "1", "--n", "25", "--embed", "deep"
+        capsys, "construct", "--construction", "c1", "--p", "13", "--m", "1", "--n", "25", "--embed", "deep"
     )
     assert code == 0
     entry = json.loads(out)
@@ -34,7 +34,7 @@ def test_construct_example_1(capsys):
 
 
 def test_construct_c9(capsys):
-    code, out = run_cli(capsys, "construct", "--c9", "--p", "3", "--m", "1", "--t", "2", "--k", "4")
+    code, out = run_cli(capsys, "construct", "--construction", "c9", "--p", "3", "--m", "1", "--t", "2", "--k", "4")
     assert code == 0
     entry = json.loads(out)
     q = entry["quantum"]
@@ -42,11 +42,40 @@ def test_construct_c9(capsys):
 
 
 def test_construct_rejected_gram(capsys):
-    code, out = run_cli(capsys, "construct", "--c1", "--p", "11", "--m", "1", "--n", "16", "--k", "5")
+    code, out = run_cli(capsys, "construct", "--construction", "c1", "--p", "11", "--m", "1", "--n", "16", "--k", "5")
     assert code == 2
     entry = json.loads(out)
-    assert entry["verdict"].startswith("REJECTED")
-    assert "gram_failure" in entry
+    assert entry["verdict"] == "REJECTED(GramNonzero)"
+    assert entry["gram_failure"] == {"row": 1, "col": 4, "value": "1"}
+    # the embedding step from [16,4] builds the same [16,5] matrix; its
+    # rejection carries the Gram failure it was raised from
+    code, out = run_cli(
+        capsys, "construct", "--construction", "c1", "--p", "11", "--m", "1", "--n", "16", "--k", "4", "--embed", "once"
+    )
+    assert code == 2
+    embedded = json.loads(out)
+    assert embedded["verdict"] == "REJECTED(EmbeddingRejected)"
+    assert embedded["reason"].startswith("EmbeddingRejected: Gram nonzero at k+1 = 5")
+    assert embedded["gram_failure"] == entry["gram_failure"]
+
+
+@pytest.mark.parametrize("name", ["c7", "C1"])
+def test_construction_names_pass_through_unchanged(tmp_path, capsys, name):
+    """No construction is named c7 (c7i, c7ii and c7iii are) or C1: construct
+    prints the rejection and exits 2, scan writes one per tower and exits 0."""
+    code, out = run_cli(capsys, "construct", "--construction", name, "--p", "3", "--m", "1", "--n", "4", "--t", "1")
+    assert code == 2
+    entry = json.loads(out)
+    assert entry["verdict"] == "REJECTED(BadRequest)"
+    assert entry["reason"] == f"BadRequest: unknown construction {name!r}"
+    out_file = tmp_path / "scan.jsonl"
+    code, _ = run_cli(capsys, "scan", "--construction", name, "--tower", "3,1", "--tower", "5,1", "--out", str(out_file))
+    assert code == 0
+    rows = [json.loads(line) for line in out_file.read_text().splitlines()]
+    assert [(r["verdict"], r["request"]["construction"], r["request"]["p"]) for r in rows] == [
+        ("REJECTED(BadRequest)", name, 3),
+        ("REJECTED(BadRequest)", name, 5),
+    ]
 
 
 def test_verify_reference_matrices(capsys):
@@ -102,7 +131,7 @@ def test_verify_budget_capped_is_certified_with_a_bound(tmp_path, capsys, monkey
 
 def test_construct_under_a_budget_is_certified_with_a_bound(capsys, monkeypatch):
     monkeypatch.setenv("AGQ_CAP_OPS", "10")
-    code, out = run_cli(capsys, "construct", "--c9", "--p", "3", "--m", "1", "--t", "2", "--k", "4")
+    code, out = run_cli(capsys, "construct", "--construction", "c9", "--p", "3", "--m", "1", "--t", "2", "--k", "4")
     assert code == 0
     entry = json.loads(out)
     assert entry["verdict"] == "CERTIFIED"
@@ -114,7 +143,7 @@ def test_catalog_distance_stops_at_the_exhaustive_cap(capsys):
     the 2^21 cap, and gets its exhaustive d; the [64,6] code has 2^24, so its
     classical d is null, and the command still exits 0."""
     for k, params, d, method in [(10, (64, 5), 55, "exhaustive"), (11, (64, 6), None, None)]:
-        code, out = run_cli(capsys, "construct", "--c7", "--case", "i", "--p", "2", "--m", "2", "--n", "16", "--k", str(k))
+        code, out = run_cli(capsys, "construct", "--construction", "c7i", "--p", "2", "--m", "2", "--n", "16", "--k", str(k))
         assert code == 0
         classical = json.loads(out)["classical"]
         assert (classical["n"], classical["k"], classical["mds"]) == (*params, False)
@@ -141,30 +170,37 @@ def test_verify_parse_error_exit_4(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, verdict, exit_code",
     [
-        (("verify", "missing.txt"), "REJECTED(UnreadableInput)", 4),
-        (("scan", "--construction", "c1", "--tower", "4,1"), "REJECTED(NotPrime)", 2),
-        (("construct", "--c1", "--p", "13", "--m", "1", "--n", "25", "--k", "0"), "REJECTED(BadRequest)", 2),
-        (("construct", "--c7", "--p", "3", "--m", "1", "--k", "3"), "REJECTED(BadRequest)", 2),
-        (("construct", "--c1", "--c9", "--p", "3", "--m", "1"), "REJECTED(BadRequest)", 2),
-        (("AGQ_CAP_OPS=abc", "reproduce", "mixed"), "REJECTED(BadRequest)", 2),
-        (("AGQ_CAP_OPS=1e8", "construct", "--c5", "--p", "2", "--m", "2", "--k", "5"), "REJECTED(BadRequest)", 2),
-        (("AGQ_CAP_OPS=0", "export", str(DATA / "f49_22_5.txt")), "REJECTED(BadRequest)", 2),
-        (("construct", "--c1", "--p", "5", "--m", "0", "--n", "7"), "REJECTED(BadRequest)", 2),
-        (("construct", "--c1", "--p", "5", "--m", "-1", "--n", "7"), "REJECTED(BadRequest)", 2),
-        (("scan", "--construction", "c1", "--tower", "13"), "REJECTED(BadRequest)", 2),
-        (("scan", "--construction", "c1", "--tower", "a,1"), "REJECTED(BadRequest)", 2),
-        (("scan", "--construction", "c1", "--tower", "13,0"), "REJECTED(BadRequest)", 2),
+        pytest.param(("verify", "missing.txt"), "REJECTED(UnreadableInput)", 4, id="argv0-REJECTED(UnreadableInput)-4"),
+        pytest.param(("scan", "--construction", "c1", "--tower", "4,1"), "REJECTED(NotPrime)", 2, id="argv1-REJECTED(NotPrime)-2"),
+        pytest.param(("construct", "--construction", "c1", "--p", "13", "--m", "1", "--n", "25", "--k", "0"), "REJECTED(BadRequest)", 2, id="argv2-REJECTED(BadRequest)-2"),
+        pytest.param(("construct", "--construction", "c7i", "--p", "3", "--m", "1", "--k", "3"), "REJECTED(BadRequest)", 2, id="argv3-REJECTED(BadRequest)-2"),
+        pytest.param(("construct", "--construction", "c11", "--p", "3", "--m", "1"), "REJECTED(BadRequest)", 2, id="argv4-REJECTED(BadRequest)-2"),
+        pytest.param(("AGQ_CAP_OPS=abc", "reproduce", "mixed"), "REJECTED(BadRequest)", 2, id="argv5-REJECTED(BadRequest)-2"),
+        pytest.param(("AGQ_CAP_OPS=1e8", "construct", "--construction", "c5", "--p", "2", "--m", "2", "--k", "5"), "REJECTED(BadRequest)", 2, id="argv6-REJECTED(BadRequest)-2"),
+        pytest.param(("AGQ_CAP_OPS=0", "export", str(DATA / "f49_22_5.txt")), "REJECTED(BadRequest)", 2, id="argv7-REJECTED(BadRequest)-2"),
+        pytest.param(("construct", "--construction", "c1", "--p", "5", "--m", "0", "--n", "7"), "REJECTED(BadRequest)", 2, id="argv8-REJECTED(BadRequest)-2"),
+        pytest.param(("construct", "--construction", "c1", "--p", "5", "--m", "-1", "--n", "7"), "REJECTED(BadRequest)", 2, id="argv9-REJECTED(BadRequest)-2"),
+        pytest.param(("scan", "--construction", "c1", "--tower", "13"), "REJECTED(BadRequest)", 2, id="argv10-REJECTED(BadRequest)-2"),
+        pytest.param(("scan", "--construction", "c1", "--tower", "a,1"), "REJECTED(BadRequest)", 2, id="argv11-REJECTED(BadRequest)-2"),
+        pytest.param(("scan", "--construction", "c1", "--tower", "13,0"), "REJECTED(BadRequest)", 2, id="argv12-REJECTED(BadRequest)-2"),
         # bad parameter values and tokens: verdicts, not tracebacks
-        (("construct", "--c4", "--p", "3", "--m", "1", "--t", "0"), "REJECTED(BadRequest)", 2),
-        (("construct", "--c3", "--p", "5", "--m", "1", "--n", "8", "--t", "-1"), "REJECTED(BadRequest)", 2),
-        (("construct", "--c9", "--p", "3", "--m", "1", "--t", "0", "--k", "2"), "REJECTED(BadRequest)", 2),
-        (("verify", "word.txt"), "REJECTED(ParseError)", 4),
-        (("verify", "exponent.txt"), "REJECTED(ParseError)", 4),
-        (("verify", "integer.txt"), "REJECTED(ParseError)", 4),
-        (("construct", "--c2", "--p", "3", "--m", "1", "--n", "0", "--t", "1"), "REJECTED(DivisibilityViolated)", 2),
-        (("construct", "--c1", "--p", "3", "--m", "1", "--embed", "deep", "--t", "0"), "REJECTED(BadRequest)", 2),
-        (("construct", "--c1", "--p", "3", "--m", "1", "--n", "1", "--embed", "deep"), "REJECTED(BadRequest)", 2),
-        (("verify", "k0.txt"), "REJECTED(ParseError)", 4),
+        pytest.param(("construct", "--construction", "c4", "--p", "3", "--m", "1", "--t", "0"), "REJECTED(BadRequest)", 2, id="argv13-REJECTED(BadRequest)-2"),
+        pytest.param(("construct", "--construction", "c3", "--p", "5", "--m", "1", "--n", "8", "--t", "-1"), "REJECTED(BadRequest)", 2, id="argv14-REJECTED(BadRequest)-2"),
+        pytest.param(("construct", "--construction", "c9", "--p", "3", "--m", "1", "--t", "0", "--k", "2"), "REJECTED(BadRequest)", 2, id="argv15-REJECTED(BadRequest)-2"),
+        pytest.param(("verify", "word.txt"), "REJECTED(ParseError)", 4, id="argv16-REJECTED(ParseError)-4"),
+        pytest.param(("verify", "exponent.txt"), "REJECTED(ParseError)", 4, id="argv17-REJECTED(ParseError)-4"),
+        pytest.param(("verify", "integer.txt"), "REJECTED(ParseError)", 4, id="argv18-REJECTED(ParseError)-4"),
+        pytest.param(("construct", "--construction", "c2", "--p", "3", "--m", "1", "--n", "0", "--t", "1"), "REJECTED(DivisibilityViolated)", 2, id="argv19-REJECTED(DivisibilityViolated)-2"),
+        pytest.param(("construct", "--construction", "c1", "--p", "3", "--m", "1", "--embed", "deep", "--t", "0"), "REJECTED(BadRequest)", 2, id="argv20-REJECTED(BadRequest)-2"),
+        pytest.param(("construct", "--construction", "c1", "--p", "3", "--m", "1", "--n", "1", "--embed", "deep"), "REJECTED(BadRequest)", 2, id="argv21-REJECTED(BadRequest)-2"),
+        pytest.param(("verify", "k0.txt"), "REJECTED(ParseError)", 4, id="argv22-REJECTED(ParseError)-4"),
+        # deep embedding builds only its own c1 code, and needs k'' = floor(n/2t) >= 1
+        pytest.param(("construct", "--construction", "c1", "--p", "2", "--m", "1", "--t", "3", "--embed", "deep"),
+                     "REJECTED(BadRequest)", 2, id="deep-dimension-zero"),
+        pytest.param(("construct", "--construction", "c9", "--p", "3", "--m", "1", "--t", "2", "--k", "4", "--embed", "deep"),
+                     "REJECTED(BadRequest)", 2, id="deep-not-c1"),
+        pytest.param(("construct", "--construction", "c1", "--p", "13", "--m", "1", "--n", "25", "--k", "3", "--embed", "deep"),
+                     "REJECTED(BadRequest)", 2, id="deep-with-k"),
     ],
 )
 def test_failures_are_json_verdicts(capsys, tmp_path, monkeypatch, argv, verdict, exit_code):
@@ -186,11 +222,11 @@ def test_failures_are_json_verdicts(capsys, tmp_path, monkeypatch, argv, verdict
 @pytest.mark.parametrize(
     "argv, header",
     [
-        (("verify", "huge.txt"), "q2=1000000000000000000000007^2 n=1 k=1"),
-        (("verify", "huge.txt"), "q2=2^400000000 n=1 k=1"),
-        (("verify", "huge.txt"), "q2=4^24 n=1 k=1"),  # not prime, and too large
-        (("scan", "--construction", "c1", "--tower", "1000000000000000000000007,1"), None),
-        (("construct", "--c1", "--p", "2", "--m", "12", "--n", "5"), None),
+        pytest.param(("verify", "huge.txt"), "q2=1000000000000000000000007^2 n=1 k=1", id="argv0-q2=1000000000000000000000007^2 n=1 k=1"),
+        pytest.param(("verify", "huge.txt"), "q2=2^400000000 n=1 k=1", id="argv1-q2=2^400000000 n=1 k=1"),
+        pytest.param(("verify", "huge.txt"), "q2=4^24 n=1 k=1", id="argv2-q2=4^24 n=1 k=1"),  # not prime, and too large
+        pytest.param(("scan", "--construction", "c1", "--tower", "1000000000000000000000007,1"), None, id="argv3-None"),
+        pytest.param(("construct", "--construction", "c1", "--p", "2", "--m", "12", "--n", "5"), None, id="argv4-None"),
     ],
 )
 def test_huge_fields_are_rejected_at_once(capsys, tmp_path, monkeypatch, argv, header):
@@ -209,10 +245,11 @@ def test_huge_fields_are_rejected_at_once(capsys, tmp_path, monkeypatch, argv, h
 @pytest.mark.parametrize(
     "argv",
     [
-        ("construct", "--c9", "--p", "3", "--m", "1", "--t", "2", "--k", "4", "--matrix-out", "missing/m.txt"),
-        ("scan", "--construction", "c1", "--tower", "3,1", "--out", "missing/c.jsonl"),
-        ("reproduce", "mds1", "--out", "missing/r.json"),
-        ("export", str(DATA / "f49_22_5.txt"), "--out", "missing/e.txt"),
+        pytest.param(("construct", "--construction", "c9", "--p", "3", "--m", "1", "--t", "2", "--k", "4",
+                      "--matrix-out", "missing/m.txt"), id="argv0"),
+        pytest.param(("scan", "--construction", "c1", "--tower", "3,1", "--out", "missing/c.jsonl"), id="argv1"),
+        pytest.param(("reproduce", "mds1", "--out", "missing/r.json"), id="argv2"),
+        pytest.param(("export", str(DATA / "f49_22_5.txt"), "--out", "missing/e.txt"), id="argv3"),
     ],
 )
 def test_unwritable_output_is_rejected_before_work(capsys, tmp_path, monkeypatch, argv):
@@ -261,7 +298,7 @@ def test_chain_members_report_their_own_time(tmp_path, capsys, monkeypatch):
     run_cli(capsys, "scan", "--construction", "c1", "--tower", "5,1", "--embed", "iterate", "--out", str(out_file))
     times = [json.loads(line).get("time_s") for line in out_file.read_text().splitlines()]
     assert len(times) == 16 and set(times) == {1.0}
-    code, out = run_cli(capsys, "construct", "--c1", "--p", "13", "--m", "1", "--n", "25", "--embed", "deep")
+    code, out = run_cli(capsys, "construct", "--construction", "c1", "--p", "13", "--m", "1", "--n", "25", "--embed", "deep")
     assert code == 0 and json.loads(out)["time_s"] == 1.0
 
 
@@ -358,7 +395,7 @@ def test_public_names_resolve_and_elements_are_codes_only():
 def test_construct_matrix_out_verifies(tmp_path, capsys):
     out_file = tmp_path / "code.txt"
     code, out = run_cli(
-        capsys, "construct", "--c9", "--p", "3", "--m", "1", "--t", "2", "--k", "4",
+        capsys, "construct", "--construction", "c9", "--p", "3", "--m", "1", "--t", "2", "--k", "4",
         "--matrix-out", str(out_file),
     )
     assert code == 0
@@ -381,7 +418,7 @@ def test_construct_does_not_import_numpy_ma():
     script = (
         "import sys\n"
         "from agq.cli import main\n"
-        "assert main(['construct', '--c1', '--p', '13', '--m', '1', '--n', '25', '--embed', 'deep']) == 0\n"
+        "assert main(['construct', '--construction', 'c1', '--p', '13', '--m', '1', '--n', '25', '--embed', 'deep']) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))

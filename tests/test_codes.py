@@ -37,7 +37,7 @@ from agq.codes import (
 )
 from agq.constructions import ConstructionRequest, construct
 from agq.curves import CurveFamily, MonomialBasis, curve, rational_points, rr_basis, x_support
-from agq.errors import CapExceeded, ParseError, RankDefect
+from agq.errors import CapExceeded, GramNonzero, ParseError, RankDefect
 from agq.fields import build_tower
 from agq.points import roots_of_unity_set, twist_vector
 
@@ -287,7 +287,7 @@ def test_additive_sums_match_zech_tree(case):
         assert total.dtype == np.int32 and np.array_equal(total, zech_tree_sum(tw, cube, axis))
 
 
-@pytest.mark.parametrize("pm", SUM_TOWERS)
+@pytest.mark.parametrize("pm", SUM_TOWERS, ids=["pm0", "pm1", "pm2", "pm3", "pm4", "pm5"])
 def test_word_runs_are_as_long_as_no_carry_allows(pm):
     """M = _word_terms words with every digit p-1, the worst case, fit in a
     bit field and one more would not; runs of them sum as the Zech tree does."""
@@ -491,7 +491,14 @@ def test_exhaustive_distance_rank_deficient_generators(code, repeat, i, at):
     assert int((np.asarray(res.witness) != tw.zero_code).sum()) == res.value
 
 
-@pytest.mark.parametrize("pm, k, chunk", [((2, 1), 3, _CHUNK), ((2, 1), 4, 7), ((3, 1), 3, 10)])
+@pytest.mark.parametrize(
+    "pm, k, chunk",
+    [
+        pytest.param((2, 1), 3, _CHUNK, id="pm0-3-32768"),
+        pytest.param((2, 1), 4, 7, id="pm1-4-7"),
+        pytest.param((3, 1), 3, 10, id="pm2-3-10"),
+    ],
+)
 def test_exhaustive_distance_reaches_every_projective_word(pm, k, chunk):
     """For each projective message m, a code whose only minimum-weight words are
     the multiples of m.G: columns are every point of PG(k-1, q^2), so every word
@@ -854,7 +861,10 @@ def planted_vandermonde(k, sources):
     return LinearCode(tw, g, provenance="planted")
 
 
-@pytest.mark.parametrize("pm, k", [((2, 3), 3), ((2, 3), 4), ((7, 1), 4)])
+@pytest.mark.parametrize(
+    "pm, k",
+    [pytest.param((2, 3), 3, id="pm0-3"), pytest.param((2, 3), 4, id="pm1-4"), pytest.param((7, 1), 4, id="pm2-4")],
+)
 def test_column_scan_without_repeated_keys_never_sorts_stably(pm, k):
     """A [12, k] Vandermonde code has no dependent set of k or fewer columns: the
     scan runs every w = 2..k over several blocks, and no block has a repeated key."""
@@ -1157,8 +1167,13 @@ def test_auto_matches_minors_on_random_codes(code):
     assert dd.exact and (dd.value == code.k + 1) == flag
     if not flag:
         assert len(witness) == code.k and rank(code.tower, code.g[:, list(witness)]) < code.k
-    if hermitian_gram(code).all_zero:
+    gram = hermitian_gram(code)
+    if gram.all_zero:
         assert certify(code).mds == flag
+    else:
+        with pytest.raises(GramNonzero) as err:
+            certify(code)
+        assert (err.value.row, err.value.col, err.value.value_token) == gram.first_nonzero
 
 
 @st.composite

@@ -181,8 +181,9 @@ def test_embedding_boundary_q11():
     base = construct(ConstructionRequest("c1", 11, 1, n=16, k=2))
     chain = embed_iterate(base)
     assert [c.code.params() for c in chain] == [(16, 3), (16, 4)]
-    with pytest.raises(EmbeddingRejected):
+    with pytest.raises(EmbeddingRejected) as err:
         embed_once(chain[-1])
+    assert isinstance(err.value.__cause__, GramNonzero)
 
 
 def test_direct_16_5_gram_nonzero():

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import example, given, settings
 
 import agq.codes
+from agq.cli import catalog_entry
 from agq.codes import DistanceResult, LinearCode, certify, dual
 from agq.constructions import (
     CertifiedCode,
@@ -116,9 +117,10 @@ def test_monotonicity_under_embedding():
 
 
 def test_json_shape():
-    cert = construct(ConstructionRequest("c9", 3, 1, t=2, k=4))
-    blob = stabilizer_params(cert).to_json_dict()
-    assert set(blob) == {"q", "n", "k", "d", "d_exact", "d_method", "mds", "defect"}
+    request = ConstructionRequest("c9", 3, 1, t=2, k=4)
+    entry = catalog_entry(construct(request), request, 0.0)
+    assert list(entry["request"]) == ["construction", "p", "m", "n", "t", "k", "embed"]
+    assert list(entry["quantum"]) == ["q", "n", "k", "d", "d_exact", "d_method", "mds", "defect"]
 
 
 def brute_force_distances(code):
