@@ -383,9 +383,9 @@ def build_tower(p: int, m: int) -> FieldTower:
 @functools.cache
 def _moduli() -> dict[tuple[int, int], tuple[int, ...]]:
     """{(p, m): the modulus of GF(p^{2m}), coefficients ascending}, read from
-    data/moduli.json on first use."""
-    table = json.loads((resources.files(__package__) / "data" / "moduli.json").read_text())
-    return {tuple(map(int, key.split(","))): tuple(modulus) for key, modulus in table.items()}
+    the [p, m, modulus] rows of data/moduli.json on first use."""
+    rows = json.loads((resources.files(__package__) / "data" / "moduli.json").read_text())
+    return {(p, m): tuple(modulus) for p, m, modulus in rows}
 
 
 @functools.lru_cache(maxsize=_SHARED_TOWERS)

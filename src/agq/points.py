@@ -2,18 +2,21 @@
 
 Four families: roots of x^n - x, unions of multiplicative-subgroup cosets,
 affine grids u_i*a + u_j, and explicit sets.  Local derivative values
-h'(alpha_i) are always the pairwise product over the set, never a closed
-form; closed forms from the underlying theory show up only as test oracles.
+h'(alpha_i) are always the product over the set, never a closed form;
+closed forms from the underlying theory show up only as test oracles.
 Point sets and twist vectors are read-only int32 arrays of exponent codes.
-The product is taken as a sum of discrete logs over those codes: one numpy
-gather from the Zech table covers every pair, a block of rows at a time,
-and the twist vector is computed on the whole code array too.
+The product is taken as a sum of discrete logs over those codes, one numpy
+gather from the Zech table a block of rows at a time, and once per orbit of
+the set's multiplicative stabilizer: the stabilizer is found by checking
+shifts of the codes, never read from the family or its parameters.  The
+twist vector is computed on the whole code array too.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -173,6 +176,37 @@ def explicit_set(tower: FieldTower, codes, tag: str = FAMILY_EXPLICIT) -> Evalua
     return es
 
 
+@functools.cache
+def _divisors(n: int) -> tuple[int, ...]:
+    """The divisors of n above 1, largest first."""
+    small = [d for d in range(2, isqrt(n) + 1) if n % d == 0]
+    return tuple(sorted({n, *small, *(n // d for d in small)}, reverse=True))
+
+
+def _stabilizer_step(codes: np.ndarray, n_units: int) -> int:
+    """The least s | q^2-1 with nonzero + s = nonzero mod q^2-1, for the
+    nonzero codes of an ascending code array: t^s generates the set's
+    multiplicative stabilizer.  A set with a repeated point, or with no
+    nonzero point, gets q^2-1.
+
+    The stabilizer order d = (q^2-1)/s divides the number of nonzero points,
+    so the divisors d of both are tried, largest first.  Shifting by s maps
+    the ascending codes onto themselves exactly when code i + size/d is
+    code i plus s for every i (codes lie in [0, q^2-1), so nothing wraps
+    past the last block); code size/d is tried on its own before the rest.
+    """
+    size = int(np.searchsorted(codes, n_units))
+    if not size or (codes[1:] == codes[:-1]).any():
+        return n_units
+    first = codes[0]
+    for d in _divisors(n_units):
+        if size % d == 0:
+            s, r = n_units // d, size // d
+            if codes[r] == first + s and (codes[r:size] == codes[: size - r] + s).all():
+                return s
+    return n_units
+
+
 def local_derivatives(eval_set: EvaluationSet) -> np.ndarray:
     """log h'(alpha_i), h'(alpha_i) = prod_{j != i} (alpha_i - alpha_j), for
     every point, as an int64 code array.
@@ -180,22 +214,33 @@ def local_derivatives(eval_set: EvaluationSet) -> np.ndarray:
     For nonzero a and -b, log(a - b) = a + zech[log(-b) - a].  The j = i term
     reads zech[log(-1)] = log 0 = q^2-1, which is 0 mod q^2-1, so a nonzero
     point's row is (n-1)*a plus the Zech reads over every nonzero point; the
-    zero point, if any, contributes just its a.  Rows are gathered in blocks
-    of about _GATHER_ENTRIES Zech reads.  A zero point gets sum(log(-b)),
-    and every copy of a repeated point gets the zero code.
+    zero point, if any, contributes just its a.  The Zech row sum is still
+    taken over the whole set, but once per orbit of the set's multiplicative
+    stabilizer <t^s>, which _stabilizer_step checks on the codes: if S is
+    fixed by a -> t^s a, so is -S, and the row of t^s a is the row of a with
+    every log(-b) shifted by s, so it has the same sum.  The rows of the
+    points in [0, s), one per orbit (every point when s = q^2-1), are
+    gathered in blocks of about _GATHER_ENTRIES Zech reads.  A zero point
+    gets sum(log(-b)), and every copy of a repeated point gets the zero code.
     """
     tower = eval_set.tower
     n_units = tower.n_units
     codes = eval_set.codes.astype(np.int64)
-    negs = tower.vneg(codes[codes != n_units]).astype(np.int64)
-    out = np.empty(len(codes), dtype=np.int64)
+    nonzero = codes[codes != n_units]
+    negs = tower.vneg(nonzero).astype(np.int64)
+    reps = nonzero[: len(nonzero) * _stabilizer_step(codes, n_units) // n_units]
+    sums = np.empty(len(reps), dtype=np.int64)
     rows = max(1, _GATHER_ENTRIES // max(1, len(negs)))
-    for start in range(0, len(codes), rows):
-        a = codes[start : start + rows]
+    for start in range(0, len(reps), rows):
+        a = reps[start : start + rows]
         # the table has q^2-1 entries, so mode="wrap" reduces log(-b) - a mod q^2-1
         zechs = tower._zech.take(negs[None, :] - a[:, None], mode="wrap")
-        out[start : start + rows] = zechs.sum(axis=1, dtype=np.int64) + (len(codes) - 1) * a
-    out[codes == n_units] = negs.sum()
+        sums[start : start + rows] = zechs.sum(axis=1, dtype=np.int64)
+    out = np.empty(len(codes), dtype=np.int64)
+    # the nonzero points are the representatives times 1, t^s, t^2s, ...
+    shape = (len(nonzero) // max(1, len(reps)), len(reps))
+    out[: len(nonzero)].reshape(shape)[:] = sums + (len(codes) - 1) * nonzero.reshape(shape)
+    out[len(nonzero) :] = negs.sum()
     out %= n_units
     out[_repeats(codes)] = n_units
     return out

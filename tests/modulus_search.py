@@ -1,16 +1,18 @@
 """Reference search for field moduli, and the writer and checker of the table
 of moduli that ``agq.fields`` reads.
 
-``src/agq/data/moduli.json`` maps every (p, m) with p prime and p^(2m) within
-DEFAULT_FIELD_CAP to the defining modulus of GF(p^{2m}), coefficients
-ascending (constant term first, leading 1 last).  The modulus is the Conway
-polynomial when the size is in CONWAY, so that t-power listings are comparable
-with standard computer-algebra output; otherwise it is the lexicographically
-least primitive polynomial.  The search for it tests the norm of a root, then
-irreducibility (Euler's criterion on the discriminant at degree 2 with p odd,
-Ben-Or's test otherwise), then the order of x, from powers that share their
-squarings.  Its polynomials are packed into Python ints, bits for p = 2 and
-bit fields for odd p, so that sums and products act on whole ints.
+``src/agq/data/moduli.json`` holds one row ``[p, m, [coefficients]]`` for
+every (p, m) with p prime and p^(2m) within DEFAULT_FIELD_CAP: the defining
+modulus of GF(p^{2m}), coefficients ascending (constant term first, leading 1
+last).  The modulus is the Conway polynomial when the size is in CONWAY, so
+that t-power listings are comparable with standard computer-algebra output;
+otherwise it is the lexicographically least primitive polynomial.  The search
+for it tests the norm of a root, then irreducibility (Euler's criterion on the
+discriminant at degree 2 with p odd, Ben-Or's test otherwise), then the order
+of x.  At degree 2 with p odd the order test runs on integer pairs a + b x;
+otherwise the polynomials are packed into Python ints, bits for p = 2 and bit
+fields for odd p, so that sums and products act on whole ints, and the powers
+of x share their squarings.
 
 Run from the repository root:
 
@@ -249,35 +251,29 @@ def _least_primitive_poly(p, deg):
     coefficients ascending.
 
     Three tests in turn, cheapest first.  (-1)^deg f(0), the norm of a root,
-    must generate GF(p)*.  f must be irreducible: at degree 2 with p odd,
-    exactly when its discriminant is a non-square (Euler's criterion), and
-    otherwise when Ben-Or's test (``has_small_factor``) finds no small factor.
-    Modulo an irreducible f with f(0) != 0, x^(p^deg - 1) = 1 (Lidl and
-    Niederreiter, Finite Fields, Thm 3.3), so x is primitive exactly when
-    x^((p^deg - 1)/r) != 1 for every prime r of p^deg - 1.  For r dividing
-    p - 1 that power is the norm to the power (p - 1)/r, which the first test
-    has checked, so only the other primes are tried, smallest first.  The
-    polynomial arithmetic is packed: bits of an int for p = 2, and fields of
-    an int for odd p (``_BinaryPolys``, ``_PackedPolys``).
+    must generate GF(p)*.  f must be irreducible: Ben-Or's test
+    (``has_small_factor``) finds no small factor.  Modulo an irreducible f
+    with f(0) != 0, x^(p^deg - 1) = 1 (Lidl and Niederreiter, Finite Fields,
+    Thm 3.3), so x is primitive exactly when x^((p^deg - 1)/r) != 1 for every
+    prime r of p^deg - 1.  For r dividing p - 1 that power is the norm to the
+    power (p - 1)/r, which the first test has checked, so only the other
+    primes are tried, smallest first.  The polynomial arithmetic is packed:
+    bits of an int for p = 2, and fields of an int for odd p
+    (``_BinaryPolys``, ``_PackedPolys``).  Degree 2 with p odd has its own
+    search, ``_least_primitive_quadratic``.
     """
+    if deg == 2 and p > 2:
+        return _least_primitive_quadratic(p)
     factors = _prime_factors(p - 1)
     order = p ** deg - 1
     cofactors = [order // r for r in sorted(_prime_factors(order) - factors)]
-    sign = -1 if deg % 2 else 1
-    # constant terms whose norm generates GF(p)*: the powers g^e, e prime to p - 1,
-    # of the least generator g
-    g = next(c for c in range(1, p) if all(pow(c, (p - 1) // r, p) != 1 for r in factors))
-    norms = {sign * pow(g, e, p) % p for e in range(1, p) if gcd(e, p - 1) == 1}
+    norms = _primitive_norms(p, deg)
     polys = _BinaryPolys(deg) if p == 2 else _PackedPolys(p, deg)
     for value in range(1, p ** deg):
         if value % p not in norms:
             continue
         f = polys.monic(value)
-        if deg == 2 and p > 2:
-            c1, c0 = divmod(value, p)
-            if pow(c1 * c1 - 4 * c0, (p - 1) // 2, p) != p - 1:
-                continue
-        elif polys.has_small_factor(f):
+        if polys.has_small_factor(f):
             continue
         # x^(2^i) mod f, squared as far as the next exponent needs
         squares = [polys.x]
@@ -292,6 +288,49 @@ def _least_primitive_poly(p, deg):
                 break
         else:
             return polys.coeffs(f, deg + 1)
+    raise AssertionError("no primitive polynomial found")  # unreachable for prime p
+
+
+def _primitive_norms(p, deg):
+    """The constant terms f(0) whose norm (-1)^deg f(0) generates GF(p)*: the
+    powers g^e, e prime to p - 1, of the least generator g, signed."""
+    factors = _prime_factors(p - 1)
+    g = next(c for c in range(1, p) if all(pow(c, (p - 1) // r, p) != 1 for r in factors))
+    sign = -1 if deg % 2 else 1
+    return {sign * pow(g, e, p) % p for e in range(1, p) if gcd(e, p - 1) == 1}
+
+
+def _least_primitive_quadratic(p):
+    """The least primitive x^2 + c1 x + c0 over GF(p), p odd, in packed-value
+    order (c1 first, then c0), as (c0, c1, 1).
+
+    c0, the norm of x, must generate GF(p)*, and the discriminant must be a
+    non-square (Euler's criterion), so that f is irreducible.  The order test
+    works in GF(p)[x]/(f) on integer pairs (a, b) for a + b x, with
+    x^2 = -c1 x - c0.  It needs x^((p^2 - 1)/r) != 1 only for the primes r of
+    p + 1 that do not divide p - 1.  There x^p is the other root, the
+    conjugate, so with m = (p + 1)/r, x^((p^2 - 1)/r) = conj(x^m)/x^m, which
+    is 1 exactly when x^m lies in GF(p): when its coefficient b is 0.  So x^m
+    is formed by squaring and multiplying by x, over the bits of m.
+    """
+    norms = sorted(_primitive_norms(p, 2))
+    exponents = [(p + 1) // r for r in sorted(_prime_factors(p + 1) - _prime_factors(p - 1))]
+    half = (p - 1) // 2
+    for c1 in range(p):
+        for c0 in norms:
+            if pow(c1 * c1 - 4 * c0, half, p) != p - 1:
+                continue
+            for m in exponents:
+                a, b = 1, 0
+                for bit in bin(m)[2:]:
+                    bb = b * b
+                    a, b = (a * a - bb * c0) % p, (2 * a * b - bb * c1) % p
+                    if bit == "1":
+                        a, b = -b * c0 % p, (a - b * c1) % p
+                if b == 0:
+                    break
+            else:
+                return (c0, c1, 1)
     raise AssertionError("no primitive polynomial found")  # unreachable for prime p
 
 
@@ -314,9 +353,10 @@ def modulus(p: int, m: int) -> tuple[int, ...]:
 
 
 def table_text(moduli: dict) -> str:
-    """The table file of {(p, m): modulus}: one "p,m" key a line, in (p, m) order."""
-    lines = [f'"{p},{m}":[{",".join(map(str, moduli[p, m]))}]' for p, m in sorted(moduli)]
-    return "{\n" + ",\n".join(lines) + "\n}\n"
+    """The table file of {(p, m): modulus}: one [p, m, [coefficients]] row a
+    line, in (p, m) order."""
+    lines = [f"[{p},{m},[{','.join(map(str, moduli[p, m]))}]]" for p, m in sorted(moduli)]
+    return "[\n" + ",\n".join(lines) + "\n]\n"
 
 
 def main(argv=None) -> int:
@@ -330,7 +370,7 @@ def main(argv=None) -> int:
         print(f"wrote {len(moduli)} moduli to {TABLE}")
         return 0
     current = TABLE.read_text()
-    shipped = {tuple(map(int, k.split(","))): tuple(v) for k, v in json.loads(current).items()}
+    shipped = {(p, m): tuple(f) for p, m, f in json.loads(current)}
     wrong = sorted(pm for pm in moduli.keys() | shipped.keys() if moduli.get(pm) != shipped.get(pm))
     for pm in wrong:
         print(f"{pm}: table {shipped.get(pm)}, search {moduli.get(pm)}")

@@ -287,10 +287,30 @@ TWIST_TOWERS = [(3, 1), (2, 2), (2, 4), (17, 1), (2, 5), (3, 3), (31, 1)]
 
 
 @st.composite
+def coset_union_sets(draw, towers, max_n):
+    """An explicit set of fewer than max_n points over a tower drawn from
+    towers: the union of random cosets of a random subgroup mu_d, half of the
+    time with zero."""
+    tower = build_tower(*draw(st.sampled_from(towers)))
+    units = tower.n_units
+    d = draw(st.sampled_from([d for d in range(1, max_n) if units % d == 0]))
+    step = units // d
+    leaders = draw(st.lists(st.integers(0, step - 1), min_size=1, max_size=min(step, (max_n - 1) // d), unique=True))
+    codes = [leader + j * step for leader in leaders for j in range(d)]
+    return explicit_set(tower, codes + [tower.zero_code] * draw(st.booleans()))
+
+
+def any_point_sets(max_n):
+    """A set of one of the four families, or an explicit union of cosets, over
+    a TWIST_TOWERS field."""
+    return st.one_of(point_sets(TWIST_TOWERS, max_n), coset_union_sets(TWIST_TOWERS, max_n))
+
+
+@st.composite
 def twist_cases(draw):
     """A point set, one in four with one point repeated, and a gather cap that
     makes blocks of 1 or 7 rows, or the module default."""
-    es = draw(point_sets(TWIST_TOWERS, max_n=64))
+    es = draw(any_point_sets(max_n=64))
     if draw(st.integers(0, 3)) == 0:
         codes = es.codes.tolist()
         codes.append(codes[draw(st.integers(0, len(codes) - 1))])
@@ -325,6 +345,51 @@ def test_twist_log_sums_match_pairwise_product(case):
     es, cap = case
     with mock.patch.object(agq.points, "_GATHER_ENTRIES", cap):
         assert_twist_matches_oracle(es)
+
+
+def brute_force_step(es):
+    """Reference oracle: the least s | q^2-1 that maps the set's nonzero codes
+    onto themselves under c -> c + s mod q^2-1, by trying every divisor; q^2-1
+    for a set with a repeated point or with no nonzero point."""
+    units = es.tower.n_units
+    codes = es.codes.tolist()
+    nonzero = {c for c in codes if c != units}
+    if len(set(codes)) < len(codes) or not nonzero:
+        return units
+    return min(s for s in range(1, units + 1) if units % s == 0 and {(c + s) % units for c in nonzero} == nonzero)
+
+
+@st.composite
+def stabilizer_cases(draw):
+    """A point set of any_point_sets as it is, or with one point dropped, one
+    foreign point added, one or every point repeated, or zero added or
+    dropped.  Every point twice keeps the codes shift-invariant as a list."""
+    es = draw(any_point_sets(max_n=128))
+    tower, codes = es.tower, es.codes.tolist()
+    change = draw(st.sampled_from(["none", "drop", "add", "repeat", "double", "zero"]))
+    if change == "drop" and codes:
+        codes.pop(draw(st.integers(0, len(codes) - 1)))
+    elif change == "add" and len(codes) <= tower.n_units:
+        foreign = draw(st.integers(0, tower.n_units))
+        while foreign in codes:
+            foreign = (foreign + 1) % tower.q2
+        codes.append(foreign)
+    elif change == "repeat" and codes:
+        codes.append(codes[draw(st.integers(0, len(codes) - 1))])
+    elif change == "double":
+        codes += codes
+    elif change == "zero":
+        codes = codes[:-1] if codes[-1:] == [tower.zero_code] else codes + [tower.zero_code]
+    return EvaluationSet(tower, es.family, codes, es.params)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(stabilizer_cases())
+def test_stabilizer_step_matches_brute_force(es):
+    """The step of the multiplicative stabilizer that local_derivatives reads off
+    the codes is the brute-force one, on all four families and on coset
+    unions, each as built or one point off."""
+    assert agq.points._stabilizer_step(es.codes.astype(np.int64), es.tower.n_units) == brute_force_step(es)
 
 
 @pytest.mark.parametrize("p,m,n", [(2, 5, 1024), (2, 8, 258), (251, 1, 251)])
