@@ -2,8 +2,11 @@
 
 Everything here is oracle-grade: Gram certification, duals, distances and
 MDS checks are computed from the matrix, never assumed from the way a code
-was built.  Matrices are numpy int32 arrays of exponent codes (tower
-convention: code q^2-1 is zero), so the hot loops are table lookups.
+was built.  That holds for shortcuts too: the Gram of a twisted-Vandermonde
+matrix is summed once per orbit of a multiplicative symmetry that is checked
+on the matrix's own codes, points and norms alike.  Matrices are numpy int32
+arrays of exponent codes (tower convention: code q^2-1 is zero), so the hot
+loops are table lookups.
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ class LinearCode:
     ``vandermonde`` says whether G = (v_l * alpha_l^i) with k <= n, nonzero
     v_l and distinct alpha_l.  Every k x k minor of such a G is a v-scaled
     Vandermonde determinant, nonzero, so its rank is k without rref, and
-    is_mds reads this verdict.  With verify_rank, any other G is row-reduced
-    and a rank below k raises RankDefect; the MDS screen reads the same
-    ``reduced`` form.
+    is_mds reads this verdict.  ``points`` holds the codes of the alpha_l =
+    G[1,l]/G[0,l] the shape check computed, when it holds and k >= 2, and is
+    None otherwise; hermitian_gram reads them.  With verify_rank, any other G
+    is row-reduced and a rank below k raises RankDefect; the MDS screen reads
+    the same ``reduced`` form.
     """
 
     def __init__(self, tower: FieldTower, g: np.ndarray, provenance: str = "", verify_rank: bool = True):
@@ -49,7 +54,9 @@ class LinearCode:
         self.g = g
         self.provenance = provenance
         self.k, self.n = g.shape
-        self.vandermonde = 0 < self.k <= self.n and _vandermonde_shape(tower, g)
+        self.vandermonde, self.points = (
+            _vandermonde_shape(tower, g) if 0 < self.k <= self.n else (False, None)
+        )
         if verify_rank and self.k > 0 and not self.vandermonde:
             r = len(self.reduced[1])
             if r != self.k:
@@ -225,32 +232,89 @@ def hermitian_gram(code: LinearCode) -> GramCertificate:
 
     Each product is a log-sum of G[i,l] and G[j,l]^q that reads the product
     from the tower's additive table, and each entry is an integer sum of
-    those words (tower._sum_products).  Blocks of rows read about
-    _GATHER_ENTRIES words.  A block sums the entries with j >= its first
-    row; left of that, as <g_i, g_j>_H = <g_j, g_i>_H^q (y^(q^2) = y), it
-    takes the Frobenius image of entries already summed.
+    those words (tower._sum_products).  The sum runs over one column per
+    orbit of a multiplicative symmetry checked on the matrix (_gram_orbits):
+    an orbit of d columns adds d * [d | i + qj + c_r] * G[i,r] * G[j,r]^q for
+    its representative r, so its left factor is scaled by d mod p and the
+    entries where d does not divide i + qj + c_r are pushed past the table,
+    onto the zero word.  Without such a symmetry d = 1 and every column is
+    its own orbit.  Blocks of rows read about _GATHER_ENTRIES words.  A block
+    sums the entries with j >= its first row; left of that, as
+    <g_i, g_j>_H = <g_j, g_i>_H^q (y^(q^2) = y), it takes the Frobenius
+    image of entries already summed.
     """
     tower = code.tower
-    k, n = code.k, code.n
+    k = code.k
     if k == 0:
         return GramCertificate(
             np.zeros((0, 0), dtype=np.int32), True, None, _digest(code, np.zeros((0, 0)))
         )
-    lhs = tower._word_slots(code.g)
-    rhs = tower._word_slots(tower.vfrob(code.g))
+    units = tower.n_units
+    g, d, c = _gram_orbits(code)
+    lhs = tower._word_slots(g)
+    rhs = np.where(lhs < units, lhs * tower.q % units, lhs)  # the slots of G^q
+    if d > 1:
+        reps = len(c)
+        lhs[:, :reps] += tower._log_val[d % tower.p]
+        lhs[:, :reps] %= units
     m = np.empty((k, k), dtype=np.int32)
-    rows = max(1, _points._GATHER_ENTRIES // max(1, k * n))
+    rows = max(1, _points._GATHER_ENTRIES // max(1, k * g.shape[1]))
     for start in range(0, k, rows):
         stop = start + rows
         if start:
             m[start:stop, :start] = tower.vfrob(m[:start, start:stop].T)
-        m[start:stop, start:] = tower._sum_products(lhs[start:stop, None, :], rhs[None, start:, :])
-    nz = np.argwhere(m != tower.zero_code)
-    if nz.size:
-        i, j = (int(v) for v in nz[0])
+        right = rhs[None, start:, :]
+        if d > 1:
+            # 2(q^2-1) times a nonzero residue of i + qj + c_r clips to the zero word
+            row = np.arange(start, min(stop, k))[:, None, None]
+            col = np.arange(start, k)[:, None]
+            right = np.repeat(right, len(row), axis=0)
+            right[:, :, :reps] += (row + tower.q * col + c) % d * (2 * units)
+        m[start:stop, start:] = tower._sum_products(lhs[start:stop, None, :], right)
+    nonzero = m != tower.zero_code
+    if np.count_nonzero(nonzero):
+        i, j = divmod(int(nonzero.argmax()), k)
         first = (i, j, tower.format(int(m[i, j])))
         return GramCertificate(m, False, first, _digest(code, m))
     return GramCertificate(m, True, None, _digest(code, m))
+
+
+def _gram_orbits(code: LinearCode) -> tuple[np.ndarray, int, np.ndarray | None]:
+    """(columns, d, c): the columns of G that hermitian_gram sums over, one
+    per orbit of d points, and the orbits' exponents c_r.
+
+    For a Vandermonde G = (v_l * alpha_l^i) with k >= 2, the nonzero points
+    alpha_l of LinearCode.points, in ascending order, are fixed by the group
+    <t^s> of order d = (q^2-1)/s that points._stabilizer_step checks on their
+    codes, and representative r stands for the points alpha_r * t^(ms),
+    m < d.  If the norms N_l = v_l^(q+1) step by a fixed multiple s * c_r
+    along each orbit, log N(alpha_r t^(ms)) = log N(alpha_r) + m * s * c_r,
+    which is checked on G[0], the orbit adds sum_m (t^s)^(m (i + qj + c_r)),
+    d or 0, times the representative's product: the columns are the
+    representatives, then the zero point if present.  Otherwise, or without
+    the shape, they are all of G, d = 1 and c is None.
+    """
+    alpha, g = code.points, code.g
+    if alpha is None:
+        return g, 1, None
+    if np.count_nonzero(alpha[1:] <= alpha[:-1]):  # sort permuted columns once
+        order = np.argsort(alpha)
+        alpha, g = alpha[order], g[:, order]
+    tower = code.tower
+    units = tower.n_units
+    s = _points._stabilizer_step(alpha, units)
+    if s == units:
+        return g, 1, None
+    d = units // s
+    size = code.n - int(alpha[-1] == tower.zero_code)  # the zero point sorts last
+    reps = size // d
+    norms = g[0, :size] * np.int64(tower.q + 1)
+    steps = (norms[reps:] - norms[:-reps]) % units
+    c = steps[:reps] // s
+    # every step of orbit r is its first, and that is c_r * s only if s divides it
+    if np.count_nonzero(steps.reshape(d - 1, reps) != c * s):
+        return g, 1, None
+    return np.concatenate((g[:, :reps], g[:, size:]), axis=1), d, c
 
 
 def _digest(code: LinearCode, gram: np.ndarray) -> str:
@@ -665,23 +729,24 @@ def _cauchy_verify(tower: FieldTower, a: np.ndarray) -> bool:
     return True
 
 
-def _vandermonde_shape(tower: FieldTower, g: np.ndarray) -> bool:
-    """Is G exactly (v_l * alpha_l^i) with v_l != 0 and alpha_l distinct?"""
+def _vandermonde_shape(tower: FieldTower, g: np.ndarray) -> tuple[bool, np.ndarray | None]:
+    """Is G exactly (v_l * alpha_l^i) with v_l != 0 and alpha_l distinct?  The
+    verdict, and the codes of alpha_l = G[1,l]/G[0,l] when it holds and k >= 2."""
     zero = tower.zero_code
     k, n = g.shape
     if (g[0] == zero).any():
-        return False
+        return False, None
     if k == 1:
-        return True
+        return True, None
     ratio = tower.vdiv(g[1], g[0])
     # sort and compare neighbours: np.unique imports numpy.ma on its first call
     ordered = np.sort(ratio)
     if (ordered[1:] == ordered[:-1]).any():
-        return False
-    for i in range(1, k):
-        if not np.array_equal(g[i], tower.vmul(g[i - 1], ratio)):
-            return False
-    return True
+        return False, None
+    if not np.array_equal(g[1:], tower.vmul(g[:-1], ratio)):
+        return False, None
+    ratio.flags.writeable = False
+    return True, ratio
 
 
 # -- the certificate ----------------------------------------------------------------

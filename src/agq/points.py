@@ -35,8 +35,9 @@ FAMILY_COSET_UNION = "coset_union"
 FAMILY_AFFINE_GRID = "affine_grid"
 FAMILY_EXPLICIT = "explicit"
 
-# table reads per block of rows, in local derivatives (Zech table) and in
-# codes.hermitian_gram (additive table): 2 MB of int64 indices
+# table reads per block of rows, in local derivatives (Zech table, one row per
+# stabilizer orbit) and in codes.hermitian_gram (additive table, one column per
+# orbit of the checked symmetry plus the zero point): 2 MB of int64 indices
 _GATHER_ENTRIES = 1 << 18
 
 
@@ -195,14 +196,14 @@ def _stabilizer_step(codes: np.ndarray, n_units: int) -> int:
     code i plus s for every i (codes lie in [0, q^2-1), so nothing wraps
     past the last block); code size/d is tried on its own before the rest.
     """
-    size = int(np.searchsorted(codes, n_units))
-    if not size or (codes[1:] == codes[:-1]).any():
+    size = int(codes.searchsorted(n_units))
+    if not size or np.count_nonzero(codes[1:] == codes[:-1]):
         return n_units
     first = codes[0]
     for d in _divisors(n_units):
         if size % d == 0:
             s, r = n_units // d, size // d
-            if codes[r] == first + s and (codes[r:size] == codes[: size - r] + s).all():
+            if codes[r] == first + s and not np.count_nonzero(codes[r:size] != codes[: size - r] + s):
                 return s
     return n_units
 

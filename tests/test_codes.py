@@ -37,12 +37,13 @@ from agq.codes import (
 )
 from agq.constructions import ConstructionRequest, construct
 from agq.curves import CurveFamily, MonomialBasis, curve, rational_points, rr_basis, x_support
-from agq.errors import CapExceeded, GramNonzero, ParseError, RankDefect
+from agq.errors import CapExceeded, GramNonzero, NotNormValue, ParseError, RankDefect
 from agq.fields import build_tower
 from agq.points import roots_of_unity_set, twist_vector
 
 from .scalar_field import Scalar
 from .test_fields import seeded_batch, zech_tree_sum
+from .test_points import TWIST_TOWERS, brute_force_step, coset_union_sets, stabilizer_cases
 
 
 @st.composite
@@ -298,6 +299,73 @@ def test_word_runs_are_as_long_as_no_carry_allows(pm):
     for n in (m, m + 1, 2 * m + 1) if m < 1000 else ():
         run = np.full((2, n), top, dtype=np.int32)
         assert np.array_equal(tw.vsum(run), zech_tree_sum(tw, run))
+
+
+@st.composite
+def orbit_gram_cases(draw):
+    """A code G = (v_l * alpha_l^i), i < k <= min(n, 2q+3), on a set of
+    coset_union_sets or stabilizer_cases, so with or without zero and
+    sometimes with a repeated point; its columns in set order or permuted;
+    and a Gram gather cap that makes blocks of 1 row, or the module default.
+
+    The twist v is the set's own (when it has one), an equivariant one,
+    v_l = c * alpha_l^(e_r) with the exponent e_r drawn per orbit of the set's
+    stabilizer, so that the norms step by a different multiple along each
+    orbit, the same with one entry changed, or a random one."""
+    es = draw(st.one_of(coset_union_sets(TWIST_TOWERS, 64), stabilizer_cases()))
+    assume(es.n > 0)
+    tw, units = es.tower, es.tower.n_units
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    alpha = es.codes.astype(np.int64)
+    # equivariant twice: it is the draw whose orbits carry different c_r
+    twist = draw(st.sampled_from(["own", "equivariant", "equivariant", "perturbed", "random"]))
+    v = None
+    if twist == "own":
+        try:
+            v = twist_vector(es).codes
+        except NotNormValue:
+            twist = "equivariant"
+    if twist in ("equivariant", "perturbed"):
+        s = brute_force_step(es)
+        exponents = rng.integers(units, size=s)  # one per orbit of <t^s>; zero reads exponents[0]
+        v = (rng.integers(units) + exponents[alpha % s] * alpha) % units
+        if twist == "perturbed":
+            at = rng.integers(es.n)
+            v[at] = (v[at] + rng.integers(1, units)) % units
+    elif twist == "random":
+        v = rng.integers(units, size=es.n)
+    k = draw(st.integers(1, min(es.n, 2 * tw.q + 3)))
+    g = np.stack([tw.vmul(v, tw.vpow(alpha, i)) for i in range(k)])
+    if draw(st.booleans()):
+        g = g[:, rng.permutation(es.n)]
+    cap = draw(st.sampled_from([1, agq.points._GATHER_ENTRIES]))
+    return LinearCode(tw, g, verify_rank=False), cap
+
+
+def test_orbit_gram_matches_zech_tree():
+    """hermitian_gram, matrix, verdict, first nonzero entry and digest, equals
+    the Zech-tree oracle on twisted Vandermonde codes whose points and norms
+    have a multiplicative symmetry, have one only on the points, or have none;
+    enough of them take the reduced sum over orbit representatives."""
+    reduced = []
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(orbit_gram_cases())
+    def check(case):
+        code, cap = case
+        with mock.patch.object(agq.points, "_GATHER_ENTRIES", cap):
+            got = hermitian_gram(code)
+        want = zech_tree_gram(code)
+        assert got.matrix.dtype == np.int32 and np.array_equal(got.matrix, want.matrix)
+        assert (got.all_zero, got.first_nonzero, got.digest) == (want.all_zero, want.first_nonzero, want.digest)
+        _, d, c = agq.codes._gram_orbits(code)
+        if d > 1:
+            reduced.append((len(c), len(set(c.tolist())), d % code.tower.p))
+
+    check()
+    assert len(reduced) >= 40
+    assert sum(distinct > 1 for _, distinct, _ in reduced) >= 5  # orbits with different c_r
+    assert sum(scale != 1 for _, _, scale in reduced) >= 15  # d != 1 in GF(p)
 
 
 def test_gram_zero_implies_zero_diagonal():

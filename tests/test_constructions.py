@@ -20,6 +20,8 @@ from agq.curves import rr_basis
 from agq.errors import DivisibilityViolated, EmbeddingRejected, GramNonzero, RankDefect
 from agq.fields import build_tower
 
+from .test_codes import zech_tree_gram
+
 
 def test_c1_q13_k2_certified():
     cert = construct(ConstructionRequest("c1", 13, 1, n=25, k=2))
@@ -216,7 +218,8 @@ def test_chain_q13_deep_links_all_certified():
 def test_c1_gram_matches_exponent_reduction_rule():
     # For roots-of-unity sets: sum v^(q+1) a^E = [ (n-1) | E ] for E > 0,
     # so the full Vandermonde Gram vanishes exactly where (n-1) does not
-    # divide (i-1) + q(j-1).
+    # divide (i-1) + q(j-1).  The nonzero entries carry the factor n-1 = 8,
+    # which is 3 in GF(5), so they are compared with the Zech-tree oracle too.
     tw = build_tower(5, 1)
     from agq.codes import LinearCode, grs_rows
     from agq.points import roots_of_unity_set, twist_vector
@@ -226,7 +229,8 @@ def test_c1_gram_matches_exponent_reduction_rule():
     kk = 6
     g = grs_rows(tw, es, tv, range(kk))
     code = LinearCode(tw, g)
-    gram = hermitian_gram(code).matrix
+    cert = hermitian_gram(code)
+    gram = cert.matrix
     for i in range(kk):
         for j in range(kk):
             e = i + tw.q * j
@@ -234,6 +238,9 @@ def test_c1_gram_matches_exponent_reduction_rule():
             if (i, j) == (0, 0):
                 expected_zero = True
             assert (gram[i, j] == tw.zero_code) == expected_zero, (i, j)
+    want = zech_tree_gram(code)
+    assert np.array_equal(gram, want.matrix)
+    assert (cert.first_nonzero, cert.digest) == (want.first_nonzero, want.digest)
 
 
 def test_general_case_pairing_identity():
