@@ -29,7 +29,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import asdict
 from importlib import resources
 
 from . import config
@@ -82,10 +81,10 @@ def catalog_entry(cert: CertifiedCode, request, elapsed: float) -> dict:
     certificate = cert.certificate
     dd = certificate.dual_distance
     return {
-        "request": asdict(request) if isinstance(request, ConstructionRequest) else request,
+        "request": dict(vars(request)) if isinstance(request, ConstructionRequest) else request,
         "verdict": "CERTIFIED",
         "classical": _classical_block(cert),
-        "quantum": asdict(stabilizer_params(cert)),
+        "quantum": dict(vars(stabilizer_params(cert))),
         "dual_distance": {"value": dd.value, "exact": dd.exact, "method": dd.method},
         "gram_digest": certificate.gram.digest,
         "witnesses": {
@@ -101,7 +100,7 @@ def rejection_entry(request, exc: AgqError, elapsed: float) -> dict:
     """The JSON record of one rejection.  A failed Gram check, raised itself or
     as the cause of an EmbeddingRejected, adds its first nonzero entry."""
     entry = {
-        "request": asdict(request) if isinstance(request, ConstructionRequest) else request,
+        "request": dict(vars(request)) if isinstance(request, ConstructionRequest) else request,
         "verdict": f"REJECTED({type(exc).__name__})",
         "reason": f"{type(exc).__name__}: {exc}",
         "time_s": round(elapsed, 4),

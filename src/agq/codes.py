@@ -194,34 +194,38 @@ def batched_dependent(tower: FieldTower, mats: np.ndarray) -> np.ndarray:
 
 
 def evaluation_code(
-    tower: FieldTower,
-    basis: MonomialBasis,
-    x,
-    y,
-    twist,
-    provenance: str = "evaluation",
+    tower: FieldTower, basis: MonomialBasis, x, y, twist, provenance: str = "evaluation"
 ) -> LinearCode:
     """Rows v_l * f_i(P_l) for f_i = x^a y^b in the basis.
 
     x, y and twist are code arrays, one entry per point P_l = (x_l, y_l).
     Raises RankDefect when the evaluation vectors are dependent.
     """
-    n = len(x)
-    if len(twist) != n:
+    if len(twist) != len(x):
         raise ValueError("twist length != number of points")
-    rows = []
-    for (a, b) in basis.monomials:
-        row = tower.vpow(x, a)
-        if b:
-            row = tower.vmul(row, tower.vpow(y, b))
-        rows.append(tower.vmul(twist, row))
-    g = np.stack(rows) if rows else np.zeros((0, n), dtype=np.int32)
-    return LinearCode(tower, g, provenance=provenance)
+    a, b = np.asarray(basis.monomials, dtype=np.int64).reshape(-1, 2).T
+    return LinearCode(tower, _monomial_rows(tower, twist, [(x, a), (y, b)]), provenance=provenance)
 
 
 def grs_rows(tower: FieldTower, eval_set, twist: TwistVector, exponents) -> np.ndarray:
     """Rows v_l * alpha_l^e for e in exponents."""
-    return np.stack([tower.vmul(twist.codes, tower.vpow(eval_set.codes, e)) for e in exponents])
+    return _monomial_rows(tower, twist.codes, [(eval_set.codes, exponents)])
+
+
+def _monomial_rows(tower: FieldTower, v, factors) -> np.ndarray:
+    """Rows i of v_l * prod x_l^e[i] over the (x, e) of factors, as one broadcast
+    (log v + sum e[i] log x) mod (q^2-1); zero where v is zero or a zero x has
+    e[i] > 0 (0^0 = 1, as in FieldTower.vpow)."""
+    units = tower.n_units
+    logs = v = np.asarray(v, dtype=np.int64)
+    zero = v == units
+    for x, e in factors:
+        x, e = np.asarray(x, dtype=np.int64), np.asarray(e, dtype=np.int64)[:, None]
+        logs = logs + e * x
+        zero = zero | (x == units) & (e > 0)
+    logs %= units
+    logs[zero] = units
+    return logs.astype(np.int32)
 
 
 # -- certification --------------------------------------------------------------

@@ -175,7 +175,7 @@ def construct_chain(request: ConstructionRequest) -> list[CertifiedCode]:
     if request.embed == "once":
         chain.append(embed_once(base))
     elif request.embed == "iterate":
-        chain.extend(embed_iterate(base))
+        chain = _embed_until_rejected(chain[0])
     elif request.embed != "none":
         raise BadRequest(f"unknown embedding policy {request.embed!r}")
     return chain
@@ -277,8 +277,9 @@ def embed_once(cert: CertifiedCode) -> CertifiedCode:
     start = perf_counter()
     if cert.eval_set is None or cert.twist is None:
         raise EmbeddingRejected("embedding needs a recorded genus-0 evaluation chain")
-    if cert.certificate.mds is False:
-        raise EmbeddingRejected("embedding needs an MDS input code")
+    if cert.certificate.mds is not True:
+        why = "not MDS" if cert.certificate.mds is False else "MDS undecided under the budget"
+        raise EmbeddingRejected(f"embedding needs an MDS input code: {why}")
     tower = cert.code.tower
     q = tower.q
     k = cert.code.k
@@ -296,7 +297,7 @@ def embed_once(cert: CertifiedCode) -> CertifiedCode:
     else:
         case = f"k(q+1) = {k * (q + 1)} avoids n-1 = {n - 1} and n-1+q = {n - 1 + q}"
 
-    new_base = tower.vmul(cert.twist.codes, tower.vpow(cert.eval_set.codes, k))
+    new_base = grs_rows(tower, cert.eval_set, cert.twist, [k])[0]
     zero = tower.zero_code
     # self-pairing of the new row over the evaluation columns decides the shape
     s = int(tower.vsum(tower.vmul(new_base, tower.vfrob(new_base))))
@@ -340,15 +341,20 @@ def embed_once(cert: CertifiedCode) -> CertifiedCode:
 
 
 def embed_iterate(cert: CertifiedCode) -> list[CertifiedCode]:
-    """Apply embed_once until rejection; returns the (possibly empty) chain."""
-    out = []
-    cur = cert
+    """The members _embed_until_rejected adds to cert, maybe none; the last one's trace says why."""
+    return _embed_until_rejected(cert)[1:]
+
+
+def _embed_until_rejected(cert: CertifiedCode) -> list[CertifiedCode]:
+    """cert and the members embed_once appends until it is rejected; the last
+    member's trace ends with the reason, such as "not MDS" or "MDS undecided"."""
+    chain = [cert]
     while True:
         try:
-            cur = embed_once(cur)
-        except EmbeddingRejected:
-            return out
-        out.append(cur)
+            chain.append(embed_once(chain[-1]))
+        except EmbeddingRejected as exc:
+            chain[-1] = replace(chain[-1], trace=chain[-1].trace + (f"chain ends: {exc}",))
+            return chain
 
 
 def deep_dimension(tower: FieldTower, t: int) -> CertifiedCode:

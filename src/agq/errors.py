@@ -37,10 +37,6 @@ class TooManyCosets(AgqError):
     pass
 
 
-class LeaderNotInV(AgqError):
-    pass
-
-
 class CosetSearchExhausted(AgqError):
     pass
 

@@ -25,7 +25,8 @@ least primitive polynomial for the rest.  tests/modulus_search.py derives that
 table by search and checks it.  The file is read, and the tables are built
 from the modulus, on the first request for a field and never at import: the
 powers of t by doubling, each doubling step a few gathers per power from
-q-entry tables, and the log, Zech and additive tables from those powers.
+q-entry tables, in the additive table's buffer; then the words and the log
+table from those powers, a block at a time, and Zech from the log table.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from .errors import BadRequest, FieldTooLarge, NotInBaseField, NotPrime, ZeroInp
 # largest q^2 with full Cayley tables: two int32 tables of q^4 entries, 1 MB each
 _CAYLEY_MAX_Q2 = 2 ** 9
 
-# powers of t one gather of the exp-table doubling writes (two int64 temporaries of 2x this)
-_TABLE_BLOCK = 1 << 16
+# entries per gather of the table build, through two int64 buffers of this size (128 KB)
+_TABLE_BLOCK = 1 << 13
 
 # distinct fields build_tower keeps built (reproduce touches 9)
 _SHARED_TOWERS = 16
@@ -60,8 +61,9 @@ class AdditiveMap(Enum):
 
 
 class FieldTower:
-    """GF(p) < GF(q=p^m) < GF(q^2) with full log / Zech tables and the
-    additive table, plus Cayley tables when q^2 <= 2^9.
+    """GF(p) < GF(q=p^m) < GF(q^2) with the log table ``_log_val`` (of each
+    packed value), the Zech table ``_zech`` and the additive table
+    ``_words``, plus Cayley tables when q^2 <= 2^9; no exp table is kept.
 
     ``_build_tables`` writes each power of t as its low and high m digits,
     two numbers below q.  Given t^0 .. t^(k-1), the powers t^k .. t^(2k-1)
@@ -70,7 +72,11 @@ class FieldTower:
     halves, read from q-entry tables.  The sum is one gather: the images are
     written in base 2p-1, where two of them add with no carry, and a table of
     (2p-1)^m entries maps such a sum to its digits mod p.  That is O(q^2)
-    gathered entries in all, with no matrix product larger than q x m.
+    gathered entries in all, with no matrix product larger than q x m.  The
+    halves live in the buffer of ``_words`` until the words overwrite them,
+    a block at a time, as each block's packed values are scattered into
+    ``_log_val``.  Zech is scattered from ``_log_val`` alone, zech[log x] =
+    log(x+1): x+1 is the next entry of x's row of p, as only the lowest digit moves.
 
     The additive table ``_words`` holds t^e in additive form for every
     log-sum e <= 2(q^2-1)-2 (e mod q^2-1), then the zero word; up to
@@ -110,17 +116,19 @@ class FieldTower:
         digit_sum = np.zeros(1, dtype=np.int64)
         for weight in weights[:m]:
             digit_sum = ((np.arange(2 * p - 1) % p * weight)[:, None] + digit_sum).ravel()
-        # the low and high halves of t^e, int64 (numpy's index type) so that no
-        # gather copies its index; t^e for e < deg is the single digit p^e, and
-        # step becomes (C^deg)^T, whose rows are the digits of t^deg .. t^(2 deg - 1)
-        halves = np.empty((2, n), dtype=np.int64)
-        lo, hi = halves
+        # the low and high halves of t^e, int64 (numpy's index type) so that no gather
+        # copies its index, in the two halves of the additive table until the words
+        # overwrite them; t^e for e < deg is the single digit p^e, and step becomes
+        # (C^deg)^T, whose rows are the digits of t^deg .. t^(2 deg - 1)
+        words = np.empty(2 * n, dtype=np.int64)
+        lo, hi = words[:n], words[n:]
         lo[:deg] = hi[:deg] = 0
         lo[:m] = hi[m:deg] = weights[:m]
         rows = [step[-1]]
         while len(rows) < deg:
             rows.append(rows[-1] @ step % p)
         step = np.array(rows)
+        buffers = np.empty((2, min(_TABLE_BLOCK, n)), dtype=np.int64)  # every gather's, by block
         # doubling: while step is (C^k)^T, its rows :m map a low half to the digits
         # of its product with t^k, and rows m: a high half
         k = deg
@@ -131,46 +139,47 @@ class FieldTower:
             # images[s, h]: half h of the product of t^k with each value of half s,
             # one contiguous row each: a 1-D take runs far faster than one along axis 1
             images = np.ascontiguousarray((images.reshape(2, q, 2, m) @ spread).transpose(0, 2, 1))
-            for start in range(0, c, _TABLE_BLOCK):  # blocks bound the int64 temporaries
+            for start in range(0, c, _TABLE_BLOCK):
                 stop = min(start + _TABLE_BLOCK, c)
-                for h in range(2):
-                    index = images[0, h].take(lo[start:stop])
-                    index += images[1, h].take(hi[start:stop])
-                    digit_sum.take(index, out=halves[h, k + start : k + stop], mode="clip")  # in range: no buffer
+                x, y = buffers[:, : stop - start]
+                for h, out in enumerate((lo, hi)):
+                    images[0, h].take(lo[start:stop], out=x, mode="clip")  # in range: no buffer
+                    images[1, h].take(hi[start:stop], out=y, mode="clip")
+                    x += y
+                    digit_sum.take(x, out=out[k + start : k + stop], mode="clip")
             step = step @ step % p
             k += c
-        del index
         # additive form: the digits in bit fields of floor(63/deg) bits; a word is
-        # the words of its low and high halves, from one q-entry table
+        # the words of its low and high halves, from two q-entry tables
         bits = 63 // deg
         self._word_shifts = bits * np.arange(deg, dtype=np.int64)
         self._word_mask = (1 << bits) - 1
         self._word_terms = self._word_mask // (p - 1)  # words one int64 sum may add
         self._digit_weights = weights
         self._word_weights = np.left_shift(1, self._word_shifts)
-        half = half_digits @ self._word_weights[:m]
-        words = np.empty(2 * n, dtype=np.int64)
-        (half << bits * m).take(hi, out=words[:n], mode="clip")
-        words[:n] += half.take(lo)
-        exp_val = hi * q
-        exp_val += lo
-        # adding 1 to t^e adds 1 to its packed value, or 1 - p where the lowest
-        # digit is p - 1: a carry read by the low half from a q-entry table
-        carry = (np.arange(q) % p == p - 1).take(lo)
-        del halves, lo, hi
+        low_word = half_digits @ self._word_weights[:m]
+        high_word = low_word << bits * m
         log_val = np.full(q2, self.zero_code, dtype=np.int32)
-        log_val[exp_val] = np.arange(n, dtype=np.int32)
+        for start in range(0, n, _TABLE_BLOCK):
+            stop = min(start + _TABLE_BLOCK, n)
+            x, y = buffers[:, : stop - start]
+            np.multiply(hi[start:stop], q, out=x)  # the packed value of t^e
+            x += lo[start:stop]
+            log_val[x] = np.arange(start, stop, dtype=np.int32)
+            low_word.take(lo[start:stop], out=x, mode="clip")
+            high_word.take(hi[start:stop], out=y, mode="clip")
+            np.add(x, y, out=lo[start:stop])
         if log_val[0] != self.zero_code or np.count_nonzero(log_val != self.zero_code) != n:
             raise AssertionError("modulus is not primitive; tables inconsistent")
-        # Zech table: zech[e] = log(1 + t^e), zero_code marks 1 + t^e = 0
-        plus_one = exp_val + 1
-        plus_one -= np.multiply(carry, p, dtype=np.int16)  # p * carry would be an int64 temporary
-        zech = log_val.take(plus_one)
-        del carry, plus_one
-        # the second copy of the words, touched only now that the halves are gone
+        # Zech table: zech[log x] = log(x + 1), zero_code where x + 1 = 0; x + 1 raises only
+        # the lowest digit, mod p, so row d of digit, the logs of the values whose lowest
+        # digit is d, maps to row d + 1, and row p - 1 to row 0 (slot n takes x = 0)
+        zech, digit = np.empty(n + 1, dtype=np.int32), log_val.reshape(-1, p).T
+        zech[digit[:-1]], zech[digit[-1]] = digit[1:], digit[0]
+        zech = zech[:n]
+        # the second copy of the words, over the high halves
         words[n : 2 * n - 1] = words[: n - 1]
         words[2 * n - 1] = 0
-        self._exp_val = exp_val
         self._log_val = log_val
         self._zech = zech
         self._words = words
@@ -186,7 +195,7 @@ class FieldTower:
             add[:n, :n] = mul.take(at)
             add[n] = add[:, n] = np.arange(q2)  # 0 + x = x + 0 = x
             self._add_table, self._mul_table = add.ravel(), mul.ravel()
-        for table in (exp_val, log_val, zech, words, self._add_table, self._mul_table):
+        for table in (log_val, zech, words, self._add_table, self._mul_table):
             if table is not None:
                 table.flags.writeable = False
 

@@ -4,12 +4,15 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import agq.constructions
-from agq.cli import main, parse_quantum_params
+from agq.cli import catalog_entry, main, parse_quantum_params, rejection_entry
+from agq.errors import AgqError
+from agq.quantum import stabilizer_params
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "agq" / "data"
 
@@ -284,6 +287,21 @@ def test_scan_c1_q5_includes_9_3_4(tmp_path, capsys):
     quantum = [r["quantum"] for r in rows if "quantum" in r]
     assert {"q": 5, "n": 9, "k": 3, "d": 4, "d_exact": True,
             "d_method": "mds-singleton", "mds": True, "defect": 0} in quantum
+
+
+def test_record_dicts_equal_asdict_in_key_order():
+    """The request and quantum blocks of a catalog entry, and the request of a
+    rejection entry, are the dataclasses' fields in declaration order, the
+    same items in the same order as dataclasses.asdict gives."""
+    request = agq.constructions.ConstructionRequest("c1", 13, 1, n=25, embed="deep")
+    cert = agq.constructions.construct_chain(request)[-1]
+    entry = catalog_entry(cert, request, 0.0)
+    assert list(entry["request"].items()) == list(asdict(request).items())
+    assert list(entry["quantum"].items()) == list(asdict(stabilizer_params(cert)).items())
+    request = agq.constructions.ConstructionRequest("c5", 2, 1, k=4)
+    with pytest.raises(AgqError) as exc:
+        agq.constructions.construct_chain(request)
+    assert list(rejection_entry(request, exc.value, 0.0)["request"].items()) == list(asdict(request).items())
 
 
 def test_chain_members_report_their_own_time(tmp_path, capsys, monkeypatch):

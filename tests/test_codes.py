@@ -21,6 +21,7 @@ from agq.codes import (
     _cauchy_verify,
     _digest,
     _exact_keys,
+    _monomial_rows,
     batched_dependent,
     certify,
     dual,
@@ -35,11 +36,11 @@ from agq.codes import (
     rank,
     rref,
 )
-from agq.constructions import ConstructionRequest, construct
+from agq.constructions import ConstructionRequest, construct, construct_chain
 from agq.curves import CurveFamily, MonomialBasis, curve, rational_points, rr_basis, x_support
 from agq.errors import CapExceeded, GramNonzero, NotNormValue, ParseError, RankDefect
 from agq.fields import build_tower
-from agq.points import roots_of_unity_set, twist_vector
+from agq.points import TwistVector, explicit_set, roots_of_unity_set, twist_vector
 
 from .scalar_field import Scalar
 from .test_fields import seeded_batch, zech_tree_sum
@@ -126,6 +127,80 @@ def test_single_row_twist_code_is_self_orthogonal():
     tv = twist_vector(es)
     code = LinearCode(tw, grs_rows(tw, es, tv, range(1)))
     assert hermitian_gram(code).all_zero
+
+
+def per_row_monomials(tw, v, x, a, y=None, b=None):
+    """Reference oracle: rows v * x^a[i] * y^b[i] as grs_rows and evaluation_code
+    built them before the one exponent broadcast, a vpow and a vmul per row."""
+    rows = []
+    for i, e in enumerate(a):
+        row = tw.vpow(x, int(e))
+        if y is not None and b[i]:
+            row = tw.vmul(row, tw.vpow(y, int(b[i])))
+        rows.append(tw.vmul(v, row))
+    return np.stack(rows) if rows else np.zeros((0, len(x)), dtype=np.int32)
+
+
+# odd and even p, Cayley-table and log/Zech kernels
+ROW_TOWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (7, 1), (2, 5), (13, 1)]
+
+
+@st.composite
+def monomial_cases(draw):
+    """A tower, a twist v and points (x, y) with or without zeros, and k >= 1
+    exponent pairs (a, b) in [0, 2(q^2-1)], 0 among them a third of the time."""
+    tw = build_tower(*draw(st.sampled_from(ROW_TOWERS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, k = draw(st.integers(1, min(12, tw.q2 - 1))), draw(st.sampled_from([1, 1, 2, 5, 9]))
+    z = tw.zero_code
+    x = rng.permutation(z)[:n].astype(np.int32)  # distinct nonzero points
+    if draw(st.booleans()):
+        x[rng.integers(n)] = z
+    v, y = (rng.integers(0, tw.q2, n).astype(np.int32) for _ in range(2))
+    v[rng.random(n) < 0.8] = rng.integers(0, z)  # a twist is mostly nonzero
+    y[rng.random(n) < 0.3] = z
+    a, b = rng.integers(0, 2 * z + 1, (2, k))
+    a[rng.random(k) < 0.3] = 0
+    b[rng.random(k) < 0.3] = 0
+    return tw, v, x, a, y, b
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(monomial_cases())
+def test_monomial_rows_match_per_row_oracle(case):
+    """The one exponent broadcast equals a vpow/vmul per row, on points with
+    and without zero, with exponent 0 and k = 1, and for curve monomials whose
+    y can be zero; grs_rows on an explicit point set is the y-free case."""
+    tw, v, x, a, y, b = case
+    got = _monomial_rows(tw, v, [(x, a), (y, b)])
+    assert got.dtype == np.int32 and np.array_equal(got, per_row_monomials(tw, v, x, a, y, b))
+    es = explicit_set(tw, x)
+    twist = TwistVector(tw, v[np.argsort(x, kind="stable")])
+    assert np.array_equal(grs_rows(tw, es, twist, a), per_row_monomials(tw, twist.codes, es.codes, a))
+
+
+def test_construction_rows_match_per_row_oracle():
+    """Curve codes (y = 0 on some points, b > 0) and every embedding step's new
+    row at exponent k, from the pipelines, against the per-row oracle."""
+    for family, pm, k in [(CurveFamily.ELLIPTIC, (2, 2), 5), (CurveFamily.HERMITIAN, (3, 1), 6),
+                          (CurveFamily.ARTIN_SCHREIER, (3, 1), 4)]:
+        spec = curve(family, build_tower(*pm), **({"t": 2} if family is CurveFamily.ARTIN_SCHREIER else {}))
+        xs = x_support(spec)
+        owner, y = rational_points(spec, xs)
+        tv = twist_vector(xs).codes[owner]
+        basis = rr_basis(spec, k)
+        a, b = np.asarray(basis.monomials).T
+        assert np.count_nonzero(y == spec.tower.zero_code) and np.count_nonzero(b)
+        want = per_row_monomials(spec.tower, tv, xs.codes[owner], a, y, b)
+        assert np.array_equal(evaluation_code(spec.tower, basis, xs.codes[owner], y, tv).g, want)
+    for request in [ConstructionRequest("c4", 2, 3, t=2, embed="iterate"),
+                    ConstructionRequest("c1", 13, 1, n=25, k=3, embed="iterate")]:
+        chain = construct_chain(request)
+        assert len(chain) > 2
+        for prev, cert in zip(chain, chain[1:]):
+            es, tw = cert.eval_set, cert.code.tower
+            want = per_row_monomials(tw, cert.twist.codes, es.codes, [prev.k])[0]
+            assert np.array_equal(cert.code.g[-1, : es.n], want)
 
 
 def test_evaluation_code_rank_defect():

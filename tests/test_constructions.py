@@ -272,6 +272,32 @@ def test_embed_requires_mds_input():
         embed_once(cert)
 
 
+def test_chain_ends_at_first_member_not_certified_mds(monkeypatch):
+    """A member is extended only on a decided MDS verdict.  The [8,3] member of
+    the GF(16) c1 n = 6 chain is MDS by the column scan alone: under a budget
+    too small for that scan its verdict is undecided, and the chain ends there.
+    The last member's trace says why the chain ended."""
+    request = ConstructionRequest("c1", 2, 2, n=6, embed="iterate")
+    full = construct_chain(request)
+    assert [c.code.params() for c in full] == [(6, 1), (7, 2), (8, 3), (9, 4), (10, 5)]
+    assert (full[2].certificate.mds, full[2].certificate.mds_method) == (True, "column-scan")
+    assert full[-1].trace[-1].startswith("chain ends: Gram nonzero at k+1 = 6")
+    assert all("chain ends" not in line for c in full[:-1] for line in c.trace)
+    monkeypatch.setenv("AGQ_CAP_OPS", "10")
+    chain = construct_chain(request)
+    assert [c.code.params() for c in chain] == [(6, 1), (7, 2), (8, 3)]
+    assert chain[-1].certificate.mds is None
+    assert chain[-1].trace[-1] == "chain ends: embedding needs an MDS input code: MDS undecided under the budget"
+    with pytest.raises(EmbeddingRejected, match="MDS undecided under the budget"):
+        embed_once(chain[-1])
+    assert embed_iterate(chain[1])[-1].trace == chain[-1].trace
+    monkeypatch.delenv("AGQ_CAP_OPS")
+    # a decided non-MDS member ends its chain too: [13,4] over GF(64)
+    chain = construct_chain(ConstructionRequest("c1", 2, 3, n=10, embed="iterate"))
+    assert chain[-1].code.params() == (13, 4) and chain[-1].certificate.mds is False
+    assert chain[-1].trace[-1] == "chain ends: embedding needs an MDS input code: not MDS"
+
+
 def test_c2_subgroup_must_sit_in_base_field():
     with pytest.raises(DivisibilityViolated):
         construct(ConstructionRequest("c2", 3, 2, n=10, t=1))  # 10 does not divide q-1=8

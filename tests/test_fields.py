@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import itertools
 import json
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import agq.fields
 from agq.cli import _repro_targets, _run_repro_target
 from agq.config import DEFAULT_FIELD_CAP
 from agq.errors import BadRequest, FieldTooLarge, NotInBaseField, NotPrime, ZeroInput
@@ -101,8 +103,9 @@ def test_subfield_equals_frobenius_fixed_points():
 
 
 def test_exp_log_roundtrip(gf169):
+    exp_val = loop_exp_values(gf169)
     for e in range(gf169.n_units):
-        val = int(gf169._exp_val[e])
+        val = int(exp_val[e])
         assert gf169._log_val[val] == e
 
 
@@ -180,7 +183,7 @@ def test_solve_additive_trace_one_has_no_solution():
 
 def packed_digits(tw, code):
     """Base-p digits of the packed value of an exponent code, constant first."""
-    value = 0 if code == tw.zero_code else int(tw._exp_val[code])
+    value = 0 if code == tw.zero_code else int(loop_exp_values(tw)[code])
     return [(value // tw.p ** i) % tw.p for i in range(2 * tw.m)]
 
 
@@ -364,7 +367,7 @@ def test_table_of_moduli_matches_the_search():
 
 
 def tower_tables(tw):
-    tables = (tw._exp_val, tw._log_val, tw._zech, tw._words, tw._add_table, tw._mul_table)
+    tables = (tw._log_val, tw._zech, tw._words, tw._add_table, tw._mul_table)
     return [None if t is None else t.tobytes() for t in tables]
 
 
@@ -699,8 +702,13 @@ def test_norm_preimage_property_suite(units):
 
 def loop_exp_values(tw):
     """Reference oracle: the packed values of t^0 .. t^(n-1), exponent by
-    exponent, as the exp table was first built."""
-    p, deg, n = tw.p, 2 * tw.m, tw.n_units
+    exponent, as the exp table was first built; computed once per field."""
+    return _loop_exp_values(tw.p, tw.m, tw.modulus)
+
+
+@functools.cache
+def _loop_exp_values(p, m, modulus):
+    deg, n = 2 * m, p ** (2 * m) - 1
     exp_val = np.zeros(n, dtype=np.int64)
     digits = [0] * deg
     digits[0] = 1
@@ -711,7 +719,8 @@ def loop_exp_values(tw):
         digits = [0] + digits[: deg - 1]
         if carry:
             for i in range(deg):
-                digits[i] = (digits[i] - carry * tw.modulus[i]) % p
+                digits[i] = (digits[i] - carry * modulus[i]) % p
+    exp_val.flags.writeable = False
     return exp_val
 
 
@@ -739,13 +748,14 @@ def blocked_exp_values(tw):
 
 
 def assert_tables_match(tw, exp_val):
-    """The tower's exp / log / Zech / additive tables are those that exp_val,
-    the packed value of each power of t, determines."""
+    """The tower's log / Zech / additive tables are those that exp_val, the
+    packed value of each power of t, determines; the log table, a bijection
+    onto the exponents, determines exp_val in turn."""
     p, deg, n = tw.p, 2 * tw.m, tw.n_units
     log_val = np.full(tw.q2, tw.zero_code, dtype=np.int32)
     log_val[exp_val] = np.arange(n, dtype=np.int32)
     plus_one = exp_val - (exp_val % p) + (exp_val % p + 1) % p
-    for got, want in zip((tw._exp_val, tw._log_val, tw._zech), (exp_val, log_val, log_val[plus_one])):
+    for got, want in zip((tw._log_val, tw._zech), (log_val, log_val[plus_one])):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
     # additive table: t^e's digits in fields of floor(63/2m) bits, e < 2(q^2-1)-1, then 0
@@ -769,6 +779,20 @@ def test_build_tables_match_blocked_build(pm):
     """Fields too large for the loop oracle: GF(2^20), and GF(1009^2), m = 1 with p > 1000."""
     tw = build_tower(*pm)
     assert_tables_match(tw, blocked_exp_values(tw))
+
+
+@pytest.mark.parametrize("block", [1, 7, 61])
+def test_build_tables_across_block_boundaries(block):
+    """A table build whose gathers cross many block boundaries, some of them
+    inside a doubling step, matches the loop oracle on every table."""
+    with mock.patch.object(agq.fields, "_TABLE_BLOCK", block):
+        towers = [FieldTower(p, m, _moduli()[p, m]) for p, m in [(2, 5), (3, 3), (7, 2), (13, 1), (2, 3)]]
+    for tw in towers:
+        assert_tables_match(tw, loop_exp_values(tw))
+        shared = build_tower(tw.p, tw.m)
+        for name in ("_log_val", "_zech", "_words", "_add_table", "_mul_table"):
+            got, want = getattr(tw, name), getattr(shared, name)
+            assert (got is None and want is None) or np.array_equal(got, want), name
 
 
 def test_non_primitive_modulus_is_rejected():

@@ -26,6 +26,7 @@ from agq.points import (
     twist_vector,
 )
 
+from .modulus_search import admissible_towers
 from .scalar_field import Scalar, from_int, gen, one, subfield_elements, zero
 from .test_fields import seeded_batch
 
@@ -117,6 +118,38 @@ def test_coset_union_q0_filter_vacuous_at_q9():
     tw = build_tower(3, 2)
     with pytest.raises(CosetSearchExhausted):
         coset_union_set(tw, 2, 1, leader_filter=True)
+
+
+def test_coset_leaders_fall_in_distinct_cosets():
+    """coset_union_set checks no overlap: its cosets are disjoint by the index
+    arithmetic, checked here for every n | q^2-1, every t and both leader rules
+    with q^2 <= 4096.  Leader exponent e gives the coset t^(e (q+1)/n1) U_n,
+    whose index is e (q+1)/n1 mod (q^2-1)/n; the exponents below (q-1)/n2 have
+    distinct indices, so leaders with distinct nonzero residues mod (q-1)/n2
+    give cosets distinct from each other and from U_n."""
+    sets = 0
+    for p, m in admissible_towers():
+        tw = build_tower(p, m) if p ** (2 * m) <= 4096 else None
+        if tw is None:
+            continue
+        q = tw.q
+        for n in (d for d in range(1, tw.n_units + 1) if tw.n_units % d == 0):
+            n1 = gcd(n, q + 1)
+            n2 = n // n1
+            assert (q - 1) % n2 == 0
+            n_cosets = (q - 1) // n2
+            assert len({e * ((q + 1) // n1) % (tw.n_units // n) for e in range(n_cosets)}) == n_cosets
+            for leader_filter in (False, True):
+                for t in range(n_cosets):
+                    try:
+                        es = coset_union_set(tw, n, t, leader_filter=leader_filter)
+                    except CosetSearchExhausted:
+                        break  # the leader search is greedy: a larger t exhausts too
+                    residues = {e % n_cosets for e in (0, *es.params["leader_exponents"])}
+                    assert len(residues) == t + 1, (p, m, n, t)
+                    assert not np.count_nonzero(es.codes[1:] == es.codes[:-1]), (p, m, n, t)
+                    sets += 1
+    assert sets == 7102  # every (field, n, t, rule) whose set builds
 
 
 def test_affine_grid_q7():
