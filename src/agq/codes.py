@@ -2,11 +2,12 @@
 
 Everything here is oracle-grade: Gram certification, duals, distances and
 MDS checks are computed from the matrix, never assumed from the way a code
-was built.  That holds for shortcuts too: the Gram of a twisted-Vandermonde
-matrix is summed once per orbit of a multiplicative symmetry that is checked
-on the matrix's own codes, points and norms alike.  Matrices are numpy int32
-arrays of exponent codes (tower convention: code q^2-1 is zero), so the hot
-loops are table lookups.
+was built.  That holds for shortcuts too: each code's one structure record,
+LinearCode.structure, recognises a twisted-Vandermonde matrix and the orbits
+of a multiplicative symmetry on its own codes, points and norms alike, and
+the rank check, the Gram sum (once per orbit) and is_mds all read it.
+Matrices are numpy int32 arrays of exponent codes (tower convention: code
+q^2-1 is zero), so the hot loops are table lookups.
 """
 
 from __future__ import annotations
@@ -36,14 +37,14 @@ _FIRST_PREFIXES = 4  # prefixes in the column scan's first block; each later blo
 class LinearCode:
     """[n, k] code over GF(q^2) held as a full-rank generator matrix.
 
-    ``vandermonde`` says whether G = (v_l * alpha_l^i) with k <= n, nonzero
-    v_l and distinct alpha_l.  Every k x k minor of such a G is a v-scaled
-    Vandermonde determinant, nonzero, so its rank is k without rref, and
-    is_mds reads this verdict.  ``points`` holds the codes of the alpha_l =
-    G[1,l]/G[0,l] the shape check computed, when it holds and k >= 2, and is
-    None otherwise; hermitian_gram reads them.  With verify_rank, any other G
-    is row-reduced and a rank below k raises RankDefect; the MDS screen reads
-    the same ``reduced`` form.
+    ``structure`` is the one record of the matrix's shape, which _structure
+    finds once, here, from the codes alone: None unless G = (v_l * alpha_l^i)
+    with 0 < k <= n, nonzero v_l and distinct alpha_l, and otherwise the
+    (columns, d, c) that hermitian_gram sums over.  Every k x k minor of such
+    a G is a v-scaled Vandermonde determinant, nonzero, so its rank is k
+    without rref, and is_mds reads the record as an MDS certificate.  With
+    verify_rank, a G without the record is row-reduced and a rank below k
+    raises RankDefect; the MDS screen reads the same ``reduced`` form.
     """
 
     def __init__(self, tower: FieldTower, g: np.ndarray, provenance: str = "", verify_rank: bool = True):
@@ -54,10 +55,8 @@ class LinearCode:
         self.g = g
         self.provenance = provenance
         self.k, self.n = g.shape
-        self.vandermonde, self.points = (
-            _vandermonde_shape(tower, g) if 0 < self.k <= self.n else (False, None)
-        )
-        if verify_rank and self.k > 0 and not self.vandermonde:
+        self.structure = _structure(tower, g)
+        if verify_rank and self.k > 0 and self.structure is None:
             r = len(self.reduced[1])
             if r != self.k:
                 raise RankDefect(r, self.k)
@@ -72,6 +71,55 @@ class LinearCode:
 
     def __repr__(self):
         return f"LinearCode[{self.n},{self.k}]_({self.tower.q}^2)<{self.provenance}>"
+
+
+def _structure(tower: FieldTower, g: np.ndarray) -> tuple[np.ndarray, int, np.ndarray | None] | None:
+    """LinearCode.structure: None unless G = (v_l * alpha_l^i) with 0 < k <= n,
+    v_l != 0 and alpha_l = G[1,l]/G[0,l] distinct; otherwise (columns, d, c),
+    the columns of G that hermitian_gram sums over, one per orbit of d
+    points, and the orbits' exponents c_r.
+
+    The alpha_l are sorted once, unless they already ascend.  Their nonzero
+    codes are fixed by the group <t^s> of order d = (q^2-1)/s that
+    points._stabilizer_step checks on them, and representative r stands for
+    the points alpha_r * t^(ms), m < d.  If the norms N_l = v_l^(q+1) step by
+    a fixed multiple s * c_r along each orbit, log N(alpha_r t^(ms)) =
+    log N(alpha_r) + m * s * c_r, which is checked on G[0], the orbit adds
+    sum_m (t^s)^(m (i + qj + c_r)), d or 0, times the representative's
+    product: the columns are the representatives, then the zero point if
+    present.  Otherwise, and for k = 1, they are all of G, d = 1 and c is None.
+    """
+    zero, units = tower.zero_code, tower.n_units
+    k, n = g.shape
+    if not 0 < k <= n or np.count_nonzero(g[0] == zero):
+        return None
+    whole = (g, 1, None)
+    if k == 1:
+        return whole
+    alpha = tower.vdiv(g[1], g[0])
+    if not np.array_equal(g[1:], tower.vmul(g[:-1], alpha)):
+        return None
+    order = slice(None)
+    # sort and compare neighbours: np.unique imports numpy.ma on its first call
+    if np.count_nonzero(alpha[1:] <= alpha[:-1]):
+        order = np.argsort(alpha)
+        alpha = alpha[order]
+        if np.count_nonzero(alpha[1:] == alpha[:-1]):
+            return None
+    s = _points._stabilizer_step(alpha, units)
+    if s == units:
+        return whole
+    d = units // s
+    size = n - int(alpha[-1] == zero)  # the zero point sorts last
+    reps = size // d
+    g = g[:, order]
+    norms = g[0, :size] * np.int64(tower.q + 1)
+    steps = (norms[reps:] - norms[:-reps]) % units
+    c = steps[:reps] // s
+    # every step of orbit r is its first, and that is c_r * s only if s divides it
+    if np.count_nonzero(steps.reshape(d - 1, reps) != c * s):
+        return whole
+    return np.concatenate((g[:, :reps], g[:, size:]), axis=1), d, c
 
 
 @dataclass(frozen=True)
@@ -237,7 +285,7 @@ def hermitian_gram(code: LinearCode) -> GramCertificate:
     Each product is a log-sum of G[i,l] and G[j,l]^q that reads the product
     from the tower's additive table, and each entry is an integer sum of
     those words (tower._sum_products).  The sum runs over one column per
-    orbit of a multiplicative symmetry checked on the matrix (_gram_orbits):
+    orbit of a multiplicative symmetry checked on the matrix (code.structure):
     an orbit of d columns adds d * [d | i + qj + c_r] * G[i,r] * G[j,r]^q for
     its representative r, so its left factor is scaled by d mod p and the
     entries where d does not divide i + qj + c_r are pushed past the table,
@@ -249,12 +297,8 @@ def hermitian_gram(code: LinearCode) -> GramCertificate:
     """
     tower = code.tower
     k = code.k
-    if k == 0:
-        return GramCertificate(
-            np.zeros((0, 0), dtype=np.int32), True, None, _digest(code, np.zeros((0, 0)))
-        )
     units = tower.n_units
-    g, d, c = _gram_orbits(code)
+    g, d, c = code.structure or (code.g, 1, None)
     lhs = tower._word_slots(g)
     rhs = np.where(lhs < units, lhs * tower.q % units, lhs)  # the slots of G^q
     if d > 1:
@@ -281,44 +325,6 @@ def hermitian_gram(code: LinearCode) -> GramCertificate:
         first = (i, j, tower.format(int(m[i, j])))
         return GramCertificate(m, False, first, _digest(code, m))
     return GramCertificate(m, True, None, _digest(code, m))
-
-
-def _gram_orbits(code: LinearCode) -> tuple[np.ndarray, int, np.ndarray | None]:
-    """(columns, d, c): the columns of G that hermitian_gram sums over, one
-    per orbit of d points, and the orbits' exponents c_r.
-
-    For a Vandermonde G = (v_l * alpha_l^i) with k >= 2, the nonzero points
-    alpha_l of LinearCode.points, in ascending order, are fixed by the group
-    <t^s> of order d = (q^2-1)/s that points._stabilizer_step checks on their
-    codes, and representative r stands for the points alpha_r * t^(ms),
-    m < d.  If the norms N_l = v_l^(q+1) step by a fixed multiple s * c_r
-    along each orbit, log N(alpha_r t^(ms)) = log N(alpha_r) + m * s * c_r,
-    which is checked on G[0], the orbit adds sum_m (t^s)^(m (i + qj + c_r)),
-    d or 0, times the representative's product: the columns are the
-    representatives, then the zero point if present.  Otherwise, or without
-    the shape, they are all of G, d = 1 and c is None.
-    """
-    alpha, g = code.points, code.g
-    if alpha is None:
-        return g, 1, None
-    if np.count_nonzero(alpha[1:] <= alpha[:-1]):  # sort permuted columns once
-        order = np.argsort(alpha)
-        alpha, g = alpha[order], g[:, order]
-    tower = code.tower
-    units = tower.n_units
-    s = _points._stabilizer_step(alpha, units)
-    if s == units:
-        return g, 1, None
-    d = units // s
-    size = code.n - int(alpha[-1] == tower.zero_code)  # the zero point sorts last
-    reps = size // d
-    norms = g[0, :size] * np.int64(tower.q + 1)
-    steps = (norms[reps:] - norms[:-reps]) % units
-    c = steps[:reps] // s
-    # every step of orbit r is its first, and that is c_r * s only if s divides it
-    if np.count_nonzero(steps.reshape(d - 1, reps) != c * s):
-        return g, 1, None
-    return np.concatenate((g[:, :reps], g[:, size:]), axis=1), d, c
 
 
 def _digest(code: LinearCode, gram: np.ndarray) -> str:
@@ -651,7 +657,7 @@ def is_mds(code: LinearCode) -> tuple[bool | None, tuple | None, str, DistanceRe
     k, n = code.k, code.n
     if k == 0:
         return True, None, "degenerate", DistanceResult(1, True, None, "mds-singleton")
-    if code.vandermonde:
+    if code.structure is not None:
         verdict = (True, None, "vandermonde")
     else:
         verdict = _systematic_mds_screen(code)
@@ -690,7 +696,7 @@ def _systematic_mds_screen(code: LinearCode):
         witness = tuple(sorted(set(range(k)) - {i})) + (k + j,)
         return False, tuple(sorted(witness)), "systematic"
     m = n - k
-    if k == 1 or m <= 1:
+    if m <= 1:
         return True, None, "systematic"  # no square submatrix beyond nonzero entries, or none at all
     if _cauchy_verify(tower, a):
         return True, None, "cauchy"
@@ -731,26 +737,6 @@ def _cauchy_verify(tower: FieldTower, a: np.ndarray) -> bool:
         if (ordered[1:] == ordered[:-1]).any():
             return False
     return True
-
-
-def _vandermonde_shape(tower: FieldTower, g: np.ndarray) -> tuple[bool, np.ndarray | None]:
-    """Is G exactly (v_l * alpha_l^i) with v_l != 0 and alpha_l distinct?  The
-    verdict, and the codes of alpha_l = G[1,l]/G[0,l] when it holds and k >= 2."""
-    zero = tower.zero_code
-    k, n = g.shape
-    if (g[0] == zero).any():
-        return False, None
-    if k == 1:
-        return True, None
-    ratio = tower.vdiv(g[1], g[0])
-    # sort and compare neighbours: np.unique imports numpy.ma on its first call
-    ordered = np.sort(ratio)
-    if (ordered[1:] == ordered[:-1]).any():
-        return False, None
-    if not np.array_equal(g[1:], tower.vmul(g[:-1], ratio)):
-        return False, None
-    ratio.flags.writeable = False
-    return True, ratio
 
 
 # -- the certificate ----------------------------------------------------------------

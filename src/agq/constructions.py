@@ -164,12 +164,7 @@ def construct_chain(request: ConstructionRequest) -> list[CertifiedCode]:
                 f"n = {request.n} is not t(q-1)+1 = {t * (tower.q - 1) + 1}"
             )
         base = deep_dimension(tower, t)
-        chain = [replace(base, build_s=perf_counter() - start)]
-        try:
-            chain.append(embed_once(base))
-        except EmbeddingRejected:
-            pass
-        return chain
+        return _embed_until_rejected(replace(base, build_s=perf_counter() - start), steps=1)
     base = _construct_base(request, tower)
     chain = [replace(base, build_s=perf_counter() - start)]
     if request.embed == "once":
@@ -345,16 +340,18 @@ def embed_iterate(cert: CertifiedCode) -> list[CertifiedCode]:
     return _embed_until_rejected(cert)[1:]
 
 
-def _embed_until_rejected(cert: CertifiedCode) -> list[CertifiedCode]:
-    """cert and the members embed_once appends until it is rejected; the last
-    member's trace ends with the reason, such as "not MDS" or "MDS undecided"."""
+def _embed_until_rejected(cert: CertifiedCode, steps: int | None = None) -> list[CertifiedCode]:
+    """cert and the members embed_once appends, at most steps of them, until it
+    is rejected; the last member's trace then ends with the reason, such as
+    "not MDS" or "MDS undecided"."""
     chain = [cert]
-    while True:
+    while steps is None or len(chain) <= steps:
         try:
             chain.append(embed_once(chain[-1]))
         except EmbeddingRejected as exc:
             chain[-1] = replace(chain[-1], trace=chain[-1].trace + (f"chain ends: {exc}",))
-            return chain
+            break
+    return chain
 
 
 def deep_dimension(tower: FieldTower, t: int) -> CertifiedCode:

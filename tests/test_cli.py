@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -287,6 +288,28 @@ def test_scan_c1_q5_includes_9_3_4(tmp_path, capsys):
     quantum = [r["quantum"] for r in rows if "quantum" in r]
     assert {"q": 5, "n": 9, "k": 3, "d": 4, "d_exact": True,
             "d_method": "mds-singleton", "mds": True, "defect": 0} in quantum
+
+
+def test_scan_rows_do_not_depend_on_the_budget(tmp_path, capsys, monkeypatch):
+    """A chain ends at its first member not certified MDS, so the GF(169) c1
+    scan prints the same (n, k) rows at AGQ_CAP_OPS = 10^8 (the default) and
+    10^9, and every row whose d(C^perp) is exact at the default reads the same
+    bytes at the larger budget, apart from time_s."""
+    scans = []
+    for cap in ("100000000", "1000000000"):
+        monkeypatch.setenv("AGQ_CAP_OPS", cap)
+        out_file = tmp_path / f"{cap}.jsonl"
+        code, _ = run_cli(capsys, "scan", "--construction", "c1", "--tower", "13,1", "--out", str(out_file))
+        assert code == 0
+        lines = [re.sub(r', "time_s": [^,}]+', "", line) for line in out_file.read_text().splitlines()]
+        scans.append([(line, json.loads(line)) for line in lines])
+    default, larger = scans
+    assert len(default) == 52
+    assert [(r["classical"]["n"], r["classical"]["k"]) for _, r in default] == [
+        (r["classical"]["n"], r["classical"]["k"]) for _, r in larger
+    ]
+    exact = [(a, b) for (a, row), (b, _) in zip(default, larger) if row["dual_distance"]["exact"]]
+    assert len(exact) == 49 and all(a == b for a, b in exact)
 
 
 def test_record_dicts_equal_asdict_in_key_order():

@@ -346,10 +346,12 @@ def additive_sum_cases(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(additive_sum_cases())
+@example((build_tower(2, 2), np.zeros((0, 5), dtype=np.int32), 3, agq.points._GATHER_ENTRIES))  # k = 0
 def test_additive_sums_match_zech_tree(case):
     """hermitian_gram, matrix, verdict, first nonzero entry and digest, and
     vsum along every axis of a stack of two such matrices equal the Zech-tree
-    oracle, whatever the run length of the integer sums and the Gram's row blocks."""
+    oracle, whatever the run length of the integer sums and the Gram's row
+    blocks, and with no rows at all."""
     tw, g, terms, cap = case
     code = LinearCode(tw, g, verify_rank=False)
     cube = np.stack([g, np.roll(g, 1, axis=1)])
@@ -377,11 +379,10 @@ def test_word_runs_are_as_long_as_no_carry_allows(pm):
 
 
 @st.composite
-def orbit_gram_cases(draw):
-    """A code G = (v_l * alpha_l^i), i < k <= min(n, 2q+3), on a set of
+def twisted_vandermonde(draw, top_k):
+    """G = (v_l * alpha_l^i), i < k <= top_k(n, q), on a set of
     coset_union_sets or stabilizer_cases, so with or without zero and
-    sometimes with a repeated point; its columns in set order or permuted;
-    and a Gram gather cap that makes blocks of 1 row, or the module default.
+    sometimes with a repeated point; its columns in set order or permuted.
 
     The twist v is the set's own (when it has one), an equivariant one,
     v_l = c * alpha_l^(e_r) with the exponent e_r drawn per orbit of the set's
@@ -409,10 +410,18 @@ def orbit_gram_cases(draw):
             v[at] = (v[at] + rng.integers(1, units)) % units
     elif twist == "random":
         v = rng.integers(units, size=es.n)
-    k = draw(st.integers(1, min(es.n, 2 * tw.q + 3)))
+    k = draw(st.integers(1, top_k(es.n, tw.q)))
     g = np.stack([tw.vmul(v, tw.vpow(alpha, i)) for i in range(k)])
     if draw(st.booleans()):
         g = g[:, rng.permutation(es.n)]
+    return tw, g
+
+
+@st.composite
+def orbit_gram_cases(draw):
+    """A code of twisted_vandermonde with k <= 2q+3, and a Gram gather cap
+    that makes blocks of 1 row, or the module default."""
+    tw, g = draw(twisted_vandermonde(lambda n, q: min(n, 2 * q + 3)))
     cap = draw(st.sampled_from([1, agq.points._GATHER_ENTRIES]))
     return LinearCode(tw, g, verify_rank=False), cap
 
@@ -433,7 +442,7 @@ def test_orbit_gram_matches_zech_tree():
         want = zech_tree_gram(code)
         assert got.matrix.dtype == np.int32 and np.array_equal(got.matrix, want.matrix)
         assert (got.all_zero, got.first_nonzero, got.digest) == (want.all_zero, want.first_nonzero, want.digest)
-        _, d, c = agq.codes._gram_orbits(code)
+        _, d, c = code.structure or (code.g, 1, None)
         if d > 1:
             reduced.append((len(c), len(set(c.tolist())), d % code.tower.p))
 
@@ -441,6 +450,90 @@ def test_orbit_gram_matches_zech_tree():
     assert len(reduced) >= 40
     assert sum(distinct > 1 for _, distinct, _ in reduced) >= 5  # orbits with different c_r
     assert sum(scale != 1 for _, _, scale in reduced) >= 15  # d != 1 in GF(p)
+
+
+def brute_force_structure(tw, g):
+    """Reference oracle for LinearCode.structure, entry by entry with Scalar:
+    None unless every column l is v_l * alpha_l^i, i < k <= n, with v_l != 0
+    and the alpha_l distinct.  Then d = (q^2-1)/s for the least divisor s of
+    q^2-1 whose shift maps the nonzero points onto themselves, and c_r the
+    exponent with N(alpha_r t^(ms)) = N(alpha_r) t^(msc_r) for every m < d on
+    the orbit of each point alpha_r < s; all of G, 1 and None when d = 1,
+    k = 1 or some orbit has no such c_r."""
+    k, n = g.shape
+    units = tw.n_units
+    if not 0 < k <= n:
+        return None
+    alphas = []
+    for l in range(n):
+        v = Scalar(tw, g[0, l])
+        if v.is_zero():
+            return None
+        alpha = Scalar(tw, g[min(1, k - 1), l]) / v  # 1 when k = 1
+        entry = v
+        for i in range(k):
+            if g[i, l] != entry.code:
+                return None
+            entry = entry * alpha
+        alphas.append(alpha.code)
+    if k == 1:
+        return g, 1, None
+    if len(set(alphas)) < n:
+        return None
+    column = {a: l for l, a in enumerate(alphas)}
+    nonzero = sorted(a for a in alphas if a != units)
+    s = min(s for s in range(1, units + 1) if units % s == 0 and {(a + s) % units for a in nonzero} == set(nonzero))
+    d = units // s
+    if d == 1:
+        return g, 1, None
+    norm = {a: Scalar(tw, g[0, column[a]]).relative_norm().code for a in nonzero}
+    reps, c = [a for a in nonzero if a < s], []
+    for r in reps:
+        fits = [e for e in range(d) if all(norm[r + m * s] == (norm[r] + m * s * e) % units for m in range(d))]
+        if not fits:
+            return g, 1, None
+        c.append(fits[0])
+    return g[:, [column[a] for a in reps + [units] * (units in column)]], d, c
+
+
+@st.composite
+def structure_cases(draw):
+    """A matrix of twisted_vandermonde with any k <= n, and the same matrix
+    with one entry, at a random row and column, changed to another code."""
+    tw, g = draw(twisted_vandermonde(lambda n, q: n))
+    changed = g.copy()
+    i, l = draw(st.integers(0, g.shape[0] - 1)), draw(st.integers(0, g.shape[1] - 1))
+    changed[i, l] = (changed[i, l] + draw(st.integers(1, tw.n_units))) % tw.q2
+    return tw, (g, changed)
+
+
+def test_structure_record_matches_brute_force():
+    """LinearCode.structure equals the entry-by-entry oracle on twisted
+    Vandermonde matrices, as built and with one entry changed, and the Gram
+    summed from the record of the matrix as built equals the Zech-tree
+    oracle; the draws reach every kind of record: none, all of G, and one
+    column per orbit."""
+    kinds = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(structure_cases())
+    def check(case):
+        tw, matrices = case
+        codes = [LinearCode(tw, g, verify_rank=False) for g in matrices]
+        for code in codes:
+            want = brute_force_structure(tw, code.g)
+            if want is None:
+                assert code.structure is None
+            else:
+                columns, d, c = code.structure
+                assert np.array_equal(columns, want[0]) and d == want[1]
+                assert (None if c is None else c.tolist()) == want[2]
+            kinds.append("none" if want is None else "orbits" if want[1] > 1 else "whole")
+        got, ref = hermitian_gram(codes[0]), zech_tree_gram(codes[0])
+        assert np.array_equal(got.matrix, ref.matrix) and got.digest == ref.digest
+
+    check()
+    assert min(kinds.count(kind) for kind in ("none", "whole", "orbits")) >= 10
 
 
 def test_gram_zero_implies_zero_diagonal():
@@ -1157,16 +1250,16 @@ def test_rank_by_shape_matches_rref(case):
             LinearCode(tw, g)
         assert (exc.value.achieved_rank, exc.value.expected) == (r, k)
     else:
-        no_rref = mock.patch.object(agq.codes, "rank", side_effect=AssertionError("rref ran"))
+        no_rref = mock.patch.object(agq.codes, "rref", side_effect=AssertionError("rref ran"))
         with no_rref if shaped else contextlib.nullcontext():
             code = LinearCode(tw, g)
-        assert code.vandermonde == shaped
+        assert (code.structure is not None) == shaped
 
 
 def test_is_mds_reads_the_shape_verdict_of_the_code():
     code = construct(ConstructionRequest("c1", 13, 1, n=25, k=5)).code
-    assert code.vandermonde
-    with mock.patch.object(agq.codes, "_vandermonde_shape", side_effect=AssertionError("shape checked again")):
+    assert code.structure is not None
+    with mock.patch.object(agq.codes, "_structure", side_effect=AssertionError("structure found again")):
         flag, witness, method, dd = is_mds(code)
     assert (flag, witness, method, dd.value) == (True, None, "vandermonde", 6)
 

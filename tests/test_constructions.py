@@ -352,6 +352,23 @@ def test_reference_distances_of_curve_codes():
         assert (res.value, res.exact) == (distance, True), (req, res.value)
 
 
+def test_deep_embedding_says_why_it_stopped():
+    """A rejected deep embedding step ends the base code's trace with the
+    reason, as an iterate chain's last member does; an accepted step keeps
+    its trace."""
+    chain = construct_chain(ConstructionRequest("c1", 2, 5, t=1, embed="deep"))
+    assert [c.code.params() for c in chain] == [(32, 16)]
+    assert chain[-1].trace[-1] == (
+        "chain ends: Gram nonzero at k+1 = 17 (k(q+1) = 528 avoids n-1 = 31 and n-1+q = 63)"
+    )
+    chain = construct_chain(ConstructionRequest("c1", 2, 5, t=11, embed="deep"))
+    assert [c.code.params() for c in chain] == [(342, 15), (342, 16)]
+    assert chain[-1].trace[-1] == (
+        "embed: k(q+1) = 495 avoids n-1 = 341 and n-1+q = 373; accepted n' = n = 342 (self-pairing zero)"
+    )
+    assert all("chain ends" not in line for c in chain for line in c.trace)
+
+
 def test_construct_chain_deep_via_n():
     chain = construct_chain(ConstructionRequest("c1", 13, 1, n=25, embed="deep"))
     assert [c.code.params() for c in chain] == [(25, 6), (25, 7)]
