@@ -30,7 +30,6 @@ from .constructions import (
 from .curves import (
     CurveFamily,
     CurveSpec,
-    MonomialBasis,
     curve,
     rational_points,
     rr_basis,
@@ -44,7 +43,6 @@ from .fields import (
 )
 from .points import (
     EvaluationSet,
-    TwistVector,
     affine_grid_set,
     coset_union_set,
     explicit_set,
@@ -68,9 +66,7 @@ __all__ = [
     "FieldTower",
     "GramCertificate",
     "LinearCode",
-    "MonomialBasis",
     "QuantumParams",
-    "TwistVector",
     "affine_grid_set",
     "build_tower",
     "certify",

@@ -22,10 +22,8 @@ import numpy as np
 
 from . import config
 from . import points as _points
-from .curves import MonomialBasis
 from .errors import CapExceeded, GramNonzero, ParseError, RankDefect
 from .fields import FieldTower, build_tower
-from .points import TwistVector
 
 _CHUNK = 1 << 15
 # exponent codes one column-scan block may hold, its projected matrices and entry
@@ -242,22 +240,22 @@ def batched_dependent(tower: FieldTower, mats: np.ndarray) -> np.ndarray:
 
 
 def evaluation_code(
-    tower: FieldTower, basis: MonomialBasis, x, y, twist, provenance: str = "evaluation"
+    tower: FieldTower, monomials: tuple, x, y, twist, provenance: str = "evaluation"
 ) -> LinearCode:
-    """Rows v_l * f_i(P_l) for f_i = x^a y^b in the basis.
+    """Rows v_l * f_i(P_l) for the f_i = x^a y^b of the (a, b) in monomials.
 
     x, y and twist are code arrays, one entry per point P_l = (x_l, y_l).
     Raises RankDefect when the evaluation vectors are dependent.
     """
     if len(twist) != len(x):
         raise ValueError("twist length != number of points")
-    a, b = np.asarray(basis.monomials, dtype=np.int64).reshape(-1, 2).T
+    a, b = np.asarray(monomials, dtype=np.int64).reshape(-1, 2).T
     return LinearCode(tower, _monomial_rows(tower, twist, [(x, a), (y, b)]), provenance=provenance)
 
 
-def grs_rows(tower: FieldTower, eval_set, twist: TwistVector, exponents) -> np.ndarray:
+def grs_rows(tower: FieldTower, eval_set, twist: np.ndarray, exponents) -> np.ndarray:
     """Rows v_l * alpha_l^e for e in exponents."""
-    return _monomial_rows(tower, twist.codes, [(eval_set.codes, exponents)])
+    return _monomial_rows(tower, twist, [(eval_set.codes, exponents)])
 
 
 def _monomial_rows(tower: FieldTower, v, factors) -> np.ndarray:
@@ -581,10 +579,9 @@ def _first_collision(tower: FieldTower, g: np.ndarray, w: int, limit: int):
         order = np.argsort(keys, kind="stable")
         b, j, keys = b[order], j[order], keys[order]
         hits = np.nonzero(keys[1:] == keys[:-1])[0]
-        if hits.size:
-            hits = hits[b[hits] == b[hits[0]]]
-            first = hits[np.argmin(j[hits])]
-            return tuple(int(c) for c in pre[b[first]]) + (int(j[first]), int(j[first + 1]))
+        hits = hits[b[hits] == b[hits[0]]]
+        first = hits[np.argmin(j[hits])]
+        return tuple(int(c) for c in pre[b[first]]) + (int(j[first]), int(j[first + 1]))
     return None
 
 

@@ -34,7 +34,6 @@ from .errors import (
 from .fields import FieldTower, build_tower, norm_preimage
 from .points import (
     EvaluationSet,
-    TwistVector,
     affine_grid_set,
     coset_union_set,
     roots_of_unity_set,
@@ -60,7 +59,7 @@ class CertifiedCode:
     designed_distance: int | None
     # embedding metadata for genus-0 evaluation chains
     eval_set: EvaluationSet | None = None
-    twist: TwistVector | None = None
+    twist: np.ndarray | None = None
     build_s: float = 0.0  # wall time to build and certify this member alone
 
     @property
@@ -74,7 +73,7 @@ class CertifiedCode:
 
 def _line_chain_member(
     eval_set: EvaluationSet,
-    twist: TwistVector,
+    twist: np.ndarray,
     k: int,
     provenance: str,
     trace: tuple,
@@ -109,15 +108,13 @@ def _curve_pipeline(
     tv = twist_vector(xs)
     owner, y = rational_points(spec, xs)
     if k >= len(owner) + 2 * spec.genus:
-        # the basis holds x^i y^j for every i < xs.n and j < y_degree, and these
-        # separate the points (an x-fiber has at most y_degree of them): the
+        # the basis holds x^i y^j for every i < xs.n and j < pole_x, and these
+        # separate the points (an x-fiber has at most pole_x of them): the
         # rows would span GF(q^2)^n, so the rank is n, short of the basis size
         raise RankDefect(len(owner), monomial_count(spec, k))
     basis = rr_basis(spec, k)
     # fiber-constant twist: each x-value's multiplier repeats across its fiber
-    code = evaluation_code(
-        tower, basis, xs.codes[owner], y, tv.codes[owner], provenance=provenance
-    )
+    code = evaluation_code(tower, basis, xs.codes[owner], y, tv[owner], provenance=provenance)
     certificate = certify(code)
     return CertifiedCode(
         code=code,
@@ -126,7 +123,7 @@ def _curve_pipeline(
         + (
             f"curve {spec.label()} genus {spec.genus}",
             f"x-support size {xs.n}, rational points {len(owner)}",
-            f"monomials {list(basis.monomials)}",
+            f"monomials {list(basis)}",
         ),
         designed_distance=len(owner) - (k - 1),
     )
@@ -255,7 +252,7 @@ def _construct_base(request: ConstructionRequest, tower: FieldTower) -> Certifie
     else:
         raise BadRequest(f"unknown construction {cons!r}")
 
-    n_pts = spec.y_degree * xs.n  # every admissible x carries a full fiber
+    n_pts = spec.pole_x * xs.n  # every admissible x carries a full fiber of deg A points
     k = request.k if request.k is not None else thm_key_k_max(n_pts, q, spec.genus)
     return _curve_pipeline(spec, xs, k, f"{cons}[{n_pts},k={k}]", trace)
 

@@ -79,18 +79,6 @@ class EvaluationSet:
         return 0
 
 
-@dataclass(frozen=True, eq=False)
-class TwistVector:
-    """v_i as a read-only int32 code array, one entry per point of the set;
-    compared by identity, like EvaluationSet."""
-
-    tower: FieldTower
-    codes: np.ndarray
-
-    def __len__(self):
-        return len(self.codes)
-
-
 def roots_of_unity_set(tower: FieldTower, n: int) -> EvaluationSet:
     """The n roots of x^n - x: the order-(n-1) subgroup plus zero."""
     if n < 2 or (tower.n_units) % (n - 1) != 0:
@@ -243,9 +231,10 @@ def local_derivatives(eval_set: EvaluationSet) -> np.ndarray:
     return out
 
 
-def twist_vector(eval_set: EvaluationSet) -> TwistVector:
-    """v_i = norm_preimage(u / h'(alpha_i)), on the whole code array, with u
-    the set's residue normalizer, eval_set.residue_unit().
+def twist_vector(eval_set: EvaluationSet) -> np.ndarray:
+    """v_i = norm_preimage(u / h'(alpha_i)) as a read-only int32 code array,
+    one entry per point of the set, with u the set's residue normalizer,
+    eval_set.residue_unit().
 
     Raises NotNormValue(i) at the first i where u/h'(alpha_i) is zero,
     undefined or outside GF(q)*, i.e. the self-orthogonality hypothesis
@@ -260,4 +249,4 @@ def twist_vector(eval_set: EvaluationSet) -> TwistVector:
         raise NotNormValue(int(np.argmax(bad)))
     codes = (c // norm_exp).astype(np.int32)
     codes.flags.writeable = False
-    return TwistVector(tower, codes)
+    return codes

@@ -43,7 +43,7 @@ from .test_codes import (
 from .test_fields import assert_norm_preimage, random_unit, seeded_batch
 from .test_points import assert_residue_identity, random_residue_case
 
-DATA = Path(__file__).resolve().parent.parent / "src" / "agq" / "data"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def report(num, text):

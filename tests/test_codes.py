@@ -37,10 +37,10 @@ from agq.codes import (
     rref,
 )
 from agq.constructions import ConstructionRequest, construct, construct_chain
-from agq.curves import CurveFamily, MonomialBasis, curve, rational_points, rr_basis, x_support
+from agq.curves import CurveFamily, curve, rational_points, rr_basis, x_support
 from agq.errors import CapExceeded, GramNonzero, NotNormValue, ParseError, RankDefect
 from agq.fields import build_tower
-from agq.points import TwistVector, explicit_set, roots_of_unity_set, twist_vector
+from agq.points import explicit_set, roots_of_unity_set, twist_vector
 
 from .scalar_field import Scalar
 from .test_fields import seeded_batch, zech_tree_sum
@@ -175,8 +175,8 @@ def test_monomial_rows_match_per_row_oracle(case):
     got = _monomial_rows(tw, v, [(x, a), (y, b)])
     assert got.dtype == np.int32 and np.array_equal(got, per_row_monomials(tw, v, x, a, y, b))
     es = explicit_set(tw, x)
-    twist = TwistVector(tw, v[np.argsort(x, kind="stable")])
-    assert np.array_equal(grs_rows(tw, es, twist, a), per_row_monomials(tw, twist.codes, es.codes, a))
+    twist = v[np.argsort(x, kind="stable")]
+    assert np.array_equal(grs_rows(tw, es, twist, a), per_row_monomials(tw, twist, es.codes, a))
 
 
 def test_construction_rows_match_per_row_oracle():
@@ -187,9 +187,9 @@ def test_construction_rows_match_per_row_oracle():
         spec = curve(family, build_tower(*pm), **({"t": 2} if family is CurveFamily.ARTIN_SCHREIER else {}))
         xs = x_support(spec)
         owner, y = rational_points(spec, xs)
-        tv = twist_vector(xs).codes[owner]
+        tv = twist_vector(xs)[owner]
         basis = rr_basis(spec, k)
-        a, b = np.asarray(basis.monomials).T
+        a, b = np.asarray(basis).T
         assert np.count_nonzero(y == spec.tower.zero_code) and np.count_nonzero(b)
         want = per_row_monomials(spec.tower, tv, xs.codes[owner], a, y, b)
         assert np.array_equal(evaluation_code(spec.tower, basis, xs.codes[owner], y, tv).g, want)
@@ -199,7 +199,7 @@ def test_construction_rows_match_per_row_oracle():
         assert len(chain) > 2
         for prev, cert in zip(chain, chain[1:]):
             es, tw = cert.eval_set, cert.code.tower
-            want = per_row_monomials(tw, cert.twist.codes, es.codes, [prev.k])[0]
+            want = per_row_monomials(tw, cert.twist, es.codes, [prev.k])[0]
             assert np.array_equal(cert.code.g[-1, : es.n], want)
 
 
@@ -213,7 +213,7 @@ def test_evaluation_code_rank_defect():
     code = evaluation_code(tw, basis, xs.codes[owner], y, ones)
     assert code.params() == (15, 3)
     # a repeated monomial repeats a row, which must be rejected
-    dup = MonomialBasis(basis.monomials + basis.monomials[1:2], spec.pole_x, spec.pole_y)
+    dup = basis + basis[1:2]
     with pytest.raises(RankDefect) as got:
         evaluation_code(tw, dup, xs.codes[owner], y, ones)
     assert (got.value.achieved_rank, got.value.expected) == (3, 4)
@@ -398,7 +398,7 @@ def twisted_vandermonde(draw, top_k):
     v = None
     if twist == "own":
         try:
-            v = twist_vector(es).codes
+            v = twist_vector(es)
         except NotNormValue:
             twist = "equivariant"
     if twist in ("equivariant", "perturbed"):

@@ -132,7 +132,7 @@ def rows_rank_defect(calls, k):
         if calls["points"]:
             spec, xs, (owner, y) = calls["points"][-1]
             tv = calls["twist"][-1][1]
-            evaluation_code(spec.tower, rr_basis(spec, k), xs.codes[owner], y, tv.codes[owner])
+            evaluation_code(spec.tower, rr_basis(spec, k), xs.codes[owner], y, tv[owner])
         else:
             es, tv = calls["twist"][-1]
             LinearCode(es.tower, grs_rows(es.tower, es, tv, range(k)))
@@ -255,8 +255,8 @@ def test_general_case_pairing_identity():
     for k0 in (2, 3, 4, 5):
         if 2 * k0 + tw.q > es.n:
             continue
-        g_k0 = tw.vmul(tv.codes, tw.vpow(es.codes, k0 - 1))
-        g_next = tw.vmul(tv.codes, tw.vpow(es.codes, k0))
+        g_k0 = tw.vmul(tv, tw.vpow(es.codes, k0 - 1))
+        g_next = tw.vmul(tv, tw.vpow(es.codes, k0))
         pairing = tw.vsum(tw.vmul(g_k0, tw.vfrob(g_next)))
         assert pairing == tw.zero_code
 

@@ -5,7 +5,6 @@ import pytest
 
 from agq.curves import (
     CurveFamily,
-    absolute_trace,
     curve,
     rational_points,
     rr_basis,
@@ -78,7 +77,7 @@ def test_elliptic_default_constant_matches_field_parity():
     for m in (2, 4):
         tw = build_tower(2, m)
         c = curve(CurveFamily.ELLIPTIC, tw).c
-        assert absolute_trace(tw, [c]).tolist() == [0]  # code 0 is the element 1
+        assert scalar_absolute_trace(Scalar(tw, c)).is_one()
         assert c == next(a.code for a in field_elements(tw) if scalar_absolute_trace(a).is_one())
 
 
@@ -158,13 +157,13 @@ def test_rr_basis_hermitian_q4_k9():
     spec = curve(CurveFamily.HERMITIAN, build_tower(2, 2))
     basis = rr_basis(spec, 9)
     # semigroup <4,5> elements <= 8: {0, 4, 5, 8} -> 1, x, y, x^2
-    assert basis.monomials == ((0, 0), (1, 0), (0, 1), (2, 0))
+    assert basis == ((0, 0), (1, 0), (0, 1), (2, 0))
 
 
 def test_rr_basis_elliptic_k4():
     spec = curve(CurveFamily.ELLIPTIC, build_tower(2, 2))
     basis = rr_basis(spec, 4)
-    assert basis.monomials == ((0, 0), (1, 0), (0, 1))
+    assert basis == ((0, 0), (1, 0), (0, 1))
     # k-1 = 3 >= 2g-1: dimension k - g
     assert len(basis) == 4 - spec.genus
 
@@ -174,7 +173,7 @@ def test_rr_basis_monotone():
     prev = set()
     prev_count = 0
     for k in range(1, 30):
-        basis = set(rr_basis(spec, k).monomials)
+        basis = set(rr_basis(spec, k))
         assert prev <= basis
         assert len(basis) - prev_count in (0, 1)
         prev, prev_count = basis, len(basis)
@@ -186,7 +185,7 @@ def test_basis_monomials_finite_on_all_points():
     spec = curve(CurveFamily.ARTIN_SCHREIER, tw, t=2)
     xs = x_support(spec)
     owner, y = rational_points(spec, xs)
-    for (i, j) in rr_basis(spec, 8).monomials:
+    for (i, j) in rr_basis(spec, 8):
         for x0, y0 in zip(xs.codes[owner].tolist(), y.tolist()):
             _ = (Scalar(tw, x0) ** i) * (Scalar(tw, y0) ** j)  # always defined
 
@@ -273,3 +272,71 @@ def test_x_support_and_fibers_match_scalar_oracle():
             assert gf_p_solve(tower, *scalar_fiber(spec, x)) == [], (spec.label(), x)
         families.add(spec.family)
     assert len(families) == 5
+
+
+# every tower in the moduli table with q^2 <= 4096
+ORACLE_TOWERS = [(2, m) for m in range(1, 7)] + [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)] + [
+    (p, 1) for p in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+]
+
+# (genus, pole_x, pole_y) of each family from q and t: the closed forms of the
+# theory, against which CurveSpec's reading of its equation is checked
+CLOSED_FORM_POLES = {
+    CurveFamily.ELLIPTIC: lambda q, t: (1, 2, 3),
+    CurveFamily.HYPERELLIPTIC: lambda q, t: (q // 2, 2, q + 1),
+    CurveFamily.HERMITIAN: lambda q, t: (q * (q - 1) // 2, q, q + 1),
+    CurveFamily.SEMI_HERMITIAN: lambda q, t: ((q - 1) ** 2 // 4, q, (q + 1) // 2),
+    CurveFamily.ARTIN_SCHREIER: lambda q, t: ((q - 1) * (t - 1) // 2, q, t),
+}
+
+
+def closed_form_support(spec):
+    """Oracle: the admissible x codes by the per-family rules of the theory,
+    vectorized over the field.  Every x for the hyperelliptic and Hermitian
+    curves, the squares for the half-exponent one, absolute trace zero of
+    x^3 + c on the elliptic curve and GF(q^2)/GF(q) trace zero of x^t on the
+    Artin-Schreier ones."""
+    tower, family = spec.tower, spec.family
+    x = np.arange(tower.q2)
+    if family in (CurveFamily.HYPERELLIPTIC, CurveFamily.HERMITIAN):
+        return x
+    if family is CurveFamily.SEMI_HERMITIAN:
+        return x[(x % 2 == 0) | (x == tower.zero_code)]  # even logs, and zero
+    if family is CurveFamily.ELLIPTIC:
+        acc = cur = tower.vadd(tower.vpow(x, 3), spec.c)
+        for _ in range(2 * tower.m - 1):
+            cur = tower.vpow(cur, 2)
+            acc = tower.vadd(acc, cur)
+        return x[acc == tower.zero_code]
+    rhs = tower.vpow(x, spec.t)
+    return x[tower.vadd(rhs, tower.vfrob(rhs)) == tower.zero_code]
+
+
+def test_equation_rule_matches_closed_forms():
+    """Over every tower with q^2 <= 4096, for every family and every
+    Artin-Schreier t in 1..q+1 the family admits (the scan's range, and t = 1):
+    the x-support read from the fibers equals the closed-form rule, every fiber
+    above it has pole_x points, and genus and pole orders equal the old table."""
+    curves = 0
+    for p, m in ORACLE_TOWERS:
+        tower = build_tower(p, m)
+        q = tower.q
+        if p == 2:
+            families = [CurveFamily.HERMITIAN, CurveFamily.ELLIPTIC, CurveFamily.HYPERELLIPTIC]
+        else:
+            families = [CurveFamily.HERMITIAN, CurveFamily.SEMI_HERMITIAN]
+        specs = [curve(family, tower) for family in families]
+        for t in range(1, q + 2):
+            try:
+                specs.append(curve(CurveFamily.ARTIN_SCHREIER, tower, t=t))
+            except GcdConditionViolated:
+                pass
+        for spec in specs:
+            want = CLOSED_FORM_POLES[spec.family](q, spec.t)
+            assert (spec.genus, spec.pole_x, spec.pole_y) == want, spec.label()
+            xs = x_support(spec)
+            assert np.array_equal(xs.codes, closed_form_support(spec)), (spec.label(), p, m)
+            owner, _ = rational_points(spec, xs)
+            assert (np.bincount(owner, minlength=xs.n) == spec.pole_x).all(), (spec.label(), p, m)
+        curves += len(specs)
+    assert curves == 534
