@@ -12,7 +12,6 @@ q^2-1 is zero), so the hot loops are table lookups.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -24,6 +23,16 @@ from . import config
 from . import points as _points
 from .errors import CapExceeded, GramNonzero, ParseError, RankDefect
 from .fields import FieldTower, build_tower
+
+# SHA-256 from CPython's builtin module, byte-identical to hashlib's, which would
+# map OpenSSL's libcrypto (about 3.6 MB resident) for one digest per Gram
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 _CHUNK = 1 << 15
 # exponent codes one column-scan block may hold, its projected matrices and entry
@@ -280,18 +289,18 @@ def _monomial_rows(tower: FieldTower, v, factors) -> np.ndarray:
 def hermitian_gram(code: LinearCode) -> GramCertificate:
     """Exact k x k Gram matrix of <g_i, g_j>_H = sum_l G[i,l] * G[j,l]^q.
 
-    Each product is a log-sum of G[i,l] and G[j,l]^q that reads the product
-    from the tower's additive table, and each entry is an integer sum of
-    those words (tower._sum_products).  The sum runs over one column per
+    Each product is a log-sum of G[i,l] and G[j,l]^q, whose additive word
+    the tower derives from its exp table, and each entry is an integer sum
+    of those words (tower._sum_products).  The sum runs over one column per
     orbit of a multiplicative symmetry checked on the matrix (code.structure):
     an orbit of d columns adds d * [d | i + qj + c_r] * G[i,r] * G[j,r]^q for
     its representative r, so its left factor is scaled by d mod p and the
-    entries where d does not divide i + qj + c_r are pushed past the table,
-    onto the zero word.  Without such a symmetry d = 1 and every column is
-    its own orbit.  Blocks of rows read about _GATHER_ENTRIES words.  A block
-    sums the entries with j >= its first row; left of that, as
-    <g_i, g_j>_H = <g_j, g_i>_H^q (y^(q^2) = y), it takes the Frobenius
-    image of entries already summed.
+    entries where d does not divide i + qj + c_r are pushed to slot sums of
+    2(q^2-1) or more, which read the zero word.  Without such a symmetry
+    d = 1 and every column is its own orbit.  Blocks of rows read about
+    _GATHER_ENTRIES words.  A block sums the entries with j >= its first
+    row; left of that, as <g_i, g_j>_H = <g_j, g_i>_H^q (y^(q^2) = y), it
+    takes the Frobenius image of entries already summed.
     """
     tower = code.tower
     k = code.k
@@ -311,7 +320,7 @@ def hermitian_gram(code: LinearCode) -> GramCertificate:
             m[start:stop, :start] = tower.vfrob(m[:start, start:stop].T)
         right = rhs[None, start:, :]
         if d > 1:
-            # 2(q^2-1) times a nonzero residue of i + qj + c_r clips to the zero word
+            # 2(q^2-1) times a nonzero residue of i + qj + c_r reads the zero word
             row = np.arange(start, min(stop, k))[:, None, None]
             col = np.arange(start, k)[:, None]
             right = np.repeat(right, len(row), axis=0)
@@ -326,7 +335,7 @@ def hermitian_gram(code: LinearCode) -> GramCertificate:
 
 
 def _digest(code: LinearCode, gram: np.ndarray) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     h.update(f"q2={code.tower.q2} n={code.n} k={code.k};".encode())
     h.update(np.ascontiguousarray(gram, dtype=np.int32).tobytes())
     return h.hexdigest()

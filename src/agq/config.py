@@ -11,7 +11,7 @@ import os
 
 from .errors import BadRequest
 
-# largest field GF(p^{2m}) for which full log/Zech tables are built
+# largest field GF(p^{2m}) for which full exp/log tables are built
 DEFAULT_FIELD_CAP = 2 ** 22
 
 # exhaustive codeword enumeration: q^{2k} must not exceed this

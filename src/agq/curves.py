@@ -6,7 +6,7 @@ only name their (A, e, c): a supersingular elliptic curve y^2+y = x^3 + c in
 even characteristic, the hyperelliptic curve y^2+y = x^(q+1), the Hermitian
 curve y^q+y = x^(q+1), its half-exponent variant y^q+y = x^((q+1)/2), and
 Artin-Schreier curves y^q-y = x^t.  Pole orders and genus are read from the
-equation (CurveSpec), and x-supports and fibers from one fiber rule on it;
+equation (CurveSpec), and x-supports and fibers from A's fibers at x^e + c;
 closed forms from the theory (trace zero, squares) show up only as test
 oracles.  Codes on the projective line take their points from the point-set
 module directly.  Riemann-Roch spaces of (k-1)*P_inf are represented purely
@@ -97,8 +97,7 @@ def _default_elliptic_constant(tower: FieldTower) -> int:
     # otherwise the least code outside the image of y^2+y (absolute trace 1)
     if tower.m % 2 == 1:
         return tower.zero_code
-    owner, _ = tower.solve_additive(AdditiveMap.SQUARE_PLUS_Y, np.arange(tower.q2))
-    return int(np.argmin(np.bincount(owner, minlength=tower.q2)))
+    return int(np.argmin(tower.fiber_sizes(AdditiveMap.SQUARE_PLUS_Y, np.arange(tower.q2))))
 
 
 def curve(family: CurveFamily, tower: FieldTower, t: int | None = None) -> CurveSpec:
@@ -131,7 +130,7 @@ def curve(family: CurveFamily, tower: FieldTower, t: int | None = None) -> Curve
 
 def x_support(spec: CurveSpec, selector: EvaluationSet | None = None) -> EvaluationSet:
     """Admissible x-coordinates: by default every x whose fiber is nonempty
-    (and so full, a kernel coset of A).
+    (and so full, a kernel coset of A), read from the fiber sizes alone.
 
     Hyperelliptic and Hermitian curves take a caller-supplied subset of the
     plane (any point-set family) instead; the other families reject one.
@@ -141,19 +140,14 @@ def x_support(spec: CurveSpec, selector: EvaluationSet | None = None) -> Evaluat
             raise UnsupportedFamily(f"{spec.family.value} has a fixed x-support")
         return selector
     x = np.arange(spec.tower.q2)
-    return explicit_set(spec.tower, x[_fibers(spec, x)[2] > 0], tag="curve_support")
+    sizes = spec.tower.fiber_sizes(spec.amap, _right_side(spec, x))
+    return explicit_set(spec.tower, x[sizes > 0], tag="curve_support")
 
 
-def _fibers(spec: CurveSpec, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(owner, y, sizes) for the points above the x codes: the solutions of
-    A(y) = x^e + c as solve_additive lists them, and the size of each fiber
-    (np.bincount: np.unique imports numpy.ma on its first call)."""
-    tower = spec.tower
-    rhs = tower.vpow(x, spec.pole_y)
-    if spec.c is not None:
-        rhs = tower.vadd(rhs, spec.c)
-    owner, y = tower.solve_additive(spec.amap, rhs)
-    return owner, y, np.bincount(owner, minlength=len(rhs))
+def _right_side(spec: CurveSpec, x) -> np.ndarray:
+    """The codes of x^e + c for the x codes."""
+    rhs = spec.tower.vpow(x, spec.pole_y)
+    return rhs if spec.c is None else spec.tower.vadd(rhs, spec.c)
 
 
 def rational_points(spec: CurveSpec, xs: EvaluationSet) -> tuple[np.ndarray, np.ndarray]:
@@ -162,8 +156,9 @@ def rational_points(spec: CurveSpec, xs: EvaluationSet) -> tuple[np.ndarray, np.
     point j is (xs.codes[owner[j]], y[j]).  Raises EmptyFiber at the first x
     outside the admissible set.
     """
-    owner, y, sizes = _fibers(spec, xs.codes)
-    empty = sizes == 0
+    owner, y = spec.tower.solve_additive(spec.amap, _right_side(spec, xs.codes))
+    # np.bincount: np.unique imports numpy.ma on its first call
+    empty = np.bincount(owner, minlength=xs.n) == 0
     if empty.any():
         x0 = spec.tower.format(int(xs.codes[np.argmax(empty)]))
         raise EmptyFiber(f"x = {x0} is outside the admissible set")

@@ -9,13 +9,16 @@ are the only text forms.  For q^2 <= 2^9 (every field of `agq
 reproduce`) addition and multiplication are each one take from a full
 q^2 x q^2 Cayley table of codes, at the int32 index a*q^2 + b of the
 broadcast operands; above that bound, where such a table would not fit,
-addition goes through a Zech-logarithm table and multiplication is exponent
+addition goes through Zech logarithms and multiplication is exponent
 addition.  Long sums (vsum, Gram entries) use the additive form
 instead: each element's 2m base-p digits packed into one int64, a bit field
 of floor(63/2m) bits per digit, so that many elements add as plain integers
-before any digit needs reducing mod p.  The fibers of the additive maps the
-curve module needs are read from a per-map table that sorts all q^2 images
-once: the fibers over a whole array of right-hand sides are one gather.
+before any digit needs reducing mod p.  Beyond the Cayley tables a tower
+keeps 8 bytes per element, an exp and a log table of int32: Zech logs and
+additive words are derived from them and q-entry tables on every read.  The
+fibers of the additive maps the curve module needs are read from a per-map
+table that sorts all q^2 images once: the fibers over a whole array of
+right-hand sides are one gather, and their sizes another.
 
 The defining modulus of GF(p^{2m}) is read from data/moduli.json, which
 holds one for every tower within DEFAULT_FIELD_CAP: the Conway polynomial for
@@ -24,9 +27,9 @@ comparable with standard computer-algebra output, and the lexicographically
 least primitive polynomial for the rest.  tests/modulus_search.py derives that
 table by search and checks it.  The file is read, and the tables are built
 from the modulus, on the first request for a field and never at import: the
-powers of t by doubling, each doubling step a few gathers per power from
-q-entry tables, in the additive table's buffer; then the words and the log
-table from those powers, a block at a time, and Zech from the log table.
+powers of t by doubling, straight into the exp table, each doubling step a
+few gathers per power from q-entry tables; then the log table from those
+powers, a block at a time.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from importlib import resources
 from math import isqrt
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import DEFAULT_FIELD_CAP
 from .errors import BadRequest, FieldTooLarge, NotInBaseField, NotPrime, ZeroInput
@@ -45,7 +49,7 @@ from .errors import BadRequest, FieldTooLarge, NotInBaseField, NotPrime, ZeroInp
 # largest q^2 with full Cayley tables: two int32 tables of q^4 entries, 1 MB each
 _CAYLEY_MAX_Q2 = 2 ** 9
 
-# entries per gather of the table build, through two int64 buffers of this size (128 KB)
+# entries per gather of the table build, through four int64 buffers of this size (256 KB)
 _TABLE_BLOCK = 1 << 13
 
 # distinct fields build_tower keeps built (reproduce touches 9)
@@ -61,26 +65,29 @@ class AdditiveMap(Enum):
 
 
 class FieldTower:
-    """GF(p) < GF(q=p^m) < GF(q^2) with the log table ``_log_val`` (of each
-    packed value), the Zech table ``_zech`` and the additive table
-    ``_words``, plus Cayley tables when q^2 <= 2^9; no exp table is kept.
+    """GF(p) < GF(q=p^m) < GF(q^2) with two q^2-entry int32 tables, inverse
+    maps of each other: the log table ``_log_val`` (the exponent code of each
+    packed value) and the exp table ``_exp`` (the packed value of t^e for
+    e < q^2-1, then 0 at the zero code); two q-entry word tables; and the
+    Cayley tables when q^2 <= 2^9.
 
-    ``_build_tables`` writes each power of t as its low and high m digits,
+    ``_build_tables`` reads each power of t as its low and high m digits,
     two numbers below q.  Given t^0 .. t^(k-1), the powers t^k .. t^(2k-1)
     are their products with t^k; multiplication by t^k is GF(p)-linear, so
     each half of a product is the digit-wise sum of the images of the two
     halves, read from q-entry tables.  The sum is one gather: the images are
     written in base 2p-1, where two of them add with no carry, and a table of
     (2p-1)^m entries maps such a sum to its digits mod p.  That is O(q^2)
-    gathered entries in all, with no matrix product larger than q x m.  The
-    halves live in the buffer of ``_words`` until the words overwrite them,
-    a block at a time, as each block's packed values are scattered into
-    ``_log_val``.  Zech is scattered from ``_log_val`` alone, zech[log x] =
-    log(x+1): x+1 is the next entry of x's row of p, as only the lowest digit moves.
+    gathered entries in all, with no matrix product larger than q x m.  A
+    block at a time, the halves are read back from ``_exp`` with one divmod
+    into preallocated buffers and the products' packed values are written
+    straight into it, so a build holds nothing larger than the two tables.
 
-    The additive table ``_words`` holds t^e in additive form for every
-    log-sum e <= 2(q^2-1)-2 (e mod q^2-1), then the zero word; up to
-    ``_word_terms`` = floor((2^b-1)/(p-1)) words of b-bit fields add carry-free.
+    The additive word of a code, its 2m digits in bit fields of b =
+    floor(63/2m) bits, is ``_low_word[v % q] + _high_word[v // q]`` for its
+    packed value v; up to ``_word_terms`` = floor((2^b-1)/(p-1)) words add
+    carry-free.  A Zech log, log(1 + t^e), is the log table read at t^e's
+    packed value with its lowest digit raised by one, mod p (zech_log).
 
     Immutable after construction apart from the fiber tables of
     ``solve_additive``, which are filled on first use (a race only computes
@@ -116,19 +123,17 @@ class FieldTower:
         digit_sum = np.zeros(1, dtype=np.int64)
         for weight in weights[:m]:
             digit_sum = ((np.arange(2 * p - 1) % p * weight)[:, None] + digit_sum).ravel()
-        # the low and high halves of t^e, int64 (numpy's index type) so that no gather
-        # copies its index, in the two halves of the additive table until the words
-        # overwrite them; t^e for e < deg is the single digit p^e, and step becomes
-        # (C^deg)^T, whose rows are the digits of t^deg .. t^(2 deg - 1)
-        words = np.empty(2 * n, dtype=np.int64)
-        lo, hi = words[:n], words[n:]
-        lo[:deg] = hi[:deg] = 0
-        lo[:m] = hi[m:deg] = weights[:m]
+        # the packed value of t^e; t^e for e < deg is the single digit p^e, and step
+        # becomes (C^deg)^T, whose rows are the digits of t^deg .. t^(2 deg - 1)
+        exp = np.empty(q2, dtype=np.int32)
+        exp[:deg] = weights
         rows = [step[-1]]
         while len(rows) < deg:
             rows.append(rows[-1] @ step % p)
         step = np.array(rows)
-        buffers = np.empty((2, min(_TABLE_BLOCK, n)), dtype=np.int64)  # every gather's, by block
+        # every gather's operands, by block: int64 (numpy's index type), so that no
+        # gather copies its index
+        buffers = np.empty((4, min(_TABLE_BLOCK, n)), dtype=np.int64)
         # doubling: while step is (C^k)^T, its rows :m map a low half to the digits
         # of its product with t^k, and rows m: a high half
         k = deg
@@ -141,63 +146,67 @@ class FieldTower:
             images = np.ascontiguousarray((images.reshape(2, q, 2, m) @ spread).transpose(0, 2, 1))
             for start in range(0, c, _TABLE_BLOCK):
                 stop = min(start + _TABLE_BLOCK, c)
-                x, y = buffers[:, : stop - start]
-                for h, out in enumerate((lo, hi)):
-                    images[0, h].take(lo[start:stop], out=x, mode="clip")  # in range: no buffer
-                    images[1, h].take(hi[start:stop], out=y, mode="clip")
-                    x += y
-                    digit_sum.take(x, out=out[k + start : k + stop], mode="clip")
+                hi, lo, x, y = buffers[:, : stop - start]
+                np.divmod(exp[start:stop], q, out=(hi, lo))
+                images[0, 1].take(lo, out=x, mode="clip")  # in range: no buffer
+                images[1, 1].take(hi, out=y, mode="clip")
+                x += y
+                digit_sum.take(x, out=y, mode="clip")  # the product's high half
+                images[0, 0].take(lo, out=x, mode="clip")
+                images[1, 0].take(hi, out=lo, mode="clip")
+                x += lo
+                digit_sum.take(x, out=lo, mode="clip")  # and its low half
+                y *= q
+                y += lo
+                exp[k + start : k + stop] = y
             step = step @ step % p
             k += c
+        exp[n] = 0
+        log_val = np.full(q2, self.zero_code, dtype=np.int32)
+        for start in range(0, n, _TABLE_BLOCK):
+            stop = min(start + _TABLE_BLOCK, n)
+            log_val[exp[start:stop]] = np.arange(start, stop, dtype=np.int32)
+        # log_val is a permutation of 0 .. n, with n at value 0, exactly when no power
+        # of t is 0 and no exponent is lost to a repeated power: a lost one leaves an n
+        # in its place, so the sum exceeds n(n+1)/2
+        if log_val[0] != self.zero_code or log_val.sum(dtype=np.int64) != n * (n + 1) // 2:
+            raise AssertionError("modulus is not primitive; tables inconsistent")
         # additive form: the digits in bit fields of floor(63/deg) bits; a word is
-        # the words of its low and high halves, from two q-entry tables
+        # the words of its low and high halves
         bits = 63 // deg
         self._word_shifts = bits * np.arange(deg, dtype=np.int64)
         self._word_mask = (1 << bits) - 1
         self._word_terms = self._word_mask // (p - 1)  # words one int64 sum may add
         self._digit_weights = weights
         self._word_weights = np.left_shift(1, self._word_shifts)
-        low_word = half_digits @ self._word_weights[:m]
-        high_word = low_word << bits * m
-        log_val = np.full(q2, self.zero_code, dtype=np.int32)
-        for start in range(0, n, _TABLE_BLOCK):
-            stop = min(start + _TABLE_BLOCK, n)
-            x, y = buffers[:, : stop - start]
-            np.multiply(hi[start:stop], q, out=x)  # the packed value of t^e
-            x += lo[start:stop]
-            log_val[x] = np.arange(start, stop, dtype=np.int32)
-            low_word.take(lo[start:stop], out=x, mode="clip")
-            high_word.take(hi[start:stop], out=y, mode="clip")
-            np.add(x, y, out=lo[start:stop])
-        if log_val[0] != self.zero_code or np.count_nonzero(log_val != self.zero_code) != n:
-            raise AssertionError("modulus is not primitive; tables inconsistent")
-        # Zech table: zech[log x] = log(x + 1), zero_code where x + 1 = 0; x + 1 raises only
-        # the lowest digit, mod p, so row d of digit, the logs of the values whose lowest
-        # digit is d, maps to row d + 1, and row p - 1 to row 0 (slot n takes x = 0)
-        zech, digit = np.empty(n + 1, dtype=np.int32), log_val.reshape(-1, p).T
-        zech[digit[:-1]], zech[digit[-1]] = digit[1:], digit[0]
-        zech = zech[:n]
-        # the second copy of the words, over the high halves
-        words[n : 2 * n - 1] = words[: n - 1]
-        words[2 * n - 1] = 0
+        self._low_word = half_digits @ self._word_weights[:m]
+        self._high_word = self._low_word << bits * m
+        self._exp = exp
         self._log_val = log_val
-        self._zech = zech
-        self._words = words
         self._add_table = self._mul_table = None
+        tables = [exp, log_val, self._low_word, self._high_word]
         if q2 <= _CAYLEY_MAX_Q2:
-            # row a of the product table is a + b mod n, then the zero column;
-            # t^a + t^b = t^a (1 + t^(b-a)) is row a read at zech[(b - a) mod n]
-            r = np.arange(n)
+            # row a of the product table is a + b mod n, then the zero column: window a
+            # of r repeated twice
+            r = np.arange(n, dtype=np.int32)
             mul = np.full((q2, q2), n, dtype=np.int32)
-            mul[:n, :n] = np.concatenate([r, r]).take(r[:, None] + r)
-            at = np.concatenate([zech, zech]).take((n - r)[:, None] + r) + (q2 * r)[:, None]
-            add = np.empty_like(mul)
-            add[:n, :n] = mul.take(at)
+            mul[:n, :n] = sliding_window_view(np.concatenate([r, r]), n)[:n]
+            # t^a + t^b = t^a (1 + t^(b-a)) is row a of the product table read at
+            # zech[(b - a) mod n], window n - a of the Zech logs repeated twice
+            zech = self.zech_log(r)
+            windows = sliding_window_view(np.concatenate([zech, zech]), n)[n:0:-1]
+            add, flat = np.empty_like(mul), mul.ravel()
+            rows = max(1, _TABLE_BLOCK // n)
+            at = np.empty((rows, n), dtype=np.int64)  # a block of rows' indices into flat
+            for start in range(0, n, rows):
+                stop = min(start + rows, n)
+                np.add(windows[start:stop], (q2 * r[start:stop])[:, None], out=at[: stop - start])
+                flat.take(at[: stop - start], out=add[start:stop, :n], mode="clip")
             add[n] = add[:, n] = np.arange(q2)  # 0 + x = x + 0 = x
-            self._add_table, self._mul_table = add.ravel(), mul.ravel()
-        for table in (log_val, zech, words, self._add_table, self._mul_table):
-            if table is not None:
-                table.flags.writeable = False
+            self._add_table, self._mul_table = add.ravel(), flat
+            tables += [self._add_table, self._mul_table]
+        for table in tables:
+            table.flags.writeable = False
 
     # -- text form ---------------------------------------------------------
 
@@ -235,7 +244,7 @@ class FieldTower:
         a = np.asarray(a, dtype=np.int32)
         b = np.asarray(b, dtype=np.int32)
         if self._add_table is None:
-            return self._zech_add(a, b)
+            return self._log_add(a, b)
         return self._add_table.take(a * np.int32(self.q2) + b)
 
     def vmul(self, a, b):
@@ -245,10 +254,19 @@ class FieldTower:
             return self._log_mul(a, b)
         return self._mul_table.take(a * np.int32(self.q2) + b)
 
-    def _zech_add(self, a, b):
+    def zech_log(self, e):
+        """log(1 + t^e) for unit codes e < q^2-1, q^2-1 where 1 + t^e = 0:
+        the log table at t^e's packed value with its lowest base-p digit raised
+        by one, mod p.  Indices are not reduced: reduce them mod q^2-1 first."""
+        v = self._exp.take(e)
+        v += 1
+        v -= self.p * (v % self.p == 0)
+        return self._log_val.take(v)
+
+    def _log_add(self, a, b):
         n = self.n_units
         a, b = np.broadcast_arrays(a, b)
-        z = self._zech[(b - a) % n]
+        z = self.zech_log((b - a) % n)
         both = np.where(z == n, np.int32(n), (a + z) % n)
         return np.where(a == n, b, np.where(b == n, a, both)).astype(np.int32)
 
@@ -288,25 +306,40 @@ class FieldTower:
         return np.where(a == n, np.int32(n), (a.astype(np.int64) * j) % n).astype(np.int32)
 
     def vsum(self, arr, axis: int = -1):
-        """Field sum along an axis: the additive-table words of the codes,
-        summed as integers by _sum_words.  Zero codes read the zero word."""
+        """Field sum along an axis: the additive words of the codes, summed
+        as integers by _word_sum.  Zero codes read the zero word."""
         arr = np.moveaxis(np.asarray(arr, dtype=np.int32), axis, -1)
-        return self._sum_words(self._words.take(self._word_slots(arr)))
+        return self._word_sum(self._word_of(arr))
+
+    def _word_of(self, codes) -> np.ndarray:
+        """The additive words of codes 0 .. q^2-1, from the two halves of
+        their packed values; the zero code's value 0 has the zero word."""
+        # int64, numpy's index type: a take converts an int32 index to it first
+        values = self._exp.take(codes).astype(np.int64)
+        high = values // self.q
+        values -= high * self.q
+        words = self._low_word.take(values)
+        words += self._high_word.take(high)
+        return words
 
     def _word_slots(self, codes) -> np.ndarray:
-        """int64 indices into the additive table: a nonzero code is its own
-        slot and zero is the last slot, 2(q^2-1)-1."""
+        """int64 slots for _sum_products: a nonzero code is its own slot and
+        zero is 2(q^2-1)-1."""
         codes = np.asarray(codes, dtype=np.int64)
         return np.where(codes == self.zero_code, 2 * self.n_units - 1, codes)
 
     def _sum_products(self, a, b) -> np.ndarray:
         """Codes of sum_l x_l * y_l along the last axis, for slot arrays a and
         b of x and y (broadcast).  The slot sum of two nonzero codes is the
-        log of their product, at most 2(q^2-1)-2; with a zero factor it is at
-        least the zero slot, and clipping to the table reads the zero word."""
-        return self._sum_words(self._words.take(a + b, mode="clip"))
+        log of their product, at most 2(q^2-1)-2, taken mod q^2-1; with a zero
+        factor it is at least 2(q^2-1)-1, and any such sum reads the zero word."""
+        n = self.n_units
+        slots = a + b
+        codes = slots % n
+        np.copyto(codes, n, where=slots >= 2 * n - 1)
+        return self._word_sum(self._word_of(codes))
 
-    def _sum_words(self, words) -> np.ndarray:
+    def _word_sum(self, words) -> np.ndarray:
         """Codes of the field sums of additive-form words along the last axis.
 
         Up to _word_terms words add as plain integers with no carry between
@@ -336,6 +369,25 @@ class FieldTower:
         images stably, so every fiber is one slice, already ordered by code,
         and all of them are read with one gather.
         """
+        order, bounds = self._fiber_table(amap)
+        rhs = np.asarray(rhs, dtype=np.int64)
+        starts = bounds[rhs]
+        counts = bounds[rhs + 1] - starts
+        owner = np.repeat(np.arange(len(rhs)), counts)
+        ends = np.cumsum(counts)
+        # solution j of fiber i is entry j - (ends[i] - counts[i]) of fiber i's slice
+        return owner, order[np.arange(len(owner)) + (starts - ends + counts)[owner]]
+
+    def fiber_sizes(self, amap: AdditiveMap, rhs) -> np.ndarray:
+        """|{y : map(y) = rhs[i]}| for each i, read from the fiber table of
+        solve_additive without listing the solutions."""
+        bounds = self._fiber_table(amap)[1]
+        rhs = np.asarray(rhs, dtype=np.int64)
+        return bounds[rhs + 1] - bounds[rhs]
+
+    def _fiber_table(self, amap: AdditiveMap) -> tuple[np.ndarray, np.ndarray]:
+        """(order, bounds): the codes sorted stably by their image under the
+        map, and where each image value's slice of them starts."""
         table = self._fibers.get(amap)
         if table is None:
             y = np.arange(self.q2, dtype=np.int32)
@@ -350,14 +402,7 @@ class FieldTower:
             order = np.argsort(images, kind="stable")
             bounds = np.searchsorted(images[order], np.arange(self.q2 + 1))
             table = self._fibers[amap] = (order, bounds)
-        order, bounds = table
-        rhs = np.asarray(rhs, dtype=np.int64)
-        starts = bounds[rhs]
-        counts = bounds[rhs + 1] - starts
-        owner = np.repeat(np.arange(len(rhs)), counts)
-        ends = np.cumsum(counts)
-        # solution j of fiber i is entry j - (ends[i] - counts[i]) of fiber i's slice
-        return owner, order[np.arange(len(owner)) + (starts - ends + counts)[owner]]
+        return table
 
     # -- misc ----------------------------------------------------------------
 

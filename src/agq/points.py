@@ -6,7 +6,7 @@ h'(alpha_i) are always the product over the set, never a closed form;
 closed forms from the underlying theory show up only as test oracles.
 Point sets and twist vectors are read-only int32 arrays of exponent codes.
 The product is taken as a sum of discrete logs over those codes, one numpy
-gather from the Zech table a block of rows at a time, and once per orbit of
+read of Zech logs a block of rows at a time, and once per orbit of
 the set's multiplicative stabilizer: the stabilizer is found by checking
 shifts of the codes, never read from the family or its parameters.  The
 twist vector is computed on the whole code array too.
@@ -34,8 +34,8 @@ FAMILY_COSET_UNION = "coset_union"
 FAMILY_AFFINE_GRID = "affine_grid"
 FAMILY_EXPLICIT = "explicit"
 
-# table reads per block of rows, in local derivatives (Zech table, one row per
-# stabilizer orbit) and in codes.hermitian_gram (additive table, one column per
+# table reads per block of rows, in local derivatives (Zech logs, one row per
+# stabilizer orbit) and in codes.hermitian_gram (additive words, one column per
 # orbit of the checked symmetry plus the zero point): 2 MB of int64 indices
 _GATHER_ENTRIES = 1 << 18
 
@@ -196,7 +196,8 @@ def local_derivatives(eval_set: EvaluationSet) -> np.ndarray:
     """log h'(alpha_i), h'(alpha_i) = prod_{j != i} (alpha_i - alpha_j), for
     every point, as an int64 code array.
 
-    For nonzero a and -b, log(a - b) = a + zech[log(-b) - a].  The j = i term
+    For nonzero a and -b, log(a - b) = a + zech[log(-b) - a], the Zech log
+    (FieldTower.zech_log) at log(-b) - a mod q^2-1.  The j = i term
     reads zech[log(-1)] = log 0 = q^2-1, which is 0 mod q^2-1, so a nonzero
     point's row is (n-1)*a plus the Zech reads over every nonzero point; the
     zero point, if any, contributes just its a.  The Zech row sum is still
@@ -218,8 +219,7 @@ def local_derivatives(eval_set: EvaluationSet) -> np.ndarray:
     rows = max(1, _GATHER_ENTRIES // max(1, len(negs)))
     for start in range(0, len(reps), rows):
         a = reps[start : start + rows]
-        # the table has q^2-1 entries, so mode="wrap" reduces log(-b) - a mod q^2-1
-        zechs = tower._zech.take(negs[None, :] - a[:, None], mode="wrap")
+        zechs = tower.zech_log((negs[None, :] - a[:, None]) % n_units)
         sums[start : start + rows] = zechs.sum(axis=1, dtype=np.int64)
     out = np.empty(len(codes), dtype=np.int64)
     # the nonzero points are the representatives times 1, t^s, t^2s, ...

@@ -3,11 +3,16 @@
 agq computes on exponent codes only: an int or an int32 array entry, with
 q^2-1 standing for zero.  Scalar wraps one code in a tower with operators,
 so that a test can write a field identity as it reads and set it against the
-vector kernels.  Its addition reads the Zech table one element at a time,
-while vadd on a tower with q^2 <= 2^9 gathers from the Cayley table.
+vector kernels.  Its addition reads a Zech table of its own, one element at a
+time, built from the powers of t that loop_exp_values lists exponent by
+exponent from the modulus; no table of the tower is read.
 """
 
 from __future__ import annotations
+
+import functools
+
+import numpy as np
 
 
 class Scalar:
@@ -35,7 +40,7 @@ class Scalar:
             return other
         if b == n:
             return self
-        z = int(self.tower._zech[(b - a) % n])  # log(1 + t^(b-a))
+        z = int(loop_zech(self.tower)[(b - a) % n])  # log(1 + t^(b-a))
         return Scalar(self.tower, n if z == n else (a + z) % n)
 
     def __neg__(self) -> Scalar:
@@ -103,7 +108,7 @@ def gen(tower) -> Scalar:
 
 def from_value(tower, value: int) -> Scalar:
     """The element with packed base-p coordinate value 0 <= value < q^2."""
-    return Scalar(tower, tower._log_val[value])
+    return Scalar(tower, loop_log_values(tower)[value])
 
 
 def from_int(tower, c: int) -> Scalar:
@@ -122,3 +127,48 @@ def field_elements(tower):
 def subfield_elements(tower):
     """All q elements of GF(q): t^0, t^(q+1), ..., then 0."""
     return [Scalar(tower, j * (tower.q + 1)) for j in range(tower.q)]
+
+
+def loop_exp_values(tower):
+    """Reference oracle: the packed values of t^0 .. t^(n-1), exponent by
+    exponent, as the exp table was first built; computed once per field."""
+    return _loop_tables(tower.p, tower.m, tower.modulus)[0]
+
+
+def loop_log_values(tower):
+    """The inverse of loop_exp_values: the exponent of each packed value,
+    q^2-1 at the value 0."""
+    return _loop_tables(tower.p, tower.m, tower.modulus)[1]
+
+
+def loop_zech(tower):
+    """zech[e] = log(1 + t^e) for e < q^2-1, from the loop oracle alone."""
+    return _loop_tables(tower.p, tower.m, tower.modulus)[2]
+
+
+def plus_one(p, values):
+    """The packed values of x + 1 for packed values x in characteristic p:
+    the lowest base-p digit raised by one, mod p."""
+    return values - values % p + (values % p + 1) % p
+
+
+@functools.cache
+def _loop_tables(p, m, modulus):
+    deg, n = 2 * m, p ** (2 * m) - 1
+    exp_val = np.zeros(n, dtype=np.int64)
+    digits = [0] * deg
+    digits[0] = 1
+    weights = [p ** i for i in range(deg)]
+    for e in range(n):
+        exp_val[e] = sum(d * w for d, w in zip(digits, weights))
+        carry = digits[deg - 1]
+        digits = [0] + digits[: deg - 1]
+        if carry:
+            for i in range(deg):
+                digits[i] = (digits[i] - carry * modulus[i]) % p
+    log_val = np.full(n + 1, n, dtype=np.int32)
+    log_val[exp_val] = np.arange(n, dtype=np.int32)
+    tables = exp_val, log_val, log_val[plus_one(p, exp_val)]
+    for table in tables:
+        table.flags.writeable = False
+    return tables

@@ -19,6 +19,7 @@ from agq.codes import (
     import_matrix,
 )
 from agq.constructions import (
+    CertifiedCode,
     ConstructionRequest,
     construct,
     deep_dimension,
@@ -74,8 +75,17 @@ def test_criterion_1_example_pipeline_q13():
 
 
 def test_criterion_2_reference_matrices():
+    """The stored MDS matrices, and f16_24_4, a [24,4] code over GF(16) whose
+    Gram is zero but which is not MDS: its systematic form shows it, its
+    classical distance is 20 of the Singleton 21, and its quantum code is
+    [[24,16,4]]_4 with defect 2."""
     results = []
-    for name, n, k in [("f49_22_5", 22, 5), ("f169_25_7", 25, 7), ("f289_33_9", 33, 9)]:
+    for name, n, k, mds in [
+        ("f49_22_5", 22, 5, True),
+        ("f169_25_7", 25, 7, True),
+        ("f289_33_9", 33, 9, True),
+        ("f16_24_4", 24, 4, False),
+    ]:
         text = (DATA / f"{name}.txt").read_text()
         # the stored rows without their identity block are another code, and
         # the Gram check names its first nonzero entry
@@ -87,9 +97,14 @@ def test_criterion_2_reference_matrices():
         certificate = certify(code)
         elapsed = time.perf_counter() - t0
         assert code.params() == (n, k)
-        assert certificate.mds, name
+        assert certificate.mds is mds, name
         assert elapsed < 1.0, f"{name} took {elapsed:.2f}s"
-        results.append(f"{name} [{n},{k}] gram+mds ({certificate.mds_method}) {elapsed * 1000:.0f}ms")
+        results.append(f"{name} [{n},{k}] gram+mds={mds} ({certificate.mds_method}) {elapsed * 1000:.0f}ms")
+    assert (code.tower.q2, certificate.mds_method) == (16, "systematic")
+    dist = exhaustive_distance(code)
+    assert (dist.value, dist.exact) == (20, True)
+    qp = stabilizer_params(CertifiedCode(code, certificate, (), None))
+    assert (qp.params_string(), qp.d_exact, qp.defect) == ("[[24,16,4]]_4", True, 2)
     report(2, "; ".join(results))
 
 

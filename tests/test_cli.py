@@ -497,3 +497,21 @@ def test_curve_chain_and_grid_requests_do_not_import_numpy_ma():
     *chains, loaded = out.rstrip().split("\n")
     assert chains == ["1 ['CERTIFIED']"] * 6 + ["2 ['CERTIFIED', 'CERTIFIED']", "1 ['CERTIFIED']"]
     assert loaded == "False"
+
+
+def test_certifying_a_code_loads_no_openssl():
+    """Gram digests come from CPython's builtin SHA-256: importing agq and its
+    CLI, and constructing and certifying a code, never loads hashlib's OpenSSL
+    module (_hashlib), which would map libcrypto."""
+    script = (
+        "import sys\n"
+        "import agq, agq.cli\n"
+        "from agq.constructions import ConstructionRequest, construct\n"
+        "cert = construct(ConstructionRequest('c1', 2, 4, n=18))\n"
+        "print(cert.certificate.gram.digest, '_hashlib' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+    digest, loaded = out.split()
+    assert re.fullmatch("[0-9a-f]{64}", digest)
+    assert loaded == "False"

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import itertools
 import os
 import tracemalloc
@@ -304,9 +305,22 @@ def test_gram_detects_corruption():
     assert good.digest != cert.digest
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([(3, 1), (2, 2), (13, 1), (2, 5)]), st.integers(0, 6), st.integers(0, 9), st.integers(0, 2 ** 32 - 1))
+def test_digest_matches_hashlib_sha256(pm, k, extra, seed):
+    """_digest, from CPython's builtin SHA-256 module, is hashlib's sha256 over
+    the same header and the Gram's int32 bytes, for square and empty Grams."""
+    tw = build_tower(*pm)
+    rng = np.random.default_rng(seed)
+    code = LinearCode(tw, rng.integers(0, tw.q2, (k, k + extra)), verify_rank=False)
+    gram = rng.integers(0, tw.q2, (k, k)).astype(np.int32)
+    want = hashlib.sha256(f"q2={tw.q2} n={k + extra} k={k};".encode() + gram.tobytes()).hexdigest()
+    assert _digest(code, gram) == want
+
+
 def zech_tree_gram(code):
     """Reference oracle: the Gram certificate as hermitian_gram formed it before
-    the additive table, every product by vmul and every entry by the Zech tree."""
+    additive words, every product by vmul and every entry by the Zech tree."""
     tw = code.tower
     m = zech_tree_sum(tw, tw.vmul(code.g[:, None, :], tw.vfrob(code.g)[None, :, :]), axis=-1)
     nz = np.argwhere(m != tw.zero_code)

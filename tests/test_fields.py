@@ -1,4 +1,3 @@
-import functools
 import importlib.util
 import itertools
 import json
@@ -6,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -33,7 +33,18 @@ from .modulus_search import (
     table_text,
 )
 
-from .scalar_field import Scalar, field_elements, from_int, from_value, gen, one, subfield_elements, zero
+from .scalar_field import (
+    Scalar,
+    field_elements,
+    from_int,
+    from_value,
+    gen,
+    loop_exp_values,
+    one,
+    plus_one,
+    subfield_elements,
+    zero,
+)
 
 TOWERS_SMALL = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (2, 3)]
 
@@ -308,7 +319,7 @@ def test_import_builds_no_tower_and_searches_no_modulus():
 def test_build_tower_shares_one_read_only_tower():
     tw = build_tower(2, 5)
     assert build_tower(2, 5) is tw
-    for table in (tw._zech, tw._words):
+    for table in (tw._log_val, tw._exp, tw._low_word, tw._high_word):
         with pytest.raises(ValueError):
             table[0] = table[1]
 
@@ -367,7 +378,7 @@ def test_table_of_moduli_matches_the_search():
 
 
 def tower_tables(tw):
-    tables = (tw._log_val, tw._zech, tw._words, tw._add_table, tw._mul_table)
+    tables = (tw._log_val, tw._exp, tw._low_word, tw._high_word, tw._add_table, tw._mul_table)
     return [None if t is None else t.tobytes() for t in tables]
 
 
@@ -700,30 +711,6 @@ def test_norm_preimage_property_suite(units):
 # -- table layer against independent oracles ---------------------------------------
 
 
-def loop_exp_values(tw):
-    """Reference oracle: the packed values of t^0 .. t^(n-1), exponent by
-    exponent, as the exp table was first built; computed once per field."""
-    return _loop_exp_values(tw.p, tw.m, tw.modulus)
-
-
-@functools.cache
-def _loop_exp_values(p, m, modulus):
-    deg, n = 2 * m, p ** (2 * m) - 1
-    exp_val = np.zeros(n, dtype=np.int64)
-    digits = [0] * deg
-    digits[0] = 1
-    weights = [p ** i for i in range(deg)]
-    for e in range(n):
-        exp_val[e] = sum(d * w for d, w in zip(digits, weights))
-        carry = digits[deg - 1]
-        digits = [0] + digits[: deg - 1]
-        if carry:
-            for i in range(deg):
-                digits[i] = (digits[i] - carry * modulus[i]) % p
-    exp_val.flags.writeable = False
-    return exp_val
-
-
 def blocked_exp_values(tw):
     """Reference oracle: the packed values of t^0 .. t^(n-1) from the blocked
     companion-matrix build that the doubling by gathers replaced: digit rows of a
@@ -748,19 +735,25 @@ def blocked_exp_values(tw):
 
 
 def assert_tables_match(tw, exp_val):
-    """The tower's log / Zech / additive tables are those that exp_val, the
-    packed value of each power of t, determines; the log table, a bijection
-    onto the exponents, determines exp_val in turn."""
+    """The tower's exp and log tables are exp_val, the packed value of each
+    power of t, and its inverse, each with the zero code at the value 0; the
+    Zech logs and additive words derived from them are those that exp_val
+    determines, and so is the word each slot sum of _sum_products reads."""
     p, deg, n = tw.p, 2 * tw.m, tw.n_units
     log_val = np.full(tw.q2, tw.zero_code, dtype=np.int32)
     log_val[exp_val] = np.arange(n, dtype=np.int32)
-    plus_one = exp_val - (exp_val % p) + (exp_val % p + 1) % p
-    for got, want in zip((tw._log_val, tw._zech), (log_val, log_val[plus_one])):
+    for got, want in ((tw._log_val, log_val), (tw._exp, np.append(exp_val, 0).astype(np.int32))):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-    # additive table: t^e's digits in fields of floor(63/2m) bits, e < 2(q^2-1)-1, then 0
+    units = np.arange(n)
+    assert np.array_equal(tw.zech_log(units), log_val[plus_one(p, exp_val)])
+    # additive words: t^e's digits in fields of floor(63/2m) bits, then the zero word
     words = sum(exp_val // p ** i % p << (63 // deg) * i for i in range(deg))
-    assert np.array_equal(tw._words, np.concatenate([words, words[:-1], [0]]))
+    assert np.array_equal(tw._word_of(np.arange(tw.q2)), np.append(words, 0))
+    # a slot sum s reads t^(s mod n) below 2n-1 and the zero word from 2n-1 on
+    slots = np.arange(2 * n + 2, dtype=np.int64)
+    want = np.append(np.concatenate([units, units[:-1]]), [tw.zero_code] * 3)
+    assert np.array_equal(tw._sum_products(slots[:, None], np.zeros(1, dtype=np.int64)), want)
 
 
 # every Conway field, every field a workload builds (GF(2^12), GF(3^8), GF(7^4),
@@ -790,9 +783,42 @@ def test_build_tables_across_block_boundaries(block):
     for tw in towers:
         assert_tables_match(tw, loop_exp_values(tw))
         shared = build_tower(tw.p, tw.m)
-        for name in ("_log_val", "_zech", "_words", "_add_table", "_mul_table"):
+        for name in ("_log_val", "_exp", "_low_word", "_high_word", "_add_table", "_mul_table"):
             got, want = getattr(tw, name), getattr(shared, name)
             assert (got is None and want is None) or np.array_equal(got, want), name
+
+
+def table_bytes(tw):
+    """Bytes of every array a tower holds but the Cayley tables, counting a
+    view's whole base; the fiber tables, filled on first use, are left out."""
+    cayley = (tw._add_table, tw._mul_table)
+    arrays = [v for v in vars(tw).values() if isinstance(v, np.ndarray) and not any(v is t for t in cayley)]
+    return sum((a if a.base is None else a.base).nbytes for a in arrays)
+
+
+@pytest.mark.parametrize("pm", sorted(set(WORKLOAD_FIELDS) | {(2, 10)}), ids=lambda pm: f"{pm[0]}^{2 * pm[1]}")
+def test_tower_keeps_eight_bytes_per_element(pm):
+    """A tower keeps two q^2-entry int32 tables, exp and log, and only
+    O(q) more: the word tables of the halves and the digit weights."""
+    tw = FieldTower(*pm, _moduli()[pm])
+    assert tw._exp.nbytes == tw._log_val.nbytes == 4 * tw.q2
+    assert table_bytes(tw) <= 8 * tw.q2 + 16 * tw.q + 1024
+
+
+def test_gf_2_20_build_peak_memory():
+    """A fresh GF(2^20) build holds nothing larger than the tables it keeps:
+    numpy reports its allocations to tracemalloc, so the traced peak is
+    deterministic, and it stays within the two tables' 8 q^2 bytes plus 2 MB
+    for the q-entry tables, the 3^10-entry digit-sum table and the block
+    buffers; 10 q^2 bytes in all.  (The 2(q^2-1)-word build buffer alone was
+    16 q^2.)"""
+    tracemalloc.start()
+    try:
+        tw = FieldTower(2, 10, _moduli()[2, 10])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * tw.q2 + (2 << 20)
 
 
 def test_non_primitive_modulus_is_rejected():
@@ -814,7 +840,7 @@ def test_non_primitive_table_entry_builds_no_tower():
 
 
 def zech_tree_sum(tw, arr, axis=-1):
-    """Reference oracle: the field sum that vsum took before the additive table,
+    """Reference oracle: the field sum that vsum took before additive words,
     a tree of vadd calls over the axis padded with zeros to a power of two."""
     arr = np.moveaxis(np.asarray(arr, dtype=np.int32), axis, -1)
     length = arr.shape[-1]
@@ -852,12 +878,12 @@ def kernel_operands(draw):
 @given(kernel_operands())
 def test_kernels_match_packed_digit_oracle(case):
     """Sums are digit-wise mod-p sums and products are batch_mulmod products of
-    the packed values, on the Cayley path, on _zech_add/_log_mul called directly,
+    the packed values, on the Cayley path, on _log_add/_log_mul called directly,
     and for the scalar operators."""
     tw, a, b = case
     p, z = tw.p, tw.zero_code
     assert (tw._add_table is not None) == (tw.q2 <= _CAYLEY_MAX_Q2)
-    sums = [tw.vadd(a, b), tw._zech_add(a, b)]
+    sums = [tw.vadd(a, b), tw._log_add(a, b)]
     prods = [tw.vmul(a, b), tw._log_mul(a, b)]
     diff, quot = tw.vsub(a, b), tw.vdiv(a, b)
     for out in sums + prods + [diff, quot]:
@@ -895,7 +921,7 @@ BROADCAST_SHAPES = [((5, 1), (5, 7)), ((5, 7), (5, 1)), ((1, 7), (5, 1)), ("int"
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from(KERNEL_TOWERS), st.sampled_from(BROADCAST_SHAPES), st.integers(0, 2 ** 32 - 1))
 def test_kernels_broadcast_their_operands(pm, shapes, seed):
-    """vadd and vmul on the Cayley path, and _zech_add and _log_mul called
+    """vadd and vmul on the Cayley path, and _log_add and _log_mul called
     directly, broadcast their operands as numpy does: every entry is the Scalar
     sum or product of the broadcast operands' entries, zero codes included."""
     tw = build_tower(*pm)
@@ -911,7 +937,7 @@ def test_kernels_broadcast_their_operands(pm, shapes, seed):
     pairs = [(Scalar(tw, x), Scalar(tw, y)) for x, y in zip(xs.ravel().tolist(), ys.ravel().tolist())]
     sums = [(x + y).code for x, y in pairs]
     prods = [(x * y).code for x, y in pairs]
-    for kernel, expected in ((tw.vadd, sums), (tw._zech_add, sums), (tw.vmul, prods), (tw._log_mul, prods)):
+    for kernel, expected in ((tw.vadd, sums), (tw._log_add, sums), (tw.vmul, prods), (tw._log_mul, prods)):
         out = kernel(a, b)
         assert np.shape(out) == xs.shape and np.asarray(out).dtype == np.int32
         assert np.ravel(out).tolist() == expected

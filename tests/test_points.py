@@ -453,8 +453,8 @@ def test_repeated_point_has_zero_derivative(p, m):
     assert got.value.index == 2
 
 
-# the seven towers of the original suite, plus GF(2^10), whose scalar sums read
-# the Zech table rather than a Cayley table
+# the seven towers of the original suite, plus GF(2^10), whose vector sums read
+# Zech logs rather than a Cayley table
 RESIDUE_TOWERS = [(3, 1), (2, 2), (5, 1), (7, 1), (11, 1), (2, 3), (3, 2), (2, 5)]
 
 
