@@ -9,11 +9,11 @@ as they do for an impure code.  A non-MDS code of more than
 config.EXHAUSTIVE_CAP words gets no classical distance ("d": null).  Output
 files are opened before the work starts.  All machine output is JSON (one
 object per command, or line-delimited for scans).  construct, verify and scan
-print one record per certified code (catalog_entry) and one per rejection
-(rejection_entry); their "request" is the construction request, or for
-verify the matrix file.  A request carries only construction, p, m, n, t, k
-and embed: coset leaders, the grid anchor and the elliptic constant are
-always agq's defaults.  construct and scan both take the construction's name
+print one record per certified code (catalog_entry), and they and export one
+per rejection (rejection_entry); its "request" is the construction request,
+or the matrix file.  A request carries only construction, p, m, n, t, k and
+embed: coset leaders, the grid anchor and the elliptic constant are always
+agq's defaults.  construct and scan both take the construction's name
 (--construction c7ii) and pass it on unchanged, so a name that no
 construction has is a BadRequest rejection.  A rejection whose cause is a
 nonzero Gram entry names that entry.  An AgqError that no command handles
@@ -168,15 +168,21 @@ def _read_matrix(args):
     return import_matrix(text, systematic_prefix=args.systematic_prefix)
 
 
-def cmd_verify(args) -> int:
+def _matrix_rejected(args, exc: AgqError, start: float) -> int:
+    """Print verify's or export's rejection record, which names the matrix file; its exit code."""
     request = {"file": args.file, "systematic_prefix": args.systematic_prefix}
+    _emit(rejection_entry(request, exc, time.perf_counter() - start))
+    return EXIT_PARSE if isinstance(exc, (ParseError, UnreadableInput)) else EXIT_REJECTED
+
+
+def cmd_verify(args) -> int:
     start = time.perf_counter()
     try:
         code = _read_matrix(args)
         certificate = certify(code)  # a nonzero Gram raises GramNonzero
     except AgqError as exc:
-        _emit(rejection_entry(request, exc, time.perf_counter() - start))
-        return EXIT_PARSE if isinstance(exc, (ParseError, UnreadableInput)) else EXIT_REJECTED
+        return _matrix_rejected(args, exc, start)
+    request = {"file": args.file, "systematic_prefix": args.systematic_prefix}
     _emit(catalog_entry(CertifiedCode(code, certificate, (), None), request, time.perf_counter() - start))
     return EXIT_OK
 
@@ -242,7 +248,7 @@ def _write_scan(args, out) -> None:
     best = {}
     passthrough = []
     for e in entries:
-        if not e["verdict"].startswith("CERTIFIED") or "quantum" not in e:
+        if not e["verdict"].startswith("CERTIFIED"):
             passthrough.append(e)
             continue
         key = (e["quantum"]["q"], e["quantum"]["n"], e["quantum"]["k"])
@@ -351,11 +357,11 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_export(args) -> int:
+    start = time.perf_counter()
     try:
         code = _read_matrix(args)
-    except (ParseError, UnreadableInput) as exc:
-        print(json.dumps({"verdict": f"REJECTED({type(exc).__name__})", "reason": str(exc)}))
-        return EXIT_PARSE
+    except AgqError as exc:
+        return _matrix_rejected(args, exc, start)
     text = export_matrix(code)
     # opened only after reading, so the output may overwrite the input file
     with _output(args.out) as fh:

@@ -5,9 +5,10 @@ MDS checks are computed from the matrix, never assumed from the way a code
 was built.  That holds for shortcuts too: each code's one structure record,
 LinearCode.structure, recognises a twisted-Vandermonde matrix and the orbits
 of a multiplicative symmetry on its own codes, points and norms alike, and
-the rank check, the Gram sum (once per orbit) and is_mds all read it.
-Matrices are numpy int32 arrays of exponent codes (tower convention: code
-q^2-1 is zero), so the hot loops are table lookups.
+the rank check, the Gram sum (once per orbit) and is_mds, where alone
+MDS-ness is decided, all read it.  Matrices are numpy int32 arrays of
+exponent codes (tower convention: code q^2-1 is zero), so the hot loops are
+table lookups.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class LinearCode:
     a G is a v-scaled Vandermonde determinant, nonzero, so its rank is k
     without rref, and is_mds reads the record as an MDS certificate.  With
     verify_rank, a G without the record is row-reduced and a rank below k
-    raises RankDefect; the MDS screen reads the same ``reduced`` form.
+    raises RankDefect; is_mds reads the same ``reduced`` form.
     """
 
     def __init__(self, tower: FieldTower, g: np.ndarray, provenance: str = "", verify_rank: bool = True):
@@ -361,18 +362,18 @@ def dual(code: LinearCode, kind: str = "euclidean") -> LinearCode:
 # -- distance oracles ------------------------------------------------------------
 
 
-def _word_blocks(tower: FieldTower, heads: np.ndarray, rows: np.ndarray, tail: np.ndarray):
-    """heads + every combination of rows + tail, one vadd per word, in blocks of at most _CHUNK words."""
+def _word_blocks(tower: FieldTower, heads: np.ndarray, rows: np.ndarray):
+    """heads + every combination of rows, one vadd per word, in blocks of at most _CHUNK words."""
     if len(rows) == 0:
-        yield tower.vadd(heads[:, None], tail[None]).reshape(-1, tail.shape[1])
+        yield heads
         return
     # the zero scalar comes first, so every extension of heads begins with heads itself
     scalars = np.roll(np.arange(tower.q2, dtype=np.int32), 1)
-    step = max(1, _CHUNK // (len(heads) * len(tail)))
+    step = max(1, _CHUNK // len(heads))
     for s in range(0, tower.q2, step):
         scaled = tower.vmul(scalars[s : s + step, None], rows[0])
         more = tower.vadd(scaled[:, None], heads[None]).reshape(-1, heads.shape[1])
-        yield from _word_blocks(tower, more, rows[1:], tail)
+        yield from _word_blocks(tower, more, rows[1:])
 
 
 def exhaustive_distance(code: LinearCode) -> DistanceResult:
@@ -398,13 +399,8 @@ def exhaustive_distance(code: LinearCode) -> DistanceResult:
     live = t != zero
     root = tower.vneg(tower.vinv(t[live]))  # h_j * root_j = -h_j/t_j
     best, witness = int(live.sum()) or n + 1, t
-    # table[:q2**r] holds every combination of the last r head rows, r <= low
-    low = max((r for r in range(k - 1) if q2 ** r <= _CHUNK), default=0)
-    zero_row = np.full((1, n), zero, dtype=np.int32)
-    (table,) = _word_blocks(tower, zero_row, code.g[k - 1 - low : k - 1][::-1], zero_row)
     for i in range(k - 1):
-        tail = table[: q2 ** min(k - 2 - i, low)]
-        for heads in _word_blocks(tower, code.g[i : i + 1], code.g[i + 1 : max(i + 1, k - 1 - low)], tail):
+        for heads in _word_blocks(tower, code.g[i : i + 1], code.g[i + 1 : k - 1]):
             keys = tower.vmul(heads[:, live], root) + q2 * np.arange(len(heads))[:, None]
             hits = np.bincount(keys.ravel(), minlength=len(heads) * q2).reshape(-1, q2)
             weights = n - (heads[:, ~live] == zero).sum(axis=1)[:, None] - hits
@@ -650,28 +646,38 @@ def is_mds(code: LinearCode) -> tuple[bool | None, tuple | None, str, DistanceRe
     """Is every k-subset of the columns of G independent, and what is d(C^perp)?
 
     The two questions are one: every k columns are independent exactly when
-    d(C^perp) = k+1.  An exact structural certificate decides MDS when it can:
-    a twisted-Vandermonde row shape, or a reduced systematic form [I | A] with
-    a pivot past column k-1, a zero in A, or a generalized-Cauchy A, each
-    verified entry by entry.  An MDS code has d(C^perp) = k+1 (Singleton).
-    Otherwise the column scan (AGQ_CAP_OPS caps it) gives d(C^perp) and, where
-    no certificate applied, the verdict: exact k+1 is MDS, an exact d <= k is
-    not (the dependent set padded with the lowest unused columns is a singular
-    k-subset), and a lower bound leaves the flag None.
-    Returns (flag, singular_witness_columns, method, dual_distance).
+    d(C^perp) = k+1 (Singleton).  This is the one place the verdict is made,
+    in order: a structure record is MDS ("vandermonde"); so is a reduced form
+    [I | A] whose A has at most one column ("systematic") or is generalized
+    Cauchy ("cauchy", _cauchy_verify), while a pivot past column k-1 or a zero
+    of A is a singular k-subset ("systematic"), and the scan then gives only
+    d(C^perp).  Otherwise the column scan (AGQ_CAP_OPS caps it) decides: exact
+    k+1 is MDS, an exact d <= k is not (the dependent set padded with the
+    lowest unused columns is a singular k-subset), and a lower bound leaves
+    the flag None.  Returns (flag, singular_witness_columns, method, dual_distance).
     """
     k, n = code.k, code.n
     if k == 0:
         return True, None, "degenerate", DistanceResult(1, True, None, "mds-singleton")
+    singleton = DistanceResult(k + 1, True, None, "mds-singleton")
     if code.structure is not None:
-        verdict = (True, None, "vandermonde")
-    else:
-        verdict = _systematic_mds_screen(code)
-    if verdict is not None and verdict[0]:
-        return (*verdict, DistanceResult(k + 1, True, None, "mds-singleton"))
+        return True, None, "vandermonde", singleton
+    r, pivots = code.reduced
+    a = r[:, k:]
+    zeros = np.argwhere(a == code.tower.zero_code)
+    singular = None
+    if pivots != tuple(range(k)):
+        singular = tuple(range(k))
+    elif zeros.size:  # a[i, j] = 0: column k+j is in the span of the unit columns but i
+        i, j = (int(v) for v in zeros[0])
+        singular = tuple(c for c in range(k) if c != i) + (k + j,)
+    elif n - k <= 1:  # no square submatrix beyond the nonzero entries
+        return True, None, "systematic", singleton
+    elif _cauchy_verify(code.tower, a):
+        return True, None, "cauchy", singleton
     dd = dual_distance_by_columns(code)
-    if verdict is not None:
-        return (*verdict, dd)
+    if singular is not None:
+        return False, singular, "systematic", dd
     if not dd.exact:
         return None, None, dd.method, dd
     if dd.value == k + 1:
@@ -680,67 +686,32 @@ def is_mds(code: LinearCode) -> tuple[bool | None, tuple | None, str, DistanceRe
     return False, tuple(sorted(dd.witness + tuple(pad))), dd.method, dd
 
 
-def _systematic_mds_screen(code: LinearCode):
-    """Fast exact verdicts from the reduced systematic form, or None.
-
-    After row reduction to [I | A]: a pivot outside the first k columns or
-    a zero entry of A witnesses a singular k-subset immediately; an A that
-    verifies as a generalized Cauchy matrix c_i*d_j/(x_i - y_j) certifies
-    MDS (every square Cauchy submatrix is nonsingular).  Anything murkier
-    returns None and the column scan decides.
-    """
-    tower = code.tower
-    zero = tower.zero_code
-    k, n = code.k, code.n
-    r, pivots = code.reduced
-    if pivots != tuple(range(k)):
-        return False, tuple(range(k)), "systematic"
-    a = r[:, k:]
-    zpos = np.argwhere(a == zero)
-    if zpos.size:
-        i, j = (int(v) for v in zpos[0])
-        witness = tuple(sorted(set(range(k)) - {i})) + (k + j,)
-        return False, tuple(sorted(witness)), "systematic"
-    m = n - k
-    if m <= 1:
-        return True, None, "systematic"  # no square submatrix beyond nonzero entries, or none at all
-    if _cauchy_verify(tower, a):
-        return True, None, "cauchy"
-    return None
-
-
 def _cauchy_verify(tower: FieldTower, a: np.ndarray) -> bool:
     """Is a (at least 2 x 2) a generalized Cauchy matrix c_i*d_j/(x_i - y_j)
     with all x_i and y_j distinct, one of them possibly the point at infinity
     of the projective line (a row or a column c_i*d_j)?
 
     In homogeneous coordinates such a matrix is a[i][j] = 1/det(P_i, Q_j) for
-    points P_i, Q_j of the line, and every square submatrix has a nonzero
-    Cauchy determinant.  So the entrywise inverse b must have rank 2, each row
-    a combination s_i*b[0] + t_i*b[1] (P_i = (s_i : t_i), P_0 = (1 : 0),
-    P_1 = (0 : 1)), with the row points distinct and the column points
-    (b[0][j] : b[1][j]) distinct.  A matrix with a zero entry is rejected
-    first, which keeps every division below defined.  Returns False on any
-    degeneracy; the column scan then decides.
+    points P_i, Q_j of the line, so its entrywise inverse b = 1/a is X.Y with
+    X of shape k x 2 (the P_i) and Y of shape 2 x m (the Q_j).  Every square
+    submatrix of a is then a Cauchy determinant, nonzero exactly when its row
+    points are distinct and so are its column points.  So a verifies when it
+    has no zero entry, b has rank 2, and no two rows and no two columns of b
+    are proportional: with rank 2, rows i and i' of b are proportional exactly
+    when P_i = P_i', and columns j and j' exactly when Q_j = Q_j'.
     """
-    zero = tower.zero_code
-    if (a == zero).any():
+    if (a == tower.zero_code).any():
         return False
     b = tower.vinv(a)
-    # s_i, t_i from columns 0 and 1 by Cramer's rule
-    det = tower.vsub(tower.vmul(b[0, 0], b[1, 1]), tower.vmul(b[0, 1], b[1, 0]))
-    if det == zero:
+    # rref steps once per column: take the side with fewer
+    if rank(tower, b if b.shape[1] <= b.shape[0] else b.T) != 2:
         return False
-    s = tower.vdiv(tower.vsub(tower.vmul(b[2:, 0], b[1, 1]), tower.vmul(b[2:, 1], b[1, 0])), det)
-    t = tower.vdiv(tower.vsub(tower.vmul(b[0, 0], b[2:, 1]), tower.vmul(b[0, 1], b[2:, 0])), det)
-    combination = tower.vadd(tower.vmul(s[:, None], b[0]), tower.vmul(t[:, None], b[1]))
-    if not np.array_equal(b[2:], combination) or (s == zero).any() or (t == zero).any():
-        return False
-    # P_i = P_0 or P_1 exactly when t_i or s_i is 0; other points are distinct
-    # exactly when their ratios are, and so are the column points
-    for ratios in (tower.vdiv(s, t), tower.vdiv(b[1], b[0])):
-        ordered = np.sort(ratios)
-        if (ordered[1:] == ordered[:-1]).any():
+    for lines in (b, b.T):
+        # rows scaled to lead with 1 are equal exactly when proportional; sort and
+        # compare neighbours, as np.unique imports numpy.ma on its first call
+        scaled = tower.vdiv(lines, lines[:, :1])
+        scaled = scaled[np.lexsort(scaled.T)]
+        if (scaled[1:] == scaled[:-1]).all(axis=1).any():
             return False
     return True
 

@@ -145,6 +145,8 @@ def construct_chain(request: ConstructionRequest) -> list[CertifiedCode]:
     start = perf_counter()
     if request.k is not None and request.k < 1:
         raise BadRequest(f"k must be at least 1, got {request.k}")
+    if request.embed not in ("none", "once", "iterate", "deep"):
+        raise BadRequest(f"unknown embedding policy {request.embed!r}")
     tower = build_tower(request.p, request.m)
     if request.embed == "deep":
         if request.construction != "c1" or request.k is not None:
@@ -168,8 +170,6 @@ def construct_chain(request: ConstructionRequest) -> list[CertifiedCode]:
         chain.append(embed_once(base))
     elif request.embed == "iterate":
         chain = _embed_until_rejected(chain[0])
-    elif request.embed != "none":
-        raise BadRequest(f"unknown embedding policy {request.embed!r}")
     return chain
 
 

@@ -386,8 +386,8 @@ class FieldTower:
         return bounds[rhs + 1] - bounds[rhs]
 
     def _fiber_table(self, amap: AdditiveMap) -> tuple[np.ndarray, np.ndarray]:
-        """(order, bounds): the codes sorted stably by their image under the
-        map, and where each image value's slice of them starts."""
+        """(order, bounds), int32: the codes sorted stably by their image under
+        the map, and where each image value's slice of them starts."""
         table = self._fibers.get(amap)
         if table is None:
             y = np.arange(self.q2, dtype=np.int32)
@@ -401,7 +401,7 @@ class FieldTower:
                 images = self.vsub(self.vfrob(y), y)
             order = np.argsort(images, kind="stable")
             bounds = np.searchsorted(images[order], np.arange(self.q2 + 1))
-            table = self._fibers[amap] = (order, bounds)
+            table = self._fibers[amap] = (order.astype(np.int32), bounds.astype(np.int32))
         return table
 
     # -- misc ----------------------------------------------------------------

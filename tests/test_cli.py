@@ -173,6 +173,27 @@ def test_verify_parse_error_exit_4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, exit_code",
+    [
+        pytest.param("q2=3^2 n=3 k=1\nt^1 nope t^2\n", 4, id="bad-token"),
+        pytest.param("q2=4^2 n=2 k=1\n1 1\n", 2, id="not-prime"),
+    ],
+)
+def test_export_rejects_a_matrix_file_as_verify_does(tmp_path, capsys, text, exit_code):
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    records = []
+    for command in ("verify", "export"):
+        code, out = run_cli(capsys, command, str(f))
+        assert code == exit_code
+        entry = json.loads(out)
+        del entry["time_s"]
+        records.append(entry)
+    assert records[0] == records[1]
+    assert records[1]["request"] == {"file": str(f), "systematic_prefix": False}
+
+
+@pytest.mark.parametrize(
     "argv, verdict, exit_code",
     [
         pytest.param(("verify", "missing.txt"), "REJECTED(UnreadableInput)", 4, id="argv0-REJECTED(UnreadableInput)-4"),

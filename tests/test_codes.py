@@ -281,6 +281,68 @@ def test_cauchy_verify_accepts_cauchy_matrices_and_rejects_changes(case):
     assert not _cauchy_verify(tw, cauchy_matrix(tw, x, repeated_y, c, d, nonzero))
 
 
+def every_minor_nonzero(tw, a):
+    """Test-side oracle: every square submatrix of a is nonsingular, by row_by_row_rref."""
+    k, m = a.shape
+    for size in range(1, min(k, m) + 1):
+        for rows in itertools.combinations(range(k), size):
+            for cols in itertools.combinations(range(m), size):
+                if len(row_by_row_rref(tw, a[np.ix_(rows, cols)])[1]) < size:
+                    return False
+    return True
+
+
+@st.composite
+def small_cauchy_cases(draw):
+    """(tower, A, expected _cauchy_verify or None): A of 2-4 x 2-5 over GF(4) to
+    GF(49), random, or c_i*d_j/(x_i - y_j) from points of the projective line
+    (at least one time in two one of them None, at infinity) that are
+    distinct (True), have one point repeated among the x or among the y
+    (False), or are distinct with one entry changed (None)."""
+    tw = build_tower(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])))
+    k = draw(st.integers(2, min(4, tw.q2 - 1)))
+    m = draw(st.integers(2, min(5, tw.q2 + 1 - k)))  # k + m points of the line
+    kind = draw(st.sampled_from(["random", "distinct", "repeated", "changed"]))
+    if kind == "random":
+        codes = draw(st.lists(st.integers(0, tw.zero_code), min_size=k * m, max_size=k * m))
+        return tw, np.asarray(codes, dtype=np.int32).reshape(k, m), None
+    el = lambda c: Scalar(tw, c)
+    points = draw(st.lists(st.integers(0, tw.q2), min_size=k + m, max_size=k + m, unique=True))
+    if draw(st.booleans()) and tw.q2 not in points:
+        points[draw(st.integers(0, k + m - 1))] = tw.q2
+    xy = [None if v == tw.q2 else el(v) for v in points]  # q^2 stands for infinity
+    x, y = xy[:k], xy[k:]
+    if kind == "repeated":
+        side = x if draw(st.booleans()) else y
+        i, j = draw(st.lists(st.integers(0, len(side) - 1), min_size=2, max_size=2, unique=True))
+        side[j] = side[i]
+    c = [el(v) for v in draw(st.lists(st.integers(0, tw.n_units - 1), min_size=k, max_size=k))]
+    d = [el(v) for v in draw(st.lists(st.integers(0, tw.n_units - 1), min_size=m, max_size=m))]
+    a = cauchy_matrix(tw, x, y, c, d, draw(st.integers(0, tw.n_units - 1)))
+    if kind == "changed":
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, m - 1))
+        a[i, j] = (a[i, j] + draw(st.integers(1, tw.n_units))) % tw.q2
+        return tw, a, None
+    return tw, a, kind == "distinct"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_cauchy_cases())
+def test_cauchy_verify_against_every_minor(case):
+    """_cauchy_verify (no zero, rank 2 of 1/A, no proportional rows or columns
+    of 1/A) against every square submatrix of A.  With two rows or two
+    columns the two are the same; otherwise Cauchy implies every minor is
+    nonzero.  Distinct points verify and a repeated point never does."""
+    tw, a, expected = case
+    got = _cauchy_verify(tw, a)
+    if expected is not None:
+        assert got == expected
+    if min(a.shape) == 2:
+        assert got == every_minor_nonzero(tw, a)
+    elif got:
+        assert every_minor_nonzero(tw, a)
+
+
 def test_hermitian_curve_code_64_3():
     cert = construct(ConstructionRequest("c7i", 2, 2, n=16, k=8))
     assert cert.code.params() == (64, 3)

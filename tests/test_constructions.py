@@ -17,7 +17,7 @@ from agq.constructions import (
     thm_key_k_max,
 )
 from agq.curves import rr_basis
-from agq.errors import DivisibilityViolated, EmbeddingRejected, GramNonzero, RankDefect
+from agq.errors import BadRequest, DivisibilityViolated, EmbeddingRejected, GramNonzero, RankDefect
 from agq.fields import build_tower
 
 from .test_codes import zech_tree_gram
@@ -28,6 +28,18 @@ def test_c1_q13_k2_certified():
     assert cert.code.params() == (25, 2)
     assert cert.certificate.gram.all_zero
     assert cert.certificate.mds
+
+
+def test_unknown_embedding_policy_is_rejected_before_any_work(monkeypatch):
+    """A misspelled policy is a BadRequest before the base is built, even for a
+    base that would fail its own Gram check."""
+
+    def no_certify(code):
+        raise AssertionError("certify ran before the embedding policy was checked")
+
+    monkeypatch.setattr(agq.constructions, "certify", no_certify)
+    with pytest.raises(BadRequest, match="sideways"):
+        construct_chain(ConstructionRequest("c1", 11, 1, n=16, k=5, embed="sideways"))
 
 
 def test_c1_default_k_is_stated_max():

@@ -118,6 +118,15 @@ def test_fiber_sizes():
     assert fiber_sizes(artin, explicit_set(tw3, [tw3.zero_code])) == [3]
 
 
+def test_fiber_table_holds_eight_bytes_per_element():
+    """The y^2+y table that x_support reads over GF(2^16) holds int32 codes
+    and bounds: at most 8 q^2 + 8 bytes, as the tower's own tables."""
+    tw = build_tower(2, 8)
+    x_support(curve(CurveFamily.ELLIPTIC, tw))
+    order, bounds = tw._fiber_table(AdditiveMap.SQUARE_PLUS_Y)
+    assert order.nbytes + bounds.nbytes <= 8 * tw.q2 + 8
+
+
 def test_fiber_empty_outside_support():
     tw3 = build_tower(3, 1)
     artin = curve(CurveFamily.ARTIN_SCHREIER, tw3, t=2)
