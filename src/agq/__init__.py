@@ -9,7 +9,6 @@ from .codes import (
     GramCertificate,
     LinearCode,
     certify,
-    dual,
     dual_distance_by_columns,
     evaluation_code,
     exhaustive_distance,
@@ -75,7 +74,6 @@ __all__ = [
     "coset_union_set",
     "curve",
     "deep_dimension",
-    "dual",
     "dual_distance_by_columns",
     "embed_iterate",
     "embed_once",

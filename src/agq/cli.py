@@ -39,7 +39,7 @@ from .codes import (
     hermitian_gram,  # noqa: F401 -- bound here too; agqbench's tracer test wraps this binding
     import_matrix,
 )
-from .constructions import CertifiedCode, ConstructionRequest, construct_chain
+from .constructions import _EMBED_STEPS, CertifiedCode, ConstructionRequest, construct_chain
 from .errors import AgqError, BadRequest, CapExceeded, GramNonzero, ParseError
 from .errors import UnreadableInput, UnwritableOutput
 from .fields import build_tower
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--n", type=int)
     pc.add_argument("--t", type=int)
     pc.add_argument("--k", type=int)
-    pc.add_argument("--embed", choices=["none", "once", "iterate", "deep"], default="none")
+    pc.add_argument("--embed", choices=list(_EMBED_STEPS), default="none")
     pc.add_argument("--matrix-out", help="write the generator matrix here")
     pc.set_defaults(func=cmd_construct)
 
@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n", type=int)
     ps.add_argument("--t", type=int)
     ps.add_argument("--k", type=int)
-    ps.add_argument("--embed", choices=["none", "once", "iterate", "deep"], default="iterate")
+    ps.add_argument("--embed", choices=list(_EMBED_STEPS), default="iterate")
     ps.add_argument("--out", help="write line-delimited JSON here (default stdout)")
     ps.set_defaults(func=cmd_scan)
 

@@ -1,7 +1,7 @@
 """Generator-matrix algebra over GF(q^2).
 
-Everything here is oracle-grade: Gram certification, duals, distances and
-MDS checks are computed from the matrix, never assumed from the way a code
+Everything here is oracle-grade: Gram certification, distances and MDS
+checks are computed from the matrix, never assumed from the way a code
 was built.  That holds for shortcuts too: each code's one structure record,
 LinearCode.structure, recognises a twisted-Vandermonde matrix and the orbits
 of a multiplicative symmetry on its own codes, points and norms alike, and
@@ -196,20 +196,6 @@ def rank(tower: FieldTower, mat: np.ndarray) -> int:
     return len(pivots)
 
 
-def kernel_basis(tower: FieldTower, mat: np.ndarray) -> np.ndarray:
-    """Rows spanning the right kernel {x : mat @ x^T = 0}."""
-    zero = tower.zero_code
-    r, pivots = rref(tower, mat)
-    n = mat.shape[1]
-    free = [c for c in range(n) if c not in pivots]
-    out = np.full((len(free), n), zero, dtype=np.int32)
-    for row_idx, f in enumerate(free):
-        out[row_idx, f] = 0  # coefficient 1
-        for i, pc in enumerate(pivots):
-            out[row_idx, pc] = tower.vneg(r[i, f])
-    return out
-
-
 def batched_dependent(tower: FieldTower, mats: np.ndarray) -> np.ndarray:
     """Which matrices in a (B, r, c) batch (c <= r) have dependent columns.
 
@@ -340,23 +326,6 @@ def _digest(code: LinearCode, gram: np.ndarray) -> str:
     h.update(f"q2={code.tower.q2} n={code.n} k={code.k};".encode())
     h.update(np.ascontiguousarray(gram, dtype=np.int32).tobytes())
     return h.hexdigest()
-
-
-def dual(code: LinearCode, kind: str = "euclidean") -> LinearCode:
-    """Euclidean dual via row reduction; Hermitian dual as (C^q)^perp."""
-    tower = code.tower
-    if kind == "euclidean":
-        base = code.g
-    elif kind == "hermitian":
-        base = tower.vfrob(code.g)
-    else:
-        raise ValueError(f"unknown dual kind {kind!r}")
-    if code.k == 0:
-        eye = np.full((code.n, code.n), tower.zero_code, dtype=np.int32)
-        np.fill_diagonal(eye, 0)
-        return LinearCode(tower, eye, provenance=f"dual-{kind}({code.provenance})")
-    k = kernel_basis(tower, base)
-    return LinearCode(tower, k, provenance=f"dual-{kind}({code.provenance})", verify_rank=False)
 
 
 # -- distance oracles ------------------------------------------------------------

@@ -48,7 +48,7 @@ class ConstructionRequest:
     n: int | None = None
     t: int | None = None
     k: int | None = None
-    embed: str = "none"  # none | once | iterate | deep
+    embed: str = "none"  # a key of _EMBED_STEPS
 
 
 @dataclass(frozen=True)
@@ -62,36 +62,24 @@ class CertifiedCode:
     twist: np.ndarray | None = None
     build_s: float = 0.0  # wall time to build and certify this member alone
 
-    @property
-    def n(self) -> int:
-        return self.code.n
-
-    @property
-    def k(self) -> int:
-        return self.code.k
-
 
 def _line_chain_member(
     eval_set: EvaluationSet,
     twist: np.ndarray,
-    k: int,
+    g: np.ndarray,
     provenance: str,
     trace: tuple,
 ) -> CertifiedCode:
-    tower = eval_set.tower
-    n = eval_set.n
-    if k > n:
-        # the rows v_l * alpha_l^i on n distinct points have rank n
-        raise RankDefect(n, k)
-    g = grs_rows(tower, eval_set, twist, range(k))
-    code = LinearCode(tower, g, provenance=provenance)
-    certificate = certify(code)
-    b_values = tuple(((tower.q + 1) * j) % (n - 1) for j in range(k)) if n > 1 else ()
+    """The certified code of g: GRS rows on eval_set's points, and the unit
+    columns that embedding steps appended after them, if any."""
+    code = LinearCode(eval_set.tower, g, provenance=provenance)
     return CertifiedCode(
         code=code,
-        certificate=certificate,
-        trace=trace + (f"B(j) residues for j=1..{k}: {list(b_values)}",),
-        designed_distance=n - (k - 1),
+        certificate=certify(code),
+        trace=trace,
+        # restricted to its eval_set.n core columns C is a GRS [n0, k] code, and
+        # the restriction is injective, so d(C) >= n0 - k + 1
+        designed_distance=eval_set.n - code.k + 1,
         eval_set=eval_set,
         twist=twist,
     )
@@ -135,8 +123,11 @@ def thm_key_k_max(n_points: int, q: int, genus: int) -> int:
 
 def construct(request: ConstructionRequest) -> CertifiedCode:
     """Run the full pipeline for one request (embedding policy applied)."""
-    chain = construct_chain(request)
-    return chain[-1]
+    return construct_chain(request)[-1]
+
+
+# the embedding steps each policy takes past its base code; None is no limit
+_EMBED_STEPS = {"none": 0, "once": 1, "iterate": None, "deep": 1}
 
 
 def construct_chain(request: ConstructionRequest) -> list[CertifiedCode]:
@@ -145,44 +136,52 @@ def construct_chain(request: ConstructionRequest) -> list[CertifiedCode]:
     start = perf_counter()
     if request.k is not None and request.k < 1:
         raise BadRequest(f"k must be at least 1, got {request.k}")
-    if request.embed not in ("none", "once", "iterate", "deep"):
+    if request.embed not in _EMBED_STEPS:
         raise BadRequest(f"unknown embedding policy {request.embed!r}")
     tower = build_tower(request.p, request.m)
-    if request.embed == "deep":
-        if request.construction != "c1" or request.k is not None:
-            raise BadRequest("deep embedding builds its own c1 code: it takes construction c1 and no k")
-        t = request.t
-        if t is None:
-            if request.n is None or (request.n - 1) % (tower.q - 1) != 0:
-                raise DivisibilityViolated(
-                    "deep embedding needs t, or n of the form t(q-1)+1"
-                )
-            t = (request.n - 1) // (tower.q - 1)
-        if request.n is not None and request.n != t * (tower.q - 1) + 1:
-            raise DivisibilityViolated(
-                f"n = {request.n} is not t(q-1)+1 = {t * (tower.q - 1) + 1}"
-            )
-        base = deep_dimension(tower, t)
-        return _embed_until_rejected(replace(base, build_s=perf_counter() - start), steps=1)
-    base = _construct_base(request, tower)
-    chain = [replace(base, build_s=perf_counter() - start)]
-    if request.embed == "once":
-        chain.append(embed_once(base))
-    elif request.embed == "iterate":
-        chain = _embed_until_rejected(chain[0])
-    return chain
+    base = replace(_construct_base(request, tower), build_s=perf_counter() - start)
+    if request.embed == "once":  # a rejected step rejects the request instead of ending the chain
+        return [base, embed_once(base)]
+    return _embed_until_rejected(base, _EMBED_STEPS[request.embed])
+
+
+def _deep_request(request: ConstructionRequest, q: int) -> tuple[ConstructionRequest, tuple]:
+    """A deep request as the c1 request of its base code, n = t(q-1)+1 and
+    k'' = floor(n/2t), with that code's trace; each of deep's rules that
+    fails raises its own error."""
+    if request.construction != "c1" or request.k is not None:
+        raise BadRequest("deep embedding builds its own c1 code: it takes construction c1 and no k")
+    if request.t is None and (request.n is None or (request.n - 1) % (q - 1) != 0):
+        raise DivisibilityViolated("deep embedding needs t, or n of the form t(q-1)+1")
+    t = (request.n - 1) // (q - 1) if request.t is None else request.t
+    n = t * (q - 1) + 1
+    if request.n not in (None, n):
+        raise DivisibilityViolated(f"n = {request.n} is not t(q-1)+1 = {n}")
+    if t < 1:
+        raise BadRequest(f"t must be positive, got {t}")
+    if (q + 1) % t != 0:
+        raise DivisibilityViolated(f"t = {t} does not divide q+1 = {q + 1}")
+    k2 = n // (2 * t)
+    if k2 == 0:
+        raise BadRequest(f"k'' = floor(n/2t) = floor({n}/{2 * t}) is 0")
+    return replace(request, n=n, k=k2), (
+        f"deep: n = t(q-1)+1 = {n}, k'' = floor(n/2t) = {k2}",
+        f"deep case: (n-1) {'divides' if (k2 * (q + 1)) % (n - 1) == 0 else 'does not divide'} "
+        f"k''(q+1) = {k2 * (q + 1)}",
+    )
 
 
 def _construct_base(request: ConstructionRequest, tower: FieldTower) -> CertifiedCode:
     q = tower.q
     cons = request.construction
+    request, trace = _deep_request(request, q) if request.embed == "deep" else (request, None)
 
     if cons in ("c1", "c2", "c3", "c4"):
         if cons == "c1":
             if request.n is None:
                 raise BadRequest("c1 needs n")
             es = roots_of_unity_set(tower, request.n)
-            trace = (f"c1: roots of x^{request.n} - x",)
+            trace = trace or (f"c1: roots of x^{request.n} - x",)
         elif cons == "c2":
             if request.n is None or request.t is None:
                 raise BadRequest("c2 needs n and t")
@@ -210,7 +209,12 @@ def _construct_base(request: ConstructionRequest, tower: FieldTower) -> Certifie
             trace = (f"c4: affine grid t={request.t} anchor {tower.format(es.params['anchor_code'])}",)
         tv = twist_vector(es)
         k = request.k if request.k is not None else thm_key_k_max(es.n, q, 0)
-        return _line_chain_member(es, tv, k, f"{cons}[{es.n},{k}]", trace)
+        if k > es.n:
+            # the rows v_l * alpha_l^i on n distinct points have rank n
+            raise RankDefect(es.n, k)
+        b_values = [((q + 1) * j) % (es.n - 1) for j in range(k)] if es.n > 1 else []
+        trace += (f"B(j) residues for j=1..{k}: {b_values}",)
+        return _line_chain_member(es, tv, grs_rows(tower, es, tv, range(k)), f"{cons}[{es.n},{k}]", trace)
 
     if cons == "c5":
         spec = curve(CurveFamily.ELLIPTIC, tower)
@@ -276,7 +280,6 @@ def embed_once(cert: CertifiedCode) -> CertifiedCode:
     q = tower.q
     k = cert.code.k
     n = cert.code.n
-    extra_cols = n - cert.eval_set.n  # unit columns appended by earlier steps
     notes = []
     if k * (q + 1) > n + q - 1:
         # outside the one-shot guarantee range; deep-dimension and long chains
@@ -293,10 +296,12 @@ def embed_once(cert: CertifiedCode) -> CertifiedCode:
     zero = tower.zero_code
     # self-pairing of the new row over the evaluation columns decides the shape
     s = int(tower.vsum(tower.vmul(new_base, tower.vfrob(new_base))))
-    pad = np.full(extra_cols, zero, dtype=np.int32)
+    # the predecessor's rows padded by the new row, and by one column for a
+    # unit entry when the self-pairing is nonzero
+    g = np.full((k + 1, n + (s != zero)), zero, dtype=np.int32)
+    g[:k, :n] = cert.code.g
+    g[k, : cert.eval_set.n] = new_base
     if s == zero:
-        new_row = np.concatenate([new_base, pad])
-        g = np.vstack([cert.code.g, new_row[None, :]])
         label = f"n' = n = {n} (self-pairing zero)"
     else:
         minus_s = int(tower.vneg(s))
@@ -305,39 +310,27 @@ def embed_once(cert: CertifiedCode) -> CertifiedCode:
                 f"self-pairing {tower.format(s)} of the new row has no "
                 f"norm-compensating column entry ({case})"
             )
-        col_entry = norm_preimage(tower, minus_s)
-        new_row = np.concatenate([new_base, pad, np.asarray([col_entry], dtype=np.int32)])
-        old = np.hstack([cert.code.g, np.full((k, 1), zero, dtype=np.int32)])
-        g = np.vstack([old, new_row[None, :]])
+        g[k, n] = col_entry = norm_preimage(tower, minus_s)
         label = (
             f"n' = n+1 = {n + 1}, column entry {tower.format(col_entry)} with "
             f"norm -{tower.format(s)}"
         )
+    trace = cert.trace + tuple(notes) + (f"embed: {case}; accepted {label}",)
     try:
-        code = LinearCode(tower, g, provenance=f"embed[{g.shape[1]},{k + 1}]")
+        member = _line_chain_member(cert.eval_set, cert.twist, g, f"embed[{g.shape[1]},{k + 1}]", trace)
     except RankDefect as exc:
         raise EmbeddingRejected(f"rank defect at k+1 = {k + 1}: {exc}") from None
-    try:
-        certificate = certify(code)
     except GramNonzero as exc:
         raise EmbeddingRejected(f"Gram nonzero at k+1 = {k + 1} ({case})") from exc
-    return CertifiedCode(
-        code=code,
-        certificate=certificate,
-        trace=cert.trace + tuple(notes) + (f"embed: {case}; accepted {label}",),
-        designed_distance=code.n - k,
-        eval_set=cert.eval_set,
-        twist=cert.twist,
-        build_s=perf_counter() - start,
-    )
+    return replace(member, build_s=perf_counter() - start)
 
 
 def embed_iterate(cert: CertifiedCode) -> list[CertifiedCode]:
     """The members _embed_until_rejected adds to cert, maybe none; the last one's trace says why."""
-    return _embed_until_rejected(cert)[1:]
+    return _embed_until_rejected(cert, None)[1:]
 
 
-def _embed_until_rejected(cert: CertifiedCode, steps: int | None = None) -> list[CertifiedCode]:
+def _embed_until_rejected(cert: CertifiedCode, steps: int | None) -> list[CertifiedCode]:
     """cert and the members embed_once appends, at most steps of them, until it
     is rejected; the last member's trace then ends with the reason, such as
     "not MDS" or "MDS undecided"."""
@@ -359,20 +352,4 @@ def deep_dimension(tower: FieldTower, t: int) -> CertifiedCode:
     embed_once(deep_dimension(tower, t)), which applies the usual length-n /
     length-n+1 dichotomy, certified by Gram.
     """
-    q = tower.q
-    if t < 1:
-        raise BadRequest(f"t must be positive, got {t}")
-    if (q + 1) % t != 0:
-        raise DivisibilityViolated(f"t = {t} does not divide q+1 = {q + 1}")
-    n = t * (q - 1) + 1
-    k2 = n // (2 * t)
-    if k2 == 0:
-        raise BadRequest(f"k'' = floor(n/2t) = floor({n}/{2 * t}) is 0")
-    es = roots_of_unity_set(tower, n)
-    tv = twist_vector(es)
-    trace = (
-        f"deep: n = t(q-1)+1 = {n}, k'' = floor(n/2t) = {k2}",
-        f"deep case: (n-1) {'divides' if (k2 * (q + 1)) % (n - 1) == 0 else 'does not divide'} "
-        f"k''(q+1) = {k2 * (q + 1)}",
-    )
-    return _line_chain_member(es, tv, k2, f"deep[{n},{k2}]", trace)
+    return _construct_base(ConstructionRequest("c1", tower.p, tower.m, t=t, embed="deep"), tower)

@@ -3,7 +3,8 @@
     python -m tests.compare_outputs OTHER_TREE
 
 runs a fixed set of agq commands (both reproduce tables, scans of c1, c4,
-c5, c8, c9 and c10, and verify of every matrix in tests/data) once with
+c5, c8, c9 and c10, four line-code constructs with deep, once and iterate
+embedding, and verify of every matrix in tests/data) once with
 PYTHONPATH set to this tree's src and once with it set to OTHER_TREE/src.
 Every "time_s" and "build_s" value is masked; the exit code, stdout and any
 --out file must then match byte for byte.  Prints the first line that
@@ -29,6 +30,10 @@ def _towers(*specs: str) -> list[str]:
     return [arg for spec in specs for arg in ("--tower", spec)]
 
 
+def _construct(cons: str, p: int, m: int, t: int, embed: str, *extra: str) -> list[str]:
+    return ["construct", "--construction", cons, "--p", str(p), "--m", str(m), "--t", str(t), "--embed", embed, *extra]
+
+
 SMALL = _towers("2,2", "3,1", "2,3", "3,2")
 COMMANDS = [
     ["reproduce", "mds1", "--out", "{out}"],
@@ -37,6 +42,10 @@ COMMANDS = [
     ["scan", "--construction", "c4", *_towers("3,1", "7,1", "2,3", "3,2")],
     ["scan", "--construction", "c4", "--embed", "once", *_towers("7,1")],
     *(["scan", "--construction", cons, "--out", "{out}", *SMALL] for cons in ("c5", "c8", "c9", "c10")),
+    _construct("c1", 13, 1, 2, "deep"),  # [25,6] -> [25,7]
+    _construct("c1", 2, 5, 1, "deep"),  # the step is rejected: the chain ends at [32,16]
+    _construct("c4", 7, 1, 6, "once"),  # rejected, with a Gram failure
+    _construct("c4", 7, 1, 3, "iterate", "--matrix-out", "{out}"),  # [21,3], [21,4], [22,5]
     *(["verify", str(path), "--systematic-prefix"] for path in sorted(DATA.glob("*.txt"))),
 ]
 

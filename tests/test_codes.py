@@ -25,7 +25,6 @@ from agq.codes import (
     _monomial_rows,
     batched_dependent,
     certify,
-    dual,
     dual_distance_by_columns,
     evaluation_code,
     exhaustive_distance,
@@ -88,6 +87,37 @@ def random_sparse_code(rng):
                 g[:, j] = tw.vmul(int(rng.integers(tw.n_units)), g[:, rng.integers(j)])
         if rank(tw, g) == k:
             return LinearCode(tw, g, provenance="random", verify_rank=False)
+
+
+def kernel_basis(tower, mat):
+    """Rows spanning the right kernel {x : mat @ x^T = 0}, read off rref(mat)."""
+    r, pivots = rref(tower, mat)
+    n = mat.shape[1]
+    free = [c for c in range(n) if c not in pivots]
+    out = np.full((len(free), n), tower.zero_code, dtype=np.int32)
+    for row_idx, f in enumerate(free):
+        out[row_idx, f] = 0  # coefficient 1
+        for i, pc in enumerate(pivots):
+            out[row_idx, pc] = tower.vneg(r[i, f])
+    return out
+
+
+def dual(code, kind="euclidean"):
+    """The tests' oracle for duals: the Euclidean dual by row reduction, the
+    Hermitian dual as (C^q)^perp."""
+    tower = code.tower
+    if kind == "euclidean":
+        base = code.g
+    elif kind == "hermitian":
+        base = tower.vfrob(code.g)
+    else:
+        raise ValueError(f"unknown dual kind {kind!r}")
+    if code.k == 0:
+        eye = np.full((code.n, code.n), tower.zero_code, dtype=np.int32)
+        np.fill_diagonal(eye, 0)
+        return LinearCode(tower, eye, provenance=f"dual-{kind}({code.provenance})")
+    k = kernel_basis(tower, base)
+    return LinearCode(tower, k, provenance=f"dual-{kind}({code.provenance})", verify_rank=False)
 
 
 def assert_double_dual_is_the_code(code):
@@ -200,7 +230,7 @@ def test_construction_rows_match_per_row_oracle():
         assert len(chain) > 2
         for prev, cert in zip(chain, chain[1:]):
             es, tw = cert.eval_set, cert.code.tower
-            want = per_row_monomials(tw, cert.twist, es.codes, [prev.k])[0]
+            want = per_row_monomials(tw, cert.twist, es.codes, [prev.code.k])[0]
             assert np.array_equal(cert.code.g[-1, : es.n], want)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import agq.constructions
+from agq.cli import _classical_block, _repro_targets, _scan_requests, build_parser
 from agq.codes import LinearCode, evaluation_code, grs_rows, hermitian_gram
 from agq.constructions import (
     ConstructionRequest,
@@ -17,7 +18,7 @@ from agq.constructions import (
     thm_key_k_max,
 )
 from agq.curves import rr_basis
-from agq.errors import BadRequest, DivisibilityViolated, EmbeddingRejected, GramNonzero, RankDefect
+from agq.errors import AgqError, BadRequest, DivisibilityViolated, EmbeddingRejected, GramNonzero, RankDefect
 from agq.fields import build_tower
 
 from .test_codes import zech_tree_gram
@@ -381,11 +382,80 @@ def test_deep_embedding_says_why_it_stopped():
     assert all("chain ends" not in line for c in chain for line in c.trace)
 
 
+_DEEP_SCOPE = "deep embedding builds its own c1 code: it takes construction c1 and no k"
+
+
+@pytest.mark.parametrize(
+    "req, error, message",
+    [
+        pytest.param(ConstructionRequest("c4", 13, 1, t=2, embed="deep"), BadRequest, _DEEP_SCOPE, id="not-c1"),
+        pytest.param(ConstructionRequest("c1", 13, 1, n=25, k=3, embed="deep"), BadRequest, _DEEP_SCOPE, id="k-given"),
+        pytest.param(ConstructionRequest("c1", 13, 1, n=26, t=2, embed="deep"), DivisibilityViolated,
+                     "n = 26 is not t(q-1)+1 = 25", id="n-not-t(q-1)+1"),
+        pytest.param(ConstructionRequest("c1", 13, 1, n=26, embed="deep"), DivisibilityViolated,
+                     "deep embedding needs t, or n of the form t(q-1)+1", id="n-not-t(q-1)+1-without-t"),
+        pytest.param(ConstructionRequest("c1", 13, 1, embed="deep"), DivisibilityViolated,
+                     "deep embedding needs t, or n of the form t(q-1)+1", id="neither-n-nor-t"),
+        pytest.param(ConstructionRequest("c1", 3, 1, t=0, embed="deep"), BadRequest,
+                     "t must be positive, got 0", id="t-zero"),
+        pytest.param(ConstructionRequest("c1", 13, 1, t=3, embed="deep"), DivisibilityViolated,
+                     "t = 3 does not divide q+1 = 14", id="t-not-dividing-q+1"),
+        pytest.param(ConstructionRequest("c1", 2, 1, t=3, embed="deep"), BadRequest,
+                     "k'' = floor(n/2t) = floor(4/6) is 0", id="k2-zero"),
+    ],
+)
+def test_deep_rejections_keep_their_types_and_messages(req, error, message):
+    """Each of deep's rules rejects with its own error type and message, through
+    construct_chain and, for a request of a tower and t alone, through
+    deep_dimension as well."""
+    with pytest.raises(AgqError) as info:
+        construct_chain(req)
+    assert (type(info.value), str(info.value)) == (error, message)
+    if (req.construction, req.n, req.k) == ("c1", None, None) and req.t is not None:
+        with pytest.raises(AgqError) as info:
+            deep_dimension(build_tower(req.p, req.m), req.t)
+        assert (type(info.value), str(info.value)) == (error, message)
+
+
 def test_construct_chain_deep_via_n():
     chain = construct_chain(ConstructionRequest("c1", 13, 1, n=25, embed="deep"))
     assert [c.code.params() for c in chain] == [(25, 6), (25, 7)]
     with pytest.raises(DivisibilityViolated):
         construct_chain(ConstructionRequest("c1", 13, 1, n=26, embed="deep"))
+
+
+def line_code_chain_requests():
+    """The c1 and c4 iterate scan grids over towers 2,2 3,1 5,1 7,1 2,3 3,2,
+    the c4 once grid over 7,1 and 3,2, and every line-code recipe of both
+    reproduce tables."""
+    towers = ["2,2", "3,1", "5,1", "7,1", "2,3", "3,2"]
+    for cons, embed, grid in [("c1", "iterate", towers), ("c4", "iterate", towers), ("c4", "once", ["7,1", "3,2"])]:
+        argv = ["scan", "--construction", cons, "--embed", embed]
+        yield from _scan_requests(build_parser().parse_args(argv + [a for t in grid for a in ("--tower", t)]))
+    for target in _repro_targets():
+        if target["recipe"]["construction"] in ("c1", "c2", "c3", "c4"):
+            yield ConstructionRequest(**target["recipe"])
+
+
+def test_designed_distance_is_a_lower_bound_on_line_code_chains():
+    """A line-code member's designed distance, that of its GRS core, is at most
+    its exact classical d, and below the Singleton bound n - k + 1 when the
+    code is not MDS: unit columns from embedding add length, not distance."""
+    members = 0
+    for req in line_code_chain_requests():
+        try:
+            chain = construct_chain(req)
+        except AgqError:
+            continue
+        for cert in chain:
+            members += 1
+            block = _classical_block(cert)
+            assert cert.designed_distance == cert.eval_set.n - cert.code.k + 1, req
+            if block["d"] is not None:
+                assert block["designed_distance"] <= block["d"], (req, cert.code.params())
+            if block["mds"] is False:
+                assert block["designed_distance"] <= cert.code.n - cert.code.k, (req, cert.code.params())
+    assert members > 250
 
 
 def test_every_certified_code_has_zero_gram():

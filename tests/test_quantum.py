@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 
 import agq.codes
 from agq.cli import catalog_entry
-from agq.codes import DistanceResult, LinearCode, certify, dual
+from agq.codes import DistanceResult, LinearCode, certify
 from agq.constructions import (
     CertifiedCode,
     ConstructionRequest,
@@ -18,7 +18,7 @@ from agq.constructions import (
 from agq.fields import build_tower
 from agq.quantum import stabilizer_params
 
-from .test_codes import self_orthogonal_codes
+from .test_codes import dual, self_orthogonal_codes
 
 # the 3x7 Hermitian self-orthogonal GF(4) code whose weight-2 dual words all lie
 # in C: d(C^perp_H) = 2 but the quantum distance is 3 (exponent codes, 3 = zero)
