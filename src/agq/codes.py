@@ -36,10 +36,13 @@ except ImportError:
         from hashlib import sha256
 
 _CHUNK = 1 << 15
-# exponent codes one column-scan block may hold, its projected matrices and entry
-# points (_prefix_blocks); scan time is flat from 2^15 up, memory grows with it
+# exponent codes a column-scan block may hold, its projected matrices and points
+# (_prefix_blocks), which sizes the arrays every block of a scan runs in
 _LIVE_ENTRIES = 1 << 16
 _FIRST_PREFIXES = 4  # prefixes in the column scan's first block; each later block doubles
+# coordinates in a column-scan entry's short key (_first_collision), where that
+# leaves out at least as many: entries whose short keys repeat get full keys too
+_SHORT_KEY = 3
 
 
 class LinearCode:
@@ -416,50 +419,33 @@ def _prefix_projections(tower: FieldTower, g: np.ndarray, pre: np.ndarray):
     return m, parent
 
 
-def _entry_points(tower: FieldTower, g: np.ndarray, pre: np.ndarray, b: np.ndarray, j: np.ndarray):
-    """Column j of g modulo the span of the columns of prefix pre[b] for each
-    entry (b, j), w - 2 = pre.shape[1] >= 1, as a (k - w + 2, entries) array
-    with one coordinate per row.
-
-    _prefix_projections eliminates all but the last prefix column, once per
-    distinct (w-3)-prefix.  The last step runs only on the entries: with M
-    the projected matrix, c the last prefix column and s the first row with
-    M[s, c] != 0, the point of column j is M[i, j] - (M[i, c]/M[s, c])*M[s, j]
-    for i != s, row 0 taking the place of row s.  The matrices are laid out
-    as (rows, distinct prefixes * n), so every coordinate of the entries is
-    one gather from one contiguous row; with one distinct prefix (w = 3) that
-    layout is a view of M.
-    """
-    zero = tower.zero_code
-    n = g.shape[1]
+def _block_frame(tower: FieldTower, g: np.ndarray, pre: np.ndarray, first: np.ndarray):
+    """(m, rows, factors) for a block of prefixes pre whose entry e reads column
+    j = e + first[b] for its prefix pre[b]: with h = m.flat[rows[0, b] + e], the
+    point of the entry, column j of g modulo the span of pre[b]'s columns, has
+    coordinates m.flat[rows[i + 1, b] + e] + factors[i, b] * h (factors is None
+    for w = 2: the point is column j).  With M one of the matrices that
+    _prefix_projections leaves, c the last prefix column and s the first row with
+    M[s, c] != 0, coordinate i is row r minus M[r, c]/M[s, c] times row s, r = i+1 but 0 for s."""
+    k, n = g.shape
+    if not pre.shape[1]:  # first = 0, and row 0 stands in for the head, which goes unread
+        return g, np.maximum(np.arange(-n, k * n, n), 0)[:, None], None
     m, parent = _prefix_projections(tower, g, pre[:, :-1])
-    rows = m.shape[1]
-    mr = m.transpose(1, 0, 2).reshape(rows, -1)  # column parent*n + j: column j of M
-    col = mr.take(parent * n + pre[:, -1], axis=1)  # (rows, prefixes): the last prefix column
-    ar = np.arange(len(pre))
-    s = np.argmax(col != zero, axis=0)
-    pivots = col[s, ar]
-    col[s, ar] = col[0]  # row 0 changes only where s = 0, to itself
-    factors = tower.vdiv(tower.vneg(col[1:]), pivots)
-    x = mr.take(parent.take(b) * n + j, axis=1)  # (rows, entries)
-    at = s.take(b) * x.shape[1] + np.arange(x.shape[1])  # M[s, j] in x.flat
-    heads = x.take(at)
-    x.reshape(-1)[at] = x[0]  # as above: row 0 changes only where s = 0, to itself
-    return tower.vadd(x[1:], tower.vmul(factors.take(b, axis=1), heads))
+    col = m[parent, :, pre[:, -1]].T  # (rows of M, prefixes): the last prefix column
+    s = np.argmax(col != tower.zero_code, axis=0)
+    up = np.arange(1, len(col))[:, None]
+    sel = np.vstack([s, up * (up != s)])  # row s, then the rows of the coordinates
+    c = col[sel, np.arange(len(pre))]
+    return m, parent * m[0].size + first + sel * n, tower.vdiv(tower.vneg(c[1:]), c[0])
 
 
 def _prefix_blocks(k: int, n: int, w: int):
     """The (w-2)-prefixes of range(n-2), those with a pair of columns after
-    them, in lex-ordered int64 blocks.
-
-    A block holds the (k-w+3, n) projected matrix of each distinct
-    (w-3)-prefix and k-w+2 coordinates for each entry (prefix, later column).
-    Blocks start at _FIRST_PREFIXES prefixes and double while what they hold
-    stays within _LIVE_ENTRIES entries; a block is cut where it would not, and
-    its rest opens the next one.  What a block holds is counted prefix by
-    prefix only when its bound, a full matrix and n - 1 entries per prefix,
-    exceeds the cap.
-    """
+    them, in lex-ordered int64 blocks.  A block holds, at most, the (k-w+3, n)
+    projected matrix of each distinct (w-3)-prefix and k-w+2 coordinates for
+    each entry (prefix, later column).  Blocks start at _FIRST_PREFIXES
+    prefixes and double while that stays within _LIVE_ENTRIES; a block is cut
+    where it would not, and its rest opens the next one."""
     if w == 2:
         yield np.zeros((1, 0), dtype=np.int64)
         return
@@ -488,74 +474,120 @@ def _prefix_blocks(k: int, n: int, w: int):
 _KEY_MAX = np.iinfo(np.int64).max
 
 
-def _exact_keys(b: np.ndarray, points: np.ndarray, q2: int) -> np.ndarray:
+def _exact_keys(b: np.ndarray, points, q2: int, out: np.ndarray | None = None) -> np.ndarray:
     """One int64 per entry of (b, points), points holding one coordinate per
-    row, whose order is the entries' lexicographic order, so equal entries
-    and only equal entries share a key.
-
-    The key is b followed by the coordinates (exponent codes < q2) as digits in
-    radix q2, each digit one row of points.  Whenever the next digit could
-    overflow int64, the key built so far is first replaced by its dense rank,
-    which keeps its order.
-    """
-    key = b.astype(np.int64)
+    row, in the entries' lexicographic order, so only equal entries share a
+    key: b and the coordinates (exponent codes < q2) as radix-q2 digits, built
+    in out when given, the key so far replaced by its dense rank first
+    whenever the next digit could overflow int64."""
+    key = np.empty(len(b), dtype=np.int64) if out is None else out
+    np.copyto(key, b)
     bound = int(key.max(initial=0))
     for digit in points:
         if bound > (_KEY_MAX - (q2 - 1)) // q2:
             distinct, key = np.unique(key, return_inverse=True)
             bound = len(distinct) - 1
-        key = key * q2 + digit
+        key *= q2
+        key += digit
         bound = bound * q2 + q2 - 1
     return key
 
 
-def _first_collision(tower: FieldTower, g: np.ndarray, w: int, limit: int):
+def _scan_arrays(entries: int, coordinates: int) -> list:
+    """Flat int64 and int32 arrays for _block_arrays(entries, coordinates) and smaller."""
+    return [np.empty(r * entries, dtype=d) for r, d in ((4 + coordinates, np.int64), (2 + 2 * coordinates, np.int32))]
+
+
+def _block_arrays(entries: int, coordinates: int, flat: list):
+    """Contiguous (rows, entries) views of flat for _point_keys: int64 rows b, keys,
+    sorted keys, the gather indices of the head and each coordinate; int32 rows
+    for the leads, the head, the coordinates and their products."""
+    wide, narrow = 4 + coordinates, 2 + 2 * coordinates
+    return flat[0][: wide * entries].reshape(wide, entries), flat[1][: narrow * entries].reshape(narrow, entries)
+
+
+def _point_keys(tower: FieldTower, frame, e: np.ndarray, wide: np.ndarray, narrow: np.ndarray):
+    """(keys, whether two agree) of the entries e of a block (_block_frame), in
+    arrays of _block_arrays with the prefixes b in wide[0]: exact keys of b and
+    the first coordinates of each point, scaled to lead with t^-1 (0 stays 0)."""
+    m, rows, factors = frame
+    short = len(wide) - 4
+    b, keys, at = wide[0], wide[1], wide[3:]
+    lead, points, product = narrow[0], narrow[1 : 2 + short], narrow[2 + short :]
+    m.take(np.add(rows[: 1 + short].take(b, axis=1, out=at, mode="clip"), e, out=at), out=points, mode="clip")
+    heads, points, at = points[0], points[1:], at[1:]
+    if factors is not None:
+        tower.vmul(factors[:short].take(b, axis=1, out=product, mode="clip"), heads, out=product, at=at)
+        tower.vadd(points, product, out=points, at=at)
+    # t^(n-1-c) scales the lead, the first nonzero coordinate c, to t^-1 (n = q^2-1)
+    zero, n = tower.zero_code, tower.n_units
+    np.subtract(n - 1, points[0], out=lead)
+    unset = np.nonzero(points[0] == zero)[0]
+    if unset.size:  # the lead is further on, or all are zero and 1 keeps them zero
+        rest = points[1:, unset]
+        lead[unset] = np.maximum(n - 1 - rest[(rest != zero).argmax(axis=0), np.arange(unset.size)], 0)
+    tower.vmul(points, lead, out=points, at=at)
+    keys = _exact_keys(b, points, tower.q2, out=keys)
+    ordered = wide[2]  # a plain sort and a compare of neighbours
+    np.copyto(ordered, keys)
+    ordered.sort()
+    return keys, bool((ordered[1:] == ordered[:-1]).any())
+
+
+def _first_collision(tower: FieldTower, g: np.ndarray, w: int, limit: int, arrays):
     """Lex-first dependent w-subset of the columns of g among the (w-2)-prefixes
     whose first subset has lex rank < limit, or None.  Every (w-1)-subset must
     be independent, so the projections modulo a prefix's span are nonzero.
 
-    Prefixes come in the growing blocks of _prefix_blocks, so a dependent set
-    in an early prefix ends the scan after a few small eliminations.  In each
-    block every entry (prefix b, column j > the prefix's last column) becomes
-    one exact int64 key of (b, projection of column j from _entry_points,
-    scaled so that its first nonzero coordinate is 1).  A plain sort of the
-    keys and a compare of neighbours tell whether any two are equal.  Only a
-    block where some are does one stable sort, which puts equal keys next to
-    each other with j ascending, and reads the witness from it.
+    Prefixes come in the growing blocks of _prefix_blocks, in the scan's arrays
+    (two flat ones and an arange grown by need).  Each entry (prefix b, column
+    j > the prefix's last column) gets a short key of b and the first
+    _SHORT_KEY coordinates of its point, or all (_point_keys); parallel points
+    share it, so only entries whose short keys repeat get full keys.  A block
+    where those repeat is sorted stably once, to read the witness.
     """
-    zero = tower.zero_code
     k, n = g.shape
+    coordinates = k - w + 2
+    short = _SHORT_KEY if coordinates >= 2 * _SHORT_KEY else coordinates
     offset = 0  # lex rank of the first subset of the next prefix
     for pre in _prefix_blocks(k, n, w):
         if offset >= limit:
             return None
         top = pre.max(axis=1, initial=-1)
-        pairs = (n - 1 - top) * (n - 2 - top) // 2
-        ends = offset + np.cumsum(pairs)
-        keep = ends - pairs < limit
-        pre, top, offset = pre[keep], top[keep], int(ends[-1])
-        # entry (b, j) for every prefix b and column j > top[b], b ascending, then j
+        if limit < comb(n, w):  # keep the prefixes whose first subset is ranked below limit
+            pairs = (n - 1 - top) * (n - 2 - top) // 2
+            ends = offset + np.cumsum(pairs)
+            keep = ends - pairs < limit
+            pre, top, offset = pre[keep], top[keep], int(ends[-1])
+        # entry e for every prefix b and column j = e + first[b] > top[b], b ascending, then j
         count = n - 1 - top
-        b = np.repeat(np.arange(len(pre)), count)
-        j = np.arange(len(b)) + np.repeat(top + 1 - (np.cumsum(count) - count), count)
-        points = _entry_points(tower, g, pre, b, j) if w > 2 else g.take(j, axis=1)  # (k-w+2, entries)
-        # the first nonzero coordinate: row 0 but where that is zero
-        lead = points[0]
-        unset = np.nonzero(lead == zero)[0]
-        if unset.size:
-            rest = points[1:, unset]
-            lead = lead.copy()
-            lead[unset] = rest[(rest != zero).argmax(axis=0), np.arange(unset.size)]
-        keys = _exact_keys(b, tower.vmul(points, tower.vinv(lead)), tower.q2)
-        ordered = np.sort(keys)
-        if not (ordered[1:] == ordered[:-1]).any():
+        stops = count.cumsum()
+        first = top + 1 - (stops - count)
+        size = int(stops[-1])
+        if len(arrays[2]) < size:
+            arrays[2] = np.arange(2 * size)
+        e = arrays[2][:size]
+        wide, narrow = _block_arrays(size, short, arrays)
+        b = wide[0]
+        b.fill(0)
+        b[stops[:-1]] = 1
+        np.add.accumulate(b, out=b)
+        frame = _block_frame(tower, g, pre, first)
+        keys, repeated = _point_keys(tower, frame, e, wide, narrow)
+        if repeated and short < coordinates:
+            _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+            e = np.flatnonzero(counts[inverse] > 1)
+            wide, narrow = _block_arrays(len(e), coordinates, _scan_arrays(len(e), coordinates))
+            b = np.take(b, e, out=wide[0])
+            keys, repeated = _point_keys(tower, frame, e, wide, narrow)
+        if not repeated:
             continue
         order = np.argsort(keys, kind="stable")
-        b, j, keys = b[order], j[order], keys[order]
+        b, e, keys = b[order], e[order], keys[order]
         hits = np.nonzero(keys[1:] == keys[:-1])[0]
         hits = hits[b[hits] == b[hits[0]]]
-        first = hits[np.argmin(j[hits])]
-        return tuple(int(c) for c in pre[b[first]]) + (int(j[first]), int(j[first + 1]))
+        at = hits[np.argmin(e[hits])]
+        return tuple(int(c) for c in pre[b[at]]) + tuple(int(j) for j in e[at : at + 2] + first[b[at]])
     return None
 
 
@@ -566,16 +598,14 @@ def dual_distance_by_columns(code: LinearCode) -> DistanceResult:
     code (k = n) has no k+1 columns, so its exact k+1 comes with no witness.  Once
     every (w-1)-subset is independent, S + {j, l} with |S| = w-2 is
     dependent exactly when columns j and l, projected modulo span(S), are
-    parallel.  So the prefixes S are taken in lex-ordered
-    blocks that double in size from a few prefixes up to a cap on the entries
-    a block holds.  The elimination steps of all but the last column of S run
-    once per distinct shared prefix, and the last step only on the entries
-    (S, later column j) that the keys read, one coordinate row at a time.  The
-    projective points of those entries are encoded as exact int64 keys (S
-    first), and a plain sort of each block's keys finds whether any repeat.
-    The scan stops at the first block where some do: one stable sort of that
-    block gives the lex-first dependent set, the first colliding prefix's
-    lowest colliding pair.
+    parallel.  So the prefixes S are taken in lex-ordered blocks that double
+    in size up to a cap on the entries a block holds, all in arrays made here
+    for the largest block the budget lets the scan reach.  The elimination
+    steps of all but the last column of S run once per distinct shared
+    prefix, and the last step only on the entries (S, later column j), whose
+    points become exact int64 keys (S first).  The scan stops at the first
+    block where keys repeat: one stable sort of that block gives the
+    lex-first dependent set, the first colliding prefix's lowest colliding pair.
 
     The budget is config.ops_cap() (AGQ_CAP_OPS) and counts nominal work:
     k*w*2 per w-subset, charged in lex-ordered blocks of _CHUNK subsets, with
@@ -586,28 +616,31 @@ def dual_distance_by_columns(code: LinearCode) -> DistanceResult:
     """
     tower = code.tower
     zero = tower.zero_code
-    g = code.g
+    g = np.ascontiguousarray(code.g)
     k, n = code.k, code.n
     budget = config.ops_cap()
-    spent = 0
     if k == 0:
         return DistanceResult(1, True, (0,), "column-scan")
     zero_cols = np.nonzero((g == zero).all(axis=0))[0]
     if zero_cols.size:
         return DistanceResult(1, True, (int(zero_cols[0]),), "column-scan")
+    # w-subsets certified, w = 2, 3, ..., and the largest block (_prefix_blocks)
+    limits, spent, entries = [], 0, 0
     for w in range(2, k + 1):
         unit, total = k * w * 2, comb(n, w)
-        if total * unit <= budget - spent:
-            certified = total
-        else:
-            certified = max(0, budget - spent) // (_CHUNK * unit) * _CHUNK
-        witness = _first_collision(tower, g, w, certified)
-        if witness is not None and _lex_rank(witness, n) < certified:
+        limits.append(total if total * unit <= budget - spent else max(0, budget - spent) // (_CHUNK * unit) * _CHUNK)
+        entries = max(entries, min(comb(n, w - 1), max(_LIVE_ENTRIES // (k - w + 2), n)))
+        if limits[-1] < total:
+            break
+        spent += total * unit
+    arrays = [*_scan_arrays(entries, min(k, 2 * _SHORT_KEY - 1)), np.arange(0)]
+    for w, limit in enumerate(limits, start=2):
+        witness = _first_collision(tower, g, w, limit, arrays)
+        if witness is not None and (limit == comb(n, w) or _lex_rank(witness, n) < limit):
             return DistanceResult(w, True, witness, "column-scan")
-        if certified < total:
+        if limit < comb(n, w):
             # every subset of size < w is certified independent, so d >= w
             return DistanceResult(w, False, None, "column-scan-lower-bound")
-        spent += total * unit
     return DistanceResult(k + 1, True, tuple(range(k + 1)) if k < n else None, "column-scan")
 
 

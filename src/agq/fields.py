@@ -240,19 +240,24 @@ class FieldTower:
 
     # -- vectorized kernels on int32 exponent-code arrays -------------------
 
-    def vadd(self, a, b):
-        a = np.asarray(a, dtype=np.int32)
-        b = np.asarray(b, dtype=np.int32)
-        if self._add_table is None:
-            return self._log_add(a, b)
-        return self._add_table.take(a * np.int32(self.q2) + b)
+    def vadd(self, a, b, out=None, at=None):
+        return self._lookup(self._add_table, self._log_add, a, b, out, at)
 
-    def vmul(self, a, b):
-        a = np.asarray(a, dtype=np.int32)
-        b = np.asarray(b, dtype=np.int32)
-        if self._mul_table is None:
-            return self._log_mul(a, b)
-        return self._mul_table.take(a * np.int32(self.q2) + b)
+    def vmul(self, a, b, out=None, at=None):
+        return self._lookup(self._mul_table, self._log_mul, a, b, out, at)
+
+    def _lookup(self, table, by_logs, a, b, out, at):
+        """table[a * q^2 + b], or by_logs(a, b) without Cayley tables, into out when
+        given (int32, may be a but not b), through at (int64): then no allocation."""
+        a, b = np.asarray(a, dtype=np.int32), np.asarray(b, dtype=np.int32)
+        if table is not None and out is not None:
+            np.add(np.multiply(a, np.int32(self.q2), out=out), b, out=out)
+            np.copyto(at, out)  # take would copy an int32 index to int64 itself
+            return table.take(at, out=out, mode="clip")
+        c = by_logs(a, b) if table is None else table.take(a * np.int32(self.q2) + b)
+        if out is not None:
+            out[...] = c
+        return c if out is None else out
 
     def zech_log(self, e):
         """log(1 + t^e) for unit codes e < q^2-1, q^2-1 where 1 + t^e = 0:
@@ -280,7 +285,7 @@ class FieldTower:
         if self.p == 2:
             return a.copy()
         n = self.n_units
-        return np.where(a == n, np.int32(n), (a + n // 2) % n).astype(np.int32)
+        return np.where(a == n, np.int32(n), (a + n // 2) % n)
 
     def vsub(self, a, b):
         return self.vadd(a, self.vneg(b))
@@ -288,10 +293,12 @@ class FieldTower:
     def vinv(self, a):
         n = self.n_units
         a = np.asarray(a, dtype=np.int32)
-        return np.where(a == n, np.int32(n), (-a) % n).astype(np.int32)
+        return np.where(a == n, np.int32(n), (-a) % n)
 
     def vdiv(self, a, b):
-        return self.vmul(a, self.vinv(b))
+        """a / b, and 0 where b is 0 (as a * vinv(b))."""
+        a, b, n = np.asarray(a, dtype=np.int32), np.asarray(b, dtype=np.int32), self.n_units
+        return np.where((a == n) | (b == n), np.int32(n), (a - b) % n)
 
     def vfrob(self, a):
         n = self.n_units

@@ -7,9 +7,11 @@ c5, c8, c9 and c10, four line-code constructs with deep, once and iterate
 embedding, and verify of every matrix in tests/data) once with
 PYTHONPATH set to this tree's src and once with it set to OTHER_TREE/src.
 Every "time_s" and "build_s" value is masked; the exit code, stdout and any
---out file must then match byte for byte.  Prints the first line that
-differs and exits 1 on any difference, else prints one line per command and
-exits 0.  It is not part of the test suite: the scans take seconds each.
+--out file must then match byte for byte.  Every command runs, whatever an
+earlier one gave: each prints one line, "same" with its line count, or
+"DIFFER" with both trees' line counts and the first line that differs.  The
+exit code is 1 if any command differed, else 0.  It is not part of the test
+suite: the scans take seconds each.
 """
 
 from __future__ import annotations
@@ -70,18 +72,21 @@ def main(argv=None) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     other = Path(args[0]).resolve()
+    differed = 0
     for command in COMMANDS:
         mine, theirs = run(ROOT, command), run(other, command)
         label = " ".join(command).replace(str(ROOT) + "/", "")
-        for lineno, (a, b) in enumerate(zip(mine, theirs), start=1):
-            if a != b:
-                print(f"DIFFER {label}: line {lineno}\n  this tree:  {a}\n  other tree: {b}")
-                return 1
-        if len(mine) != len(theirs):
-            print(f"DIFFER {label}: {len(mine)} lines on this tree, {len(theirs)} on the other")
-            return 1
-        print(f"same   {label} ({len(mine)} lines)")
-    return 0
+        if mine == theirs:
+            print(f"same   {label} ({len(mine)} lines)")
+            continue
+        differed += 1
+        print(f"DIFFER {label}: {len(mine)} lines on this tree, {len(theirs)} on the other")
+        # the first differing line, or the first line only one tree has
+        lineno = next(i for i, (a, b) in enumerate(zip(mine + [None], theirs + [None])) if a != b)
+        for tree, lines in (("this tree: ", mine), ("other tree:", theirs)):
+            print(f"  line {lineno + 1}, {tree} {lines[lineno] if lineno < len(lines) else '(none)'}")
+    print(f"{differed} of {len(COMMANDS)} commands differ")
+    return 1 if differed else 0
 
 
 if __name__ == "__main__":

@@ -1041,26 +1041,21 @@ def planted_scan_cases(draw):
 
 @contextlib.contextmanager
 def scan_blocks():
-    """Record (prefixes, prefix width, entries held) for every block whose
-    points _entry_points computes: the projected matrices of its distinct
-    (w-3)-prefixes plus the k-w+2 coordinates of each of its entries."""
-    blocks, matrices = [], []
-    project, points = agq.codes._prefix_projections, agq.codes._entry_points
+    """Record (prefixes, prefix width, entries held) for every block the column
+    scan frames (_block_frame receives each one): the projected matrices of
+    its distinct (w-3)-prefixes plus k-w+2 coordinates for each of its
+    entries, what the block holds if every entry is keyed in full."""
+    blocks = []
+    frame = agq.codes._block_frame
 
-    def spy_project(tower, g, pre):
-        m, parent = project(tower, g, pre)
-        matrices.append(m.size)
-        return m, parent
-
-    def spy_points(tower, g, pre, b, j):
-        out = points(tower, g, pre, b, j)
-        blocks.append((len(pre), pre.shape[1], matrices.pop() + out.size))
+    def spy(tower, g, pre, first):
+        out = frame(tower, g, pre, first)
+        (k, n), width = g.shape, pre.shape[1]
+        entries = int((n - 1 - pre.max(axis=1, initial=-1)).sum())
+        blocks.append((len(pre), width, out[0].size + entries * (k - width)))
         return out
 
-    with (
-        mock.patch.object(agq.codes, "_prefix_projections", spy_project),
-        mock.patch.object(agq.codes, "_entry_points", spy_points),
-    ):
+    with mock.patch.object(agq.codes, "_block_frame", spy):
         yield blocks
 
 
@@ -1160,11 +1155,12 @@ def test_column_scan_large_field():
 def test_column_scan_memory_on_the_budget_capped_row():
     """The [80, 8] code over GF(64) of the mixed-80-64-8-q8 reproduce row: under
     the default budget its scan certifies every 3-subset and part of the
-    4-subsets, so it ends as the lower bound 4.  The arrays its blocks hold
-    must stay small: the scan's peak of traced allocations was 10.3 MiB when
-    each block eliminated whole (prefixes, k, n) batches, about 1.9 MiB with
-    the last step run on the entries, and is about 2.3 MiB since the Cayley
-    lookups gather with take, which widens their int32 indices to int64."""
+    4-subsets, so it ends as the lower bound 4.  Its blocks run in arrays made
+    once per scan, as large as its largest block (about 10,900 entries of
+    three short-key coordinates, with rows for five), and the scan's peak of
+    traced allocations is about 1.64 MiB.  It was 10.3 MiB when each block
+    eliminated whole (prefixes, k, n) batches, and 2.26 MiB when each block
+    made its own arrays and keyed every coordinate."""
     code = construct(ConstructionRequest("c5", 2, 3, k=9)).code
     assert (code.n, code.k, code.tower.q2) == (80, 8, 64)
     with scan_budget(config.DEFAULT_OPS_CAP):
@@ -1175,7 +1171,67 @@ def test_column_scan_memory_on_the_budget_capped_row():
         finally:
             tracemalloc.stop()
     assert res == DistanceResult(4, False, None, "column-scan-lower-bound")
-    assert peak < 2.5 * 2 ** 20, peak
+    assert peak < 1.8 * 2 ** 20, peak
+
+
+def test_column_scan_keys_few_entries_in_full():
+    """The budget of the [80, 8] code's scan pays for 70,934 of the 82,082 entries
+    of w = 4, whose points have six coordinates.  Each gets a short key of
+    three, and fewer than 1% of them a full key: their short keys repeat that
+    rarely (none do), where keys of two coordinates repeat for 36,344."""
+    code = construct(ConstructionRequest("c5", 2, 3, k=9)).code
+    keyed = []  # (coordinates of the points, coordinates keyed, entries)
+    point_keys = agq.codes._point_keys
+
+    def spy(tower, frame, e, wide, narrow):
+        keyed.append((len(frame[1]) - 1, len(wide) - 4, len(e)))
+        return point_keys(tower, frame, e, wide, narrow)
+
+    with scan_budget(config.DEFAULT_OPS_CAP), mock.patch.object(agq.codes, "_point_keys", spy):
+        assert dual_distance_by_columns(code) == DistanceResult(4, False, None, "column-scan-lower-bound")
+    assert sum(entries for points, keys, entries in keyed if points == 6 and keys < 6) == 70934
+    assert sum(entries for points, keys, entries in keyed if points == keys == 6) < 709
+
+
+@st.composite
+def short_key_cases(draw):
+    """[k+1 <= n <= k+5, 4 <= k <= 8] codes over GF(4), GF(16), GF(64) and GF(529),
+    which has no Cayley tables, with a block cap that splits the scan into
+    blocks of a few prefixes.  The first w-2 columns are unit vectors, so that
+    modulo their span the point of a later column is its rows w-2..; two
+    planted columns have points that agree in their first _SHORT_KEY
+    coordinates, up to a scalar, and in the rest too, or not, or whose first
+    coordinates are all zero.  Other columns are random or sparse, zero in
+    most rows, so that leading coordinates are zero."""
+    tw = build_tower(*draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (23, 1)])))
+    k = draw(st.integers(4, 8))
+    n = draw(st.integers(k + 1, k + 5))
+    w = draw(st.integers(2, k - 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = rng.integers(0, tw.q2, size=(k, n)).astype(np.int32)
+    sparse = rng.random(size=(k, n)) < draw(st.sampled_from([0.0, 0.5, 0.8]))
+    g[sparse] = tw.zero_code
+    g[:, : w - 2] = tw.zero_code
+    g[range(w - 2), range(w - 2)] = 0
+    j, l = sorted(rng.choice(range(w - 2, n), size=2, replace=False))
+    lead, rest = slice(w - 2, w - 2 + agq.codes._SHORT_KEY), slice(w - 2 + agq.codes._SHORT_KEY, k)
+    shape = draw(st.sampled_from(["agree", "parallel", "zero-lead agree", "zero-lead parallel"]))
+    if shape.startswith("zero-lead"):
+        g[lead, j] = g[lead, l] = tw.zero_code
+    scale = int(rng.integers(0, tw.n_units))
+    g[lead, l] = tw.vmul(scale, g[lead, j])
+    if shape.endswith("parallel"):
+        g[rest, l] = tw.vmul(scale, g[rest, j])
+    assume(rank(tw, g) == k)
+    return LinearCode(tw, g, provenance="hypothesis"), k * n * draw(st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(short_key_cases())
+def test_short_keys_match_per_subset_scan(case):
+    code, live = case
+    with mock.patch.object(agq.codes, "_LIVE_ENTRIES", live):
+        assert dual_distance_by_columns(code) == per_subset_column_scan(code)
 
 
 @contextlib.contextmanager

@@ -1,0 +1,134 @@
+"""Time agq's dual-distance column scans on this tree against another one.
+
+    python -m tests.time_scans OTHER_TREE [ROUNDS]
+
+loads this tree's src/agq and OTHER_TREE's into one process, as the packages
+agq_this and agq_other, and collects, on this tree, the codes whose column
+scans the 33 `reproduce` rows and the `catalog-curves` requests of
+agqbench/bench_workloads.py run.  It then runs every scan on both trees,
+interleaved, for ROUNDS rounds (default 300), and prints each scan's median
+time on both trees and the median of its per-round ratio other / this (above
+1 is faster here).  Last, in a fresh interpreter per tree, it prints the
+getrusage minor page faults and the time of the first scan of the [80, 8]
+code over GF(64) that the mixed-80-64-8-q8 row scans.  Results must agree
+between the trees, or it exits 1.  It is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import os
+import statistics
+import subprocess
+import sys
+from dataclasses import astuple
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+
+FIRST_SCAN = """
+import resource, time
+from agq.codes import dual_distance_by_columns
+from agq.constructions import ConstructionRequest, construct
+code = construct(ConstructionRequest("c5", 2, 3, k=9)).code
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+start = time.perf_counter()
+dual_distance_by_columns(code)
+seconds = time.perf_counter() - start
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults, f"{seconds * 1e3:.1f}")
+"""
+
+
+def load(tree: Path, name: str):
+    """tree/src/agq imported as the package `name`; its modules import each other relatively."""
+    src = tree / "src" / "agq"
+    spec = importlib.util.spec_from_file_location(name, src / "__init__.py", submodule_search_locations=[str(src)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for module in ("cli", "codes", "constructions", "errors", "fields"):
+        importlib.import_module(f"{name}.{module}")
+    return package
+
+
+def collect(agq) -> list[tuple[str, int, int, object]]:
+    """(label, p, m, generator matrix) of every distinct code the reproduce rows
+    and the catalog-curves requests scan, in the order first scanned."""
+    sys.path.insert(0, str(ROOT / "agqbench"))
+    import bench_workloads
+
+    seen, scans, label = set(), [], ""
+    scan = agq.codes.dual_distance_by_columns
+
+    def record(code):
+        key = (code.tower.p, code.tower.m, code.g.shape, code.g.tobytes())
+        if key not in seen:
+            seen.add(key)
+            scans.append((label, code.tower.p, code.tower.m, code.g.copy()))
+        return scan(code)
+
+    agq.codes.dual_distance_by_columns = record
+    try:
+        for target in agq.cli._repro_targets():
+            label = target["row"]
+            agq.cli._run_repro_target(target)
+        for request in bench_workloads.pool("catalog-curves"):
+            label = "catalog " + bench_workloads.request_id(request)
+            request = agq.constructions.ConstructionRequest(**request)
+            try:
+                for member in agq.constructions.construct_chain(request):
+                    agq.cli.catalog_entry(member, request, 0.0)
+            except agq.errors.AgqError:
+                pass
+    finally:
+        agq.codes.dual_distance_by_columns = scan
+    return scans
+
+
+def first_scan(tree: Path) -> str:
+    """Minor faults and milliseconds of the first [80, 8] scan in a fresh interpreter on tree."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", FIRST_SCAN], env=env, capture_output=True, text=True, check=True)
+    faults, ms = proc.stdout.split()
+    return f"{faults:>5} faults {ms:>5} ms"
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if not 1 <= len(args) <= 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    other_tree, rounds = Path(args[0]).resolve(), int(args[1]) if len(args) == 2 else 300
+    trees = {"this": load(ROOT, "agq_this"), "other": load(other_tree, "agq_other")}
+    scans = collect(trees["this"])
+    codes = {
+        name: [agq.codes.LinearCode(agq.fields.build_tower(p, m), g) for _, p, m, g in scans]
+        for name, agq in trees.items()
+    }
+    results = {name: [astuple(agq.codes.dual_distance_by_columns(c)) for c in codes[name]] for name, agq in trees.items()}
+    if results["this"] != results["other"]:
+        print("the trees' scans disagree", file=sys.stderr)
+        return 1
+    times = {name: [[] for _ in scans] for name in trees}
+    for r in range(rounds):
+        order = ("this", "other") if r % 2 == 0 else ("other", "this")
+        for i in range(len(scans)):
+            for name in order:
+                start = perf_counter()
+                trees[name].codes.dual_distance_by_columns(codes[name][i])
+                times[name][i].append(perf_counter() - start)
+    print(f"medians of {rounds} interleaved rounds: ms on this tree and on the other, and of other / this per round")
+    for i, (label, p, m, g) in enumerate(scans):
+        mine, theirs = (statistics.median(times[name][i]) * 1e3 for name in ("this", "other"))
+        ratio = statistics.median(b / a for a, b in zip(times["this"][i], times["other"][i]))
+        k, n = g.shape
+        print(f"{mine:8.3f} {theirs:8.3f} {ratio:6.3f}  [{n},{k}] GF({p ** (2 * m)}) {label}")
+    for name, tree in (("this", ROOT), ("other", other_tree)):
+        print(f"first [80,8] scan in a fresh interpreter, {name} tree:", ", ".join(first_scan(tree) for _ in range(3)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
