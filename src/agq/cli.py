@@ -5,11 +5,12 @@ the request is invalid, including an AGQ_CAP_OPS that is not a positive
 integer), 4 parse error, unreadable input or unwritable output.  Neither
 budget is a failure.  When AGQ_CAP_OPS stops the column scan, the code is
 still certified (exit 0), and d_exact/d_method say that d is a lower bound,
-as they do for an impure code.  A non-MDS code of more than
-config.EXHAUSTIVE_CAP words gets no classical distance ("d": null).  Output
-files are opened before the work starts.  All machine output is JSON (one
-object per command, or line-delimited for scans).  construct, verify and scan
-print one record per certified code (catalog_entry), and they and export one
+as they do for an impure code.  The classical d is the certificate's
+(codes.Certificate.distance): a non-MDS code of more than EXHAUSTIVE_CAP
+words gets "d": null.  Output files are opened before the work starts.  All
+machine output is JSON (one object per command, or line-delimited for
+scans).  construct, verify and scan print one record per certified code
+(catalog_entry), and they and export one
 per rejection (rejection_entry); its "request" is the construction request,
 or the matrix file.  A request carries only construction, p, m, n, t, k and
 embed: coset leaders, the grid anchor and the elliptic constant are always
@@ -34,14 +35,12 @@ from importlib import resources
 from . import config
 from .codes import (
     certify,
-    exhaustive_distance,
     export_matrix,
     hermitian_gram,  # noqa: F401 -- bound here too; agqbench's tracer test wraps this binding
     import_matrix,
 )
 from .constructions import _EMBED_STEPS, CertifiedCode, ConstructionRequest, construct_chain
-from .errors import AgqError, BadRequest, CapExceeded, GramNonzero, ParseError
-from .errors import UnreadableInput, UnwritableOutput
+from .errors import AgqError, BadRequest, GramNonzero, ParseError, UnreadableInput, UnwritableOutput
 from .fields import build_tower
 from .quantum import stabilizer_params
 
@@ -53,37 +52,25 @@ EXIT_PARSE = 4
 # -- catalog entries -----------------------------------------------------------
 
 
-def _classical_block(cert: CertifiedCode) -> dict:
-    code = cert.code
-    tower = code.tower
-    block = {
-        "q2": tower.q2,
-        "n": code.n,
-        "k": code.k,
-        "mds": cert.certificate.mds,
-        "mds_method": cert.certificate.mds_method,
-        "designed_distance": cert.designed_distance,
-    }
-    block["d"] = block["d_method"] = None
-    if cert.certificate.mds:
-        block["d"], block["d_method"] = code.n - code.k + 1, "mds-singleton"
-    else:
-        with contextlib.suppress(CapExceeded):  # too many words: d stays None
-            res = exhaustive_distance(code)
-            block["d"], block["d_method"] = res.value, res.method
-    return block
-
-
 def catalog_entry(cert: CertifiedCode, request, elapsed: float) -> dict:
     """The JSON record of one certified code; elapsed becomes its time_s.
     construct and scan pass the member's own build_s and a ConstructionRequest,
     verify its whole run time and a plain dict naming the matrix file."""
     certificate = cert.certificate
-    dd = certificate.dual_distance
+    code, dd, d = certificate.code, certificate.dual_distance, certificate.distance
     return {
         "request": dict(vars(request)) if isinstance(request, ConstructionRequest) else request,
         "verdict": "CERTIFIED",
-        "classical": _classical_block(cert),
+        "classical": {
+            "q2": code.tower.q2,
+            "n": code.n,
+            "k": code.k,
+            "mds": certificate.mds,
+            "mds_method": certificate.mds_method,
+            "designed_distance": cert.designed_distance,
+            "d": None if d is None else d.value,
+            "d_method": None if d is None else d.method,
+        },
         "quantum": dict(vars(stabilizer_params(cert))),
         "dual_distance": {"value": dd.value, "exact": dd.exact, "method": dd.method},
         "gram_digest": certificate.gram.digest,
@@ -178,12 +165,11 @@ def _matrix_rejected(args, exc: AgqError, start: float) -> int:
 def cmd_verify(args) -> int:
     start = time.perf_counter()
     try:
-        code = _read_matrix(args)
-        certificate = certify(code)  # a nonzero Gram raises GramNonzero
+        certificate = certify(_read_matrix(args))  # a nonzero Gram raises GramNonzero
     except AgqError as exc:
         return _matrix_rejected(args, exc, start)
     request = {"file": args.file, "systematic_prefix": args.systematic_prefix}
-    _emit(catalog_entry(CertifiedCode(code, certificate, (), None), request, time.perf_counter() - start))
+    _emit(catalog_entry(CertifiedCode(certificate, (), None), request, time.perf_counter() - start))
     return EXIT_OK
 
 

@@ -6,9 +6,10 @@ was built.  That holds for shortcuts too: each code's one structure record,
 LinearCode.structure, recognises a twisted-Vandermonde matrix and the orbits
 of a multiplicative symmetry on its own codes, points and norms alike, and
 the rank check, the Gram sum (once per orbit) and is_mds, where alone
-MDS-ness is decided, all read it.  Matrices are numpy int32 arrays of
-exponent codes (tower convention: code q^2-1 is zero), so the hot loops are
-table lookups.
+MDS-ness is decided, all read it.  certify's Certificate is the one record
+of a code: it holds the code, and its ``distance`` decides d(C) on first
+read.  Matrices are numpy int32 arrays of exponent codes (tower convention:
+code q^2-1 is zero), so the hot loops are table lookups.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import comb
 import numpy as np
 
 from . import config
-from . import points as _points
+from . import fields as _fields
 from .errors import CapExceeded, GramNonzero, ParseError, RankDefect
 from .fields import FieldTower, build_tower
 
@@ -92,7 +93,7 @@ def _structure(tower: FieldTower, g: np.ndarray) -> tuple[np.ndarray, int, np.nd
 
     The alpha_l are sorted once, unless they already ascend.  Their nonzero
     codes are fixed by the group <t^s> of order d = (q^2-1)/s that
-    points._stabilizer_step checks on them, and representative r stands for
+    fields._stabilizer_step checks on them, and representative r stands for
     the points alpha_r * t^(ms), m < d.  If the norms N_l = v_l^(q+1) step by
     a fixed multiple s * c_r along each orbit, log N(alpha_r t^(ms)) =
     log N(alpha_r) + m * s * c_r, which is checked on G[0], the orbit adds
@@ -117,7 +118,7 @@ def _structure(tower: FieldTower, g: np.ndarray) -> tuple[np.ndarray, int, np.nd
         alpha = alpha[order]
         if np.count_nonzero(alpha[1:] == alpha[:-1]):
             return None
-    s = _points._stabilizer_step(alpha, units)
+    s = _fields._stabilizer_step(alpha, units)
     if s == units:
         return whole
     d = units // s
@@ -151,14 +152,27 @@ class DistanceResult:
 
 @dataclass(frozen=True)
 class Certificate:
-    """What certify() decided about one code whose Gram matrix is all zero."""
+    """What certify() decided about one code whose Gram matrix is all zero, with
+    the code itself: the one record a catalog entry is built from."""
 
+    code: LinearCode
     gram: GramCertificate
     mds: bool | None  # None: the budget left it open
     mds_witness: tuple | None  # k columns with a singular minor
     mds_method: str
     dual_distance: DistanceResult  # d(C^perp) = d(C^perp_H)
     quantum_distance: DistanceResult  # min wt(C^perp_H \ C)
+
+    @cached_property
+    def distance(self) -> DistanceResult | None:
+        """d(C), decided here alone and on first read: n-k+1 (Singleton) when C
+        is MDS, else exhaustive_distance, or None past config.EXHAUSTIVE_CAP words."""
+        if self.mds:
+            return DistanceResult(self.code.n - self.code.k + 1, True, None, "mds-singleton")
+        try:
+            return exhaustive_distance(self.code)
+        except CapExceeded:
+            return None
 
 
 # -- elimination kernels ------------------------------------------------------
@@ -303,7 +317,7 @@ def hermitian_gram(code: LinearCode) -> GramCertificate:
         lhs[:, :reps] += tower._log_val[d % tower.p]
         lhs[:, :reps] %= units
     m = np.empty((k, k), dtype=np.int32)
-    rows = max(1, _points._GATHER_ENTRIES // max(1, k * g.shape[1]))
+    rows = max(1, _fields._GATHER_ENTRIES // max(1, k * g.shape[1]))
     for start in range(0, k, rows):
         stop = start + rows
         if start:
@@ -727,13 +741,13 @@ def certify(code: LinearCode) -> Certificate:
     The Hermitian Gram check comes first, and a nonzero Gram raises
     GramNonzero at its first nonzero entry.  is_mds then decides MDS-ness and
     d(C^perp), and _quantum_distance checks on the scan's witness whether
-    d(C^perp) is also the quantum distance.
+    d(C^perp) is also the quantum distance; d(C) waits for Certificate.distance.
     """
     gram = hermitian_gram(code)
     if not gram.all_zero:
         raise GramNonzero(*gram.first_nonzero)
     mds, witness, method, dd = is_mds(code)
-    return Certificate(gram, mds, witness, method, dd, _quantum_distance(code, dd))
+    return Certificate(code, gram, mds, witness, method, dd, _quantum_distance(code, dd))
 
 
 def _quantum_distance(code: LinearCode, dd: DistanceResult) -> DistanceResult:

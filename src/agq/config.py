@@ -14,7 +14,7 @@ from .errors import BadRequest
 # largest field GF(p^{2m}) for which full exp/log tables are built
 DEFAULT_FIELD_CAP = 2 ** 22
 
-# exhaustive codeword enumeration: q^{2k} must not exceed this
+# codeword enumeration, in codes.exhaustive_distance alone: q^{2k} must not exceed this
 EXHAUSTIVE_CAP = 2 ** 21
 
 # elementary field operations allowed per column-scan call

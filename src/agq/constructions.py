@@ -53,14 +53,17 @@ class ConstructionRequest:
 
 @dataclass(frozen=True)
 class CertifiedCode:
-    code: LinearCode
-    certificate: Certificate  # its Gram certificate is all zero
+    certificate: Certificate  # its Gram certificate is all zero; it holds the code
     trace: tuple
     designed_distance: int | None
     # embedding metadata for genus-0 evaluation chains
     eval_set: EvaluationSet | None = None
     twist: np.ndarray | None = None
     build_s: float = 0.0  # wall time to build and certify this member alone
+
+    @property
+    def code(self) -> LinearCode:
+        return self.certificate.code
 
 
 def _line_chain_member(
@@ -74,7 +77,6 @@ def _line_chain_member(
     columns that embedding steps appended after them, if any."""
     code = LinearCode(eval_set.tower, g, provenance=provenance)
     return CertifiedCode(
-        code=code,
         certificate=certify(code),
         trace=trace,
         # restricted to its eval_set.n core columns C is a GRS [n0, k] code, and
@@ -103,10 +105,8 @@ def _curve_pipeline(
     basis = rr_basis(spec, k)
     # fiber-constant twist: each x-value's multiplier repeats across its fiber
     code = evaluation_code(tower, basis, xs.codes[owner], y, tv[owner], provenance=provenance)
-    certificate = certify(code)
     return CertifiedCode(
-        code=code,
-        certificate=certificate,
+        certificate=certify(code),
         trace=trace
         + (
             f"curve {spec.label()} genus {spec.genus}",

@@ -55,6 +55,11 @@ _TABLE_BLOCK = 1 << 13
 # distinct fields build_tower keeps built (reproduce touches 9)
 _SHARED_TOWERS = 16
 
+# table reads per block of rows, read at call time by points.local_derivatives (Zech
+# logs, one row per stabilizer orbit) and codes.hermitian_gram (additive words, one
+# column per orbit of the checked symmetry plus the zero point): 2 MB of int64 indices
+_GATHER_ENTRIES = 1 << 18
+
 
 class AdditiveMap(Enum):
     """GF(p)-linear maps whose fibers the curve module needs."""
@@ -452,6 +457,37 @@ def _moduli() -> dict[tuple[int, int], tuple[int, ...]]:
 @functools.lru_cache(maxsize=_SHARED_TOWERS)
 def _shared_tower(p: int, m: int) -> FieldTower:
     return FieldTower(p, m, _moduli()[p, m])
+
+
+@functools.cache
+def _divisors(n: int) -> tuple[int, ...]:
+    """The divisors of n above 1, largest first."""
+    small = [d for d in range(2, isqrt(n) + 1) if n % d == 0]
+    return tuple(sorted({n, *small, *(n // d for d in small)}, reverse=True))
+
+
+def _stabilizer_step(codes: np.ndarray, n_units: int) -> int:
+    """The least s | q^2-1 with nonzero + s = nonzero mod q^2-1, for the
+    nonzero codes of an ascending code array: t^s generates the set's
+    multiplicative stabilizer.  A set with a repeated point, or with no
+    nonzero point, gets q^2-1.
+
+    The stabilizer order d = (q^2-1)/s divides the number of nonzero points,
+    so the divisors d of both are tried, largest first.  Shifting by s maps
+    the ascending codes onto themselves exactly when code i + size/d is
+    code i plus s for every i (codes lie in [0, q^2-1), so nothing wraps
+    past the last block); code size/d is tried on its own before the rest.
+    """
+    size = int(codes.searchsorted(n_units))
+    if not size or np.count_nonzero(codes[1:] == codes[:-1]):
+        return n_units
+    first = codes[0]
+    for d in _divisors(n_units):
+        if size % d == 0:
+            s, r = n_units // d, size // d
+            if codes[r] == first + s and not np.count_nonzero(codes[r:size] != codes[: size - r] + s):
+                return s
+    return n_units
 
 
 def norm_preimage(tower: FieldTower, c: int) -> int:

@@ -14,12 +14,12 @@ twist vector is computed on the whole code array too.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from math import gcd
 
 import numpy as np
 
+from . import fields as _fields
 from .errors import (
     BadRequest,
     CosetSearchExhausted,
@@ -33,11 +33,6 @@ FAMILY_ROOTS_OF_UNITY = "roots_of_unity"
 FAMILY_COSET_UNION = "coset_union"
 FAMILY_AFFINE_GRID = "affine_grid"
 FAMILY_EXPLICIT = "explicit"
-
-# table reads per block of rows, in local derivatives (Zech logs, one row per
-# stabilizer orbit) and in codes.hermitian_gram (additive words, one column per
-# orbit of the checked symmetry plus the zero point): 2 MB of int64 indices
-_GATHER_ENTRIES = 1 << 18
 
 
 def _repeats(codes: np.ndarray) -> np.ndarray:
@@ -161,37 +156,6 @@ def explicit_set(tower: FieldTower, codes, tag: str = FAMILY_EXPLICIT) -> Evalua
     return es
 
 
-@functools.cache
-def _divisors(n: int) -> tuple[int, ...]:
-    """The divisors of n above 1, largest first."""
-    small = [d for d in range(2, isqrt(n) + 1) if n % d == 0]
-    return tuple(sorted({n, *small, *(n // d for d in small)}, reverse=True))
-
-
-def _stabilizer_step(codes: np.ndarray, n_units: int) -> int:
-    """The least s | q^2-1 with nonzero + s = nonzero mod q^2-1, for the
-    nonzero codes of an ascending code array: t^s generates the set's
-    multiplicative stabilizer.  A set with a repeated point, or with no
-    nonzero point, gets q^2-1.
-
-    The stabilizer order d = (q^2-1)/s divides the number of nonzero points,
-    so the divisors d of both are tried, largest first.  Shifting by s maps
-    the ascending codes onto themselves exactly when code i + size/d is
-    code i plus s for every i (codes lie in [0, q^2-1), so nothing wraps
-    past the last block); code size/d is tried on its own before the rest.
-    """
-    size = int(codes.searchsorted(n_units))
-    if not size or np.count_nonzero(codes[1:] == codes[:-1]):
-        return n_units
-    first = codes[0]
-    for d in _divisors(n_units):
-        if size % d == 0:
-            s, r = n_units // d, size // d
-            if codes[r] == first + s and not np.count_nonzero(codes[r:size] != codes[: size - r] + s):
-                return s
-    return n_units
-
-
 def local_derivatives(eval_set: EvaluationSet) -> np.ndarray:
     """log h'(alpha_i), h'(alpha_i) = prod_{j != i} (alpha_i - alpha_j), for
     every point, as an int64 code array.
@@ -202,11 +166,11 @@ def local_derivatives(eval_set: EvaluationSet) -> np.ndarray:
     point's row is (n-1)*a plus the Zech reads over every nonzero point; the
     zero point, if any, contributes just its a.  The Zech row sum is still
     taken over the whole set, but once per orbit of the set's multiplicative
-    stabilizer <t^s>, which _stabilizer_step checks on the codes: if S is
-    fixed by a -> t^s a, so is -S, and the row of t^s a is the row of a with
-    every log(-b) shifted by s, so it has the same sum.  The rows of the
+    stabilizer <t^s>, which fields._stabilizer_step checks on the codes: if
+    S is fixed by a -> t^s a, so is -S, and the row of t^s a is the row of a
+    with every log(-b) shifted by s, so it has the same sum.  The rows of the
     points in [0, s), one per orbit (every point when s = q^2-1), are
-    gathered in blocks of about _GATHER_ENTRIES Zech reads.  A zero point
+    gathered in blocks of about fields._GATHER_ENTRIES Zech reads.  A zero point
     gets sum(log(-b)), and every copy of a repeated point gets the zero code.
     """
     tower = eval_set.tower
@@ -214,9 +178,9 @@ def local_derivatives(eval_set: EvaluationSet) -> np.ndarray:
     codes = eval_set.codes.astype(np.int64)
     nonzero = codes[codes != n_units]
     negs = tower.vneg(nonzero).astype(np.int64)
-    reps = nonzero[: len(nonzero) * _stabilizer_step(codes, n_units) // n_units]
+    reps = nonzero[: len(nonzero) * _fields._stabilizer_step(codes, n_units) // n_units]
     sums = np.empty(len(reps), dtype=np.int64)
-    rows = max(1, _GATHER_ENTRIES // max(1, len(negs)))
+    rows = max(1, _fields._GATHER_ENTRIES // max(1, len(negs)))
     for start in range(0, len(reps), rows):
         a = reps[start : start + rows]
         zechs = tower.zech_log((negs[None, :] - a[:, None]) % n_units)

@@ -4,7 +4,8 @@
 
 runs a fixed set of agq commands (both reproduce tables, scans of c1, c4,
 c5, c8, c9 and c10, four line-code constructs with deep, once and iterate
-embedding, and verify of every matrix in tests/data) once with
+embedding, two Hermitian-curve constructs on either side of the exhaustive
+word cap, and verify of every matrix in tests/data) once with
 PYTHONPATH set to this tree's src and once with it set to OTHER_TREE/src.
 Every "time_s" and "build_s" value is masked; the exit code, stdout and any
 --out file must then match byte for byte.  Every command runs, whatever an
@@ -48,6 +49,8 @@ COMMANDS = [
     _construct("c1", 2, 5, 1, "deep"),  # the step is rejected: the chain ends at [32,16]
     _construct("c4", 7, 1, 6, "once"),  # rejected, with a Gram failure
     _construct("c4", 7, 1, 3, "iterate", "--matrix-out", "{out}"),  # [21,3], [21,4], [22,5]
+    # a Hermitian-curve [64,5] over GF(16), d(C) 55 by enumeration, and [64,6], past the word cap: d null
+    *(["construct", "--construction", "c7i", "--p", "2", "--m", "2", "--n", "16", "--k", k] for k in ("10", "11")),
     *(["verify", str(path), "--systematic-prefix"] for path in sorted(DATA.glob("*.txt"))),
 ]
 

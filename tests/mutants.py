@@ -1,0 +1,198 @@
+"""Mutation checks: does the test suite still catch each recorded fault?
+
+    python -m tests.mutants [NAME ...]
+
+MUTANTS is a table of named faults, each a source file, an exact snippet of
+it, the snippet's replacement, and the tests expected to fail.  For each
+mutant (or each NAME given), src, tests, agqbench and pyproject.toml are
+copied to a temporary directory, the snippet, which must occur exactly once
+in its file, is replaced, and only the named tests run there, stopping at the
+first failure.  A mutant is caught when pytest reports a failed test (exit
+code 1) and survives when every named test passes.  One line per mutant
+gives the verdict and the time.  The exit code is 1 if any mutant survived,
+a snippet did not match its file exactly once, or pytest could not run the
+named tests; else 0, and 2 for a NAME that no mutant has.  It is not part of
+the test suite: each mutant costs a pytest start-up and its tests.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "agqbench", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+CODES, FIELDS, CURVES = "src/agq/codes.py", "src/agq/fields.py", "src/agq/curves.py"
+CONSTRUCTIONS, POINTS, CLI = "src/agq/constructions.py", "src/agq/points.py", "src/agq/cli.py"
+T_CODES, T_FIELDS, T_CURVES = "tests/test_codes.py", "tests/test_fields.py", "tests/test_curves.py"
+T_CONSTRUCTIONS, T_CLI = "tests/test_constructions.py", "tests/test_cli.py"
+
+MUTANTS = (
+    # table build, rows, chain guard, records and coset leaders
+    Mutant("table-block-read-from-offset-0", FIELDS,
+           "np.divmod(exp[start:stop], q, out=(hi, lo))", "np.divmod(exp[: stop - start], q, out=(hi, lo))",
+           (f"{T_FIELDS}::test_build_tables_across_block_boundaries",)),
+    Mutant("chain-guard-only-refuses-non-mds", CONSTRUCTIONS,
+           "if cert.certificate.mds is not True:", "if cert.certificate.mds is False:",
+           (f"{T_CONSTRUCTIONS}::test_chain_ends_at_first_member_not_certified_mds",)),
+    Mutant("monomial-rows-drop-e-positive", CODES,
+           "zero = zero | (x == units) & (e > 0)", "zero = zero | (x == units)",
+           (f"{T_CODES}::test_monomial_rows_match_per_row_oracle",)),
+    Mutant("monomial-rows-drop-zero-twist-mask", CODES,
+           "zero = v == units", "zero = v < 0",
+           (f"{T_CODES}::test_monomial_rows_match_per_row_oracle",)),
+    Mutant("quantum-record-keys-sorted", CLI,
+           '"quantum": dict(vars(stabilizer_params(cert))),',
+           '"quantum": dict(sorted(vars(stabilizer_params(cert)).items())),',
+           (f"{T_CLI}::test_record_dicts_equal_asdict_in_key_order",)),
+    Mutant("coset-leaders-drop-residue-check", POINTS,
+           "if idx != 0 and idx not in seen and code % need == 0:", "if idx != 0 and code % need == 0:",
+           ("tests/test_points.py::test_coset_leaders_fall_in_distinct_cosets",)),
+    # the structure record
+    Mutant("structure-drop-norm-step-check", CODES,
+           "if np.count_nonzero(steps.reshape(d - 1, reps) != c * s):", "if False:",
+           (f"{T_CODES}::test_structure_record_matches_brute_force",)),
+    Mutant("structure-drop-distinct-points-check", CODES,
+           "if np.count_nonzero(alpha[1:] == alpha[:-1]):", "if False:",
+           (f"{T_CODES}::test_structure_record_matches_brute_force",)),
+    Mutant("rank-check-always-row-reduces", CODES,
+           "if verify_rank and self.k > 0 and self.structure is None:", "if verify_rank and self.k > 0:",
+           (f"{T_CODES}::test_rank_by_shape_matches_rref",)),
+    # curves
+    Mutant("curve-right-side-drops-c", CURVES,
+           "return rhs if spec.c is None else spec.tower.vadd(rhs, spec.c)", "return rhs",
+           (f"{T_CURVES}::test_elliptic_support_size", f"{T_CURVES}::test_x_support_and_fibers_match_scalar_oracle")),
+    Mutant("pole-x-always-2", CURVES,
+           "return 2 if self.amap is AdditiveMap.SQUARE_PLUS_Y else self.tower.q", "return 2",
+           (f"{T_CURVES}::test_genus_formulas", f"{T_CURVES}::test_rr_basis_hermitian_q4_k9")),
+    # field kernels and digests
+    Mutant("sum-products-zero-threshold-2n", FIELDS,
+           "np.copyto(codes, n, where=slots >= 2 * n - 1)", "np.copyto(codes, n, where=slots >= 2 * n)",
+           (T_FIELDS,)),
+    Mutant("zech-raises-digit-1", FIELDS,
+           "v -= self.p * (v % self.p == 0)", "v -= self.p * (v % self.p == 1)",
+           (T_FIELDS,)),
+    Mutant("cayley-zech-windows-n-1-to-0", FIELDS,
+           "n)[n:0:-1]", "n)[n - 1 :: -1]",
+           (T_FIELDS,)),
+    Mutant("digest-through-hashlib", CODES,
+           "try:\n    from _sha2 import sha256  # CPython 3.12+\nexcept ImportError:\n    try:\n"
+           "        from _sha256 import sha256  # CPython 3.10-3.11\n    except ImportError:\n"
+           "        from hashlib import sha256\n",
+           "from hashlib import sha256\n",
+           (f"{T_CLI}::test_certifying_a_code_loads_no_openssl",)),
+    # the Cauchy certificate
+    Mutant("cauchy-drop-rank-test", CODES,
+           "if rank(tower, b if b.shape[1] <= b.shape[0] else b.T) != 2:", "if False:",
+           (f"{T_CODES}::test_cauchy_verify_accepts_cauchy_matrices_and_rejects_changes",
+            f"{T_CODES}::test_cauchy_verify_against_every_minor")),
+    Mutant("cauchy-drop-row-test", CODES,
+           "for lines in (b, b.T):", "for lines in (b.T,):",
+           (f"{T_CODES}::test_cauchy_verify_accepts_cauchy_matrices_and_rejects_changes",
+            f"{T_CODES}::test_cauchy_verify_against_every_minor")),
+    Mutant("cauchy-drop-column-test", CODES,
+           "for lines in (b, b.T):", "for lines in (b,):",
+           (f"{T_CODES}::test_cauchy_verify_accepts_cauchy_matrices_and_rejects_changes",
+            f"{T_CODES}::test_cauchy_verify_against_every_minor")),
+    # designed distance
+    Mutant("line-designed-distance-singleton", CONSTRUCTIONS,
+           "designed_distance=eval_set.n - code.k + 1,", "designed_distance=code.n - code.k + 1,",
+           (f"{T_CONSTRUCTIONS}::test_designed_distance_is_a_lower_bound_on_line_code_chains",)),
+    # the column scan's keys and buffers
+    Mutant("scan-short-keys-off", CODES,
+           "_SHORT_KEY = 3", "_SHORT_KEY = 99",
+           (f"{T_CODES}::test_column_scan_keys_few_entries_in_full",
+            f"{T_CODES}::test_column_scan_memory_on_the_budget_capped_row")),
+    Mutant("scan-two-short-coordinates", CODES,
+           "_SHORT_KEY = 3", "_SHORT_KEY = 2",
+           (f"{T_CODES}::test_column_scan_keys_few_entries_in_full",
+            f"{T_CODES}::test_column_scan_memory_on_the_budget_capped_row")),
+    Mutant("scan-sorts-keys-in-place", CODES,
+           "np.copyto(ordered, keys)", "ordered = keys",
+           (f"{T_CODES}::test_column_scan_matches_per_subset_scan",)),
+    Mutant("scan-prefix-buffer-not-cleared", CODES,
+           "        b.fill(0)\n", "",
+           (f"{T_CODES}::test_column_scan_matches_per_subset_scan",)),
+    # the certificate's d(C)
+    Mutant("distance-singleton-for-non-mds", CODES,
+           "        if self.mds:\n", "        if self.mds is not None:\n",
+           (f"{T_CLI}::test_catalog_distance_stops_at_the_exhaustive_cap",)),
+    Mutant("distance-decided-eagerly-in-certify", CODES,
+           "    return Certificate(code, gram, mds, witness, method, dd, _quantum_distance(code, dd))\n",
+           "    certificate = Certificate(code, gram, mds, witness, method, dd, _quantum_distance(code, dd))\n"
+           "    certificate.distance\n    return certificate\n",
+           (f"{T_CLI}::test_reproduce_enumerates_no_codewords",)),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, dest / name, ignore=skip)
+        else:
+            shutil.copy2(source, dest / name)
+
+
+def check(mutant: Mutant) -> tuple[str, str]:
+    """(verdict, detail): caught, survived or error, for one mutant."""
+    with tempfile.TemporaryDirectory(prefix="agq-mutant-") as tmp:
+        tmp = Path(tmp)
+        _copy_tree(tmp)
+        path = tmp / mutant.file
+        text = path.read_text()
+        count = text.count(mutant.snippet)
+        if count != 1:
+            return "error", f"the snippet occurs {count} times in {mutant.file}"
+        path.write_text(text.replace(mutant.snippet, mutant.replacement))
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=tmp, env=env, capture_output=True, text=True,
+        )
+    lines = proc.stdout.strip().splitlines()
+    last = lines[-1] if lines else proc.stderr.strip()
+    if proc.returncode == 1:
+        return "caught", last
+    if proc.returncode == 0:
+        return "survived", last
+    return "error", f"pytest exit {proc.returncode}: {last}"
+
+
+def main(argv=None) -> int:
+    names = sys.argv[1:] if argv is None else argv
+    known = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"no mutant named {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [known[name] for name in names] if names else list(MUTANTS)
+    failed = 0
+    for mutant in chosen:
+        start = time.perf_counter()
+        verdict, detail = check(mutant)
+        failed += verdict != "caught"
+        print(f"{verdict:8s} {mutant.name} ({time.perf_counter() - start:.1f} s): {detail}", flush=True)
+    print(f"{len(chosen) - failed} of {len(chosen)} mutants caught")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -103,7 +103,7 @@ def test_criterion_2_reference_matrices():
     assert (code.tower.q2, certificate.mds_method) == (16, "systematic")
     dist = exhaustive_distance(code)
     assert (dist.value, dist.exact) == (20, True)
-    qp = stabilizer_params(CertifiedCode(code, certificate, (), None))
+    qp = stabilizer_params(CertifiedCode(certificate, (), None))
     assert (qp.params_string(), qp.d_exact, qp.defect) == ("[[24,16,4]]_4", True, 2)
     report(2, "; ".join(results))
 

@@ -10,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
+import agq.codes
 import agq.constructions
-from agq.cli import catalog_entry, main, parse_quantum_params, rejection_entry
+from agq.cli import _repro_targets, _run_repro_target, catalog_entry, main, parse_quantum_params, rejection_entry
+from agq.codes import DistanceResult
+from agq.constructions import ConstructionRequest, construct
 from agq.errors import AgqError
 from agq.quantum import stabilizer_params
 
@@ -143,16 +146,40 @@ def test_construct_under_a_budget_is_certified_with_a_bound(capsys, monkeypatch)
     assert (entry["quantum"]["d"], entry["quantum"]["d_exact"]) == (2, False)
 
 
-def test_catalog_distance_stops_at_the_exhaustive_cap(capsys):
+def test_catalog_distance_stops_at_the_exhaustive_cap(capsys, monkeypatch):
     """Hermitian-curve codes over GF(16): the [64,5] code has 2^20 words, within
     the 2^21 cap, and gets its exhaustive d; the [64,6] code has 2^24, so its
-    classical d is null, and the command still exits 0."""
+    classical d is null, and the command still exits 0.  The certificate's
+    d(C) is the same: enumerated once however often it is read, None past the
+    cap, and Singleton's, with no enumeration, for an MDS code."""
     for k, params, d, method in [(10, (64, 5), 55, "exhaustive"), (11, (64, 6), None, None)]:
         code, out = run_cli(capsys, "construct", "--construction", "c7i", "--p", "2", "--m", "2", "--n", "16", "--k", str(k))
         assert code == 0
         classical = json.loads(out)["classical"]
         assert (classical["n"], classical["k"], classical["mds"]) == (*params, False)
         assert (classical["d"], classical["d_method"]) == (d, method)
+    enumerated = []
+    enumerate_words = agq.codes.exhaustive_distance
+    monkeypatch.setattr(agq.codes, "exhaustive_distance", lambda code: enumerated.append(code) or enumerate_words(code))
+    within = construct(ConstructionRequest("c7i", 2, 2, n=16, k=10)).certificate
+    first, again = within.distance, within.distance
+    assert (first.value, first.exact, first.method) == (55, True, "exhaustive")
+    assert again is first and enumerated == [within.code]
+    assert construct(ConstructionRequest("c7i", 2, 2, n=16, k=11)).certificate.distance is None
+    enumerated.clear()
+    mds = construct(ConstructionRequest("c1", 13, 1, n=25, k=2)).certificate
+    assert mds.mds and mds.distance == DistanceResult(24, True, None, "mds-singleton")
+    assert enumerated == []
+
+
+def test_reproduce_enumerates_no_codewords(monkeypatch):
+    """No reproduce row reads d(C), so no row enumerates codewords: certify
+    leaves d(C) to the first read of Certificate.distance."""
+    enumerated = []
+    monkeypatch.setattr(agq.codes, "exhaustive_distance", lambda code: enumerated.append(code.params()))
+    statuses = [_run_repro_target(target)["status"] for target in _repro_targets()]
+    assert (statuses.count("MATCH"), statuses.count("UNMATCHED"), statuses.count("SKIPPED")) == (29, 3, 1)
+    assert enumerated == []
 
 
 def test_verify_identity_rejected(tmp_path, capsys):

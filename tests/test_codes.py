@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import agq.codes
-import agq.points
+import agq.fields
 from agq import config
 from agq.codes import (
     _CHUNK,
@@ -446,13 +446,13 @@ def additive_sum_cases(draw):
     g[rng.random((k, n)) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = tw.zero_code
     g[draw(st.lists(st.integers(0, k - 1), max_size=k))] = tw.zero_code
     rows = draw(st.sampled_from([1, 2, None]))
-    cap = agq.points._GATHER_ENTRIES if rows is None else rows * k * max(1, n)
+    cap = agq.fields._GATHER_ENTRIES if rows is None else rows * k * max(1, n)
     return tw, g, terms, cap
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(additive_sum_cases())
-@example((build_tower(2, 2), np.zeros((0, 5), dtype=np.int32), 3, agq.points._GATHER_ENTRIES))  # k = 0
+@example((build_tower(2, 2), np.zeros((0, 5), dtype=np.int32), 3, agq.fields._GATHER_ENTRIES))  # k = 0
 def test_additive_sums_match_zech_tree(case):
     """hermitian_gram, matrix, verdict, first nonzero entry and digest, and
     vsum along every axis of a stack of two such matrices equal the Zech-tree
@@ -461,7 +461,7 @@ def test_additive_sums_match_zech_tree(case):
     tw, g, terms, cap = case
     code = LinearCode(tw, g, verify_rank=False)
     cube = np.stack([g, np.roll(g, 1, axis=1)])
-    with mock.patch.object(tw, "_word_terms", terms), mock.patch.object(agq.points, "_GATHER_ENTRIES", cap):
+    with mock.patch.object(tw, "_word_terms", terms), mock.patch.object(agq.fields, "_GATHER_ENTRIES", cap):
         got = hermitian_gram(code)
         sums = [tw.vsum(cube, axis) for axis in (0, 1, 2, -1)]
     want = zech_tree_gram(code)
@@ -528,7 +528,7 @@ def orbit_gram_cases(draw):
     """A code of twisted_vandermonde with k <= 2q+3, and a Gram gather cap
     that makes blocks of 1 row, or the module default."""
     tw, g = draw(twisted_vandermonde(lambda n, q: min(n, 2 * q + 3)))
-    cap = draw(st.sampled_from([1, agq.points._GATHER_ENTRIES]))
+    cap = draw(st.sampled_from([1, agq.fields._GATHER_ENTRIES]))
     return LinearCode(tw, g, verify_rank=False), cap
 
 
@@ -543,7 +543,7 @@ def test_orbit_gram_matches_zech_tree():
     @given(orbit_gram_cases())
     def check(case):
         code, cap = case
-        with mock.patch.object(agq.points, "_GATHER_ENTRIES", cap):
+        with mock.patch.object(agq.fields, "_GATHER_ENTRIES", cap):
             got = hermitian_gram(code)
         want = zech_tree_gram(code)
         assert got.matrix.dtype == np.int32 and np.array_equal(got.matrix, want.matrix)

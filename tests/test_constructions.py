@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import agq.constructions
-from agq.cli import _classical_block, _repro_targets, _scan_requests, build_parser
+from agq.cli import _repro_targets, _scan_requests, build_parser
 from agq.codes import LinearCode, evaluation_code, grs_rows, hermitian_gram
 from agq.constructions import (
     ConstructionRequest,
@@ -449,13 +449,46 @@ def test_designed_distance_is_a_lower_bound_on_line_code_chains():
             continue
         for cert in chain:
             members += 1
-            block = _classical_block(cert)
+            d = cert.certificate.distance
             assert cert.designed_distance == cert.eval_set.n - cert.code.k + 1, req
-            if block["d"] is not None:
-                assert block["designed_distance"] <= block["d"], (req, cert.code.params())
-            if block["mds"] is False:
-                assert block["designed_distance"] <= cert.code.n - cert.code.k, (req, cert.code.params())
+            if d is not None:
+                assert cert.designed_distance <= d.value, (req, cert.code.params())
+            if cert.certificate.mds is False:
+                assert cert.designed_distance <= cert.code.n - cert.code.k, (req, cert.code.params())
     assert members > 250
+
+
+def curve_code_requests():
+    """The c5, c8, c9 and c10 scan grids over towers 2,2 3,1 2,3 3,2 5,1 7,1,
+    Artin-Schreier members with p | t among them, and one code each of c6,
+    c7i, c7ii and c7iii."""
+    towers = [a for t in ("2,2", "3,1", "2,3", "3,2", "5,1", "7,1") for a in ("--tower", t)]
+    for cons in ("c5", "c8", "c9", "c10"):
+        yield from _scan_requests(build_parser().parse_args(["scan", "--construction", cons, *towers]))
+    yield ConstructionRequest("c6", 2, 2, n=4, k=4)
+    yield ConstructionRequest("c7i", 2, 2, n=16, k=8)
+    yield ConstructionRequest("c7ii", 3, 1, n=2, t=1, k=4)
+    yield ConstructionRequest("c7iii", 2, 2, t=2, k=6)
+
+
+def test_designed_distance_is_a_lower_bound_on_curve_codes():
+    """A curve code's designed distance, the Goppa bound, is at most its d(C)
+    wherever the record has one, and at most n - k when the code is not MDS."""
+    members, methods = 0, []
+    for req in curve_code_requests():
+        try:
+            chain = construct_chain(req)
+        except AgqError:
+            continue
+        for cert in chain:
+            members += 1
+            d = cert.certificate.distance
+            if d is not None:
+                methods.append(d.method)
+                assert cert.designed_distance <= d.value, (req, cert.code.params())
+            if cert.certificate.mds is False:
+                assert cert.designed_distance <= cert.code.n - cert.code.k, (req, cert.code.params())
+    assert (members, methods.count("exhaustive"), methods.count("mds-singleton")) == (60, 26, 4)
 
 
 def test_every_certified_code_has_zero_gram():

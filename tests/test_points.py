@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import agq.points
+import agq.fields
 from agq.errors import (
     CosetSearchExhausted,
     DivisibilityViolated,
@@ -350,7 +350,7 @@ def twist_cases(draw):
         es = EvaluationSet(es.tower, es.family, codes, es.params)
     rows = draw(st.sampled_from([1, 7, None]))
     nonzero = int(np.count_nonzero(es.codes != es.tower.zero_code))
-    cap = agq.points._GATHER_ENTRIES if rows is None else rows * max(1, nonzero)
+    cap = agq.fields._GATHER_ENTRIES if rows is None else rows * max(1, nonzero)
     return es, cap
 
 
@@ -376,7 +376,7 @@ def test_twist_log_sums_match_pairwise_product(case):
     Scalar pairwise product on all four families, with and without zero,
     whatever the row blocks of the gather."""
     es, cap = case
-    with mock.patch.object(agq.points, "_GATHER_ENTRIES", cap):
+    with mock.patch.object(agq.fields, "_GATHER_ENTRIES", cap):
         assert_twist_matches_oracle(es)
 
 
@@ -422,7 +422,7 @@ def test_stabilizer_step_matches_brute_force(es):
     """The step of the multiplicative stabilizer that local_derivatives reads off
     the codes is the brute-force one, on all four families and on coset
     unions, each as built or one point off."""
-    assert agq.points._stabilizer_step(es.codes.astype(np.int64), es.tower.n_units) == brute_force_step(es)
+    assert agq.fields._stabilizer_step(es.codes.astype(np.int64), es.tower.n_units) == brute_force_step(es)
 
 
 @pytest.mark.parametrize("p,m,n", [(2, 5, 1024), (2, 8, 258), (251, 1, 251)])

@@ -45,7 +45,7 @@ def test_artin_schreier_quantum_params():
 def test_degenerate_k0():
     tw = build_tower(3, 1)
     code = LinearCode(tw, np.zeros((0, 7), dtype=np.int32))
-    cert = CertifiedCode(code=code, certificate=certify(code), trace=(), designed_distance=None)
+    cert = CertifiedCode(certificate=certify(code), trace=(), designed_distance=None)
     qp = stabilizer_params(cert)
     assert (qp.n, qp.k, qp.d) == (7, 7, 1)
     assert qp.defect == 0
@@ -159,6 +159,6 @@ def test_impure_code_distance_is_a_lower_bound():
     certificate = certify(IMPURE_GF4)
     assert certificate.dual_distance == DistanceResult(2, True, (0, 3), "column-scan")
     assert certificate.quantum_distance == DistanceResult(2, False, (0, 3), "impure-lower-bound")
-    cert = CertifiedCode(code=IMPURE_GF4, certificate=certificate, trace=(), designed_distance=None)
+    cert = CertifiedCode(certificate=certificate, trace=(), designed_distance=None)
     qp = stabilizer_params(cert)
     assert qp.params_string() == "[[7,1,>=2]]_2" and qp.mds is None and qp.defect is None
