@@ -26,10 +26,10 @@ the sixteen fields the bundled examples touch, so that t-power listings are
 comparable with standard computer-algebra output, and the lexicographically
 least primitive polynomial for the rest.  tests/modulus_search.py derives that
 table by search and checks it.  The file is read, and the tables are built
-from the modulus, on the first request for a field and never at import: the
-powers of t by doubling, straight into the exp table, each doubling step a
-few gathers per power from q-entry tables; then the log table from those
-powers, a block at a time.
+from the modulus, on the first request for a field and never at import.
+The tables are in tower coordinates, a + b t with a and b in GF(q), and
+every unit is N^i t^j, N = t^(q+1), i < q-1, j <= q: so the exp table is
+slices of GF(q)'s, and the q+1 powers t^j certify t primitive (FieldTower).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from importlib import resources
 from math import isqrt
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import DEFAULT_FIELD_CAP
 from .errors import BadRequest, FieldTooLarge, NotInBaseField, NotPrime, ZeroInput
@@ -49,8 +48,9 @@ from .errors import BadRequest, FieldTooLarge, NotInBaseField, NotPrime, ZeroInp
 # largest q^2 with full Cayley tables: two int32 tables of q^4 entries, 1 MB each
 _CAYLEY_MAX_Q2 = 2 ** 9
 
-# entries per gather of the table build, through four int64 buffers of this size (256 KB)
+# entries per block of the table builds, read at call time: the exp table's in rows of q+1
 _TABLE_BLOCK = 1 << 13
+_NOT_PRIMITIVE = "modulus is not primitive; tables inconsistent"
 
 # distinct fields build_tower keeps built (reproduce touches 9)
 _SHARED_TOWERS = 16
@@ -76,17 +76,19 @@ class FieldTower:
     e < q^2-1, then 0 at the zero code); two q-entry word tables; and the
     Cayley tables when q^2 <= 2^9.
 
-    ``_build_tables`` reads each power of t as its low and high m digits,
-    two numbers below q.  Given t^0 .. t^(k-1), the powers t^k .. t^(2k-1)
-    are their products with t^k; multiplication by t^k is GF(p)-linear, so
-    each half of a product is the digit-wise sum of the images of the two
-    halves, read from q-entry tables.  The sum is one gather: the images are
-    written in base 2p-1, where two of them add with no carry, and a table of
-    (2p-1)^m entries maps such a sum to its digits mod p.  That is O(q^2)
-    gathered entries in all, with no matrix product larger than q x m.  A
-    block at a time, the halves are read back from ``_exp`` with one divmod
-    into preallocated buffers and the products' packed values are written
-    straight into it, so a build holds nothing larger than the two tables.
+    A packed value is in tower coordinates: a + b t (a, b in GF(q)) packs
+    as pack(a) + q pack(b), pack giving the base-p digits in the basis N^0 ..
+    N^(m-1) of GF(q), N = t^(q+1).  1 = N^0, so a prime-field integer c packs
+    as c; for m = 1 the basis {1, t} is the modulus's own.  ``_build_tables``
+    finds GF(q)'s exp table (the packed N^i) and t^j = a_j + b_j t for j <= q
+    in O(q) rows of digits, for m > 1 through ``_tower_basis``.  As
+    t^(i(q+1)+j) = N^i a_j + N^i b_j t, row i of the exp table, seen as
+    (q-1) x (q+1), reads GF(q)'s at log a_j + i, and q times it at log b_j +
+    i, in blocks of ``_TABLE_BLOCK`` entries that the log table is scattered
+    from, so a build holds nothing larger than the two tables.  t is certified
+    primitive in O(q): N's q-1 powers are distinct, and t^1 .. t^q lie in
+    distinct cosets of GF(q)* (each b_j nonzero, the a_j / b_j distinct), so
+    the (q-1)(q+1) products N^i t^j are distinct; else AssertionError.
 
     The additive word of a code, its 2m digits in bit fields of b =
     floor(63/2m) bits, is ``_low_word[v % q] + _high_word[v // q]`` for its
@@ -116,66 +118,48 @@ class FieldTower:
 
     def _build_tables(self):
         p, m, q, deg, n, q2 = self.p, self.m, self.q, 2 * self.m, self.n_units, self.q2
-        # digits(t * x) = digits(x) @ step: the transposed companion matrix
-        # (float64, so that matrix products take BLAS: every entry stays below deg * p^2)
-        step = np.eye(deg, k=1)
-        step[deg - 1] = [(-c) % p for c in self.modulus[:deg]]
         weights = p ** np.arange(deg, dtype=np.int64)
-        half_digits = np.arange(q)[:, None] // weights[:m] % p  # the digits of each m-digit half
-        # digit_sum: a sum of two halves written in base 2p-1 to its digits mod p,
-        # built by broadcasting one digit at a time
-        spread = (2 * p - 1) ** np.arange(m)
-        digit_sum = np.zeros(1, dtype=np.int64)
-        for weight in weights[:m]:
-            digit_sum = ((np.arange(2 * p - 1) % p * weight)[:, None] + digit_sum).ravel()
-        # the packed value of t^e; t^e for e < deg is the single digit p^e, and step
-        # becomes (C^deg)^T, whose rows are the digits of t^deg .. t^(2 deg - 1)
+        half_digits = np.arange(q)[:, None] // weights[:m] % p  # the digits of each packed value of GF(q)
+        # t^j in the polynomial basis t^0 .. t^(2m-1) for j <= q + 2m, and in tower coordinates
+        # for j <= q: the digits of a_j and b_j in t^j = a_j + b_j t
+        poly = _power_rows(-np.array(self.modulus[:deg]) % p, q + 1 + deg, p)
+        if m == 1:  # {1, t} is the tower basis already, and N = t^(q+1) is f_0
+            min_poly, coords = poly[q + 1, :1], poly[: q + 1]
+        else:
+            min_poly, basis = _tower_basis(poly, half_digits, weights, p)
+            coords = poly[: q + 1] @ basis % p
+        # GF(q)'s exp table, the packed values of N^0 .. N^(q-2), which must be distinct; then
+        # again, and q-1 zeros, read from the sentinel log 2(q-1) of the value 0
+        small_exp = _power_rows(min_poly, q - 1, p) @ weights[:m]
+        if not np.bincount(small_exp, minlength=q)[1:].all():
+            raise AssertionError(_NOT_PRIMITIVE)
+        sentinel = 2 * (q - 1)
+        small_log = np.full(q, sentinel, dtype=np.int64)
+        small_log[small_exp] = np.arange(q - 1)
+        small_exp = np.concatenate([small_exp, small_exp, np.zeros(q - 1, dtype=np.int64)])
+        log_a, log_b = small_log[coords.reshape(q + 1, 2, m) @ weights[:m]].T
+        # t^1 .. t^q must lie in distinct cosets of GF(q)*: each b_j nonzero, the a_j / b_j distinct
+        ratios = np.where(log_a == sentinel, q - 1, (log_a - log_b) % (q - 1))[1:]
+        if np.any(log_b[1:] == sentinel) or not np.bincount(ratios, minlength=q).all():
+            raise AssertionError(_NOT_PRIMITIVE)
+        # t^(i(q+1)+j) = N^i a_j + N^i b_j t: row i of the exp table, as (q-1) x (q+1), reads
+        # small_exp at log a_j + i, and q times it at log b_j + i, a block of rows at a time
         exp = np.empty(q2, dtype=np.int32)
-        exp[:deg] = weights
-        rows = [step[-1]]
-        while len(rows) < deg:
-            rows.append(rows[-1] @ step % p)
-        step = np.array(rows)
-        # every gather's operands, by block: int64 (numpy's index type), so that no
-        # gather copies its index
-        buffers = np.empty((4, min(_TABLE_BLOCK, n)), dtype=np.int64)
-        # doubling: while step is (C^k)^T, its rows :m map a low half to the digits
-        # of its product with t^k, and rows m: a high half
-        k = deg
-        while k < n:
-            c = min(k, n - k)
-            images = (half_digits @ step.reshape(2, m, deg)).astype(np.int64)
-            images %= p
-            # images[s, h]: half h of the product of t^k with each value of half s,
-            # one contiguous row each: a 1-D take runs far faster than one along axis 1
-            images = np.ascontiguousarray((images.reshape(2, q, 2, m) @ spread).transpose(0, 2, 1))
-            for start in range(0, c, _TABLE_BLOCK):
-                stop = min(start + _TABLE_BLOCK, c)
-                hi, lo, x, y = buffers[:, : stop - start]
-                np.divmod(exp[start:stop], q, out=(hi, lo))
-                images[0, 1].take(lo, out=x, mode="clip")  # in range: no buffer
-                images[1, 1].take(hi, out=y, mode="clip")
-                x += y
-                digit_sum.take(x, out=y, mode="clip")  # the product's high half
-                images[0, 0].take(lo, out=x, mode="clip")
-                images[1, 0].take(hi, out=lo, mode="clip")
-                x += lo
-                digit_sum.take(x, out=lo, mode="clip")  # and its low half
-                y *= q
-                y += lo
-                exp[k + start : k + stop] = y
-            step = step @ step % p
-            k += c
-        exp[n] = 0
         log_val = np.full(q2, self.zero_code, dtype=np.int32)
-        for start in range(0, n, _TABLE_BLOCK):
-            stop = min(start + _TABLE_BLOCK, n)
-            log_val[exp[start:stop]] = np.arange(start, stop, dtype=np.int32)
-        # log_val is a permutation of 0 .. n, with n at value 0, exactly when no power
-        # of t is 0 and no exponent is lost to a repeated power: a lost one leaves an n
-        # in its place, so the sum exceeds n(n+1)/2
-        if log_val[0] != self.zero_code or log_val.sum(dtype=np.int64) != n * (n + 1) // 2:
-            raise AssertionError("modulus is not primitive; tables inconsistent")
+        grid, high = exp[:n].reshape(q - 1, q + 1), small_exp * q
+        rows = min(q - 1, max(1, _TABLE_BLOCK // (q + 1)))
+        log_a, log_b = log_a + np.arange(rows)[:, None], log_b + np.arange(rows)[:, None]
+        # int64, numpy's index type, so that the log scatter converts no index
+        values, high_half = np.empty(log_a.shape, dtype=np.int64), np.empty(log_a.shape, dtype=np.int64)
+        for start in range(0, q - 1, rows):
+            r = min(rows, q - 1 - start)
+            small_exp[start:].take(log_a[:r], out=values[:r], mode="clip")  # in range: no buffer
+            high[start:].take(log_b[:r], out=high_half[:r], mode="clip")
+            values[:r] += high_half[:r]
+            grid[start : start + r] = values[:r]
+            codes = np.arange(start * (q + 1), (start + r) * (q + 1), dtype=np.int32)
+            log_val[values[:r]] = codes.reshape(r, q + 1)
+        exp[n] = 0
         # additive form: the digits in bit fields of floor(63/deg) bits; a word is
         # the words of its low and high halves
         bits = 63 // deg
@@ -195,11 +179,11 @@ class FieldTower:
             # of r repeated twice
             r = np.arange(n, dtype=np.int32)
             mul = np.full((q2, q2), n, dtype=np.int32)
-            mul[:n, :n] = sliding_window_view(np.concatenate([r, r]), n)[:n]
+            mul[:n, :n] = _windows(np.concatenate([r, r]), n)[:n]
             # t^a + t^b = t^a (1 + t^(b-a)) is row a of the product table read at
             # zech[(b - a) mod n], window n - a of the Zech logs repeated twice
             zech = self.zech_log(r)
-            windows = sliding_window_view(np.concatenate([zech, zech]), n)[n:0:-1]
+            windows = _windows(np.concatenate([zech, zech]), n)[n:0:-1]
             add, flat = np.empty_like(mul), mul.ravel()
             rows = max(1, _TABLE_BLOCK // n)
             at = np.empty((rows, n), dtype=np.int64)  # a block of rows' indices into flat
@@ -423,6 +407,58 @@ class FieldTower:
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, m={self.m}, q={self.q}, q2={self.q2})"
+
+
+def _windows(x: np.ndarray, width: int) -> np.ndarray:
+    """The windows x[i : i + width] of a contiguous x as rows of one view: sliding_window_view
+    without its checks, which cost more than a small field's Cayley tables."""
+    return np.ndarray((len(x) - width + 1, width), x.dtype, x, 0, x.strides * 2)
+
+
+def _orbit(start: np.ndarray, mat: np.ndarray, count: int, p: int) -> np.ndarray:
+    """The rows start @ mat^i mod p for i < count, for a 1 x d start and a d x d matrix."""
+    rows = np.empty((count, len(mat)), dtype=np.int64)
+    rows[0] = start
+    for i in range(1, count):
+        np.remainder(rows[i - 1] @ mat, p, out=rows[i])
+    return rows
+
+
+def _tower_basis(poly: np.ndarray, half_digits: np.ndarray, weights: np.ndarray, p: int) -> tuple:
+    """For m > 1 and the polynomial digits of t^0 .. t^(q+2m): the digits of N^m in the
+    basis N^0 .. N^(m-1), and the matrix from polynomial digits to tower coordinates.
+    Rows q+1 .. q+2m multiply by N.  GF(q) is the q sums x_0 N^0 + .. + x_(m-1) N^(m-1),
+    listed by packed x, which finds N^m and T = t + t^q.  The matrix is the orbit of 1
+    under multiplication by t, N^r -> N^r t and N^r t -> -N^(r+1) + N^r T t."""
+    q, m = half_digits.shape
+    norms = _orbit(poly[0], poly[q + 1 : q + 1 + 2 * m], m + 1, p)
+    span = {value: x for x, value in enumerate((half_digits @ norms[:m] % p @ weights).tolist())}
+    wanted = int(norms[m] @ weights), int((poly[1] + poly[q]) % p @ weights)
+    if len(span) < q or not all(value in span for value in wanted):
+        raise AssertionError(_NOT_PRIMITIVE)
+    min_poly, trace = (half_digits[span[value]] for value in wanted)
+    mul_n = np.eye(m, k=1, dtype=np.int64)
+    mul_n[-1] = min_poly
+    mul_t = np.eye(2 * m, k=m, dtype=np.int64)
+    mul_t[m:, :m] = -mul_n % p
+    mul_t[m:, m:] = _orbit(trace, mul_n, m, p)
+    return min_poly, _orbit(poly[0], mul_t, 2 * m, p)
+
+
+def _power_rows(tail: np.ndarray, count: int, p: int) -> np.ndarray:
+    """The digits mod p of x^0 .. x^(count-1) in the basis x^0 .. x^(d-1), for a root x of
+    X^d - (tail_0 + tail_1 X + .. + tail_(d-1) X^(d-1)).  Multiplication by x^s has the
+    rows x^s .. x^(s+d-1), so rows k .. 2k-d-1 are rows d .. k-1 times rows k-d .. k-1."""
+    d = len(tail)
+    rows = np.zeros((max(count, d + 1), d), dtype=np.int64)
+    rows[:d].flat[:: d + 1] = 1
+    rows[d] = tail
+    k = d + 1
+    while k < count:
+        c = min(k - d, count - k)
+        np.remainder(rows[d : d + c] @ rows[k - d : k], p, out=rows[k : k + c])
+        k += c
+    return rows[:count]
 
 
 def build_tower(p: int, m: int) -> FieldTower:

@@ -44,10 +44,17 @@ T_CODES, T_FIELDS, T_CURVES = "tests/test_codes.py", "tests/test_fields.py", "te
 T_CONSTRUCTIONS, T_CLI = "tests/test_constructions.py", "tests/test_cli.py"
 
 MUTANTS = (
-    # table build, rows, chain guard, records and coset leaders
-    Mutant("table-block-read-from-offset-0", FIELDS,
-           "np.divmod(exp[start:stop], q, out=(hi, lo))", "np.divmod(exp[: stop - start], q, out=(hi, lo))",
-           (f"{T_FIELDS}::test_build_tables_across_block_boundaries",)),
+    # table build: the primitivity certificate, the slices and the zero coordinate
+    Mutant("certificate-drops-coset-clause", FIELDS,
+           "if np.any(log_b[1:] == sentinel) or not np.bincount(ratios, minlength=q).all():", "if False:",
+           (f"{T_FIELDS}::test_primitivity_certificate_rejects_each_clause",)),
+    Mutant("slice-offset-shifted-by-one", FIELDS,
+           "small_exp[start:].take(log_a", "small_exp[start + 1 :].take(log_a",
+           (f"{T_FIELDS}::test_build_tables_match_loop", f"{T_FIELDS}::test_build_tables_across_block_boundaries")),
+    Mutant("zero-coordinate-reads-n0", FIELDS,
+           "small_log = np.full(q, sentinel, dtype=np.int64)", "small_log = np.zeros(q, dtype=np.int64)",
+           (f"{T_FIELDS}::test_build_tables_match_loop",)),
+    # rows, chain guard, records and coset leaders
     Mutant("chain-guard-only-refuses-non-mds", CONSTRUCTIONS,
            "if cert.certificate.mds is not True:", "if cert.certificate.mds is False:",
            (f"{T_CONSTRUCTIONS}::test_chain_ends_at_first_member_not_certified_mds",)),

@@ -6,6 +6,10 @@ so that a test can write a field identity as it reads and set it against the
 vector kernels.  Its addition reads a Zech table of its own, one element at a
 time, built from the powers of t that loop_exp_values lists exponent by
 exponent from the modulus; no table of the tower is read.
+
+loop_exp_values packs each power in the polynomial basis t^0 .. t^(2m-1).
+The tower packs it in tower coordinates instead, and tower_values turns the
+one packing into the other with no code of the tower's own.
 """
 
 from __future__ import annotations
@@ -107,7 +111,7 @@ def gen(tower) -> Scalar:
 
 
 def from_value(tower, value: int) -> Scalar:
-    """The element with packed base-p coordinate value 0 <= value < q^2."""
+    """The element with packed value 0 <= value < q^2 in the polynomial basis."""
     return Scalar(tower, loop_log_values(tower)[value])
 
 
@@ -172,3 +176,46 @@ def _loop_tables(p, m, modulus):
     for table in tables:
         table.flags.writeable = False
     return tables
+
+
+def tower_values(tower, exp_val):
+    """Reference oracle of the tower packing.  exp_val holds the packed values
+    of t^0 .. t^(n-1) in the polynomial basis (loop_exp_values, or another
+    oracle's for fields too large for it); returned is pack(a) + q pack(b) for
+    each power x = t^e = a + b t, where a and b lie in GF(q) and pack gives
+    their base-p digits in the basis N^0 .. N^(m-1), N = t^(q+1).
+
+    With the Zech logs of exp_val, b = (x - x^q) / (t - t^q) and a = x - b t,
+    on exponent codes.  The digits of each element of GF(q) are found by brute
+    force: the codes of all p^m sums c_0 N^0 + .. + c_(m-1) N^(m-1), digit by
+    digit, must be the q elements of GF(q), each once."""
+    p, m, q = tower.p, tower.m, tower.q
+    n = p ** (2 * m) - 1
+    exp_val = np.asarray(exp_val, dtype=np.int64)
+    log_val = np.full(n + 1, n, dtype=np.int64)
+    log_val[exp_val] = np.arange(n)
+    zech = log_val[plus_one(p, exp_val)]
+
+    def add(a, b):
+        a, b = np.broadcast_arrays(a, b)
+        z = zech[(b - a) % n]
+        total = np.where(z == n, n, (a + z) % n)
+        return np.where(a == n, b, np.where(b == n, a, total))
+
+    def neg(a):
+        return a if p == 2 else np.where(a == n, n, (a + n // 2) % n)
+
+    def mul(a, b):
+        return np.where((a == n) | (b == n), n, (a + b) % n)
+
+    x = np.arange(n)
+    moved = add(x, neg(x * q % n))  # x - x^q
+    b = np.where(moved == n, n, (moved - add(1, neg(q))) % n)
+    a = add(x, neg(mul(b, 1)))
+    span = np.array([n])  # the code of sum c_i N^i, at the packed value sum c_i p^i
+    for i in range(m):
+        span = add(span[None, :], mul(log_val[np.arange(p)], i * (q + 1))[:, None]).ravel()
+    digits = np.full(n + 1, -1, dtype=np.int64)
+    digits[span] = np.arange(q)
+    assert np.count_nonzero(digits >= 0) == q, "N^0 .. N^(m-1) is not a basis of GF(q)"
+    return digits[a] + q * digits[b]

@@ -43,6 +43,7 @@ from .scalar_field import (
     one,
     plus_one,
     subfield_elements,
+    tower_values,
     zero,
 )
 
@@ -712,10 +713,10 @@ def test_norm_preimage_property_suite(units):
 
 
 def blocked_exp_values(tw):
-    """Reference oracle: the packed values of t^0 .. t^(n-1) from the blocked
-    companion-matrix build that the doubling by gathers replaced: digit rows of a
-    block of width about sqrt(n), times powers of the companion matrix.  The
-    products are float64 for speed; every entry is an integer below deg * p^2."""
+    """Reference oracle: the packed values of t^0 .. t^(n-1) in the polynomial
+    basis, from a blocked companion-matrix build: digit rows of a block of width
+    about sqrt(n), times powers of the companion matrix.  The products are
+    float64 for speed; every entry is an integer below deg * p^2."""
     p, deg, n = tw.p, 2 * tw.m, tw.n_units
     step = np.zeros((deg, deg))
     step[np.arange(deg - 1), np.arange(1, deg)] = 1
@@ -735,20 +736,28 @@ def blocked_exp_values(tw):
 
 
 def assert_tables_match(tw, exp_val):
-    """The tower's exp and log tables are exp_val, the packed value of each
-    power of t, and its inverse, each with the zero code at the value 0; the
-    Zech logs and additive words derived from them are those that exp_val
-    determines, and so is the word each slot sum of _sum_products reads."""
+    """exp_val is an oracle's packed value of each power of t in the polynomial
+    basis.  The tower packs it in tower coordinates, tower_values' packing: for
+    m = 1 that is exp_val itself, {1, t} being both bases.  The tower's exp and
+    log tables are that packing and its inverse, each with the zero code at the
+    value 0, and its additive words hold that packing's digits.  The Zech logs,
+    and the code that each slot sum of _sum_products reads, do not depend on
+    the basis: they are those that exp_val determines."""
     p, deg, n = tw.p, 2 * tw.m, tw.n_units
+    packed = tower_values(tw, exp_val)
+    if tw.m == 1:
+        assert np.array_equal(packed, exp_val)
     log_val = np.full(tw.q2, tw.zero_code, dtype=np.int32)
-    log_val[exp_val] = np.arange(n, dtype=np.int32)
-    for got, want in ((tw._log_val, log_val), (tw._exp, np.append(exp_val, 0).astype(np.int32))):
+    log_val[packed] = np.arange(n, dtype=np.int32)
+    for got, want in ((tw._log_val, log_val), (tw._exp, np.append(packed, 0).astype(np.int32))):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
     units = np.arange(n)
-    assert np.array_equal(tw.zech_log(units), log_val[plus_one(p, exp_val)])
+    poly_log = np.full(tw.q2, tw.zero_code, dtype=np.int64)
+    poly_log[exp_val] = units
+    assert np.array_equal(tw.zech_log(units), poly_log[plus_one(p, exp_val)])
     # additive words: t^e's digits in fields of floor(63/2m) bits, then the zero word
-    words = sum(exp_val // p ** i % p << (63 // deg) * i for i in range(deg))
+    words = sum(packed // p ** i % p << (63 // deg) * i for i in range(deg))
     assert np.array_equal(tw._word_of(np.arange(tw.q2)), np.append(words, 0))
     # a slot sum s reads t^(s mod n) below 2n-1 and the zero word from 2n-1 on
     slots = np.arange(2 * n + 2, dtype=np.int64)
@@ -776,8 +785,9 @@ def test_build_tables_match_blocked_build(pm):
 
 @pytest.mark.parametrize("block", [1, 7, 61])
 def test_build_tables_across_block_boundaries(block):
-    """A table build whose gathers cross many block boundaries, some of them
-    inside a doubling step, matches the loop oracle on every table."""
+    """A table build whose blocks of rows are one row, or a few, so that its
+    slices and its log scatter cross many block boundaries, matches the oracles
+    and the shared towers on every table."""
     with mock.patch.object(agq.fields, "_TABLE_BLOCK", block):
         towers = [FieldTower(p, m, _moduli()[p, m]) for p, m in [(2, 5), (3, 3), (7, 2), (13, 1), (2, 3)]]
     for tw in towers:
@@ -809,9 +819,9 @@ def test_gf_2_20_build_peak_memory():
     """A fresh GF(2^20) build holds nothing larger than the tables it keeps:
     numpy reports its allocations to tracemalloc, so the traced peak is
     deterministic, and it stays within the two tables' 8 q^2 bytes plus 2 MB
-    for the q-entry tables, the 3^10-entry digit-sum table and the block
-    buffers; 10 q^2 bytes in all.  (The 2(q^2-1)-word build buffer alone was
-    16 q^2.)"""
+    for the q-entry tables and the block buffers; 10 q^2 bytes in all.  (The
+    2(q^2-1)-word build buffer of an earlier build alone was 16 q^2, and the
+    slices without blocks peak at about 13 q^2.)"""
     tracemalloc.start()
     try:
         tw = FieldTower(2, 10, _moduli()[2, 10])
@@ -825,6 +835,38 @@ def test_non_primitive_modulus_is_rejected():
     # x^2 + 1 is irreducible over GF(3), but x has order 4 modulo it, not 8
     with pytest.raises(AssertionError, match="not primitive"):
         FieldTower(3, 1, (1, 0, 1))
+
+
+# irreducible moduli whose t is not primitive, each failing one clause of the
+# certificate: p, m, the modulus and the order of t
+NOT_PRIMITIVE = [
+    (2, 2, (1, 1, 1, 1, 1), 5),  # x^4+x^3+x^2+x+1: N = t^5 = 1, and N^0, N^1 is no basis of GF(4)
+    (7, 1, (6, 1, 1), 16),  # x^2+x+6: N = t^8 = -1 has order 2, not 6
+    (5, 1, (3, 0, 1), 8),  # x^2+3: N = t^6 = 3 generates GF(5)*, but t^2 = 2 lies in GF(5)
+    (2, 3, (1, 0, 1, 0, 1, 1, 1), 21),  # x^6+x^5+x^4+x^2+1: N = t^9 generates GF(8)*, but t^3 lies in it
+]
+
+
+@pytest.mark.parametrize("p,m,modulus,order", NOT_PRIMITIVE, ids=["2^4", "7^2", "5^2", "2^6"])
+def test_primitivity_certificate_rejects_each_clause(p, m, modulus, order):
+    """The build certifies t primitive in O(q): N = t^(q+1) has q-1 distinct
+    powers, and t^1 .. t^q lie in distinct cosets of GF(q)*.  Each modulus here
+    is irreducible and t has the given order, by list arithmetic.  From that
+    order, N's order is order / gcd(order, q+1), and t^j lies in GF(q)* exactly
+    when order divides j(q-1): exactly one clause holds, and the other alone
+    must reject the modulus."""
+    q, f = p ** m, list(modulus)
+    assert not has_small_factor(f, p)
+    one = [1] + [0] * (2 * m - 1)
+    power, k = poly_mulmod(one, [0, 1], f, p), 1
+    while power != one:
+        power, k = poly_mulmod(power, [0, 1], f, p), k + 1
+    assert k == order < q * q - 1
+    powers_hold = order // np.gcd(order, q + 1) == q - 1
+    cosets_hold = not any(j * (q - 1) % order == 0 for j in range(1, q + 1))
+    assert powers_hold != cosets_hold
+    with pytest.raises(AssertionError, match="not primitive"):
+        FieldTower(p, m, modulus)
 
 
 def test_non_primitive_table_entry_builds_no_tower():
