@@ -294,7 +294,7 @@ def hermitian_gram(code: LinearCode) -> GramCertificate:
     """Exact k x k Gram matrix of <g_i, g_j>_H = sum_l G[i,l] * G[j,l]^q.
 
     Each product is a log-sum of G[i,l] and G[j,l]^q, whose additive word
-    the tower derives from its exp table, and each entry is an integer sum
+    the tower derives from its exp read, and each entry is an integer sum
     of those words (tower._sum_products).  The sum runs over one column per
     orbit of a multiplicative symmetry checked on the matrix (code.structure):
     an orbit of d columns adds d * [d | i + qj + c_r] * G[i,r] * G[j,r]^q for
@@ -314,7 +314,7 @@ def hermitian_gram(code: LinearCode) -> GramCertificate:
     rhs = np.where(lhs < units, lhs * tower.q % units, lhs)  # the slots of G^q
     if d > 1:
         reps = len(c)
-        lhs[:, :reps] += tower._log_val[d % tower.p]
+        lhs[:, :reps] += tower._code_of(d % tower.p)
         lhs[:, :reps] %= units
     m = np.empty((k, k), dtype=np.int32)
     rows = max(1, _fields._GATHER_ENTRIES // max(1, k * g.shape[1]))

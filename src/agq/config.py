@@ -11,7 +11,7 @@ import os
 
 from .errors import BadRequest
 
-# largest field GF(p^{2m}) for which full exp/log tables are built
+# largest field GF(p^{2m}) a tower is built for, whose exp/log tables may be built in full
 DEFAULT_FIELD_CAP = 2 ** 22
 
 # codeword enumeration, in codes.exhaustive_distance alone: q^{2k} must not exceed this

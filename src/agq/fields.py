@@ -13,32 +13,38 @@ addition goes through Zech logarithms and multiplication is exponent
 addition.  Long sums (vsum, Gram entries) use the additive form
 instead: each element's 2m base-p digits packed into one int64, a bit field
 of floor(63/2m) bits per digit, so that many elements add as plain integers
-before any digit needs reducing mod p.  Beyond the Cayley tables a tower
-keeps 8 bytes per element, an exp and a log table of int32: Zech logs and
-additive words are derived from them and q-entry tables on every read.  The
-fibers of the additive maps the curve module needs are read from a per-map
-table that sorts all q^2 images once: the fibers over a whole array of
-right-hand sides are one gather, and their sizes another.
+before any digit needs reducing mod p.
+
+Every other read of the field goes through two maps, exp (code to packed
+value) and log (packed value to code): Zech logs and additive words are
+derived from them and q-entry word tables.  Packed values are in tower
+coordinates, a + b t with a and b in GF(q), and every unit is N^i t^j,
+N = t^(q+1), i < q-1, j <= q, so both maps are computed from GF(q)'s exp and
+log tables and the q+1 powers t^j in O(q) memory (Lidl-Niederreiter, Finite
+Fields, ch. 2).  A Cayley field tabulates exp and log, two q^2-entry int32
+tables, at construction.  A larger tower starts with the O(q) tables alone
+and tabulates exp and log once its computed reads reach q^2, the tables' own
+size: the ski-rental rule, which rents until the rent paid equals the price
+(Karlin-Manasse-Rudolph-Sleator, Algorithmica 3, 1988; FieldTower).
+The fibers of the additive maps the curve module needs are read from a
+per-map table that sorts all q^2 images once: the fibers over a whole array
+of right-hand sides are one gather, and their sizes another.
 
 The defining modulus of GF(p^{2m}) is read from data/moduli.json, which
 holds one for every tower within DEFAULT_FIELD_CAP: the Conway polynomial for
 the sixteen fields the bundled examples touch, so that t-power listings are
 comparable with standard computer-algebra output, and the lexicographically
 least primitive polynomial for the rest.  tests/modulus_search.py derives that
-table by search and checks it.  The file is read, and the tables are built
-from the modulus, on the first request for a field and never at import.
-The tables are in tower coordinates, a + b t with a and b in GF(q), and
-every unit is N^i t^j, N = t^(q+1), i < q-1, j <= q: so the exp table is
-slices of GF(q)'s, and the q+1 powers t^j certify t primitive (FieldTower).
+table by search and checks it.  Only the requested field's row is parsed, on
+the first request for that field, and nothing is read at import.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from enum import Enum
-from importlib import resources
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +57,9 @@ _CAYLEY_MAX_Q2 = 2 ** 9
 # entries per block of the table builds, read at call time: the exp table's in rows of q+1
 _TABLE_BLOCK = 1 << 13
 _NOT_PRIMITIVE = "modulus is not primitive; tables inconsistent"
+
+# one [p,m,[coefficients]] row a line, in (p, m) order (tests/modulus_search.py writes it)
+_MODULI = Path(__file__).with_name("data") / "moduli.json"
 
 # distinct fields build_tower keeps built (reproduce touches 9)
 _SHARED_TOWERS = 16
@@ -70,37 +79,55 @@ class AdditiveMap(Enum):
 
 
 class FieldTower:
-    """GF(p) < GF(q=p^m) < GF(q^2) with two q^2-entry int32 tables, inverse
-    maps of each other: the log table ``_log_val`` (the exponent code of each
-    packed value) and the exp table ``_exp`` (the packed value of t^e for
-    e < q^2-1, then 0 at the zero code); two q-entry word tables; and the
-    Cayley tables when q^2 <= 2^9.
+    """GF(p) < GF(q=p^m) < GF(q^2): the exp and log maps between exponent codes
+    and packed values, two q-entry word tables, and the Cayley tables when
+    q^2 <= 2^9.
 
     A packed value is in tower coordinates: a + b t (a, b in GF(q)) packs
     as pack(a) + q pack(b), pack giving the base-p digits in the basis N^0 ..
     N^(m-1) of GF(q), N = t^(q+1).  1 = N^0, so a prime-field integer c packs
-    as c; for m = 1 the basis {1, t} is the modulus's own.  ``_build_tables``
-    finds GF(q)'s exp table (the packed N^i) and t^j = a_j + b_j t for j <= q
-    in O(q) rows of digits, for m > 1 through ``_tower_basis``.  As
-    t^(i(q+1)+j) = N^i a_j + N^i b_j t, row i of the exp table, seen as
-    (q-1) x (q+1), reads GF(q)'s at log a_j + i, and q times it at log b_j +
-    i, in blocks of ``_TABLE_BLOCK`` entries that the log table is scattered
-    from, so a build holds nothing larger than the two tables.  t is certified
+    as c; for m = 1 the basis {1, t} is the modulus's own.  ``_start`` finds
+    GF(q)'s exp table (the packed N^i) and t^j = a_j + b_j t for j <= q in O(q)
+    rows of digits, for m > 1 through ``_tower_basis``.  It certifies t
     primitive in O(q): N's q-1 powers are distinct, and t^1 .. t^q lie in
     distinct cosets of GF(q)* (each b_j nonzero, the a_j / b_j distinct), so
     the (q-1)(q+1) products N^i t^j are distinct; else AssertionError.
 
-    The additive word of a code, its 2m digits in bit fields of b =
-    floor(63/2m) bits, is ``_low_word[v % q] + _high_word[v // q]`` for its
-    packed value v; up to ``_word_terms`` = floor((2^b-1)/(p-1)) words add
-    carry-free.  A Zech log, log(1 + t^e), is the log table read at t^e's
-    packed value with its lowest digit raised by one, mod p (zech_log).
+    The two reads (``_value_of``, ``_code_of``) before the tables exist:
 
-    Immutable after construction apart from the fiber tables of
-    ``solve_additive``, which are filled on first use (a race only computes
-    one twice); the table arrays are read-only and every operation on
-    exponent codes is pure, so ``build_tower`` hands one tower to every
-    caller and towers are safe to share across threads.
+    - exp: code i(q+1)+j is N^i a_j + N^i b_j t, so its packed value is GF(q)'s
+      exp table read at log a_j + i, plus q times it read at log b_j + i.  The
+      zero code is row q-1 of column 0, and reads the zeros past the table.
+    - log: a + b t with b = 0 has the code (q+1) log a, or the zero code for
+      a = 0.  Otherwise it is b (N^r + t), r = log a - log b mod q-1, whose
+      code is (q+1) log b + L[r] for the q-entry table L[r] = log(N^r + t),
+      with slot q-1 standing for a = 0: t^j = b_j (N^(r_j) + t) for the coset
+      certificate's ratio r_j, so L[r_j] = j - (q+1) log b_j mod q^2-1.
+
+    A Zech log, log(1 + t^e), is log at t^e's packed value with its lowest
+    base-p digit raised by one, mod p (zech_log).  The additive word of a code,
+    its 2m digits in bit fields of b = floor(63/2m) bits, is
+    ``_low_word[v % q] + _high_word[v // q]`` for its packed value v; up to
+    ``_word_terms`` = floor((2^b-1)/(p-1)) words add carry-free.
+
+    The switch.  A computed read costs several table reads, and the tables
+    cost q^2 entries to build.  A Cayley field builds them at
+    construction.  A larger tower counts the elements it reads through the
+    computed path, and the read that brings that count to q^2 builds the
+    tables (``_tabulate``) and reads from them, as does every later read.  So
+    a tower that answers a few requests never pays O(q^2) time or memory, and
+    bulk work spends about one build's worth of computed reads before it runs
+    at table speed.  ``_tabulate`` lays the exp table out as (q-1) x (q+1):
+    row i reads GF(q)'s at log a_j + i, and q times it at log b_j + i, in
+    blocks of ``_TABLE_BLOCK`` entries that the log table is scattered from,
+    so a build holds nothing larger than the two int32 tables it keeps, 8
+    bytes per element.
+
+    Every array is read-only.  Two things are filled on first use, the fiber
+    tables of ``solve_additive`` and the exp and log tables; each is assigned
+    once complete, so a race between threads only builds one twice.  Every
+    operation on exponent codes is pure, so ``build_tower`` hands one tower
+    to every caller and towers are safe to share across threads.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -112,12 +139,18 @@ class FieldTower:
         self.zero_code = self.n_units  # exponent code reserved for 0
         self.modulus = modulus
         self._fibers = {}
-        self._build_tables()
+        self._computed_reads = 0
+        self._exp = self._log_val = self._add_table = self._mul_table = None
+        self._start()
+        if self.q2 <= _CAYLEY_MAX_Q2:
+            self._tabulate()
+            self._build_cayley_tables()
 
     # -- table construction ---------------------------------------------
 
-    def _build_tables(self):
-        p, m, q, deg, n, q2 = self.p, self.m, self.q, 2 * self.m, self.n_units, self.q2
+    def _start(self):
+        """The O(q) tables both reads and ``_tabulate`` use, read-only."""
+        p, m, q, deg, n = self.p, self.m, self.q, 2 * self.m, self.n_units
         weights = p ** np.arange(deg, dtype=np.int64)
         half_digits = np.arange(q)[:, None] // weights[:m] % p  # the digits of each packed value of GF(q)
         # t^j in the polynomial basis t^0 .. t^(2m-1) for j <= q + 2m, and in tower coordinates
@@ -129,26 +162,62 @@ class FieldTower:
             min_poly, basis = _tower_basis(poly, half_digits, weights, p)
             coords = poly[: q + 1] @ basis % p
         # GF(q)'s exp table, the packed values of N^0 .. N^(q-2), which must be distinct; then
-        # again, and q-1 zeros, read from the sentinel log 2(q-1) of the value 0
+        # again, and q zeros, read from the sentinel log 2(q-1) of the value 0
         small_exp = _power_rows(min_poly, q - 1, p) @ weights[:m]
         if not np.bincount(small_exp, minlength=q)[1:].all():
             raise AssertionError(_NOT_PRIMITIVE)
         sentinel = 2 * (q - 1)
         small_log = np.full(q, sentinel, dtype=np.int64)
         small_log[small_exp] = np.arange(q - 1)
-        small_exp = np.concatenate([small_exp, small_exp, np.zeros(q - 1, dtype=np.int64)])
-        log_a, log_b = small_log[coords.reshape(q + 1, 2, m) @ weights[:m]].T
+        small_exp = np.concatenate([small_exp, small_exp, np.zeros(q, dtype=np.int64)])
+        log_a, log_b = small_log[(coords.reshape(q + 1, 2, m) @ weights[:m]).T]
         # t^1 .. t^q must lie in distinct cosets of GF(q)*: each b_j nonzero, the a_j / b_j distinct
         ratios = np.where(log_a == sentinel, q - 1, (log_a - log_b) % (q - 1))[1:]
         if np.any(log_b[1:] == sentinel) or not np.bincount(ratios, minlength=q).all():
             raise AssertionError(_NOT_PRIMITIVE)
-        # t^(i(q+1)+j) = N^i a_j + N^i b_j t: row i of the exp table, as (q-1) x (q+1), reads
-        # small_exp at log a_j + i, and q times it at log b_j + i, a block of rows at a time
-        exp = np.empty(q2, dtype=np.int32)
-        log_val = np.full(q2, self.zero_code, dtype=np.int32)
-        grid, high = exp[:n].reshape(q - 1, q + 1), small_exp * q
+        # the log read of a + b t takes _log_terms at log a + _log_shift[b].  For b != 0 the
+        # shift is q-1 - log b, into L[r] = log(N^r + t) twice over, then slot q-1's value for
+        # a = 0's sentinel; for b = 0 it is 3q-2, into GF(q)*'s codes, then the zero code
+        coset_log = np.empty(q, dtype=np.int64)
+        coset_log[ratios] = (np.arange(1, q + 1) - (q + 1) * log_b[1:]) % n
+        log_terms = np.empty(5 * q - 3, dtype=np.int32)
+        log_terms[: 2 * q - 2].reshape(2, q - 1)[:] = coset_log[:-1]
+        log_terms[2 * q - 2 : 3 * q - 2] = coset_log[-1]
+        log_terms[3 * q - 2 : 4 * q - 3] = np.arange(0, n, q + 1)
+        log_terms[4 * q - 3 :] = n
+        log_shift = q - 1 - small_log
+        log_shift[0] = 3 * q - 2
+        base_code = ((q + 1) * small_log).astype(np.int32)  # b's code, and 0 for b = 0
+        base_code[0] = 0
+        # a_0 = 1 = N^(q-1): the zero code, row q-1 of column 0, reads small_exp's first zero
+        log_a[0] = q - 1
+        # additive form: the digits in bit fields of floor(63/deg) bits; a word is
+        # the words of its low and high halves
+        bits = 63 // deg
+        self._word_shifts = bits * np.arange(deg, dtype=np.int64)
+        self._word_mask = (1 << bits) - 1
+        self._word_terms = self._word_mask // (p - 1)  # words one int64 sum may add
+        self._digit_weights = weights
+        self._word_weights = np.left_shift(1, self._word_shifts)
+        self._low_word = half_digits @ self._word_weights[:m]
+        self._high_word = self._low_word << bits * m
+        self._small_exp, self._high_exp, self._small_log = small_exp, small_exp * q, small_log
+        self._log_a, self._log_b = log_a, log_b
+        self._log_terms, self._log_shift, self._base_code = log_terms, log_shift, base_code
+        for table in vars(self).values():
+            if isinstance(table, np.ndarray):
+                table.setflags(write=False)
+
+    def _tabulate(self):
+        """The q^2-entry int32 exp and log tables, read-only, a block of rows of the
+        exp table at a time (FieldTower); every later read is a take from them."""
+        q, n = self.q, self.n_units
+        small_exp, high = self._small_exp, self._high_exp
+        exp = np.empty(self.q2, dtype=np.int32)
+        log_val = np.full(self.q2, n, dtype=np.int32)
+        grid = exp[:n].reshape(q - 1, q + 1)
         rows = min(q - 1, max(1, _TABLE_BLOCK // (q + 1)))
-        log_a, log_b = log_a + np.arange(rows)[:, None], log_b + np.arange(rows)[:, None]
+        log_a, log_b = self._log_a + np.arange(rows)[:, None], self._log_b + np.arange(rows)[:, None]
         # int64, numpy's index type, so that the log scatter converts no index
         values, high_half = np.empty(log_a.shape, dtype=np.int64), np.empty(log_a.shape, dtype=np.int64)
         for start in range(0, q - 1, rows):
@@ -160,42 +229,65 @@ class FieldTower:
             codes = np.arange(start * (q + 1), (start + r) * (q + 1), dtype=np.int32)
             log_val[values[:r]] = codes.reshape(r, q + 1)
         exp[n] = 0
-        # additive form: the digits in bit fields of floor(63/deg) bits; a word is
-        # the words of its low and high halves
-        bits = 63 // deg
-        self._word_shifts = bits * np.arange(deg, dtype=np.int64)
-        self._word_mask = (1 << bits) - 1
-        self._word_terms = self._word_mask // (p - 1)  # words one int64 sum may add
-        self._digit_weights = weights
-        self._word_weights = np.left_shift(1, self._word_shifts)
-        self._low_word = half_digits @ self._word_weights[:m]
-        self._high_word = self._low_word << bits * m
-        self._exp = exp
-        self._log_val = log_val
-        self._add_table = self._mul_table = None
-        tables = [exp, log_val, self._low_word, self._high_word]
-        if q2 <= _CAYLEY_MAX_Q2:
-            # row a of the product table is a + b mod n, then the zero column: window a
-            # of r repeated twice
-            r = np.arange(n, dtype=np.int32)
-            mul = np.full((q2, q2), n, dtype=np.int32)
-            mul[:n, :n] = _windows(np.concatenate([r, r]), n)[:n]
-            # t^a + t^b = t^a (1 + t^(b-a)) is row a of the product table read at
-            # zech[(b - a) mod n], window n - a of the Zech logs repeated twice
-            zech = self.zech_log(r)
-            windows = _windows(np.concatenate([zech, zech]), n)[n:0:-1]
-            add, flat = np.empty_like(mul), mul.ravel()
-            rows = max(1, _TABLE_BLOCK // n)
-            at = np.empty((rows, n), dtype=np.int64)  # a block of rows' indices into flat
-            for start in range(0, n, rows):
-                stop = min(start + rows, n)
-                np.add(windows[start:stop], (q2 * r[start:stop])[:, None], out=at[: stop - start])
-                flat.take(at[: stop - start], out=add[start:stop, :n], mode="clip")
-            add[n] = add[:, n] = np.arange(q2)  # 0 + x = x + 0 = x
-            self._add_table, self._mul_table = add.ravel(), flat
-            tables += [self._add_table, self._mul_table]
-        for table in tables:
-            table.flags.writeable = False
+        exp.flags.writeable = log_val.flags.writeable = False
+        self._log_val, self._exp = log_val, exp
+
+    def _build_cayley_tables(self):
+        q2, n = self.q2, self.n_units
+        # row a of the product table is a + b mod n, then the zero column: window a
+        # of r repeated twice
+        r = np.arange(n, dtype=np.int32)
+        mul = np.full((q2, q2), n, dtype=np.int32)
+        mul[:n, :n] = _windows(np.concatenate([r, r]), n)[:n]
+        # t^a + t^b = t^a (1 + t^(b-a)) is row a of the product table read at
+        # zech[(b - a) mod n], window n - a of the Zech logs repeated twice
+        zech = self.zech_log(r)
+        windows = _windows(np.concatenate([zech, zech]), n)[n:0:-1]
+        add, flat = np.empty_like(mul), mul.ravel()
+        rows = max(1, _TABLE_BLOCK // n)
+        at = np.empty((rows, n), dtype=np.int64)  # a block of rows' indices into flat
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            np.add(windows[start:stop], (q2 * r[start:stop])[:, None], out=at[: stop - start])
+            flat.take(at[: stop - start], out=add[start:stop, :n], mode="clip")
+        add[n] = add[:, n] = np.arange(q2)  # 0 + x = x + 0 = x
+        add.flags.writeable = flat.flags.writeable = False
+        self._add_table, self._mul_table = add.ravel(), flat
+
+    # -- the exp and log reads ---------------------------------------------
+
+    def _value_of(self, codes) -> np.ndarray:
+        """The packed values of exponent codes 0 .. q^2-1, an int or an int array:
+        the exp read, int32 from the table and int64 computed."""
+        if self._exp is None and not self._count_reads(np.size(codes)):
+            rows = codes // (self.q + 1)
+            cols = codes - (self.q + 1) * rows
+            values = self._small_exp.take(self._log_a.take(cols) + rows)
+            values += self._high_exp.take(self._log_b.take(cols) + rows)
+            return values
+        return self._exp.take(codes)
+
+    def _code_of(self, values) -> np.ndarray:
+        """The exponent codes, int32, of packed values 0 .. q^2-1, an int or an int
+        array: the log read."""
+        if self._log_val is None and not self._count_reads(np.size(values)):
+            q, n = self.q, self.n_units
+            high = values // q
+            codes = self._log_terms.take(self._small_log.take(values - q * high) + self._log_shift.take(high))
+            codes += self._base_code.take(high)
+            # b = 0 reads at most the zero code q^2-1.  b != 0 adds to below 2(q^2-1), and never
+            # to q^2-1 itself: its code is no multiple of q+1, as GF(q) holds every such code
+            codes -= np.int32(n) * (codes > n)
+            return codes
+        return self._log_val.take(values)
+
+    def _count_reads(self, size: int) -> bool:
+        """Add size computed reads; once they reach q^2, build the tables.  Are they built?"""
+        self._computed_reads += size
+        if self._computed_reads < self.q2:
+            return False
+        self._tabulate()
+        return True
 
     # -- text form ---------------------------------------------------------
 
@@ -217,7 +309,7 @@ class FieldTower:
             raise BadRequest(f"unrecognized element token {token!r}") from None
         if not 0 <= c < self.p:
             raise BadRequest(f"integer token {token!r} outside prime subfield 0..{self.p - 1}")
-        return int(self._log_val[c])
+        return int(self._code_of(c))
 
     def format(self, code: int) -> str:
         """The token of an exponent code: 0, 1 or t^e."""
@@ -250,12 +342,12 @@ class FieldTower:
 
     def zech_log(self, e):
         """log(1 + t^e) for unit codes e < q^2-1, q^2-1 where 1 + t^e = 0:
-        the log table at t^e's packed value with its lowest base-p digit raised
+        the log read at t^e's packed value with its lowest base-p digit raised
         by one, mod p.  Indices are not reduced: reduce them mod q^2-1 first."""
-        v = self._exp.take(e)
+        v = self._value_of(e)
         v += 1
         v -= self.p * (v % self.p == 0)
-        return self._log_val.take(v)
+        return self._code_of(v)
 
     def _log_add(self, a, b):
         n = self.n_units
@@ -311,7 +403,7 @@ class FieldTower:
         """The additive words of codes 0 .. q^2-1, from the two halves of
         their packed values; the zero code's value 0 has the zero word."""
         # int64, numpy's index type: a take converts an int32 index to it first
-        values = self._exp.take(codes).astype(np.int64)
+        values = self._value_of(codes).astype(np.int64)
         high = values // self.q
         values -= high * self.q
         words = self._low_word.take(values)
@@ -340,7 +432,7 @@ class FieldTower:
 
         Up to _word_terms words add as plain integers with no carry between
         bit fields; longer sums take the digits mod p after each run of that
-        many, and the total's digits mod p are read back through the log table.
+        many, and the total's digits mod p are read back through the log read.
         """
         terms = self._word_terms
         while words.shape[-1] > terms:
@@ -349,7 +441,7 @@ class FieldTower:
                 words &= self._word_weights.sum()  # a digit mod 2 is its low bit
             else:
                 words = self._word_digits(words) @ self._word_weights
-        return self._log_val[self._word_digits(words.sum(axis=-1)) @ self._digit_weights]
+        return self._code_of(self._word_digits(words.sum(axis=-1)) @ self._digit_weights)
 
     def _word_digits(self, words):
         return ((words[..., None] >> self._word_shifts) & self._word_mask) % self.p
@@ -462,12 +554,12 @@ def _power_rows(tail: np.ndarray, count: int, p: int) -> np.ndarray:
 
 
 def build_tower(p: int, m: int) -> FieldTower:
-    """The tower GF(p) < GF(p^m) < GF(p^{2m}) with full tables.
+    """The tower GF(p) < GF(p^m) < GF(p^{2m}).
 
     The arguments are checked on every call, the size first: p^(2m) is at
     least 2^(2m) and p^2, so a p or m too large for DEFAULT_FIELD_CAP is
     rejected before the power is formed.  Within the cap the table of moduli
-    has an entry for exactly the prime p, so a p it lacks is not prime.  The
+    has a row for exactly the prime p, so a p it lacks is not prime.  The
     tower itself is shared: one process builds each field at most once while
     it stays among the _SHARED_TOWERS most recently used, and every caller
     gets the same immutable FieldTower.
@@ -477,22 +569,33 @@ def build_tower(p: int, m: int) -> FieldTower:
     cap = DEFAULT_FIELD_CAP
     if m > cap.bit_length() // 2 or p > isqrt(cap) or p ** (2 * m) > cap:
         raise FieldTooLarge(f"p = {p}, m = {m}: p^(2m) exceeds the field cap {cap}")
-    if (p, m) not in _moduli():
+    if _modulus(p, m) is None:
         raise NotPrime(f"{p} is not prime")
     return _shared_tower(p, m)
 
 
 @functools.cache
-def _moduli() -> dict[tuple[int, int], tuple[int, ...]]:
-    """{(p, m): the modulus of GF(p^{2m}), coefficients ascending}, read from
-    the [p, m, modulus] rows of data/moduli.json on first use."""
-    rows = json.loads((resources.files(__package__) / "data" / "moduli.json").read_text())
-    return {(p, m): tuple(modulus) for p, m, modulus in rows}
+def _modulus(p: int, m: int) -> tuple[int, ...] | None:
+    """The modulus of GF(p^{2m}), coefficients ascending, parsed from the line
+    of data/moduli.json that holds the row [p,m,[...]] on the first request
+    for (p, m); None if the table has no such row.  No other row is parsed."""
+    text = _moduli_text()
+    start = text.find(f"\n[{p},{m},[")
+    if start < 0:
+        return None
+    start = text.index("[", start + 2) + 1
+    return tuple(map(int, text[start : text.index("]", start)].split(",")))
+
+
+@functools.cache
+def _moduli_text() -> str:
+    """data/moduli.json, read on the first request for any field."""
+    return _MODULI.read_text(encoding="utf-8")
 
 
 @functools.lru_cache(maxsize=_SHARED_TOWERS)
 def _shared_tower(p: int, m: int) -> FieldTower:
-    return FieldTower(p, m, _moduli()[p, m])
+    return FieldTower(p, m, _modulus(p, m))
 
 
 @functools.cache

@@ -44,7 +44,7 @@ T_CODES, T_FIELDS, T_CURVES = "tests/test_codes.py", "tests/test_fields.py", "te
 T_CONSTRUCTIONS, T_CLI = "tests/test_constructions.py", "tests/test_cli.py"
 
 MUTANTS = (
-    # table build: the primitivity certificate, the slices and the zero coordinate
+    # the O(q) start and the table build: the primitivity certificate, the slices and the zero coordinate
     Mutant("certificate-drops-coset-clause", FIELDS,
            "if np.any(log_b[1:] == sentinel) or not np.bincount(ratios, minlength=q).all():", "if False:",
            (f"{T_FIELDS}::test_primitivity_certificate_rejects_each_clause",)),
@@ -54,6 +54,25 @@ MUTANTS = (
     Mutant("zero-coordinate-reads-n0", FIELDS,
            "small_log = np.full(q, sentinel, dtype=np.int64)", "small_log = np.zeros(q, dtype=np.int64)",
            (f"{T_FIELDS}::test_build_tables_match_loop",)),
+    # the computed exp and log reads, and the switch to the tables
+    Mutant("computed-exp-zero-code-reads-n0", FIELDS,
+           "        log_a[0] = q - 1\n", "",
+           (f"{T_FIELDS}::test_build_tables_match_loop",)),
+    Mutant("computed-log-drops-slot-q-1", FIELDS,
+           "log_terms[2 * q - 2 : 3 * q - 2] = coset_log[-1]", "log_terms[2 * q - 2 : 3 * q - 2] = coset_log[0]",
+           (f"{T_FIELDS}::test_build_tables_match_loop",)),
+    Mutant("computed-log-reads-l-for-b-zero", FIELDS,
+           "log_shift[0] = 3 * q - 2", "log_shift[0] = q - 1",
+           (f"{T_FIELDS}::test_build_tables_match_loop",)),
+    Mutant("computed-log-reduces-the-zero-code", FIELDS,
+           "codes -= np.int32(n) * (codes > n)", "codes -= np.int32(n) * (codes >= n)",
+           (f"{T_FIELDS}::test_build_tables_match_loop",)),
+    Mutant("switch-never-taken", FIELDS,
+           "if self._computed_reads < self.q2:", "if True:",
+           (f"{T_FIELDS}::test_switch_builds_the_tables_on_the_read_that_reaches_q2",)),
+    Mutant("switch-one-read-early", FIELDS,
+           "if self._computed_reads < self.q2:", "if self._computed_reads < self.q2 - 1:",
+           (f"{T_FIELDS}::test_switch_builds_the_tables_on_the_read_that_reaches_q2",)),
     # rows, chain guard, records and coset leaders
     Mutant("chain-guard-only-refuses-non-mds", CONSTRUCTIONS,
            "if cert.certificate.mds is not True:", "if cert.certificate.mds is False:",

@@ -478,7 +478,7 @@ def test_word_runs_are_as_long_as_no_carry_allows(pm):
     tw = build_tower(*pm)
     m = tw._word_terms
     assert m * (tw.p - 1) <= tw._word_mask < (m + 1) * (tw.p - 1)
-    top = tw._log_val[tw.q2 - 1]  # the element whose digits are all p-1
+    top = tw._code_of(tw.q2 - 1)  # the element whose digits are all p-1
     for n in (m, m + 1, 2 * m + 1) if m < 1000 else ():
         run = np.full((2, n), top, dtype=np.int32)
         assert np.array_equal(tw.vsum(run), zech_tree_sum(tw, run))

@@ -15,10 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import agq.fields
-from agq.cli import _repro_targets, _run_repro_target
+from agq.cli import _repro_targets, _run_repro_target, main
 from agq.config import DEFAULT_FIELD_CAP
 from agq.errors import BadRequest, FieldTooLarge, NotInBaseField, NotPrime, ZeroInput
-from agq.fields import _CAYLEY_MAX_Q2, AdditiveMap, FieldTower, _moduli, _shared_tower, build_tower, norm_preimage
+from agq.fields import _CAYLEY_MAX_Q2, AdditiveMap, FieldTower, _modulus, _shared_tower, build_tower, norm_preimage
 
 from .modulus_search import (
     CONWAY,
@@ -116,9 +116,7 @@ def test_subfield_equals_frobenius_fixed_points():
 
 def test_exp_log_roundtrip(gf169):
     exp_val = loop_exp_values(gf169)
-    for e in range(gf169.n_units):
-        val = int(exp_val[e])
-        assert gf169._log_val[val] == e
+    assert gf169._code_of(exp_val).tolist() == list(range(gf169.n_units))
 
 
 def test_norm_trace_basics(gf9):
@@ -293,12 +291,13 @@ def test_build_tower_errors():
 def test_import_builds_no_tower_and_searches_no_modulus():
     """Importing agq and its CLI in a fresh interpreter leaves every tower to
     the first request: no table build runs and the table of moduli is not
-    read at import.  The first build_tower then reads it, once."""
+    read at import.  The first build_tower then reads it, once, and each field's
+    first build_tower parses its row."""
     script = (
         "import json, sys\n"
         "calls, opened = [], []\n"
         "def watch(frame, event, arg):\n"
-        "    if event == 'call' and frame.f_code.co_name in ('_moduli', '_build_tables'):\n"
+        "    if event == 'call' and frame.f_code.co_name in ('_modulus', '_start', '_tabulate'):\n"
         "        calls.append(frame.f_code.co_name)\n"
         "def audit(event, args):\n"
         "    if event == 'open' and str(args[0]).endswith('moduli.json'):\n"
@@ -307,9 +306,9 @@ def test_import_builds_no_tower_and_searches_no_modulus():
         "sys.setprofile(watch)\n"
         "import agq, agq.cli\n"
         "sys.setprofile(None)\n"
-        "from agq.fields import _moduli, _shared_tower, build_tower\n"
-        "at_import = [calls, len(opened), _moduli.cache_info().currsize, _shared_tower.cache_info().currsize]\n"
-        "build_tower(3, 1), build_tower(2, 2)\n"
+        "from agq.fields import _modulus, _shared_tower, build_tower\n"
+        "at_import = [calls, len(opened), _modulus.cache_info().currsize, _shared_tower.cache_info().currsize]\n"
+        "build_tower(3, 1), build_tower(2, 2), build_tower(3, 1)\n"
         "print(json.dumps([at_import, len(opened), _shared_tower.cache_info().currsize]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -318,11 +317,15 @@ def test_import_builds_no_tower_and_searches_no_modulus():
 
 
 def test_build_tower_shares_one_read_only_tower():
+    """Every array a tower holds is read-only, before its switch and after it."""
     tw = build_tower(2, 5)
     assert build_tower(2, 5) is tw
-    for table in (tw._log_val, tw._exp, tw._low_word, tw._high_word):
-        with pytest.raises(ValueError):
-            table[0] = table[1]
+    for tower in (FieldTower(2, 5, _modulus(2, 5)), switched_tower(2, 5), build_tower(2, 2)):
+        tables = [v for v in vars(tower).values() if isinstance(v, np.ndarray)]
+        assert len(tables) >= 11
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0] = table[1]
 
 
 def test_build_tower_checks_the_size_first():
@@ -354,10 +357,16 @@ def test_shared_towers_never_skip_a_check():
                 build_tower(5, m)
 
 
+def shipped_moduli():
+    """{(p, m): modulus}, every row of the table of moduli, parsed as JSON."""
+    return {(p, m): tuple(f) for p, m, f in json.loads(TABLE.read_text())}
+
+
 def test_table_of_moduli_covers_exactly_the_towers_within_the_cap():
     """One monic modulus of degree 2m for each of the 340 (p, m) with p prime and
-    p^(2m) <= DEFAULT_FIELD_CAP = 2^22, and the file is the writer's, byte for byte."""
-    moduli = _moduli()
+    p^(2m) <= DEFAULT_FIELD_CAP = 2^22, and the file is the writer's, byte for byte.
+    The row reader finds every row, and no row for an inadmissible (p, m)."""
+    moduli = shipped_moduli()
     towers = {(p, m) for p in range(2, 2 ** 11 + 1) if _is_prime(p) for m in range(1, 12) if p ** (2 * m) <= DEFAULT_FIELD_CAP}
     assert len(towers) == 340
     assert moduli.keys() == towers
@@ -366,12 +375,15 @@ def test_table_of_moduli_covers_exactly_the_towers_within_the_cap():
         assert len(f) == 2 * m + 1 and f[-1] == 1, (p, m)
         assert all(0 <= c < p for c in f) and f[0] != 0, (p, m)
     assert TABLE.read_text() == table_text(moduli)
+    assert {pm: _modulus(*pm) for pm in towers} == moduli
+    for p, m in [(1, 1), (4, 1), (6, 1), (2, 12), (2039, 2), (0, 0), (20, 39)]:
+        assert _modulus(p, m) is None, (p, m)
 
 
 def test_table_of_moduli_matches_the_search():
     """Every m >= 2 entry, and a seeded sample of 24 of the 309 degree-2 entries,
     re-derived by the reference search."""
-    moduli = _moduli()
+    moduli = shipped_moduli()
     degree_two = sorted(pm for pm in moduli if pm[1] == 1)
     sample = [degree_two[i] for i in np.random.default_rng(21).choice(len(degree_two), 24, replace=False)]
     for pm in sorted(pm for pm in moduli if pm[1] >= 2) + sample:
@@ -379,7 +391,8 @@ def test_table_of_moduli_matches_the_search():
 
 
 def tower_tables(tw):
-    tables = (tw._log_val, tw._exp, tw._low_word, tw._high_word, tw._add_table, tw._mul_table)
+    every = np.arange(tw.q2)
+    tables = (tw._code_of(every), tw._value_of(every), tw._low_word, tw._high_word, tw._add_table, tw._mul_table)
     return [None if t is None else t.tobytes() for t in tables]
 
 
@@ -628,10 +641,9 @@ def test_packed_arithmetic_matches_list_oracle(case):
 
 
 def test_table_holds_the_conway_polynomials():
-    moduli = _moduli()
     assert len(CONWAY) == 16
     for (p, d), f in CONWAY.items():
-        assert moduli[p, d // 2] == f, (p, d)
+        assert _modulus(p, d // 2) == f, (p, d)
 
 
 def test_conway_constant_terms_match_smallest_primitive_roots():
@@ -735,11 +747,30 @@ def blocked_exp_values(tw):
     return exp_val
 
 
+def computed_tower(p, m):
+    """A fresh tower of GF(p^(2m)) whose exp and log reads are all computed
+    from its O(q) tables: its q^2-entry tables, if any, dropped, and the switch
+    turned off."""
+    tw = FieldTower(p, m, _modulus(p, m))
+    tw._exp = tw._log_val = None
+    tw._count_reads = lambda size: False
+    return tw
+
+
+def switched_tower(p, m):
+    """A fresh tower of GF(p^(2m)) with its exp and log tables: beyond the
+    Cayley bound, built by the switch on one exp read of all q^2 codes."""
+    tw = FieldTower(p, m, _modulus(p, m))
+    tw._value_of(np.arange(tw.q2))
+    assert tw._exp is not None and tw._log_val is not None
+    return tw
+
+
 def assert_tables_match(tw, exp_val):
     """exp_val is an oracle's packed value of each power of t in the polynomial
     basis.  The tower packs it in tower coordinates, tower_values' packing: for
     m = 1 that is exp_val itself, {1, t} being both bases.  The tower's exp and
-    log tables are that packing and its inverse, each with the zero code at the
+    log reads are that packing and its inverse, each with the zero code at the
     value 0, and its additive words hold that packing's digits.  The Zech logs,
     and the code that each slot sum of _sum_products reads, do not depend on
     the basis: they are those that exp_val determines."""
@@ -749,16 +780,18 @@ def assert_tables_match(tw, exp_val):
         assert np.array_equal(packed, exp_val)
     log_val = np.full(tw.q2, tw.zero_code, dtype=np.int32)
     log_val[packed] = np.arange(n, dtype=np.int32)
-    for got, want in ((tw._log_val, log_val), (tw._exp, np.append(packed, 0).astype(np.int32))):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+    every = np.arange(tw.q2)
+    assert tw._code_of(every).dtype == np.int32
+    assert np.array_equal(tw._code_of(every), log_val)
+    assert np.array_equal(tw._value_of(every), np.append(packed, 0))
+    assert [tw.parse(str(c)) for c in range(min(tw.p, 50))] == log_val[: min(tw.p, 50)].tolist()
     units = np.arange(n)
     poly_log = np.full(tw.q2, tw.zero_code, dtype=np.int64)
     poly_log[exp_val] = units
     assert np.array_equal(tw.zech_log(units), poly_log[plus_one(p, exp_val)])
     # additive words: t^e's digits in fields of floor(63/2m) bits, then the zero word
     words = sum(packed // p ** i % p << (63 // deg) * i for i in range(deg))
-    assert np.array_equal(tw._word_of(np.arange(tw.q2)), np.append(words, 0))
+    assert np.array_equal(tw._word_of(every), np.append(words, 0))
     # a slot sum s reads t^(s mod n) below 2n-1 and the zero word from 2n-1 on
     slots = np.arange(2 * n + 2, dtype=np.int64)
     want = np.append(np.concatenate([units, units[:-1]]), [tw.zero_code] * 3)
@@ -772,63 +805,155 @@ def assert_tables_match(tw, exp_val):
     ids=lambda pm: f"{pm[0]}^{2 * pm[1]}",
 )
 def test_build_tables_match_loop(pm):
-    tw = build_tower(*pm)
-    assert_tables_match(tw, loop_exp_values(tw))
+    """The computed reads, and the reads after the switch, against the loop oracle."""
+    for tw in (computed_tower(*pm), switched_tower(*pm)):
+        assert_tables_match(tw, loop_exp_values(tw))
 
 
 @pytest.mark.parametrize("pm", [(2, 10), (1009, 1)], ids=lambda pm: f"{pm[0]}^{2 * pm[1]}")
 def test_build_tables_match_blocked_build(pm):
     """Fields too large for the loop oracle: GF(2^20), and GF(1009^2), m = 1 with p > 1000."""
-    tw = build_tower(*pm)
-    assert_tables_match(tw, blocked_exp_values(tw))
+    tw = computed_tower(*pm)
+    exp_val = blocked_exp_values(tw)
+    for tw in (tw, switched_tower(*pm)):
+        assert_tables_match(tw, exp_val)
 
 
 @pytest.mark.parametrize("block", [1, 7, 61])
 def test_build_tables_across_block_boundaries(block):
     """A table build whose blocks of rows are one row, or a few, so that its
     slices and its log scatter cross many block boundaries, matches the oracles
-    and the shared towers on every table."""
+    and a build in default blocks on every table."""
     with mock.patch.object(agq.fields, "_TABLE_BLOCK", block):
-        towers = [FieldTower(p, m, _moduli()[p, m]) for p, m in [(2, 5), (3, 3), (7, 2), (13, 1), (2, 3)]]
+        towers = [switched_tower(p, m) for p, m in [(2, 5), (3, 3), (7, 2), (13, 1), (2, 3)]]
     for tw in towers:
         assert_tables_match(tw, loop_exp_values(tw))
-        shared = build_tower(tw.p, tw.m)
-        for name in ("_log_val", "_exp", "_low_word", "_high_word", "_add_table", "_mul_table"):
-            got, want = getattr(tw, name), getattr(shared, name)
-            assert (got is None and want is None) or np.array_equal(got, want), name
+        assert tower_tables(tw) == tower_tables(switched_tower(tw.p, tw.m))
 
 
 def table_bytes(tw):
     """Bytes of every array a tower holds but the Cayley tables, counting a
-    view's whole base; the fiber tables, filled on first use, are left out."""
+    view's whole base once; the fiber tables, filled on first use, are left out."""
     cayley = (tw._add_table, tw._mul_table)
     arrays = [v for v in vars(tw).values() if isinstance(v, np.ndarray) and not any(v is t for t in cayley)]
-    return sum((a if a.base is None else a.base).nbytes for a in arrays)
+    return sum({id(b): b.nbytes for b in (a if a.base is None else a.base for a in arrays)}.values())
 
 
 @pytest.mark.parametrize("pm", sorted(set(WORKLOAD_FIELDS) | {(2, 10)}), ids=lambda pm: f"{pm[0]}^{2 * pm[1]}")
 def test_tower_keeps_eight_bytes_per_element(pm):
-    """A tower keeps two q^2-entry int32 tables, exp and log, and only
-    O(q) more: the word tables of the halves and the digit weights."""
-    tw = FieldTower(*pm, _moduli()[pm])
+    """Beyond the Cayley bound a tower starts with O(q) bytes: GF(q)'s exp
+    and log tables, the logs of the columns t^j, the log read's tables, the
+    word tables and the digit weights, about 120 bytes per element of GF(q).
+    After the switch, and in a Cayley field from the start, it adds two
+    q^2-entry int32 tables, exp and log, and nothing else: 8 bytes per element."""
+    tw = FieldTower(*pm, _modulus(*pm))
+    if tw.q2 > _CAYLEY_MAX_Q2:
+        assert tw._exp is None and tw._log_val is None
+        start = table_bytes(tw)
+        assert start <= 128 * tw.q + 1024
+        tw._value_of(np.arange(tw.q2))
+        assert table_bytes(tw) == start + 8 * tw.q2
     assert tw._exp.nbytes == tw._log_val.nbytes == 4 * tw.q2
-    assert table_bytes(tw) <= 8 * tw.q2 + 16 * tw.q + 1024
+    assert table_bytes(tw) <= 8 * tw.q2 + 128 * tw.q + 1024
 
 
 def test_gf_2_20_build_peak_memory():
-    """A fresh GF(2^20) build holds nothing larger than the tables it keeps:
-    numpy reports its allocations to tracemalloc, so the traced peak is
-    deterministic, and it stays within the two tables' 8 q^2 bytes plus 2 MB
-    for the q-entry tables and the block buffers; 10 q^2 bytes in all.  (The
-    2(q^2-1)-word build buffer of an earlier build alone was 16 q^2, and the
-    slices without blocks peak at about 13 q^2.)"""
+    """A fresh GF(2^20) tower, its tables built at once, holds nothing larger
+    than the tables it keeps: numpy reports its allocations to tracemalloc, so
+    the traced peak is deterministic, and it stays within the two tables' 8 q^2
+    bytes plus 2 MB for the q-entry tables and the block buffers; 10 q^2 bytes
+    in all.  (The 2(q^2-1)-word build buffer of an earlier build alone was
+    16 q^2, and the slices without blocks peak at about 13 q^2.)"""
     tracemalloc.start()
     try:
-        tw = FieldTower(2, 10, _moduli()[2, 10])
+        tw = FieldTower(2, 10, _modulus(2, 10))
+        tw._tabulate()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * tw.q2 + (2 << 20)
+
+
+def kernel_outputs(tw, rng):
+    """Every kernel that reads exp or log, on operands drawn from rng, with
+    the computed reads each one adds: (outputs, reads)."""
+    a, b = (rng.integers(0, tw.q2, size=40).astype(np.int32) for _ in range(2))
+    cube = rng.integers(0, tw.q2, size=(3, 4, 5)).astype(np.int32)
+    slots = tw._word_slots(rng.integers(0, tw.q2, size=(6, 7)))
+    calls = [
+        (lambda: tw.vadd(a, b), 80), (lambda: tw.vsub(a, b), 80), (lambda: tw.vmul(a, b), 0),
+        (lambda: tw.zech_log(a[a < tw.n_units]), 2 * int(np.count_nonzero(a < tw.n_units))),
+        (lambda: tw.vsum(cube, 1), 60 + 15), (lambda: tw.vsum(a), 41),
+        (lambda: tw._word_of(b), 40), (lambda: tw._sum_products(slots[:, None, :], slots[None]), 36 * 7 + 36),
+        (lambda: tw.parse(str(tw.p - 1)), 1),
+    ]
+    outputs, reads = [], []
+    for call, count in calls:
+        before = tw._computed_reads
+        outputs.append(call())
+        reads.append((tw._computed_reads - before, count))
+    return outputs, reads
+
+
+@pytest.mark.parametrize("pm", [(2, 5), (31, 1), (3, 3), (2, 8)], ids=lambda pm: f"{pm[0]}^{2 * pm[1]}")
+def test_switch_builds_the_tables_on_the_read_that_reaches_q2(pm):
+    """Beyond the Cayley bound a tower holds no q^2-entry table after
+    construction.  Each element an exp or log read computes counts once (a
+    Zech log or a sum of two units is an exp and a log read), and the read
+    that brings the count to q^2 builds the tables, not one read earlier.  No
+    kernel's output changes at the switch, and afterwards no read is computed."""
+    tw = FieldTower(*pm, _modulus(*pm))
+    assert tw.q2 > _CAYLEY_MAX_Q2
+    assert (tw._exp, tw._log_val, tw._add_table, tw._mul_table, tw._computed_reads) == (None,) * 4 + (0,)
+    before, reads = kernel_outputs(tw, np.random.default_rng(pm[0]))
+    for got, want in reads:
+        assert got == want
+    tw._value_of(np.arange(tw.q2 - 1 - tw._computed_reads))
+    assert tw._computed_reads == tw.q2 - 1 and tw._exp is None and tw._log_val is None
+    assert tw._code_of(5) == computed_tower(*pm)._code_of(5)  # the read that reaches q^2
+    assert tw._computed_reads == tw.q2 and tw._exp is not None and tw._log_val is not None
+    after, reads = kernel_outputs(tw, np.random.default_rng(pm[0]))
+    assert tw._computed_reads == tw.q2 and all(got == 0 for got, _ in reads)
+    for x, y in zip(before, after):
+        assert type(x) is type(y) and np.asarray(x).dtype == np.asarray(y).dtype
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("pm", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1), (2, 4), (17, 1)])
+def test_cayley_towers_hold_every_table_at_construction(pm):
+    """Up to q^2 = 2^9 a tower builds its exp, log and Cayley tables at
+    construction, and no kernel computes a read."""
+    tw = FieldTower(*pm, _modulus(*pm))
+    assert tw.q2 <= _CAYLEY_MAX_Q2
+    assert all(t is not None for t in (tw._exp, tw._log_val, tw._add_table, tw._mul_table))
+    kernel_outputs(tw, np.random.default_rng(0))
+    assert tw._computed_reads == 0
+
+
+# the c1 record over GF(2^22) with n = 2048, "time_s" aside
+GF_2_22_RECORD = {
+    "request": {"construction": "c1", "p": 2, "m": 11, "n": 2048, "t": None, "k": None, "embed": "none"},
+    "verdict": "CERTIFIED",
+    "classical": {"q2": 4194304, "n": 2048, "k": 1, "mds": True, "mds_method": "vandermonde",
+                  "designed_distance": 2048, "d": 2048, "d_method": "mds-singleton"},
+    "quantum": {"q": 2048, "n": 2048, "k": 2046, "d": 2, "d_exact": True, "d_method": "mds-singleton",
+                "mds": True, "defect": 0},
+    "dual_distance": {"value": 2, "exact": True, "method": "mds-singleton"},
+    "gram_digest": "a79d683f0c53b485790e7bf3677853917e2cab030a721f76e5154356822b10f8",
+    "witnesses": {"mds_singular": None, "dual_distance_columns": None},
+    "trace": ["c1: roots of x^2048 - x", "B(j) residues for j=1..1: [0]"],
+}
+
+
+def test_c1_over_gf_2_22_builds_no_q2_table(capsys):
+    """A length-2048 c1 code over GF(2^22) reads a few thousand elements, far
+    from the switch at 2^22, so its tower keeps only the O(q) tables."""
+    assert main(["construct", "--construction", "c1", "--p", "2", "--m", "11", "--n", "2048"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record.pop("time_s") >= 0
+    assert record == GF_2_22_RECORD
+    tw = build_tower(2, 11)
+    assert tw._exp is None and tw._log_val is None and 0 < tw._computed_reads < tw.q2 // 100
 
 
 def test_non_primitive_modulus_is_rejected():
@@ -873,7 +998,7 @@ def test_non_primitive_table_entry_builds_no_tower():
     """A table entry that is irreducible but not primitive, x^2 + 1 over GF(3),
     fails the table build on every request, and no tower is kept for it."""
     _shared_tower.cache_clear()
-    with mock.patch.dict(_moduli(), {(3, 1): (1, 0, 1)}):
+    with mock.patch.object(agq.fields, "_modulus", lambda p, m: (1, 0, 1) if (p, m) == (3, 1) else _modulus(p, m)):
         for _ in range(2):
             with pytest.raises(AssertionError, match="not primitive"):
                 build_tower(3, 1)
