@@ -23,7 +23,6 @@ from .constructions import (
     construct,
     construct_chain,
     deep_dimension,
-    embed_iterate,
     embed_once,
 )
 from .curves import (
@@ -75,7 +74,6 @@ __all__ = [
     "curve",
     "deep_dimension",
     "dual_distance_by_columns",
-    "embed_iterate",
     "embed_once",
     "evaluation_code",
     "exhaustive_distance",

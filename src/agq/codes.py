@@ -14,7 +14,6 @@ code q^2-1 is zero), so the hot loops are table lookups.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import comb
@@ -37,8 +36,8 @@ except ImportError:
         from hashlib import sha256
 
 _CHUNK = 1 << 15
-# exponent codes a column-scan block may hold, its projected matrices and points
-# (_prefix_blocks), which sizes the arrays every block of a scan runs in
+# exponent codes a column-scan block may hold, its chunk's projected matrices and
+# its points (_first_collision), which sizes the arrays every block of a scan runs in
 _LIVE_ENTRIES = 1 << 16
 _FIRST_PREFIXES = 4  # prefixes in the column scan's first block; each later block doubles
 # coordinates in a column-scan entry's short key (_first_collision), where that
@@ -433,56 +432,113 @@ def _prefix_projections(tower: FieldTower, g: np.ndarray, pre: np.ndarray):
     return m, parent
 
 
-def _block_frame(tower: FieldTower, g: np.ndarray, pre: np.ndarray, first: np.ndarray):
-    """(m, rows, factors) for a block of prefixes pre whose entry e reads column
-    j = e + first[b] for its prefix pre[b]: with h = m.flat[rows[0, b] + e], the
-    point of the entry, column j of g modulo the span of pre[b]'s columns, has
-    coordinates m.flat[rows[i + 1, b] + e] + factors[i, b] * h (factors is None
-    for w = 2: the point is column j).  With M one of the matrices that
-    _prefix_projections leaves, c the last prefix column and s the first row with
-    M[s, c] != 0, coordinate i is row r minus M[r, c]/M[s, c] times row s, r = i+1 but 0 for s."""
+def _prefix_groups(n: int, w: int, limit):
+    """(groups, ranks) of the w-scan: the (w-3)-subsets of range(n-3) in lex
+    order, each followed by the (w-2)-prefixes it starts, as a (groups, w-3)
+    int64 array, and the lex rank of each group's first w-subset.  With a
+    limit, only the groups whose first w-subset ranks below it.  Built one
+    column at a time: a column's ranks count the w-subsets of the rows before,
+    from binomials clipped at limit, which leaves every rank below limit exact."""
+    groups, ranks = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    if limit is not None and w > 3:
+        clipped = [np.ones(n, dtype=np.int64)]  # clipped[r][x] = min(comb(x, r), limit), by Pascal's rule
+        while len(clipped) < w:
+            clipped.append(np.minimum(np.concatenate([[0], clipped[-1][:-1].cumsum()]), limit))
+    for i in range(w - 3):
+        top = groups[:, -1] if i else np.array([-1])
+        per = n - w + i - top  # next columns c: top < c <= n-w+i leaves room for w-4-i more below n-3
+        c = np.arange(int(per.sum())) + np.repeat(n - w + i + 1 - per.cumsum(), per)
+        groups = np.column_stack([groups.repeat(per, axis=0), c])
+        if limit is not None:
+            counts = clipped[w - 1 - i][n - 1 - c]  # w-subsets that start with each row
+            ranks = counts.cumsum() - counts
+            cut = int(np.searchsorted(ranks, limit))
+            groups, ranks = groups[:cut], ranks[:cut]
+    return groups, ranks
+
+
+def _prefix_chunks(tower: FieldTower, g: np.ndarray, w: int, limit: int):
+    """The (w-2)-prefixes of range(n-2) whose first w-subset has lex rank < limit,
+    and the work that depends only on them, in lex-ordered chunks
+    (_chunk_frame) of the groups of _prefix_groups.  The first chunk holds the
+    first _FIRST_PREFIXES prefixes, so a scan that collides there eliminates
+    nothing past them.  Each later one holds as many groups as keep their
+    projected matrices within _LIVE_ENTRIES // 8 exponent codes, at least
+    one; the second opens inside the group where the first ended, and reuses
+    its matrix.  For w = 2 the one chunk holds the empty prefix, with m = g,
+    sel = 0, 0, 1, ..., k-1 (row 0 stands in for the head, which goes unread)
+    and factors None: the point of column j is column j."""
     k, n = g.shape
-    if not pre.shape[1]:  # first = 0, and row 0 stands in for the head, which goes unread
-        return g, np.maximum(np.arange(-n, k * n, n), 0)[:, None], None
-    m, parent = _prefix_projections(tower, g, pre[:, :-1])
-    col = m[parent, :, pre[:, -1]].T  # (rows of M, prefixes): the last prefix column
-    s = np.argmax(col != tower.zero_code, axis=0)
-    up = np.arange(1, len(col))[:, None]
-    sel = np.vstack([s, up * (up != s)])  # row s, then the rows of the coordinates
-    c = col[sel, np.arange(len(pre))]
-    return m, parent * m[0].size + first + sel * n, tower.vdiv(tower.vneg(c[1:]), c[0])
-
-
-def _prefix_blocks(k: int, n: int, w: int):
-    """The (w-2)-prefixes of range(n-2), those with a pair of columns after
-    them, in lex-ordered int64 blocks.  A block holds, at most, the (k-w+3, n)
-    projected matrix of each distinct (w-3)-prefix and k-w+2 coordinates for
-    each entry (prefix, later column).  Blocks start at _FIRST_PREFIXES
-    prefixes and double while that stays within _LIVE_ENTRIES; a block is cut
-    where it would not, and its rest opens the next one."""
     if w == 2:
-        yield np.zeros((1, 0), dtype=np.int64)
+        rows = np.maximum(np.arange(-n, k * n, n), 0)[:, None]
+        yield None, None, np.array([-1]), g, rows, None
         return
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n - 2), w - 2))
-    pre = np.zeros((0, w - 2), dtype=np.int64)
-    size = _FIRST_PREFIXES
-    most = (k - w + 3) * n + (n - 1) * (k - w + 2)  # held per prefix, at most
-    while True:
-        more = np.fromiter(itertools.islice(flat, (size - len(pre)) * (w - 2)), dtype=np.int64)
-        pre = np.concatenate([pre, more.reshape(-1, w - 2)])
-        if not len(pre):
-            return
-        if len(pre) * most <= _LIVE_ENTRIES:
-            cut = len(pre)
-        else:
-            new = np.ones(len(pre), dtype=bool)
-            new[1:] = (pre[1:, :-1] != pre[:-1, :-1]).any(axis=1)
-            held = np.cumsum(new * (k - w + 3) * n + (n - 1 - pre[:, -1]) * (k - w + 2))
-            cut = max(1, int(np.searchsorted(held, _LIVE_ENTRIES, side="right")))
-        if cut == len(pre):
-            size *= 2
-        yield pre[:cut]
-        pre = pre[cut:]
+    limit = limit if limit < comb(n, w) else None  # None: every w-subset
+    groups, ranks = _prefix_groups(n, w, limit)
+    per = n - 3 - (groups[:, -1] if w > 3 else np.array([-1]))  # prefixes of each group
+    opens = per.cumsum() - per  # the first prefix of each group, counted over the w
+    b = int(np.searchsorted(opens, _FIRST_PREFIXES - 1, side="right"))
+    chunk = _chunk_frame(tower, g, groups[:b], 0, _FIRST_PREFIXES, limit, None)
+    done, carried = len(chunk[2]), chunk[3][-1:]
+    yield chunk
+    chunk = None  # freed before the next one is built
+    if done < _FIRST_PREFIXES:  # the limit, or the last prefix, ends the w
+        return
+    a = int(np.searchsorted(opens, done, side="right")) - 1
+    skip, carried = done - int(opens[a]), carried if a == b - 1 else None  # the first chunk ended inside group a
+    step = max(1, _LIVE_ENTRIES // 8 // ((k - w + 3) * n))
+    while a < len(groups):
+        cap = None if limit is None else limit - int(ranks[a])  # counted from group a's first w-subset
+        chunk = _chunk_frame(tower, g, groups[a : a + step], skip, None, cap, carried)
+        if len(chunk[2]):
+            yield chunk
+        a, skip, carried, chunk = a + step, 0, None, None
+
+
+def _chunk_frame(tower: FieldTower, g: np.ndarray, groups: np.ndarray, skip: int, stop, limit, carried):
+    """(groups, parent, last, m, base, factors) for the prefixes skip:stop of
+    consecutive groups, and with a limit only those whose first w-subset
+    ranks below it, counted from the first group's first w-subset.  Prefix i
+    is groups[parent[i]] + (last[i],), and m[parent[i]] is its group's
+    projected matrix M: carried, when given, for the first group, and one
+    elimination per group (_prefix_projections).  With s the first row where
+    M[s, last[i]] != 0, coordinate r of the point of column j modulo
+    span(prefix i) is row sel[r+1] of M minus factors[r, i] times row sel[0]
+    = s, where sel swaps rows 0 and s; base[r, i] is the flat index in m of
+    row sel[r] of M at column last[i] + 1."""
+    k, n = g.shape
+    rows, top = k - groups.shape[1], groups[:, -1] if groups.shape[1] else np.array([-1])
+    count = n - 3 - top  # the last prefix column runs from top + 1 to n - 3
+    if carried is None:
+        m, parent = _prefix_projections(tower, g, groups)
+    else:
+        m, parent = carried, np.zeros(1, dtype=np.int64)
+        if len(groups) > 1:
+            m, parent = np.concatenate([m, _prefix_projections(tower, g, groups[1:])[0]]), np.arange(len(groups))
+    parent = parent.repeat(count)
+    last = np.arange(len(parent)) + np.repeat(n - 2 - count.cumsum(), count)  # each group's run ends at n - 3
+    if limit is not None:
+        pairs = (n - 1 - last) * (n - 2 - last) // 2  # the w-subsets of each prefix
+        cut = int(np.searchsorted(pairs.cumsum() - pairs, limit))
+        stop = cut if stop is None else min(stop, cut)
+    parent, last = parent[skip:stop], last[skip:stop]
+    at = (parent * m[0].size + last) + np.arange(0, rows * n, n)[:, None]  # rows of M at the last column
+    col = m.take(at)
+    swap = np.flatnonzero(col[0] == tower.zero_code)  # about 1/q^2 of the prefixes
+    if swap.size:
+        s = (col[:, swap] != tower.zero_code).argmax(axis=0)
+        at[0, swap], at[s, swap] = at[s, swap], at[0, swap]
+        col[0, swap], col[s, swap] = col[s, swap], col[0, swap]
+    return groups, parent, last, m, at + 1, tower.vdiv(tower.vneg(col[1:]), col[0])
+
+
+def _block_frame(chunk, lo: int, hi: int, starts: np.ndarray):
+    """(m, rows, factors) for the prefixes lo:hi of a chunk (_chunk_frame), the
+    entries of block prefix b numbered from starts[b]: with h = m.flat[rows[0,
+    b] + e], the point of entry e has coordinates m.flat[rows[r + 1, b] + e] +
+    factors[r, b] * h (factors is None for w = 2: the point is column j)."""
+    m, base, factors = chunk[3:]
+    return m, base[:, lo:hi] - starts, None if factors is None else factors[:, lo:hi]
 
 
 _KEY_MAX = np.iinfo(np.int64).max
@@ -540,7 +596,8 @@ def _point_keys(tower: FieldTower, frame, e: np.ndarray, wide: np.ndarray, narro
     if unset.size:  # the lead is further on, or all are zero and 1 keeps them zero
         rest = points[1:, unset]
         lead[unset] = np.maximum(n - 1 - rest[(rest != zero).argmax(axis=0), np.arange(unset.size)], 0)
-    tower.vmul(points, lead, out=points, at=at)
+    tower.vmul(points[1:], lead, out=points[1:], at=at[1:])
+    np.maximum(points[0], n - 1, out=points[0])  # the first coordinate scaled: t^-1, or 0 stays 0
     keys = _exact_keys(b, points, tower.q2, out=keys)
     ordered = wide[2]  # a plain sort and a compare of neighbours
     np.copyto(ordered, keys)
@@ -553,55 +610,68 @@ def _first_collision(tower: FieldTower, g: np.ndarray, w: int, limit: int, array
     whose first subset has lex rank < limit, or None.  Every (w-1)-subset must
     be independent, so the projections modulo a prefix's span are nonzero.
 
-    Prefixes come in the growing blocks of _prefix_blocks, in the scan's arrays
-    (two flat ones and an arange grown by need).  Each entry (prefix b, column
-    j > the prefix's last column) gets a short key of b and the first
-    _SHORT_KEY coordinates of its point, or all (_point_keys); parallel points
-    share it, so only entries whose short keys repeat get full keys.  A block
-    where those repeat is sorted stably once, to read the witness.
+    Prefixes and their eliminations come in the chunks of _prefix_chunks, and
+    each chunk in blocks that start at _FIRST_PREFIXES prefixes and double,
+    across the w, while the block's entries (prefix b, column j > b's last
+    column) hold at most _LIVE_ENTRIES exponent codes of k-w+2 coordinates
+    beside the chunk's matrices; a block is cut where they would not, and at
+    its chunk's end.  A block slices its chunk (_block_frame) and runs in the
+    scan's arrays (two flat ones and an arange grown by need).  Each entry
+    gets a short key of b and the first _SHORT_KEY coordinates of its point,
+    or all (_point_keys); parallel points share it, so only entries whose
+    short keys repeat get full keys.  A block where those repeat is sorted
+    stably once, to read the witness.
     """
     k, n = g.shape
     coordinates = k - w + 2
     short = _SHORT_KEY if coordinates >= 2 * _SHORT_KEY else coordinates
-    offset = 0  # lex rank of the first subset of the next prefix
-    for pre in _prefix_blocks(k, n, w):
-        if offset >= limit:
-            return None
-        top = pre.max(axis=1, initial=-1)
-        if limit < comb(n, w):  # keep the prefixes whose first subset is ranked below limit
-            pairs = (n - 1 - top) * (n - 2 - top) // 2
-            ends = offset + np.cumsum(pairs)
-            keep = ends - pairs < limit
-            pre, top, offset = pre[keep], top[keep], int(ends[-1])
-        # entry e for every prefix b and column j = e + first[b] > top[b], b ascending, then j
-        count = n - 1 - top
-        stops = count.cumsum()
-        first = top + 1 - (stops - count)
-        size = int(stops[-1])
-        if len(arrays[2]) < size:
-            arrays[2] = np.arange(2 * size)
-        e = arrays[2][:size]
-        wide, narrow = _block_arrays(size, short, arrays)
-        b = wide[0]
-        b.fill(0)
-        b[stops[:-1]] = 1
-        np.add.accumulate(b, out=b)
-        frame = _block_frame(tower, g, pre, first)
-        keys, repeated = _point_keys(tower, frame, e, wide, narrow)
-        if repeated and short < coordinates:
-            _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-            e = np.flatnonzero(counts[inverse] > 1)
-            wide, narrow = _block_arrays(len(e), coordinates, _scan_arrays(len(e), coordinates))
-            b = np.take(b, e, out=wide[0])
+    if not limit:  # no subset ranks below 0
+        return None
+    size = _FIRST_PREFIXES
+    for chunk in _prefix_chunks(tower, g, w, limit):
+        groups, parent, last, m = chunk[:4]
+        count = n - 1 - last  # entries of each prefix
+        ends = count.cumsum()
+        room = (_LIVE_ENTRIES - m.size) // coordinates  # entries a block may hold beside the matrices
+        lo = start = 0  # start: the chunk's entries before the block
+        while lo < len(last):
+            hi = min(lo + size, len(last))
+            if int(ends[hi - 1]) - start > room:
+                hi = max(lo + 1, int(np.searchsorted(ends, start + room, side="right")))
+            else:
+                size *= 2
+            # entry e of the block reads column e - starts[b] + last[b] + 1 of its prefix b
+            stops = ends[lo:hi] - start
+            starts = stops - count[lo:hi]
+            entries = int(stops[-1])
+            if len(arrays[2]) < entries:
+                arrays[2] = np.arange(2 * entries)
+            e = arrays[2][:entries]
+            wide, narrow = _block_arrays(entries, short, arrays)
+            b = wide[0]
+            b.fill(0)
+            b[stops[:-1]] = 1
+            np.add.accumulate(b, out=b)
+            frame = _block_frame(chunk, lo, hi, starts)
             keys, repeated = _point_keys(tower, frame, e, wide, narrow)
-        if not repeated:
-            continue
-        order = np.argsort(keys, kind="stable")
-        b, e, keys = b[order], e[order], keys[order]
-        hits = np.nonzero(keys[1:] == keys[:-1])[0]
-        hits = hits[b[hits] == b[hits[0]]]
-        at = hits[np.argmin(e[hits])]
-        return tuple(int(c) for c in pre[b[at]]) + tuple(int(j) for j in e[at : at + 2] + first[b[at]])
+            if repeated and short < coordinates:
+                _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+                e = np.flatnonzero(counts[inverse] > 1)
+                wide, narrow = _block_arrays(len(e), coordinates, _scan_arrays(len(e), coordinates))
+                b = np.take(b, e, out=wide[0])
+                keys, repeated = _point_keys(tower, frame, e, wide, narrow)
+            if repeated:
+                order = np.argsort(keys, kind="stable")
+                b, e, keys = b[order], e[order], keys[order]
+                hits = np.nonzero(keys[1:] == keys[:-1])[0]
+                hits = hits[b[hits] == b[hits[0]]]
+                at = hits[np.argmin(e[hits])]
+                p = lo + int(b[at])
+                prefix = tuple(int(c) for c in groups[parent[p]]) + (int(last[p]),) if w > 2 else ()
+                first = int(last[p]) + 1 - int(starts[b[at]])  # the column of entry 0 of prefix p
+                return prefix + tuple(int(j) + first for j in e[at : at + 2])
+            lo, start = hi, start + entries
+        del chunk, m, frame  # the next chunk is built with this one freed
     return None
 
 
@@ -612,14 +682,16 @@ def dual_distance_by_columns(code: LinearCode) -> DistanceResult:
     code (k = n) has no k+1 columns, so its exact k+1 comes with no witness.  Once
     every (w-1)-subset is independent, S + {j, l} with |S| = w-2 is
     dependent exactly when columns j and l, projected modulo span(S), are
-    parallel.  So the prefixes S are taken in lex-ordered blocks that double
-    in size up to a cap on the entries a block holds, all in arrays made here
-    for the largest block the budget lets the scan reach.  The elimination
-    steps of all but the last column of S run once per distinct shared
-    prefix, and the last step only on the entries (S, later column j), whose
-    points become exact int64 keys (S first).  The scan stops at the first
-    block where keys repeat: one stable sort of that block gives the
-    lex-first dependent set, the first colliding prefix's lowest colliding pair.
+    parallel.  The work that depends only on the prefixes S runs once per w,
+    in lex-ordered chunks (_prefix_chunks): the elimination on all but the
+    last column of S once per distinct (w-3)-prefix, and the pivot row and
+    factors of the last column once per S.  The entries (S, later column j)
+    come in blocks that slice a chunk and double in size up to a cap on what
+    a block holds, all in arrays made here for the largest block the budget
+    lets the scan reach; only there do points become exact int64 keys (S
+    first).  The scan stops at the first block where keys repeat: one stable
+    sort of that block gives the lex-first dependent set, the first colliding
+    prefix's lowest colliding pair.
 
     The budget is config.ops_cap() (AGQ_CAP_OPS) and counts nominal work:
     k*w*2 per w-subset, charged in lex-ordered blocks of _CHUNK subsets, with
@@ -638,7 +710,7 @@ def dual_distance_by_columns(code: LinearCode) -> DistanceResult:
     zero_cols = np.nonzero((g == zero).all(axis=0))[0]
     if zero_cols.size:
         return DistanceResult(1, True, (int(zero_cols[0]),), "column-scan")
-    # w-subsets certified, w = 2, 3, ..., and the largest block (_prefix_blocks)
+    # w-subsets certified, w = 2, 3, ..., and the largest block (_first_collision)
     limits, spent, entries = [], 0, 0
     for w in range(2, k + 1):
         unit, total = k * w * 2, comb(n, w)

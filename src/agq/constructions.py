@@ -325,11 +325,6 @@ def embed_once(cert: CertifiedCode) -> CertifiedCode:
     return replace(member, build_s=perf_counter() - start)
 
 
-def embed_iterate(cert: CertifiedCode) -> list[CertifiedCode]:
-    """The members _embed_until_rejected adds to cert, maybe none; the last one's trace says why."""
-    return _embed_until_rejected(cert, None)[1:]
-
-
 def _embed_until_rejected(cert: CertifiedCode, steps: int | None) -> list[CertifiedCode]:
     """cert and the members embed_once appends, at most steps of them, until it
     is rejected; the last member's trace then ends with the reason, such as

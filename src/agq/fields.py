@@ -123,11 +123,13 @@ class FieldTower:
     so a build holds nothing larger than the two int32 tables it keeps, 8
     bytes per element.
 
-    Every array is read-only.  Two things are filled on first use, the fiber
-    tables of ``solve_additive`` and the exp and log tables; each is assigned
-    once complete, so a race between threads only builds one twice.  Every
-    operation on exponent codes is pure, so ``build_tower`` hands one tower
-    to every caller and towers are safe to share across threads.
+    Every array is read-only.  Three things are filled on first use, the
+    fiber tables of ``solve_additive``, the exp and log tables, and the three
+    small tables of the computed log read (``_log_read``), which a Cayley field
+    never makes; each is assigned once complete, so a race between threads
+    only builds one twice.  Every operation on exponent codes is pure, so
+    ``build_tower`` hands one tower to every caller and towers are safe to
+    share across threads.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -140,7 +142,7 @@ class FieldTower:
         self.modulus = modulus
         self._fibers = {}
         self._computed_reads = 0
-        self._exp = self._log_val = self._add_table = self._mul_table = None
+        self._exp = self._log_val = self._add_table = self._mul_table = self._computed_log = None
         self._start()
         if self.q2 <= _CAYLEY_MAX_Q2:
             self._tabulate()
@@ -175,20 +177,6 @@ class FieldTower:
         ratios = np.where(log_a == sentinel, q - 1, (log_a - log_b) % (q - 1))[1:]
         if np.any(log_b[1:] == sentinel) or not np.bincount(ratios, minlength=q).all():
             raise AssertionError(_NOT_PRIMITIVE)
-        # the log read of a + b t takes _log_terms at log a + _log_shift[b].  For b != 0 the
-        # shift is q-1 - log b, into L[r] = log(N^r + t) twice over, then slot q-1's value for
-        # a = 0's sentinel; for b = 0 it is 3q-2, into GF(q)*'s codes, then the zero code
-        coset_log = np.empty(q, dtype=np.int64)
-        coset_log[ratios] = (np.arange(1, q + 1) - (q + 1) * log_b[1:]) % n
-        log_terms = np.empty(5 * q - 3, dtype=np.int32)
-        log_terms[: 2 * q - 2].reshape(2, q - 1)[:] = coset_log[:-1]
-        log_terms[2 * q - 2 : 3 * q - 2] = coset_log[-1]
-        log_terms[3 * q - 2 : 4 * q - 3] = np.arange(0, n, q + 1)
-        log_terms[4 * q - 3 :] = n
-        log_shift = q - 1 - small_log
-        log_shift[0] = 3 * q - 2
-        base_code = ((q + 1) * small_log).astype(np.int32)  # b's code, and 0 for b = 0
-        base_code[0] = 0
         # a_0 = 1 = N^(q-1): the zero code, row q-1 of column 0, reads small_exp's first zero
         log_a[0] = q - 1
         # additive form: the digits in bit fields of floor(63/deg) bits; a word is
@@ -203,7 +191,6 @@ class FieldTower:
         self._high_word = self._low_word << bits * m
         self._small_exp, self._high_exp, self._small_log = small_exp, small_exp * q, small_log
         self._log_a, self._log_b = log_a, log_b
-        self._log_terms, self._log_shift, self._base_code = log_terms, log_shift, base_code
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)
@@ -272,14 +259,41 @@ class FieldTower:
         array: the log read."""
         if self._log_val is None and not self._count_reads(np.size(values)):
             q, n = self.q, self.n_units
+            log_terms, log_shift, base_code = self._log_read()
             high = values // q
-            codes = self._log_terms.take(self._small_log.take(values - q * high) + self._log_shift.take(high))
-            codes += self._base_code.take(high)
+            codes = log_terms.take(self._small_log.take(values - q * high) + log_shift.take(high))
+            codes += base_code.take(high)
             # b = 0 reads at most the zero code q^2-1.  b != 0 adds to below 2(q^2-1), and never
             # to q^2-1 itself: its code is no multiple of q+1, as GF(q) holds every such code
             codes -= np.int32(n) * (codes > n)
             return codes
         return self._log_val.take(values)
+
+    def _log_read(self):
+        """(log_terms, log_shift, base_code) of the computed log read, read-only,
+        built on its first use: a Cayley field reads its log table instead."""
+        if self._computed_log is not None:
+            return self._computed_log
+        q, n, small_log, log_a, log_b = self.q, self.n_units, self._small_log, self._log_a, self._log_b
+        ratios = np.where(log_a == 2 * (q - 1), q - 1, (log_a - log_b) % (q - 1))[1:]
+        # the log read of a + b t takes log_terms at log a + log_shift[b].  For b != 0 the
+        # shift is q-1 - log b, into L[r] = log(N^r + t) twice over, then slot q-1's value for
+        # a = 0's sentinel; for b = 0 it is 3q-2, into GF(q)*'s codes, then the zero code
+        coset_log = np.empty(q, dtype=np.int64)
+        coset_log[ratios] = (np.arange(1, q + 1) - (q + 1) * log_b[1:]) % n
+        log_terms = np.empty(5 * q - 3, dtype=np.int32)
+        log_terms[: 2 * q - 2].reshape(2, q - 1)[:] = coset_log[:-1]
+        log_terms[2 * q - 2 : 3 * q - 2] = coset_log[-1]
+        log_terms[3 * q - 2 : 4 * q - 3] = np.arange(0, n, q + 1)
+        log_terms[4 * q - 3 :] = n
+        log_shift = q - 1 - small_log
+        log_shift[0] = 3 * q - 2
+        base_code = ((q + 1) * small_log).astype(np.int32)  # b's code, and 0 for b = 0
+        base_code[0] = 0
+        for table in (log_terms, log_shift, base_code):
+            table.setflags(write=False)
+        self._computed_log = log_terms, log_shift, base_code
+        return self._computed_log
 
     def _count_reads(self, size: int) -> bool:
         """Add size computed reads; once they reach q^2, build the tables.  Are they built?"""

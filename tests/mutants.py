@@ -153,8 +153,15 @@ MUTANTS = (
            "np.copyto(ordered, keys)", "ordered = keys",
            (f"{T_CODES}::test_column_scan_matches_per_subset_scan",)),
     Mutant("scan-prefix-buffer-not-cleared", CODES,
-           "        b.fill(0)\n", "",
+           "            b.fill(0)\n", "",
            (f"{T_CODES}::test_column_scan_matches_per_subset_scan",)),
+    # the chunks of shared prefix work
+    Mutant("scan-reads-the-next-groups-matrix", CODES,
+           "at = (parent * m[0].size + last)", "at = (np.minimum(parent + 1, len(m) - 1) * m[0].size + last)",
+           (f"{T_CODES}::test_column_scan_matches_per_subset_scan",)),
+    Mutant("chunk-boundary-drops-a-prefix", CODES,
+           "skip, carried = done - int(opens[a]),", "skip, carried = done + 1 - int(opens[a]),",
+           (f"{T_CODES}::test_chunked_scan_matches_per_subset_scan",)),
     # the certificate's d(C)
     Mutant("distance-singleton-for-non-mds", CODES,
            "        if self.mds:\n", "        if self.mds is not None:\n",

@@ -21,9 +21,9 @@ from agq.codes import (
 from agq.constructions import (
     CertifiedCode,
     ConstructionRequest,
+    _embed_until_rejected,
     construct,
     deep_dimension,
-    embed_iterate,
     embed_once,
 )
 from agq.curves import CurveFamily, curve, x_support
@@ -170,7 +170,7 @@ def test_criterion_5_hermitian_q4():
 def test_criterion_6_embedding_boundary_q11():
     start = time.perf_counter()
     base = construct(ConstructionRequest("c1", 11, 1, n=16, k=2))
-    chain = [base] + embed_iterate(base)
+    chain = _embed_until_rejected(base, None)
     assert [c.code.params() for c in chain] == [(16, 2), (16, 3), (16, 4)]
     with pytest.raises(EmbeddingRejected):
         embed_once(chain[-1])

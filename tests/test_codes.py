@@ -22,6 +22,7 @@ from agq.codes import (
     _cauchy_verify,
     _digest,
     _exact_keys,
+    _lex_rank,
     _monomial_rows,
     batched_dependent,
     certify,
@@ -1043,16 +1044,17 @@ def planted_scan_cases(draw):
 def scan_blocks():
     """Record (prefixes, prefix width, entries held) for every block the column
     scan frames (_block_frame receives each one): the projected matrices of
-    its distinct (w-3)-prefixes plus k-w+2 coordinates for each of its
-    entries, what the block holds if every entry is keyed in full."""
+    its chunk's groups plus k-w+2 coordinates for each of its entries, what
+    the block holds if every entry is keyed in full."""
     blocks = []
     frame = agq.codes._block_frame
 
-    def spy(tower, g, pre, first):
-        out = frame(tower, g, pre, first)
-        (k, n), width = g.shape, pre.shape[1]
-        entries = int((n - 1 - pre.max(axis=1, initial=-1)).sum())
-        blocks.append((len(pre), width, out[0].size + entries * (k - width)))
+    def spy(chunk, lo, hi, starts):
+        out = frame(chunk, lo, hi, starts)
+        groups, _, last, m, base, factors = chunk
+        entries = int((m.shape[-1] - 1 - last[lo:hi]).sum())
+        width = 0 if factors is None else groups.shape[1] + 1
+        blocks.append((hi - lo, width, m.size + entries * (len(base) - 1)))
         return out
 
     with mock.patch.object(agq.codes, "_block_frame", spy):
@@ -1122,8 +1124,9 @@ def test_column_scan_budget_boundary(chunk, blocks, shift, exact):
 def test_column_scan_stops_at_the_first_dependent_prefix():
     """The lex-first dependent 4-set of this [60, 6] code over GF(64) is the planted
     {0, 1, 2, 3}, in the first prefix (0, 1): the w = 4 scan must end with the
-    first block of _FIRST_PREFIXES prefixes.  The w = 3 scan finds nothing, so it
-    takes all 58 prefixes, in doubling blocks, none above the _LIVE_ENTRIES cap."""
+    first block of _FIRST_PREFIXES prefixes, whose chunk holds the matrix of the
+    one group (0,) it needs.  The w = 3 scan finds nothing, so it takes all 58
+    prefixes, in doubling blocks, none above the _LIVE_ENTRIES cap."""
     tw, k, n = build_tower(2, 3), 6, 60
     g = np.random.default_rng(7).integers(0, tw.n_units, size=(k, n)).astype(np.int32)
     g[:, 3] = tw.vsum(np.stack([tw.vmul(e, g[:, c]) for e, c in ((5, 0), (20, 1), (41, 2))]), axis=0)
@@ -1132,6 +1135,8 @@ def test_column_scan_stops_at_the_first_dependent_prefix():
         res = dual_distance_by_columns(code)
     assert res == DistanceResult(4, True, (0, 1, 2, 3), "column-scan") == per_subset_column_scan(code)
     assert [count for count, width, _ in blocks if width == 2] == [agq.codes._FIRST_PREFIXES]
+    # (k-1) x n codes of matrix, and k-2 coordinates for each entry of the prefixes (0, 1) .. (0, 4)
+    assert [held for _, width, held in blocks if width == 2] == [(k - 1) * n + (k - 2) * sum(range(n - 5, n - 1))]
     sizes = [count for count, width, _ in blocks if width == 1]
     assert sum(sizes) == n - 2 and all(b == 2 * a for a, b in zip(sizes, sizes[1:-1]))
     assert all(held <= agq.codes._LIVE_ENTRIES for _, _, held in blocks)
@@ -1156,11 +1161,14 @@ def test_column_scan_memory_on_the_budget_capped_row():
     """The [80, 8] code over GF(64) of the mixed-80-64-8-q8 reproduce row: under
     the default budget its scan certifies every 3-subset and part of the
     4-subsets, so it ends as the lower bound 4.  Its blocks run in arrays made
-    once per scan, as large as its largest block (about 10,900 entries of
-    three short-key coordinates, with rows for five), and the scan's peak of
-    traced allocations is about 1.64 MiB.  It was 10.3 MiB when each block
-    eliminated whole (prefixes, k, n) batches, and 2.26 MiB when each block
-    made its own arrays and keyed every coordinate."""
+    once per scan, as large as its largest block could be (about 10,900
+    entries of three short-key coordinates, with rows for five).  The
+    projected matrices of a chunk, 14 groups at w = 4, stay live across its
+    blocks and count against the same cap, and a chunk is freed before the
+    next one is built: the scan's peak of traced allocations is about 1.65
+    MiB.  It was 10.3 MiB when each block eliminated whole (prefixes, k, n)
+    batches, and 2.26 MiB when each block made its own arrays and keyed
+    every coordinate."""
     code = construct(ConstructionRequest("c5", 2, 3, k=9)).code
     assert (code.n, code.k, code.tower.q2) == (80, 8, 64)
     with scan_budget(config.DEFAULT_OPS_CAP):
@@ -1292,6 +1300,77 @@ def test_column_scan_sorts_stably_once_to_read_the_witness(case):
         res = dual_distance_by_columns(code)
     assert res.exact and res == per_subset_column_scan(code)
     assert len(calls) == 1
+
+
+@st.composite
+def chunk_boundary_cases(draw):
+    """[w+4 <= n <= 14, w <= k <= 6] codes over GF(4), GF(16), GF(49), GF(64) and
+    GF(529), which has no Cayley tables, with random columns and a dependent
+    w-set, w = 3..5, planted at any lex rank or in one of the first prefixes
+    past the first chunk, and a block cap of 1 to 4*k*n codes.  The first
+    group of the w-scan has n-w+1 > _FIRST_PREFIXES prefixes, so the first
+    chunk ends inside it, and with that cap each later chunk holds one group."""
+    tw = build_tower(*draw(st.sampled_from([(2, 1), (2, 2), (7, 1), (2, 3), (23, 1)])))
+    w = draw(st.integers(3, 5))
+    k, n = draw(st.integers(w, 6)), draw(st.integers(w + 4, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = rng.integers(0, tw.n_units, size=(k, n)).astype(np.int32)
+    if draw(st.booleans()):
+        planted = next(itertools.islice(itertools.combinations(range(n), w), draw(st.integers(0, comb(n, w) - 1)), None))
+    else:
+        at = min(agq.codes._FIRST_PREFIXES + draw(st.integers(0, 2)), comb(n - 2, w - 2) - 1)
+        prefix = next(itertools.islice(itertools.combinations(range(n - 2), w - 2), at, None))
+        planted = prefix + tuple(sorted(rng.choice(range(prefix[-1] + 1, n), size=2, replace=False)))
+    coefficients = rng.integers(0, tw.n_units, size=w - 1)
+    g[:, planted[-1]] = tw.vsum(np.stack([tw.vmul(int(e), g[:, c]) for e, c in zip(coefficients, planted[:-1])]), axis=0)
+    assume(rank(tw, g) == k)
+    return LinearCode(tw, g, provenance="hypothesis"), draw(st.integers(1, 4 * k * n))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(chunk_boundary_cases())
+# w = 3, {4, 5, 11}: the fifth prefix (4,), the first of the second chunk
+@example((planted_vandermonde(3, (4, 5)), 3 * 12 * 2))
+# w = 4, {0, 5, 10, 11}: the fifth prefix (0, 5), where the second chunk opens inside group (0,)
+@example((planted_vandermonde(4, (0, 5, 10)), 4 * 12 * 2))
+def test_chunked_scan_matches_per_subset_scan(case):
+    """The prefixes of each chunk, and the matrix a chunk reuses from the one
+    before when a chunk boundary splits a group, give the per-subset scan's
+    result; a scan whose lex-first dependent set lies past the first
+    _FIRST_PREFIXES prefixes of its w has crossed such a boundary."""
+    code, live = case
+    reused = []
+    chunk_frame = agq.codes._chunk_frame
+
+    def spy(tower, g, groups, skip, stop, limit, carried):
+        reused.append(carried is not None)
+        return chunk_frame(tower, g, groups, skip, stop, limit, carried)
+
+    with mock.patch.object(agq.codes, "_LIVE_ENTRIES", live), mock.patch.object(agq.codes, "_chunk_frame", spy):
+        res = dual_distance_by_columns(code)
+    assert res == per_subset_column_scan(code)
+    w = res.value
+    if res.exact and 3 <= w <= code.k and _lex_rank(res.witness[:-2], code.n - 2) >= agq.codes._FIRST_PREFIXES:
+        assert any(reused)
+
+
+def test_column_scan_eliminates_each_first_column_once():
+    """Under the default budget, the w = 4 scan of the [80, 8] code over GF(64)
+    reaches the prefixes (a, b) with a <= 38, and eliminates g on each first
+    column a once: 39 eliminations, where blocks that each eliminated their
+    own prefixes' first columns ran 51."""
+    code = construct(ConstructionRequest("c5", 2, 3, k=9)).code
+    firsts = []
+    projections = agq.codes._prefix_projections
+
+    def spy(tower, g, pre):
+        if pre.shape[1] == 1:  # the groups of the w = 4 scan
+            firsts.extend(int(c) for c in pre[:, 0])
+        return projections(tower, g, pre)
+
+    with scan_budget(config.DEFAULT_OPS_CAP), mock.patch.object(agq.codes, "_prefix_projections", spy):
+        assert dual_distance_by_columns(code) == DistanceResult(4, False, None, "column-scan-lower-bound")
+    assert firsts == list(range(39))
 
 
 @st.composite

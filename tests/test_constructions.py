@@ -10,10 +10,10 @@ from agq.cli import _repro_targets, _scan_requests, build_parser
 from agq.codes import LinearCode, evaluation_code, grs_rows, hermitian_gram
 from agq.constructions import (
     ConstructionRequest,
+    _embed_until_rejected,
     construct,
     construct_chain,
     deep_dimension,
-    embed_iterate,
     embed_once,
     thm_key_k_max,
 )
@@ -194,7 +194,7 @@ def test_oversized_k_is_rejected_before_any_row_is_built(request_, b):
 
 def test_embedding_boundary_q11():
     base = construct(ConstructionRequest("c1", 11, 1, n=16, k=2))
-    chain = embed_iterate(base)
+    chain = _embed_until_rejected(base, None)[1:]
     assert [c.code.params() for c in chain] == [(16, 3), (16, 4)]
     with pytest.raises(EmbeddingRejected) as err:
         embed_once(chain[-1])
@@ -222,7 +222,7 @@ def test_chain_q9_grid_reaches_18_5():
 
 def test_chain_q13_deep_links_all_certified():
     base = construct(ConstructionRequest("c1", 13, 1, n=25, k=3))
-    chain = embed_iterate(base)
+    chain = _embed_until_rejected(base, None)[1:]
     assert chain[-1].code.params() == (25, 7)
     for cert in chain:
         assert cert.certificate.gram.all_zero
@@ -303,7 +303,7 @@ def test_chain_ends_at_first_member_not_certified_mds(monkeypatch):
     assert chain[-1].trace[-1] == "chain ends: embedding needs an MDS input code: MDS undecided under the budget"
     with pytest.raises(EmbeddingRejected, match="MDS undecided under the budget"):
         embed_once(chain[-1])
-    assert embed_iterate(chain[1])[-1].trace == chain[-1].trace
+    assert _embed_until_rejected(chain[1], None)[1:][-1].trace == chain[-1].trace
     monkeypatch.delenv("AGQ_CAP_OPS")
     # a decided non-MDS member ends its chain too: [13,4] over GF(64)
     chain = construct_chain(ConstructionRequest("c1", 2, 3, n=10, embed="iterate"))

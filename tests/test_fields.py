@@ -317,11 +317,13 @@ def test_import_builds_no_tower_and_searches_no_modulus():
 
 
 def test_build_tower_shares_one_read_only_tower():
-    """Every array a tower holds is read-only, before its switch and after it."""
+    """Every array a tower holds is read-only, before its switch and after it,
+    the computed log read's tables (built by the first such read) included."""
     tw = build_tower(2, 5)
     assert build_tower(2, 5) is tw
     for tower in (FieldTower(2, 5, _modulus(2, 5)), switched_tower(2, 5), build_tower(2, 2)):
-        tables = [v for v in vars(tower).values() if isinstance(v, np.ndarray)]
+        tower._code_of(np.arange(4))
+        tables = [v for v in vars(tower).values() if isinstance(v, np.ndarray)] + list(tower._computed_log or ())
         assert len(tables) >= 11
         for table in tables:
             with pytest.raises(ValueError):

@@ -9,10 +9,10 @@ from agq.codes import DistanceResult, LinearCode, certify
 from agq.constructions import (
     CertifiedCode,
     ConstructionRequest,
+    _embed_until_rejected,
     construct,
     construct_chain,
     deep_dimension,
-    embed_iterate,
     embed_once,
 )
 from agq.fields import build_tower
@@ -88,7 +88,7 @@ def test_environment_budget_reaches_every_entry_point(monkeypatch):
     assert [c.certificate.mds_method for c in chain] == ["vandermonde", "cauchy", "column-scan-lower-bound"]
     assert scanned == [(6, 3)]
     assert stabilizer_params(embed_once(chain[1])).params_string() == "[[6,0,>=2]]_5"
-    assert [stabilizer_params(c).params_string() for c in embed_iterate(chain[0])] == ["[[5,1,3]]_5", "[[6,0,>=2]]_5"]
+    assert [stabilizer_params(c).params_string() for c in _embed_until_rejected(chain[0], None)[1:]] == ["[[5,1,3]]_5", "[[6,0,>=2]]_5"]
     monkeypatch.delenv("AGQ_CAP_OPS")
     assert stabilizer_params(embed_once(chain[1])).params_string() == "[[6,0,4]]_5"
 

@@ -8,10 +8,14 @@ scans the 33 `reproduce` rows and the `catalog-curves` requests of
 agqbench/bench_workloads.py run.  It then runs every scan on both trees,
 interleaved, for ROUNDS rounds (default 300), and prints each scan's median
 time on both trees and the median of its per-round ratio other / this (above
-1 is faster here).  Last, in a fresh interpreter per tree, it prints the
-getrusage minor page faults and the time of the first scan of the [80, 8]
-code over GF(64) that the mixed-80-64-8-q8 row scans.  Results must agree
-between the trees, or it exits 1.  It is not part of the test suite.
+1 is faster here).  The same three numbers follow for the sum of the small
+`reproduce` scans (all but the budget-capped [80, 8] one) and for the sum of
+the `catalog-curves` scans, the ratio taken of the per-round sums.  Last, in
+a fresh interpreter per tree, it prints the getrusage minor page faults and
+the time of the first scan of the [80, 8] code over GF(64) that the
+mixed-80-64-8-q8 row scans, imported from its exported matrix: building it
+with `construct` would certify it, and so scan it once before.  Results must
+agree between the trees, or it exits 1.  It is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -27,12 +31,12 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
+BUDGET_CAPPED = "mixed-80-64-8-q8"  # the reproduce row whose scan spends the whole budget
 
 FIRST_SCAN = """
-import resource, time
-from agq.codes import dual_distance_by_columns
-from agq.constructions import ConstructionRequest, construct
-code = construct(ConstructionRequest("c5", 2, 3, k=9)).code
+import resource, sys, time
+from agq.codes import dual_distance_by_columns, import_matrix
+code = import_matrix(sys.stdin.read())
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 start = time.perf_counter()
 dual_distance_by_columns(code)
@@ -87,10 +91,13 @@ def collect(agq) -> list[tuple[str, int, int, object]]:
     return scans
 
 
-def first_scan(tree: Path) -> str:
-    """Minor faults and milliseconds of the first [80, 8] scan in a fresh interpreter on tree."""
+def first_scan(tree: Path, matrix: str) -> str:
+    """Minor faults and milliseconds of the first scan, in a fresh interpreter on
+    tree, of the code whose exported matrix is given."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, "-c", FIRST_SCAN], env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", FIRST_SCAN], input=matrix, env=env, capture_output=True, text=True, check=True
+    )
     faults, ms = proc.stdout.split()
     return f"{faults:>5} faults {ms:>5} ms"
 
@@ -125,8 +132,21 @@ def main(argv=None) -> int:
         ratio = statistics.median(b / a for a, b in zip(times["this"][i], times["other"][i]))
         k, n = g.shape
         print(f"{mine:8.3f} {theirs:8.3f} {ratio:6.3f}  [{n},{k}] GF({p ** (2 * m)}) {label}")
+    catalog = [label.startswith("catalog ") for label, *_ in scans]
+    sums = {
+        "small reproduce": [i for i, (label, *_) in enumerate(scans) if not catalog[i] and label != BUDGET_CAPPED],
+        "catalog-curves": [i for i in range(len(scans)) if catalog[i]],
+    }
+    for name, members in sums.items():
+        mine, theirs = (sum(statistics.median(times[tree][i]) for i in members) * 1e3 for tree in ("this", "other"))
+        totals = {tree: [sum(times[tree][i][r] for i in members) for r in range(rounds)] for tree in ("this", "other")}
+        ratio = statistics.median(b / a for a, b in zip(totals["this"], totals["other"]))
+        print(f"{mine:8.3f} {theirs:8.3f} {ratio:6.3f}  sum of the {len(members)} {name} scans")
+    capped = next(i for i, (label, *_) in enumerate(scans) if label == BUDGET_CAPPED)
+    matrix = trees["this"].codes.export_matrix(codes["this"][capped])
     for name, tree in (("this", ROOT), ("other", other_tree)):
-        print(f"first [80,8] scan in a fresh interpreter, {name} tree:", ", ".join(first_scan(tree) for _ in range(3)))
+        runs = ", ".join(first_scan(tree, matrix) for _ in range(3))
+        print(f"first [80,8] scan in a fresh interpreter, {name} tree:", runs)
     return 0
 
 
