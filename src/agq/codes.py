@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from bisect import bisect_right
 from math import comb
 
 import numpy as np
@@ -39,7 +40,7 @@ _CHUNK = 1 << 15
 # exponent codes a column-scan block may hold, its chunk's projected matrices and
 # its points (_first_collision), which sizes the arrays every block of a scan runs in
 _LIVE_ENTRIES = 1 << 16
-_FIRST_PREFIXES = 4  # prefixes in the column scan's first block; each later block doubles
+_FIRST_PREFIXES = 4  # prefixes in the first block of each w of the column scan
 # coordinates in a column-scan entry's short key (_first_collision), where that
 # leaves out at least as many: entries whose short keys repeat get full keys too
 _SHORT_KEY = 3
@@ -397,10 +398,19 @@ def exhaustive_distance(code: LinearCode) -> DistanceResult:
     return DistanceResult(best, True, tuple(int(v) for v in witness) if best <= n else None, "exhaustive")
 
 
-def _lex_rank(combo: tuple, n: int) -> int:
-    """Position of a sorted subset of range(n) in itertools.combinations order."""
-    w = len(combo)
-    return comb(n, w) - 1 - sum(comb(n - 1 - c, w - i) for i, c in enumerate(combo))
+def _unrank(r: int, n: int, w: int) -> tuple:
+    """The w-subset of range(n) at position r of itertools.combinations order.
+    With i elements left to place from column lo on, comb(n - lo, i) -
+    comb(n - 1 - c, i) subsets place the next one at or before c, so it is
+    the first c where that passes r, found by bisection: O(w log n) comb calls."""
+    combo, lo = [], 0
+    for i in range(w, 0, -1):
+        total = comb(n - lo, i)
+        c = bisect_right(range(n - i + 1), r - total, lo=lo, key=lambda x: -comb(n - 1 - x, i))
+        r -= total - comb(n - c, i)
+        combo.append(c)
+        lo = c + 1
+    return tuple(combo)
 
 
 def _prefix_projections(tower: FieldTower, g: np.ndarray, pre: np.ndarray):
@@ -432,113 +442,82 @@ def _prefix_projections(tower: FieldTower, g: np.ndarray, pre: np.ndarray):
     return m, parent
 
 
-def _prefix_groups(n: int, w: int, limit):
-    """(groups, ranks) of the w-scan: the (w-3)-subsets of range(n-3) in lex
+def _prefix_groups(n: int, w: int, final):
+    """(groups, count) of the w-scan: the (w-3)-subsets of range(n-3) in lex
     order, each followed by the (w-2)-prefixes it starts, as a (groups, w-3)
-    int64 array, and the lex rank of each group's first w-subset.  With a
-    limit, only the groups whose first w-subset ranks below it.  Built one
-    column at a time: a column's ranks count the w-subsets of the rows before,
-    from binomials clipped at limit, which leaves every rank below limit exact."""
-    groups, ranks = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
-    if limit is not None and w > 3:
-        clipped = [np.ones(n, dtype=np.int64)]  # clipped[r][x] = min(comb(x, r), limit), by Pascal's rule
-        while len(clipped) < w:
-            clipped.append(np.minimum(np.concatenate([[0], clipped[-1][:-1].cumsum()]), limit))
+    int64 array, and how many of those prefixes each group starts.  With a
+    final w-subset, only the groups up to final[:w-3] and the prefixes up to
+    final[:w-2]: the ones whose first w-subset is at most final.  Built one
+    column at a time, each cut after the row that equals final's so far."""
+    groups = np.zeros((1, 0), dtype=np.int64)
     for i in range(w - 3):
         top = groups[:, -1] if i else np.array([-1])
         per = n - w + i - top  # next columns c: top < c <= n-w+i leaves room for w-4-i more below n-3
         c = np.arange(int(per.sum())) + np.repeat(n - w + i + 1 - per.cumsum(), per)
         groups = np.column_stack([groups.repeat(per, axis=0), c])
-        if limit is not None:
-            counts = clipped[w - 1 - i][n - 1 - c]  # w-subsets that start with each row
-            ranks = counts.cumsum() - counts
-            cut = int(np.searchsorted(ranks, limit))
-            groups, ranks = groups[:cut], ranks[:cut]
-    return groups, ranks
+        if final is not None:  # the last row's parent is final[:i]: drop its children past final[i]
+            groups = groups[: len(groups) - (n - w + i - final[i])]
+    count = n - 3 - (groups[:, -1] if w > 3 else np.array([-1]))  # the last prefix column runs to n - 3
+    if final is not None:
+        count[-1] -= n - 3 - final[w - 3]
+    return groups, count
 
 
-def _prefix_chunks(tower: FieldTower, g: np.ndarray, w: int, limit: int):
-    """The (w-2)-prefixes of range(n-2) whose first w-subset has lex rank < limit,
-    and the work that depends only on them, in lex-ordered chunks
-    (_chunk_frame) of the groups of _prefix_groups.  The first chunk holds the
-    first _FIRST_PREFIXES prefixes, so a scan that collides there eliminates
-    nothing past them.  Each later one holds as many groups as keep their
-    projected matrices within _LIVE_ENTRIES // 8 exponent codes, at least
-    one; the second opens inside the group where the first ended, and reuses
-    its matrix.  For w = 2 the one chunk holds the empty prefix, with m = g,
-    sel = 0, 0, 1, ..., k-1 (row 0 stands in for the head, which goes unread)
-    and factors None: the point of column j is column j."""
+def _prefix_chunks(tower: FieldTower, g: np.ndarray, w: int, final):
+    """The (w-2)-prefixes up to final[:w-2] (all when final is None) and their
+    projected matrices, in lex-ordered chunks (_chunk_frame) of whole groups
+    of _prefix_groups.  The first chunk holds the groups of the first
+    _FIRST_PREFIXES prefixes, so a scan that collides there eliminates nothing
+    past them.  Each later one holds as many groups as keep their projected
+    matrices within _LIVE_ENTRIES // 8 exponent codes, at least one.  For w =
+    2 the one chunk holds the empty prefix: no groups, last -1 and m = g[None]."""
     k, n = g.shape
     if w == 2:
-        rows = np.maximum(np.arange(-n, k * n, n), 0)[:, None]
-        yield None, None, np.array([-1]), g, rows, None
+        yield None, None, np.array([-1]), g[None]
         return
-    limit = limit if limit < comb(n, w) else None  # None: every w-subset
-    groups, ranks = _prefix_groups(n, w, limit)
-    per = n - 3 - (groups[:, -1] if w > 3 else np.array([-1]))  # prefixes of each group
-    opens = per.cumsum() - per  # the first prefix of each group, counted over the w
-    b = int(np.searchsorted(opens, _FIRST_PREFIXES - 1, side="right"))
-    chunk = _chunk_frame(tower, g, groups[:b], 0, _FIRST_PREFIXES, limit, None)
-    done, carried = len(chunk[2]), chunk[3][-1:]
-    yield chunk
-    chunk = None  # freed before the next one is built
-    if done < _FIRST_PREFIXES:  # the limit, or the last prefix, ends the w
-        return
-    a = int(np.searchsorted(opens, done, side="right")) - 1
-    skip, carried = done - int(opens[a]), carried if a == b - 1 else None  # the first chunk ended inside group a
+    groups, count = _prefix_groups(n, w, final)
+    opens = count.cumsum() - count  # the first prefix of each group, counted over the w
+    a, z = 0, int(np.searchsorted(opens, _FIRST_PREFIXES - 1, side="right"))
     step = max(1, _LIVE_ENTRIES // 8 // ((k - w + 3) * n))
     while a < len(groups):
-        cap = None if limit is None else limit - int(ranks[a])  # counted from group a's first w-subset
-        chunk = _chunk_frame(tower, g, groups[a : a + step], skip, None, cap, carried)
-        if len(chunk[2]):
-            yield chunk
-        a, skip, carried, chunk = a + step, 0, None, None
+        yield _chunk_frame(tower, g, groups[a:z], count[a:z])
+        a, z = z, z + step
 
 
-def _chunk_frame(tower: FieldTower, g: np.ndarray, groups: np.ndarray, skip: int, stop, limit, carried):
-    """(groups, parent, last, m, base, factors) for the prefixes skip:stop of
-    consecutive groups, and with a limit only those whose first w-subset
-    ranks below it, counted from the first group's first w-subset.  Prefix i
-    is groups[parent[i]] + (last[i],), and m[parent[i]] is its group's
-    projected matrix M: carried, when given, for the first group, and one
-    elimination per group (_prefix_projections).  With s the first row where
-    M[s, last[i]] != 0, coordinate r of the point of column j modulo
-    span(prefix i) is row sel[r+1] of M minus factors[r, i] times row sel[0]
-    = s, where sel swaps rows 0 and s; base[r, i] is the flat index in m of
-    row sel[r] of M at column last[i] + 1."""
-    k, n = g.shape
-    rows, top = k - groups.shape[1], groups[:, -1] if groups.shape[1] else np.array([-1])
-    count = n - 3 - top  # the last prefix column runs from top + 1 to n - 3
-    if carried is None:
-        m, parent = _prefix_projections(tower, g, groups)
-    else:
-        m, parent = carried, np.zeros(1, dtype=np.int64)
-        if len(groups) > 1:
-            m, parent = np.concatenate([m, _prefix_projections(tower, g, groups[1:])[0]]), np.arange(len(groups))
-    parent = parent.repeat(count)
-    last = np.arange(len(parent)) + np.repeat(n - 2 - count.cumsum(), count)  # each group's run ends at n - 3
-    if limit is not None:
-        pairs = (n - 1 - last) * (n - 2 - last) // 2  # the w-subsets of each prefix
-        cut = int(np.searchsorted(pairs.cumsum() - pairs, limit))
-        stop = cut if stop is None else min(stop, cut)
-    parent, last = parent[skip:stop], last[skip:stop]
+def _chunk_frame(tower: FieldTower, g: np.ndarray, groups: np.ndarray, count: np.ndarray):
+    """(groups, parent, last, m) for the count[i] prefixes of each of
+    consecutive groups: prefix i is groups[parent[i]] + (last[i],), and
+    m[parent[i]] is its group's projected matrix, one elimination per group
+    (_prefix_projections)."""
+    m, parent = _prefix_projections(tower, g, groups)
+    top = groups[:, -1] if groups.shape[1] else np.array([-1])
+    last = np.arange(int(count.sum())) + np.repeat(top + 1 - (count.cumsum() - count), count)  # top + 1, top + 2, ...
+    return groups, parent.repeat(count), last, m
+
+
+def _block_frame(tower: FieldTower, chunk, lo: int, hi: int, starts: np.ndarray):
+    """(m, rows, factors) for the prefixes lo:hi of a chunk (_chunk_frame), the
+    entries of block prefix b numbered from starts[b].  With M its projected
+    matrix and s the first row where M[s, last[b]] != 0, coordinate r of the
+    point of column j modulo span(prefix b) is row sel[r+1] of M minus
+    factors[r, b] times row sel[0] = s, where sel swaps rows 0 and s (s is 0
+    but for about 1/q^2 of the prefixes); rows[r, b] + e is the flat index in
+    m of row sel[r] of M at the column of entry e.  For w = 2 the point of
+    column j is column j: factors is None, and row 0 stands in for the head,
+    which goes unread."""
+    groups, parent, last, m = chunk
+    rows, n = m.shape[1:]
+    if groups is None:
+        return m, np.maximum(np.arange(-n, rows * n, n), 0)[:, None] - starts, None
+    parent, last = parent[lo:hi], last[lo:hi]
     at = (parent * m[0].size + last) + np.arange(0, rows * n, n)[:, None]  # rows of M at the last column
     col = m.take(at)
-    swap = np.flatnonzero(col[0] == tower.zero_code)  # about 1/q^2 of the prefixes
+    swap = np.flatnonzero(col[0] == tower.zero_code)
     if swap.size:
         s = (col[:, swap] != tower.zero_code).argmax(axis=0)
         at[0, swap], at[s, swap] = at[s, swap], at[0, swap]
         col[0, swap], col[s, swap] = col[s, swap], col[0, swap]
-    return groups, parent, last, m, at + 1, tower.vdiv(tower.vneg(col[1:]), col[0])
-
-
-def _block_frame(chunk, lo: int, hi: int, starts: np.ndarray):
-    """(m, rows, factors) for the prefixes lo:hi of a chunk (_chunk_frame), the
-    entries of block prefix b numbered from starts[b]: with h = m.flat[rows[0,
-    b] + e], the point of entry e has coordinates m.flat[rows[r + 1, b] + e] +
-    factors[r, b] * h (factors is None for w = 2: the point is column j)."""
-    m, base, factors = chunk[3:]
-    return m, base[:, lo:hi] - starts, None if factors is None else factors[:, lo:hi]
+    return m, at + 1 - starts, tower.vdiv(tower.vneg(col[1:]), col[0])
 
 
 _KEY_MAX = np.iinfo(np.int64).max
@@ -605,41 +584,39 @@ def _point_keys(tower: FieldTower, frame, e: np.ndarray, wide: np.ndarray, narro
     return keys, bool((ordered[1:] == ordered[:-1]).any())
 
 
-def _first_collision(tower: FieldTower, g: np.ndarray, w: int, limit: int, arrays):
+def _first_collision(tower: FieldTower, g: np.ndarray, w: int, final, arrays):
     """Lex-first dependent w-subset of the columns of g among the (w-2)-prefixes
-    whose first subset has lex rank < limit, or None.  Every (w-1)-subset must
-    be independent, so the projections modulo a prefix's span are nonzero.
+    up to final[:w-2] (all when final is None), or None.  Every (w-1)-subset
+    must be independent, so the projections modulo a prefix's span are nonzero.
 
     Prefixes and their eliminations come in the chunks of _prefix_chunks, and
-    each chunk in blocks that start at _FIRST_PREFIXES prefixes and double,
-    across the w, while the block's entries (prefix b, column j > b's last
-    column) hold at most _LIVE_ENTRIES exponent codes of k-w+2 coordinates
-    beside the chunk's matrices; a block is cut where they would not, and at
-    its chunk's end.  A block slices its chunk (_block_frame) and runs in the
-    scan's arrays (two flat ones and an arange grown by need).  Each entry
-    gets a short key of b and the first _SHORT_KEY coordinates of its point,
-    or all (_point_keys); parallel points share it, so only entries whose
-    short keys repeat get full keys.  A block where those repeat is sorted
-    stably once, to read the witness.
+    each chunk in blocks of entries (prefix b, column j > b's last column).
+    The w's first block holds its first _FIRST_PREFIXES prefixes; every other
+    one as many as keep the block within _LIVE_ENTRIES exponent codes, k-w+2
+    coordinates per entry beside the chunk's matrices, at least one, and it
+    ends at its chunk's end.  A block finds its prefixes' pivots
+    (_block_frame) and runs in the scan's arrays (two flat ones and an arange
+    grown by need).  Each entry gets a short key of b and the first
+    _SHORT_KEY coordinates of its point, or all (_point_keys); parallel points
+    share it, so only entries whose short keys repeat get full keys.  A block
+    where those repeat is sorted stably once, to read the witness.
     """
     k, n = g.shape
     coordinates = k - w + 2
     short = _SHORT_KEY if coordinates >= 2 * _SHORT_KEY else coordinates
-    if not limit:  # no subset ranks below 0
-        return None
-    size = _FIRST_PREFIXES
-    for chunk in _prefix_chunks(tower, g, w, limit):
-        groups, parent, last, m = chunk[:4]
+    first_block = True
+    for chunk in _prefix_chunks(tower, g, w, final):
+        groups, parent, last, m = chunk
         count = n - 1 - last  # entries of each prefix
         ends = count.cumsum()
         room = (_LIVE_ENTRIES - m.size) // coordinates  # entries a block may hold beside the matrices
         lo = start = 0  # start: the chunk's entries before the block
         while lo < len(last):
-            hi = min(lo + size, len(last))
-            if int(ends[hi - 1]) - start > room:
+            hi = len(last)  # the rest of the chunk, when it fits
+            if ends[-1] - start > room:
                 hi = max(lo + 1, int(np.searchsorted(ends, start + room, side="right")))
-            else:
-                size *= 2
+            if first_block:  # the w's first: its first _FIRST_PREFIXES prefixes
+                hi, first_block = min(hi, _FIRST_PREFIXES), False
             # entry e of the block reads column e - starts[b] + last[b] + 1 of its prefix b
             stops = ends[lo:hi] - start
             starts = stops - count[lo:hi]
@@ -652,7 +629,7 @@ def _first_collision(tower: FieldTower, g: np.ndarray, w: int, limit: int, array
             b.fill(0)
             b[stops[:-1]] = 1
             np.add.accumulate(b, out=b)
-            frame = _block_frame(chunk, lo, hi, starts)
+            frame = _block_frame(tower, chunk, lo, hi, starts)
             keys, repeated = _point_keys(tower, frame, e, wide, narrow)
             if repeated and short < coordinates:
                 _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
@@ -682,23 +659,25 @@ def dual_distance_by_columns(code: LinearCode) -> DistanceResult:
     code (k = n) has no k+1 columns, so its exact k+1 comes with no witness.  Once
     every (w-1)-subset is independent, S + {j, l} with |S| = w-2 is
     dependent exactly when columns j and l, projected modulo span(S), are
-    parallel.  The work that depends only on the prefixes S runs once per w,
-    in lex-ordered chunks (_prefix_chunks): the elimination on all but the
-    last column of S once per distinct (w-3)-prefix, and the pivot row and
-    factors of the last column once per S.  The entries (S, later column j)
-    come in blocks that slice a chunk and double in size up to a cap on what
-    a block holds, all in arrays made here for the largest block the budget
-    lets the scan reach; only there do points become exact int64 keys (S
-    first).  The scan stops at the first block where keys repeat: one stable
-    sort of that block gives the lex-first dependent set, the first colliding
-    prefix's lowest colliding pair.
+    parallel.  The eliminations that depend only on the prefixes S run once
+    per w, in lex-ordered chunks of whole groups (_prefix_chunks): g is
+    eliminated on all but the last column of S once per distinct
+    (w-3)-prefix.  The entries (S, later column j) come in blocks that slice
+    a chunk, a first block of a few prefixes and then blocks that fill a cap
+    on what a block holds, all in arrays made here for the largest block the
+    budget lets the scan reach; each block finds the pivot row and factors
+    of its prefixes' last columns, and only there do points become exact
+    int64 keys (S first).  The scan stops at the first block where keys
+    repeat: one stable sort of that block gives the lex-first dependent set,
+    the first colliding prefix's lowest colliding pair.
 
     The budget is config.ops_cap() (AGQ_CAP_OPS) and counts nominal work:
     k*w*2 per w-subset, charged in lex-ordered blocks of _CHUNK subsets, with
-    a block started only if it fits.  That fixes how many w-subsets the
-    budget certifies; a dependent set ranked at or past it gives a lower
-    bound `w` with exact=False, as does running out of budget after
-    certifying all subsets of size < w independent.
+    a block started only if it fits.  That fixes final, the last w-subset the
+    budget certifies (_unrank), and the scan reads the prefixes up to
+    final[:w-2]; a dependent set past final gives a lower bound `w` with
+    exact=False, as does running out of budget after certifying all subsets
+    of size < w independent.
     """
     tower = code.tower
     zero = tower.zero_code
@@ -721,11 +700,14 @@ def dual_distance_by_columns(code: LinearCode) -> DistanceResult:
         spent += total * unit
     arrays = [*_scan_arrays(entries, min(k, 2 * _SHORT_KEY - 1)), np.arange(0)]
     for w, limit in enumerate(limits, start=2):
-        witness = _first_collision(tower, g, w, limit, arrays)
-        if witness is not None and (limit == comb(n, w) or _lex_rank(witness, n) < limit):
+        # every subset of size < w is certified independent, so d >= w
+        if not limit:  # and no w-subset is
+            return DistanceResult(w, False, None, "column-scan-lower-bound")
+        final = _unrank(limit - 1, n, w) if limit < comb(n, w) else None  # the last w-subset certified
+        witness = _first_collision(tower, g, w, final, arrays)
+        if witness is not None and (final is None or witness <= final):
             return DistanceResult(w, True, witness, "column-scan")
-        if limit < comb(n, w):
-            # every subset of size < w is certified independent, so d >= w
+        if final is not None:
             return DistanceResult(w, False, None, "column-scan-lower-bound")
     return DistanceResult(k + 1, True, tuple(range(k + 1)) if k < n else None, "column-scan")
 

@@ -155,13 +155,19 @@ MUTANTS = (
     Mutant("scan-prefix-buffer-not-cleared", CODES,
            "            b.fill(0)\n", "",
            (f"{T_CODES}::test_column_scan_matches_per_subset_scan",)),
-    # the chunks of shared prefix work
+    # the schedule: chunks of whole groups, blocks that fill the cap, and the budget's last certified subset
     Mutant("scan-reads-the-next-groups-matrix", CODES,
            "at = (parent * m[0].size + last)", "at = (np.minimum(parent + 1, len(m) - 1) * m[0].size + last)",
            (f"{T_CODES}::test_column_scan_matches_per_subset_scan",)),
-    Mutant("chunk-boundary-drops-a-prefix", CODES,
-           "skip, carried = done - int(opens[a]),", "skip, carried = done + 1 - int(opens[a]),",
+    Mutant("chunk-boundary-drops-a-group", CODES,
+           "a, z = z, z + step", "a, z = z + 1, z + 1 + step",
            (f"{T_CODES}::test_chunked_scan_matches_per_subset_scan",)),
+    Mutant("budget-certifies-one-subset-more", CODES,
+           "_unrank(limit - 1, n, w)", "_unrank(limit, n, w)",
+           (f"{T_CODES}::test_column_scan_budget_boundary",)),
+    Mutant("first-block-fills-the-cap", CODES,
+           "hi, first_block = min(hi, _FIRST_PREFIXES), False", "first_block = False",
+           (f"{T_CODES}::test_column_scan_stops_at_the_first_dependent_prefix",)),
     # the certificate's d(C)
     Mutant("distance-singleton-for-non-mds", CODES,
            "        if self.mds:\n", "        if self.mds is not None:\n",

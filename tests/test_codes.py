@@ -22,8 +22,8 @@ from agq.codes import (
     _cauchy_verify,
     _digest,
     _exact_keys,
-    _lex_rank,
     _monomial_rows,
+    _unrank,
     batched_dependent,
     certify,
     dual_distance_by_columns,
@@ -1045,16 +1045,25 @@ def scan_blocks():
     """Record (prefixes, prefix width, entries held) for every block the column
     scan frames (_block_frame receives each one): the projected matrices of
     its chunk's groups plus k-w+2 coordinates for each of its entries, what
-    the block holds if every entry is keyed in full."""
+    the block holds if every entry is keyed in full.  It also pins the
+    schedule: the first block of a w (the one that opens at the w's first
+    prefix) holds at most _FIRST_PREFIXES prefixes, and every block that is
+    neither its w's first nor its chunk's last would outgrow the
+    _LIVE_ENTRIES cap with one more prefix."""
     blocks = []
     frame = agq.codes._block_frame
 
-    def spy(chunk, lo, hi, starts):
-        out = frame(chunk, lo, hi, starts)
-        groups, _, last, m, base, factors = chunk
-        entries = int((m.shape[-1] - 1 - last[lo:hi]).sum())
-        width = 0 if factors is None else groups.shape[1] + 1
-        blocks.append((hi - lo, width, m.size + entries * (len(base) - 1)))
+    def spy(tower, chunk, lo, hi, starts):
+        out = frame(tower, chunk, lo, hi, starts)
+        groups, _, last, m = chunk
+        coordinates = len(out[1]) - 1
+        entries = m.shape[-1] - 1 - last
+        width = 0 if groups is None else groups.shape[1] + 1
+        blocks.append((hi - lo, width, m.size + int(entries[lo:hi].sum()) * coordinates))
+        if lo == 0 and last[0] == width - 1:  # prefix (0, 1, .., w-3) opens the w
+            assert hi - lo <= agq.codes._FIRST_PREFIXES
+        elif hi < len(last):
+            assert m.size + int(entries[lo : hi + 1].sum()) * coordinates > agq.codes._LIVE_ENTRIES
         return out
 
     with mock.patch.object(agq.codes, "_block_frame", spy):
@@ -1097,20 +1106,68 @@ def test_column_scan_matches_per_subset_scan(case):
     assert all(held <= live or count == 1 for count, _, held in blocks)
 
 
-@pytest.mark.parametrize("chunk, blocks", [(7, 6), (5, 15), (5, 16)])
+def lex_rank(combo, n):
+    """Position of a sorted subset of range(n) in itertools.combinations order:
+    the closed form that agq.codes._unrank inverts."""
+    w = len(combo)
+    return comb(n, w) - 1 - sum(comb(n - 1 - c, w - i) for i, c in enumerate(combo))
+
+
+def test_unrank_matches_combinations():
+    # every rank of every w-subset of range(n), n <= 11
+    for n in range(12):
+        for w in range(n + 1):
+            for r, combo in enumerate(itertools.combinations(range(n), w)):
+                assert _unrank(r, n, w) == combo
+
+
+@st.composite
+def unrank_cases(draw):
+    """(n, w, r): n <= 1024, w <= 8, and a rank r of the w-subsets of range(n),
+    the first or the last one often."""
+    n = draw(st.integers(1, 1024))
+    w = draw(st.integers(1, min(8, n)))
+    r = draw(st.one_of(st.sampled_from([0, comb(n, w) - 1]), st.integers(0, comb(n, w) - 1)))
+    return n, w, r
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(unrank_cases())
+@example((1024, 8, 0))
+@example((1024, 8, comb(1024, 8) - 1))
+def test_unrank_inverts_lex_rank(case):
+    n, w, r = case
+    combo = _unrank(r, n, w)
+    assert len(combo) == w and all(a < b for a, b in zip((-1,) + combo, combo + (n,)))  # in range(n), increasing
+    assert lex_rank(combo, n) == r
+
+
+@pytest.mark.parametrize(
+    "w, chunk, blocks",
+    [
+        pytest.param(3, 7, 6, id="7-6"),  # final inside the prefix (1,)
+        pytest.param(3, 5, 15, id="5-15"),  # final opens the prefix (4,)
+        pytest.param(3, 5, 16, id="5-16"),  # final ends the prefix (4,)
+        pytest.param(4, 7, 3, id="w4-7-3"),  # final ends the prefix (0, 1)
+        pytest.param(4, 7, 8, id="w4-7-8"),  # final ends the group (0,)
+    ],
+)
 @pytest.mark.parametrize("shift, exact", [(-1, True), (0, False)])
-def test_column_scan_budget_boundary(chunk, blocks, shift, exact):
-    """The budget certifies the first L = blocks*chunk 3-subsets of 9 columns; the
-    lex-first dependent 3-subset is planted at rank L-1 (found) or at rank L (past
-    the budget).  Ranks 74 and 80 open the prefixes (4,) and (5,)."""
+def test_column_scan_budget_boundary(w, chunk, blocks, shift, exact):
+    """The budget certifies the first L = blocks*chunk w-subsets of 9 columns, so
+    final, the last one it certifies, has rank L-1; the lex-first dependent
+    w-subset is planted at rank L-1 (found) or at rank L (past the budget).
+    For w = 3, ranks 74 and 80 open the prefixes (4,) and (5,), so final =
+    (4, 7, 8) ends a prefix at L = 80.  For w = 4, final = (0, 1, 7, 8) ends
+    the prefix (0, 1) at L = 21, and final = (0, 6, 7, 8) ends the group (0,)
+    at L = 56."""
     tw, k, n = build_tower(2, 3), 4, 9
-    target = list(itertools.combinations(range(n), 3))[blocks * chunk + shift]
+    target = list(itertools.combinations(range(n), w))[blocks * chunk + shift]
     g = np.random.default_rng(5).integers(0, tw.n_units, size=(k, n)).astype(np.int32)
-    a, b, c = target
-    g[:, c] = tw.vadd(tw.vmul(3, g[:, a]), tw.vmul(11, g[:, b]))
+    g[:, target[-1]] = tw.vsum(np.stack([tw.vmul(3 + 8 * i, g[:, c]) for i, c in enumerate(target[:-1])]), axis=0)
     code = LinearCode(tw, g)
-    found = DistanceResult(3, True, target, "column-scan")
-    budget = nominal_spend(code, 3, blocks * chunk)
+    found = DistanceResult(w, True, target, "column-scan")
+    budget = nominal_spend(code, w, blocks * chunk)
     with mock.patch.object(agq.codes, "_CHUNK", chunk):
         assert per_subset_column_scan(code) == found  # the planted set is the lex-first dependent one
         with scan_budget(budget):
@@ -1118,7 +1175,7 @@ def test_column_scan_budget_boundary(chunk, blocks, shift, exact):
             assert res == per_subset_column_scan(code)
         with scan_budget(budget - 1):
             assert dual_distance_by_columns(code).method == "column-scan-lower-bound"
-    assert res == (found if exact else DistanceResult(3, False, None, "column-scan-lower-bound"))
+    assert res == (found if exact else DistanceResult(w, False, None, "column-scan-lower-bound"))
 
 
 def test_column_scan_stops_at_the_first_dependent_prefix():
@@ -1126,7 +1183,8 @@ def test_column_scan_stops_at_the_first_dependent_prefix():
     {0, 1, 2, 3}, in the first prefix (0, 1): the w = 4 scan must end with the
     first block of _FIRST_PREFIXES prefixes, whose chunk holds the matrix of the
     one group (0,) it needs.  The w = 3 scan finds nothing, so it takes all 58
-    prefixes, in doubling blocks, none above the _LIVE_ENTRIES cap."""
+    prefixes of its one group: the first _FIRST_PREFIXES, then the other 54 in
+    one block, which fits the _LIVE_ENTRIES cap."""
     tw, k, n = build_tower(2, 3), 6, 60
     g = np.random.default_rng(7).integers(0, tw.n_units, size=(k, n)).astype(np.int32)
     g[:, 3] = tw.vsum(np.stack([tw.vmul(e, g[:, c]) for e, c in ((5, 0), (20, 1), (41, 2))]), axis=0)
@@ -1137,8 +1195,8 @@ def test_column_scan_stops_at_the_first_dependent_prefix():
     assert [count for count, width, _ in blocks if width == 2] == [agq.codes._FIRST_PREFIXES]
     # (k-1) x n codes of matrix, and k-2 coordinates for each entry of the prefixes (0, 1) .. (0, 4)
     assert [held for _, width, held in blocks if width == 2] == [(k - 1) * n + (k - 2) * sum(range(n - 5, n - 1))]
-    sizes = [count for count, width, _ in blocks if width == 1]
-    assert sum(sizes) == n - 2 and all(b == 2 * a for a, b in zip(sizes, sizes[1:-1]))
+    first = agq.codes._FIRST_PREFIXES
+    assert [count for count, width, _ in blocks if width == 1] == [first, n - 2 - first]
     assert all(held <= agq.codes._LIVE_ENTRIES for _, _, held in blocks)
 
 
@@ -1163,12 +1221,13 @@ def test_column_scan_memory_on_the_budget_capped_row():
     4-subsets, so it ends as the lower bound 4.  Its blocks run in arrays made
     once per scan, as large as its largest block could be (about 10,900
     entries of three short-key coordinates, with rows for five).  The
-    projected matrices of a chunk, 14 groups at w = 4, stay live across its
-    blocks and count against the same cap, and a chunk is freed before the
-    next one is built: the scan's peak of traced allocations is about 1.65
-    MiB.  It was 10.3 MiB when each block eliminated whole (prefixes, k, n)
-    batches, and 2.26 MiB when each block made its own arrays and keyed
-    every coordinate."""
+    projected matrices of a chunk of whole groups, the first group (0,) alone
+    and then 14 groups at w = 4, stay live across its blocks and count
+    against the same cap, and a chunk is freed before the next one is built;
+    each block finds the pivots of its own prefixes.  The scan's peak of
+    traced allocations is about 1.63 MiB.  It was 10.3 MiB when each block
+    eliminated whole (prefixes, k, n) batches, and 2.26 MiB when each block
+    made its own arrays and keyed every coordinate."""
     code = construct(ConstructionRequest("c5", 2, 3, k=9)).code
     assert (code.n, code.k, code.tower.q2) == (80, 8, 64)
     with scan_budget(config.DEFAULT_OPS_CAP):
@@ -1285,9 +1344,10 @@ def test_column_scan_without_repeated_keys_never_sorts_stably(pm, k):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(planted_scan_cases().map(lambda case: (case[0], case[3])))
-# w = 3, found in prefix (4,): the second block
+# w = 3, found in prefix (4,): the second block, which holds the rest of the one group
 @example((planted_vandermonde(3, (4, 5)), 1 << 20))
-# w = 4, found in prefix (4, 5): the fourth block, after blocks of 4, 8 and 16 prefixes
+# w = 4, found in prefix (4, 5): the third block, after the first 4 prefixes and
+# the other 5 of group (0,), and the one block of the second chunk, groups (1,) to (8,)
 @example((planted_vandermonde(4, (4, 5, 10)), 1 << 20))
 # w = 3: prefix (0,) collides at (4, 5) and prefix (1,) at (2, 3), both in the first block
 @example((code_of((2, 1), [[0, None, None, None, 0, 2], [None, 0, None, 0, 1, 2], [None, None, 0, 0, 0, 1]]), 1 << 20))
@@ -1307,9 +1367,10 @@ def chunk_boundary_cases(draw):
     """[w+4 <= n <= 14, w <= k <= 6] codes over GF(4), GF(16), GF(49), GF(64) and
     GF(529), which has no Cayley tables, with random columns and a dependent
     w-set, w = 3..5, planted at any lex rank or in one of the first prefixes
-    past the first chunk, and a block cap of 1 to 4*k*n codes.  The first
+    past the w's first block, and a block cap of 1 to 4*k*n codes.  The first
     group of the w-scan has n-w+1 > _FIRST_PREFIXES prefixes, so the first
-    chunk ends inside it, and with that cap each later chunk holds one group."""
+    chunk is that group alone and its second block opens inside it, and with
+    that cap each later chunk holds one group."""
     tw = build_tower(*draw(st.sampled_from([(2, 1), (2, 2), (7, 1), (2, 3), (23, 1)])))
     w = draw(st.integers(3, 5))
     k, n = draw(st.integers(w, 6)), draw(st.integers(w + 4, 14))
@@ -1329,29 +1390,28 @@ def chunk_boundary_cases(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(chunk_boundary_cases())
-# w = 3, {4, 5, 11}: the fifth prefix (4,), the first of the second chunk
+# w = 3, {4, 5, 11}: the fifth prefix (4,), at this cap in the fourth block of the one group
 @example((planted_vandermonde(3, (4, 5)), 3 * 12 * 2))
-# w = 4, {0, 5, 10, 11}: the fifth prefix (0, 5), where the second chunk opens inside group (0,)
+# w = 4, {0, 5, 10, 11}: the fifth prefix (0, 5), in the second block of the first chunk, group (0,)
 @example((planted_vandermonde(4, (0, 5, 10)), 4 * 12 * 2))
 def test_chunked_scan_matches_per_subset_scan(case):
-    """The prefixes of each chunk, and the matrix a chunk reuses from the one
-    before when a chunk boundary splits a group, give the per-subset scan's
-    result; a scan whose lex-first dependent set lies past the first
-    _FIRST_PREFIXES prefixes of its w has crossed such a boundary."""
+    """The prefixes of each chunk and each block give the per-subset scan's
+    result, and each w eliminates each of its groups once: the groups its
+    chunks eliminate are the first (w-3)-subsets of range(n-3) in lex order,
+    none twice."""
     code, live = case
-    reused = []
-    chunk_frame = agq.codes._chunk_frame
+    eliminated = {}  # groups by width, in the order eliminated
+    projections = agq.codes._prefix_projections
 
-    def spy(tower, g, groups, skip, stop, limit, carried):
-        reused.append(carried is not None)
-        return chunk_frame(tower, g, groups, skip, stop, limit, carried)
+    def spy(tower, g, pre):
+        eliminated.setdefault(pre.shape[1], []).extend(tuple(int(c) for c in row) for row in pre)
+        return projections(tower, g, pre)
 
-    with mock.patch.object(agq.codes, "_LIVE_ENTRIES", live), mock.patch.object(agq.codes, "_chunk_frame", spy):
+    with mock.patch.object(agq.codes, "_LIVE_ENTRIES", live), mock.patch.object(agq.codes, "_prefix_projections", spy):
         res = dual_distance_by_columns(code)
     assert res == per_subset_column_scan(code)
-    w = res.value
-    if res.exact and 3 <= w <= code.k and _lex_rank(res.witness[:-2], code.n - 2) >= agq.codes._FIRST_PREFIXES:
-        assert any(reused)
+    for width, groups in eliminated.items():
+        assert groups == list(itertools.combinations(range(code.n - 3), width))[: len(groups)]
 
 
 def test_column_scan_eliminates_each_first_column_once():

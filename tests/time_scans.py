@@ -4,13 +4,15 @@
 
 loads this tree's src/agq and OTHER_TREE's into one process, as the packages
 agq_this and agq_other, and collects, on this tree, the codes whose column
-scans the 33 `reproduce` rows and the `catalog-curves` requests of
-agqbench/bench_workloads.py run.  It then runs every scan on both trees,
-interleaved, for ROUNDS rounds (default 300), and prints each scan's median
-time on both trees and the median of its per-round ratio other / this (above
-1 is faster here).  The same three numbers follow for the sum of the small
-`reproduce` scans (all but the budget-capped [80, 8] one) and for the sum of
-the `catalog-curves` scans, the ratio taken of the per-round sums.  Last, in
+scans the 33 `reproduce` rows, the `catalog-curves` requests of
+agqbench/bench_workloads.py and `agq scan --construction c1 --tower 13,1`
+run.  It then runs every scan on both trees, interleaved, for ROUNDS rounds
+(default 300), and prints each scan's median time on both trees and the
+median of its per-round ratio other / this (above 1 is faster here).  The
+same three numbers follow for the sum of the small `reproduce` scans (all
+but the budget-capped [80, 8] one), for the sum of the `catalog-curves`
+scans and for the sum of the c1 GF(169) scans, the ratio taken of the
+per-round sums.  Last, in
 a fresh interpreter per tree, it prints the getrusage minor page faults and
 the time of the first scan of the [80, 8] code over GF(64) that the
 mixed-80-64-8-q8 row scans, imported from its exported matrix: building it
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import io
 import os
 import statistics
 import subprocess
@@ -32,6 +35,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 BUDGET_CAPPED = "mixed-80-64-8-q8"  # the reproduce row whose scan spends the whole budget
+C1_SCAN = "scan --construction c1 --tower 13,1"  # the agq command whose scans are timed as the c1 GF(169) ones
 
 FIRST_SCAN = """
 import resource, sys, time
@@ -57,9 +61,16 @@ def load(tree: Path, name: str):
     return package
 
 
+def workload(label: str) -> str:
+    """What scanned the code labelled so: the reproduce rows, the catalog-curves
+    requests or C1_SCAN, named as in the sums main prints."""
+    return "catalog-curves" if label.startswith("catalog ") else "c1 GF(169)" if label == C1_SCAN else "small reproduce"
+
+
 def collect(agq) -> list[tuple[str, int, int, object]]:
     """(label, p, m, generator matrix) of every distinct code the reproduce rows
-    and the catalog-curves requests scan, in the order first scanned."""
+    and the catalog-curves requests scan, and of every distinct code the c1
+    GF(169) scan scans, in the order first scanned."""
     sys.path.insert(0, str(ROOT / "agqbench"))
     import bench_workloads
 
@@ -67,7 +78,7 @@ def collect(agq) -> list[tuple[str, int, int, object]]:
     scan = agq.codes.dual_distance_by_columns
 
     def record(code):
-        key = (code.tower.p, code.tower.m, code.g.shape, code.g.tobytes())
+        key = (label == C1_SCAN, code.tower.p, code.tower.m, code.g.shape, code.g.tobytes())
         if key not in seen:
             seen.add(key)
             scans.append((label, code.tower.p, code.tower.m, code.g.copy()))
@@ -86,6 +97,8 @@ def collect(agq) -> list[tuple[str, int, int, object]]:
                     agq.cli.catalog_entry(member, request, 0.0)
             except agq.errors.AgqError:
                 pass
+        label = C1_SCAN
+        agq.cli._write_scan(agq.cli.build_parser().parse_args(C1_SCAN.split()), io.StringIO())
     finally:
         agq.codes.dual_distance_by_columns = scan
     return scans
@@ -132,11 +145,10 @@ def main(argv=None) -> int:
         ratio = statistics.median(b / a for a, b in zip(times["this"][i], times["other"][i]))
         k, n = g.shape
         print(f"{mine:8.3f} {theirs:8.3f} {ratio:6.3f}  [{n},{k}] GF({p ** (2 * m)}) {label}")
-    catalog = [label.startswith("catalog ") for label, *_ in scans]
-    sums = {
-        "small reproduce": [i for i, (label, *_) in enumerate(scans) if not catalog[i] and label != BUDGET_CAPPED],
-        "catalog-curves": [i for i in range(len(scans)) if catalog[i]],
-    }
+    sums = {"small reproduce": [], "catalog-curves": [], "c1 GF(169)": []}
+    for i, (label, *_) in enumerate(scans):
+        if label != BUDGET_CAPPED:
+            sums[workload(label)].append(i)
     for name, members in sums.items():
         mine, theirs = (sum(statistics.median(times[tree][i]) for i in members) * 1e3 for tree in ("this", "other"))
         totals = {tree: [sum(times[tree][i][r] for i in members) for r in range(rounds)] for tree in ("this", "other")}
