@@ -1398,20 +1398,37 @@ def test_chunked_scan_matches_per_subset_scan(case):
     """The prefixes of each chunk and each block give the per-subset scan's
     result, and each w eliminates each of its groups once: the groups its
     chunks eliminate are the first (w-3)-subsets of range(n-3) in lex order,
-    none twice."""
+    none twice.  A witness past the w's first _FIRST_PREFIXES prefixes was
+    found after a block that opens inside the first group."""
     code, live = case
     eliminated = {}  # groups by width, in the order eliminated
-    projections = agq.codes._prefix_projections
+    opened = set()  # (prefix width, the chunk's first group) of every block that opens past its chunk's first prefix
+    projections, frame = agq.codes._prefix_projections, agq.codes._block_frame
 
     def spy(tower, g, pre):
         eliminated.setdefault(pre.shape[1], []).extend(tuple(int(c) for c in row) for row in pre)
         return projections(tower, g, pre)
 
-    with mock.patch.object(agq.codes, "_LIVE_ENTRIES", live), mock.patch.object(agq.codes, "_prefix_projections", spy):
+    def block_spy(tower, chunk, lo, hi, starts):
+        groups = chunk[0]
+        if groups is not None and lo > 0:
+            opened.add((groups.shape[1] + 1, tuple(int(c) for c in groups[0])))
+        return frame(tower, chunk, lo, hi, starts)
+
+    with (
+        mock.patch.object(agq.codes, "_LIVE_ENTRIES", live),
+        mock.patch.object(agq.codes, "_prefix_projections", spy),
+        mock.patch.object(agq.codes, "_block_frame", block_spy),
+    ):
         res = dual_distance_by_columns(code)
     assert res == per_subset_column_scan(code)
     for width, groups in eliminated.items():
         assert groups == list(itertools.combinations(range(code.n - 3), width))[: len(groups)]
+    if res.witness is not None and len(res.witness) >= 3:
+        w = len(res.witness)
+        prefixes = list(itertools.combinations(range(code.n - 2), w - 2))
+        if prefixes.index(res.witness[: w - 2]) >= agq.codes._FIRST_PREFIXES:
+            assert (w - 2, tuple(range(w - 3))) in opened
 
 
 def test_column_scan_eliminates_each_first_column_once():

@@ -61,12 +61,6 @@ def load(tree: Path, name: str):
     return package
 
 
-def workload(label: str) -> str:
-    """What scanned the code labelled so: the reproduce rows, the catalog-curves
-    requests or C1_SCAN, named as in the sums main prints."""
-    return "catalog-curves" if label.startswith("catalog ") else "c1 GF(169)" if label == C1_SCAN else "small reproduce"
-
-
 def collect(agq) -> list[tuple[str, int, int, object]]:
     """(label, p, m, generator matrix) of every distinct code the reproduce rows
     and the catalog-curves requests scan, and of every distinct code the c1
@@ -147,8 +141,12 @@ def main(argv=None) -> int:
         print(f"{mine:8.3f} {theirs:8.3f} {ratio:6.3f}  [{n},{k}] GF({p ** (2 * m)}) {label}")
     sums = {"small reproduce": [], "catalog-curves": [], "c1 GF(169)": []}
     for i, (label, *_) in enumerate(scans):
-        if label != BUDGET_CAPPED:
-            sums[workload(label)].append(i)
+        if label.startswith("catalog "):
+            sums["catalog-curves"].append(i)
+        elif label == C1_SCAN:
+            sums["c1 GF(169)"].append(i)
+        elif label != BUDGET_CAPPED:
+            sums["small reproduce"].append(i)
     for name, members in sums.items():
         mine, theirs = (sum(statistics.median(times[tree][i]) for i in members) * 1e3 for tree in ("this", "other"))
         totals = {tree: [sum(times[tree][i][r] for i in members) for r in range(rounds)] for tree in ("this", "other")}
