@@ -14,12 +14,13 @@ scans).  construct, verify and scan print one record per certified code
 per rejection (rejection_entry); its "request" is the construction request,
 or the matrix file.  A request carries only construction, p, m, n, t, k and
 embed: coset leaders, the grid anchor and the elliptic constant are always
-agq's defaults.  construct and scan both take the construction's name
-(--construction c7ii) and pass it on unchanged, so a name that no
-construction has is a BadRequest rejection.  A rejection whose cause is a
-nonzero Gram entry names that entry.  An AgqError that no command handles
-becomes a JSON rejection verdict with exit code 2 (4 for UnwritableOutput),
-not a traceback.
+agq's defaults.  construct and scan pass --construction, --n, --t and --k on
+unchanged, and constructions.CONSTRUCTIONS judges them: an unknown name, a
+missing field or one the construction does not take is a BadRequest
+rejection.  scan sweeps the field that table names for c1, c4, c5, c9 and
+c10 unless it is given.  A rejection whose cause is a nonzero Gram entry
+names that entry.  An AgqError that no command handles becomes a JSON
+rejection verdict with exit code 2 (4 for UnwritableOutput), not a traceback.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import sys
 import time
 from importlib import resources
 
-from . import config
+from . import config, constructions
 from .codes import (
     certify,
     export_matrix,
@@ -184,29 +185,14 @@ def _scan_requests(args):
         except ValueError:
             raise BadRequest(f"--tower {spec!r} is not two integers p,m") from None
         towers.append(build_tower(p, m))
-    cons = args.construction
+    entry = constructions.CONSTRUCTIONS.get(args.construction, constructions.Construction())
+    given = {"n": args.n, "t": args.t, "k": args.k}
+    embed = args.embed if entry.scan_embeds else "none"
     for tower in towers:
-        p, m, q = tower.p, tower.m, tower.q
-        if cons == "c1":
-            for n in range(3, tower.q2 + 1):
-                if tower.n_units % (n - 1) == 0:
-                    yield ConstructionRequest("c1", p, m, n=n, embed=args.embed)
-        elif cons == "c5":
-            kmax = (2 * (tower.q2 // 2 + q) + q + 1) // (q + 1)
-            for k in range(2, kmax + 1):
-                yield ConstructionRequest("c5", p, m, k=k, embed="none")
-        elif cons in ("c9", "c10"):
-            ts = [args.t] if args.t else range(2, q + 2)
-            for t in ts:
-                yield ConstructionRequest(cons, p, m, t=t, k=args.k, embed="none")
-        elif cons == "c4":
-            ts = [args.t] if args.t else range(1, q + 1)
-            for t in ts:
-                yield ConstructionRequest("c4", p, m, t=t, embed=args.embed)
-        else:
-            yield ConstructionRequest(
-                cons, p, m, n=args.n, t=args.t, k=args.k, embed=args.embed
-            )
+        swept = entry.swept is not None and given[entry.swept] is None
+        for value in entry.values(tower) if swept else [None]:
+            fields = {**given, entry.swept: value} if swept else given
+            yield ConstructionRequest(args.construction, tower.p, tower.m, **fields, embed=embed)
 
 
 def cmd_scan(args) -> int:
@@ -367,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("construct", help="run one construction pipeline")
-    pc.add_argument("--construction", required=True, help="c1 .. c6, c7i, c7ii, c7iii, c8, c9 or c10")
+    pc.add_argument("--construction", required=True, help=", ".join(constructions.CONSTRUCTIONS))
     pc.add_argument("--p", type=int, required=True)
     pc.add_argument("--m", type=int, required=True)
     pc.add_argument("--n", type=int)
@@ -384,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_verify)
 
     ps = sub.add_parser("scan", help="sweep a parameter grid into a catalog")
-    ps.add_argument("--construction", required=True)
+    ps.add_argument("--construction", required=True, help=", ".join(constructions.CONSTRUCTIONS))
     ps.add_argument("--tower", action="append", required=True, metavar="p,m")
     ps.add_argument("--n", type=int)
     ps.add_argument("--t", type=int)

@@ -9,6 +9,7 @@ trace as an explanation only.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from math import gcd
 from time import perf_counter
@@ -52,13 +53,36 @@ class ConstructionRequest:
 
 
 @dataclass(frozen=True)
+class Construction:
+    needs: tuple[str, ...] = ()  # of n and t; every construction takes k, and no field it does not need
+    swept: str | None = None  # the field `agq scan` sweeps when the command line leaves it unset
+    values: Callable[[FieldTower], Iterable[int]] | None = None  # the swept field's values over a tower
+    scan_embeds: bool = True  # False: a scan builds the base code alone, whatever --embed says
+
+
+CONSTRUCTIONS = {
+    "c1": Construction(("n",), "n", lambda tw: [n for n in range(3, tw.q2 + 1) if tw.n_units % (n - 1) == 0]),
+    "c2": Construction(("n", "t")),
+    "c3": Construction(("n", "t")),
+    "c4": Construction(("t",), "t", lambda tw: range(1, tw.q + 1)),
+    "c5": Construction((), "k", lambda tw: range(2, tw.q + 2), scan_embeds=False),
+    "c6": Construction(("n",)),
+    "c7i": Construction(("n",)),
+    "c7ii": Construction(("n", "t")),
+    "c7iii": Construction(("t",)),
+    "c8": Construction(),
+    "c9": Construction(("t",), "t", lambda tw: range(2, tw.q + 2), scan_embeds=False),
+    "c10": Construction(("t",), "t", lambda tw: range(2, tw.q + 2), scan_embeds=False),
+}
+
+
+@dataclass(frozen=True)
 class CertifiedCode:
     certificate: Certificate  # its Gram certificate is all zero; it holds the code
     trace: tuple
     designed_distance: int | None
     # embedding metadata for genus-0 evaluation chains
     eval_set: EvaluationSet | None = None
-    twist: np.ndarray | None = None
     build_s: float = 0.0  # wall time to build and certify this member alone
 
     @property
@@ -68,7 +92,6 @@ class CertifiedCode:
 
 def _line_chain_member(
     eval_set: EvaluationSet,
-    twist: np.ndarray,
     g: np.ndarray,
     provenance: str,
     trace: tuple,
@@ -83,7 +106,6 @@ def _line_chain_member(
         # the restriction is injective, so d(C) >= n0 - k + 1
         designed_distance=eval_set.n - code.k + 1,
         eval_set=eval_set,
-        twist=twist,
     )
 
 
@@ -146,9 +168,9 @@ def construct_chain(request: ConstructionRequest) -> list[CertifiedCode]:
 
 
 def _deep_request(request: ConstructionRequest, q: int) -> tuple[ConstructionRequest, tuple]:
-    """A deep request as the c1 request of its base code, n = t(q-1)+1 and
-    k'' = floor(n/2t), with that code's trace; each of deep's rules that
-    fails raises its own error."""
+    """A deep request as the c1 request of its base code, n = t(q-1)+1,
+    k'' = floor(n/2t) and no t, with that code's trace; each of deep's rules
+    that fails raises its own error."""
     if request.construction != "c1" or request.k is not None:
         raise BadRequest("deep embedding builds its own c1 code: it takes construction c1 and no k")
     if request.t is None and (request.n is None or (request.n - 1) % (q - 1) != 0):
@@ -164,7 +186,7 @@ def _deep_request(request: ConstructionRequest, q: int) -> tuple[ConstructionReq
     k2 = n // (2 * t)
     if k2 == 0:
         raise BadRequest(f"k'' = floor(n/2t) = floor({n}/{2 * t}) is 0")
-    return replace(request, n=n, k=k2), (
+    return replace(request, n=n, t=None, k=k2), (
         f"deep: n = t(q-1)+1 = {n}, k'' = floor(n/2t) = {k2}",
         f"deep case: (n-1) {'divides' if (k2 * (q + 1)) % (n - 1) == 0 else 'does not divide'} "
         f"k''(q+1) = {k2 * (q + 1)}",
@@ -172,19 +194,25 @@ def _deep_request(request: ConstructionRequest, q: int) -> tuple[ConstructionReq
 
 
 def _construct_base(request: ConstructionRequest, tower: FieldTower) -> CertifiedCode:
+    """The base code of a request, a deep one's by _deep_request's rules.  Its name must be in
+    CONSTRUCTIONS, with each field that entry needs set and no other n or t, else BadRequest."""
     q = tower.q
     cons = request.construction
     request, trace = _deep_request(request, q) if request.embed == "deep" else (request, None)
+    entry = CONSTRUCTIONS.get(cons)
+    if entry is None:
+        raise BadRequest(f"unknown construction {cons!r}")
+    if any(getattr(request, field) is None for field in entry.needs):
+        raise BadRequest(f"{cons} needs {' and '.join(entry.needs)}")
+    for field in ("n", "t"):
+        if field not in entry.needs and getattr(request, field) is not None:
+            raise BadRequest(f"{cons} takes no {field}")
 
     if cons in ("c1", "c2", "c3", "c4"):
         if cons == "c1":
-            if request.n is None:
-                raise BadRequest("c1 needs n")
             es = roots_of_unity_set(tower, request.n)
             trace = trace or (f"c1: roots of x^{request.n} - x",)
         elif cons == "c2":
-            if request.n is None or request.t is None:
-                raise BadRequest("c2 needs n and t")
             if request.n < 1 or (q - 1) % request.n != 0:
                 raise DivisibilityViolated(
                     f"c2 needs n | q-1 (subgroup inside GF({q})); n={request.n}"
@@ -195,16 +223,12 @@ def _construct_base(request: ConstructionRequest, tower: FieldTower) -> Certifie
                 f"norm-power coset(s), leaders e={list(es.params['leader_exponents'])}",
             )
         elif cons == "c3":
-            if request.n is None or request.t is None:
-                raise BadRequest("c3 needs n and t")
             es = coset_union_set(tower, request.n, request.t)
             trace = (
                 f"c3: order-{request.n} subgroup plus {request.t} coset(s), "
                 f"leaders e={list(es.params['leader_exponents'])}",
             )
         else:
-            if request.t is None:
-                raise BadRequest("c4 needs t")
             es = affine_grid_set(tower, request.t)
             trace = (f"c4: affine grid t={request.t} anchor {tower.format(es.params['anchor_code'])}",)
         tv = twist_vector(es)
@@ -214,31 +238,23 @@ def _construct_base(request: ConstructionRequest, tower: FieldTower) -> Certifie
             raise RankDefect(es.n, k)
         b_values = [((q + 1) * j) % (es.n - 1) for j in range(k)] if es.n > 1 else []
         trace += (f"B(j) residues for j=1..{k}: {b_values}",)
-        return _line_chain_member(es, tv, grs_rows(tower, es, tv, range(k)), f"{cons}[{es.n},{k}]", trace)
+        return _line_chain_member(es, grs_rows(tower, es, tv, range(k)), f"{cons}[{es.n},{k}]", trace)
 
     if cons == "c5":
         spec = curve(CurveFamily.ELLIPTIC, tower)
         xs = x_support(spec)
         trace = (f"c5: elliptic constant {tower.format(spec.c)}, |U_c| = {xs.n}",)
     elif cons == "c6":
-        if request.n is None:
-            raise BadRequest("c6 needs n")
         spec = curve(CurveFamily.HYPERELLIPTIC, tower)
         xs = x_support(spec, roots_of_unity_set(tower, request.n))
         trace = (f"c6: hyperelliptic over roots of x^{request.n} - x",)
     elif cons in ("c7i", "c7ii", "c7iii"):
         spec = curve(CurveFamily.HERMITIAN, tower)
         if cons == "c7i":
-            if request.n is None:
-                raise BadRequest("c7i needs n (the x-set size)")
             sel = roots_of_unity_set(tower, request.n)
         elif cons == "c7ii":
-            if request.n is None or request.t is None:
-                raise BadRequest("c7ii needs n and t")
             sel = coset_union_set(tower, request.n, request.t)
         else:
-            if request.t is None:
-                raise BadRequest("c7iii needs t")
             sel = affine_grid_set(tower, request.t)
         xs = x_support(spec, sel)
         trace = (f"c7 case {cons[2:]}: Hermitian over {sel.family} x-set of size {xs.n}",)
@@ -246,15 +262,11 @@ def _construct_base(request: ConstructionRequest, tower: FieldTower) -> Certifie
         spec = curve(CurveFamily.SEMI_HERMITIAN, tower)
         xs = x_support(spec)
         trace = (f"c8: half-exponent Hermitian, {xs.n} square x-values",)
-    elif cons in ("c9", "c10"):
-        if request.t is None:
-            raise BadRequest(f"{cons} needs t")
+    else:  # c9, c10
         spec = curve(CurveFamily.ARTIN_SCHREIER, tower, t=request.t)
         xs = x_support(spec)
         s = gcd(request.t * (q - 1), (q + 1) * (q - 1))
         trace = (f"{cons}: Artin-Schreier t={request.t}, s={s}, {xs.n} x-values",)
-    else:
-        raise BadRequest(f"unknown construction {cons!r}")
 
     n_pts = spec.pole_x * xs.n  # every admissible x carries a full fiber of deg A points
     k = request.k if request.k is not None else thm_key_k_max(n_pts, q, spec.genus)
@@ -271,7 +283,7 @@ def embed_once(cert: CertifiedCode) -> CertifiedCode:
     acceptance is always the full Gram oracle plus a rank check.
     """
     start = perf_counter()
-    if cert.eval_set is None or cert.twist is None:
+    if cert.eval_set is None:
         raise EmbeddingRejected("embedding needs a recorded genus-0 evaluation chain")
     if cert.certificate.mds is not True:
         why = "not MDS" if cert.certificate.mds is False else "MDS undecided under the budget"
@@ -292,7 +304,8 @@ def embed_once(cert: CertifiedCode) -> CertifiedCode:
     else:
         case = f"k(q+1) = {k * (q + 1)} avoids n-1 = {n - 1} and n-1+q = {n - 1 + q}"
 
-    new_base = grs_rows(tower, cert.eval_set, cert.twist, [k])[0]
+    # row k is row k-1 times the points on the core columns
+    new_base = tower.vmul(cert.code.g[k - 1, : cert.eval_set.n], cert.eval_set.codes)
     zero = tower.zero_code
     # self-pairing of the new row over the evaluation columns decides the shape
     s = int(tower.vsum(tower.vmul(new_base, tower.vfrob(new_base))))
@@ -317,7 +330,7 @@ def embed_once(cert: CertifiedCode) -> CertifiedCode:
         )
     trace = cert.trace + tuple(notes) + (f"embed: {case}; accepted {label}",)
     try:
-        member = _line_chain_member(cert.eval_set, cert.twist, g, f"embed[{g.shape[1]},{k + 1}]", trace)
+        member = _line_chain_member(cert.eval_set, g, f"embed[{g.shape[1]},{k + 1}]", trace)
     except RankDefect as exc:
         raise EmbeddingRejected(f"rank defect at k+1 = {k + 1}: {exc}") from None
     except GramNonzero as exc:

@@ -5,7 +5,9 @@
 runs a fixed set of agq commands (both reproduce tables, scans of c1, c4,
 c5, c8, c9 and c10, four line-code constructs with deep, once and iterate
 embedding, two Hermitian-curve constructs on either side of the exhaustive
-word cap, and verify of every matrix in tests/data) once with
+word cap, verify of every matrix in tests/data, eight requests that leave out
+a field their construction needs or name no construction, and c4 and c9
+scans given the field they sweep) once with
 PYTHONPATH set to this tree's src and once with it set to OTHER_TREE/src.
 Every "time_s" and "build_s" value is masked; the exit code, stdout and any
 --out file must then match byte for byte.  Every command runs, whatever an
@@ -52,6 +54,14 @@ COMMANDS = [
     # a Hermitian-curve [64,5] over GF(16), d(C) 55 by enumeration, and [64,6], past the word cap: d null
     *(["construct", "--construction", "c7i", "--p", "2", "--m", "2", "--n", "16", "--k", k] for k in ("10", "11")),
     *(["verify", str(path), "--systematic-prefix"] for path in sorted(DATA.glob("*.txt"))),
+    # rejections of a request that leaves out a field its construction needs, or names no construction
+    *(["construct", "--construction", cons, "--p", "3", "--m", "2", *extra]
+      for cons, extra in (("c1", ["--k", "2"]), ("c2", ["--n", "8"]), ("c4", []), ("c6", ["--k", "4"]),
+                          ("c7ii", ["--t", "1"]), ("c7iii", ["--k", "5"]), ("c7", ["--n", "4", "--t", "1"]))),
+    ["construct", "--construction", "c9", "--p", "3", "--m", "1", "--k", "4"],
+    # scans given the field they would sweep
+    ["scan", "--construction", "c4", "--t", "2", *_towers("7,1", "3,2")],
+    ["scan", "--construction", "c9", "--t", "3", "--k", "4", *_towers("3,1", "7,1")],
 ]
 
 

@@ -168,6 +168,13 @@ MUTANTS = (
     Mutant("first-block-fills-the-cap", CODES,
            "hi, first_block = min(hi, _FIRST_PREFIXES), False", "first_block = False",
            (f"{T_CODES}::test_column_scan_stops_at_the_first_dependent_prefix",)),
+    # the table of construction parameters: a field a construction needs, and a scan's sweep
+    Mutant("c2-needs-only-n", CONSTRUCTIONS,
+           '"c2": Construction(("n", "t")),', '"c2": Construction(("n",)),',
+           (f"{T_CLI}::test_a_missing_field_is_rejected",)),
+    Mutant("c4-sweeps-one-t-more", CONSTRUCTIONS,
+           "lambda tw: range(1, tw.q + 1)", "lambda tw: range(1, tw.q + 2)",
+           (f"{T_CLI}::test_scan_sweeps_its_field_over_a_tower",)),
     # the certificate's d(C)
     Mutant("distance-singleton-for-non-mds", CODES,
            "        if self.mds:\n", "        if self.mds is not None:\n",

@@ -12,9 +12,19 @@ import pytest
 
 import agq.codes
 import agq.constructions
-from agq.cli import _repro_targets, _run_repro_target, catalog_entry, main, parse_quantum_params, rejection_entry
+import agq.fields
+from agq.cli import (
+    _repro_targets,
+    _run_repro_target,
+    _scan_requests,
+    build_parser,
+    catalog_entry,
+    main,
+    parse_quantum_params,
+    rejection_entry,
+)
 from agq.codes import DistanceResult
-from agq.constructions import ConstructionRequest, construct
+from agq.constructions import CONSTRUCTIONS, ConstructionRequest, construct
 from agq.errors import AgqError
 from agq.quantum import stabilizer_params
 
@@ -84,6 +94,112 @@ def test_construction_names_pass_through_unchanged(tmp_path, capsys, name):
         ("REJECTED(BadRequest)", name, 3),
         ("REJECTED(BadRequest)", name, 5),
     ]
+
+
+# each construction's fields besides k, and a request on p = 3 (c10: p = 2) that
+# leaves out one of them, with its rejection; c5 and c8 need no field
+NEEDS = {
+    "c1": ("n", ["--k", "2"], "c1 needs n"),
+    "c2": ("n t", ["--n", "2"], "c2 needs n and t"),
+    "c3": ("n t", ["--t", "1"], "c3 needs n and t"),
+    "c4": ("t", [], "c4 needs t"),
+    "c5": ("", None, None),
+    "c6": ("n", ["--k", "4"], "c6 needs n"),
+    "c7i": ("n", ["--k", "3"], "c7i needs n"),
+    "c7ii": ("n t", ["--n", "2"], "c7ii needs n and t"),
+    "c7iii": ("t", [], "c7iii needs t"),
+    "c8": ("", None, None),
+    "c9": ("t", ["--k", "4"], "c9 needs t"),
+    "c10": ("t", ["--k", "4"], "c10 needs t"),
+}
+SWEPT = {"c1": "n", "c4": "t", "c5": "k", "c9": "t", "c10": "t"}
+
+
+def _tower(name):
+    return ("2", "2") if name == "c10" else ("3", "2")
+
+
+@pytest.mark.parametrize("name", [name for name, (_, argv, _) in NEEDS.items() if argv is not None])
+def test_a_missing_field_is_rejected(tmp_path, capsys, name):
+    """construct exits 2 with the construction's message; a scan that does not
+    sweep the missing field writes the same rejection for the tower."""
+    needs, argv, message = NEEDS[name]
+    p, m = _tower(name)
+    code, out = run_cli(capsys, "construct", "--construction", name, "--p", p, "--m", m, *argv)
+    assert code == 2
+    entry = json.loads(out)
+    assert (entry["verdict"], entry["reason"]) == ("REJECTED(BadRequest)", f"BadRequest: {message}")
+    if name in SWEPT:  # the scan fills in the one field the construction needs
+        assert needs == SWEPT[name]
+        return
+    out_file = tmp_path / "scan.jsonl"
+    assert run_cli(capsys, "scan", "--construction", name, "--tower", f"{p},{m}", *argv, "--out", str(out_file))[0] == 0
+    rows = [json.loads(line) for line in out_file.read_text().splitlines()]
+    assert [(r["verdict"], r["reason"]) for r in rows] == [("REJECTED(BadRequest)", f"BadRequest: {message}")]
+
+
+@pytest.mark.parametrize("name", list(NEEDS))
+def test_a_field_the_construction_does_not_take_is_rejected(tmp_path, capsys, name):
+    """Given n, t and k, a construction that does not take n or t rejects the
+    request and names the first such field, in construct and in every row of a
+    scan, so no certified record echoes such a field."""
+    extra = [field for field in ("n", "t") if field not in NEEDS[name][0].split()]
+    p, m = _tower(name)
+    given = ("--n", "4", "--t", "1", "--k", "2")
+    code, out = run_cli(capsys, "construct", "--construction", name, "--p", p, "--m", m, *given)
+    entry = json.loads(out)
+    if not extra:  # c2, c3 and c7ii take both
+        assert "takes no" not in entry.get("reason", "")
+        return
+    rejected = ("REJECTED(BadRequest)", f"BadRequest: {name} takes no {extra[0]}")
+    assert code == 2 and (entry["verdict"], entry["reason"]) == rejected
+    out_file = tmp_path / "scan.jsonl"
+    run_cli(capsys, "scan", "--construction", name, "--tower", "2,2", "--tower", "3,1", *given, "--out", str(out_file))
+    rows = [row for row in map(json.loads, out_file.read_text().splitlines()) if "verdict" in row]
+    assert [(row["verdict"], row["reason"]) for row in rows] == [rejected, rejected]
+
+
+def _requests(*argv):
+    return list(_scan_requests(build_parser().parse_args(["scan", *argv])))
+
+
+@pytest.mark.parametrize(
+    "name, tower, values",
+    [
+        ("c1", "5,1", [3, 4, 5, 7, 9, 13, 25]),  # (n-1) | 24
+        ("c4", "5,1", [1, 2, 3, 4, 5]),
+        ("c5", "5,1", [2, 3, 4, 5, 6]),
+        ("c9", "5,1", [2, 3, 4, 5, 6]),
+        ("c10", "2,2", [2, 3, 4, 5]),
+    ],
+)
+def test_scan_sweeps_its_field_over_a_tower(name, tower, values):
+    """Each swept construction's values on one tower, the other fields unset;
+    c5, c9 and c10 build the base code alone, c1 and c4 take --embed."""
+    requests = _requests("--construction", name, "--tower", tower)
+    field = SWEPT[name]
+    assert [getattr(r, field) for r in requests] == values
+    assert all(getattr(r, other) is None for r in requests for other in ("n", "t", "k") if other != field)
+    assert {r.embed for r in requests} == {"iterate" if name in ("c1", "c4") else "none"}
+
+
+def test_c5_sweeps_k_to_the_old_bound():
+    """Over every tower agq has a modulus for, c5's k runs from 2 to the bound
+    the scan computed before, (2 * (q^2 // 2 + q) + q + 1) // (q + 1)."""
+    rows = json.loads((SRC / "agq" / "data" / "moduli.json").read_text())
+    assert len(rows) == 340
+    for p, m, _ in rows:
+        tower = agq.fields.build_tower(p, m)
+        q, q2 = tower.q, tower.q2
+        assert list(CONSTRUCTIONS["c5"].values(tower)) == list(range(2, (2 * (q2 // 2 + q) + q + 1) // (q + 1) + 1))
+
+
+@pytest.mark.parametrize("name, field, value", [("c1", "n", 5), ("c4", "t", 2), ("c5", "k", 3), ("c9", "t", 3),
+                                                ("c10", "t", 3), ("c9", "t", 0)])
+def test_a_given_swept_field_yields_one_request_per_tower(name, field, value):
+    """A swept field given on the command line, 0 included, is not swept: one request per tower."""
+    requests = _requests("--construction", name, "--tower", "3,1", "--tower", "5,1", f"--{field}", str(value))
+    assert [(r.p, getattr(r, field)) for r in requests] == [(3, value), (5, value)]
 
 
 def test_verify_reference_matrices(capsys):

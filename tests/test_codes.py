@@ -231,7 +231,9 @@ def test_construction_rows_match_per_row_oracle():
         assert len(chain) > 2
         for prev, cert in zip(chain, chain[1:]):
             es, tw = cert.eval_set, cert.code.tower
-            want = per_row_monomials(tw, cert.twist, es.codes, [prev.code.k])[0]
+            twist = cert.code.g[0, : es.n]  # row 0 of the core columns is the twist
+            assert np.array_equal(twist, twist_vector(es))
+            want = per_row_monomials(tw, twist, es.codes, [prev.code.k])[0]
             assert np.array_equal(cert.code.g[-1, : es.n], want)
 
 
