@@ -10,19 +10,34 @@ MDS-ness is decided, all read it.  certify's Certificate is the one record
 of a code: it holds the code, and its ``distance`` decides d(C) on first
 read.  Matrices are numpy int32 arrays of exponent codes (tower convention:
 code q^2-1 is zero), so the hot loops are table lookups.
+
+A one-point curve code also has a curve record, LinearCode.curve, checked
+against G once (_curve_record).  Checked on the matrix and its points: G is
+v * x^a * y^b entry by entry, every point satisfies A(y) = x^e + c, the
+points are distinct, v has no zero, and the monomials have b < pole_x and
+distinct pole orders.  Taken from the theory: gcd(pole_x, pole_y) = 1,
+without which the code has no record, and that a nonzero f of pole order
+at most m, the record's largest, has at most m zeros (Stichtenoth, Thm
+2.2.2).  Its readers: the rank check and purity (LinearCode.full_rank_on),
+the w = 2 step of the column scan (_parallel_keys), is_mds, which scans
+such a code first, and d(C), where exhaustive_distance stops at the floor
+n - m when a light word meets it (_light_word).  Where a reader's
+hypothesis fails, it takes the path of a code without a record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import islice
 from bisect import bisect_right
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
 from . import config
 from . import fields as _fields
+from .curves import CurveSpec, on_curve
 from .errors import CapExceeded, GramNonzero, ParseError, RankDefect
 from .fields import FieldTower, build_tower
 
@@ -54,12 +69,22 @@ class LinearCode:
     with 0 < k <= n, nonzero v_l and distinct alpha_l, and otherwise the
     (columns, d, c) that hermitian_gram sums over.  Every k x k minor of such
     a G is a v-scaled Vandermonde determinant, nonzero, so its rank is k
-    without rref, and is_mds reads the record as an MDS certificate.  With
-    verify_rank, a G without the record is row-reduced and a rank below k
-    raises RankDefect; is_mds reads the same ``reduced`` form.
+    without rref, and is_mds reads the record as an MDS certificate.
+
+    ``curve`` is the curve record (CurveRecord) of a one-point code, which
+    _curve_record checks against G once, on first read, from what
+    evaluation_code hands over as ``curve``: the curve, the monomials, the
+    points and the twist.  It is None for every other code.  Its readers
+    are full_rank_on (the rank check, purity and the floor of d(C)),
+    _parallel_keys (the column scan at w = 2), is_mds and _light_word.
+    With verify_rank, a G whose rank neither record gives is row-reduced
+    and a rank below k raises RankDefect; is_mds reads the same ``reduced``
+    form.
     """
 
-    def __init__(self, tower: FieldTower, g: np.ndarray, provenance: str = "", verify_rank: bool = True):
+    def __init__(
+        self, tower: FieldTower, g: np.ndarray, provenance: str = "", verify_rank: bool = True, curve=None
+    ):
         g = np.asarray(g, dtype=np.int32)
         if g.ndim != 2:
             raise ValueError("generator matrix must be 2-dimensional")
@@ -68,10 +93,23 @@ class LinearCode:
         self.provenance = provenance
         self.k, self.n = g.shape
         self.structure = _structure(tower, g)
-        if verify_rank and self.k > 0 and self.structure is None:
+        self._curve = curve
+        if verify_rank and self.k > 0 and self.structure is None and not self.full_rank_on(self.n):
             r = len(self.reduced[1])
             if r != self.k:
                 raise RankDefect(r, self.k)
+
+    def full_rank_on(self, columns: int) -> bool:
+        """Does the curve record show that any `columns` columns of G have rank
+        k?  A nonzero f of pole order at most m has at most m zeros
+        (Stichtenoth, Thm 2.2.2), so no nonzero word of C vanishes on more
+        than m columns."""
+        return self.curve is not None and columns > self.curve.m
+
+    @cached_property
+    def curve(self) -> CurveRecord | None:
+        """The curve record, or None (_curve_record)."""
+        return None if self._curve is None else _curve_record(self.tower, self.g, *self._curve)
 
     @cached_property
     def reduced(self) -> tuple[np.ndarray, tuple]:
@@ -134,6 +172,47 @@ def _structure(tower: FieldTower, g: np.ndarray) -> tuple[np.ndarray, int, np.nd
     return np.concatenate((g[:, :reps], g[:, size:]), axis=1), d, c
 
 
+@dataclass(frozen=True, eq=False)
+class CurveRecord:
+    """LinearCode.curve: row i of G is v_l * x_l^a * y_l^b at the points
+    (x_l, y_l) of spec's curve, for the i-th monomial (a, b); m is the largest
+    pole order a * pole_x + b * pole_y among them."""
+
+    spec: CurveSpec
+    monomials: tuple  # (a, b) of each row
+    x: np.ndarray
+    y: np.ndarray
+    m: int
+
+
+def _curve_record(
+    tower: FieldTower, g: np.ndarray, spec: CurveSpec, monomials, x, y, twist
+) -> CurveRecord | None:
+    """LinearCode.curve: None unless every check holds.  On the matrix: G =
+    (v_l * x_l^a * y_l^b) entry by entry, every (x_l, y_l) satisfies A(y) =
+    x^e + c (evaluated from spec's amap, pole_y and c), the points are
+    distinct, v has no zero, and every monomial has b < pole_x and its own
+    pole order.  From the theory, one input: gcd(pole_x, pole_y) = 1, which
+    makes P_inf the one pole of x and y, of orders pole_x and pole_y
+    (Stichtenoth, Prop. 3.7.10 and 6.4.1), so a monomial's pole order is
+    a * pole_x + b * pole_y.  A curve with gcd > 1 gets no record."""
+    px, py = spec.pole_x, spec.pole_y
+    monomials = tuple((int(a), int(b)) for a, b in monomials)
+    orders = sorted(a * px + b * py for a, b in monomials)
+    if gcd(px, py) != 1 or not orders or any(b >= px for _, b in monomials) or len(set(orders)) < len(orders):
+        return None
+    x, y, v = (np.asarray(u) for u in (x, y, twist))
+    if np.count_nonzero(v == tower.zero_code) or not on_curve(spec, x, y):
+        return None
+    points = np.sort(x.astype(np.int64) * tower.q2 + y)
+    if np.count_nonzero(points[1:] == points[:-1]):
+        return None
+    a, b = np.array(monomials).T
+    if not np.array_equal(g, _monomial_rows(tower, v, [(x, a), (y, b)])):
+        return None
+    return CurveRecord(spec, monomials, x, y, orders[-1])
+
+
 @dataclass(frozen=True)
 class GramCertificate:
     matrix: np.ndarray  # k x k exponent codes
@@ -166,7 +245,9 @@ class Certificate:
     @cached_property
     def distance(self) -> DistanceResult | None:
         """d(C), decided here alone and on first read: n-k+1 (Singleton) when C
-        is MDS, else exhaustive_distance, or None past config.EXHAUSTIVE_CAP words."""
+        is MDS, else exhaustive_distance, which stops at the curve record's
+        floor when a light word meets it, or None past config.EXHAUSTIVE_CAP
+        words."""
         if self.mds:
             return DistanceResult(self.code.n - self.code.k + 1, True, None, "mds-singleton")
         try:
@@ -253,17 +334,21 @@ def batched_dependent(tower: FieldTower, mats: np.ndarray) -> np.ndarray:
 
 
 def evaluation_code(
-    tower: FieldTower, monomials: tuple, x, y, twist, provenance: str = "evaluation"
+    spec: CurveSpec, monomials: tuple, x, y, twist, provenance: str = "evaluation"
 ) -> LinearCode:
-    """Rows v_l * f_i(P_l) for the f_i = x^a y^b of the (a, b) in monomials.
+    """Rows v_l * f_i(P_l) for the f_i = x^a y^b of the (a, b) in monomials,
+    with the curve, monomials, points and twist handed on as the code's
+    curve record, which LinearCode checks against the rows.
 
     x, y and twist are code arrays, one entry per point P_l = (x_l, y_l).
     Raises RankDefect when the evaluation vectors are dependent.
     """
     if len(twist) != len(x):
         raise ValueError("twist length != number of points")
+    tower = spec.tower
     a, b = np.asarray(monomials, dtype=np.int64).reshape(-1, 2).T
-    return LinearCode(tower, _monomial_rows(tower, twist, [(x, a), (y, b)]), provenance=provenance)
+    g = _monomial_rows(tower, twist, [(x, a), (y, b)])
+    return LinearCode(tower, g, provenance=provenance, curve=(spec, monomials, x, y, twist))
 
 
 def grs_rows(tower: FieldTower, eval_set, twist: np.ndarray, exponents) -> np.ndarray:
@@ -371,13 +456,22 @@ def exhaustive_distance(code: LinearCode) -> DistanceResult:
     and for every a or none where t_j = 0, as h_j is zero or not.  So one
     bincount over (head, -h_j/t_j) weighs all q^2 words of every head in a block
     of at most _CHUNK heads; the work is (q^{2k-2}-1)/(q^2-1) heads of n entries.
-    Zero words, which only dependent rows give, are not counted.  A code of
-    more than config.EXHAUSTIVE_CAP words, q^{2k}, raises CapExceeded."""
+    Zero words, which only dependent rows give, are not counted.
+
+    The search may stop at any word whose weight meets a certified floor on
+    d(C), since no word is lighter.  A curve record certifies n - m, and the
+    search weighs its light word first (_light_word): if that meets the
+    floor, it is the answer, method goppa-light-word, and no word is
+    enumerated, whatever the code's size.  Otherwise a code of more than
+    config.EXHAUSTIVE_CAP words, q^{2k}, raises CapExceeded."""
     tower = code.tower
     zero = tower.zero_code
     q2, k, n = tower.q2, code.k, code.n
     if k == 0:
         return DistanceResult(n + 1, True, None, "degenerate")
+    light = _light_word(code)
+    if light is not None:
+        return light
     total = q2 ** k
     if total > config.EXHAUSTIVE_CAP:
         raise CapExceeded(total, config.EXHAUSTIVE_CAP)
@@ -396,6 +490,42 @@ def exhaustive_distance(code: LinearCode) -> DistanceResult:
                 b, a = divmod(pos, q2)
                 best, witness = int(weights.flat[pos]), tower.vadd(heads[b], tower.vmul(a, t))
     return DistanceResult(best, True, tuple(int(v) for v in witness) if best <= n else None, "exhaustive")
+
+
+def _light_word(code: LinearCode) -> DistanceResult | None:
+    """d(C) = n - m from the curve record, or None: exhaustive_distance's first
+    word.  With n > m, d(C) >= n - m (LinearCode.full_rank_on).  When the
+    top monomial is u^j, u = x or y, and u^0 .. u^j are all rows, the word
+    of prod_i (u - a_i) over the j most frequent values a_i of u (ties to
+    the lower code) is formed from those rows and weighed on G: for x it
+    vanishes on j whole fibers, and for y on the points of its j most
+    frequent values.  Its weight is n - m when those are m points, and then
+    d(C) = n - m exactly."""
+    record = code.curve
+    if record is None or code.n <= record.m:
+        return None
+    floor = code.n - record.m
+    tower, zero = code.tower, code.tower.zero_code
+    spec = record.spec
+    a, b = max(record.monomials, key=lambda ab: ab[0] * spec.pole_x + ab[1] * spec.pole_y)
+    if a and b:
+        return None
+    j, u = (a, record.x) if b == 0 else (b, record.y)
+    powers = [(i, 0) if b == 0 else (0, i) for i in range(j + 1)]
+    if not set(powers) <= set(record.monomials):
+        return None
+    roots = np.argsort(-np.bincount(u, minlength=tower.q2), kind="stable")[:j]
+    poly = np.full(j + 1, zero, dtype=np.int32)  # the coefficients of u^0 .. u^j
+    poly[0] = 0  # the constant 1
+    for minus_r in tower.vneg(roots):  # times (u - r)
+        poly = tower.vadd(np.concatenate(([zero], poly[:-1])), tower.vmul(minus_r, poly))
+    terms = tower.vmul(poly[:, None], code.g[[record.monomials.index(power) for power in powers]])
+    word = terms[0]
+    for term in terms[1:]:
+        word = tower.vadd(word, term)
+    if np.count_nonzero(word != zero) != floor:
+        return None
+    return DistanceResult(floor, True, tuple(word.tolist()), "goppa-light-word")
 
 
 def _unrank(r: int, n: int, w: int) -> tuple:
@@ -652,6 +782,38 @@ def _first_collision(tower: FieldTower, g: np.ndarray, w: int, final, arrays):
     return None
 
 
+def _parallel_keys(code: LinearCode) -> np.ndarray | None:
+    """One key per column of a code with a curve record, equal for two columns
+    exactly when they are parallel, or None.  With the row of 1 and a twist
+    with no zero, columns l and l' are parallel exactly when f(P_l) =
+    f(P_l') for every row's monomial f.  So with rows 1, x and y the key is
+    the point, and the record's points are distinct; with rows 1 and u, u =
+    x or y, and every other row a power of u, the key is u."""
+    record = code.curve
+    if record is None or (0, 0) not in record.monomials:
+        return None
+    a, b = np.asarray(record.monomials).T
+    if {(1, 0), (0, 1)} <= set(record.monomials):
+        return record.x.astype(np.int64) * code.tower.q2 + record.y
+    if (1, 0) in record.monomials and not b.any():
+        return record.x
+    if (0, 1) in record.monomials and not a.any():
+        return record.y
+    return None
+
+
+def _first_repeat(keys: np.ndarray) -> tuple | None:
+    """The lex-first pair of columns with equal keys, or None: the first
+    column whose key comes again, and where it comes next."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    at = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if not at.size:
+        return None
+    i = at[np.argmin(order[at])]
+    return int(order[i]), int(order[i + 1])
+
+
 def dual_distance_by_columns(code: LinearCode) -> DistanceResult:
     """d(C^perp) = size of the smallest linearly dependent column set of G.
 
@@ -678,6 +840,12 @@ def dual_distance_by_columns(code: LinearCode) -> DistanceResult:
     final[:w-2]; a dependent set past final gives a lower bound `w` with
     exact=False, as does running out of budget after certifying all subsets
     of size < w independent.
+
+    A curve record can give the w = 2 collisions instead (_parallel_keys):
+    the lex-first pair of equal keys is the lex-first parallel pair, and
+    where the keys are the record's distinct points there is none.  The
+    budget is charged for w = 2 as before, so every final, witness and
+    bound is the same.
     """
     tower = code.tower
     zero = tower.zero_code
@@ -699,12 +867,16 @@ def dual_distance_by_columns(code: LinearCode) -> DistanceResult:
             break
         spent += total * unit
     arrays = [*_scan_arrays(entries, min(k, 2 * _SHORT_KEY - 1)), np.arange(0)]
+    keys = _parallel_keys(code)
     for w, limit in enumerate(limits, start=2):
         # every subset of size < w is certified independent, so d >= w
         if not limit:  # and no w-subset is
             return DistanceResult(w, False, None, "column-scan-lower-bound")
         final = _unrank(limit - 1, n, w) if limit < comb(n, w) else None  # the last w-subset certified
-        witness = _first_collision(tower, g, w, final, arrays)
+        if w == 2 and keys is not None:
+            witness = _first_repeat(keys)
+        else:
+            witness = _first_collision(tower, g, w, final, arrays)
         if witness is not None and (final is None or witness <= final):
             return DistanceResult(w, True, witness, "column-scan")
         if final is not None:
@@ -717,8 +889,10 @@ def is_mds(code: LinearCode) -> tuple[bool | None, tuple | None, str, DistanceRe
 
     The two questions are one: every k columns are independent exactly when
     d(C^perp) = k+1 (Singleton).  This is the one place the verdict is made,
-    in order: a structure record is MDS ("vandermonde"); so is a reduced form
-    [I | A] whose A has at most one column ("systematic") or is generalized
+    in order: a structure record is MDS ("vandermonde"); a code with a curve
+    record goes to the column scan first, whose exact d(C^perp) decides the
+    verdict as below, and only a lower bound goes on; a reduced form [I | A]
+    whose A has at most one column ("systematic") or is generalized
     Cauchy ("cauchy", _cauchy_verify), while a pivot past column k-1 or a zero
     of A is a singular k-subset ("systematic"), and the scan then gives only
     d(C^perp).  Otherwise the column scan (AGQ_CAP_OPS caps it) decides: exact
@@ -732,6 +906,9 @@ def is_mds(code: LinearCode) -> tuple[bool | None, tuple | None, str, DistanceRe
     singleton = DistanceResult(k + 1, True, None, "mds-singleton")
     if code.structure is not None:
         return True, None, "vandermonde", singleton
+    dd = dual_distance_by_columns(code) if code.curve is not None else None
+    if dd is not None and dd.exact:
+        return _scan_verdict(code, dd)
     r, pivots = code.reduced
     a = r[:, k:]
     zeros = np.argwhere(a == code.tower.zero_code)
@@ -745,14 +922,22 @@ def is_mds(code: LinearCode) -> tuple[bool | None, tuple | None, str, DistanceRe
         return True, None, "systematic", singleton
     elif _cauchy_verify(code.tower, a):
         return True, None, "cauchy", singleton
-    dd = dual_distance_by_columns(code)
+    if dd is None:
+        dd = dual_distance_by_columns(code)
     if singular is not None:
         return False, singular, "systematic", dd
     if not dd.exact:
         return None, None, dd.method, dd
+    return _scan_verdict(code, dd)
+
+
+def _scan_verdict(code: LinearCode, dd: DistanceResult) -> tuple[bool, tuple | None, str, DistanceResult]:
+    """is_mds's verdict from an exact d(C^perp): MDS at k+1, else the
+    dependent set padded with the lowest unused columns, a singular k-subset."""
+    k = code.k
     if dd.value == k + 1:
         return True, None, dd.method, dd
-    pad = [c for c in range(n) if c not in dd.witness][: k - dd.value]
+    pad = islice((c for c in range(code.n) if c not in dd.witness), k - dd.value)
     return False, tuple(sorted(dd.witness + tuple(pad))), dd.method, dd
 
 
@@ -816,10 +1001,13 @@ def _quantum_distance(code: LinearCode, dd: DistanceResult) -> DistanceResult:
     of G[:, S] is a word x of C^perp on S, and x^q lies in C^perp_H.  A nonzero
     word of C inside S lies in C^perp_H too, so its q-th power is in that
     kernel and the word is a multiple of x^q.  Hence x^q lies in C exactly
-    when the columns outside S have rank < k, which one rank tests; then d
-    is reported as a lower bound with method impure-lower-bound.
+    when the columns outside S have rank < k.  The curve record shows rank k
+    when n - |S| > m (LinearCode.full_rank_on); otherwise one rank tests it.
+    A rank below k reports d as a lower bound, with method impure-lower-bound.
     """
     if not dd.exact or dd.value == code.k + 1 or code.n == 2 * code.k:
+        return dd
+    if code.full_rank_on(code.n - len(dd.witness)):
         return dd
     if rank(code.tower, np.delete(code.g, dd.witness, axis=1)) == code.k:
         return dd

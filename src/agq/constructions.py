@@ -66,11 +66,11 @@ CONSTRUCTIONS = {
     "c3": Construction(("n", "t")),
     "c4": Construction(("t",), "t", lambda tw: range(1, tw.q + 1)),
     "c5": Construction((), "k", lambda tw: range(2, tw.q + 2), scan_embeds=False),
-    "c6": Construction(("n",)),
-    "c7i": Construction(("n",)),
-    "c7ii": Construction(("n", "t")),
-    "c7iii": Construction(("t",)),
-    "c8": Construction(),
+    "c6": Construction(("n",), scan_embeds=False),
+    "c7i": Construction(("n",), scan_embeds=False),
+    "c7ii": Construction(("n", "t"), scan_embeds=False),
+    "c7iii": Construction(("t",), scan_embeds=False),
+    "c8": Construction(scan_embeds=False),
     "c9": Construction(("t",), "t", lambda tw: range(2, tw.q + 2), scan_embeds=False),
     "c10": Construction(("t",), "t", lambda tw: range(2, tw.q + 2), scan_embeds=False),
 }
@@ -116,7 +116,6 @@ def _curve_pipeline(
     provenance: str,
     trace: tuple,
 ) -> CertifiedCode:
-    tower = spec.tower
     tv = twist_vector(xs)
     owner, y = rational_points(spec, xs)
     if k >= len(owner) + 2 * spec.genus:
@@ -126,7 +125,7 @@ def _curve_pipeline(
         raise RankDefect(len(owner), monomial_count(spec, k))
     basis = rr_basis(spec, k)
     # fiber-constant twist: each x-value's multiplier repeats across its fiber
-    code = evaluation_code(tower, basis, xs.codes[owner], y, tv[owner], provenance=provenance)
+    code = evaluation_code(spec, basis, xs.codes[owner], y, tv[owner], provenance=provenance)
     return CertifiedCode(
         certificate=certify(code),
         trace=trace

@@ -73,25 +73,6 @@ class CurveSpec:
         return f"{self.family.value}{extra}"
 
 
-def semigroup_gap_count(a: int, b: int) -> int:
-    """Number of gaps of the numerical semigroup <a, b> (gcd(a,b)=1)."""
-    if gcd(a, b) != 1:
-        raise ValueError("generators must be coprime")
-    bound = a * b - a - b + 1
-    reachable = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for g in (a, b):
-                v = s + g
-                if v <= bound + max(a, b) and v not in reachable:
-                    reachable.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return sum(1 for v in range(1, bound + 1) if v not in reachable)
-
-
 def _default_elliptic_constant(tower: FieldTower) -> int:
     # degree of the top field over GF(2) is 2m: constant is 0 when 2m = 2 mod 4,
     # otherwise the least code outside the image of y^2+y (absolute trace 1)
@@ -148,6 +129,11 @@ def _right_side(spec: CurveSpec, x) -> np.ndarray:
     """The codes of x^e + c for the x codes."""
     rhs = spec.tower.vpow(x, spec.pole_y)
     return rhs if spec.c is None else spec.tower.vadd(rhs, spec.c)
+
+
+def on_curve(spec: CurveSpec, x, y) -> bool:
+    """Does every point (x[l], y[l]) satisfy A(y) = x^e + c?"""
+    return bool(np.array_equal(spec.tower.additive_image(spec.amap, y), _right_side(spec, x)))
 
 
 def rational_points(spec: CurveSpec, xs: EvaluationSet) -> tuple[np.ndarray, np.ndarray]:

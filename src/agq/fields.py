@@ -480,6 +480,16 @@ class FieldTower:
         # solution j of fiber i is entry j - (ends[i] - counts[i]) of fiber i's slice
         return owner, order[np.arange(len(owner)) + (starts - ends + counts)[owner]]
 
+    def additive_image(self, amap: AdditiveMap, y) -> np.ndarray:
+        """The codes of map(y) for the codes y."""
+        if amap is AdditiveMap.SQUARE_PLUS_Y:
+            if self.p != 2:
+                raise ValueError("y^2+y is additive only in characteristic 2")
+            return self.vadd(self.vmul(y, y), y)
+        if amap is AdditiveMap.FROB_PLUS_Y:
+            return self.vadd(self.vfrob(y), y)
+        return self.vsub(self.vfrob(y), y)
+
     def fiber_sizes(self, amap: AdditiveMap, rhs) -> np.ndarray:
         """|{y : map(y) = rhs[i]}| for each i, read from the fiber table of
         solve_additive without listing the solutions."""
@@ -492,15 +502,7 @@ class FieldTower:
         the map, and where each image value's slice of them starts."""
         table = self._fibers.get(amap)
         if table is None:
-            y = np.arange(self.q2, dtype=np.int32)
-            if amap is AdditiveMap.SQUARE_PLUS_Y:
-                if self.p != 2:
-                    raise ValueError("y^2+y is additive only in characteristic 2")
-                images = self.vadd(self.vmul(y, y), y)
-            elif amap is AdditiveMap.FROB_PLUS_Y:
-                images = self.vadd(self.vfrob(y), y)
-            else:
-                images = self.vsub(self.vfrob(y), y)
+            images = self.additive_image(amap, np.arange(self.q2, dtype=np.int32))
             order = np.argsort(images, kind="stable")
             bounds = np.searchsorted(images[order], np.arange(self.q2 + 1))
             table = self._fibers[amap] = (order.astype(np.int32), bounds.astype(np.int32))

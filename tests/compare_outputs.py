@@ -4,8 +4,8 @@
 
 runs a fixed set of agq commands (both reproduce tables, scans of c1, c4,
 c5, c8, c9 and c10, four line-code constructs with deep, once and iterate
-embedding, two Hermitian-curve constructs on either side of the exhaustive
-word cap, verify of every matrix in tests/data, eight requests that leave out
+embedding, three Hermitian-curve constructs on either side of the exhaustive
+word cap, constructs of c5, c6, c8 and c9, verify of every matrix in tests/data, eight requests that leave out
 a field their construction needs or name no construction, and c4 and c9
 scans given the field they sweep) once with
 PYTHONPATH set to this tree's src and once with it set to OTHER_TREE/src.
@@ -51,8 +51,15 @@ COMMANDS = [
     _construct("c1", 2, 5, 1, "deep"),  # the step is rejected: the chain ends at [32,16]
     _construct("c4", 7, 1, 6, "once"),  # rejected, with a Gram failure
     _construct("c4", 7, 1, 3, "iterate", "--matrix-out", "{out}"),  # [21,3], [21,4], [22,5]
-    # a Hermitian-curve [64,5] over GF(16), d(C) 55 by enumeration, and [64,6], past the word cap: d null
-    *(["construct", "--construction", "c7i", "--p", "2", "--m", "2", "--n", "16", "--k", k] for k in ("10", "11")),
+    # Hermitian-curve codes over GF(16): [64,5], d(C) 55 by enumeration, and past the word cap [64,6],
+    # d(C) 54 from a light word of y^2, and [64,8], d null
+    *(["construct", "--construction", "c7i", "--p", "2", "--m", "2", "--n", "16", "--k", k] for k in ("10", "11", "14")),
+    # curve codes: c5 [80,8] over GF(64), d null -> 72; c9 with gcd(pole_x, pole_y) = 7, which has no
+    # curve record; c6 [44,3] and c8 [671,2], with no y row and no x row
+    ["construct", "--construction", "c5", "--p", "2", "--m", "3", "--k", "9"],
+    ["construct", "--construction", "c9", "--p", "7", "--m", "1", "--t", "7", "--k", "10"],
+    ["construct", "--construction", "c6", "--p", "2", "--m", "3", "--n", "22", "--k", "5"],
+    ["construct", "--construction", "c8", "--p", "11", "--m", "1", "--k", "7"],
     *(["verify", str(path), "--systematic-prefix"] for path in sorted(DATA.glob("*.txt"))),
     # rejections of a request that leaves out a field its construction needs, or names no construction
     *(["construct", "--construction", cons, "--p", "3", "--m", "2", *extra]

@@ -98,7 +98,8 @@ MUTANTS = (
            "if np.count_nonzero(alpha[1:] == alpha[:-1]):", "if False:",
            (f"{T_CODES}::test_structure_record_matches_brute_force",)),
     Mutant("rank-check-always-row-reduces", CODES,
-           "if verify_rank and self.k > 0 and self.structure is None:", "if verify_rank and self.k > 0:",
+           "if verify_rank and self.k > 0 and self.structure is None and not self.full_rank_on(self.n):",
+           "if verify_rank and self.k > 0:",
            (f"{T_CODES}::test_rank_by_shape_matches_rref",)),
     # curves
     Mutant("curve-right-side-drops-c", CURVES,
@@ -175,10 +176,58 @@ MUTANTS = (
     Mutant("c4-sweeps-one-t-more", CONSTRUCTIONS,
            "lambda tw: range(1, tw.q + 1)", "lambda tw: range(1, tw.q + 2)",
            (f"{T_CLI}::test_scan_sweeps_its_field_over_a_tower",)),
+    Mutant("c8-scan-embeds", CONSTRUCTIONS,
+           '"c8": Construction(scan_embeds=False),', '"c8": Construction(),',
+           (f"{T_CLI}::test_curve_scans_build_the_base_code_alone",)),
     # the certificate's d(C)
     Mutant("distance-singleton-for-non-mds", CODES,
            "        if self.mds:\n", "        if self.mds is not None:\n",
            (f"{T_CLI}::test_catalog_distance_stops_at_the_exhaustive_cap",)),
+    # the curve record: each check, and each reader
+    Mutant("curve-record-drops-entry-check", CODES,
+           "    if not np.array_equal(g, _monomial_rows(tower, v, [(x, a), (y, b)])):\n        return None\n", "",
+           (f"{T_CODES}::test_curve_record_checks_each_hypothesis",)),
+    Mutant("curve-record-drops-on-curve-check", CODES,
+           "if np.count_nonzero(v == tower.zero_code) or not on_curve(spec, x, y):",
+           "if np.count_nonzero(v == tower.zero_code):",
+           (f"{T_CODES}::test_curve_record_checks_each_hypothesis",)),
+    Mutant("curve-record-drops-distinct-points", CODES,
+           "if np.count_nonzero(points[1:] == points[:-1]):", "if False:",
+           (f"{T_CODES}::test_curve_record_checks_each_hypothesis",)),
+    Mutant("curve-record-accepts-gcd-above-1", CODES,
+           "if gcd(px, py) != 1 or not orders", "if not orders",
+           (f"{T_CODES}::test_curve_record_checks_each_hypothesis",
+            f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration")),
+    Mutant("zero-count-one-too-generous", CODES,
+           "return self.curve is not None and columns > self.curve.m",
+           "return self.curve is not None and columns >= self.curve.m",
+           (f"{T_CODES}::test_curve_record_readers_match_their_oracles",)),
+    Mutant("pairwise-floor-without-the-y-row", CODES,
+           "if {(1, 0), (0, 1)} <= set(record.monomials):", "if (1, 0) in record.monomials:",
+           (f"{T_CODES}::test_curve_record_readers_match_their_oracles",)),
+    Mutant("mds-reader-reads-a-lower-bound", CODES,
+           "if dd is not None and dd.exact:", "if dd is not None:",
+           (f"{T_CLI}::test_reproduce_enumerates_no_codewords",)),
+    Mutant("curve-rank-row-reduces", CODES,
+           "self.structure is None and not self.full_rank_on(self.n):", "self.structure is None:",
+           (f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration",)),
+    Mutant("curve-mds-screens-first", CODES,
+           "dd = dual_distance_by_columns(code) if code.curve is not None else None", "dd = None",
+           (f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration",)),
+    Mutant("curve-purity-takes-a-rank", CODES,
+           "    if code.full_rank_on(code.n - len(dd.witness)):\n        return dd\n", "",
+           (f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration",)),
+    Mutant("curve-pairs-scanned", CODES,
+           "if w == 2 and keys is not None:", "if False:",
+           (f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration",)),
+    Mutant("light-word-floor-plus-one", CODES,
+           "floor = code.n - record.m\n", "floor = code.n - record.m + 1\n",
+           (f"{T_CONSTRUCTIONS}::test_designed_distance_is_a_lower_bound_on_curve_codes",
+            f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration")),
+    Mutant("light-word-one-root-short", CODES,
+           "kind=\"stable\")[:j]\n", "kind=\"stable\")[: j - 1]\n",
+           (f"{T_CONSTRUCTIONS}::test_designed_distance_is_a_lower_bound_on_curve_codes",
+            f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration")),
     Mutant("distance-decided-eagerly-in-certify", CODES,
            "    return Certificate(code, gram, mds, witness, method, dd, _quantum_distance(code, dd))\n",
            "    certificate = Certificate(code, gram, mds, witness, method, dd, _quantum_distance(code, dd))\n"

@@ -183,6 +183,19 @@ def test_scan_sweeps_its_field_over_a_tower(name, tower, values):
     assert {r.embed for r in requests} == {"iterate" if name in ("c1", "c4") else "none"}
 
 
+def test_curve_scans_build_the_base_code_alone(tmp_path, capsys):
+    """Every curve construction scans its base code alone, whatever --embed
+    says: a curve code has no evaluation chain to embed, so a certified c8
+    row's trace ends with its monomials, not a rejected embedding step."""
+    for name, given in [("c5", []), ("c6", ["--n", "4"]), ("c7i", ["--n", "4"]), ("c7ii", ["--n", "2", "--t", "1"]),
+                        ("c7iii", ["--t", "1"]), ("c8", []), ("c9", []), ("c10", [])]:
+        assert {r.embed for r in _requests("--construction", name, "--tower", "2,2", "--embed", "iterate", *given)} == {"none"}
+    out_file = tmp_path / "scan.jsonl"
+    run_cli(capsys, "scan", "--construction", "c8", "--tower", "3,1", "--out", str(out_file))
+    rows = [row for row in map(json.loads, out_file.read_text().splitlines()) if "verdict" in row]
+    assert [(row["request"]["embed"], row["trace"][-1]) for row in rows] == [("none", "monomials [(0, 0), (0, 1), (1, 0)]")]
+
+
 def test_c5_sweeps_k_to_the_old_bound():
     """Over every tower agq has a modulus for, c5's k runs from 2 to the bound
     the scan computed before, (2 * (q^2 // 2 + q) + q + 1) // (q + 1)."""
@@ -264,11 +277,15 @@ def test_construct_under_a_budget_is_certified_with_a_bound(capsys, monkeypatch)
 
 def test_catalog_distance_stops_at_the_exhaustive_cap(capsys, monkeypatch):
     """Hermitian-curve codes over GF(16): the [64,5] code has 2^20 words, within
-    the 2^21 cap, and gets its exhaustive d; the [64,6] code has 2^24, so its
-    classical d is null, and the command still exits 0.  The certificate's
-    d(C) is the same: enumerated once however often it is read, None past the
-    cap, and Singleton's, with no enumeration, for an MDS code."""
-    for k, params, d, method in [(10, (64, 5), 55, "exhaustive"), (11, (64, 6), None, None)]:
+    the 2^21 cap, and gets its exhaustive d (its top monomial xy has no light
+    word); the [64,6] code has 2^24, past the cap, and a light word of y^2
+    meets its floor n - m = 54; the [64,8] code (top monomial x^2 y) has
+    2^32, so its classical d is null, and the command still exits 0.  The
+    certificate's d(C) is the same: enumerated once however often it is
+    read, None past the cap, and Singleton's, with no enumeration, for an
+    MDS code."""
+    for k, params, d, method in [(10, (64, 5), 55, "exhaustive"), (11, (64, 6), 54, "goppa-light-word"),
+                                 (14, (64, 8), None, None)]:
         code, out = run_cli(capsys, "construct", "--construction", "c7i", "--p", "2", "--m", "2", "--n", "16", "--k", str(k))
         assert code == 0
         classical = json.loads(out)["classical"]
@@ -281,7 +298,7 @@ def test_catalog_distance_stops_at_the_exhaustive_cap(capsys, monkeypatch):
     first, again = within.distance, within.distance
     assert (first.value, first.exact, first.method) == (55, True, "exhaustive")
     assert again is first and enumerated == [within.code]
-    assert construct(ConstructionRequest("c7i", 2, 2, n=16, k=11)).certificate.distance is None
+    assert construct(ConstructionRequest("c7i", 2, 2, n=16, k=14)).certificate.distance is None
     enumerated.clear()
     mds = construct(ConstructionRequest("c1", 13, 1, n=25, k=2)).certificate
     assert mds.mds and mds.distance == DistanceResult(24, True, None, "mds-singleton")
@@ -612,9 +629,12 @@ def test_construct_matrix_out_verifies(tmp_path, capsys):
     entry = json.loads(out)
     assert entry["verdict"] == "CERTIFIED"
     # one record shape: verify reports what construct reported for the same
-    # matrix, bar the designed distance, a label of the construction
+    # matrix, bar the designed distance, a label of the construction, and the
+    # methods that the curve record, which an imported matrix has not, decides by
     assert entry["classical"].pop("designed_distance") is None
     assert built["classical"].pop("designed_distance") is not None
+    methods = [(block.pop("mds_method"), block.pop("d_method")) for block in (built["classical"], entry["classical"])]
+    assert methods == [("column-scan", "goppa-light-word"), ("systematic", "exhaustive")]
     for key in ("classical", "quantum", "gram_digest", "witnesses", "dual_distance"):
         assert entry[key] == built[key], key
 

@@ -3,7 +3,7 @@ import hashlib
 import itertools
 import os
 import tracemalloc
-from math import comb
+from math import comb, gcd
 from unittest import mock
 
 import numpy as np
@@ -22,7 +22,9 @@ from agq.codes import (
     _cauchy_verify,
     _digest,
     _exact_keys,
+    _light_word,
     _monomial_rows,
+    _quantum_distance,
     _unrank,
     batched_dependent,
     certify,
@@ -38,7 +40,7 @@ from agq.codes import (
     rref,
 )
 from agq.constructions import ConstructionRequest, construct, construct_chain
-from agq.curves import CurveFamily, curve, rational_points, rr_basis, x_support
+from agq.curves import CurveFamily, curve, on_curve, rational_points, rr_basis, x_support
 from agq.errors import CapExceeded, GramNonzero, NotNormValue, ParseError, RankDefect
 from agq.fields import build_tower
 from agq.points import explicit_set, roots_of_unity_set, twist_vector
@@ -224,7 +226,7 @@ def test_construction_rows_match_per_row_oracle():
         a, b = np.asarray(basis).T
         assert np.count_nonzero(y == spec.tower.zero_code) and np.count_nonzero(b)
         want = per_row_monomials(spec.tower, tv, xs.codes[owner], a, y, b)
-        assert np.array_equal(evaluation_code(spec.tower, basis, xs.codes[owner], y, tv).g, want)
+        assert np.array_equal(evaluation_code(spec, basis, xs.codes[owner], y, tv).g, want)
     for request in [ConstructionRequest("c4", 2, 3, t=2, embed="iterate"),
                     ConstructionRequest("c1", 13, 1, n=25, k=3, embed="iterate")]:
         chain = construct_chain(request)
@@ -244,12 +246,12 @@ def test_evaluation_code_rank_defect():
     owner, y = rational_points(spec, xs)
     ones = np.zeros(len(owner), dtype=np.int32)  # all entries t^0 = 1
     basis = rr_basis(spec, 4)  # 1, y, x
-    code = evaluation_code(tw, basis, xs.codes[owner], y, ones)
+    code = evaluation_code(spec, basis, xs.codes[owner], y, ones)
     assert code.params() == (15, 3)
     # a repeated monomial repeats a row, which must be rejected
     dup = basis + basis[1:2]
     with pytest.raises(RankDefect) as got:
-        evaluation_code(tw, dup, xs.codes[owner], y, ones)
+        evaluation_code(spec, dup, xs.codes[owner], y, ones)
     assert (got.value.achieved_rank, got.value.expected) == (3, 4)
 
 
@@ -685,9 +687,14 @@ def test_dual_of_artin_schreier_code():
 
 def test_exhaustive_distance_examples():
     cert = construct(ConstructionRequest("c9", 3, 1, t=2, k=4))
-    res = exhaustive_distance(cert.code)
+    bare = LinearCode(cert.code.tower, cert.code.g)  # no curve record: every word is weighed
+    res = exhaustive_distance(bare)
     assert (res.value, res.exact, res.method) == (12, True, "exhaustive")
     assert sum(1 for c in res.witness if c != cert.code.tower.zero_code) == 12
+    # with the record, the light word x - a meets the floor n - m = 15 - 3 first
+    light = exhaustive_distance(cert.code)
+    assert (light.value, light.exact, light.method) == (12, True, "goppa-light-word")
+    assert sum(1 for c in light.witness if c != cert.code.tower.zero_code) == 12
 
 
 def test_exhaustive_distance_cap():
@@ -697,10 +704,13 @@ def test_exhaustive_distance_cap():
     code = LinearCode(tw, grs_rows(tw, es, tv, range(5)))
     with pytest.raises(CapExceeded):
         exhaustive_distance(code)
-    # GF(16): 16^5 = 2^20 words are within the 2^21 cap, 16^6 = 2^24 are not
+    # GF(16): 16^5 = 2^20 words are within the 2^21 cap, 16^8 = 2^32 are not; past
+    # the cap, a light word that meets the curve record's floor still decides d(C)
     assert exhaustive_distance(construct(ConstructionRequest("c7i", 2, 2, n=16, k=10)).code).value == 55
     with pytest.raises(CapExceeded):
-        exhaustive_distance(construct(ConstructionRequest("c7i", 2, 2, n=16, k=11)).code)
+        exhaustive_distance(construct(ConstructionRequest("c7i", 2, 2, n=16, k=14)).code)
+    light = exhaustive_distance(construct(ConstructionRequest("c7i", 2, 2, n=16, k=11)).code)
+    assert (light.value, light.exact, light.method) == (54, True, "goppa-light-word")
 
 
 def full_enumeration_distance(code):
@@ -1881,3 +1891,139 @@ def test_identity_matrix_rejected_by_gram():
     cert = hermitian_gram(code)
     assert not cert.all_zero
     assert cert.first_nonzero[0] == 0 and cert.first_nonzero[1] == 0
+
+
+# -- the curve record ------------------------------------------------------------------
+
+# small curves over GF(4) .. GF(64): elliptic, hyperelliptic, Hermitian,
+# half-exponent Hermitian and Artin-Schreier, with p | t (gcd(pole_x, pole_y) = p,
+# no record) for the last three
+RECORD_CURVES = [
+    (CurveFamily.ELLIPTIC, (2, 1), None), (CurveFamily.ELLIPTIC, (2, 2), None), (CurveFamily.ELLIPTIC, (2, 3), None),
+    (CurveFamily.HYPERELLIPTIC, (2, 2), None), (CurveFamily.HYPERELLIPTIC, (2, 3), None),
+    (CurveFamily.HERMITIAN, (2, 1), None), (CurveFamily.HERMITIAN, (3, 1), None), (CurveFamily.HERMITIAN, (2, 2), None),
+    (CurveFamily.SEMI_HERMITIAN, (3, 1), None), (CurveFamily.SEMI_HERMITIAN, (5, 1), None),
+    (CurveFamily.ARTIN_SCHREIER, (3, 1), 2), (CurveFamily.ARTIN_SCHREIER, (2, 2), 3),
+    (CurveFamily.ARTIN_SCHREIER, (2, 3), 5), (CurveFamily.ARTIN_SCHREIER, (7, 1), 6),
+    (CurveFamily.ARTIN_SCHREIER, (3, 1), 3), (CurveFamily.ARTIN_SCHREIER, (5, 1), 5), (CurveFamily.ARTIN_SCHREIER, (7, 1), 7),
+]
+
+
+def curve_points(spec, rng):
+    """The points above a random x-subset of the curve, with a few dropped a
+    time in four (fibers no longer full), and shuffled a time in three."""
+    xs = x_support(spec)
+    keep = rng.permutation(xs.n)[: rng.integers(1, xs.n + 1)]
+    owner, y = rational_points(spec, explicit_set(spec.tower, xs.codes[keep]))
+    x = explicit_set(spec.tower, xs.codes[keep]).codes[owner]
+    points = np.arange(len(x))
+    if rng.random() < 0.25 and len(x) > 2:
+        points = np.sort(rng.permutation(len(x))[: len(x) - rng.integers(1, 3)])
+    if rng.random() < 0.33:
+        points = rng.permutation(points)
+    return x[points], y[points]
+
+
+@st.composite
+def record_codes(draw):
+    """A code of the first monomials of a small curve, at the points above an
+    x-subset, with q^(2k) <= 2^14, and a twist with no zero: random, or
+    constant on each x-fiber as the constructions' twists are."""
+    family, pm, t = draw(st.sampled_from(RECORD_CURVES))
+    spec = curve(family, build_tower(*pm), t=t)
+    tw = spec.tower
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x, y = curve_points(spec, rng)
+    sizes = [len(rr_basis(spec, k)) for k in range(1, 40)]
+    top = max(k for k, r in enumerate(sizes, start=1) if tw.q2 ** r <= 1 << 14 and r <= len(x))
+    basis = rr_basis(spec, draw(st.integers(1, top)))
+    v = rng.integers(0, tw.zero_code, len(x)).astype(np.int32)
+    if draw(st.booleans()):
+        v = rng.integers(0, tw.zero_code, tw.q2).astype(np.int32)[x]
+    try:
+        return evaluation_code(spec, basis, x, y, v)
+    except RankDefect:  # n <= m: the record gives no rank, and rref found a defect
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(record_codes())
+def test_curve_record_readers_match_their_oracles(code):
+    """Each reader of the curve record against the oracle it replaces: the
+    rank against rref, and any m+1 columns against rref too; d(C^perp), its
+    witness and the MDS flag against the column scan from w = 2 of the same
+    matrix without the record; purity against the rank of G without the
+    witness; d(C) from the light word against full enumeration.  A curve
+    with gcd(pole_x, pole_y) > 1 has no record."""
+    tw, spec, rec = code.tower, code._curve[0], code.curve
+    bare = LinearCode(tw, code.g, verify_rank=False)
+    assert bare.curve is None and (rec is None) == (gcd(spec.pole_x, spec.pole_y) > 1)
+    if code.full_rank_on(code.n):
+        assert rank(tw, code.g) == code.k
+    if rec is not None:
+        assert not code.full_rank_on(rec.m)
+        if code.n > rec.m:
+            cols = np.random.default_rng(code.n).permutation(code.n)[: rec.m + 1]
+            assert rank(tw, code.g[:, cols]) == code.k
+    dd = dual_distance_by_columns(code)
+    assert dd == dual_distance_by_columns(bare)
+    flag, singular, _, mds_dd = is_mds(code)
+    assert flag == is_mds(bare)[0] and (mds_dd.value, mds_dd.exact) == (dd.value, dd.exact)
+    if singular is not None:
+        assert rank(tw, code.g[:, list(singular)]) < code.k
+    if dd.exact and dd.witness is not None:
+        assert _quantum_distance(code, dd) == _quantum_distance(bare, dd)
+    light = _light_word(code)
+    d = full_enumeration_distance(code)
+    if rec is not None and code.n > rec.m:
+        assert code.n - rec.m <= d
+    if light is not None:
+        word = np.asarray(light.witness, dtype=np.int32)
+        assert light.value == d == np.count_nonzero(word != tw.zero_code)
+        assert rank(tw, np.vstack([code.g, word])) == code.k  # a word of C
+
+
+def curve_code(family, pm, k, t=None):
+    """(code, inputs) of the k-th Riemann-Roch code of a curve at all its points, twist 1."""
+    spec = curve(family, build_tower(*pm), t=t)
+    xs = x_support(spec)
+    owner, y = rational_points(spec, xs)
+    x, v = xs.codes[owner], np.zeros(len(owner), dtype=np.int32)
+    return evaluation_code(spec, rr_basis(spec, k), x, y, v), (spec, rr_basis(spec, k), x, y, v)
+
+
+def test_curve_record_checks_each_hypothesis():
+    """The record holds only when every check does: a perturbed entry of G, a
+    point off the curve, a repeated point, a zero of the twist, a monomial
+    with b >= pole_x, two monomials of one pole order, or a curve with
+    gcd(pole_x, pole_y) > 1 each leave the code without one, and with the
+    rank from rref."""
+    code, (spec, basis, x, y, v) = curve_code(CurveFamily.HERMITIAN, (2, 2), 10)
+    tw = spec.tower
+    assert code.curve is not None and code.curve.m == 9 and code.full_rank_on(code.n)
+    g = code.g.copy()
+    g[2, 5] = tw.vadd(g[2, 5], 0)
+    moved = x.copy()
+    moved[3] = tw.vadd(moved[3], 0)
+    repeated = np.concatenate([x, x[:1]]), np.concatenate([y, y[:1]]), np.concatenate([v, v[:1]])
+    zero_v = v.copy()
+    zero_v[7] = tw.zero_code
+    cases = {
+        "perturbed entry": (g, (spec, basis, x, y, v)),
+        "point off the curve": (None, (spec, basis, moved, y, v)),
+        "repeated point": (None, (spec, basis, *repeated)),
+        "zero of the twist": (None, (spec, basis, x, y, zero_v)),
+        "b >= pole_x": (None, (spec, basis + ((0, 4),), x, y, v)),
+        "one pole order twice": (None, (spec, basis + ((0, 0),), x, y, v)),
+    }
+    for name, (matrix, inputs) in cases.items():
+        a, b = np.asarray(inputs[1]).T
+        matrix = _monomial_rows(tw, inputs[4], [(inputs[2], a), (inputs[3], b)]) if matrix is None else matrix
+        assert LinearCode(tw, matrix, verify_rank=False, curve=inputs).curve is None, name
+    assert on_curve(spec, x, y) and not on_curve(spec, moved, y)
+    # p | t: gcd(pole_x, pole_y) = 3, no record even for 1 and x, of distinct
+    # orders 0 and 3, and the rank comes from rref
+    _, (spec, _, x, y, v) = curve_code(CurveFamily.ARTIN_SCHREIER, (3, 1), 1, t=3)
+    with mock.patch.object(agq.codes, "rref", wraps=rref) as spy:
+        p_t = evaluation_code(spec, ((0, 0), (1, 0)), x, y, v)
+    assert p_t.curve is None and not p_t.full_rank_on(p_t.n) and spy.call_count == 1

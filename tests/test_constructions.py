@@ -7,7 +7,8 @@ import pytest
 
 import agq.constructions
 from agq.cli import _repro_targets, _scan_requests, build_parser
-from agq.codes import LinearCode, evaluation_code, grs_rows, hermitian_gram
+from agq.codes import LinearCode, evaluation_code, exhaustive_distance, grs_rows, hermitian_gram
+from agq.config import EXHAUSTIVE_CAP
 from agq.constructions import (
     ConstructionRequest,
     _embed_until_rejected,
@@ -145,7 +146,7 @@ def rows_rank_defect(calls, k):
         if calls["points"]:
             spec, xs, (owner, y) = calls["points"][-1]
             tv = calls["twist"][-1][1]
-            evaluation_code(spec.tower, rr_basis(spec, k), xs.codes[owner], y, tv[owner])
+            evaluation_code(spec, rr_basis(spec, k), xs.codes[owner], y, tv[owner])
         else:
             es, tv = calls["twist"][-1]
             LinearCode(es.tower, grs_rows(es.tower, es, tv, range(k)))
@@ -473,8 +474,10 @@ def curve_code_requests():
 
 def test_designed_distance_is_a_lower_bound_on_curve_codes():
     """A curve code's designed distance, the Goppa bound, is at most its d(C)
-    wherever the record has one, and at most n - k when the code is not MDS."""
-    members, methods = 0, []
+    wherever the record has one, and at most n - k when the code is not MDS.
+    Every d that a light word meets (goppa-light-word) within the word cap
+    equals the enumerated d."""
+    members, methods, enumerated = 0, [], 0
     for req in curve_code_requests():
         try:
             chain = construct_chain(req)
@@ -486,9 +489,13 @@ def test_designed_distance_is_a_lower_bound_on_curve_codes():
             if d is not None:
                 methods.append(d.method)
                 assert cert.designed_distance <= d.value, (req, cert.code.params())
+            if d is not None and d.method == "goppa-light-word" and cert.code.tower.q2 ** cert.code.k <= EXHAUSTIVE_CAP:
+                assert d.value == exhaustive_distance(cert.code).value, (req, cert.code.params())
+                enumerated += 1
             if cert.certificate.mds is False:
                 assert cert.designed_distance <= cert.code.n - cert.code.k, (req, cert.code.params())
-    assert (members, methods.count("exhaustive"), methods.count("mds-singleton")) == (60, 26, 4)
+    counts = tuple(methods.count(method) for method in ("exhaustive", "goppa-light-word", "mds-singleton"))
+    assert (members, *counts, enumerated) == (60, 7, 26, 4, 19)
 
 
 def test_every_certified_code_has_zero_gram():
@@ -502,3 +509,48 @@ def test_every_certified_code_has_zero_gram():
         for cert in construct_chain(req):
             assert cert.certificate.gram.all_zero
             assert hermitian_gram(cert.code).all_zero  # recomputed, same verdict
+
+
+# one request of each catalog-curves slot whose curve has gcd(pole_x, pole_y) = 1:
+# [49,3], [91,3], [175,3] twice, [671,2], [44,3], [64,3], [24,4] and [256,1]
+COPRIME_CATALOG = [
+    ConstructionRequest("c9", 7, 1, t=5, k=8), ConstructionRequest("c9", 7, 1, t=6, k=8),
+    ConstructionRequest("c8", 7, 1, k=8), ConstructionRequest("c9", 7, 1, t=4, k=8),
+    ConstructionRequest("c8", 11, 1, k=7), ConstructionRequest("c6", 2, 3, n=22, k=5),
+    ConstructionRequest("c10", 2, 3, t=5, k=9), ConstructionRequest("c5", 2, 2, k=5),
+    ConstructionRequest("c10", 2, 4, t=3, k=2),
+]
+
+
+def certifier_calls(request):
+    """The rref calls, w = 2 collision searches and codeword enumerations (word
+    blocks of exhaustive_distance) that certifying request and reading its
+    d(C) and quantum distance make, and its d(C)."""
+    calls = []
+
+    def spy(name, fn, counted=lambda *args: True):
+        return lambda *args, **kwargs: (calls.append(name) if counted(*args) else None) or fn(*args, **kwargs)
+
+    with (
+        mock.patch.object(agq.codes, "rref", spy("rref", agq.codes.rref)),
+        mock.patch.object(agq.codes, "_first_collision", spy("w=2", agq.codes._first_collision, lambda tw, g, w, *r: w == 2)),
+        mock.patch.object(agq.codes, "_word_blocks", spy("enumeration", agq.codes._word_blocks)),
+    ):
+        certificate = construct(request).certificate
+        distance = certificate.distance
+        assert certificate.quantum_distance.exact
+    return sorted(set(calls)), distance
+
+
+def test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration():
+    """The curve record stands in for rref (rank, the MDS screen and purity),
+    the w = 2 column scan and codeword enumeration on every gcd = 1 slot of
+    the catalog-curves workload, with d(C) = n - m exact: exhaustive_distance
+    stops at its first word, the light word.  The gcd 7 curve of c9 p=7 t=7
+    has no record and takes all three."""
+    for request in COPRIME_CATALOG:
+        calls, distance = certifier_calls(request)
+        assert calls == [], request
+        assert distance.method in ("goppa-light-word", "mds-singleton"), request
+    calls, distance = certifier_calls(ConstructionRequest("c9", 7, 1, t=7, k=10))
+    assert calls == ["enumeration", "rref", "w=2"] and (distance.value, distance.method) == (42, "exhaustive")

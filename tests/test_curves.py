@@ -8,7 +8,6 @@ from agq.curves import (
     curve,
     rational_points,
     rr_basis,
-    semigroup_gap_count,
     x_support,
 )
 from agq.errors import (
@@ -22,6 +21,25 @@ from agq.points import explicit_set, roots_of_unity_set
 
 from .scalar_field import Scalar, field_elements
 from .test_fields import gf_p_solve
+
+
+def semigroup_gap_count(a: int, b: int) -> int:
+    """Reference oracle: the number of gaps of the numerical semigroup <a, b> (gcd(a,b)=1)."""
+    if gcd(a, b) != 1:
+        raise ValueError("generators must be coprime")
+    bound = a * b - a - b + 1
+    reachable = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for g in (a, b):
+                v = s + g
+                if v <= bound + max(a, b) and v not in reachable:
+                    reachable.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return sum(1 for v in range(1, bound + 1) if v not in reachable)
 
 
 def fiber_sizes(spec, xs):
