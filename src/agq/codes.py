@@ -19,10 +19,11 @@ distinct pole orders.  Taken from the theory: gcd(pole_x, pole_y) = 1,
 without which the code has no record, and that a nonzero f of pole order
 at most m, the record's largest, has at most m zeros (Stichtenoth, Thm
 2.2.2).  Its readers: the rank check and purity (LinearCode.full_rank_on),
-the w = 2 step of the column scan (_parallel_keys), is_mds, which scans
-such a code first, and d(C), where exhaustive_distance stops at the floor
-n - m when a light word meets it (_light_word).  Where a reader's
-hypothesis fails, it takes the path of a code without a record.
+the column scan's w = 2 keys (_parallel_keys; other codes key their
+columns scaled to lead with 1), is_mds, which scans such a code first, and
+d(C), where exhaustive_distance stops at the floor n - m when a light word
+meets it (_light_word).  Where a reader's hypothesis fails, it takes the
+path of a code without a record.
 """
 
 from __future__ import annotations
@@ -599,12 +600,8 @@ def _prefix_chunks(tower: FieldTower, g: np.ndarray, w: int, final):
     of _prefix_groups.  The first chunk holds the groups of the first
     _FIRST_PREFIXES prefixes, so a scan that collides there eliminates nothing
     past them.  Each later one holds as many groups as keep their projected
-    matrices within _LIVE_ENTRIES // 8 exponent codes, at least one.  For w =
-    2 the one chunk holds the empty prefix: no groups, last -1 and m = g[None]."""
+    matrices within _LIVE_ENTRIES // 8 exponent codes, at least one.  w >= 3."""
     k, n = g.shape
-    if w == 2:
-        yield None, None, np.array([-1]), g[None]
-        return
     groups, count = _prefix_groups(n, w, final)
     opens = count.cumsum() - count  # the first prefix of each group, counted over the w
     a, z = 0, int(np.searchsorted(opens, _FIRST_PREFIXES - 1, side="right"))
@@ -632,13 +629,9 @@ def _block_frame(tower: FieldTower, chunk, lo: int, hi: int, starts: np.ndarray)
     point of column j modulo span(prefix b) is row sel[r+1] of M minus
     factors[r, b] times row sel[0] = s, where sel swaps rows 0 and s (s is 0
     but for about 1/q^2 of the prefixes); rows[r, b] + e is the flat index in
-    m of row sel[r] of M at the column of entry e.  For w = 2 the point of
-    column j is column j: factors is None, and row 0 stands in for the head,
-    which goes unread."""
-    groups, parent, last, m = chunk
+    m of row sel[r] of M at the column of entry e."""
+    _, parent, last, m = chunk
     rows, n = m.shape[1:]
-    if groups is None:
-        return m, np.maximum(np.arange(-n, rows * n, n), 0)[:, None] - starts, None
     parent, last = parent[lo:hi], last[lo:hi]
     at = (parent * m[0].size + last) + np.arange(0, rows * n, n)[:, None]  # rows of M at the last column
     col = m.take(at)
@@ -695,9 +688,8 @@ def _point_keys(tower: FieldTower, frame, e: np.ndarray, wide: np.ndarray, narro
     lead, points, product = narrow[0], narrow[1 : 2 + short], narrow[2 + short :]
     m.take(np.add(rows[: 1 + short].take(b, axis=1, out=at, mode="clip"), e, out=at), out=points, mode="clip")
     heads, points, at = points[0], points[1:], at[1:]
-    if factors is not None:
-        tower.vmul(factors[:short].take(b, axis=1, out=product, mode="clip"), heads, out=product, at=at)
-        tower.vadd(points, product, out=points, at=at)
+    tower.vmul(factors[:short].take(b, axis=1, out=product, mode="clip"), heads, out=product, at=at)
+    tower.vadd(points, product, out=points, at=at)
     # t^(n-1-c) scales the lead, the first nonzero coordinate c, to t^-1 (n = q^2-1)
     zero, n = tower.zero_code, tower.n_units
     np.subtract(n - 1, points[0], out=lead)
@@ -708,16 +700,21 @@ def _point_keys(tower: FieldTower, frame, e: np.ndarray, wide: np.ndarray, narro
     tower.vmul(points[1:], lead, out=points[1:], at=at[1:])
     np.maximum(points[0], n - 1, out=points[0])  # the first coordinate scaled: t^-1, or 0 stays 0
     keys = _exact_keys(b, points, tower.q2, out=keys)
-    ordered = wide[2]  # a plain sort and a compare of neighbours
+    return keys, _repeats(keys, wide[2])
+
+
+def _repeats(keys: np.ndarray, ordered: np.ndarray) -> bool:
+    """Whether two keys agree: a plain sort, in ordered, and a compare of neighbours."""
     np.copyto(ordered, keys)
     ordered.sort()
-    return keys, bool((ordered[1:] == ordered[:-1]).any())
+    return bool((ordered[1:] == ordered[:-1]).any())
 
 
 def _first_collision(tower: FieldTower, g: np.ndarray, w: int, final, arrays):
     """Lex-first dependent w-subset of the columns of g among the (w-2)-prefixes
-    up to final[:w-2] (all when final is None), or None.  Every (w-1)-subset
-    must be independent, so the projections modulo a prefix's span are nonzero.
+    up to final[:w-2] (all when final is None), or None; w >= 3.  Every
+    (w-1)-subset must be independent, so the projections modulo a prefix's
+    span are nonzero.
 
     Prefixes and their eliminations come in the chunks of _prefix_chunks, and
     each chunk in blocks of entries (prefix b, column j > b's last column).
@@ -728,8 +725,10 @@ def _first_collision(tower: FieldTower, g: np.ndarray, w: int, final, arrays):
     (_block_frame) and runs in the scan's arrays (two flat ones and an arange
     grown by need).  Each entry gets a short key of b and the first
     _SHORT_KEY coordinates of its point, or all (_point_keys); parallel points
-    share it, so only entries whose short keys repeat get full keys.  A block
-    where those repeat is sorted stably once, to read the witness.
+    share it, so only entries whose short keys repeat get full keys.  Entries
+    ascend by prefix, then by column, and equal full keys share a prefix, so
+    the first entry whose full key repeats and its next match are the
+    lex-first dependent set (_first_repeat).
     """
     k, n = g.shape
     coordinates = k - w + 2
@@ -768,15 +767,11 @@ def _first_collision(tower: FieldTower, g: np.ndarray, w: int, final, arrays):
                 b = np.take(b, e, out=wide[0])
                 keys, repeated = _point_keys(tower, frame, e, wide, narrow)
             if repeated:
-                order = np.argsort(keys, kind="stable")
-                b, e, keys = b[order], e[order], keys[order]
-                hits = np.nonzero(keys[1:] == keys[:-1])[0]
-                hits = hits[b[hits] == b[hits[0]]]
-                at = hits[np.argmin(e[hits])]
-                p = lo + int(b[at])
-                prefix = tuple(int(c) for c in groups[parent[p]]) + (int(last[p]),) if w > 2 else ()
-                first = int(last[p]) + 1 - int(starts[b[at]])  # the column of entry 0 of prefix p
-                return prefix + tuple(int(j) + first for j in e[at : at + 2])
+                i, partner = _first_repeat(keys)
+                p = lo + int(b[i])
+                first = int(last[p]) + 1 - int(starts[b[i]])  # the column of entry 0 of prefix p
+                prefix = tuple(int(c) for c in groups[parent[p]]) + (int(last[p]),)
+                return prefix + (int(e[i]) + first, int(e[partner]) + first)
             lo, start = hi, start + entries
         del chunk, m, frame  # the next chunk is built with this one freed
     return None
@@ -802,14 +797,20 @@ def _parallel_keys(code: LinearCode) -> np.ndarray | None:
     return None
 
 
-def _first_repeat(keys: np.ndarray) -> tuple | None:
-    """The lex-first pair of columns with equal keys, or None: the first
-    column whose key comes again, and where it comes next."""
+def _column_keys(tower: FieldTower, g: np.ndarray) -> np.ndarray:
+    """One key per column of g, which has no zero column, equal for two
+    columns exactly when they are parallel: the column scaled so that its
+    first nonzero entry is 1, as an exact key (_exact_keys)."""
+    lead = g[(g != tower.zero_code).argmax(axis=0), np.arange(g.shape[1])]
+    return _exact_keys(np.zeros(g.shape[1], dtype=np.int64), tower.vdiv(g, lead), tower.q2)
+
+
+def _first_repeat(keys: np.ndarray) -> tuple:
+    """The lex-first pair of positions with equal keys, of keys known to
+    repeat: the first position whose key comes again, and where it comes next."""
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
     at = np.flatnonzero(ordered[1:] == ordered[:-1])
-    if not at.size:
-        return None
     i = at[np.argmin(order[at])]
     return int(order[i]), int(order[i + 1])
 
@@ -821,17 +822,19 @@ def dual_distance_by_columns(code: LinearCode) -> DistanceResult:
     code (k = n) has no k+1 columns, so its exact k+1 comes with no witness.  Once
     every (w-1)-subset is independent, S + {j, l} with |S| = w-2 is
     dependent exactly when columns j and l, projected modulo span(S), are
-    parallel.  The eliminations that depend only on the prefixes S run once
-    per w, in lex-ordered chunks of whole groups (_prefix_chunks): g is
-    eliminated on all but the last column of S once per distinct
-    (w-3)-prefix.  The entries (S, later column j) come in blocks that slice
-    a chunk, a first block of a few prefixes and then blocks that fill a cap
-    on what a block holds, all in arrays made here for the largest block the
-    budget lets the scan reach; each block finds the pivot row and factors
-    of its prefixes' last columns, and only there do points become exact
-    int64 keys (S first).  The scan stops at the first block where keys
-    repeat: one stable sort of that block gives the lex-first dependent set,
-    the first colliding prefix's lowest colliding pair.
+    parallel.  At w = 2, S is empty, and _first_repeat reads the lex-first
+    pair of equal column keys (_parallel_keys from a curve record, else
+    _column_keys).  From w = 3 on, the eliminations that depend only on the
+    prefixes S run once per w, in lex-ordered chunks of whole groups
+    (_prefix_chunks): g is eliminated on all but the last column of S once
+    per distinct (w-3)-prefix.  The entries (S, later column j) come in
+    blocks that slice a chunk, a first block of a few prefixes and then
+    blocks that fill a cap on what a block holds, all in arrays made here for
+    the largest block the budget lets the scan reach; each block finds the
+    pivot row and factors of its prefixes' last columns, and only there do
+    points become exact int64 keys (S first).  The scan stops at the first
+    block where keys repeat, and _first_repeat reads its witness.  A stable
+    sort runs only on keys that a plain sort showed to repeat.
 
     The budget is config.ops_cap() (AGQ_CAP_OPS) and counts nominal work:
     k*w*2 per w-subset, charged in lex-ordered blocks of _CHUNK subsets, with
@@ -840,12 +843,6 @@ def dual_distance_by_columns(code: LinearCode) -> DistanceResult:
     final[:w-2]; a dependent set past final gives a lower bound `w` with
     exact=False, as does running out of budget after certifying all subsets
     of size < w independent.
-
-    A curve record can give the w = 2 collisions instead (_parallel_keys):
-    the lex-first pair of equal keys is the lex-first parallel pair, and
-    where the keys are the record's distinct points there is none.  The
-    budget is charged for w = 2 as before, so every final, witness and
-    bound is the same.
     """
     tower = code.tower
     zero = tower.zero_code
@@ -857,24 +854,26 @@ def dual_distance_by_columns(code: LinearCode) -> DistanceResult:
     zero_cols = np.nonzero((g == zero).all(axis=0))[0]
     if zero_cols.size:
         return DistanceResult(1, True, (int(zero_cols[0]),), "column-scan")
-    # w-subsets certified, w = 2, 3, ..., and the largest block (_first_collision)
+    # w-subsets certified, w = 2, 3, ..., and the largest block of w >= 3 (_first_collision)
     limits, spent, entries = [], 0, 0
     for w in range(2, k + 1):
         unit, total = k * w * 2, comb(n, w)
         limits.append(total if total * unit <= budget - spent else max(0, budget - spent) // (_CHUNK * unit) * _CHUNK)
-        entries = max(entries, min(comb(n, w - 1), max(_LIVE_ENTRIES // (k - w + 2), n)))
+        if w > 2:
+            entries = max(entries, min(comb(n, w - 1), max(_LIVE_ENTRIES // (k - w + 2), n)))
         if limits[-1] < total:
             break
         spent += total * unit
-    arrays = [*_scan_arrays(entries, min(k, 2 * _SHORT_KEY - 1)), np.arange(0)]
-    keys = _parallel_keys(code)
+    arrays = [*_scan_arrays(entries, min(k - 1, 2 * _SHORT_KEY - 1)), np.arange(0)]
     for w, limit in enumerate(limits, start=2):
         # every subset of size < w is certified independent, so d >= w
         if not limit:  # and no w-subset is
             return DistanceResult(w, False, None, "column-scan-lower-bound")
         final = _unrank(limit - 1, n, w) if limit < comb(n, w) else None  # the last w-subset certified
-        if w == 2 and keys is not None:
-            witness = _first_repeat(keys)
+        if w == 2:
+            keys = _parallel_keys(code)
+            keys = _column_keys(tower, g) if keys is None else keys
+            witness = _first_repeat(keys) if _repeats(keys, np.empty_like(keys)) else None
         else:
             witness = _first_collision(tower, g, w, final, arrays)
         if witness is not None and (final is None or witness <= final):

@@ -510,9 +510,6 @@ class FieldTower:
 
     # -- misc ----------------------------------------------------------------
 
-    def key(self) -> tuple:
-        return (self.p, self.m, self.modulus)
-
     def __repr__(self):
         return f"FieldTower(p={self.p}, m={self.m}, q={self.q}, q2={self.q2})"
 

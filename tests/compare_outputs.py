@@ -60,6 +60,8 @@ COMMANDS = [
     ["construct", "--construction", "c9", "--p", "7", "--m", "1", "--t", "7", "--k", "10"],
     ["construct", "--construction", "c6", "--p", "2", "--m", "3", "--n", "22", "--k", "5"],
     ["construct", "--construction", "c8", "--p", "11", "--m", "1", "--k", "7"],
+    # the reference matrices, and f4_9_3, whose w = 2 pair (3, 4), proportional and zero in row 0, lies
+    # in a code with no curve record
     *(["verify", str(path), "--systematic-prefix"] for path in sorted(DATA.glob("*.txt"))),
     # rejections of a request that leaves out a field its construction needs, or names no construction
     *(["construct", "--construction", cons, "--p", "3", "--m", "2", *extra]

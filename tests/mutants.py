@@ -153,6 +153,12 @@ MUTANTS = (
     Mutant("scan-sorts-keys-in-place", CODES,
            "np.copyto(ordered, keys)", "ordered = keys",
            (f"{T_CODES}::test_column_scan_matches_per_subset_scan",)),
+    Mutant("column-keys-scale-by-row-0", CODES,
+           "lead = g[(g != tower.zero_code).argmax(axis=0), np.arange(g.shape[1])]", "lead = g[0]",
+           (f"{T_CODES}::test_column_scan_matches_per_subset_scan",)),
+    Mutant("block-witness-reads-the-previous-partner", CODES,
+           "int(e[partner]) + first", "int(e[partner - 1]) + first",
+           (f"{T_CODES}::test_column_scan_matches_per_subset_scan",)),
     Mutant("scan-prefix-buffer-not-cleared", CODES,
            "            b.fill(0)\n", "",
            (f"{T_CODES}::test_column_scan_matches_per_subset_scan",)),
@@ -218,7 +224,7 @@ MUTANTS = (
            "    if code.full_rank_on(code.n - len(dd.witness)):\n        return dd\n", "",
            (f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration",)),
     Mutant("curve-pairs-scanned", CODES,
-           "if w == 2 and keys is not None:", "if False:",
+           "keys = _parallel_keys(code)\n", "keys = None\n",
            (f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration",)),
     Mutant("light-word-floor-plus-one", CODES,
            "floor = code.n - record.m\n", "floor = code.n - record.m + 1\n",

@@ -19,6 +19,11 @@ import functools
 import numpy as np
 
 
+def _field(tower) -> tuple:
+    """What names a tower's field and its codes: p, m and the modulus."""
+    return (tower.p, tower.m, tower.modulus)
+
+
 class Scalar:
     """Zero or t^e in a fixed tower, held as its exponent code."""
 
@@ -89,10 +94,10 @@ class Scalar:
         return self + self.frobenius()
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Scalar) and self.code == other.code and self.tower.key() == other.tower.key()
+        return isinstance(other, Scalar) and self.code == other.code and _field(self.tower) == _field(other.tower)
 
     def __hash__(self):
-        return hash((self.code, self.tower.key()))
+        return hash((self.code, _field(self.tower)))
 
     def __repr__(self):
         return self.tower.format(self.code)

@@ -1070,7 +1070,7 @@ def scan_blocks():
         groups, _, last, m = chunk
         coordinates = len(out[1]) - 1
         entries = m.shape[-1] - 1 - last
-        width = 0 if groups is None else groups.shape[1] + 1
+        width = groups.shape[1] + 1
         blocks.append((hi - lo, width, m.size + int(entries[lo:hi].sum()) * coordinates))
         if lo == 0 and last[0] == width - 1:  # prefix (0, 1, .., w-3) opens the w
             assert hi - lo <= agq.codes._FIRST_PREFIXES
@@ -1105,6 +1105,14 @@ def scan_blocks():
 # w = 3, {0, 1, 2}: modulo column 0 = e_0, columns 1 and 2 project to points
 # whose first coordinate is zero
 @example((code_of((2, 1), [[0, 0, 1, None], [None, None, None, 0], [None, 0, 0, None]]), config.DEFAULT_OPS_CAP, _CHUNK, 1 << 20))
+# w = 2, {1, 2}: columns 0, 1 and 2 are zero in row 0, and of them only 1 and 2 = t * 1 are parallel
+@example((code_of((2, 1), [[None, None, None, 0], [0, 0, 1, 0], [0, 1, 2, 1]]), config.DEFAULT_OPS_CAP, _CHUNK, 1 << 20))
+# w = 2, {1, 4}: column 4 is t^5 times column 1, which leads in row 0, over GF(49)
+@example((code_of((7, 1), [[3, 0, 7, 9, 5], [1, 2, 40, 11, 7], [6, 30, 4, 22, 35]]), config.DEFAULT_OPS_CAP, _CHUNK, 1 << 20))
+# w = 2, {4, 5}: parallel, but past (1, 3), the last of the 7 pairs that one _CHUNK of 7 pays for
+@example((code_of((2, 2), [[0, 0, 0, 0, 0, 3], [0, 1, 2, 3, 4, 7], [0, 2, 4, 6, 8, 11]]), 7 * 3 * 2 * 2, 7, 1 << 20))
+# w = 2, {3, 11}: k = 9 over GF(169), 9 digits of 8 bits, so the column keys are re-ranked on the way
+@example((code_of((13, 1), [[(i * j) % 168 for j in range(11)] + [(3 * i + 5) % 168] for i in range(9)]), config.DEFAULT_OPS_CAP, _CHUNK, 1 << 20))
 def test_column_scan_matches_per_subset_scan(case):
     code, budget, chunk, live = case
     with (
@@ -1344,7 +1352,7 @@ def planted_vandermonde(k, sources):
 )
 def test_column_scan_without_repeated_keys_never_sorts_stably(pm, k):
     """A [12, k] Vandermonde code has no dependent set of k or fewer columns: the
-    scan runs every w = 2..k over several blocks, and no block has a repeated key."""
+    scan runs every w = 2..k, each w from 3 on over several blocks, and no keys repeat."""
     tw = build_tower(*pm)
     code = LinearCode(tw, np.stack([tw.vpow(np.arange(12), i) for i in range(k)]).astype(np.int32))
     with scan_blocks() as blocks, stable_sorts() as calls:

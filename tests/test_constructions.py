@@ -523,17 +523,17 @@ COPRIME_CATALOG = [
 
 
 def certifier_calls(request):
-    """The rref calls, w = 2 collision searches and codeword enumerations (word
-    blocks of exhaustive_distance) that certifying request and reading its
-    d(C) and quantum distance make, and its d(C)."""
+    """The rref calls, w = 2 reads of the matrix (column keys of the scan) and
+    codeword enumerations (word blocks of exhaustive_distance) that certifying
+    request and reading its d(C) and quantum distance make, and its d(C)."""
     calls = []
 
-    def spy(name, fn, counted=lambda *args: True):
-        return lambda *args, **kwargs: (calls.append(name) if counted(*args) else None) or fn(*args, **kwargs)
+    def spy(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
 
     with (
         mock.patch.object(agq.codes, "rref", spy("rref", agq.codes.rref)),
-        mock.patch.object(agq.codes, "_first_collision", spy("w=2", agq.codes._first_collision, lambda tw, g, w, *r: w == 2)),
+        mock.patch.object(agq.codes, "_column_keys", spy("w=2", agq.codes._column_keys)),
         mock.patch.object(agq.codes, "_word_blocks", spy("enumeration", agq.codes._word_blocks)),
     ):
         certificate = construct(request).certificate
@@ -544,7 +544,7 @@ def certifier_calls(request):
 
 def test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration():
     """The curve record stands in for rref (rank, the MDS screen and purity),
-    the w = 2 column scan and codeword enumeration on every gcd = 1 slot of
+    the w = 2 column keys and codeword enumeration on every gcd = 1 slot of
     the catalog-curves workload, with d(C) = n - m exact: exhaustive_distance
     stops at its first word, the light word.  The gcd 7 curve of c9 p=7 t=7
     has no record and takes all three."""
