@@ -22,7 +22,6 @@ from .constructions import (
     ConstructionRequest,
     construct,
     construct_chain,
-    deep_dimension,
     embed_once,
 )
 from .curves import (
@@ -72,7 +71,6 @@ __all__ = [
     "construct_chain",
     "coset_union_set",
     "curve",
-    "deep_dimension",
     "dual_distance_by_columns",
     "embed_once",
     "evaluation_code",

@@ -2,32 +2,30 @@
 
 Everything here is oracle-grade: Gram certification, distances and MDS
 checks are computed from the matrix, never assumed from the way a code
-was built.  That holds for shortcuts too: each code's one structure record,
-LinearCode.structure, recognises a twisted-Vandermonde matrix and the orbits
-of a multiplicative symmetry on its own codes, points and norms alike, and
-the rank check, the Gram sum (once per orbit) and is_mds, where alone
-MDS-ness is decided, all read it.  certify's Certificate is the one record
-of a code: it holds the code, and its ``distance`` decides d(C) on first
-read.  Matrices are numpy int32 arrays of exponent codes (tower convention:
-code q^2-1 is zero), so the hot loops are table lookups.
-
-A one-point curve code also has a curve record, LinearCode.curve, checked
-against G once (_curve_record).  Checked on the matrix and its points: G is
-v * x^a * y^b entry by entry, every point satisfies A(y) = x^e + c, the
-points are distinct, v has no zero, and the monomials have b < pole_x and
-distinct pole orders.  Taken from the theory: gcd(pole_x, pole_y) = 1,
-without which the code has no record, and that a nonzero f of pole order
-at most m, the record's largest, has at most m zeros (Stichtenoth, Thm
-2.2.2).  Its readers: the rank check and purity (LinearCode.full_rank_on),
-the column scan's w = 2 keys (_parallel_keys; other codes key their
-columns scaled to lead with 1), is_mds, which scans such a code first, and
-d(C), where exhaustive_distance stops at the floor n - m when a light word
-meets it (_light_word).  Where a reader's hypothesis fails, it takes the
-path of a code without a record.
+was built.  That holds for shortcuts too: what a construction knows about G
+is a record, checked on the matrix once, and every record answers the same
+questions (Record): rank k on any c columns, the terms the Gram sums, a
+floor on d(C^perp) with its method, the column scan's w = 2 keys, and d(C)
+from a light word.  Where its hypothesis fails a record answers None, and
+the caller takes the path of a code without a record; no caller asks which
+records a code has.  The line record (_line_record) is a twisted-Vandermonde
+core on n0 >= k points plus unit columns c * e_r, r >= 1, as embedding steps
+append them: rank k on any c columns with c - u >= k, u unit columns; the
+core's Gram, once per orbit, plus c^(q+1) at (r, r) per unit column; and MDS
+with no unit column ("vandermonde") or with one, in row k-1, a doubly
+extended GRS code ("extended-grs"; MacWilliams-Sloane, ch. 11).  The curve
+record (_curve_record) of a one-point code: rank k on more than m columns,
+as a nonzero f of pole order at most m has at most m zeros (Stichtenoth, Thm
+2.2.2); the floor 1, so is_mds runs the column scan first; w = 2 keys from
+its points; and d(C) = n - m when a light word meets it.  certify's
+Certificate is the one record of a code: it holds the code, and its
+``distance`` decides d(C) on first read.  Matrices are numpy int32 arrays of
+exponent codes (tower convention: code q^2-1 is zero): hot loops are lookups.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
@@ -65,22 +63,11 @@ _SHORT_KEY = 3
 class LinearCode:
     """[n, k] code over GF(q^2) held as a full-rank generator matrix.
 
-    ``structure`` is the one record of the matrix's shape, which _structure
-    finds once, here, from the codes alone: None unless G = (v_l * alpha_l^i)
-    with 0 < k <= n, nonzero v_l and distinct alpha_l, and otherwise the
-    (columns, d, c) that hermitian_gram sums over.  Every k x k minor of such
-    a G is a v-scaled Vandermonde determinant, nonzero, so its rank is k
-    without rref, and is_mds reads the record as an MDS certificate.
-
-    ``curve`` is the curve record (CurveRecord) of a one-point code, which
-    _curve_record checks against G once, on first read, from what
-    evaluation_code hands over as ``curve``: the curve, the monomials, the
-    points and the twist.  It is None for every other code.  Its readers
-    are full_rank_on (the rank check, purity and the floor of d(C)),
-    _parallel_keys (the column scan at w = 2), is_mds and _light_word.
-    With verify_rank, a G whose rank neither record gives is row-reduced
-    and a rank below k raises RankDefect; is_mds reads the same ``reduced``
-    form.
+    ``records`` yields the records G satisfies: the line record, then the
+    curve record of what evaluation_code hands over as ``curve``, checked
+    only when first reached.  With verify_rank, a G whose rank no record
+    gives is row-reduced and a rank below k raises RankDefect; is_mds reads
+    the same ``reduced`` form.
     """
 
     def __init__(
@@ -93,24 +80,29 @@ class LinearCode:
         self.g = g
         self.provenance = provenance
         self.k, self.n = g.shape
-        self.structure = _structure(tower, g)
+        self._line = _line_record(tower, g)
         self._curve = curve
-        if verify_rank and self.k > 0 and self.structure is None and not self.full_rank_on(self.n):
+        if verify_rank and self.k > 0 and not self.full_rank_on(self.n):
             r = len(self.reduced[1])
             if r != self.k:
                 raise RankDefect(r, self.k)
 
-    def full_rank_on(self, columns: int) -> bool:
-        """Does the curve record show that any `columns` columns of G have rank
-        k?  A nonzero f of pole order at most m has at most m zeros
-        (Stichtenoth, Thm 2.2.2), so no nonzero word of C vanishes on more
-        than m columns."""
-        return self.curve is not None and columns > self.curve.m
+    @property
+    def records(self) -> Iterator[Record]:
+        found = (getattr(self, name) for name in ("_line", "_curve_checked"))  # the curve checked when reached
+        return (record for record in found if record is not None)
 
     @cached_property
-    def curve(self) -> CurveRecord | None:
-        """The curve record, or None (_curve_record)."""
+    def _curve_checked(self) -> CurveRecord | None:
         return None if self._curve is None else _curve_record(self.tower, self.g, *self._curve)
+
+    def full_rank_on(self, columns: int) -> bool:
+        """Does a record show that any `columns` columns of G have rank k?"""
+        return any(record.full_rank_on(self, columns) for record in self.records)
+
+    def ask(self, reader: str):
+        """The first answer but None of a Record reader, by name, in the records' order."""
+        return next((a for a in (getattr(record, reader)(self) for record in self.records) if a is not None), None)
 
     @cached_property
     def reduced(self) -> tuple[np.ndarray, tuple]:
@@ -124,11 +116,56 @@ class LinearCode:
         return f"LinearCode[{self.n},{self.k}]_({self.tower.q}^2)<{self.provenance}>"
 
 
-def _structure(tower: FieldTower, g: np.ndarray) -> tuple[np.ndarray, int, np.ndarray | None] | None:
-    """LinearCode.structure: None unless G = (v_l * alpha_l^i) with 0 < k <= n,
-    v_l != 0 and alpha_l = G[1,l]/G[0,l] distinct; otherwise (columns, d, c),
-    the columns of G that hermitian_gram sums over, one per orbit of d
-    points, and the orbits' exponents c_r.
+class Record:
+    """What a construction knows about G, checked on the matrix.  Each reader
+    answers None where the record's hypothesis fails."""
+
+    def full_rank_on(self, code: LinearCode, columns: int) -> bool | None:
+        """Do any `columns` columns of G have rank k?"""
+
+    def gram_terms(self, code: LinearCode) -> tuple | None:
+        """(columns, d, c, unit_columns), the terms hermitian_gram sums."""
+
+    def dual_floor(self, code: LinearCode) -> tuple[int, str] | None:
+        """(floor on d(C^perp), method): k+1 makes C MDS by that method."""
+
+    def parallel_keys(self, code: LinearCode) -> np.ndarray | None:
+        """One key per column, equal for two columns exactly when they are parallel."""
+
+    def light_word(self, code: LinearCode) -> DistanceResult | None:
+        """d(C) from a certified floor that a word of C meets, with the word."""
+
+
+@dataclass(frozen=True, eq=False)
+class LineRecord(Record):
+    """The line record (_line_record): hermitian_gram's terms."""
+
+    columns: np.ndarray  # the core's orbit representatives, then its zero point
+    d: int
+    c: np.ndarray | None
+    unit_columns: tuple  # (r, c) of each unit column c * e_r
+
+    def full_rank_on(self, code: LinearCode, columns: int) -> bool:
+        # any k core columns: a v-scaled Vandermonde minor
+        return columns - len(self.unit_columns) >= code.k
+
+    def gram_terms(self, code: LinearCode) -> tuple | None:
+        return self.columns, self.d, self.c, self.unit_columns
+
+    def dual_floor(self, code: LinearCode) -> tuple[int, str] | None:
+        rows = [r for r, _ in self.unit_columns]
+        if not rows:
+            return code.k + 1, "vandermonde"
+        if rows == [code.k - 1]:  # k-1 core columns and e_(k-1): a Vandermonde minor of rows 0..k-2
+            return code.k + 1, "extended-grs"
+        return None
+
+
+def _line_record(tower: FieldTower, g: np.ndarray) -> LineRecord | None:
+    """The line record: None unless the columns of G with a zero in row 0 are
+    unit columns c * e_r (one nonzero entry, so r >= 1) and the rest, the core,
+    is (v_l * alpha_l^i) with 0 < k <= n0, v_l != 0 and alpha_l = G[1,l]/G[0,l]
+    distinct.  A zero point's column v * e_0 is the core's.
 
     The alpha_l are sorted once, unless they already ascend.  Their nonzero
     codes are fixed by the group <t^s> of order d = (q^2-1)/s that
@@ -138,13 +175,23 @@ def _structure(tower: FieldTower, g: np.ndarray) -> tuple[np.ndarray, int, np.nd
     log N(alpha_r) + m * s * c_r, which is checked on G[0], the orbit adds
     sum_m (t^s)^(m (i + qj + c_r)), d or 0, times the representative's
     product: the columns are the representatives, then the zero point if
-    present.  Otherwise, and for k = 1, they are all of G, d = 1 and c is None.
+    present.  Otherwise, and for k = 1, they are the whole core, d = 1 and c
+    is None.
     """
     zero, units = tower.zero_code, tower.n_units
+    at = np.flatnonzero(g[0] == zero) if len(g) else ()
+    unit_columns = ()
+    if len(at):
+        nonzero = g[:, at] != zero
+        if np.count_nonzero(np.count_nonzero(nonzero, axis=0) != 1):
+            return None
+        rows = nonzero.argmax(axis=0)
+        unit_columns = tuple(zip(rows.tolist(), g[rows, at].tolist()))
+        g = np.delete(g, at, axis=1)
     k, n = g.shape
-    if not 0 < k <= n or np.count_nonzero(g[0] == zero):
+    if not 0 < k <= n:
         return None
-    whole = (g, 1, None)
+    whole = LineRecord(g, 1, None, unit_columns)
     if k == 1:
         return whole
     alpha = tower.vdiv(g[1], g[0])
@@ -170,14 +217,14 @@ def _structure(tower: FieldTower, g: np.ndarray) -> tuple[np.ndarray, int, np.nd
     # every step of orbit r is its first, and that is c_r * s only if s divides it
     if np.count_nonzero(steps.reshape(d - 1, reps) != c * s):
         return whole
-    return np.concatenate((g[:, :reps], g[:, size:]), axis=1), d, c
+    return LineRecord(np.concatenate((g[:, :reps], g[:, size:]), axis=1), d, c, unit_columns)
 
 
 @dataclass(frozen=True, eq=False)
-class CurveRecord:
-    """LinearCode.curve: row i of G is v_l * x_l^a * y_l^b at the points
-    (x_l, y_l) of spec's curve, for the i-th monomial (a, b); m is the largest
-    pole order a * pole_x + b * pole_y among them."""
+class CurveRecord(Record):
+    """The curve record (_curve_record): row i of G is v_l * x_l^a * y_l^b at
+    the points (x_l, y_l) of spec's curve, for the i-th monomial (a, b); m is
+    the largest pole order a * pole_x + b * pole_y among them."""
 
     spec: CurveSpec
     monomials: tuple  # (a, b) of each row
@@ -185,11 +232,68 @@ class CurveRecord:
     y: np.ndarray
     m: int
 
+    def full_rank_on(self, code: LinearCode, columns: int) -> bool:
+        # no nonzero word of C vanishes on more than m columns
+        return columns > self.m
+
+    def dual_floor(self, code: LinearCode) -> tuple[int, str] | None:
+        return 1, "column-scan"  # no floor of its own yet: is_mds scans such a code first
+
+    def parallel_keys(self, code: LinearCode) -> np.ndarray | None:
+        """With the row of 1 and a twist with no zero, columns l and l' are
+        parallel exactly when f(P_l) = f(P_l') for every row's monomial f.  So
+        with rows 1, x and y the key is the point, and the record's points are
+        distinct; with rows 1 and u, u = x or y, and every other row a power of
+        u, the key is u."""
+        if (0, 0) not in self.monomials:
+            return None
+        a, b = np.asarray(self.monomials).T
+        if {(1, 0), (0, 1)} <= set(self.monomials):
+            return self.x.astype(np.int64) * code.tower.q2 + self.y
+        if (1, 0) in self.monomials and not b.any():
+            return self.x
+        if (0, 1) in self.monomials and not a.any():
+            return self.y
+        return None
+
+    def light_word(self, code: LinearCode) -> DistanceResult | None:
+        """d(C) = n - m, exhaustive_distance's first word.  With n > m, d(C) >=
+        n - m.  When the top monomial is u^j, u = x or y, and u^0 .. u^j are
+        all rows, the word of prod_i (u - a_i) over the j most frequent values
+        a_i of u (ties to the lower code) is formed from those rows and
+        weighed on G: for x it vanishes on j whole fibers, and for y on the
+        points of its j most frequent values.  Its weight is n - m when those
+        are m points, and then d(C) = n - m exactly."""
+        if code.n <= self.m:
+            return None
+        floor = code.n - self.m
+        tower, zero = code.tower, code.tower.zero_code
+        spec = self.spec
+        a, b = max(self.monomials, key=lambda ab: ab[0] * spec.pole_x + ab[1] * spec.pole_y)
+        if a and b:
+            return None
+        j, u = (a, self.x) if b == 0 else (b, self.y)
+        powers = [(i, 0) if b == 0 else (0, i) for i in range(j + 1)]
+        if not set(powers) <= set(self.monomials):
+            return None
+        roots = np.argsort(-np.bincount(u, minlength=tower.q2), kind="stable")[:j]
+        poly = np.full(j + 1, zero, dtype=np.int32)  # the coefficients of u^0 .. u^j
+        poly[0] = 0  # the constant 1
+        for minus_r in tower.vneg(roots):  # times (u - r)
+            poly = tower.vadd(np.concatenate(([zero], poly[:-1])), tower.vmul(minus_r, poly))
+        terms = tower.vmul(poly[:, None], code.g[[self.monomials.index(power) for power in powers]])
+        word = terms[0]
+        for term in terms[1:]:
+            word = tower.vadd(word, term)
+        if np.count_nonzero(word != zero) != floor:
+            return None
+        return DistanceResult(floor, True, tuple(word.tolist()), "goppa-light-word")
+
 
 def _curve_record(
     tower: FieldTower, g: np.ndarray, spec: CurveSpec, monomials, x, y, twist
 ) -> CurveRecord | None:
-    """LinearCode.curve: None unless every check holds.  On the matrix: G =
+    """The curve record: None unless every check holds.  On the matrix: G =
     (v_l * x_l^a * y_l^b) entry by entry, every (x_l, y_l) satisfies A(y) =
     x^e + c (evaluated from spec's amap, pole_y and c), the points are
     distinct, v has no zero, and every monomial has b < pole_x and its own
@@ -246,9 +350,8 @@ class Certificate:
     @cached_property
     def distance(self) -> DistanceResult | None:
         """d(C), decided here alone and on first read: n-k+1 (Singleton) when C
-        is MDS, else exhaustive_distance, which stops at the curve record's
-        floor when a light word meets it, or None past config.EXHAUSTIVE_CAP
-        words."""
+        is MDS, else exhaustive_distance, which stops at a record's floor
+        when a light word meets it, or None past config.EXHAUSTIVE_CAP words."""
         if self.mds:
             return DistanceResult(self.code.n - self.code.k + 1, True, None, "mds-singleton")
         try:
@@ -381,13 +484,15 @@ def hermitian_gram(code: LinearCode) -> GramCertificate:
 
     Each product is a log-sum of G[i,l] and G[j,l]^q, whose additive word
     the tower derives from its exp read, and each entry is an integer sum
-    of those words (tower._sum_products).  The sum runs over one column per
-    orbit of a multiplicative symmetry checked on the matrix (code.structure):
-    an orbit of d columns adds d * [d | i + qj + c_r] * G[i,r] * G[j,r]^q for
-    its representative r, so its left factor is scaled by d mod p and the
-    entries where d does not divide i + qj + c_r are pushed to slot sums of
-    2(q^2-1) or more, which read the zero word.  Without such a symmetry
-    d = 1 and every column is its own orbit.  Blocks of rows read about
+    of those words (tower._sum_products).  A record's terms (Record.gram_terms)
+    give the columns, one per orbit of d points of a multiplicative symmetry
+    checked on the matrix, their norm steps c_r, and the (r, c) of each unit
+    column c * e_r, which adds c^(q+1) at (r, r).  An orbit of d columns adds
+    d * [d | i + qj + c_r] * G[i,r] * G[j,r]^q for its representative r, so
+    its left factor is scaled by d mod p and the entries where d does not
+    divide i + qj + c_r are pushed to slot sums of 2(q^2-1) or more, which
+    read the zero word.  Without such a symmetry, or a record, d = 1 and
+    every column is its own orbit.  Blocks of rows read about
     _GATHER_ENTRIES words.  A block sums the entries with j >= its first
     row; left of that, as <g_i, g_j>_H = <g_j, g_i>_H^q (y^(q^2) = y), it
     takes the Frobenius image of entries already summed.
@@ -395,7 +500,7 @@ def hermitian_gram(code: LinearCode) -> GramCertificate:
     tower = code.tower
     k = code.k
     units = tower.n_units
-    g, d, c = code.structure or (code.g, 1, None)
+    g, d, c, unit_columns = code.ask("gram_terms") or (code.g, 1, None, ())
     lhs = tower._word_slots(g)
     rhs = np.where(lhs < units, lhs * tower.q % units, lhs)  # the slots of G^q
     if d > 1:
@@ -416,6 +521,8 @@ def hermitian_gram(code: LinearCode) -> GramCertificate:
             right = np.repeat(right, len(row), axis=0)
             right[:, :, :reps] += (row + tower.q * col + c) % d * (2 * units)
         m[start:stop, start:] = tower._sum_products(lhs[start:stop, None, :], right)
+    for r, e in unit_columns:
+        m[r, r] = tower.vadd(m[r, r], e * (tower.q + 1) % units)
     nonzero = m != tower.zero_code
     if np.count_nonzero(nonzero):
         i, j = divmod(int(nonzero.argmax()), k)
@@ -460,17 +567,17 @@ def exhaustive_distance(code: LinearCode) -> DistanceResult:
     Zero words, which only dependent rows give, are not counted.
 
     The search may stop at any word whose weight meets a certified floor on
-    d(C), since no word is lighter.  A curve record certifies n - m, and the
-    search weighs its light word first (_light_word): if that meets the
-    floor, it is the answer, method goppa-light-word, and no word is
-    enumerated, whatever the code's size.  Otherwise a code of more than
-    config.EXHAUSTIVE_CAP words, q^{2k}, raises CapExceeded."""
+    d(C), since no word is lighter.  The search weighs a record's light word
+    first (Record.light_word): if that meets the record's floor, it is the
+    answer, method goppa-light-word, and no word is enumerated, whatever the
+    code's size.  Otherwise a code of more than config.EXHAUSTIVE_CAP words,
+    q^{2k}, raises CapExceeded."""
     tower = code.tower
     zero = tower.zero_code
     q2, k, n = tower.q2, code.k, code.n
     if k == 0:
         return DistanceResult(n + 1, True, None, "degenerate")
-    light = _light_word(code)
+    light = code.ask("light_word")
     if light is not None:
         return light
     total = q2 ** k
@@ -491,42 +598,6 @@ def exhaustive_distance(code: LinearCode) -> DistanceResult:
                 b, a = divmod(pos, q2)
                 best, witness = int(weights.flat[pos]), tower.vadd(heads[b], tower.vmul(a, t))
     return DistanceResult(best, True, tuple(int(v) for v in witness) if best <= n else None, "exhaustive")
-
-
-def _light_word(code: LinearCode) -> DistanceResult | None:
-    """d(C) = n - m from the curve record, or None: exhaustive_distance's first
-    word.  With n > m, d(C) >= n - m (LinearCode.full_rank_on).  When the
-    top monomial is u^j, u = x or y, and u^0 .. u^j are all rows, the word
-    of prod_i (u - a_i) over the j most frequent values a_i of u (ties to
-    the lower code) is formed from those rows and weighed on G: for x it
-    vanishes on j whole fibers, and for y on the points of its j most
-    frequent values.  Its weight is n - m when those are m points, and then
-    d(C) = n - m exactly."""
-    record = code.curve
-    if record is None or code.n <= record.m:
-        return None
-    floor = code.n - record.m
-    tower, zero = code.tower, code.tower.zero_code
-    spec = record.spec
-    a, b = max(record.monomials, key=lambda ab: ab[0] * spec.pole_x + ab[1] * spec.pole_y)
-    if a and b:
-        return None
-    j, u = (a, record.x) if b == 0 else (b, record.y)
-    powers = [(i, 0) if b == 0 else (0, i) for i in range(j + 1)]
-    if not set(powers) <= set(record.monomials):
-        return None
-    roots = np.argsort(-np.bincount(u, minlength=tower.q2), kind="stable")[:j]
-    poly = np.full(j + 1, zero, dtype=np.int32)  # the coefficients of u^0 .. u^j
-    poly[0] = 0  # the constant 1
-    for minus_r in tower.vneg(roots):  # times (u - r)
-        poly = tower.vadd(np.concatenate(([zero], poly[:-1])), tower.vmul(minus_r, poly))
-    terms = tower.vmul(poly[:, None], code.g[[record.monomials.index(power) for power in powers]])
-    word = terms[0]
-    for term in terms[1:]:
-        word = tower.vadd(word, term)
-    if np.count_nonzero(word != zero) != floor:
-        return None
-    return DistanceResult(floor, True, tuple(word.tolist()), "goppa-light-word")
 
 
 def _unrank(r: int, n: int, w: int) -> tuple:
@@ -777,26 +848,6 @@ def _first_collision(tower: FieldTower, g: np.ndarray, w: int, final, arrays):
     return None
 
 
-def _parallel_keys(code: LinearCode) -> np.ndarray | None:
-    """One key per column of a code with a curve record, equal for two columns
-    exactly when they are parallel, or None.  With the row of 1 and a twist
-    with no zero, columns l and l' are parallel exactly when f(P_l) =
-    f(P_l') for every row's monomial f.  So with rows 1, x and y the key is
-    the point, and the record's points are distinct; with rows 1 and u, u =
-    x or y, and every other row a power of u, the key is u."""
-    record = code.curve
-    if record is None or (0, 0) not in record.monomials:
-        return None
-    a, b = np.asarray(record.monomials).T
-    if {(1, 0), (0, 1)} <= set(record.monomials):
-        return record.x.astype(np.int64) * code.tower.q2 + record.y
-    if (1, 0) in record.monomials and not b.any():
-        return record.x
-    if (0, 1) in record.monomials and not a.any():
-        return record.y
-    return None
-
-
 def _column_keys(tower: FieldTower, g: np.ndarray) -> np.ndarray:
     """One key per column of g, which has no zero column, equal for two
     columns exactly when they are parallel: the column scaled so that its
@@ -823,7 +874,7 @@ def dual_distance_by_columns(code: LinearCode) -> DistanceResult:
     every (w-1)-subset is independent, S + {j, l} with |S| = w-2 is
     dependent exactly when columns j and l, projected modulo span(S), are
     parallel.  At w = 2, S is empty, and _first_repeat reads the lex-first
-    pair of equal column keys (_parallel_keys from a curve record, else
+    pair of equal column keys (a record's Record.parallel_keys, else
     _column_keys).  From w = 3 on, the eliminations that depend only on the
     prefixes S run once per w, in lex-ordered chunks of whole groups
     (_prefix_chunks): g is eliminated on all but the last column of S once
@@ -871,7 +922,7 @@ def dual_distance_by_columns(code: LinearCode) -> DistanceResult:
             return DistanceResult(w, False, None, "column-scan-lower-bound")
         final = _unrank(limit - 1, n, w) if limit < comb(n, w) else None  # the last w-subset certified
         if w == 2:
-            keys = _parallel_keys(code)
+            keys = code.ask("parallel_keys")
             keys = _column_keys(tower, g) if keys is None else keys
             witness = _first_repeat(keys) if _repeats(keys, np.empty_like(keys)) else None
         else:
@@ -888,24 +939,26 @@ def is_mds(code: LinearCode) -> tuple[bool | None, tuple | None, str, DistanceRe
 
     The two questions are one: every k columns are independent exactly when
     d(C^perp) = k+1 (Singleton).  This is the one place the verdict is made,
-    in order: a structure record is MDS ("vandermonde"); a code with a curve
-    record goes to the column scan first, whose exact d(C^perp) decides the
-    verdict as below, and only a lower bound goes on; a reduced form [I | A]
-    whose A has at most one column ("systematic") or is generalized
-    Cauchy ("cauchy", _cauchy_verify), while a pivot past column k-1 or a zero
-    of A is a singular k-subset ("systematic"), and the scan then gives only
-    d(C^perp).  Otherwise the column scan (AGQ_CAP_OPS caps it) decides: exact
-    k+1 is MDS, an exact d <= k is not (the dependent set padded with the
-    lowest unused columns is a singular k-subset), and a lower bound leaves
-    the flag None.  Returns (flag, singular_witness_columns, method, dual_distance).
+    in order: the first record's floor (Record.dual_floor) of k+1 is MDS by
+    its method; a lower floor sends the code to the column scan first, whose
+    exact d(C^perp) decides the verdict as below, and only a lower bound goes
+    on; a reduced form [I | A] whose A has at most one column ("systematic")
+    or is generalized Cauchy ("cauchy", _cauchy_verify) is MDS, while a pivot
+    past column k-1 or a zero of A is a singular k-subset ("systematic"), and
+    the scan then gives only d(C^perp).  Otherwise the column scan
+    (AGQ_CAP_OPS caps it) decides: exact k+1 is MDS, an exact d <= k is not
+    (the dependent set padded with the lowest unused columns is a singular
+    k-subset), and a lower bound leaves the flag None.  Returns (flag,
+    singular_witness_columns, method, dual_distance).
     """
     k, n = code.k, code.n
     if k == 0:
         return True, None, "degenerate", DistanceResult(1, True, None, "mds-singleton")
     singleton = DistanceResult(k + 1, True, None, "mds-singleton")
-    if code.structure is not None:
-        return True, None, "vandermonde", singleton
-    dd = dual_distance_by_columns(code) if code.curve is not None else None
+    floor = code.ask("dual_floor")
+    if floor is not None and floor[0] == k + 1:
+        return True, None, floor[1], singleton
+    dd = dual_distance_by_columns(code) if floor is not None else None
     if dd is not None and dd.exact:
         return _scan_verdict(code, dd)
     r, pivots = code.reduced
@@ -1000,8 +1053,8 @@ def _quantum_distance(code: LinearCode, dd: DistanceResult) -> DistanceResult:
     of G[:, S] is a word x of C^perp on S, and x^q lies in C^perp_H.  A nonzero
     word of C inside S lies in C^perp_H too, so its q-th power is in that
     kernel and the word is a multiple of x^q.  Hence x^q lies in C exactly
-    when the columns outside S have rank < k.  The curve record shows rank k
-    when n - |S| > m (LinearCode.full_rank_on); otherwise one rank tests it.
+    when the columns outside S have rank < k.  A record may show rank k on
+    n - |S| columns (LinearCode.full_rank_on); otherwise one rank tests it.
     A rank below k reports d as a lower bound, with method impure-lower-bound.
     """
     if not dd.exact or dd.value == code.k + 1 or code.n == 2 * code.k:

@@ -349,14 +349,3 @@ def _embed_until_rejected(cert: CertifiedCode, steps: int | None) -> list[Certif
             chain[-1] = replace(chain[-1], trace=chain[-1].trace + (f"chain ends: {exc}",))
             break
     return chain
-
-
-def deep_dimension(tower: FieldTower, t: int) -> CertifiedCode:
-    """The floor(n/2t)-dimensional code on the n = t(q-1)+1 roots of x^n - x.
-
-    Requires t | (q+1) and floor(n/2t) >= 1, which fails only for q = 2,
-    t = 3.  The deep code of the paper is one embedding step further,
-    embed_once(deep_dimension(tower, t)), which applies the usual length-n /
-    length-n+1 dichotomy, certified by Gram.
-    """
-    return _construct_base(ConstructionRequest("c1", tower.p, tower.m, t=t, embed="deep"), tower)

@@ -9,16 +9,21 @@ word cap, constructs of c5, c6, c8 and c9, verify of every matrix in tests/data,
 a field their construction needs or name no construction, and c4 and c9
 scans given the field they sweep) once with
 PYTHONPATH set to this tree's src and once with it set to OTHER_TREE/src.
-Every "time_s" and "build_s" value is masked; the exit code, stdout and any
---out file must then match byte for byte.  Every command runs, whatever an
+Every "time_s" and "build_s" value is masked as "*"; the exit code, stdout
+and any --out file must then match byte for byte.  Every command runs, whatever an
 earlier one gave: each prints one line, "same" with its line count, or
-"DIFFER" with both trees' line counts and the first line that differs.  The
-exit code is 1 if any command differed, else 0.  It is not part of the test
+"DIFFER" with both trees' line counts and then every line that differs,
+matched up by difflib.  Where both sides of a changed line are JSON objects,
+it names the keys whose values differ, dotted (classical.mds_method), with
+both values; any other changed line is printed from both trees.  The exit
+code is 1 if any command differed, else 0.  It is not part of the test
 suite: the scans take seconds each.
 """
 
 from __future__ import annotations
 
+import difflib
+import json
 import os
 import re
 import subprocess
@@ -85,7 +90,50 @@ def run(tree: Path, argv: list[str]) -> list[str]:
         text = f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}"
         if out.exists():
             text += "--out\n" + out.read_text()
-    return _TIMES.sub(r"\1*", text).splitlines()
+    return _TIMES.sub(r'\1"*"', text).splitlines()  # a JSON string: masked lines still parse
+
+
+def _json_object(line: str) -> dict | None:
+    try:
+        value = json.loads(line)
+    except ValueError:
+        return None
+    return value if isinstance(value, dict) else None
+
+
+_ABSENT = object()
+
+
+def changed_keys(here, there, path: str = "") -> list:
+    """(dotted key, value here, value there) for each value that differs
+    between two JSON values, descending into objects; _ABSENT for a missing key."""
+    if isinstance(here, dict) and isinstance(there, dict):
+        keys = [*here, *(key for key in there if key not in here)]
+        return [change for key in keys for change in
+                changed_keys(here.get(key, _ABSENT), there.get(key, _ABSENT), f"{path}.{key}" if path else key)]
+    return [] if here == there else [(path, here, there)]
+
+
+def differences(mine: list[str], theirs: list[str]) -> list[str]:
+    """One or more report lines for each line that differs between two outputs."""
+    report = []
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, mine, theirs, autojunk=False).get_opcodes():
+        if tag == "equal":
+            continue
+        if i2 - i1 == j2 - j1:  # changed lines, matched one to one
+            for i, j in zip(range(i1, i2), range(j1, j2)):
+                here, there = _json_object(mine[i]), _json_object(theirs[j])
+                if here is not None and there is not None:
+                    for key, a, b in changed_keys(here, there):
+                        show = ["(absent)" if v is _ABSENT else json.dumps(v) for v in (a, b)]
+                        report.append(f"  line {i + 1}: {key} {show[1]} on the other tree, {show[0]} here")
+                    continue
+                report.append(f"  line {i + 1}, this tree:  {mine[i]}")
+                report.append(f"  line {j + 1}, other tree: {theirs[j]}")
+            continue
+        report += [f"  line {i + 1}, this tree only:  {mine[i]}" for i in range(i1, i2)]
+        report += [f"  line {j + 1}, other tree only: {theirs[j]}" for j in range(j1, j2)]
+    return report
 
 
 def main(argv=None) -> int:
@@ -103,10 +151,7 @@ def main(argv=None) -> int:
             continue
         differed += 1
         print(f"DIFFER {label}: {len(mine)} lines on this tree, {len(theirs)} on the other")
-        # the first differing line, or the first line only one tree has
-        lineno = next(i for i, (a, b) in enumerate(zip(mine + [None], theirs + [None])) if a != b)
-        for tree, lines in (("this tree: ", mine), ("other tree:", theirs)):
-            print(f"  line {lineno + 1}, {tree} {lines[lineno] if lineno < len(lines) else '(none)'}")
+        print("\n".join(differences(mine, theirs)))
     print(f"{differed} of {len(COMMANDS)} commands differ")
     return 1 if differed else 0
 

@@ -42,6 +42,7 @@ CODES, FIELDS, CURVES = "src/agq/codes.py", "src/agq/fields.py", "src/agq/curves
 CONSTRUCTIONS, POINTS, CLI = "src/agq/constructions.py", "src/agq/points.py", "src/agq/cli.py"
 T_CODES, T_FIELDS, T_CURVES = "tests/test_codes.py", "tests/test_fields.py", "tests/test_curves.py"
 T_CONSTRUCTIONS, T_CLI = "tests/test_constructions.py", "tests/test_cli.py"
+T_TWINS = "tests/test_twins.py::test_twins_agree_with_every_record"  # on every record mutant
 
 MUTANTS = (
     # the O(q) start and the table build: the primitivity certificate, the slices and the zero coordinate
@@ -90,17 +91,41 @@ MUTANTS = (
     Mutant("coset-leaders-drop-residue-check", POINTS,
            "if idx != 0 and idx not in seen and code % need == 0:", "if idx != 0 and code % need == 0:",
            ("tests/test_points.py::test_coset_leaders_fall_in_distinct_cosets",)),
-    # the structure record
+    # the line record: the core's checks, the unit columns, and their readers
     Mutant("structure-drop-norm-step-check", CODES,
            "if np.count_nonzero(steps.reshape(d - 1, reps) != c * s):", "if False:",
-           (f"{T_CODES}::test_structure_record_matches_brute_force",)),
+           (f"{T_CODES}::test_structure_record_matches_brute_force", T_TWINS)),
     Mutant("structure-drop-distinct-points-check", CODES,
            "if np.count_nonzero(alpha[1:] == alpha[:-1]):", "if False:",
-           (f"{T_CODES}::test_structure_record_matches_brute_force",)),
+           (f"{T_CODES}::test_structure_record_matches_brute_force", T_TWINS)),
     Mutant("rank-check-always-row-reduces", CODES,
-           "if verify_rank and self.k > 0 and self.structure is None and not self.full_rank_on(self.n):",
+           "if verify_rank and self.k > 0 and not self.full_rank_on(self.n):",
            "if verify_rank and self.k > 0:",
-           (f"{T_CODES}::test_rank_by_shape_matches_rref",)),
+           (f"{T_CODES}::test_rank_by_shape_matches_rref", T_TWINS)),
+    Mutant("records-checked-all-at-once", CODES,
+           "return (record for record in found if record is not None)",
+           "return tuple(record for record in found if record is not None)",
+           (f"{T_CONSTRUCTIONS}::test_a_line_record_spares_the_curve_check", T_TWINS)),
+    Mutant("unit-column-keeps-a-second-entry", CODES,
+           "if np.count_nonzero(np.count_nonzero(nonzero, axis=0) != 1):", "if False:",
+           (f"{T_CODES}::test_structure_record_matches_brute_force", T_TWINS)),
+    Mutant("zero-point-column-read-as-unit", CODES,
+           "at = np.flatnonzero(g[0] == zero)", "at = np.flatnonzero(np.count_nonzero(g != zero, axis=0) == 1)",
+           (f"{T_CODES}::test_structure_record_matches_brute_force", T_TWINS)),
+    Mutant("unit-diagonal-dropped", CODES,
+           "    for r, e in unit_columns:\n        m[r, r] = tower.vadd(m[r, r], e * (tower.q + 1) % units)\n", "",
+           (f"{T_CODES}::test_structure_record_matches_brute_force",
+            f"{T_CODES}::test_line_record_readers_match_their_oracles", T_TWINS)),
+    Mutant("unit-diagonal-squared", CODES,
+           "e * (tower.q + 1) % units", "e * 2 % units",
+           (f"{T_CODES}::test_structure_record_matches_brute_force",
+            f"{T_CODES}::test_line_record_readers_match_their_oracles", T_TWINS)),
+    Mutant("two-unit-columns-in-row-k-1-read-as-mds", CODES,
+           "if rows == [code.k - 1]:", "if set(rows) == {code.k - 1}:",
+           (f"{T_CODES}::test_line_record_readers_match_their_oracles", T_TWINS)),
+    Mutant("unit-column-in-row-k-2-read-as-mds", CODES,
+           "if rows == [code.k - 1]:", "if rows in ([code.k - 1], [code.k - 2]):",
+           (f"{T_CODES}::test_line_record_readers_match_their_oracles", T_TWINS)),
     # curves
     Mutant("curve-right-side-drops-c", CURVES,
            "return rhs if spec.c is None else spec.tower.vadd(rhs, spec.c)", "return rhs",
@@ -192,48 +217,47 @@ MUTANTS = (
     # the curve record: each check, and each reader
     Mutant("curve-record-drops-entry-check", CODES,
            "    if not np.array_equal(g, _monomial_rows(tower, v, [(x, a), (y, b)])):\n        return None\n", "",
-           (f"{T_CODES}::test_curve_record_checks_each_hypothesis",)),
+           (f"{T_CODES}::test_curve_record_checks_each_hypothesis", T_TWINS)),
     Mutant("curve-record-drops-on-curve-check", CODES,
            "if np.count_nonzero(v == tower.zero_code) or not on_curve(spec, x, y):",
            "if np.count_nonzero(v == tower.zero_code):",
-           (f"{T_CODES}::test_curve_record_checks_each_hypothesis",)),
+           (f"{T_CODES}::test_curve_record_checks_each_hypothesis", T_TWINS)),
     Mutant("curve-record-drops-distinct-points", CODES,
            "if np.count_nonzero(points[1:] == points[:-1]):", "if False:",
-           (f"{T_CODES}::test_curve_record_checks_each_hypothesis",)),
+           (f"{T_CODES}::test_curve_record_checks_each_hypothesis", T_TWINS)),
     Mutant("curve-record-accepts-gcd-above-1", CODES,
            "if gcd(px, py) != 1 or not orders", "if not orders",
            (f"{T_CODES}::test_curve_record_checks_each_hypothesis",
-            f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration")),
+            f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration", T_TWINS)),
     Mutant("zero-count-one-too-generous", CODES,
-           "return self.curve is not None and columns > self.curve.m",
-           "return self.curve is not None and columns >= self.curve.m",
-           (f"{T_CODES}::test_curve_record_readers_match_their_oracles",)),
+           "return columns > self.m", "return columns >= self.m",
+           (f"{T_CODES}::test_curve_record_readers_match_their_oracles", T_TWINS)),
     Mutant("pairwise-floor-without-the-y-row", CODES,
-           "if {(1, 0), (0, 1)} <= set(record.monomials):", "if (1, 0) in record.monomials:",
-           (f"{T_CODES}::test_curve_record_readers_match_their_oracles",)),
+           "if {(1, 0), (0, 1)} <= set(self.monomials):", "if (1, 0) in self.monomials:",
+           (f"{T_CODES}::test_curve_record_readers_match_their_oracles", T_TWINS)),
     Mutant("mds-reader-reads-a-lower-bound", CODES,
            "if dd is not None and dd.exact:", "if dd is not None:",
-           (f"{T_CLI}::test_reproduce_enumerates_no_codewords",)),
+           (f"{T_CLI}::test_reproduce_enumerates_no_codewords", T_TWINS)),
     Mutant("curve-rank-row-reduces", CODES,
-           "self.structure is None and not self.full_rank_on(self.n):", "self.structure is None:",
-           (f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration",)),
+           "return columns > self.m", "return False",
+           (f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration", T_TWINS)),
     Mutant("curve-mds-screens-first", CODES,
-           "dd = dual_distance_by_columns(code) if code.curve is not None else None", "dd = None",
-           (f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration",)),
+           "dd = dual_distance_by_columns(code) if floor is not None else None", "dd = None",
+           (f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration", T_TWINS)),
     Mutant("curve-purity-takes-a-rank", CODES,
            "    if code.full_rank_on(code.n - len(dd.witness)):\n        return dd\n", "",
-           (f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration",)),
+           (f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration", T_TWINS)),
     Mutant("curve-pairs-scanned", CODES,
-           "keys = _parallel_keys(code)\n", "keys = None\n",
-           (f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration",)),
+           'keys = code.ask("parallel_keys")\n', "keys = None\n",
+           (f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration", T_TWINS)),
     Mutant("light-word-floor-plus-one", CODES,
-           "floor = code.n - record.m\n", "floor = code.n - record.m + 1\n",
+           "floor = code.n - self.m\n", "floor = code.n - self.m + 1\n",
            (f"{T_CONSTRUCTIONS}::test_designed_distance_is_a_lower_bound_on_curve_codes",
-            f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration")),
+            f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration", T_TWINS)),
     Mutant("light-word-one-root-short", CODES,
            "kind=\"stable\")[:j]\n", "kind=\"stable\")[: j - 1]\n",
            (f"{T_CONSTRUCTIONS}::test_designed_distance_is_a_lower_bound_on_curve_codes",
-            f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration")),
+            f"{T_CONSTRUCTIONS}::test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration", T_TWINS)),
     Mutant("distance-decided-eagerly-in-certify", CODES,
            "    return Certificate(code, gram, mds, witness, method, dd, _quantum_distance(code, dd))\n",
            "    certificate = Certificate(code, gram, mds, witness, method, dd, _quantum_distance(code, dd))\n"

@@ -23,7 +23,7 @@ from agq.constructions import (
     ConstructionRequest,
     _embed_until_rejected,
     construct,
-    deep_dimension,
+    construct_chain,
     embed_once,
 )
 from agq.curves import CurveFamily, curve, x_support
@@ -57,7 +57,7 @@ def test_criterion_1_example_pipeline_q13():
     assert base.certificate.gram.all_zero and base.code.params() == (25, 2)
     emb = embed_once(base)
     assert emb.certificate.gram.all_zero and emb.code.params() == (25, 3)
-    deep = embed_once(deep_dimension(build_tower(13, 1), 2))
+    deep = construct(ConstructionRequest("c1", 13, 1, t=2, embed="deep"))
     assert deep.code.params() == (25, 7)
     t0 = time.perf_counter()
     flag, witness, method = minors_is_mds(deep.code)
@@ -176,9 +176,8 @@ def test_criterion_6_embedding_boundary_q11():
         embed_once(chain[-1])
     with pytest.raises(GramNonzero):
         construct(ConstructionRequest("c1", 11, 1, n=16, k=5))
-    deep = deep_dimension(build_tower(11, 1), 3)
+    deep, emb = construct_chain(ConstructionRequest("c1", 11, 1, t=3, embed="deep"))
     assert deep.code.params() == (31, 5)
-    emb = embed_once(deep)
     assert emb.code.params() == (32, 6)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"{elapsed:.2f}s"

@@ -16,13 +16,13 @@ import agq.fields
 from agq import config
 from agq.codes import (
     _CHUNK,
+    CurveRecord,
     DistanceResult,
     GramCertificate,
     LinearCode,
     _cauchy_verify,
     _digest,
     _exact_keys,
-    _light_word,
     _monomial_rows,
     _quantum_distance,
     _unrank,
@@ -553,7 +553,7 @@ def test_orbit_gram_matches_zech_tree():
         want = zech_tree_gram(code)
         assert got.matrix.dtype == np.int32 and np.array_equal(got.matrix, want.matrix)
         assert (got.all_zero, got.first_nonzero, got.digest) == (want.all_zero, want.first_nonzero, want.digest)
-        _, d, c = code.structure or (code.g, 1, None)
+        _, d, c, _ = code.ask("gram_terms") or (code.g, 1, None, ())
         if d > 1:
             reduced.append((len(c), len(set(c.tolist())), d % code.tower.p))
 
@@ -564,15 +564,22 @@ def test_orbit_gram_matches_zech_tree():
 
 
 def brute_force_structure(tw, g):
-    """Reference oracle for LinearCode.structure, entry by entry with Scalar:
-    None unless every column l is v_l * alpha_l^i, i < k <= n, with v_l != 0
-    and the alpha_l distinct.  Then d = (q^2-1)/s for the least divisor s of
+    """Reference oracle for the line record's gram_terms, entry by entry with
+    Scalar: None unless every column l with G[0,l] = 0 has one nonzero entry,
+    a unit column (r, G[r,l]), and every other column l, of n0 >= k, is
+    v_l * alpha_l^i, i < k, with the alpha_l distinct.  Then, on those core
+    columns, d = (q^2-1)/s for the least divisor s of
     q^2-1 whose shift maps the nonzero points onto themselves, and c_r the
     exponent with N(alpha_r t^(ms)) = N(alpha_r) t^(msc_r) for every m < d on
     the orbit of each point alpha_r < s; all of G, 1 and None when d = 1,
-    k = 1 or some orbit has no such c_r."""
-    k, n = g.shape
+    k = 1 or some orbit has no such c_r.  The unit columns come last."""
+    k = g.shape[0]
     units = tw.n_units
+    if k == 0 or any(np.count_nonzero(col != units) != 1 for col in g.T if col[0] == units):
+        return None
+    ones = [(r, int(g[r, l])) for l in range(g.shape[1]) for r in range(k) if g[0, l] == units != g[r, l]]
+    g = g[:, g[0] != units]
+    n = g.shape[1]
     if not 0 < k <= n:
         return None
     alphas = []
@@ -588,7 +595,7 @@ def brute_force_structure(tw, g):
             entry = entry * alpha
         alphas.append(alpha.code)
     if k == 1:
-        return g, 1, None
+        return g, 1, None, ones
     if len(set(alphas)) < n:
         return None
     column = {a: l for l, a in enumerate(alphas)}
@@ -596,34 +603,56 @@ def brute_force_structure(tw, g):
     s = min(s for s in range(1, units + 1) if units % s == 0 and {(a + s) % units for a in nonzero} == set(nonzero))
     d = units // s
     if d == 1:
-        return g, 1, None
+        return g, 1, None, ones
     norm = {a: Scalar(tw, g[0, column[a]]).relative_norm().code for a in nonzero}
     reps, c = [a for a in nonzero if a < s], []
     for r in reps:
         fits = [e for e in range(d) if all(norm[r + m * s] == (norm[r] + m * s * e) % units for m in range(d))]
         if not fits:
-            return g, 1, None
+            return g, 1, None, ones
         c.append(fits[0])
-    return g[:, [column[a] for a in reps + [units] * (units in column)]], d, c
+    return g[:, [column[a] for a in reps + [units] * (units in column)]], d, c, ones
+
+
+def with_unit_columns(tw, g, rows, rng, second=False):
+    """g with a column c * e_r inserted at a random place for each r in rows,
+    c a random unit; with second, the last one gets a second nonzero entry,
+    in a row other than 0 and r where there is one."""
+    k = g.shape[0]
+    for i, r in enumerate(rows):
+        col = np.full(k, tw.zero_code, dtype=np.int32)
+        col[r] = rng.integers(tw.n_units)
+        if second and i == len(rows) - 1:
+            col[rng.choice([j for j in range(1, k) if j != r] or [0])] = rng.integers(tw.n_units)
+        g = np.insert(g, rng.integers(g.shape[1] + 1), col, axis=1)
+    return g
 
 
 @st.composite
 def structure_cases(draw):
-    """A matrix of twisted_vandermonde with any k <= n, and the same matrix
-    with one entry, at a random row and column, changed to another code."""
+    """A matrix of twisted_vandermonde with any k <= n, the same matrix with
+    one entry, at a random row and column, changed to another code, and the
+    same matrix with up to three columns c * e_r inserted (r = 0 reads as a
+    zero point's column), the last of them at times with a second nonzero
+    entry."""
     tw, g = draw(twisted_vandermonde(lambda n, q: n))
     changed = g.copy()
     i, l = draw(st.integers(0, g.shape[0] - 1)), draw(st.integers(0, g.shape[1] - 1))
     changed[i, l] = (changed[i, l] + draw(st.integers(1, tw.n_units))) % tw.q2
-    return tw, (g, changed)
+    k = g.shape[0]
+    rows = [0] * draw(st.booleans()) + (draw(st.lists(st.integers(1, k - 1), min_size=1, max_size=2)) if k > 1 else [])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    second = k > 2 and draw(st.integers(0, 3)) == 0
+    return tw, (g, changed, with_unit_columns(tw, g, rows, rng, second))
 
 
 def test_structure_record_matches_brute_force():
-    """LinearCode.structure equals the entry-by-entry oracle on twisted
-    Vandermonde matrices, as built and with one entry changed, and the Gram
-    summed from the record of the matrix as built equals the Zech-tree
-    oracle; the draws reach every kind of record: none, all of G, and one
-    column per orbit."""
+    """The line record's gram_terms equal the entry-by-entry oracle on
+    twisted Vandermonde matrices, as built, with one entry changed and with
+    columns c * e_r inserted, and the Gram summed from the record of the
+    matrix as built and with unit columns equals the Zech-tree oracle; the
+    draws reach every kind of record: none, all of G, one column per orbit,
+    and unit columns."""
     kinds = []
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -634,17 +663,19 @@ def test_structure_record_matches_brute_force():
         for code in codes:
             want = brute_force_structure(tw, code.g)
             if want is None:
-                assert code.structure is None
+                assert code.ask("gram_terms") is None
             else:
-                columns, d, c = code.structure
-                assert np.array_equal(columns, want[0]) and d == want[1]
+                columns, d, c, units = code.ask("gram_terms")
+                assert np.array_equal(columns, want[0]) and d == want[1] and list(units) == want[3]
                 assert (None if c is None else c.tolist()) == want[2]
             kinds.append("none" if want is None else "orbits" if want[1] > 1 else "whole")
-        got, ref = hermitian_gram(codes[0]), zech_tree_gram(codes[0])
-        assert np.array_equal(got.matrix, ref.matrix) and got.digest == ref.digest
+            kinds.extend(["units"] * bool(want and want[3]))
+        for code in codes[::2]:
+            got, ref = hermitian_gram(code), zech_tree_gram(code)
+            assert np.array_equal(got.matrix, ref.matrix) and got.digest == ref.digest
 
     check()
-    assert min(kinds.count(kind) for kind in ("none", "whole", "orbits")) >= 10
+    assert min(kinds.count(kind) for kind in ("none", "whole", "orbits", "units")) >= 10
 
 
 def test_gram_zero_implies_zero_diagonal():
@@ -1591,15 +1622,52 @@ def test_rank_by_shape_matches_rref(case):
         no_rref = mock.patch.object(agq.codes, "rref", side_effect=AssertionError("rref ran"))
         with no_rref if shaped else contextlib.nullcontext():
             code = LinearCode(tw, g)
-        assert (code.structure is not None) == shaped
+        assert any(code.records) == shaped
 
 
 def test_is_mds_reads_the_shape_verdict_of_the_code():
     code = construct(ConstructionRequest("c1", 13, 1, n=25, k=5)).code
-    assert code.structure is not None
-    with mock.patch.object(agq.codes, "_structure", side_effect=AssertionError("structure found again")):
+    assert any(code.records)
+    with mock.patch.object(agq.codes, "_line_record", side_effect=AssertionError("record found again")):
         flag, witness, method, dd = is_mds(code)
     assert (flag, witness, method, dd.value) == (True, None, "vandermonde", 6)
+
+
+@st.composite
+def line_record_codes(draw):
+    """A GRS core (v_l * alpha_l^i) on n0 >= k distinct points, zero allowed,
+    over GF(4) to GF(49), with unit columns c * e_r inserted at random places:
+    one in row k-1, two there, one in row k-2, one in each of k-2 and k-1, or
+    any rows 1..k-1."""
+    tw = build_tower(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])))
+    k = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    alphas = rng.permutation(tw.q2)[: draw(st.integers(k, min(tw.q2, k + 5)))]
+    v = rng.integers(tw.n_units, size=len(alphas))
+    g = np.stack([tw.vmul(v, tw.vpow(alphas, i)) for i in range(k)])
+    rows = draw(st.sampled_from([[k - 1], [k - 1, k - 1], [k - 2], [k - 2, k - 1], None]))
+    rows = draw(st.lists(st.integers(1, k - 1), min_size=1, max_size=3)) if rows is None else rows
+    return LinearCode(tw, with_unit_columns(tw, g, [r for r in rows if r], rng))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(line_record_codes())
+def test_line_record_readers_match_their_oracles(code):
+    """A GRS core with unit columns: MDS by the record ("extended-grs")
+    exactly with one unit column, in row k-1, and is_mds's flag equal to the
+    minors oracle's whatever the rows; any k + u columns, u unit columns, of
+    rank k; the Gram equal to the Zech-tree oracle's."""
+    tw, k = code.tower, code.k
+    units = code.ask("gram_terms")[3]
+    flag, singular, method, _ = is_mds(code)
+    assert (method == "extended-grs") == ([r for r, _ in units] == [k - 1])
+    assert flag == minors_is_mds(code)[0]
+    if singular is not None:
+        assert rank(tw, code.g[:, list(singular)]) < k
+    assert code.full_rank_on(k + len(units)) and not code.full_rank_on(k + len(units) - 1)
+    cols = np.random.default_rng(code.n).permutation(code.n)[: k + len(units)]
+    assert rank(tw, code.g[:, cols]) == k
+    assert np.array_equal(hermitian_gram(code).matrix, zech_tree_gram(code).matrix)
 
 
 # -- MDS ---------------------------------------------------------------------------
@@ -1639,10 +1707,13 @@ def test_embedded_coset_code_mds():
 def test_is_mds_cap(monkeypatch):
     from agq.constructions import construct_chain
 
-    # the embedded [6,3] is extended GRS: its systematic part verifies as Cauchy
+    # the embedded [6,3] is extended GRS, and its systematic form [I | A],
+    # which has no record, verifies as Cauchy
     code = construct_chain(ConstructionRequest("c1", 5, 1, n=5, embed="iterate"))[-1].code
     assert code.params() == (6, 3)
-    assert is_mds(code)[:3] == (True, None, "cauchy")
+    assert is_mds(code)[:3] == (True, None, "extended-grs")
+    systematic = LinearCode(code.tower, code.reduced[0])
+    assert not any(systematic.records) and is_mds(systematic)[:3] == (True, None, "cauchy")
     # [I | A] over GF(25) with an A that is not Cauchy has no structural
     # certificate, so the column scan decides
     tw = build_tower(5, 1)
@@ -1963,13 +2034,13 @@ def test_curve_record_readers_match_their_oracles(code):
     matrix without the record; purity against the rank of G without the
     witness; d(C) from the light word against full enumeration.  A curve
     with gcd(pole_x, pole_y) > 1 has no record."""
-    tw, spec, rec = code.tower, code._curve[0], code.curve
+    tw, spec, rec = code.tower, code._curve[0], curve_record(code)
     bare = LinearCode(tw, code.g, verify_rank=False)
-    assert bare.curve is None and (rec is None) == (gcd(spec.pole_x, spec.pole_y) > 1)
+    assert curve_record(bare) is None and (rec is None) == (gcd(spec.pole_x, spec.pole_y) > 1)
     if code.full_rank_on(code.n):
         assert rank(tw, code.g) == code.k
     if rec is not None:
-        assert not code.full_rank_on(rec.m)
+        assert not rec.full_rank_on(code, rec.m)
         if code.n > rec.m:
             cols = np.random.default_rng(code.n).permutation(code.n)[: rec.m + 1]
             assert rank(tw, code.g[:, cols]) == code.k
@@ -1981,7 +2052,7 @@ def test_curve_record_readers_match_their_oracles(code):
         assert rank(tw, code.g[:, list(singular)]) < code.k
     if dd.exact and dd.witness is not None:
         assert _quantum_distance(code, dd) == _quantum_distance(bare, dd)
-    light = _light_word(code)
+    light = code.ask("light_word")
     d = full_enumeration_distance(code)
     if rec is not None and code.n > rec.m:
         assert code.n - rec.m <= d
@@ -1989,6 +2060,11 @@ def test_curve_record_readers_match_their_oracles(code):
         word = np.asarray(light.witness, dtype=np.int32)
         assert light.value == d == np.count_nonzero(word != tw.zero_code)
         assert rank(tw, np.vstack([code.g, word])) == code.k  # a word of C
+
+
+def curve_record(code):
+    """The code's curve record, or None."""
+    return next((record for record in code.records if isinstance(record, CurveRecord)), None)
 
 
 def curve_code(family, pm, k, t=None):
@@ -2008,7 +2084,7 @@ def test_curve_record_checks_each_hypothesis():
     rank from rref."""
     code, (spec, basis, x, y, v) = curve_code(CurveFamily.HERMITIAN, (2, 2), 10)
     tw = spec.tower
-    assert code.curve is not None and code.curve.m == 9 and code.full_rank_on(code.n)
+    assert curve_record(code).m == 9 and code.full_rank_on(code.n)
     g = code.g.copy()
     g[2, 5] = tw.vadd(g[2, 5], 0)
     moved = x.copy()
@@ -2027,11 +2103,11 @@ def test_curve_record_checks_each_hypothesis():
     for name, (matrix, inputs) in cases.items():
         a, b = np.asarray(inputs[1]).T
         matrix = _monomial_rows(tw, inputs[4], [(inputs[2], a), (inputs[3], b)]) if matrix is None else matrix
-        assert LinearCode(tw, matrix, verify_rank=False, curve=inputs).curve is None, name
+        assert curve_record(LinearCode(tw, matrix, verify_rank=False, curve=inputs)) is None, name
     assert on_curve(spec, x, y) and not on_curve(spec, moved, y)
     # p | t: gcd(pole_x, pole_y) = 3, no record even for 1 and x, of distinct
     # orders 0 and 3, and the rank comes from rref
     _, (spec, _, x, y, v) = curve_code(CurveFamily.ARTIN_SCHREIER, (3, 1), 1, t=3)
     with mock.patch.object(agq.codes, "rref", wraps=rref) as spy:
         p_t = evaluation_code(spec, ((0, 0), (1, 0)), x, y, v)
-    assert p_t.curve is None and not p_t.full_rank_on(p_t.n) and spy.call_count == 1
+    assert curve_record(p_t) is None and not p_t.full_rank_on(p_t.n) and spy.call_count == 1

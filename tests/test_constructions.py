@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 import agq.constructions
-from agq.cli import _repro_targets, _scan_requests, build_parser
+from agq.cli import _repro_targets, _run_repro_target, _scan_requests, build_parser
 from agq.codes import LinearCode, evaluation_code, exhaustive_distance, grs_rows, hermitian_gram
 from agq.config import EXHAUSTIVE_CAP
 from agq.constructions import (
     ConstructionRequest,
+    _construct_base,
     _embed_until_rejected,
     construct,
     construct_chain,
-    deep_dimension,
     embed_once,
     thm_key_k_max,
 )
@@ -23,6 +23,13 @@ from agq.errors import AgqError, BadRequest, DivisibilityViolated, EmbeddingReje
 from agq.fields import build_tower
 
 from .test_codes import zech_tree_gram
+
+
+def deep_dimension(tower, t):
+    """The floor(n/2t)-dimensional code on the n = t(q-1)+1 roots of x^n - x,
+    the base of a deep request; the deep code of the paper is one embedding
+    step further, embed_once(deep_dimension(tower, t))."""
+    return _construct_base(ConstructionRequest("c1", tower.p, tower.m, t=t, embed="deep"), tower)
 
 
 def test_c1_q13_k2_certified():
@@ -509,6 +516,39 @@ def test_every_certified_code_has_zero_gram():
         for cert in construct_chain(req):
             assert cert.certificate.gram.all_zero
             assert hermitian_gram(cert.code).all_zero  # recomputed, same verdict
+
+
+def test_line_chain_members_take_no_row_reduction_or_cauchy():
+    """The line record stands in for rref and _cauchy_verify on every code of
+    the mds1 table, the candidates that the Gram rejects included, and on the
+    chain of c1 p=2 m=8 n=258 embed=once, whose [259,2] member is extended
+    GRS; the mixed table keeps one rref, the [80,8] code's systematic screen."""
+    calls = []
+
+    def spy(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    tables = {}
+    with (
+        mock.patch.object(agq.codes, "rref", spy("rref", agq.codes.rref)),
+        mock.patch.object(agq.codes, "_cauchy_verify", spy("cauchy", agq.codes._cauchy_verify)),
+    ):
+        for table in ("mds1", "mixed"):
+            calls.clear()
+            statuses = [_run_repro_target(target)["status"] for target in _repro_targets() if target["table"] == table]
+            tables[table] = statuses.count("MATCH"), list(calls)
+        calls.clear()
+        chain = construct_chain(ConstructionRequest("c1", 2, 8, n=258, embed="once"))
+    assert tables == {"mds1": (18, []), "mixed": (11, ["rref"])}
+    assert calls == [] and [c.certificate.mds_method for c in chain] == ["vandermonde", "extended-grs"]
+
+
+def test_a_line_record_spares_the_curve_check():
+    """A curve code whose line record makes it MDS, such as the [256,1] codes
+    of the catalog-curves workload, never has its curve record checked."""
+    with mock.patch.object(agq.codes, "_curve_record", side_effect=AssertionError("curve record checked")):
+        certificate = construct(ConstructionRequest("c10", 2, 4, t=3, k=2)).certificate
+    assert (certificate.mds_method, certificate.distance.method) == ("vandermonde", "mds-singleton")
 
 
 # one request of each catalog-curves slot whose curve has gcd(pole_x, pole_y) = 1:

@@ -12,7 +12,6 @@ from agq.constructions import (
     _embed_until_rejected,
     construct,
     construct_chain,
-    deep_dimension,
     embed_once,
 )
 from agq.fields import build_tower
@@ -29,7 +28,7 @@ IMPURE_GF4 = LinearCode(
 
 
 def test_q13_deep_quantum_params():
-    cert = embed_once(deep_dimension(build_tower(13, 1), 2))
+    cert = construct(ConstructionRequest("c1", 13, 1, t=2, embed="deep"))
     qp = stabilizer_params(cert)
     assert (qp.n, qp.k, qp.d, qp.q) == (25, 11, 8, 13)
     assert qp.mds and qp.defect == 0
@@ -82,10 +81,10 @@ def test_environment_budget_reaches_every_entry_point(monkeypatch):
         return scan(code, *args, **kwargs)
 
     monkeypatch.setattr(agq.codes, "dual_distance_by_columns", spy)
-    # n = 4: the [6,3] member of the n = 5 chain verifies as Cauchy and is never scanned
+    # n = 4: the [5,2] member is extended GRS and is never scanned
     chain = construct_chain(ConstructionRequest("c1", 5, 1, n=4, embed="iterate"))
     assert [stabilizer_params(c).params_string() for c in chain] == ["[[4,2,2]]_5", "[[5,1,3]]_5", "[[6,0,>=2]]_5"]
-    assert [c.certificate.mds_method for c in chain] == ["vandermonde", "cauchy", "column-scan-lower-bound"]
+    assert [c.certificate.mds_method for c in chain] == ["vandermonde", "extended-grs", "column-scan-lower-bound"]
     assert scanned == [(6, 3)]
     assert stabilizer_params(embed_once(chain[1])).params_string() == "[[6,0,>=2]]_5"
     assert [stabilizer_params(c).params_string() for c in _embed_until_rejected(chain[0], None)[1:]] == ["[[5,1,3]]_5", "[[6,0,>=2]]_5"]
