@@ -31,13 +31,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+from .exactness import _towers
+
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 _TIMES = re.compile(r'("(?:time_s|build_s)": )[^,}\n]+')
-
-
-def _towers(*specs: str) -> list[str]:
-    return [arg for spec in specs for arg in ("--tower", spec)]
 
 
 def _construct(cons: str, p: int, m: int, t: int, embed: str, *extra: str) -> list[str]:

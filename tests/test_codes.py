@@ -18,7 +18,6 @@ from agq.codes import (
     _CHUNK,
     CurveRecord,
     DistanceResult,
-    GramCertificate,
     LinearCode,
     _cauchy_verify,
     _digest,
@@ -45,100 +44,16 @@ from agq.errors import CapExceeded, GramNonzero, NotNormValue, ParseError, RankD
 from agq.fields import build_tower
 from agq.points import explicit_set, roots_of_unity_set, twist_vector
 
+from .oracles import (
+    assert_double_dual_is_the_code, assert_dual_scan_equals_exhaustive, assert_frobenius_keeps_weight, brute_force_step,
+    dual, full_enumeration_distance, minors_is_mds, per_subset_column_scan, row_by_row_rref, zech_tree_gram,
+    zech_tree_sum,
+)
 from .scalar_field import Scalar
-from .test_fields import seeded_batch, zech_tree_sum
-from .test_points import TWIST_TOWERS, brute_force_step, coset_union_sets, stabilizer_cases
-
-
-@st.composite
-def uniform_codes(draw, ks, ns, towers=((2, 1), (3, 1), (2, 2))):
-    """Full-rank codes over GF(4), GF(9) or GF(16), or the given towers, with k
-    from ks, n from ns and every entry drawn from the whole field (a byte mod q^2)."""
-    tw = build_tower(*draw(st.sampled_from(towers)))
-    n, k = draw(ns), draw(ks)
-    entries = draw(st.binary(min_size=k * n, max_size=k * n))  # one draw for all k*n entries
-    g = (np.frombuffer(entries, dtype=np.uint8) % tw.q2).astype(np.int32).reshape(k, n)
-    assume(rank(tw, g) == k)
-    return LinearCode(tw, g, provenance="hypothesis", verify_rank=False)
-
-
-def random_short_code(rng):
-    """A uniform full-rank [3..10, k <= 3, k < n] code over GF(4), GF(9) or GF(16)."""
-    tw = build_tower(*[(2, 1), (3, 1), (2, 2)][rng.integers(3)])
-    n = int(rng.integers(3, 11))
-    k = int(rng.integers(1, min(3, n - 1) + 1))
-    while True:
-        g = rng.integers(0, tw.q2, size=(k, n)).astype(np.int32)  # q^2 - 1 is the zero code
-        if rank(tw, g) == k:
-            return LinearCode(tw, g, provenance="random", verify_rank=False)
-
-
-def random_sparse_code(rng):
-    """A full-rank [4..12, k <= 3] code over GF(4), GF(9) or GF(16) whose entries
-    are zero a fifth of the time, whose columns are zero one time in twenty, and
-    whose columns after the first are a unit multiple of an earlier one a fifth
-    of the time, so that light words and small distances stay common."""
-    tw = build_tower(*[(2, 1), (3, 1), (2, 2)][rng.integers(3)])
-    n = int(rng.integers(4, 13))
-    k = int(rng.integers(1, 4))
-    while True:
-        g = rng.integers(0, tw.n_units, size=(k, n)).astype(np.int32)
-        g[rng.random((k, n)) < 0.2] = tw.zero_code
-        g[:, rng.random(n) < 0.05] = tw.zero_code
-        for j in range(1, n):
-            if rng.random() < 0.2:
-                g[:, j] = tw.vmul(int(rng.integers(tw.n_units)), g[:, rng.integers(j)])
-        if rank(tw, g) == k:
-            return LinearCode(tw, g, provenance="random", verify_rank=False)
-
-
-def kernel_basis(tower, mat):
-    """Rows spanning the right kernel {x : mat @ x^T = 0}, read off rref(mat)."""
-    r, pivots = rref(tower, mat)
-    n = mat.shape[1]
-    free = [c for c in range(n) if c not in pivots]
-    out = np.full((len(free), n), tower.zero_code, dtype=np.int32)
-    for row_idx, f in enumerate(free):
-        out[row_idx, f] = 0  # coefficient 1
-        for i, pc in enumerate(pivots):
-            out[row_idx, pc] = tower.vneg(r[i, f])
-    return out
-
-
-def dual(code, kind="euclidean"):
-    """The tests' oracle for duals: the Euclidean dual by row reduction, the
-    Hermitian dual as (C^q)^perp."""
-    tower = code.tower
-    if kind == "euclidean":
-        base = code.g
-    elif kind == "hermitian":
-        base = tower.vfrob(code.g)
-    else:
-        raise ValueError(f"unknown dual kind {kind!r}")
-    if code.k == 0:
-        eye = np.full((code.n, code.n), tower.zero_code, dtype=np.int32)
-        np.fill_diagonal(eye, 0)
-        return LinearCode(tower, eye, provenance=f"dual-{kind}({code.provenance})")
-    k = kernel_basis(tower, base)
-    return LinearCode(tower, k, provenance=f"dual-{kind}({code.provenance})", verify_rank=False)
-
-
-def assert_double_dual_is_the_code(code):
-    dd = dual(dual(code, "euclidean"), "euclidean")
-    r1, _ = rref(code.tower, code.g)
-    r2, _ = rref(code.tower, dd.g)
-    assert np.array_equal(r1, r2)
-
-
-def random_row(rng):
-    """A uniform row of 3..14 codes over GF(4), GF(9), GF(16) or GF(25), zero included."""
-    tw = build_tower(*[(2, 1), (3, 1), (2, 2), (5, 1)][rng.integers(4)])
-    return tw, rng.integers(0, tw.q2, size=int(rng.integers(3, 15))).astype(np.int32)
-
-
-def assert_frobenius_keeps_weight(tw, row):
-    fr = tw.vfrob(row)
-    assert (row != tw.zero_code).sum() == (fr != tw.zero_code).sum()
+from .strategies import (
+    TWIST_TOWERS, coset_union_sets, random_row, random_short_code, random_sparse_code, seeded_batch,
+    self_orthogonal_codes, stabilizer_cases, uniform_codes,
+)
 
 
 # -- evaluation codes ----------------------------------------------------------
@@ -413,19 +328,6 @@ def test_digest_matches_hashlib_sha256(pm, k, extra, seed):
     gram = rng.integers(0, tw.q2, (k, k)).astype(np.int32)
     want = hashlib.sha256(f"q2={tw.q2} n={k + extra} k={k};".encode() + gram.tobytes()).hexdigest()
     assert _digest(code, gram) == want
-
-
-def zech_tree_gram(code):
-    """Reference oracle: the Gram certificate as hermitian_gram formed it before
-    additive words, every product by vmul and every entry by the Zech tree."""
-    tw = code.tower
-    m = zech_tree_sum(tw, tw.vmul(code.g[:, None, :], tw.vfrob(code.g)[None, :, :]), axis=-1)
-    nz = np.argwhere(m != tw.zero_code)
-    first = None
-    if nz.size:
-        i, j = (int(v) for v in nz[0])
-        first = (i, j, tw.format(int(m[i, j])))
-    return GramCertificate(m, first is None, first, _digest(code, m))
 
 
 # Cayley GF(9) and GF(16); Zech GF(2^10), GF(2^16), GF(3^8) and GF(251^2)
@@ -744,27 +646,6 @@ def test_exhaustive_distance_cap():
     assert (light.value, light.exact, light.method) == (54, True, "goppa-light-word")
 
 
-def full_enumeration_distance(code):
-    """Reference oracle: minimum weight over all q^{2k} messages, k vmul + k vadd per word."""
-    tower = code.tower
-    zero = tower.zero_code
-    q2 = tower.q2
-    total = q2 ** code.k
-    best = code.n + 1
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        cw = np.full((idx.size, code.n), zero, dtype=np.int32)
-        rem = idx
-        for i in range(code.k):
-            digit = (rem % q2).astype(np.int32)  # digit ranges over all codes incl zero
-            rem = rem // q2
-            cw = tower.vadd(cw, tower.vmul(digit[:, None], code.g[i][None, :]))
-        weights = (cw != zero).sum(axis=1)
-        weights[weights == 0] = code.n + 1  # the zero codeword is not counted
-        best = min(best, int(weights.min()))
-    return best
-
-
 def code_of(pm, rows):
     """Code over GF(p^{2m}) with the given rows of exponent codes, None for zero."""
     tw = build_tower(*pm)
@@ -936,11 +817,6 @@ def test_dual_by_columns_lower_bound_budget(monkeypatch):
     assert dd.value >= 3
 
 
-def assert_dual_scan_equals_exhaustive(code):
-    d_col = dual_distance_by_columns(dual(code, "euclidean")).value
-    assert exhaustive_distance(code).value == d_col, (code.tower, code.g)
-
-
 # 1000 codes as 100 seeded batches of 10, since hypothesis lists repeat their
 # elements: 999 distinct codes, 233 of them with d(C) <= 2 (hypothesis 6.155)
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -958,56 +834,9 @@ def test_dual_by_columns_equals_exhaustive_k4(code):
     assert_dual_scan_equals_exhaustive(code)
 
 
-def combo_chunks(n, w):
-    """The w-subsets of range(n) in lex order, as int64 blocks of agq.codes._CHUNK
-    rows; the size is read at call time, so a test can patch it."""
-    it = itertools.combinations(range(n), w)
-    while block := list(itertools.islice(it, agq.codes._CHUNK)):
-        yield np.asarray(block, dtype=np.int64)
-
-
-def minors_is_mds(code):
-    """Reference MDS oracle: a batched k x k rank test of every k-subset of columns
-    in lex order.  Returns (flag, first singular k-subset or None, "minors")."""
-    for combos in combo_chunks(code.n, code.k):
-        mats = np.transpose(code.g[:, combos], (1, 0, 2))
-        bad = np.nonzero(batched_dependent(code.tower, mats))[0]
-        if bad.size:
-            return False, tuple(int(c) for c in combos[bad[0]]), "minors"
-    return True, None, "minors"
-
-
 def scan_budget(budget):
     """AGQ_CAP_OPS set to budget for the scans run inside the block."""
     return mock.patch.dict(os.environ, {"AGQ_CAP_OPS": str(budget)})
-
-
-def per_subset_column_scan(code):
-    """Reference oracle: the column scan that eliminates every w-subset of columns,
-    charging k*w*2 per subset against config.ops_cap() in lex-ordered blocks of _CHUNK."""
-    tower = code.tower
-    zero = tower.zero_code
-    g = code.g
-    k, n = code.k, code.n
-    budget = config.ops_cap()
-    spent = 0
-    if k == 0:
-        return DistanceResult(1, True, (0,), "column-scan")
-    zero_cols = np.nonzero((g == zero).all(axis=0))[0]
-    if zero_cols.size:
-        return DistanceResult(1, True, (int(zero_cols[0]),), "column-scan")
-    for w in range(2, k + 1):
-        for combos in combo_chunks(n, w):
-            cost = combos.shape[0] * k * w * 2
-            if spent + cost > budget:
-                return DistanceResult(w, False, None, "column-scan-lower-bound")
-            spent += cost
-            mats = np.transpose(g[:, combos], (1, 0, 2))  # (B, k, w)
-            dep = np.nonzero(batched_dependent(tower, mats))[0]
-            if dep.size:
-                return DistanceResult(w, True, tuple(int(c) for c in combos[dep[0]]), "column-scan")
-    # a square code (k = n) has no k+1 columns to name
-    return DistanceResult(k + 1, True, tuple(range(k + 1)) if k < n else None, "column-scan")
 
 
 def nominal_spend(code, w, subsets):
@@ -1755,43 +1584,6 @@ def test_invertible_square_codes_are_mds(pm, k, seed):
     assert_square_code_is_mds(LinearCode(tw, g))
 
 
-def self_orthogonal_code(tower, n, k, seed, plant=False):
-    """A random Hermitian self-orthogonal [n, k] code, 2k <= n.  Each new row is a
-    random word of the Hermitian dual of the rows so far, kept when it pairs to
-    zero with itself and is independent of them.  With plant, the first row is
-    e_i + a*e_j with a^(q+1) = -1, a weight-2 word of C that often makes the
-    code impure: every weight-2 word of the Hermitian dual may lie in C."""
-    rng = np.random.default_rng(seed)
-    rows = np.zeros((0, n), dtype=np.int32)
-    if plant:
-        minus_one = tower.vneg(np.int32(0))
-        a = next(c for c in range(tower.n_units) if tower.vpow(np.int32(c), tower.q + 1) == minus_one)
-        rows = np.full((1, n), tower.zero_code, dtype=np.int32)
-        rows[0, rng.choice(n, size=2, replace=False)] = (0, a)
-    while len(rows) < k:
-        basis = dual(LinearCode(tower, rows), "hermitian").g
-        coeffs = rng.integers(0, tower.q2, size=(len(basis), 1)).astype(np.int32)
-        word = tower.vsum(tower.vmul(coeffs, basis), axis=0)
-        isotropic = tower.vsum(tower.vmul(word, tower.vfrob(word))) == tower.zero_code
-        if isotropic and rank(tower, np.vstack([rows, word[None]])) > len(rows):
-            rows = np.vstack([rows, word[None]])
-    return LinearCode(tower, rows, provenance="self-orthogonal")
-
-
-@st.composite
-def self_orthogonal_codes(draw, fields, n_max, codim_max=None):
-    """Random Hermitian self-orthogonal [2..n_max, k] codes over the given fields,
-    with n - k <= codim_max when that is given.  Half of them have a planted
-    weight-2 word, n >= 6 (fewer columns are often zero, and then d = 1) and
-    k = (n-1)//2, where a small Hermitian dual makes impurity likely."""
-    tw = build_tower(*draw(st.sampled_from(fields)))
-    plant = draw(st.booleans())
-    n = draw(st.integers(6 if plant else 2, n_max))
-    low = max(1, n - (codim_max or n))
-    k = max(low, (n - 1) // 2) if plant else draw(st.integers(low, n // 2))
-    return self_orthogonal_code(tw, n, k, draw(st.integers(0, 2 ** 32 - 1)), plant)
-
-
 @st.composite
 def random_codes_gf25(draw):
     """Random full-rank [4..8, 1..3] codes over GF(25); every entry may be zero."""
@@ -1875,31 +1667,6 @@ def test_batched_dependent_matches_rank():
     dep = batched_dependent(tw, mats)
     for i in range(mats.shape[0]):
         assert dep[i] == (rank(tw, mats[i]) < 3)
-
-
-def row_by_row_rref(tower, mat):
-    """Reference oracle: RREF that clears each pivot column one row at a time."""
-    zero = tower.zero_code
-    m = np.array(mat, dtype=np.int32, copy=True)
-    rows, cols = m.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c] != zero)[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        m[r] = tower.vdiv(m[r], m[r, c])
-        for i in range(rows):
-            if i != r and m[i, c] != zero:
-                m[i] = tower.vsub(m[i], tower.vmul(m[i, c], m[r]))
-        pivots.append(c)
-        r += 1
-    return m, tuple(pivots)
 
 
 @st.composite

@@ -22,7 +22,7 @@ from agq.curves import rr_basis
 from agq.errors import AgqError, BadRequest, DivisibilityViolated, EmbeddingRejected, GramNonzero, RankDefect
 from agq.fields import build_tower
 
-from .test_codes import zech_tree_gram
+from .oracles import zech_tree_gram
 
 
 def deep_dimension(tower, t):

@@ -19,27 +19,8 @@ from agq.errors import (
 from agq.fields import AdditiveMap, build_tower
 from agq.points import explicit_set, roots_of_unity_set
 
+from .oracles import gf_p_solve, semigroup_gap_count
 from .scalar_field import Scalar, field_elements
-from .test_fields import gf_p_solve
-
-
-def semigroup_gap_count(a: int, b: int) -> int:
-    """Reference oracle: the number of gaps of the numerical semigroup <a, b> (gcd(a,b)=1)."""
-    if gcd(a, b) != 1:
-        raise ValueError("generators must be coprime")
-    bound = a * b - a - b + 1
-    reachable = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for g in (a, b):
-                v = s + g
-                if v <= bound + max(a, b) and v not in reachable:
-                    reachable.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return sum(1 for v in range(1, bound + 1) if v not in reachable)
 
 
 def fiber_sizes(spec, xs):

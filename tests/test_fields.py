@@ -1,5 +1,4 @@
 import importlib.util
-import itertools
 import json
 import os
 import subprocess
@@ -33,11 +32,11 @@ from .modulus_search import (
     table_text,
 )
 
+from .oracles import assert_norm_preimage, gf_p_solve, packed_digits
 from .scalar_field import (
     Scalar,
     field_elements,
     from_int,
-    from_value,
     gen,
     loop_exp_values,
     one,
@@ -46,8 +45,7 @@ from .scalar_field import (
     tower_values,
     zero,
 )
-
-TOWERS_SMALL = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (2, 3)]
+from .strategies import TOWERS_SMALL, random_unit, seeded_batch
 
 
 def workload_fields():
@@ -63,15 +61,6 @@ def workload_fields():
 
 
 WORKLOAD_FIELDS = workload_fields()
-
-
-@st.composite
-def seeded_batch(draw, make, size=10):
-    """size cases make(rng) from one numpy generator seeded by a hypothesis draw.
-    Hypothesis repeats many elements of a list strategy; batches drawn this way
-    repeat only by chance."""
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return [make(rng) for _ in range(size)]
 
 
 @pytest.fixture(scope="module")
@@ -189,62 +178,6 @@ def test_solve_additive_trace_one_has_no_solution():
     assert a.relative_trace().is_one()
     owner, sols = tw.solve_additive(AdditiveMap.SQUARE_PLUS_Y, [a.code])
     assert owner.size == 0 and sols.size == 0
-
-
-def packed_digits(tw, code):
-    """Base-p digits of the packed value of an exponent code, constant first."""
-    value = 0 if code == tw.zero_code else int(loop_exp_values(tw)[code])
-    return [(value // tw.p ** i) % tw.p for i in range(2 * tw.m)]
-
-
-def gf_p_solve(tw, amap, a):
-    """Reference oracle: the per-call GF(p) elimination that solve_additive
-    replaced.  Returns the codes of all y with map(y) = a, ascending."""
-
-    def apply(y):
-        if amap is AdditiveMap.SQUARE_PLUS_Y:
-            return y * y + y
-        if amap is AdditiveMap.FROB_PLUS_Y:
-            return y.frobenius() + y
-        return y.frobenius() - y
-
-    p, dim = tw.p, 2 * tw.m
-    cols = [packed_digits(tw, apply(from_value(tw, p ** j)).code) for j in range(dim)]
-    aug = [[cols[j][i] for j in range(dim)] + [b] for i, b in enumerate(packed_digits(tw, a.code))]
-    pivots = []
-    r = 0
-    for c in range(dim):
-        sel = next((i for i in range(r, dim) if aug[i][c] % p), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [(x * inv) % p for x in aug[r]]
-        for i in range(dim):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    if any(aug[i][dim] for i in range(r, dim)):
-        return []
-    particular = [0] * dim
-    for i, c in enumerate(pivots):
-        particular[c] = aug[i][dim]
-    kernel = []
-    for c in (c for c in range(dim) if c not in pivots):
-        vec = [0] * dim
-        vec[c] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-aug[i][c]) % p
-        kernel.append(vec)
-    sols = set()
-    for counters in itertools.product(range(p), repeat=len(kernel)):
-        digs = particular[:]
-        for kvec, cnt in zip(kernel, counters):
-            digs = [(d + cnt * kv) % p for d, kv in zip(digs, kvec)]
-        sols.add(from_value(tw, sum(d * p ** i for i, d in enumerate(digs))).code)
-    return sorted(sols)
 
 
 def test_solve_additive_coset_cardinality():
@@ -700,19 +633,6 @@ def test_scalar_vector_op_agreement(case):
     assert total == acc.code
 
 
-def random_unit(rng):
-    """A uniform unit of a uniform TOWERS_SMALL field."""
-    tw = build_tower(*TOWERS_SMALL[rng.integers(len(TOWERS_SMALL))])
-    return Scalar(tw, rng.integers(tw.n_units))
-
-
-def assert_norm_preimage(x):
-    c = x.relative_norm()
-    v = Scalar(x.tower, norm_preimage(x.tower, c.code))
-    assert v ** (x.tower.q + 1) == c
-    assert c.in_base_field()
-
-
 # 1000 checks as 100 seeded batches of 10: 354 distinct units of the 529 in
 # these fields (hypothesis 6.155)
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -1006,23 +926,6 @@ def test_non_primitive_table_entry_builds_no_tower():
                 build_tower(3, 1)
         assert _shared_tower.cache_info().currsize == 0
     assert build_tower(3, 1).modulus == CONWAY[3, 2]
-
-
-def zech_tree_sum(tw, arr, axis=-1):
-    """Reference oracle: the field sum that vsum took before additive words,
-    a tree of vadd calls over the axis padded with zeros to a power of two."""
-    arr = np.moveaxis(np.asarray(arr, dtype=np.int32), axis, -1)
-    length = arr.shape[-1]
-    if length == 0:
-        return np.full(arr.shape[:-1], tw.zero_code, dtype=np.int32)
-    width = 1 << (length - 1).bit_length()
-    if width != length:
-        pad = np.full(arr.shape[:-1] + (width - length,), tw.zero_code, dtype=np.int32)
-        arr = np.concatenate([arr, pad], axis=-1)
-    while arr.shape[-1] > 1:
-        half = arr.shape[-1] // 2
-        arr = tw.vadd(arr[..., :half], arr[..., half:])
-    return arr[..., 0]
 
 
 # Cayley towers (q^2 <= 2^9) and Zech/log towers, (29, 1) least-primitive

@@ -21,26 +21,16 @@ from agq.points import (
     affine_grid_set,
     coset_union_set,
     explicit_set,
-    local_derivatives,
     roots_of_unity_set,
     twist_vector,
 )
 
 from .modulus_search import admissible_towers
+from .oracles import (
+    assert_residue_identity, brute_force_step, derivatives, elements, field_sum, pairwise_product_derivatives,
+)
 from .scalar_field import Scalar, from_int, gen, one, subfield_elements, zero
-from .test_fields import seeded_batch
-
-
-def elements(es):
-    """The points of a set as Scalars, in set order."""
-    return [Scalar(es.tower, c) for c in es.codes.tolist()]
-
-
-def field_sum(tower, elements):
-    acc = zero(tower)
-    for el in elements:
-        acc = acc + el
-    return acc
+from .strategies import any_point_sets, random_residue_case, seeded_batch, stabilizer_cases
 
 
 def test_roots_of_unity_q13_n25():
@@ -176,11 +166,6 @@ def test_affine_grid_q8_16_points():
     assert affine_grid_set(tw, 2).n == 16
 
 
-def derivatives(es):
-    """local_derivatives as Scalars."""
-    return [Scalar(es.tower, c) for c in local_derivatives(es).tolist()]
-
-
 def test_local_derivative_closed_forms_roots_of_unity():
     tw = build_tower(13, 1)
     es = roots_of_unity_set(tw, 25)
@@ -247,19 +232,6 @@ def test_residue_identity_roots_of_unity_boundary():
     assert not field_sum(tw, terms).is_zero()
 
 
-def pairwise_product_derivatives(eval_set):
-    """Reference oracle: h'(alpha_i) as the Scalar product over j != i."""
-    pts = elements(eval_set)
-    out = []
-    for i, a in enumerate(pts):
-        acc = one(eval_set.tower)
-        for j, b in enumerate(pts):
-            if i != j:
-                acc = acc * (a - b)
-        out.append(acc)
-    return tuple(out)
-
-
 def twist_elements(tower, tv):
     return [Scalar(tower, c) for c in tv.tolist()]
 
@@ -277,66 +249,6 @@ def pairwise_twist(eval_set, unit_scalar):
             raise NotNormValue(i)
         values.append(Scalar(c.tower, norm_preimage(c.tower, c.code)))
     return tuple(values)
-
-
-def random_point_set(rng, towers, max_n):
-    """A set of at most max_n distinct points from one of the four families over
-    a tower drawn from towers (p, m), each choice uniform from the numpy
-    generator rng.  Half of them lose the zero point, as a hand-built set of the
-    same family and parameters, so grids keep their unit scalar."""
-    tower = build_tower(*towers[rng.integers(len(towers))])
-    q, units = tower.q, tower.n_units
-    family = ("roots", "coset", "grid", "explicit")[rng.integers(4)]
-    if family == "roots":
-        orders = [d for d in range(1, max_n) if units % d == 0]
-        es = roots_of_unity_set(tower, orders[rng.integers(len(orders))] + 1)
-    elif family == "coset":
-        shapes = [
-            (n, t)
-            for n in range(1, max_n)
-            if units % n == 0
-            for t in range((q - 1) // (n // gcd(n, q + 1)))
-            if (t + 1) * n < max_n
-        ]
-        es = coset_union_set(tower, *shapes[rng.integers(len(shapes))])
-    elif family == "grid":
-        es = affine_grid_set(tower, int(rng.integers(1, max(1, min(q, max_n // q)) + 1)))
-    else:
-        codes = rng.choice(units, size=rng.integers(min(max_n, 24, units + 1)), replace=False)
-        es = explicit_set(tower, codes.tolist() + [tower.zero_code])
-    if es.n > 2 and rng.integers(2):
-        es = EvaluationSet(tower, es.family, es.codes[es.codes != tower.zero_code], es.params)
-    return es
-
-
-@st.composite
-def point_sets(draw, towers, max_n):
-    """random_point_set from a generator seeded by a hypothesis draw."""
-    return random_point_set(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), towers, max_n)
-
-
-# four Cayley towers (q^2 <= 2^9) and three Zech-only ones, in characteristic 2 and odd
-TWIST_TOWERS = [(3, 1), (2, 2), (2, 4), (17, 1), (2, 5), (3, 3), (31, 1)]
-
-
-@st.composite
-def coset_union_sets(draw, towers, max_n):
-    """An explicit set of fewer than max_n points over a tower drawn from
-    towers: the union of random cosets of a random subgroup mu_d, half of the
-    time with zero."""
-    tower = build_tower(*draw(st.sampled_from(towers)))
-    units = tower.n_units
-    d = draw(st.sampled_from([d for d in range(1, max_n) if units % d == 0]))
-    step = units // d
-    leaders = draw(st.lists(st.integers(0, step - 1), min_size=1, max_size=min(step, (max_n - 1) // d), unique=True))
-    codes = [leader + j * step for leader in leaders for j in range(d)]
-    return explicit_set(tower, codes + [tower.zero_code] * draw(st.booleans()))
-
-
-def any_point_sets(max_n):
-    """A set of one of the four families, or an explicit union of cosets, over
-    a TWIST_TOWERS field."""
-    return st.one_of(point_sets(TWIST_TOWERS, max_n), coset_union_sets(TWIST_TOWERS, max_n))
 
 
 @st.composite
@@ -380,42 +292,6 @@ def test_twist_log_sums_match_pairwise_product(case):
         assert_twist_matches_oracle(es)
 
 
-def brute_force_step(es):
-    """Reference oracle: the least s | q^2-1 that maps the set's nonzero codes
-    onto themselves under c -> c + s mod q^2-1, by trying every divisor; q^2-1
-    for a set with a repeated point or with no nonzero point."""
-    units = es.tower.n_units
-    codes = es.codes.tolist()
-    nonzero = {c for c in codes if c != units}
-    if len(set(codes)) < len(codes) or not nonzero:
-        return units
-    return min(s for s in range(1, units + 1) if units % s == 0 and {(c + s) % units for c in nonzero} == nonzero)
-
-
-@st.composite
-def stabilizer_cases(draw):
-    """A point set of any_point_sets as it is, or with one point dropped, one
-    foreign point added, one or every point repeated, or zero added or
-    dropped.  Every point twice keeps the codes shift-invariant as a list."""
-    es = draw(any_point_sets(max_n=128))
-    tower, codes = es.tower, es.codes.tolist()
-    change = draw(st.sampled_from(["none", "drop", "add", "repeat", "double", "zero"]))
-    if change == "drop" and codes:
-        codes.pop(draw(st.integers(0, len(codes) - 1)))
-    elif change == "add" and len(codes) <= tower.n_units:
-        foreign = draw(st.integers(0, tower.n_units))
-        while foreign in codes:
-            foreign = (foreign + 1) % tower.q2
-        codes.append(foreign)
-    elif change == "repeat" and codes:
-        codes.append(codes[draw(st.integers(0, len(codes) - 1))])
-    elif change == "double":
-        codes += codes
-    elif change == "zero":
-        codes = codes[:-1] if codes[-1:] == [tower.zero_code] else codes + [tower.zero_code]
-    return EvaluationSet(tower, es.family, codes, es.params)
-
-
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(stabilizer_cases())
 def test_stabilizer_step_matches_brute_force(es):
@@ -453,20 +329,6 @@ def test_repeated_point_has_zero_derivative(p, m):
     assert got.value.index == 2
 
 
-# the seven towers of the original suite, plus GF(2^10), whose vector sums read
-# Zech logs rather than a Cayley table
-RESIDUE_TOWERS = [(3, 1), (2, 2), (5, 1), (7, 1), (11, 1), (2, 3), (3, 2), (2, 5)]
-
-
-def random_residue_case(rng):
-    """A point set of at least 2 points over a RESIDUE_TOWERS field, and an
-    exponent e <= n-2."""
-    es = random_point_set(rng, RESIDUE_TOWERS, max_n=128)
-    while es.n < 2:
-        es = random_point_set(rng, RESIDUE_TOWERS, max_n=128)
-    return es, int(rng.integers(es.n - 1))
-
-
 # 1000 checks as 100 seeded batches of 10: 856 distinct (set, e) pairs
 # (hypothesis 6.155).  Most repeats are structured sets over GF(9) and GF(16),
 # which have only a few dozen (set, e) pairs each
@@ -476,11 +338,6 @@ def test_residue_identity_property_suite(cases):
     """sum_i alpha_i^e / h'(alpha_i) = 0 for 0 <= e <= n-2, on all four families."""
     for es, e in cases:
         assert_residue_identity(es, e)
-
-
-def assert_residue_identity(es, e):
-    terms = [(p ** e) / h for p, h in zip(elements(es), derivatives(es))]
-    assert field_sum(es.tower, terms).is_zero(), (es.tower, es.family, es.n, e)
 
 
 def test_alpha_power_differences_lie_in_small_subfield():

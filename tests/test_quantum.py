@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 from hypothesis import example, given, settings
 
@@ -17,7 +15,8 @@ from agq.constructions import (
 from agq.fields import build_tower
 from agq.quantum import stabilizer_params
 
-from .test_codes import dual, self_orthogonal_codes
+from .oracles import brute_force_distances
+from .strategies import self_orthogonal_codes
 
 # the 3x7 Hermitian self-orthogonal GF(4) code whose weight-2 dual words all lie
 # in C: d(C^perp_H) = 2 but the quantum distance is 3 (exponent codes, 3 = zero)
@@ -120,20 +119,6 @@ def test_json_shape():
     entry = catalog_entry(construct(request), request, 0.0)
     assert list(entry["request"]) == ["construction", "p", "m", "n", "t", "k", "embed"]
     assert list(entry["quantum"]) == ["q", "n", "k", "d", "d_exact", "d_method", "mds", "defect"]
-
-
-def brute_force_distances(code):
-    """(d(C^perp_H), min wt(C^perp_H minus C)) by enumerating every word of the
-    Hermitian dual; with n = 2k, where C^perp_H = C, the second is d(C^perp_H)."""
-    tower = code.tower
-    h = dual(code, "hermitian").g
-    coeffs = np.asarray(list(itertools.product(range(tower.q2), repeat=len(h))), dtype=np.int32)
-    words = tower.vsum(tower.vmul(coeffs[:, :, None], h[None]), axis=1)
-    weight = (words != tower.zero_code).sum(axis=1)
-    parity = dual(code, "euclidean").g  # C = {x : parity . x = 0}
-    in_c = (tower.vsum(tower.vmul(words[:, None, :], parity[None]), axis=2) == tower.zero_code).all(axis=1)
-    outside = ~in_c if code.n > 2 * code.k else weight > 0
-    return int(weight[weight > 0].min()), int(weight[outside].min())
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

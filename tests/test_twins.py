@@ -19,24 +19,21 @@ import numpy as np
 import agq.cli
 from agq.codes import LinearCode, certify, rank
 
-
-def _towers(*specs):
-    return [arg for spec in specs for arg in ("--tower", spec)]
+from .exactness import SWEEPS as EXACTNESS_SWEEPS
 
 
-CURVE_TOWERS = _towers("2,2", "2,3", "3,1", "3,2", "5,1", "7,1")
-LINE_TOWERS = _towers("7,1", "2,3", "3,2", "11,1", "13,1")
 # the sweeps of python -m tests.exactness, c1 up to GF(169), and what they print:
 # rows certified, d(C^perp) lower bounds, classical d null, and the MDS methods
-SWEEPS = {
-    "c1": ([["--construction", "c1", *LINE_TOWERS]], 175, 8, 22,
+COUNTS = {
+    "c1": (175, 8, 22,
            {"column-scan": 29, "column-scan-lower-bound": 8, "extended-grs": 41, "systematic": 1, "vandermonde": 96}),
-    "c4": ([["--construction", "c4", *LINE_TOWERS]], 158, 5, 5,
-           {"column-scan-lower-bound": 5, "extended-grs": 23, "vandermonde": 130}),
-    "curves": ([["--construction", cons, *CURVE_TOWERS] for cons in ("c5", "c6", "c8", "c9", "c10")], 52, 15, 23,
-               {"column-scan": 29, "systematic": 19, "vandermonde": 4}),
-    "c7iii": ([["--construction", "c7iii", "--t", str(t), *CURVE_TOWERS] for t in (1, 2, 3)], 18, 2, 7,
-              {"column-scan": 16, "systematic": 2}),
+    "c4": (158, 5, 5, {"column-scan-lower-bound": 5, "extended-grs": 23, "vandermonde": 130}),
+    "c5 c6 c8 c9 c10": (52, 15, 23, {"column-scan": 29, "systematic": 19, "vandermonde": 4}),
+    "c7iii t=1..3": (18, 2, 7, {"column-scan": 16, "systematic": 2}),
+}
+SWEEPS = {
+    name: ([command[: command.index("13,1") + 1] if name == "c1" else command for command in commands], *COUNTS[name])
+    for name, commands in EXACTNESS_SWEEPS.items()
 }
 
 
