@@ -181,10 +181,10 @@ def zech_tree_gram(code):
     return GramCertificate(m, first is None, first, _digest(code, m))
 
 
-def row_space(tower, g, block=1 << 15):
-    """Every word of g's row space, zero included, in blocks of at most block words:
+def row_space(tower, g):
+    """Every word of g's row space, zero included, in blocks of agq.codes._CHUNK words:
     message sum_j d_j q^{2j} gives the word sum_j d_j g_j, by k vmul and k vadd."""
-    q2, (k, n) = tower.q2, g.shape
+    q2, (k, n), block = tower.q2, g.shape, agq.codes._CHUNK
     for start in range(0, q2 ** k, block):
         rem = np.arange(start, min(start + block, q2 ** k), dtype=np.int64)
         words = np.full((rem.size, n), tower.zero_code, dtype=np.int32)

@@ -22,17 +22,17 @@ from agq.codes import LinearCode, certify, rank
 from .exactness import SWEEPS as EXACTNESS_SWEEPS
 
 
-# the sweeps of python -m tests.exactness, c1 up to GF(169), and what they print:
-# rows certified, d(C^perp) lower bounds, classical d null, and the MDS methods
+# the sweeps of python -m tests.exactness on their first towers (c1 up to GF(169)) and what
+# they print: rows certified, d(C^perp) lower bounds, classical d null, MDS methods
 COUNTS = {
-    "c1": (175, 8, 22,
+    "c1": (5, 175, 8, 22,
            {"column-scan": 29, "column-scan-lower-bound": 8, "extended-grs": 41, "systematic": 1, "vandermonde": 96}),
-    "c4": (158, 5, 5, {"column-scan-lower-bound": 5, "extended-grs": 23, "vandermonde": 130}),
-    "c5 c6 c8 c9 c10": (52, 15, 23, {"column-scan": 29, "systematic": 19, "vandermonde": 4}),
-    "c7iii t=1..3": (18, 2, 7, {"column-scan": 16, "systematic": 2}),
+    "c4": (5, 158, 5, 5, {"column-scan-lower-bound": 5, "extended-grs": 23, "vandermonde": 130}),
+    "c5 c6 c8 c9 c10": (6, 52, 15, 23, {"column-scan": 29, "systematic": 19, "vandermonde": 4}),
+    "c7iii t=1..3": (6, 18, 2, 7, {"column-scan": 16, "systematic": 2}),
 }
 SWEEPS = {
-    name: ([command[: command.index("13,1") + 1] if name == "c1" else command for command in commands], *COUNTS[name])
+    name: ([command[: command.index("--tower") + 2 * COUNTS[name][0]] for command in commands], *COUNTS[name][1:])
     for name, commands in EXACTNESS_SWEEPS.items()
 }
 
