@@ -18,7 +18,6 @@ from .codes import (
     is_mds,
 )
 from .constructions import (
-    CertifiedCode,
     ConstructionRequest,
     construct,
     construct_chain,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdditiveMap",
     "Certificate",
-    "CertifiedCode",
     "ConstructionRequest",
     "CurveFamily",
     "CurveSpec",

@@ -35,12 +35,13 @@ from importlib import resources
 
 from . import config, constructions
 from .codes import (
+    Certificate,
     certify,
     export_matrix,
     hermitian_gram,  # noqa: F401 -- bound here too; agqbench's tracer test wraps this binding
     import_matrix,
 )
-from .constructions import _EMBED_STEPS, CertifiedCode, ConstructionRequest, construct_chain
+from .constructions import _EMBED_STEPS, ConstructionRequest, construct_chain
 from .errors import AgqError, BadRequest, GramNonzero, ParseError, UnreadableInput, UnwritableOutput
 from .fields import build_tower
 from .quantum import stabilizer_params
@@ -53,12 +54,13 @@ EXIT_PARSE = 4
 # -- catalog entries -----------------------------------------------------------
 
 
-def catalog_entry(cert: CertifiedCode, request, elapsed: float) -> dict:
-    """The JSON record of one certified code; elapsed becomes its time_s.
-    construct and scan pass the member's own build_s and a ConstructionRequest,
-    verify its whole run time and a plain dict naming the matrix file."""
-    certificate = cert.certificate
-    code, dd, d = certificate.code, certificate.dual_distance, certificate.distance
+def catalog_entry(cert: Certificate, request, elapsed: float) -> dict:
+    """The JSON record of one certified code, read from its Certificate alone;
+    elapsed becomes its time_s.  construct and scan pass the member's own
+    build_s and a ConstructionRequest, verify its whole run time and a plain
+    dict naming the matrix file; verify's certificate has an empty trace and
+    no designed distance."""
+    code, dd, d = cert.code, cert.dual_distance, cert.distance
     return {
         "request": dict(vars(request)) if isinstance(request, ConstructionRequest) else request,
         "verdict": "CERTIFIED",
@@ -66,17 +68,17 @@ def catalog_entry(cert: CertifiedCode, request, elapsed: float) -> dict:
             "q2": code.tower.q2,
             "n": code.n,
             "k": code.k,
-            "mds": certificate.mds,
-            "mds_method": certificate.mds_method,
+            "mds": cert.mds,
+            "mds_method": cert.mds_method,
             "designed_distance": cert.designed_distance,
             "d": None if d is None else d.value,
             "d_method": None if d is None else d.method,
         },
         "quantum": dict(vars(stabilizer_params(cert))),
         "dual_distance": {"value": dd.value, "exact": dd.exact, "method": dd.method},
-        "gram_digest": certificate.gram.digest,
+        "gram_digest": cert.gram.digest,
         "witnesses": {
-            "mds_singular": list(certificate.mds_witness) if certificate.mds_witness else None,
+            "mds_singular": list(cert.mds_witness) if cert.mds_witness else None,
             "dual_distance_columns": list(dd.witness) if dd.witness else None,
         },
         "trace": list(cert.trace),
@@ -166,11 +168,11 @@ def _matrix_rejected(args, exc: AgqError, start: float) -> int:
 def cmd_verify(args) -> int:
     start = time.perf_counter()
     try:
-        certificate = certify(_read_matrix(args))  # a nonzero Gram raises GramNonzero
+        cert = certify(_read_matrix(args))  # a nonzero Gram raises GramNonzero
     except AgqError as exc:
         return _matrix_rejected(args, exc, start)
     request = {"file": args.file, "systematic_prefix": args.systematic_prefix}
-    _emit(catalog_entry(CertifiedCode(certificate, (), None), request, time.perf_counter() - start))
+    _emit(catalog_entry(cert, request, time.perf_counter() - start))
     return EXIT_OK
 
 

@@ -11,16 +11,18 @@ the caller takes the path of a code without a record; no caller asks which
 records a code has.  The line record (_line_record) is a twisted-Vandermonde
 core on n0 >= k points plus unit columns c * e_r, r >= 1, as embedding steps
 append them: rank k on any c columns with c - u >= k, u unit columns; the
-core's Gram, once per orbit, plus c^(q+1) at (r, r) per unit column; and MDS
+core's Gram terms, one column per orbit, then the unit columns; and MDS
 with no unit column ("vandermonde") or with one, in row k-1, a doubly
 extended GRS code ("extended-grs"; MacWilliams-Sloane, ch. 11).  The curve
 record (_curve_record) of a one-point code: rank k on more than m columns,
 as a nonzero f of pole order at most m has at most m zeros (Stichtenoth, Thm
 2.2.2); the floor 1, so is_mds runs the column scan first; w = 2 keys from
 its points; and d(C) = n - m when a light word meets it.  certify's
-Certificate is the one record of a code: it holds the code, and its
-``distance`` decides d(C) on first read.  Matrices are numpy int32 arrays of
-exponent codes (tower convention: code q^2-1 is zero): hot loops are lookups.
+Certificate is the one record of a code: it holds the code, what its
+construction knows (trace, designed distance, evaluation set, build time),
+and its ``distance`` decides d(C) on first read.  Matrices are numpy int32
+arrays of exponent codes (tower convention: code q^2-1 is zero): hot loops
+are lookups.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from . import fields as _fields
 from .curves import CurveSpec, on_curve
 from .errors import CapExceeded, GramNonzero, ParseError, RankDefect
 from .fields import FieldTower, build_tower
+from .points import EvaluationSet
 
 # SHA-256 from CPython's builtin module, byte-identical to hashlib's, which would
 # map OpenSSL's libcrypto (about 3.6 MB resident) for one digest per Gram
@@ -70,15 +73,12 @@ class LinearCode:
     the same ``reduced`` form.
     """
 
-    def __init__(
-        self, tower: FieldTower, g: np.ndarray, provenance: str = "", verify_rank: bool = True, curve=None
-    ):
+    def __init__(self, tower: FieldTower, g: np.ndarray, verify_rank: bool = True, curve=None):
         g = np.asarray(g, dtype=np.int32)
         if g.ndim != 2:
             raise ValueError("generator matrix must be 2-dimensional")
         self.tower = tower
         self.g = g
-        self.provenance = provenance
         self.k, self.n = g.shape
         self._line = _line_record(tower, g)
         self._curve = curve
@@ -113,7 +113,7 @@ class LinearCode:
         return (self.n, self.k)
 
     def __repr__(self):
-        return f"LinearCode[{self.n},{self.k}]_({self.tower.q}^2)<{self.provenance}>"
+        return f"LinearCode[{self.n},{self.k}]_({self.tower.q}^2)"
 
 
 class Record:
@@ -124,7 +124,7 @@ class Record:
         """Do any `columns` columns of G have rank k?"""
 
     def gram_terms(self, code: LinearCode) -> tuple | None:
-        """(columns, d, c, unit_columns), the terms hermitian_gram sums."""
+        """(columns, d, c), the terms hermitian_gram sums."""
 
     def dual_floor(self, code: LinearCode) -> tuple[int, str] | None:
         """(floor on d(C^perp), method): k+1 makes C MDS by that method."""
@@ -138,9 +138,9 @@ class Record:
 
 @dataclass(frozen=True, eq=False)
 class LineRecord(Record):
-    """The line record (_line_record): hermitian_gram's terms."""
+    """The line record (_line_record): hermitian_gram's terms and the unit columns."""
 
-    columns: np.ndarray  # the core's orbit representatives, then its zero point
+    columns: np.ndarray  # the core's orbit representatives, then its zero point, then the unit columns
     d: int
     c: np.ndarray | None
     unit_columns: tuple  # (r, c) of each unit column c * e_r
@@ -150,7 +150,7 @@ class LineRecord(Record):
         return columns - len(self.unit_columns) >= code.k
 
     def gram_terms(self, code: LinearCode) -> tuple | None:
-        return self.columns, self.d, self.c, self.unit_columns
+        return self.columns, self.d, self.c
 
     def dual_floor(self, code: LinearCode) -> tuple[int, str] | None:
         rows = [r for r, _ in self.unit_columns]
@@ -175,12 +175,12 @@ def _line_record(tower: FieldTower, g: np.ndarray) -> LineRecord | None:
     log N(alpha_r) + m * s * c_r, which is checked on G[0], the orbit adds
     sum_m (t^s)^(m (i + qj + c_r)), d or 0, times the representative's
     product: the columns are the representatives, then the zero point if
-    present.  Otherwise, and for k = 1, they are the whole core, d = 1 and c
-    is None.
+    present, then the unit columns, each summed as a column of its own.
+    Otherwise, and for k = 1, they are all of G, d = 1 and c is None.
     """
     zero, units = tower.zero_code, tower.n_units
     at = np.flatnonzero(g[0] == zero) if len(g) else ()
-    unit_columns = ()
+    unit_columns, full = (), g
     if len(at):
         nonzero = g[:, at] != zero
         if np.count_nonzero(np.count_nonzero(nonzero, axis=0) != 1):
@@ -191,7 +191,7 @@ def _line_record(tower: FieldTower, g: np.ndarray) -> LineRecord | None:
     k, n = g.shape
     if not 0 < k <= n:
         return None
-    whole = LineRecord(g, 1, None, unit_columns)
+    whole = LineRecord(full, 1, None, unit_columns)
     if k == 1:
         return whole
     alpha = tower.vdiv(g[1], g[0])
@@ -217,7 +217,7 @@ def _line_record(tower: FieldTower, g: np.ndarray) -> LineRecord | None:
     # every step of orbit r is its first, and that is c_r * s only if s divides it
     if np.count_nonzero(steps.reshape(d - 1, reps) != c * s):
         return whole
-    return LineRecord(np.concatenate((g[:, :reps], g[:, size:]), axis=1), d, c, unit_columns)
+    return LineRecord(np.concatenate((g[:, :reps], g[:, size:], full[:, at]), axis=1), d, c, unit_columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,7 +337,10 @@ class DistanceResult:
 @dataclass(frozen=True)
 class Certificate:
     """What certify() decided about one code whose Gram matrix is all zero, with
-    the code itself: the one record a catalog entry is built from."""
+    the code itself and what its construction knows: the one record a catalog
+    entry is built from.  A construction fills the last four fields by
+    dataclasses.replace, before anything reads ``distance``; a code certified
+    on its own, as verify's is, keeps their defaults."""
 
     code: LinearCode
     gram: GramCertificate
@@ -346,6 +349,10 @@ class Certificate:
     mds_method: str
     dual_distance: DistanceResult  # d(C^perp) = d(C^perp_H)
     quantum_distance: DistanceResult  # min wt(C^perp_H \ C)
+    trace: tuple = ()  # how the construction built the code, step by step
+    designed_distance: int | None = None  # the construction's bound on d(C)
+    eval_set: EvaluationSet | None = None  # a genus-0 chain member's points, which embed_once extends
+    build_s: float = 0.0  # wall time to build and certify this chain member alone
 
     @cached_property
     def distance(self) -> DistanceResult | None:
@@ -437,9 +444,7 @@ def batched_dependent(tower: FieldTower, mats: np.ndarray) -> np.ndarray:
 # -- construction --------------------------------------------------------------
 
 
-def evaluation_code(
-    spec: CurveSpec, monomials: tuple, x, y, twist, provenance: str = "evaluation"
-) -> LinearCode:
+def evaluation_code(spec: CurveSpec, monomials: tuple, x, y, twist) -> LinearCode:
     """Rows v_l * f_i(P_l) for the f_i = x^a y^b of the (a, b) in monomials,
     with the curve, monomials, points and twist handed on as the code's
     curve record, which LinearCode checks against the rows.
@@ -452,7 +457,7 @@ def evaluation_code(
     tower = spec.tower
     a, b = np.asarray(monomials, dtype=np.int64).reshape(-1, 2).T
     g = _monomial_rows(tower, twist, [(x, a), (y, b)])
-    return LinearCode(tower, g, provenance=provenance, curve=(spec, monomials, x, y, twist))
+    return LinearCode(tower, g, curve=(spec, monomials, x, y, twist))
 
 
 def grs_rows(tower: FieldTower, eval_set, twist: np.ndarray, exponents) -> np.ndarray:
@@ -486,8 +491,9 @@ def hermitian_gram(code: LinearCode) -> GramCertificate:
     the tower derives from its exp read, and each entry is an integer sum
     of those words (tower._sum_products).  A record's terms (Record.gram_terms)
     give the columns, one per orbit of d points of a multiplicative symmetry
-    checked on the matrix, their norm steps c_r, and the (r, c) of each unit
-    column c * e_r, which adds c^(q+1) at (r, r).  An orbit of d columns adds
+    checked on the matrix, and their norm steps c_r; a zero point's column
+    and unit columns c * e_r follow the representatives and are summed as
+    they stand.  An orbit of d columns adds
     d * [d | i + qj + c_r] * G[i,r] * G[j,r]^q for its representative r, so
     its left factor is scaled by d mod p and the entries where d does not
     divide i + qj + c_r are pushed to slot sums of 2(q^2-1) or more, which
@@ -500,7 +506,7 @@ def hermitian_gram(code: LinearCode) -> GramCertificate:
     tower = code.tower
     k = code.k
     units = tower.n_units
-    g, d, c, unit_columns = code.ask("gram_terms") or (code.g, 1, None, ())
+    g, d, c = code.ask("gram_terms") or (code.g, 1, None)
     lhs = tower._word_slots(g)
     rhs = np.where(lhs < units, lhs * tower.q % units, lhs)  # the slots of G^q
     if d > 1:
@@ -521,8 +527,6 @@ def hermitian_gram(code: LinearCode) -> GramCertificate:
             right = np.repeat(right, len(row), axis=0)
             right[:, :, :reps] += (row + tower.q * col + c) % d * (2 * units)
         m[start:stop, start:] = tower._sum_products(lhs[start:stop, None, :], right)
-    for r, e in unit_columns:
-        m[r, r] = tower.vadd(m[r, r], e * (tower.q + 1) % units)
     nonzero = m != tower.zero_code
     if np.count_nonzero(nonzero):
         i, j = divmod(int(nonzero.argmax()), k)
@@ -1131,4 +1135,4 @@ def import_matrix(text: str, systematic_prefix: bool = False) -> LinearCode:
         eye = np.full((k, k), tower.zero_code, dtype=np.int32)
         np.fill_diagonal(eye, 0)
         g = np.hstack([eye, g])
-    return LinearCode(tower, g, provenance="imported")
+    return LinearCode(tower, g)

@@ -1,6 +1,7 @@
 """End-to-end pipelines: point set -> twist -> basis -> code -> certificates.
 
-Every returned CertifiedCode carries an all-zero Hermitian Gram certificate;
+Every returned Certificate has an all-zero Hermitian Gram matrix, and its
+trace, designed distance, evaluation set and build time record the pipeline;
 a construction whose hypotheses fail surfaces as GramNonzero (or an upstream
 error), never as an uncertified code.  Embedding steps are accepted by
 re-certification, not by case analysis: the case split is recorded in the
@@ -76,31 +77,12 @@ CONSTRUCTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class CertifiedCode:
-    certificate: Certificate  # its Gram certificate is all zero; it holds the code
-    trace: tuple
-    designed_distance: int | None
-    # embedding metadata for genus-0 evaluation chains
-    eval_set: EvaluationSet | None = None
-    build_s: float = 0.0  # wall time to build and certify this member alone
-
-    @property
-    def code(self) -> LinearCode:
-        return self.certificate.code
-
-
-def _line_chain_member(
-    eval_set: EvaluationSet,
-    g: np.ndarray,
-    provenance: str,
-    trace: tuple,
-) -> CertifiedCode:
+def _line_chain_member(eval_set: EvaluationSet, g: np.ndarray, trace: tuple) -> Certificate:
     """The certified code of g: GRS rows on eval_set's points, and the unit
     columns that embedding steps appended after them, if any."""
-    code = LinearCode(eval_set.tower, g, provenance=provenance)
-    return CertifiedCode(
-        certificate=certify(code),
+    code = LinearCode(eval_set.tower, g)
+    return replace(
+        certify(code),
         trace=trace,
         # restricted to its eval_set.n core columns C is a GRS [n0, k] code, and
         # the restriction is injective, so d(C) >= n0 - k + 1
@@ -109,13 +91,7 @@ def _line_chain_member(
     )
 
 
-def _curve_pipeline(
-    spec: CurveSpec,
-    xs: EvaluationSet,
-    k: int,
-    provenance: str,
-    trace: tuple,
-) -> CertifiedCode:
+def _curve_pipeline(spec: CurveSpec, xs: EvaluationSet, k: int, trace: tuple) -> Certificate:
     tv = twist_vector(xs)
     owner, y = rational_points(spec, xs)
     if k >= len(owner) + 2 * spec.genus:
@@ -125,9 +101,9 @@ def _curve_pipeline(
         raise RankDefect(len(owner), monomial_count(spec, k))
     basis = rr_basis(spec, k)
     # fiber-constant twist: each x-value's multiplier repeats across its fiber
-    code = evaluation_code(spec, basis, xs.codes[owner], y, tv[owner], provenance=provenance)
-    return CertifiedCode(
-        certificate=certify(code),
+    code = evaluation_code(spec, basis, xs.codes[owner], y, tv[owner])
+    return replace(
+        certify(code),
         trace=trace
         + (
             f"curve {spec.label()} genus {spec.genus}",
@@ -142,7 +118,7 @@ def thm_key_k_max(n_points: int, q: int, genus: int) -> int:
     return (n_points + q + 2 * genus - 1) // (q + 1)
 
 
-def construct(request: ConstructionRequest) -> CertifiedCode:
+def construct(request: ConstructionRequest) -> Certificate:
     """Run the full pipeline for one request (embedding policy applied)."""
     return construct_chain(request)[-1]
 
@@ -151,7 +127,7 @@ def construct(request: ConstructionRequest) -> CertifiedCode:
 _EMBED_STEPS = {"none": 0, "once": 1, "iterate": None, "deep": 1}
 
 
-def construct_chain(request: ConstructionRequest) -> list[CertifiedCode]:
+def construct_chain(request: ConstructionRequest) -> list[Certificate]:
     """Like construct, but returns every chain member the policy produced.
     Each member's build_s is its own build-and-certify time, not the chain's."""
     start = perf_counter()
@@ -192,7 +168,7 @@ def _deep_request(request: ConstructionRequest, q: int) -> tuple[ConstructionReq
     )
 
 
-def _construct_base(request: ConstructionRequest, tower: FieldTower) -> CertifiedCode:
+def _construct_base(request: ConstructionRequest, tower: FieldTower) -> Certificate:
     """The base code of a request, a deep one's by _deep_request's rules.  Its name must be in
     CONSTRUCTIONS, with each field that entry needs set and no other n or t, else BadRequest."""
     q = tower.q
@@ -237,7 +213,7 @@ def _construct_base(request: ConstructionRequest, tower: FieldTower) -> Certifie
             raise RankDefect(es.n, k)
         b_values = [((q + 1) * j) % (es.n - 1) for j in range(k)] if es.n > 1 else []
         trace += (f"B(j) residues for j=1..{k}: {b_values}",)
-        return _line_chain_member(es, grs_rows(tower, es, tv, range(k)), f"{cons}[{es.n},{k}]", trace)
+        return _line_chain_member(es, grs_rows(tower, es, tv, range(k)), trace)
 
     if cons == "c5":
         spec = curve(CurveFamily.ELLIPTIC, tower)
@@ -269,10 +245,10 @@ def _construct_base(request: ConstructionRequest, tower: FieldTower) -> Certifie
 
     n_pts = spec.pole_x * xs.n  # every admissible x carries a full fiber of deg A points
     k = request.k if request.k is not None else thm_key_k_max(n_pts, q, spec.genus)
-    return _curve_pipeline(spec, xs, k, f"{cons}[{n_pts},k={k}]", trace)
+    return _curve_pipeline(spec, xs, k, trace)
 
 
-def embed_once(cert: CertifiedCode) -> CertifiedCode:
+def embed_once(cert: Certificate) -> Certificate:
     """One embedding step: append the next power row, certified by Gram.
 
     The candidate either keeps the length (when the new row pairs to zero
@@ -284,8 +260,8 @@ def embed_once(cert: CertifiedCode) -> CertifiedCode:
     start = perf_counter()
     if cert.eval_set is None:
         raise EmbeddingRejected("embedding needs a recorded genus-0 evaluation chain")
-    if cert.certificate.mds is not True:
-        why = "not MDS" if cert.certificate.mds is False else "MDS undecided under the budget"
+    if cert.mds is not True:
+        why = "not MDS" if cert.mds is False else "MDS undecided under the budget"
         raise EmbeddingRejected(f"embedding needs an MDS input code: {why}")
     tower = cert.code.tower
     q = tower.q
@@ -329,7 +305,7 @@ def embed_once(cert: CertifiedCode) -> CertifiedCode:
         )
     trace = cert.trace + tuple(notes) + (f"embed: {case}; accepted {label}",)
     try:
-        member = _line_chain_member(cert.eval_set, g, f"embed[{g.shape[1]},{k + 1}]", trace)
+        member = _line_chain_member(cert.eval_set, g, trace)
     except RankDefect as exc:
         raise EmbeddingRejected(f"rank defect at k+1 = {k + 1}: {exc}") from None
     except GramNonzero as exc:
@@ -337,7 +313,7 @@ def embed_once(cert: CertifiedCode) -> CertifiedCode:
     return replace(member, build_s=perf_counter() - start)
 
 
-def _embed_until_rejected(cert: CertifiedCode, steps: int | None) -> list[CertifiedCode]:
+def _embed_until_rejected(cert: Certificate, steps: int | None) -> list[Certificate]:
     """cert and the members embed_once appends, at most steps of them, until it
     is rejected; the last member's trace then ends with the reason, such as
     "not MDS" or "MDS undecided"."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constructions import CertifiedCode
+from .codes import Certificate
 
 
 @dataclass(frozen=True)
@@ -32,11 +32,12 @@ class QuantumParams:
         return f"[[{self.n},{self.k},{mark}{self.d}]]_{self.q}"
 
 
-def stabilizer_params(cert: CertifiedCode) -> QuantumParams:
+def stabilizer_params(cert: Certificate) -> QuantumParams:
     """[[n, n-2k, min wt(C^perp_H \\ C)]]_q for a Gram-certified [n, k] code,
-    read from the code's certificate."""
+    read from its certificate alone: any code certify() accepted, built by a
+    construction or read from a file."""
     code = cert.code
-    qd = cert.certificate.quantum_distance
+    qd = cert.quantum_distance
     n, k_q, q = code.n, code.n - 2 * code.k, code.tower.q
     if qd.exact:
         defect = n - k_q - 2 * qd.value + 2

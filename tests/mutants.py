@@ -76,7 +76,7 @@ MUTANTS = (
            (f"{T_FIELDS}::test_switch_builds_the_tables_on_the_read_that_reaches_q2",)),
     # rows, chain guard, records and coset leaders
     Mutant("chain-guard-only-refuses-non-mds", CONSTRUCTIONS,
-           "if cert.certificate.mds is not True:", "if cert.certificate.mds is False:",
+           "if cert.mds is not True:", "if cert.mds is False:",
            (f"{T_CONSTRUCTIONS}::test_chain_ends_at_first_member_not_certified_mds",)),
     Mutant("monomial-rows-drop-e-positive", CODES,
            "zero = zero | (x == units) & (e > 0)", "zero = zero | (x == units)",
@@ -112,12 +112,17 @@ MUTANTS = (
     Mutant("zero-point-column-read-as-unit", CODES,
            "at = np.flatnonzero(g[0] == zero)", "at = np.flatnonzero(np.count_nonzero(g != zero, axis=0) == 1)",
            (f"{T_CODES}::test_structure_record_matches_brute_force", T_TWINS)),
-    Mutant("unit-diagonal-dropped", CODES,
-           "    for r, e in unit_columns:\n        m[r, r] = tower.vadd(m[r, r], e * (tower.q + 1) % units)\n", "",
+    Mutant("unit-columns-left-out-of-orbit-gram", CODES,
+           "np.concatenate((g[:, :reps], g[:, size:], full[:, at]), axis=1)",
+           "np.concatenate((g[:, :reps], g[:, size:]), axis=1)",
            (f"{T_CODES}::test_structure_record_matches_brute_force",
             f"{T_CODES}::test_line_record_readers_match_their_oracles", T_TWINS)),
-    Mutant("unit-diagonal-squared", CODES,
-           "e * (tower.q + 1) % units", "e * 2 % units",
+    Mutant("unit-columns-left-out-of-whole-gram", CODES,
+           "whole = LineRecord(full, 1, None, unit_columns)", "whole = LineRecord(g, 1, None, unit_columns)",
+           (f"{T_CODES}::test_structure_record_matches_brute_force",
+            f"{T_CODES}::test_line_record_readers_match_their_oracles", T_TWINS)),
+    Mutant("unit-column-entry-moved-to-another-row", CODES,
+           "g[:, size:], full[:, at]), axis=1)", "g[:, size:], np.roll(full[:, at], 1, axis=0)), axis=1)",
            (f"{T_CODES}::test_structure_record_matches_brute_force",
             f"{T_CODES}::test_line_record_readers_match_their_oracles", T_TWINS)),
     Mutant("two-unit-columns-in-row-k-1-read-as-mds", CODES,

@@ -153,7 +153,7 @@ def dual(code, kind="euclidean"):
     tower = code.tower
     assert kind in ("euclidean", "hermitian"), kind
     k = kernel_basis(tower, tower.vfrob(code.g) if kind == "hermitian" else code.g)
-    return LinearCode(tower, k, provenance=f"dual-{kind}({code.provenance})", verify_rank=False)
+    return LinearCode(tower, k, verify_rank=False)
 
 
 def assert_double_dual_is_the_code(code):

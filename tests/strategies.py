@@ -43,7 +43,7 @@ def uniform_codes(draw, ks, ns, towers=((2, 1), (3, 1), (2, 2))):
     entries = draw(st.binary(min_size=k * n, max_size=k * n))  # one draw for all k*n entries
     g = (np.frombuffer(entries, dtype=np.uint8) % tw.q2).astype(np.int32).reshape(k, n)
     assume(rank(tw, g) == k)
-    return LinearCode(tw, g, provenance="hypothesis", verify_rank=False)
+    return LinearCode(tw, g, verify_rank=False)
 
 
 def random_short_code(rng):
@@ -54,7 +54,7 @@ def random_short_code(rng):
     while True:
         g = rng.integers(0, tw.q2, size=(k, n)).astype(np.int32)  # q^2 - 1 is the zero code
         if rank(tw, g) == k:
-            return LinearCode(tw, g, provenance="random", verify_rank=False)
+            return LinearCode(tw, g, verify_rank=False)
 
 
 def random_sparse_code(rng):
@@ -73,7 +73,7 @@ def random_sparse_code(rng):
             if rng.random() < 0.2:
                 g[:, j] = tw.vmul(int(rng.integers(tw.n_units)), g[:, rng.integers(j)])
         if rank(tw, g) == k:
-            return LinearCode(tw, g, provenance="random", verify_rank=False)
+            return LinearCode(tw, g, verify_rank=False)
 
 
 def random_row(rng):
@@ -102,7 +102,7 @@ def self_orthogonal_code(tower, n, k, seed, plant=False):
         isotropic = tower.vsum(tower.vmul(word, tower.vfrob(word))) == tower.zero_code
         if isotropic and rank(tower, np.vstack([rows, word[None]])) > len(rows):
             rows = np.vstack([rows, word[None]])
-    return LinearCode(tower, rows, provenance="self-orthogonal")
+    return LinearCode(tower, rows)
 
 
 @st.composite

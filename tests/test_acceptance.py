@@ -19,7 +19,6 @@ from agq.codes import (
     import_matrix,
 )
 from agq.constructions import (
-    CertifiedCode,
     ConstructionRequest,
     _embed_until_rejected,
     construct,
@@ -48,9 +47,9 @@ def report(num, text):
 def test_criterion_1_example_pipeline_q13():
     start = time.perf_counter()
     base = construct(ConstructionRequest("c1", 13, 1, n=25, k=2))
-    assert base.certificate.gram.all_zero and base.code.params() == (25, 2)
+    assert base.gram.all_zero and base.code.params() == (25, 2)
     emb = embed_once(base)
-    assert emb.certificate.gram.all_zero and emb.code.params() == (25, 3)
+    assert emb.gram.all_zero and emb.code.params() == (25, 3)
     deep = construct(ConstructionRequest("c1", 13, 1, t=2, embed="deep"))
     assert deep.code.params() == (25, 7)
     t0 = time.perf_counter()
@@ -97,7 +96,7 @@ def test_criterion_2_reference_matrices():
     assert (code.tower.q2, certificate.mds_method) == (16, "systematic")
     dist = exhaustive_distance(code)
     assert (dist.value, dist.exact) == (20, True)
-    qp = stabilizer_params(CertifiedCode(certificate, (), None))
+    qp = stabilizer_params(certificate)
     assert (qp.params_string(), qp.d_exact, qp.defect) == ("[[24,16,4]]_4", True, 2)
     report(2, "; ".join(results))
 
@@ -137,7 +136,7 @@ def test_criterion_4_elliptic(monkeypatch):
     monkeypatch.setenv("AGQ_CAP_OPS", str(10 ** 6))
     cert8 = construct(ConstructionRequest("c5", 2, 3, k=9))
     assert cert8.code.params() == (80, 8)
-    assert cert8.certificate.gram.all_zero
+    assert cert8.gram.all_zero
     dd8 = dual_distance_by_columns(cert8.code)
     assert not dd8.exact and dd8.value >= 3
     report(
@@ -151,7 +150,7 @@ def test_criterion_5_hermitian_q4():
     start = time.perf_counter()
     cert = construct(ConstructionRequest("c7i", 2, 2, n=16, k=8))
     assert cert.code.params() == (64, 3)
-    dd = cert.certificate.dual_distance
+    dd = cert.dual_distance
     assert (dd.value, dd.exact) == (3, True)
     assert len(dd.witness) == 3  # pairs scan (C(64,2) = 2016) found nothing
     qp = stabilizer_params(cert)

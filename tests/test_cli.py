@@ -294,13 +294,13 @@ def test_catalog_distance_stops_at_the_exhaustive_cap(capsys, monkeypatch):
     enumerated = []
     enumerate_words = agq.codes.exhaustive_distance
     monkeypatch.setattr(agq.codes, "exhaustive_distance", lambda code: enumerated.append(code) or enumerate_words(code))
-    within = construct(ConstructionRequest("c7i", 2, 2, n=16, k=10)).certificate
+    within = construct(ConstructionRequest("c7i", 2, 2, n=16, k=10))
     first, again = within.distance, within.distance
     assert (first.value, first.exact, first.method) == (55, True, "exhaustive")
     assert again is first and enumerated == [within.code]
-    assert construct(ConstructionRequest("c7i", 2, 2, n=16, k=14)).certificate.distance is None
+    assert construct(ConstructionRequest("c7i", 2, 2, n=16, k=14)).distance is None
     enumerated.clear()
-    mds = construct(ConstructionRequest("c1", 13, 1, n=25, k=2)).certificate
+    mds = construct(ConstructionRequest("c1", 13, 1, n=25, k=2))
     assert mds.mds and mds.distance == DistanceResult(24, True, None, "mds-singleton")
     assert enumerated == []
 
@@ -692,7 +692,7 @@ def test_certifying_a_code_loads_no_openssl():
         "import agq, agq.cli\n"
         "from agq.constructions import ConstructionRequest, construct\n"
         "cert = construct(ConstructionRequest('c1', 2, 4, n=18))\n"
-        "print(cert.certificate.gram.digest, '_hashlib' in sys.modules)\n"
+        "print(cert.gram.digest, '_hashlib' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout

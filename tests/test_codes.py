@@ -455,7 +455,7 @@ def test_orbit_gram_matches_zech_tree():
         want = zech_tree_gram(code)
         assert got.matrix.dtype == np.int32 and np.array_equal(got.matrix, want.matrix)
         assert (got.all_zero, got.first_nonzero, got.digest) == (want.all_zero, want.first_nonzero, want.digest)
-        _, d, c, _ = code.ask("gram_terms") or (code.g, 1, None, ())
+        _, d, c = code.ask("gram_terms") or (code.g, 1, None)
         if d > 1:
             reduced.append((len(c), len(set(c.tolist())), d % code.tower.p))
 
@@ -473,13 +473,16 @@ def brute_force_structure(tw, g):
     columns, d = (q^2-1)/s for the least divisor s of
     q^2-1 whose shift maps the nonzero points onto themselves, and c_r the
     exponent with N(alpha_r t^(ms)) = N(alpha_r) t^(msc_r) for every m < d on
-    the orbit of each point alpha_r < s; all of G, 1 and None when d = 1,
-    k = 1 or some orbit has no such c_r.  The unit columns come last."""
+    the orbit of each point alpha_r < s, with the unit columns after the
+    representatives and the zero point; all of G, 1 and None when d = 1,
+    k = 1 or some orbit has no such c_r.  The unit columns' (r, G[r,l]) come
+    last."""
     k = g.shape[0]
     units = tw.n_units
     if k == 0 or any(np.count_nonzero(col != units) != 1 for col in g.T if col[0] == units):
         return None
     ones = [(r, int(g[r, l])) for l in range(g.shape[1]) for r in range(k) if g[0, l] == units != g[r, l]]
+    full, unit_block = g, g[:, g[0] == units]
     g = g[:, g[0] != units]
     n = g.shape[1]
     if not 0 < k <= n:
@@ -497,7 +500,7 @@ def brute_force_structure(tw, g):
             entry = entry * alpha
         alphas.append(alpha.code)
     if k == 1:
-        return g, 1, None, ones
+        return full, 1, None, ones
     if len(set(alphas)) < n:
         return None
     column = {a: l for l, a in enumerate(alphas)}
@@ -505,15 +508,15 @@ def brute_force_structure(tw, g):
     s = min(s for s in range(1, units + 1) if units % s == 0 and {(a + s) % units for a in nonzero} == set(nonzero))
     d = units // s
     if d == 1:
-        return g, 1, None, ones
+        return full, 1, None, ones
     norm = {a: Scalar(tw, g[0, column[a]]).relative_norm().code for a in nonzero}
     reps, c = [a for a in nonzero if a < s], []
     for r in reps:
         fits = [e for e in range(d) if all(norm[r + m * s] == (norm[r] + m * s * e) % units for m in range(d))]
         if not fits:
-            return g, 1, None, ones
+            return full, 1, None, ones
         c.append(fits[0])
-    return g[:, [column[a] for a in reps + [units] * (units in column)]], d, c, ones
+    return np.hstack((g[:, [column[a] for a in reps + [units] * (units in column)]], unit_block)), d, c, ones
 
 
 def with_unit_columns(tw, g, rows, rng, second=False):
@@ -567,7 +570,7 @@ def test_structure_record_matches_brute_force():
             if want is None:
                 assert code.ask("gram_terms") is None
             else:
-                columns, d, c, units = code.ask("gram_terms")
+                (columns, d, c), units = code.ask("gram_terms"), code._line.unit_columns
                 assert np.array_equal(columns, want[0]) and d == want[1] and list(units) == want[3]
                 assert (None if c is None else c.tolist()) == want[2]
             kinds.append("none" if want is None else "orbits" if want[1] > 1 else "whole")
@@ -582,7 +585,7 @@ def test_structure_record_matches_brute_force():
 
 def test_gram_zero_implies_zero_diagonal():
     cert = construct(ConstructionRequest("c9", 3, 1, t=2, k=4))
-    m = cert.certificate.gram.matrix
+    m = cert.gram.matrix
     tw = cert.code.tower
     assert all(m[i, i] == tw.zero_code for i in range(cert.code.k))
 
@@ -650,7 +653,7 @@ def code_of(pm, rows):
     """Code over GF(p^{2m}) with the given rows of exponent codes, None for zero."""
     tw = build_tower(*pm)
     g = np.asarray([[tw.zero_code if c is None else c for c in row] for row in rows], dtype=np.int32)
-    return LinearCode(tw, g, provenance="example")
+    return LinearCode(tw, g)
 
 
 @st.composite
@@ -673,7 +676,7 @@ def full_rank_codes(draw, max_k=4):
             cols.append(np.asarray(draw(st.lists(entry, min_size=k, max_size=k)), dtype=np.int32))
     g = np.stack(cols, axis=1)
     assume(rank(tw, g) == k)
-    return LinearCode(tw, g, provenance="hypothesis")
+    return LinearCode(tw, g)
 
 
 @st.composite
@@ -703,7 +706,7 @@ def pencil_codes(draw):
         keep = draw(columns)
         g[row, [j for j in range(n) if j not in keep]] = zero
     assume(rank(tw, g) == k)
-    return LinearCode(tw, g, provenance="hypothesis")
+    return LinearCode(tw, g)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -872,7 +875,7 @@ def column_scan_cases(draw):
             cols.append(np.asarray(draw(st.lists(entry, min_size=k, max_size=k)), dtype=np.int32))
     g = np.stack(cols, axis=1)
     assume(rank(tw, g) == k)
-    code = LinearCode(tw, g, provenance="hypothesis")
+    code = LinearCode(tw, g)
     chunk = draw(st.sampled_from([_CHUNK, 100, 7]))
     w = draw(st.sampled_from(range(2, k + 1)))
     budget_kind = draw(st.sampled_from(["default", "any", "boundary", "boundary"]))
@@ -907,7 +910,7 @@ def planted_scan_cases(draw):
     coefficients = draw(st.lists(st.integers(0, tw.n_units - 1), min_size=w - 1, max_size=w - 1))
     g[:, planted[-1]] = tw.vsum(np.stack([tw.vmul(e, g[:, c]) for e, c in zip(coefficients, planted[:-1])]), axis=0)
     assume(rank(tw, g) == k)
-    code = LinearCode(tw, g, provenance="hypothesis")
+    code = LinearCode(tw, g)
     budget = nominal_spend(code, w, certified) + draw(st.sampled_from([-1, 0, 1]))
     return code, max(1, budget), draw(st.sampled_from([7, 100])), k * n * draw(st.integers(2, 12))
 
@@ -1170,7 +1173,7 @@ def short_key_cases(draw):
     if shape.endswith("parallel"):
         g[rest, l] = tw.vmul(scale, g[rest, j])
     assume(rank(tw, g) == k)
-    return LinearCode(tw, g, provenance="hypothesis"), k * n * draw(st.integers(1, 4))
+    return LinearCode(tw, g), k * n * draw(st.integers(1, 4))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1203,7 +1206,7 @@ def planted_vandermonde(k, sources):
     tw = build_tower(2, 3)
     g = np.stack([tw.vpow(np.arange(12), i) for i in range(k)]).astype(np.int32)
     g[:, 11] = tw.vsum(np.stack([tw.vmul(5 * i + 3, g[:, c]) for i, c in enumerate(sources)]), axis=0)
-    return LinearCode(tw, g, provenance="planted")
+    return LinearCode(tw, g)
 
 
 @pytest.mark.parametrize(
@@ -1265,7 +1268,7 @@ def chunk_boundary_cases(draw):
     coefficients = rng.integers(0, tw.n_units, size=w - 1)
     g[:, planted[-1]] = tw.vsum(np.stack([tw.vmul(int(e), g[:, c]) for e, c in zip(coefficients, planted[:-1])]), axis=0)
     assume(rank(tw, g) == k)
-    return LinearCode(tw, g, provenance="hypothesis"), draw(st.integers(1, 4 * k * n))
+    return LinearCode(tw, g), draw(st.integers(1, 4 * k * n))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -1487,7 +1490,7 @@ def test_line_record_readers_match_their_oracles(code):
     minors oracle's whatever the rows; any k + u columns, u unit columns, of
     rank k; the Gram equal to the Zech-tree oracle's."""
     tw, k = code.tower, code.k
-    units = code.ask("gram_terms")[3]
+    units = code._line.unit_columns
     flag, singular, method, _ = is_mds(code)
     assert (method == "extended-grs") == ([r for r, _ in units] == [k - 1])
     assert flag == minors_is_mds(code)[0]
@@ -1591,7 +1594,7 @@ def random_codes_gf25(draw):
     n, k = draw(st.integers(4, 8)), draw(st.integers(1, 3))
     g = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).integers(0, tw.q2, size=(k, n)).astype(np.int32)
     assume(rank(tw, g) == k)
-    return LinearCode(tw, g, provenance="random")
+    return LinearCode(tw, g)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

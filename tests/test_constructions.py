@@ -35,8 +35,8 @@ def deep_dimension(tower, t):
 def test_c1_q13_k2_certified():
     cert = construct(ConstructionRequest("c1", 13, 1, n=25, k=2))
     assert cert.code.params() == (25, 2)
-    assert cert.certificate.gram.all_zero
-    assert cert.certificate.mds
+    assert cert.gram.all_zero
+    assert cert.mds
 
 
 def test_unknown_embedding_policy_is_rejected_before_any_work(monkeypatch):
@@ -77,13 +77,13 @@ def test_embed_extension_pads_old_rows():
 def test_c9_q3_pipeline():
     cert = construct(ConstructionRequest("c9", 3, 1, t=2, k=4))
     assert cert.code.params() == (15, 3)
-    assert cert.certificate.dual_distance.value == 3 and cert.certificate.dual_distance.exact
+    assert cert.dual_distance.value == 3 and cert.dual_distance.exact
 
 
 def test_c5_q4_pipeline():
     cert = construct(ConstructionRequest("c5", 2, 2, k=5))
     assert cert.code.params() == (24, 4)
-    assert cert.certificate.gram.all_zero
+    assert cert.gram.all_zero
 
 
 def test_c5_assumption_check_runs_per_q():
@@ -91,7 +91,7 @@ def test_c5_assumption_check_runs_per_q():
     # must reach certification rather than NotNormValue
     for p, m in [(2, 2), (2, 3)]:
         cert = construct(ConstructionRequest("c5", p, m, k=3))
-        assert cert.certificate.gram.all_zero
+        assert cert.gram.all_zero
 
 
 def test_deep_dimension_q13():
@@ -219,8 +219,8 @@ def test_chain_q8_grid():
     chain = construct_chain(ConstructionRequest("c4", 2, 3, t=2, embed="iterate"))
     assert [c.code.params() for c in chain] == [(16, 2), (16, 3), (16, 4), (16, 5)]
     for cert in chain:
-        assert cert.certificate.gram.all_zero
-        assert cert.certificate.mds
+        assert cert.gram.all_zero
+        assert cert.mds
 
 
 def test_chain_q9_grid_reaches_18_5():
@@ -233,7 +233,7 @@ def test_chain_q13_deep_links_all_certified():
     chain = _embed_until_rejected(base, None)[1:]
     assert chain[-1].code.params() == (25, 7)
     for cert in chain:
-        assert cert.certificate.gram.all_zero
+        assert cert.gram.all_zero
 
 
 def test_c1_gram_matches_exponent_reduction_rule():
@@ -301,13 +301,13 @@ def test_chain_ends_at_first_member_not_certified_mds(monkeypatch):
     request = ConstructionRequest("c1", 2, 2, n=6, embed="iterate")
     full = construct_chain(request)
     assert [c.code.params() for c in full] == [(6, 1), (7, 2), (8, 3), (9, 4), (10, 5)]
-    assert (full[2].certificate.mds, full[2].certificate.mds_method) == (True, "column-scan")
+    assert (full[2].mds, full[2].mds_method) == (True, "column-scan")
     assert full[-1].trace[-1].startswith("chain ends: Gram nonzero at k+1 = 6")
     assert all("chain ends" not in line for c in full[:-1] for line in c.trace)
     monkeypatch.setenv("AGQ_CAP_OPS", "10")
     chain = construct_chain(request)
     assert [c.code.params() for c in chain] == [(6, 1), (7, 2), (8, 3)]
-    assert chain[-1].certificate.mds is None
+    assert chain[-1].mds is None
     assert chain[-1].trace[-1] == "chain ends: embedding needs an MDS input code: MDS undecided under the budget"
     with pytest.raises(EmbeddingRejected, match="MDS undecided under the budget"):
         embed_once(chain[-1])
@@ -315,7 +315,7 @@ def test_chain_ends_at_first_member_not_certified_mds(monkeypatch):
     monkeypatch.delenv("AGQ_CAP_OPS")
     # a decided non-MDS member ends its chain too: [13,4] over GF(64)
     chain = construct_chain(ConstructionRequest("c1", 2, 3, n=10, embed="iterate"))
-    assert chain[-1].code.params() == (13, 4) and chain[-1].certificate.mds is False
+    assert chain[-1].code.params() == (13, 4) and chain[-1].mds is False
     assert chain[-1].trace[-1] == "chain ends: embedding needs an MDS input code: not MDS"
 
 
@@ -329,7 +329,7 @@ def test_c2_nonvacuous_tower_certifies():
     # the base subgroup; n = (q-1)/(3+1) = 20, one admissible coset
     cert = construct(ConstructionRequest("c2", 3, 4, n=20, t=1))
     assert cert.code.params() == (41, 1)
-    assert cert.certificate.gram.all_zero
+    assert cert.gram.all_zero
     tw = cert.code.tower
     assert all(c % (tw.q + 1) == 0 for c in cert.eval_set.codes.tolist())  # GF(q), zero included
 
@@ -337,11 +337,11 @@ def test_c2_nonvacuous_tower_certifies():
 def test_c6_hyperelliptic_certifies():
     cert = construct(ConstructionRequest("c6", 2, 2, n=16, k=7))
     assert cert.code.params() == (32, 5)
-    assert cert.certificate.gram.all_zero
+    assert cert.gram.all_zero
     # intermediate length: the 12-point subgroup-plus-zero x-set
     cert2 = construct(ConstructionRequest("c6", 2, 2, n=6, k=4))
     assert cert2.code.params() == (12, 2)
-    assert cert2.certificate.gram.all_zero
+    assert cert2.gram.all_zero
 
 
 def test_c7_cases_ii_iii():
@@ -349,13 +349,13 @@ def test_c7_cases_ii_iii():
     assert cert2.code.params() == (95, 3)
     cert3 = construct(ConstructionRequest("c7iii", 2, 2, t=2, k=8))
     assert cert3.code.params() == (32, 3)
-    assert cert3.certificate.gram.all_zero
+    assert cert3.gram.all_zero
 
 
 def test_c10_even_q():
     cert = construct(ConstructionRequest("c10", 2, 2, t=5, k=8))
     assert cert.code.params() == (64, 3)
-    assert cert.certificate.gram.all_zero
+    assert cert.gram.all_zero
 
 
 def test_reference_distances_of_curve_codes():
@@ -457,11 +457,11 @@ def test_designed_distance_is_a_lower_bound_on_line_code_chains():
             continue
         for cert in chain:
             members += 1
-            d = cert.certificate.distance
+            d = cert.distance
             assert cert.designed_distance == cert.eval_set.n - cert.code.k + 1, req
             if d is not None:
                 assert cert.designed_distance <= d.value, (req, cert.code.params())
-            if cert.certificate.mds is False:
+            if cert.mds is False:
                 assert cert.designed_distance <= cert.code.n - cert.code.k, (req, cert.code.params())
     assert members > 250
 
@@ -492,14 +492,14 @@ def test_designed_distance_is_a_lower_bound_on_curve_codes():
             continue
         for cert in chain:
             members += 1
-            d = cert.certificate.distance
+            d = cert.distance
             if d is not None:
                 methods.append(d.method)
                 assert cert.designed_distance <= d.value, (req, cert.code.params())
             if d is not None and d.method == "goppa-light-word" and cert.code.tower.q2 ** cert.code.k <= EXHAUSTIVE_CAP:
                 assert d.value == exhaustive_distance(cert.code).value, (req, cert.code.params())
                 enumerated += 1
-            if cert.certificate.mds is False:
+            if cert.mds is False:
                 assert cert.designed_distance <= cert.code.n - cert.code.k, (req, cert.code.params())
     counts = tuple(methods.count(method) for method in ("exhaustive", "goppa-light-word", "mds-singleton"))
     assert (members, *counts, enumerated) == (60, 7, 26, 4, 19)
@@ -514,7 +514,7 @@ def test_every_certified_code_has_zero_gram():
     ]
     for req in reqs:
         for cert in construct_chain(req):
-            assert cert.certificate.gram.all_zero
+            assert cert.gram.all_zero
             assert hermitian_gram(cert.code).all_zero  # recomputed, same verdict
 
 
@@ -540,14 +540,14 @@ def test_line_chain_members_take_no_row_reduction_or_cauchy():
         calls.clear()
         chain = construct_chain(ConstructionRequest("c1", 2, 8, n=258, embed="once"))
     assert tables == {"mds1": (18, []), "mixed": (11, ["rref"])}
-    assert calls == [] and [c.certificate.mds_method for c in chain] == ["vandermonde", "extended-grs"]
+    assert calls == [] and [c.mds_method for c in chain] == ["vandermonde", "extended-grs"]
 
 
 def test_a_line_record_spares_the_curve_check():
     """A curve code whose line record makes it MDS, such as the [256,1] codes
     of the catalog-curves workload, never has its curve record checked."""
     with mock.patch.object(agq.codes, "_curve_record", side_effect=AssertionError("curve record checked")):
-        certificate = construct(ConstructionRequest("c10", 2, 4, t=3, k=2)).certificate
+        certificate = construct(ConstructionRequest("c10", 2, 4, t=3, k=2))
     assert (certificate.mds_method, certificate.distance.method) == ("vandermonde", "mds-singleton")
 
 
@@ -576,7 +576,7 @@ def certifier_calls(request):
         mock.patch.object(agq.codes, "_column_keys", spy("w=2", agq.codes._column_keys)),
         mock.patch.object(agq.codes, "_word_blocks", spy("enumeration", agq.codes._word_blocks)),
     ):
-        certificate = construct(request).certificate
+        certificate = construct(request)
         distance = certificate.distance
         assert certificate.quantum_distance.exact
     return sorted(set(calls)), distance

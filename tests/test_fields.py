@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import subprocess
@@ -46,21 +45,11 @@ from .scalar_field import (
     zero,
 )
 from .strategies import TOWERS_SMALL, random_unit, seeded_batch
+from .workloads import workload_fields
 
 
-def workload_fields():
-    """(p, m) of every tower that a benchmark workload or a reproduce row builds,
-    read from agqbench/bench_workloads.py and the reproduce targets."""
-    path = Path(__file__).resolve().parents[1] / "agqbench" / "bench_workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads_fields", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    requests = [r for name in workloads.SLOTS for r in workloads.pool(name)]
-    requests += [t["recipe"] for t in _repro_targets()]
-    return sorted({(r["p"], r["m"]) for r in requests})
-
-
-WORKLOAD_FIELDS = workload_fields()
+# (p, m) of every tower that a benchmark workload or a reproduce row builds
+WORKLOAD_FIELDS = sorted({pm for pms in workload_fields(_repro_targets()).values() for pm in pms})
 
 
 @pytest.fixture(scope="module")

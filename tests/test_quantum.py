@@ -5,7 +5,6 @@ import agq.codes
 from agq.cli import catalog_entry
 from agq.codes import DistanceResult, LinearCode, certify
 from agq.constructions import (
-    CertifiedCode,
     ConstructionRequest,
     _embed_until_rejected,
     construct,
@@ -43,8 +42,7 @@ def test_artin_schreier_quantum_params():
 def test_degenerate_k0():
     tw = build_tower(3, 1)
     code = LinearCode(tw, np.zeros((0, 7), dtype=np.int32))
-    cert = CertifiedCode(certificate=certify(code), trace=(), designed_distance=None)
-    qp = stabilizer_params(cert)
+    qp = stabilizer_params(certify(code))
     assert (qp.n, qp.k, qp.d) == (7, 7, 1)
     assert qp.defect == 0
 
@@ -70,7 +68,7 @@ def test_environment_budget_reaches_every_entry_point(monkeypatch):
     never reaches the scan that reads it."""
     monkeypatch.setenv("AGQ_CAP_OPS", "10")
     cert = construct(ConstructionRequest("c9", 3, 1, t=2, k=4))
-    assert not cert.certificate.dual_distance.exact
+    assert not cert.dual_distance.exact
     assert stabilizer_params(cert).params_string() == "[[15,9,>=2]]_3"
     scanned = []
     scan = agq.codes.dual_distance_by_columns
@@ -83,7 +81,7 @@ def test_environment_budget_reaches_every_entry_point(monkeypatch):
     # n = 4: the [5,2] member is extended GRS and is never scanned
     chain = construct_chain(ConstructionRequest("c1", 5, 1, n=4, embed="iterate"))
     assert [stabilizer_params(c).params_string() for c in chain] == ["[[4,2,2]]_5", "[[5,1,3]]_5", "[[6,0,>=2]]_5"]
-    assert [c.certificate.mds_method for c in chain] == ["vandermonde", "extended-grs", "column-scan-lower-bound"]
+    assert [c.mds_method for c in chain] == ["vandermonde", "extended-grs", "column-scan-lower-bound"]
     assert scanned == [(6, 3)]
     assert stabilizer_params(embed_once(chain[1])).params_string() == "[[6,0,>=2]]_5"
     assert [stabilizer_params(c).params_string() for c in _embed_until_rejected(chain[0], None)[1:]] == ["[[5,1,3]]_5", "[[6,0,>=2]]_5"]
@@ -143,6 +141,5 @@ def test_impure_code_distance_is_a_lower_bound():
     certificate = certify(IMPURE_GF4)
     assert certificate.dual_distance == DistanceResult(2, True, (0, 3), "column-scan")
     assert certificate.quantum_distance == DistanceResult(2, False, (0, 3), "impure-lower-bound")
-    cert = CertifiedCode(certificate=certificate, trace=(), designed_distance=None)
-    qp = stabilizer_params(cert)
+    qp = stabilizer_params(certificate)
     assert qp.params_string() == "[[7,1,>=2]]_2" and qp.mds is None and qp.defect is None

@@ -43,7 +43,7 @@ def sweep(commands, out):
     entry = agq.cli.catalog_entry
 
     def spy(cert, request, elapsed):
-        members.append(cert.certificate)
+        members.append(cert)
         return entry(cert, request, elapsed)
 
     with mock.patch.object(agq.cli, "catalog_entry", spy):

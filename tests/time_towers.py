@@ -30,17 +30,7 @@ from time import perf_counter
 import numpy as np
 
 from .time_scans import ROOT, load
-
-
-def workload_fields(agq) -> dict[str, list[tuple[int, int]]]:
-    """{workload: the (p, m) of every field it builds, ascending}."""
-    sys.path.insert(0, str(ROOT / "agqbench"))
-    import bench_workloads
-
-    fields = {"reproduce": sorted({(t["recipe"]["p"], t["recipe"]["m"]) for t in agq.cli._repro_targets()})}
-    for name in bench_workloads.SLOTS:
-        fields[name] = sorted({(r["p"], r["m"]) for r in bench_workloads.pool(name)})
-    return fields
+from .workloads import workload_fields
 
 
 def exp_read(tw, codes):
@@ -86,7 +76,7 @@ def main(argv=None) -> int:
         return 2
     other_tree, rounds = Path(args[0]).resolve(), int(args[1]) if len(args) == 2 else 30
     trees = {"this": load(ROOT, "agq_this"), "other": load(other_tree, "agq_other")}
-    fields = workload_fields(trees["this"])
+    fields = workload_fields(trees["this"].cli._repro_targets())
     every = sorted({pm for pms in fields.values() for pm in pms})
     moduli = {pm: trees["this"].fields._modulus(*pm) for pm in every}
 
