@@ -18,11 +18,11 @@ record (_curve_record) of a one-point code: rank k on more than m columns,
 as a nonzero f of pole order at most m has at most m zeros (Stichtenoth, Thm
 2.2.2); the floor 1, so is_mds runs the column scan first; w = 2 keys from
 its points; and d(C) = n - m when a light word meets it.  certify's
-Certificate is the one record of a code: it holds the code, what its
-construction knows (trace, designed distance, evaluation set, build time),
-and its ``distance`` decides d(C) on first read.  Matrices are numpy int32
-arrays of exponent codes (tower convention: code q^2-1 is zero): hot loops
-are lookups.
+Certificate is the one record of a code, one object: it holds the code, what
+its construction knows (trace, designed distance, evaluation set, build
+time), written onto it in place, and ``distance`` decides d(C) on first
+read.  Matrices are numpy int32 arrays of exponent codes (tower convention:
+code q^2-1 is zero): hot loops are lookups.
 """
 
 from __future__ import annotations
@@ -334,13 +334,13 @@ class DistanceResult:
     method: str
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Certificate:
     """What certify() decided about one code whose Gram matrix is all zero, with
     the code itself and what its construction knows: the one record a catalog
-    entry is built from.  A construction fills the last four fields by
-    dataclasses.replace, before anything reads ``distance``; a code certified
-    on its own, as verify's is, keeps their defaults."""
+    entry is built from.  Only certify writes the verdict fields, and a
+    construction writes the last four onto that record; nothing copies it.  A
+    code certified on its own, as verify's is, keeps their defaults."""
 
     code: LinearCode
     gram: GramCertificate

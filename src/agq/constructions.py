@@ -1,8 +1,9 @@
 """End-to-end pipelines: point set -> twist -> basis -> code -> certificates.
 
 Every returned Certificate has an all-zero Hermitian Gram matrix, and its
-trace, designed distance, evaluation set and build time record the pipeline;
-a construction whose hypotheses fail surfaces as GramNonzero (or an upstream
+trace, designed distance, evaluation set and build time record the pipeline,
+written onto the record certify returned: each chain member is one object.
+A construction whose hypotheses fail surfaces as GramNonzero (or an upstream
 error), never as an uncertified code.  Embedding steps are accepted by
 re-certification, not by case analysis: the case split is recorded in the
 trace as an explanation only.
@@ -81,14 +82,13 @@ def _line_chain_member(eval_set: EvaluationSet, g: np.ndarray, trace: tuple) -> 
     """The certified code of g: GRS rows on eval_set's points, and the unit
     columns that embedding steps appended after them, if any."""
     code = LinearCode(eval_set.tower, g)
-    return replace(
-        certify(code),
-        trace=trace,
-        # restricted to its eval_set.n core columns C is a GRS [n0, k] code, and
-        # the restriction is injective, so d(C) >= n0 - k + 1
-        designed_distance=eval_set.n - code.k + 1,
-        eval_set=eval_set,
-    )
+    cert = certify(code)
+    cert.trace = trace
+    # restricted to its eval_set.n core columns C is a GRS [n0, k] code, and
+    # the restriction is injective, so d(C) >= n0 - k + 1
+    cert.designed_distance = eval_set.n - code.k + 1
+    cert.eval_set = eval_set
+    return cert
 
 
 def _curve_pipeline(spec: CurveSpec, xs: EvaluationSet, k: int, trace: tuple) -> Certificate:
@@ -101,17 +101,14 @@ def _curve_pipeline(spec: CurveSpec, xs: EvaluationSet, k: int, trace: tuple) ->
         raise RankDefect(len(owner), monomial_count(spec, k))
     basis = rr_basis(spec, k)
     # fiber-constant twist: each x-value's multiplier repeats across its fiber
-    code = evaluation_code(spec, basis, xs.codes[owner], y, tv[owner])
-    return replace(
-        certify(code),
-        trace=trace
-        + (
-            f"curve {spec.label()} genus {spec.genus}",
-            f"x-support size {xs.n}, rational points {len(owner)}",
-            f"monomials {list(basis)}",
-        ),
-        designed_distance=len(owner) - (k - 1),
+    cert = certify(evaluation_code(spec, basis, xs.codes[owner], y, tv[owner]))
+    cert.trace = trace + (
+        f"curve {spec.label()} genus {spec.genus}",
+        f"x-support size {xs.n}, rational points {len(owner)}",
+        f"monomials {list(basis)}",
     )
+    cert.designed_distance = len(owner) - (k - 1)
+    return cert
 
 
 def thm_key_k_max(n_points: int, q: int, genus: int) -> int:
@@ -128,18 +125,28 @@ _EMBED_STEPS = {"none": 0, "once": 1, "iterate": None, "deep": 1}
 
 
 def construct_chain(request: ConstructionRequest) -> list[Certificate]:
-    """Like construct, but returns every chain member the policy produced.
-    Each member's build_s is its own build-and-certify time, not the chain's."""
+    """Like construct, but returns every chain member the policy produced, each
+    with its own build-and-certify time as build_s.  A rejected embedding step
+    rejects an "once" request and ends any other policy's chain, whose last
+    member's trace then ends with the reason, such as "not MDS"."""
     start = perf_counter()
     if request.k is not None and request.k < 1:
         raise BadRequest(f"k must be at least 1, got {request.k}")
     if request.embed not in _EMBED_STEPS:
         raise BadRequest(f"unknown embedding policy {request.embed!r}")
     tower = build_tower(request.p, request.m)
-    base = replace(_construct_base(request, tower), build_s=perf_counter() - start)
-    if request.embed == "once":  # a rejected step rejects the request instead of ending the chain
-        return [base, embed_once(base)]
-    return _embed_until_rejected(base, _EMBED_STEPS[request.embed])
+    chain = [_construct_base(request, tower)]
+    chain[0].build_s = perf_counter() - start
+    steps = _EMBED_STEPS[request.embed]
+    while steps is None or len(chain) <= steps:
+        try:
+            chain.append(embed_once(chain[-1]))
+        except EmbeddingRejected as exc:
+            if request.embed == "once":
+                raise
+            chain[-1].trace += (f"chain ends: {exc}",)
+            break
+    return chain
 
 
 def _deep_request(request: ConstructionRequest, q: int) -> tuple[ConstructionRequest, tuple]:
@@ -255,7 +262,8 @@ def embed_once(cert: Certificate) -> Certificate:
     with itself) or extends by one column whose single entry c satisfies
     c^(q+1) = -<new,new>_H; with <new,new>_H = 1 that is the classical
     alpha^(q+1) = -1 column.  The self-pairing decides which shape can work;
-    acceptance is always the full Gram oracle plus a rank check.
+    acceptance is always the full Gram oracle plus a rank check.  The member
+    is a record of its own, and cert is left unchanged.
     """
     start = perf_counter()
     if cert.eval_set is None:
@@ -310,18 +318,5 @@ def embed_once(cert: Certificate) -> Certificate:
         raise EmbeddingRejected(f"rank defect at k+1 = {k + 1}: {exc}") from None
     except GramNonzero as exc:
         raise EmbeddingRejected(f"Gram nonzero at k+1 = {k + 1} ({case})") from exc
-    return replace(member, build_s=perf_counter() - start)
-
-
-def _embed_until_rejected(cert: Certificate, steps: int | None) -> list[Certificate]:
-    """cert and the members embed_once appends, at most steps of them, until it
-    is rejected; the last member's trace then ends with the reason, such as
-    "not MDS" or "MDS undecided"."""
-    chain = [cert]
-    while steps is None or len(chain) <= steps:
-        try:
-            chain.append(embed_once(chain[-1]))
-        except EmbeddingRejected as exc:
-            chain[-1] = replace(chain[-1], trace=chain[-1].trace + (f"chain ends: {exc}",))
-            break
-    return chain
+    member.build_s = perf_counter() - start
+    return member

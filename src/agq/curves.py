@@ -122,7 +122,7 @@ def x_support(spec: CurveSpec, selector: EvaluationSet | None = None) -> Evaluat
         return selector
     x = np.arange(spec.tower.q2)
     sizes = spec.tower.fiber_sizes(spec.amap, _right_side(spec, x))
-    return explicit_set(spec.tower, x[sizes > 0], tag="curve_support")
+    return explicit_set(spec.tower, x[sizes > 0])
 
 
 def _right_side(spec: CurveSpec, x) -> np.ndarray:

@@ -148,9 +148,9 @@ def affine_grid_set(tower: FieldTower, t: int) -> EvaluationSet:
     return EvaluationSet(tower, FAMILY_AFFINE_GRID, codes.ravel(), {"t": t, "anchor_code": 1})
 
 
-def explicit_set(tower: FieldTower, codes, tag: str = FAMILY_EXPLICIT) -> EvaluationSet:
+def explicit_set(tower: FieldTower, codes) -> EvaluationSet:
     """The points with the given exponent codes, which must be distinct."""
-    es = EvaluationSet(tower, tag, codes, {})
+    es = EvaluationSet(tower, FAMILY_EXPLICIT, codes, {})
     if _repeats(es.codes).any():
         raise ValueError("explicit point set has repeats")
     return es

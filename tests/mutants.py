@@ -9,7 +9,8 @@ copied to a temporary directory, the snippet, which must occur exactly once
 in its file, is replaced, and only the named tests run there, stopping at the
 first failure.  A mutant is caught when pytest reports a failed test (exit
 code 1) and survives when every named test passes.  One line per mutant
-gives the verdict and the time.  The exit code is 1 if any mutant survived,
+gives the verdict, the time and, for a caught mutant, the first test that
+pytest reports as FAILED, or as ERROR where a fixture failed.  The exit code is 1 if any mutant survived,
 a snippet did not match its file exactly once, or pytest could not run the
 named tests; else 0, and 2 for a NAME that no mutant has.  It is not part of
 the test suite: each mutant costs a pytest start-up and its tests.
@@ -78,6 +79,13 @@ MUTANTS = (
     Mutant("chain-guard-only-refuses-non-mds", CONSTRUCTIONS,
            "if cert.mds is not True:", "if cert.mds is False:",
            (f"{T_CONSTRUCTIONS}::test_chain_ends_at_first_member_not_certified_mds",)),
+    Mutant("embedding-step-copies-its-member", CONSTRUCTIONS,
+           "    member.build_s = perf_counter() - start\n    return member\n",
+           "    return replace(member, build_s=perf_counter() - start)\n",
+           (f"{T_CONSTRUCTIONS}::test_each_chain_member_is_one_certificate",)),
+    Mutant("once-chain-ends-instead-of-rejecting", CONSTRUCTIONS,
+           '            if request.embed == "once":\n                raise\n', "",
+           (f"{T_CLI}::test_construct_rejected_gram",)),
     Mutant("monomial-rows-drop-e-positive", CODES,
            "zero = zero | (x == units) & (e > 0)", "zero = zero | (x == units)",
            (f"{T_CODES}::test_monomial_rows_match_per_row_oracle",)),
@@ -169,7 +177,7 @@ MUTANTS = (
             f"{T_CODES}::test_cauchy_verify_against_every_minor")),
     # designed distance
     Mutant("line-designed-distance-singleton", CONSTRUCTIONS,
-           "designed_distance=eval_set.n - code.k + 1,", "designed_distance=code.n - code.k + 1,",
+           "designed_distance = eval_set.n - code.k + 1", "designed_distance = code.n - code.k + 1",
            (f"{T_CONSTRUCTIONS}::test_designed_distance_is_a_lower_bound_on_line_code_chains",)),
     # the column scan's keys and buffers
     Mutant("scan-short-keys-off", CODES,
@@ -300,7 +308,8 @@ def check(mutant: Mutant) -> tuple[str, str]:
     lines = proc.stdout.strip().splitlines()
     last = lines[-1] if lines else proc.stderr.strip()
     if proc.returncode == 1:
-        return "caught", last
+        failed = next((line.split(" - ")[0] for line in lines if line.startswith(("FAILED ", "ERROR "))), "no failed test")
+        return "caught", f"{failed}; {last}"
     if proc.returncode == 0:
         return "survived", last
     return "error", f"pytest exit {proc.returncode}: {last}"

@@ -20,7 +20,6 @@ from agq.codes import (
 )
 from agq.constructions import (
     ConstructionRequest,
-    _embed_until_rejected,
     construct,
     construct_chain,
     embed_once,
@@ -162,8 +161,7 @@ def test_criterion_5_hermitian_q4():
 
 def test_criterion_6_embedding_boundary_q11():
     start = time.perf_counter()
-    base = construct(ConstructionRequest("c1", 11, 1, n=16, k=2))
-    chain = _embed_until_rejected(base, None)
+    chain = construct_chain(ConstructionRequest("c1", 11, 1, n=16, k=2, embed="iterate"))
     assert [c.code.params() for c in chain] == [(16, 2), (16, 3), (16, 4)]
     with pytest.raises(EmbeddingRejected):
         embed_once(chain[-1])

@@ -387,6 +387,9 @@ def test_export_rejects_a_matrix_file_as_verify_does(tmp_path, capsys, text, exi
                      "REJECTED(BadRequest)", 2, id="deep-not-c1"),
         pytest.param(("construct", "--construction", "c1", "--p", "13", "--m", "1", "--n", "25", "--k", "3", "--embed", "deep"),
                      "REJECTED(BadRequest)", 2, id="deep-with-k"),
+        # a curve code has no evaluation chain to embed along
+        pytest.param(("construct", "--construction", "c5", "--p", "2", "--m", "2", "--k", "5", "--embed", "once"),
+                     "REJECTED(EmbeddingRejected)", 2, id="once-without-evaluation-chain"),
     ],
 )
 def test_failures_are_json_verdicts(capsys, tmp_path, monkeypatch, argv, verdict, exit_code):

@@ -7,12 +7,11 @@ import pytest
 
 import agq.constructions
 from agq.cli import _repro_targets, _run_repro_target, _scan_requests, build_parser
-from agq.codes import LinearCode, evaluation_code, exhaustive_distance, grs_rows, hermitian_gram
+from agq.codes import Certificate, LinearCode, evaluation_code, exhaustive_distance, grs_rows, hermitian_gram
 from agq.config import EXHAUSTIVE_CAP
 from agq.constructions import (
     ConstructionRequest,
     _construct_base,
-    _embed_until_rejected,
     construct,
     construct_chain,
     embed_once,
@@ -201,8 +200,7 @@ def test_oversized_k_is_rejected_before_any_row_is_built(request_, b):
 
 
 def test_embedding_boundary_q11():
-    base = construct(ConstructionRequest("c1", 11, 1, n=16, k=2))
-    chain = _embed_until_rejected(base, None)[1:]
+    chain = construct_chain(ConstructionRequest("c1", 11, 1, n=16, k=2, embed="iterate"))[1:]
     assert [c.code.params() for c in chain] == [(16, 3), (16, 4)]
     with pytest.raises(EmbeddingRejected) as err:
         embed_once(chain[-1])
@@ -229,8 +227,7 @@ def test_chain_q9_grid_reaches_18_5():
 
 
 def test_chain_q13_deep_links_all_certified():
-    base = construct(ConstructionRequest("c1", 13, 1, n=25, k=3))
-    chain = _embed_until_rejected(base, None)[1:]
+    chain = construct_chain(ConstructionRequest("c1", 13, 1, n=25, k=3, embed="iterate"))[1:]
     assert chain[-1].code.params() == (25, 7)
     for cert in chain:
         assert cert.gram.all_zero
@@ -311,12 +308,35 @@ def test_chain_ends_at_first_member_not_certified_mds(monkeypatch):
     assert chain[-1].trace[-1] == "chain ends: embedding needs an MDS input code: MDS undecided under the budget"
     with pytest.raises(EmbeddingRejected, match="MDS undecided under the budget"):
         embed_once(chain[-1])
-    assert _embed_until_rejected(chain[1], None)[1:][-1].trace == chain[-1].trace
+    step = embed_once(chain[1])
+    with pytest.raises(EmbeddingRejected) as ends:
+        embed_once(step)
+    assert step.trace + (f"chain ends: {ends.value}",) == chain[-1].trace
     monkeypatch.delenv("AGQ_CAP_OPS")
     # a decided non-MDS member ends its chain too: [13,4] over GF(64)
     chain = construct_chain(ConstructionRequest("c1", 2, 3, n=10, embed="iterate"))
     assert chain[-1].code.params() == (13, 4) and chain[-1].mds is False
     assert chain[-1].trace[-1] == "chain ends: embedding needs an MDS input code: not MDS"
+    # a code with no evaluation chain ends its chain at the base: c5 over GF(16)
+    chain = construct_chain(ConstructionRequest("c5", 2, 2, k=5, embed="iterate"))
+    assert len(chain) == 1
+    assert chain[-1].trace[-1] == "chain ends: embedding needs a recorded genus-0 evaluation chain"
+
+
+def test_each_chain_member_is_one_certificate(monkeypatch):
+    """The construction writes its fields onto the record certify returns and
+    copies no record: a chain makes one Certificate per member."""
+    made = []
+    init = Certificate.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Certificate, "__init__", counted)
+    chain = construct_chain(ConstructionRequest("c1", 13, 1, n=25, k=2, embed="iterate"))
+    assert len(made) == len(chain)
+    assert all(mine is member for mine, member in zip(made, chain))
 
 
 def test_c2_subgroup_must_sit_in_base_field():

@@ -6,7 +6,6 @@ from agq.cli import catalog_entry
 from agq.codes import DistanceResult, LinearCode, certify
 from agq.constructions import (
     ConstructionRequest,
-    _embed_until_rejected,
     construct,
     construct_chain,
     embed_once,
@@ -84,7 +83,8 @@ def test_environment_budget_reaches_every_entry_point(monkeypatch):
     assert [c.mds_method for c in chain] == ["vandermonde", "extended-grs", "column-scan-lower-bound"]
     assert scanned == [(6, 3)]
     assert stabilizer_params(embed_once(chain[1])).params_string() == "[[6,0,>=2]]_5"
-    assert [stabilizer_params(c).params_string() for c in _embed_until_rejected(chain[0], None)[1:]] == ["[[5,1,3]]_5", "[[6,0,>=2]]_5"]
+    step = embed_once(chain[0])
+    assert [stabilizer_params(c).params_string() for c in (step, embed_once(step))] == ["[[5,1,3]]_5", "[[6,0,>=2]]_5"]
     monkeypatch.delenv("AGQ_CAP_OPS")
     assert stabilizer_params(embed_once(chain[1])).params_string() == "[[6,0,4]]_5"
 

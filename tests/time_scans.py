@@ -33,6 +33,8 @@ from dataclasses import astuple
 from pathlib import Path
 from time import perf_counter
 
+from .workloads import bench_workloads
+
 ROOT = Path(__file__).resolve().parent.parent
 BUDGET_CAPPED = "mixed-80-64-8-q8"  # the reproduce row whose scan spends the whole budget
 C1_SCAN = "scan --construction c1 --tower 13,1"  # the agq command whose scans are timed as the c1 GF(169) ones
@@ -65,9 +67,7 @@ def collect(agq) -> list[tuple[str, int, int, object]]:
     """(label, p, m, generator matrix) of every distinct code the reproduce rows
     and the catalog-curves requests scan, and of every distinct code the c1
     GF(169) scan scans, in the order first scanned."""
-    sys.path.insert(0, str(ROOT / "agqbench"))
-    import bench_workloads
-
+    workloads = bench_workloads()
     seen, scans, label = set(), [], ""
     scan = agq.codes.dual_distance_by_columns
 
@@ -83,8 +83,8 @@ def collect(agq) -> list[tuple[str, int, int, object]]:
         for target in agq.cli._repro_targets():
             label = target["row"]
             agq.cli._run_repro_target(target)
-        for request in bench_workloads.pool("catalog-curves"):
-            label = "catalog " + bench_workloads.request_id(request)
+        for request in workloads.pool("catalog-curves"):
+            label = "catalog " + workloads.request_id(request)
             request = agq.constructions.ConstructionRequest(**request)
             try:
                 for member in agq.constructions.construct_chain(request):
