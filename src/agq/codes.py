@@ -4,25 +4,26 @@ Everything here is oracle-grade: Gram certification, distances and MDS
 checks are computed from the matrix, never assumed from the way a code
 was built.  That holds for shortcuts too: what a construction knows about G
 is a record, checked on the matrix once, and every record answers the same
-questions (Record): rank k on any c columns, the terms the Gram sums, a
-floor on d(C^perp) with its method, the column scan's w = 2 keys, and d(C)
-from a light word.  Where its hypothesis fails a record answers None, and
-the caller takes the path of a code without a record; no caller asks which
-records a code has.  The line record (_line_record) is a twisted-Vandermonde
-core on n0 >= k points plus unit columns c * e_r, r >= 1, as embedding steps
-append them: rank k on any c columns with c - u >= k, u unit columns; the
-core's Gram terms, one column per orbit, then the unit columns; and MDS
-with no unit column ("vandermonde") or with one, in row k-1, a doubly
-extended GRS code ("extended-grs"; MacWilliams-Sloane, ch. 11).  The curve
+questions (Record's four readers): rank k on any c columns, the terms the
+Gram sums, a floor on d(C^perp) with its method, and d(C) from a light word.
+Where its hypothesis fails a record answers None, and the caller takes the
+path of a code without a record; no caller asks which records a code has;
+the column scan keys every code's columns alike (_column_keys).  The line
+record (_line_record) is a twisted-Vandermonde core on n0 >= k points plus
+unit columns c * e_r, r >= 1, as embedding steps append them: rank k on any
+c columns with c - u >= k, u unit columns; the core's Gram terms, one column
+per orbit, then the unit columns; and MDS with no unit column
+("vandermonde") or with one, in row k-1, a doubly extended GRS code
+("extended-grs"; MacWilliams-Sloane, ch. 11).  The curve
 record (_curve_record) of a one-point code: rank k on more than m columns,
 as a nonzero f of pole order at most m has at most m zeros (Stichtenoth, Thm
-2.2.2); the floor 1, so is_mds runs the column scan first; w = 2 keys from
-its points; and d(C) = n - m when a light word meets it.  certify's
-Certificate is the one record of a code, one object: it holds the code, what
-its construction knows (trace, designed distance, evaluation set, build
-time), written onto it in place, and ``distance`` decides d(C) on first
-read.  Matrices are numpy int32 arrays of exponent codes (tower convention:
-code q^2-1 is zero): hot loops are lookups.
+2.2.2); the floor 1, so is_mds runs the column scan first; and d(C) = n - m
+when a light word meets it.  certify's Certificate is the one record of a
+code, one object: it holds the code, what its construction knows (trace,
+designed distance, evaluation set, build time), written onto it in place,
+and ``distance`` decides d(C) on first read.  Matrices are numpy int32
+arrays of exponent codes (tower convention: code q^2-1 is zero): hot loops
+are lookups.
 """
 
 from __future__ import annotations
@@ -117,8 +118,8 @@ class LinearCode:
 
 
 class Record:
-    """What a construction knows about G, checked on the matrix.  Each reader
-    answers None where the record's hypothesis fails."""
+    """What a construction knows about G, checked on the matrix, in four
+    readers.  Each answers None where the record's hypothesis fails."""
 
     def full_rank_on(self, code: LinearCode, columns: int) -> bool | None:
         """Do any `columns` columns of G have rank k?"""
@@ -128,9 +129,6 @@ class Record:
 
     def dual_floor(self, code: LinearCode) -> tuple[int, str] | None:
         """(floor on d(C^perp), method): k+1 makes C MDS by that method."""
-
-    def parallel_keys(self, code: LinearCode) -> np.ndarray | None:
-        """One key per column, equal for two columns exactly when they are parallel."""
 
     def light_word(self, code: LinearCode) -> DistanceResult | None:
         """d(C) from a certified floor that a word of C meets, with the word."""
@@ -238,23 +236,6 @@ class CurveRecord(Record):
 
     def dual_floor(self, code: LinearCode) -> tuple[int, str] | None:
         return 1, "column-scan"  # no floor of its own yet: is_mds scans such a code first
-
-    def parallel_keys(self, code: LinearCode) -> np.ndarray | None:
-        """With the row of 1 and a twist with no zero, columns l and l' are
-        parallel exactly when f(P_l) = f(P_l') for every row's monomial f.  So
-        with rows 1, x and y the key is the point, and the record's points are
-        distinct; with rows 1 and u, u = x or y, and every other row a power of
-        u, the key is u."""
-        if (0, 0) not in self.monomials:
-            return None
-        a, b = np.asarray(self.monomials).T
-        if {(1, 0), (0, 1)} <= set(self.monomials):
-            return self.x.astype(np.int64) * code.tower.q2 + self.y
-        if (1, 0) in self.monomials and not b.any():
-            return self.x
-        if (0, 1) in self.monomials and not a.any():
-            return self.y
-        return None
 
     def light_word(self, code: LinearCode) -> DistanceResult | None:
         """d(C) = n - m, exhaustive_distance's first word.  With n > m, d(C) >=
@@ -878,10 +859,9 @@ def dual_distance_by_columns(code: LinearCode) -> DistanceResult:
     every (w-1)-subset is independent, S + {j, l} with |S| = w-2 is
     dependent exactly when columns j and l, projected modulo span(S), are
     parallel.  At w = 2, S is empty, and _first_repeat reads the lex-first
-    pair of equal column keys (a record's Record.parallel_keys, else
-    _column_keys).  From w = 3 on, the eliminations that depend only on the
-    prefixes S run once per w, in lex-ordered chunks of whole groups
-    (_prefix_chunks): g is eliminated on all but the last column of S once
+    pair of equal column keys, _column_keys for every code.  From w = 3 on,
+    the eliminations that depend only on the prefixes S run once per w, in
+    lex-ordered chunks of whole groups (_prefix_chunks): g is eliminated on all but the last column of S once
     per distinct (w-3)-prefix.  The entries (S, later column j) come in
     blocks that slice a chunk, a first block of a few prefixes and then
     blocks that fill a cap on what a block holds, all in arrays made here for
@@ -926,8 +906,7 @@ def dual_distance_by_columns(code: LinearCode) -> DistanceResult:
             return DistanceResult(w, False, None, "column-scan-lower-bound")
         final = _unrank(limit - 1, n, w) if limit < comb(n, w) else None  # the last w-subset certified
         if w == 2:
-            keys = code.ask("parallel_keys")
-            keys = _column_keys(tower, g) if keys is None else keys
+            keys = _column_keys(tower, g)
             witness = _first_repeat(keys) if _repeats(keys, np.empty_like(keys)) else None
         else:
             witness = _first_collision(tower, g, w, final, arrays)

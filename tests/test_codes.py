@@ -1773,6 +1773,15 @@ def curve_points(spec, rng):
     return x[points], y[points]
 
 
+def curve_code(family, pm, k, t=None):
+    """(code, inputs) of the k-th Riemann-Roch code of a curve at all its points, twist 1."""
+    spec = curve(family, build_tower(*pm), t=t)
+    xs = x_support(spec)
+    owner, y = rational_points(spec, xs)
+    x, v = xs.codes[owner], np.zeros(len(owner), dtype=np.int32)
+    return evaluation_code(spec, rr_basis(spec, k), x, y, v), (spec, rr_basis(spec, k), x, y, v)
+
+
 @st.composite
 def record_codes(draw):
     """A code of the first monomials of a small curve, at the points above an
@@ -1795,15 +1804,20 @@ def record_codes(draw):
         assume(False)
 
 
+# subsets that per_subset_column_scan may eliminate on one drawn code
+ORACLE_SUBSETS = 1 << 15
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(record_codes())
 def test_curve_record_readers_match_their_oracles(code):
     """Each reader of the curve record against the oracle it replaces: the
     rank against rref, and any m+1 columns against rref too; d(C^perp), its
     witness and the MDS flag against the column scan from w = 2 of the same
-    matrix without the record; purity against the rank of G without the
-    witness; d(C) from the light word against full enumeration.  A curve
-    with gcd(pole_x, pole_y) > 1 has no record."""
+    matrix without the record, and d(C^perp) against the scan that eliminates
+    every subset where that is at most ORACLE_SUBSETS subsets; purity against
+    the rank of G without the witness; d(C) from the light word against full
+    enumeration.  A curve with gcd(pole_x, pole_y) > 1 has no record."""
     tw, spec, rec = code.tower, code._curve[0], curve_record(code)
     bare = LinearCode(tw, code.g, verify_rank=False)
     assert curve_record(bare) is None and (rec is None) == (gcd(spec.pole_x, spec.pole_y) > 1)
@@ -1816,6 +1830,8 @@ def test_curve_record_readers_match_their_oracles(code):
             assert rank(tw, code.g[:, cols]) == code.k
     dd = dual_distance_by_columns(code)
     assert dd == dual_distance_by_columns(bare)
+    if sum(comb(code.n, w) for w in range(2, min(dd.value, code.k) + 1)) <= ORACLE_SUBSETS:
+        assert dd == per_subset_column_scan(code)
     flag, singular, _, mds_dd = is_mds(code)
     assert flag == is_mds(bare)[0] and (mds_dd.value, mds_dd.exact) == (dd.value, dd.exact)
     if singular is not None:
@@ -1832,18 +1848,30 @@ def test_curve_record_readers_match_their_oracles(code):
         assert rank(tw, np.vstack([code.g, word])) == code.k  # a word of C
 
 
+@pytest.mark.parametrize(
+    "family, pm, k, t, rows",
+    [
+        (CurveFamily.HERMITIAN, (2, 1), 4, None, [(0, 0), (1, 0), (0, 1)]),  # parallel: equal points, none
+        (CurveFamily.HYPERELLIPTIC, (2, 2), 5, None, [(0, 0), (1, 0), (2, 0)]),  # parallel: equal x
+        (CurveFamily.ARTIN_SCHREIER, (3, 1), 3, 2, [(0, 0), (0, 1)]),  # parallel: equal y, t < q
+    ],
+    ids=["rows-1-x-y", "powers-of-x", "powers-of-y"],
+)
+def test_curve_scan_matches_the_per_subset_scan_on_each_row_shape(family, pm, k, t, rows):
+    """The row shapes whose parallel columns a curve's points tell apart, at
+    all points with twist 1 and with a random twist: d(C^perp), its exactness
+    and its witness from the column scan against the scan that eliminates
+    every subset.  The draws of the test above hold these shapes too."""
+    code, (spec, basis, x, y, v) = curve_code(family, pm, k, t=t)
+    twisted = evaluation_code(spec, basis, x, y, np.random.default_rng(k).integers(0, spec.tower.zero_code, len(x)))
+    assert list(basis) == rows and curve_record(code) is not None
+    for c in (code, twisted):
+        assert dual_distance_by_columns(c) == per_subset_column_scan(c)
+
+
 def curve_record(code):
     """The code's curve record, or None."""
     return next((record for record in code.records if isinstance(record, CurveRecord)), None)
-
-
-def curve_code(family, pm, k, t=None):
-    """(code, inputs) of the k-th Riemann-Roch code of a curve at all its points, twist 1."""
-    spec = curve(family, build_tower(*pm), t=t)
-    xs = x_support(spec)
-    owner, y = rational_points(spec, xs)
-    x, v = xs.codes[owner], np.zeros(len(owner), dtype=np.int32)
-    return evaluation_code(spec, rr_basis(spec, k), x, y, v), (spec, rr_basis(spec, k), x, y, v)
 
 
 def test_curve_record_checks_each_hypothesis():

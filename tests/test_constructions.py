@@ -1,5 +1,10 @@
 import contextlib
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -602,15 +607,40 @@ def certifier_calls(request):
     return sorted(set(calls)), distance
 
 
-def test_coprime_curve_codes_take_no_row_reduction_pair_scan_or_enumeration():
-    """The curve record stands in for rref (rank, the MDS screen and purity),
-    the w = 2 column keys and codeword enumeration on every gcd = 1 slot of
-    the catalog-curves workload, with d(C) = n - m exact: exhaustive_distance
-    stops at its first word, the light word.  The gcd 7 curve of c9 p=7 t=7
-    has no record and takes all three."""
+def test_coprime_curve_codes_take_no_row_reduction_or_enumeration():
+    """The curve record stands in for rref (rank, the MDS screen and purity)
+    and codeword enumeration on every gcd = 1 slot of the catalog-curves
+    workload, with d(C) = n - m exact: exhaustive_distance stops at its first
+    word, the light word.  The column scan may key their columns at w = 2, as
+    it does every code's.  The gcd 7 curve of c9 p=7 t=7 has no record and
+    takes all three."""
     for request in COPRIME_CATALOG:
         calls, distance = certifier_calls(request)
-        assert calls == [], request
+        assert calls in ([], ["w=2"]), request
         assert distance.method in ("goppa-light-word", "mds-singleton"), request
     calls, distance = certifier_calls(ConstructionRequest("c9", 7, 1, t=7, k=10))
     assert calls == ["enumeration", "rref", "w=2"] and (distance.value, distance.method) == (42, "exhaustive")
+
+
+def test_mixed_rows_and_coprime_curve_codes_do_not_import_numpy_ma():
+    """np.unique imports numpy.ma on its first call, and _exact_keys calls it
+    for keys wider than int64: certifying every row of `agq reproduce mixed`
+    and each gcd = 1 catalog-curves slot, d(C) and the quantum distance
+    included, in a fresh interpreter never reaches it."""
+    script = (
+        "import sys\n"
+        "from agq.cli import main\n"
+        "from agq.constructions import ConstructionRequest, construct\n"
+        "main(['reproduce', 'mixed'])\n"
+        f"for request in {COPRIME_CATALOG!r}:\n"
+        "    certificate = construct(request)\n"
+        "    print(certificate.distance.exact, certificate.quantum_distance.exact)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(agq.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+    *lines, loaded = out.rstrip().split("\n")
+    assert lines[-len(COPRIME_CATALOG) :] == ["True True"] * len(COPRIME_CATALOG)
+    summary = next(json.loads(line) for line in lines if line.startswith("{"))
+    assert summary["total"] == len([t for t in _repro_targets() if t["table"] == "mixed"])
+    assert loaded == "False"
