@@ -267,13 +267,13 @@ def _run_repro_target(target: dict) -> dict:
     }
     if target.get("note"):
         report["note"] = target["note"]
+    pick = target["pick"]
     start = time.perf_counter()
     try:
-        chain = construct_chain(request)
+        chain = construct_chain(request, until=None if pick == "last" else tuple(pick))
     except AgqError as exc:
         report.update(status="UNMATCHED", got=f"error: {type(exc).__name__}: {exc}")
         return report
-    pick = target["pick"]
     cert = None
     if pick == "last":
         cert = chain[-1]

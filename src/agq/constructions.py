@@ -124,11 +124,13 @@ def construct(request: ConstructionRequest) -> Certificate:
 _EMBED_STEPS = {"none": 0, "once": 1, "iterate": None, "deep": 1}
 
 
-def construct_chain(request: ConstructionRequest) -> list[Certificate]:
+def construct_chain(request: ConstructionRequest, until: tuple | None = None) -> list[Certificate]:
     """Like construct, but returns every chain member the policy produced, each
     with its own build-and-certify time as build_s.  A rejected embedding step
     rejects an "once" request and ends any other policy's chain, whose last
-    member's trace then ends with the reason, such as "not MDS"."""
+    member's trace then ends with the reason, such as "not MDS".  Any other
+    chain also ends at the member whose (n, k) is until, if one is: an "once"
+    request takes its step regardless, as only the step can reject it."""
     start = perf_counter()
     if request.k is not None and request.k < 1:
         raise BadRequest(f"k must be at least 1, got {request.k}")
@@ -138,7 +140,9 @@ def construct_chain(request: ConstructionRequest) -> list[Certificate]:
     chain = [_construct_base(request, tower)]
     chain[0].build_s = perf_counter() - start
     steps = _EMBED_STEPS[request.embed]
-    while steps is None or len(chain) <= steps:
+    if request.embed == "once":
+        until = None
+    while (steps is None or len(chain) <= steps) and chain[-1].code.params() != until:
         try:
             chain.append(embed_once(chain[-1]))
         except EmbeddingRejected as exc:
@@ -291,7 +295,7 @@ def embed_once(cert: Certificate) -> Certificate:
     new_base = tower.vmul(cert.code.g[k - 1, : cert.eval_set.n], cert.eval_set.codes)
     zero = tower.zero_code
     # self-pairing of the new row over the evaluation columns decides the shape
-    s = int(tower.vsum(tower.vmul(new_base, tower.vfrob(new_base))))
+    s = int(tower.vsum(tower.vpow(new_base, q + 1)))
     # the predecessor's rows padded by the new row, and by one column for a
     # unit entry when the self-pairing is nonzero
     g = np.full((k + 1, n + (s != zero)), zero, dtype=np.int32)

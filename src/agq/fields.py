@@ -410,8 +410,8 @@ class FieldTower:
     def vsum(self, arr, axis: int = -1):
         """Field sum along an axis: the additive words of the codes, summed
         as integers by _word_sum.  Zero codes read the zero word."""
-        arr = np.moveaxis(np.asarray(arr, dtype=np.int32), axis, -1)
-        return self._word_sum(self._word_of(arr))
+        arr = np.asarray(arr, dtype=np.int32)
+        return self._word_sum(self._word_of(arr if axis == -1 else np.moveaxis(arr, axis, -1)))
 
     def _word_of(self, codes) -> np.ndarray:
         """The additive words of codes 0 .. q^2-1, from the two halves of

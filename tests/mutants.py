@@ -93,6 +93,12 @@ MUTANTS = (
     Mutant("once-chain-ends-instead-of-rejecting", CONSTRUCTIONS,
            '            if request.embed == "once":\n                raise\n', "",
            (f"{T_CLI}::test_construct_rejected_gram",)),
+    Mutant("until-spares-a-once-step", CONSTRUCTIONS,
+           '    if request.embed == "once":\n        until = None\n', "",
+           (f"{T_CONSTRUCTIONS}::test_until_never_spares_a_once_step",)),
+    Mutant("reproduce-row-steps-past-its-pick", CLI,
+           'until=None if pick == "last" else tuple(pick)', "until=None",
+           (f"{T_CONSTRUCTIONS}::test_reproduce_rows_step_no_further_than_their_pick",)),
     Mutant("monomial-rows-drop-e-positive", CODES,
            "zero = zero | (x == units) & (e > 0)", "zero = zero | (x == units)",
            (f"{T_CODES}::test_monomial_rows_match_per_row_oracle",)),

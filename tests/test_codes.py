@@ -1792,9 +1792,10 @@ def record_codes(draw):
     tw = spec.tower
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     x, y = curve_points(spec, rng)
-    sizes = [len(rr_basis(spec, k)) for k in range(1, 40)]
-    top = max(k for k, r in enumerate(sizes, start=1) if tw.q2 ** r <= 1 << 14 and r <= len(x))
-    basis = rr_basis(spec, draw(st.integers(1, top)))
+    bases = {len(b): b for b in (rr_basis(spec, k) for k in range(1, 40)) if tw.q2 ** len(b) <= 1 << 14 and len(b) <= len(x)}
+    # a one-row code checks little: it is drawn one time in four where a wider one exists
+    sizes = sorted(bases)
+    basis = bases[sizes[0] if not sizes[1:] or draw(st.integers(0, 3)) == 3 else draw(st.sampled_from(sizes[1:]))]
     v = rng.integers(0, tw.zero_code, len(x)).astype(np.int32)
     if draw(st.booleans()):
         v = rng.integers(0, tw.zero_code, tw.q2).astype(np.int32)[x]

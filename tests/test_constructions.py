@@ -10,6 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import agq.cli
 import agq.constructions
 from agq.cli import _repro_targets, _run_repro_target, _scan_requests, build_parser
 from agq.codes import Certificate, LinearCode, evaluation_code, exhaustive_distance, grs_rows, hermitian_gram
@@ -566,6 +567,37 @@ def test_line_chain_members_take_no_row_reduction_or_cauchy():
         chain = construct_chain(ConstructionRequest("c1", 2, 8, n=258, embed="once"))
     assert tables == {"mds1": (18, []), "mixed": (11, ["rref"])}
     assert calls == [] and [c.mds_method for c in chain] == ["vandermonde", "extended-grs"]
+
+
+def test_reproduce_rows_step_no_further_than_their_pick(monkeypatch):
+    """A row with an explicit pick takes no embedding step from the member it
+    picks, and each mds1 and mixed report, time aside, is the one that the
+    whole chain gives; the picks spare 7 steps."""
+    steps, spared, real_chain, real_embed = [], 0, agq.cli.construct_chain, agq.constructions.embed_once
+    monkeypatch.setattr(agq.constructions, "embed_once", lambda cert: steps.append(cert.code.params()) or real_embed(cert))
+    for target in _repro_targets():
+        steps.clear()
+        got = _run_repro_target(target)
+        assert (None if target["pick"] == "last" else tuple(target["pick"])) not in steps, target["row"]
+        taken = len(steps)
+        with mock.patch.object(agq.cli, "construct_chain", lambda request, until=None: real_chain(request)):
+            whole = _run_repro_target(target)
+        spared += len(steps) - 2 * taken
+        assert {**got, "time_s": None} == {**whole, "time_s": None}, target["row"]
+    assert spared == 7
+
+
+def test_until_never_spares_a_once_step():
+    """A chain that reaches until ends there, but an "once" request takes its
+    one step regardless, so stopping early cannot hide its rejection: the
+    [16,4] c1 code over GF(121) has no Hermitian self-orthogonal successor."""
+    request = ConstructionRequest("c1", 11, 1, n=16, k=4, embed="once")
+    for until in (None, (16, 4)):
+        with pytest.raises(EmbeddingRejected, match="Gram nonzero at k\\+1 = 5"):
+            construct_chain(request, until=until)
+    request = replace(request, embed="iterate")
+    assert [c.code.params() for c in construct_chain(request, until=(16, 4))] == [(16, 4)]
+    assert construct_chain(request)[-1].trace[-1].startswith("chain ends: Gram nonzero at k+1 = 5")
 
 
 def test_a_line_record_spares_the_curve_check():
